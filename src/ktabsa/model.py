@@ -394,9 +394,9 @@ class AbsaModel:
             parts = [state.hidden[target]]
             for src in srcs:
                 direction = self.routes[f"{src}->{target}"]
-                u = predict_vectors(state.hidden[src], direction, self.pe,
-                                    cfg.pe_mode)
-                v, snaps = route(u, sentence.adjacency, cfg.route_iters,
+                r, q = predict_vectors(state.hidden[src], direction,
+                                       self.pe, cfg.pe_mode)
+                v, snaps = route(r, q, sentence.adjacency, cfg.route_iters,
                                  keep_trace=keep_trace)
                 if keep_trace and traces is not None:
                     traces.append((state.t + 1, RoutingTrace(
@@ -543,4 +543,5 @@ class AbsaModel:
             count = int(np.prod(shape)) if shape else 1
             arr = np.frombuffer(payload, dtype="<f4", count=count,
                                 offset=m["offset"]).reshape(shape)
-            t.data = np.ascontiguousarray(arr, dtype=np.float32)
+            # copy: a view of the read-only payload bytes cannot be trained
+            t.data = np.array(arr, dtype=np.float32)

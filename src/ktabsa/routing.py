@@ -1,17 +1,23 @@
 """Dynamic-length agreement routing between task-specific token layers.
 
 A routing step moves knowledge from every source token i to every target
-token j of the same sentence. Source hiddens are first projected into
-per-pair vote vectors ``u_hat[i, j]`` through a weight matrix shared across
-the whole sentence but made position-aware by adding sinusoidal encodings of
-i and j. The iterative loop then:
+token j of the same sentence. Each pair's vote is
+``u_hat[i, j] = (h_i [+ PE(i)] [+ PE(j)]) W``: a weight matrix shared across
+the whole sentence, made position-aware by adding sinusoidal encodings of i
+and j. Because W is linear, the vote factors into a source part and a target
+part, ``u_hat[i, j] = r[i] + q[j]`` with ``r = (h [+ PE]) W`` and
+``q = PE W`` (or 0), and the loop only ever holds r and q. The iterative loop
+then:
 
     1. adds the dependency adjacency prior to the routing logits b,
     2. normalizes b over targets j into coupling coefficients c (softmax),
     3. aggregates votes per target, s[j] = sum_i c[i,j] * u_hat[i,j],
+       computed as s = c^T r + colsum(c) * q,
     4. bounds each aggregate with squash, v[j],
-    5. sharpens b by the vote/output agreement u_hat[i,j] . v[j].
+    5. sharpens b by the vote/output agreement u_hat[i,j] . v[j],
+       computed as r v^T + 1 (q * v summed over the vote width)^T.
 
+So a routing step needs O(n^2 + n*d) memory, never the O(n^2*d) vote tensor.
 The number of targets equals the sentence length, so the output is a
 dynamic-length set of vectors rather than a fixed capsule bank. The loop is
 fully unrolled; gradients flow through every iteration.
@@ -25,7 +31,7 @@ import numpy as np
 
 from .tensor import (ConfigError, Tensor, add, constant, coupled_sum,
                      default_dtype, masked_softmax, matmul, pairwise_dot,
-                     reshape, squash)
+                     softmax, squash)
 
 PE_MODES = ("add-both", "add-source", "off")
 
@@ -96,10 +102,12 @@ class RoutingTrace:
 
 
 def predict_vectors(h_source: Tensor, direction: TransferDirection,
-                    pe: PositionalEncoding,
-                    pe_mode: str = "add-both") -> Tensor:
-    """Per-pair vote vectors u_hat[i, j] = (h_i [+ PE(i)] [+ PE(j)]) @ W.
+                    pe: PositionalEncoding, pe_mode: str = "add-both"
+                    ) -> tuple[Tensor, Tensor | None]:
+    """Factored vote vectors: u_hat[i, j] = r[i] + q[j].
 
+    ``r = (h [+ PE]) @ W`` is the source part and ``q = PE @ W`` the target
+    part, both [n, d_route]; ``q`` is None unless ``pe_mode`` is "add-both".
     The projection W is shared across positions; position awareness comes
     from the additive encodings selected by ``pe_mode``.
     """
@@ -111,58 +119,58 @@ def predict_vectors(h_source: Tensor, direction: TransferDirection,
         raise ConfigError(f"hidden width {d} does not match positional "
                           f"encoding dimension {pe.d_model}")
     pe_n = pe.prefix(n)  # also enforces the capacity limit
-    if pe_mode == "off":
-        src = h_source
-    else:
-        src = add(h_source, pe_n)
-    rows = matmul(src, direction.weight)            # [n, d_route], source part
-    d_route = rows.shape[1]
-    left = reshape(rows, (n, 1, d_route))
-    if pe_mode == "add-both":
-        cols = matmul(pe_n, direction.weight)       # [n, d_route], target part
-        right = reshape(cols, (1, n, d_route))
-    else:
-        right = constant(np.zeros((1, n, 1), dtype=rows.dtype))
-    return add(left, right)                         # broadcast to [n, n, d]
+    src = h_source if pe_mode == "off" else add(h_source, pe_n)
+    r = matmul(src, direction.weight)
+    q = matmul(pe_n, direction.weight) if pe_mode == "add-both" else None
+    return r, q
 
 
-def route(u_hat: Tensor, adjacency: np.ndarray, iterations: int,
-          mask: np.ndarray | None = None,
+def route(r: Tensor, q: Tensor | None, adjacency: np.ndarray,
+          iterations: int, mask: np.ndarray | None = None,
           keep_trace: bool = False) -> tuple[Tensor, list[RoutingState]]:
     """Run the agreement loop and return the final target vectors.
 
-    ``u_hat`` is [n, n, d_route] indexed (source i, target j). ``adjacency``
-    is the binary n-by-n dependency prior, re-added to the logits at every
-    iteration. ``mask`` flags real tokens; padded positions are dropped from
-    the softmax (as targets) and from the vote aggregation (as sources).
-    Gradients flow through the unrolled loop.
+    The votes are ``u_hat[i, j] = r[i] + q[j]`` for source i and target j,
+    with ``r`` [n, d_route] and ``q`` [n, d_route] or None (zero), as
+    returned by :func:`predict_vectors`. ``adjacency`` is the binary n-by-n
+    dependency prior, re-added to the logits at every iteration. ``mask``
+    flags real tokens; padded positions are dropped from the softmax (as
+    targets) and from the vote aggregation (as sources). Gradients flow
+    through the unrolled loop.
     """
     if iterations < 1:
         raise ConfigError(f"routing needs at least one iteration, "
                           f"got {iterations}")
-    n = u_hat.shape[0]
-    if u_hat.ndim != 3 or u_hat.shape[1] != n:
-        raise ConfigError(f"u_hat must be [n, n, d], got {tuple(u_hat.shape)}")
+    if r.ndim != 2:
+        raise ConfigError(f"source votes r must be [n, d], got "
+                          f"{tuple(r.shape)}")
+    if q is not None and q.shape != r.shape:
+        raise ConfigError(f"target votes q must match r {tuple(r.shape)}, "
+                          f"got {tuple(q.shape)}")
+    n = r.shape[0]
     if adjacency.shape != (n, n):
         raise ConfigError(f"adjacency shape {adjacency.shape} does not match "
                           f"sentence length {n}")
-    if mask is None:
-        mask = np.ones(n, dtype=bool)
-    mask = np.asarray(mask, dtype=bool)
+    dtype = r.data.dtype
+    mask = np.ones(n, dtype=bool) if mask is None else np.asarray(mask, bool)
+    masked = not mask.all()
     target_mask = mask[None, :]                     # masks softmax columns
-    source_keep = constant(mask.astype(u_hat.dtype)[:, None])
-    prior = constant(adjacency.astype(u_hat.data.dtype))
+    source_keep = constant(mask.astype(dtype)[:, None])
+    prior = constant(adjacency.astype(dtype))
 
-    b = constant(np.zeros((n, n), dtype=u_hat.data.dtype))
+    b = constant(np.zeros((n, n), dtype=dtype))
     trace: list[RoutingState] = []
     v = None
     for it in range(1, iterations + 1):
         b = add(b, prior)
-        c = masked_softmax(b, target_mask, axis=1)
-        c_src = c if mask.all() else c * source_keep
-        s = coupled_sum(c_src, u_hat)
+        if masked:
+            c = masked_softmax(b, target_mask, axis=1)
+            c_src = c * source_keep
+        else:
+            c = c_src = softmax(b, axis=1)
+        s = coupled_sum(c_src, r, q)
         v = squash(s, axis=1)
-        b = add(b, pairwise_dot(u_hat, v))
+        b = add(b, pairwise_dot(r, v, q))
         if keep_trace:
             trace.append(RoutingState(it, b.data.copy(), c.data.copy(),
                                       s.data.copy(), v.data.copy()))

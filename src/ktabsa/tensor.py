@@ -598,36 +598,70 @@ def cross_entropy_rows(logits: Tensor, targets, weights) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # pairwise voting primitives (used by the routing layer)
+#
+# Routing votes factor as u[i,j] = r[i] + q[j] (source part plus target
+# part), so both ops take the two [n,d] factors and never build the [n,m,d]
+# vote tensor; each is one tape node with a matmul-only backward.
 
 
-def coupled_sum(c: Tensor, u: Tensor) -> Tensor:
-    """s[j] = sum_i c[i,j] * u[i,j,:]  for c [n,m] and u [n,m,d]."""
-    if c.ndim != 2 or u.ndim != 3 or c.shape != u.shape[:2]:
+def _check_factors(op: str, r: Tensor, q: Tensor | None, m: int) -> None:
+    if q is not None and q.shape != (m, r.shape[1]):
+        raise ShapeError(f"{op}: target votes q must be ({m}, {r.shape[1]}), "
+                         f"got {tuple(q.shape)}")
+
+
+def coupled_sum(c: Tensor, r: Tensor, q: Tensor | None = None) -> Tensor:
+    """s[j] = sum_i c[i,j] * (r[i] + q[j])  for c [n,m], r [n,d], q [m,d].
+
+    Computed as c^T r + colsum(c) * q; ``q=None`` means q = 0.
+    """
+    if c.ndim != 2 or r.ndim != 2 or c.shape[0] != r.shape[0]:
         raise ShapeError(f"coupled_sum shapes {tuple(c.shape)} and "
-                         f"{tuple(u.shape)} do not align")
-    out = Tensor(np.einsum("ij,ijd->jd", c.data, u.data),
-                 requires_grad=c.requires_grad or u.requires_grad)
+                         f"{tuple(r.shape)} do not align")
+    _check_factors("coupled_sum", r, q, c.shape[1])
+    s = c.data.T @ r.data
+    if q is not None:
+        colsum = c.data.sum(axis=0)[:, None]
+        s += colsum * q.data
+    out = Tensor(s, requires_grad=c.requires_grad or r.requires_grad
+                 or (q is not None and q.requires_grad))
 
     def fn(g, push):
-        push(c, np.einsum("jd,ijd->ij", g, u.data))
-        push(u, c.data[:, :, None] * g[None, :, :])
+        dc = r.data @ g.T
+        if q is not None:
+            dc += (g * q.data).sum(axis=1)[None, :]
+            push(q, colsum * g)
+        push(c, dc)
+        push(r, c.data @ g)
 
-    return _emit(out, (c, u), fn)
+    return _emit(out, (c, r) if q is None else (c, r, q), fn)
 
 
-def pairwise_dot(u: Tensor, v: Tensor) -> Tensor:
-    """out[i,j] = u[i,j,:] . v[j,:]  for u [n,m,d] and v [m,d]."""
-    if u.ndim != 3 or v.ndim != 2 or u.shape[1:] != v.shape:
-        raise ShapeError(f"pairwise_dot shapes {tuple(u.shape)} and "
+def pairwise_dot(r: Tensor, v: Tensor, q: Tensor | None = None) -> Tensor:
+    """out[i,j] = (r[i] + q[j]) . v[j]  for r [n,d], v [m,d], q [m,d].
+
+    Computed as r v^T + 1 (q * v summed over d)^T; ``q=None`` means q = 0.
+    """
+    if r.ndim != 2 or v.ndim != 2 or r.shape[1] != v.shape[1]:
+        raise ShapeError(f"pairwise_dot shapes {tuple(r.shape)} and "
                          f"{tuple(v.shape)} do not align")
-    out = Tensor(np.einsum("ijd,jd->ij", u.data, v.data),
-                 requires_grad=u.requires_grad or v.requires_grad)
+    _check_factors("pairwise_dot", r, q, v.shape[0])
+    a = r.data @ v.data.T
+    if q is not None:
+        a += (q.data * v.data).sum(axis=1)[None, :]
+    out = Tensor(a, requires_grad=r.requires_grad or v.requires_grad
+                 or (q is not None and q.requires_grad))
 
     def fn(g, push):
-        push(u, g[:, :, None] * v.data[None, :, :])
-        push(v, np.einsum("ij,ijd->jd", g, u.data))
+        dv = g.T @ r.data
+        if q is not None:
+            colsum = g.sum(axis=0)[:, None]
+            dv += colsum * q.data
+            push(q, colsum * v.data)
+        push(r, g @ v.data)
+        push(v, dv)
 
-    return _emit(out, (u, v), fn)
+    return _emit(out, (r, v) if q is None else (r, v, q), fn)
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,12 @@ from .data import (Batch, Document, Sentence, make_batches)
 from .metrics import evaluate
 from .model import ASPECT_TASKS, AbsaModel, IterationState, ModelConfig
 from .tensor import (Tape, Tensor, adam_step, clip_grads, cross_entropy,
-                     cross_entropy_rows, record, reshape, scale)
+                     cross_entropy_rows, global_grad_norm, record, reshape,
+                     scale)
 
 
 class DivergenceError(ArithmeticError):
-    """Training loss became non-finite."""
+    """Training loss or gradient norm became non-finite."""
 
 
 @dataclass(frozen=True)
@@ -200,7 +201,11 @@ def token_accuracy(model: AbsaModel,
 
 
 def _train_step(model: AbsaModel, opt: Adam, loss_fn: Callable[[], Tensor],
-                clip_norm: float, what: str) -> float:
+                clip_norm: float, what: str,
+                grad_norms: list[float] | None = None) -> float:
+    """One optimizer step; returns the loss and appends the pre-clip global
+    gradient norm to ``grad_norms``. A non-finite loss or gradient norm
+    raises :class:`DivergenceError` before any parameter changes."""
     tape = Tape()
     with record(tape):
         loss = loss_fn()
@@ -213,9 +218,28 @@ def _train_step(model: AbsaModel, opt: Adam, loss_fn: Callable[[], Tensor],
         if emb.grad is not None:
             emb.grad[row] = 0.0
     if clip_norm > 0:
-        clip_grads(opt.params.values(), clip_norm)
+        norm = clip_grads(opt.params.values(), clip_norm)
+    else:
+        norm = global_grad_norm(opt.params.values())
+    if not np.isfinite(norm):
+        raise DivergenceError(f"non-finite gradient norm on {what}")
     opt.step()
+    if grad_norms is not None:
+        grad_norms.append(norm)
     return value
+
+
+def grad_norm_stats(norms: Sequence[float], clip_norm: float) -> dict:
+    """Per-epoch gradient-norm summary; ``clip_frac`` is the share of steps
+    whose norm was clipped."""
+    if not norms:
+        return {"grad_norm_min": None, "grad_norm_mean": None,
+                "grad_norm_max": None, "clip_frac": None}
+    clipped = sum(n > clip_norm for n in norms) if clip_norm > 0 else 0
+    return {"grad_norm_min": float(min(norms)),
+            "grad_norm_mean": float(np.mean(norms)),
+            "grad_norm_max": float(max(norms)),
+            "clip_frac": clipped / len(norms)}
 
 
 def fit(model: AbsaModel, train_sentences: Sequence[Sentence],
@@ -259,14 +283,16 @@ def fit(model: AbsaModel, train_sentences: Sequence[Sentence],
         if not documents:
             break
         t0 = time.time()
-        losses = []
+        losses, norms = [], []
         for bi, chunk in enumerate(doc_chunks(int(rng.integers(2 ** 31)))):
             losses.append(_train_step(
                 model, opt,
                 lambda: batch_document_loss(model, chunk, weights, True, rng),
-                schedule.clip_norm, f"pretrain epoch {epoch} batch {bi}"))
+                schedule.clip_norm, f"pretrain epoch {epoch} batch {bi}",
+                norms))
         rec = {"epoch": epoch, "phase": "pretrain",
                "J_d": float(np.mean(losses)) if losses else None,
+               **grad_norm_stats(norms, schedule.clip_norm),
                "wall_time_s": round(time.time() - t0, 3)}
         result.step_losses.extend(losses)
         log_epoch(rec)
@@ -281,12 +307,13 @@ def fit(model: AbsaModel, train_sentences: Sequence[Sentence],
                                int(rng.integers(2 ** 31)), gpad, dpad)
         chunks = doc_chunks(int(rng.integers(2 ** 31))) if documents else []
         ci = 0
-        ja_losses, jd_losses = [], []
+        ja_losses, jd_losses, norms = [], [], []
         for bi, batch in enumerate(batches):
             ja_losses.append(_train_step(
                 model, opt,
                 lambda: batch_aspect_loss(model, batch, weights, True, rng),
-                schedule.clip_norm, f"epoch {epoch} aspect batch {bi}"))
+                schedule.clip_norm, f"epoch {epoch} aspect batch {bi}",
+                norms))
             if chunks and (bi + 1) % schedule.aspect_batches_per_doc == 0:
                 chunk = chunks[ci % len(chunks)]
                 ci += 1
@@ -294,14 +321,16 @@ def fit(model: AbsaModel, train_sentences: Sequence[Sentence],
                     model, opt,
                     lambda: batch_document_loss(model, chunk, weights, True,
                                                 rng),
-                    schedule.clip_norm, f"epoch {epoch} doc batch {ci - 1}"))
+                    schedule.clip_norm, f"epoch {epoch} doc batch {ci - 1}",
+                    norms))
         result.step_losses.extend(ja_losses)
         result.step_losses.extend(jd_losses)
         result.epochs_run = epoch + 1
 
         rec = {"epoch": epoch, "phase": "joint",
                "J_a": float(np.mean(ja_losses)) if ja_losses else None,
-               "J_d": float(np.mean(jd_losses)) if jd_losses else None}
+               "J_d": float(np.mean(jd_losses)) if jd_losses else None,
+               **grad_norm_stats(norms, schedule.clip_norm)}
 
         if dev_sentences:
             report = evaluate([model.predict(s) for s in dev_sentences],

@@ -68,11 +68,18 @@ def test_routing_invariants_thousand_instances():
         n = int(rng.integers(1, 11))
         iters = int(rng.integers(1, 5))
         d = int(rng.integers(2, 7))
-        u = rng.normal(size=(n, n, d)) * rng.uniform(0.2, 2.5)
+        scale = rng.uniform(0.2, 2.5)
+        r = rng.normal(size=(n, d)) * scale
+        q = None if rng.random() < 0.25 else rng.normal(size=(n, d)) * scale
         adjacency = (rng.random((n, n)) < 0.3).astype(np.float64)
+        # the oracle runs on the materialized votes u[i, j] = r[i] + q[j]
+        u = r[:, None, :] + (0.0 if q is None else q[None, :, :])
+        u = np.broadcast_to(u, (n, n, d))
 
         with T.use_dtype(np.float64):
-            v, trace = route(T.constant(u), adjacency, iters, keep_trace=True)
+            v, trace = route(T.constant(r),
+                             None if q is None else T.constant(q),
+                             adjacency, iters, keep_trace=True)
 
         # independent step-by-step re-execution of the update rules
         b = np.zeros((n, n))

@@ -34,10 +34,26 @@ def route_oracle(u_hat, adjacency, iterations, mask=None):
     return v, states
 
 
-def run_route(u_hat, adjacency, iterations, mask=None, keep_trace=True):
+def materialize(r, q):
+    """The full vote tensor u_hat[i, j] = r[i] + q[j] the oracle runs on."""
+    r = np.asarray(r, dtype=np.float64)
+    if q is None:
+        return np.repeat(r[:, None, :], r.shape[0], axis=1)
+    return r[:, None, :] + np.asarray(q, dtype=np.float64)[None, :, :]
+
+
+def random_factors(rng, n, d, scale=1.0, q_none=False):
+    r = rng.normal(size=(n, d)) * scale
+    q = None if q_none else rng.normal(size=(n, d)) * scale
+    return r, q
+
+
+def run_route(r, q, adjacency, iterations, mask=None, keep_trace=True):
     with T.use_dtype(np.float64):
-        v, trace = R.route(T.constant(u_hat), adjacency, iterations,
-                           mask=mask, keep_trace=keep_trace)
+        v, trace = R.route(T.constant(r),
+                           None if q is None else T.constant(q),
+                           adjacency, iterations, mask=mask,
+                           keep_trace=keep_trace)
     return v, trace
 
 
@@ -88,8 +104,8 @@ def test_predict_vectors_zero_weight():
         pe = R.PositionalEncoding(6, 10)
         d = R.TransferDirection("ate", "asc", T.constant(np.zeros((6, 4))))
         h = T.constant(rng.normal(size=(3, 6)))
-        u = R.predict_vectors(h, d, pe)
-    assert not u.data.any()
+        r, q = R.predict_vectors(h, d, pe)
+    assert not r.data.any() and not q.data.any()
 
 
 def test_predict_vectors_varies_with_target_only_through_pe():
@@ -98,13 +114,14 @@ def test_predict_vectors_varies_with_target_only_through_pe():
         pe = R.PositionalEncoding(6, 10)
         direction = make_direction(6, 4, rng)
         h = T.constant(rng.normal(size=(4, 6)))
-        u = R.predict_vectors(h, direction, pe)
+        r, q = R.predict_vectors(h, direction, pe)
         pw = pe.prefix(4).data @ direction.weight.data
+    u = materialize(r.data, q.data)
     for i in range(4):
         for j1 in range(4):
             for j2 in range(4):
                 np.testing.assert_allclose(
-                    u.data[i, j1] - u.data[i, j2], pw[j1] - pw[j2],
+                    u[i, j1] - u[i, j2], pw[j1] - pw[j2],
                     atol=1e-10)
 
 
@@ -114,12 +131,13 @@ def test_predict_vectors_zero_hidden_is_pe_sum():
         pe = R.PositionalEncoding(6, 10)
         direction = make_direction(6, 4, rng)
         h = T.constant(np.zeros((3, 6)))
-        u = R.predict_vectors(h, direction, pe)
+        r, q = R.predict_vectors(h, direction, pe)
         table = pe.prefix(3).data
+    u = materialize(r.data, q.data)
     for i in range(3):
         for j in range(3):
             expected = (table[i] + table[j]) @ direction.weight.data
-            np.testing.assert_allclose(u.data[i, j], expected, atol=1e-12)
+            np.testing.assert_allclose(u[i, j], expected, atol=1e-12)
 
 
 def test_predict_vectors_capacity_error():
@@ -137,13 +155,17 @@ def test_predict_vectors_modes():
         pe = R.PositionalEncoding(6, 10)
         direction = make_direction(6, 4, rng)
         h = T.constant(rng.normal(size=(3, 6)))
-        u_off = R.predict_vectors(h, direction, pe, pe_mode="off")
-        u_src = R.predict_vectors(h, direction, pe, pe_mode="add-source")
-    # without target-side PE, votes from token i are identical across targets
-    for u in (u_off, u_src):
-        for j in range(1, 3):
-            np.testing.assert_allclose(u.data[:, j], u.data[:, 0])
-    np.testing.assert_allclose(u_off.data[:, 0], h.data @ direction.weight.data)
+        r_off, q_off = R.predict_vectors(h, direction, pe, pe_mode="off")
+        r_src, q_src = R.predict_vectors(h, direction, pe,
+                                         pe_mode="add-source")
+        table = pe.prefix(3).data
+    # without target-side PE there is no target part, so votes from token i
+    # are identical across targets
+    assert q_off is None and q_src is None
+    np.testing.assert_allclose(r_off.data, h.data @ direction.weight.data)
+    np.testing.assert_allclose(r_src.data,
+                               (h.data + table) @ direction.weight.data,
+                               atol=1e-12)
     with pytest.raises(T.ConfigError, match="pe_mode"):
         R.predict_vectors(h, direction, pe, pe_mode="bogus")
 
@@ -155,34 +177,38 @@ def test_predict_vectors_modes():
 def test_route_single_iteration_no_prior_is_uniform_mean():
     rng = np.random.default_rng(5)
     n, d = 4, 3
-    u = rng.normal(size=(n, n, d))
-    v, trace = run_route(u, np.zeros((n, n)), 1)
+    r, q = random_factors(rng, n, d)
+    u = materialize(r, q)
+    v, trace = run_route(r, q, np.zeros((n, n)), 1)
     np.testing.assert_allclose(trace[0].c, np.full((n, n), 1.0 / n))
     np.testing.assert_allclose(v.data, squash_ref(u.mean(axis=0)), atol=1e-12)
 
 
 def test_route_single_token():
     rng = np.random.default_rng(6)
-    u = rng.normal(size=(1, 1, 5))
-    for iters in (1, 3):
-        v, trace = run_route(u, np.ones((1, 1)), iters)
-        np.testing.assert_allclose(trace[-1].c, [[1.0]])
-        np.testing.assert_allclose(v.data, squash_ref(u[0]), atol=1e-12)
+    for q_none in (False, True):
+        r, q = random_factors(rng, 1, 5, q_none=q_none)
+        u = materialize(r, q)
+        for iters in (1, 3):
+            v, trace = run_route(r, q, np.ones((1, 1)), iters)
+            np.testing.assert_allclose(trace[-1].c, [[1.0]])
+            np.testing.assert_allclose(v.data, squash_ref(u[0]), atol=1e-12)
 
 
 def test_route_matches_line_by_line_oracle():
     rng = np.random.default_rng(7)
     n = 3
-    u = rng.normal(size=(n, n, 4))
     adjacency = np.zeros((n, n))
     adjacency[0, 2] = adjacency[2, 0] = 1.0
-    v, trace = run_route(u, adjacency, 3)
-    ov, ostates = route_oracle(u, adjacency, 3)
-    np.testing.assert_allclose(v.data, ov, atol=1e-9)
-    for st, (ob, oc, ovv) in zip(trace, ostates):
-        np.testing.assert_allclose(st.c, oc, atol=1e-9)
-        np.testing.assert_allclose(st.b, ob, atol=1e-9)
-        np.testing.assert_allclose(st.v, ovv, atol=1e-9)
+    for q_none in (False, True):
+        r, q = random_factors(rng, n, 4, q_none=q_none)
+        v, trace = run_route(r, q, adjacency, 3)
+        ov, ostates = route_oracle(materialize(r, q), adjacency, 3)
+        np.testing.assert_allclose(v.data, ov, atol=1e-9)
+        for st, (ob, oc, ovv) in zip(trace, ostates):
+            np.testing.assert_allclose(st.c, oc, atol=1e-9)
+            np.testing.assert_allclose(st.b, ob, atol=1e-9)
+            np.testing.assert_allclose(st.v, ovv, atol=1e-9)
 
 
 def test_route_invariants_random():
@@ -190,9 +216,10 @@ def test_route_invariants_random():
     for _ in range(25):
         n = int(rng.integers(1, 8))
         iters = int(rng.integers(1, 5))
-        u = rng.normal(size=(n, n, 4)) * rng.uniform(0.2, 3.0)
+        r, q = random_factors(rng, n, 4, rng.uniform(0.2, 3.0),
+                              q_none=rng.random() < 0.25)
         adjacency = (rng.random((n, n)) < 0.3).astype(float)
-        v, trace = run_route(u, adjacency, iters)
+        v, trace = run_route(r, q, adjacency, iters)
         for st in trace:
             np.testing.assert_allclose(st.c.sum(axis=1), np.ones(n),
                                        atol=1e-9)
@@ -202,8 +229,9 @@ def test_route_invariants_random():
 def test_route_agreement_update_is_exact():
     rng = np.random.default_rng(9)
     n = 4
-    u = rng.normal(size=(n, n, 3))
-    _, trace = run_route(u, np.zeros((n, n)), 2)
+    r, q = random_factors(rng, n, 3)
+    u = materialize(r, q)
+    _, trace = run_route(r, q, np.zeros((n, n)), 2)
     # b after the sharpen step equals its pre-update value plus u.v exactly
     first = trace[0]
     pre = np.zeros((n, n))  # logits before iteration 1's sharpening (A = 0)
@@ -213,10 +241,10 @@ def test_route_agreement_update_is_exact():
 
 def test_route_adjacency_monotonicity_first_iteration():
     n = 3
-    u = np.ones((n, n, 2))
+    r = np.ones((n, 2))  # u_hat = 1 everywhere
     adjacency = np.zeros((n, n))
     adjacency[0, 1] = 1.0
-    _, trace = run_route(u, adjacency, 1)
+    _, trace = run_route(r, None, adjacency, 1)
     c = trace[0].c
     assert c[0, 1] > c[0, 0] and c[0, 1] > c[0, 2]
 
@@ -224,26 +252,28 @@ def test_route_adjacency_monotonicity_first_iteration():
 def test_route_permutation_equivariance_without_pe():
     rng = np.random.default_rng(10)
     n = 5
-    u = rng.normal(size=(n, n, 3))
+    r, q = random_factors(rng, n, 3)
     adjacency = (rng.random((n, n)) < 0.4).astype(float)
     perm = rng.permutation(n)
-    v, _ = run_route(u, adjacency, 3)
-    vp, _ = run_route(u[np.ix_(perm, perm)], adjacency[np.ix_(perm, perm)], 3)
+    v, _ = run_route(r, q, adjacency, 3)
+    # permuting the tokens permutes u_hat[i, j] = r[i] + q[j] on both axes
+    vp, _ = run_route(r[perm], q[perm], adjacency[np.ix_(perm, perm)], 3)
     np.testing.assert_allclose(vp.data, v.data[perm], atol=1e-9)
 
 
 def test_route_mask_excludes_padded_tokens():
     rng = np.random.default_rng(11)
     n_real, n_pad = 3, 2
-    u_real = rng.normal(size=(n_real, n_real, 4))
+    r_real, q_real = random_factors(rng, n_real, 4)
     adjacency_real = np.zeros((n_real, n_real))
-    v_real, _ = run_route(u_real, adjacency_real, 2)
+    v_real, _ = run_route(r_real, q_real, adjacency_real, 2)
 
     n = n_real + n_pad
-    u = rng.normal(size=(n, n, 4)) * 100.0  # garbage in padded slots
-    u[:n_real, :n_real] = u_real
+    r, q = random_factors(rng, n, 4, 100.0)  # garbage in padded slots
+    r[:n_real] = r_real
+    q[:n_real] = q_real
     mask = np.array([True] * n_real + [False] * n_pad)
-    v, trace = run_route(u, np.zeros((n, n)), 2, mask=mask)
+    v, trace = run_route(r, q, np.zeros((n, n)), 2, mask=mask)
     np.testing.assert_allclose(v.data[:n_real], v_real.data, atol=1e-9)
     for st in trace:
         assert not st.c[:, n_real:].any()  # padded targets get zero coupling
@@ -251,7 +281,17 @@ def test_route_mask_excludes_padded_tokens():
 
 def test_route_rejects_bad_iteration_count():
     with pytest.raises(T.ConfigError, match="iteration"):
-        R.route(T.constant(np.zeros((2, 2, 3))), np.zeros((2, 2)), 0)
+        R.route(T.constant(np.zeros((2, 3))), None, np.zeros((2, 2)), 0)
+
+
+def test_route_rejects_misshapen_inputs():
+    r = T.constant(np.zeros((2, 3)))
+    with pytest.raises(T.ConfigError, match="r must be"):
+        R.route(T.constant(np.zeros((2, 2, 3))), None, np.zeros((2, 2)), 1)
+    with pytest.raises(T.ConfigError, match="q must match"):
+        R.route(r, T.constant(np.zeros((3, 3))), np.zeros((2, 2)), 1)
+    with pytest.raises(T.ConfigError, match="adjacency"):
+        R.route(r, None, np.zeros((3, 3)), 1)
 
 
 def test_route_gradients_through_unrolled_loop():
@@ -261,9 +301,13 @@ def test_route_gradients_through_unrolled_loop():
     adjacency[0, 1] = adjacency[1, 0] = 1.0
     w = rng.normal(size=(n, 2))
     check_op_grads(
-        lambda ts: T.mul(R.route(ts[0], adjacency, 3)[0],
+        lambda ts: T.mul(R.route(ts[0], ts[1], adjacency, 3)[0],
                          T.constant(w, dtype=np.float64)).sum(),
-        [rng.normal(size=(n, n, 2))])
+        [rng.normal(size=(n, 2)), rng.normal(size=(n, 2))])
+    check_op_grads(
+        lambda ts: T.mul(R.route(ts[0], None, adjacency, 3)[0],
+                         T.constant(w, dtype=np.float64)).sum(),
+        [rng.normal(size=(n, 2))])
 
 
 def test_route_end_to_end_gradients_with_predict_vectors():
@@ -275,8 +319,8 @@ def test_route_end_to_end_gradients_with_predict_vectors():
     def build(ts):
         pe = R.PositionalEncoding(d_task, 8)
         direction = R.TransferDirection("ote", "asc", ts[1])
-        u = R.predict_vectors(ts[0], direction, pe)
-        v, _ = R.route(u, adjacency, 2)
+        r, q = R.predict_vectors(ts[0], direction, pe)
+        v, _ = R.route(r, q, adjacency, 2)
         return T.mul(v, T.constant(probe, dtype=np.float64)).sum()
 
     check_op_grads(build, [rng.normal(size=(n, d_task)),
@@ -288,9 +332,7 @@ def test_route_end_to_end_gradients_with_predict_vectors():
 
 
 def test_agreement_trace_two_tokens_uniform():
-    u = np.zeros((2, 2, 3))
-    u[0, 0, 0] = 0.0
-    _, states = run_route(np.random.default_rng(14).normal(size=(2, 2, 3)) * 0,
+    _, states = run_route(np.zeros((2, 3)), np.zeros((2, 3)),
                           np.zeros((2, 2)), 1)
     trace = R.RoutingTrace("ote->asc", ("a", "b"), np.zeros((2, 2)), states)
     recs = R.agreement_trace(trace)
@@ -304,7 +346,8 @@ def test_agreement_trace_two_tokens_uniform():
 def test_agreement_trace_rows_sum_to_one_entries_in_open_interval():
     rng = np.random.default_rng(15)
     n = 4
-    _, states = run_route(rng.normal(size=(n, n, 3)), np.eye(n), 3)
+    r, q = random_factors(rng, n, 3)
+    _, states = run_route(r, q, np.eye(n), 3)
     trace = R.RoutingTrace("ate->ote", None, np.eye(n), states)
     for rec in R.agreement_trace(trace):
         c = np.array(rec["c"])
@@ -313,16 +356,58 @@ def test_agreement_trace_rows_sum_to_one_entries_in_open_interval():
 
 
 def test_agreement_strictly_increases_for_aligned_votes():
-    # one (i, j) pair votes parallel to the eventual output, everything else
-    # orthogonal: its coupling must sharpen monotonically across iterations
+    # target 1 has a large target-side vote part along e1, so the votes into
+    # it agree with its output; every source part is small and orthogonal to
+    # e1 and to each other: the (0, 1) coupling must sharpen monotonically
+    # across iterations
     n, d = 3, 6
-    u = np.zeros((n, n, d))
-    u[0, 1] = [4.0, 0, 0, 0, 0, 0]
-    u[1, 1] = [0, 0.2, 0, 0, 0, 0]
-    u[2, 1] = [0, 0, 0.2, 0, 0, 0]
-    u[0, 0] = [0, 0, 0, 0.1, 0, 0]
-    u[1, 0] = [0, 0, 0, 0, 0.1, 0]
-    u[2, 2] = [0, 0, 0, 0, 0, 0.1]
-    _, states = run_route(u, np.zeros((n, n)), 4)
+    r = np.zeros((n, d))
+    r[0, 3] = r[1, 4] = r[2, 5] = 0.1
+    q = np.zeros((n, d))
+    q[1, 0] = 4.0
+    _, states = run_route(r, q, np.zeros((n, n)), 4)
     series = [st.c[0, 1] for st in states]
     assert all(b > a for a, b in zip(series, series[1:]))
+
+
+# ---------------------------------------------------------------------------
+# memory
+
+
+def test_routing_tape_never_holds_pairwise_vote_tensor():
+    # votes stay factored: no recorded output and no gradient pushed in
+    # backward may be larger than an [n, n] coupling or an [n, d_route]
+    # vote part, so routing memory is O(n^2 + n*d), not O(n^2 * d)
+    rng = np.random.default_rng(16)
+    n, d_task, d_route = 128, 64, 32
+    limit = max(n * n, n * d_route)
+    pe = R.PositionalEncoding(d_task, n)
+    direction = R.TransferDirection(
+        "ate", "asc", T.Tensor(rng.normal(size=(d_task, d_route)) * 0.1,
+                               requires_grad=True, dtype=np.float32))
+    h = T.Tensor(rng.normal(size=(n, d_task)).astype(np.float32),
+                 requires_grad=True)
+    adjacency = np.eye(n)
+    tape = T.Tape()
+    with T.record(tape):
+        r, q = R.predict_vectors(h, direction, pe)
+        v, _ = R.route(r, q, adjacency, 3)
+        loss = v.sum()
+    recorded = max(node[0].size for node in tape.nodes)
+    assert recorded <= limit, f"tape output of {recorded} elements"
+
+    pushed = []
+
+    def spy(fn):
+        def wrapped(g, push):
+            def spy_push(t, grad):
+                pushed.append(np.size(grad))
+                push(t, grad)
+            fn(g, spy_push)
+        return wrapped
+
+    tape.nodes = [node[:-1] + (spy(node[-1]),) for node in tape.nodes]
+    tape.backward(loss)
+    assert pushed and max(pushed) <= limit, (
+        f"gradient of {max(pushed)} elements pushed in backward")
+    assert h.grad is not None and direction.weight.grad is not None

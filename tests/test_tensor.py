@@ -426,11 +426,46 @@ def test_sum_mean_reshape_grads():
 
 
 def test_coupled_sum_and_pairwise_dot_grads():
+    # probe weights make every output element carry a distinct gradient
     rng = np.random.default_rng(17)
-    check_op_grads(lambda ts: T.coupled_sum(ts[0], ts[1]).sum(),
-                   [rng.normal(size=(3, 4)), rng.normal(size=(3, 4, 5))])
-    check_op_grads(lambda ts: T.pairwise_dot(ts[0], ts[1]).sum(),
-                   [rng.normal(size=(3, 4, 5)), rng.normal(size=(4, 5))])
+    n, m, d = 3, 4, 5
+    ps = T.constant(rng.normal(size=(m, d)), dtype=np.float64)
+    pd = T.constant(rng.normal(size=(n, m)), dtype=np.float64)
+    c, r, q, v = (rng.normal(size=(n, m)), rng.normal(size=(n, d)),
+                  rng.normal(size=(m, d)), rng.normal(size=(m, d)))
+    check_op_grads(
+        lambda ts: T.mul(T.coupled_sum(ts[0], ts[1], ts[2]), ps).sum(),
+        [c, r, q])
+    check_op_grads(lambda ts: T.mul(T.coupled_sum(ts[0], ts[1]), ps).sum(),
+                   [c, r])
+    check_op_grads(
+        lambda ts: T.mul(T.pairwise_dot(ts[0], ts[1], ts[2]), pd).sum(),
+        [r, v, q])
+    check_op_grads(lambda ts: T.mul(T.pairwise_dot(ts[0], ts[1]), pd).sum(),
+                   [r, v])
+
+
+def test_coupled_sum_and_pairwise_dot_match_materialized_votes():
+    rng = np.random.default_rng(20)
+    n, m, d = 4, 4, 3
+    c, r, q, v = (rng.normal(size=(n, m)), rng.normal(size=(n, d)),
+                  rng.normal(size=(m, d)), rng.normal(size=(m, d)))
+    u = r[:, None, :] + q[None, :, :]
+    with T.use_dtype(np.float64):
+        s = T.coupled_sum(T.constant(c), T.constant(r), T.constant(q))
+        s0 = T.coupled_sum(T.constant(c), T.constant(r))
+        a = T.pairwise_dot(T.constant(r), T.constant(v), T.constant(q))
+        a0 = T.pairwise_dot(T.constant(r), T.constant(v))
+    np.testing.assert_allclose(s.data, np.einsum("ij,ijd->jd", c, u),
+                               atol=1e-12)
+    np.testing.assert_allclose(s0.data, c.T @ r, atol=1e-12)
+    np.testing.assert_allclose(a.data, np.einsum("ijd,jd->ij", u, v),
+                               atol=1e-12)
+    np.testing.assert_allclose(a0.data, r @ v.T, atol=1e-12)
+    with pytest.raises(T.ShapeError, match="q must be"):
+        T.coupled_sum(T.constant(c), T.constant(r), T.constant(q[:2]))
+    with pytest.raises(T.ShapeError, match="do not align"):
+        T.pairwise_dot(T.constant(r), T.constant(v[:, :2]))
 
 
 def test_scale_and_operator_sugar():

@@ -199,6 +199,15 @@ def test_fit_smoke_writes_metrics_and_checkpoint(tmp_path):
     assert lines[0]["phase"] == "pretrain" and "J_d" in lines[0]
     assert lines[-1]["phase"] == "joint" and "dev" in lines[-1]
     assert all("wall_time_s" in l for l in lines)
+    for rec in lines:
+        for key in ("grad_norm_min", "grad_norm_mean", "grad_norm_max",
+                    "clip_frac"):
+            assert math.isfinite(rec[key]), (key, rec)
+        assert 0 < rec["grad_norm_min"] <= rec["grad_norm_mean"] \
+            <= rec["grad_norm_max"]
+        assert 0.0 <= rec["clip_frac"] <= 1.0
+    assert [l["grad_norm_mean"] for l in lines] == [
+        h["grad_norm_mean"] for h in res.history]
 
 
 def test_pure_aspect_training_without_documents(tmp_path):
@@ -243,6 +252,52 @@ def test_divergence_abort_names_offending_batch(tmp_path):
     sched = Schedule(epochs=1, pretrain_epochs=0, batch_size=8, lr=1e-3)
     with pytest.raises(DivergenceError, match="aspect batch 0"):
         fit(model, sents, [], [], sched)
+
+
+def test_nan_gradient_aborts_before_any_parameter_changes(tmp_path,
+                                                         monkeypatch):
+    # the loss stays finite but one parameter receives a NaN gradient; the
+    # step must stop before Adam writes NaN into the parameters
+    import ktabsa.training as training
+    model, sents, _ = make_training_setup(tmp_path)
+    poisoned = model.emb_general
+    real_loss = training.batch_aspect_loss
+
+    def loss_with_nan_grad(*args, **kwargs):
+        loss = real_loss(*args, **kwargs)
+        zero = T.Tensor(np.zeros(()), requires_grad=True)
+        T.active_tape().nodes.append(
+            (zero, (poisoned,),
+             lambda g, push: push(poisoned, np.full(poisoned.shape, np.nan))))
+        return loss + zero
+
+    monkeypatch.setattr(training, "batch_aspect_loss", loss_with_nan_grad)
+    before = {k: p.data.copy() for k, p in model.named_parameters().items()}
+    for clip_norm in (5.0, 0.0):
+        sched = Schedule(epochs=1, pretrain_epochs=0, batch_size=8, lr=1e-3,
+                         clip_norm=clip_norm)
+        with pytest.raises(DivergenceError,
+                           match="gradient norm on epoch 0 aspect batch 0"):
+            fit(model, sents, [], [], sched)
+        for k, p in model.named_parameters().items():
+            np.testing.assert_array_equal(p.data, before[k], err_msg=k)
+
+
+def test_fit_continues_from_loaded_checkpoint(tmp_path):
+    model, sents, docs = make_training_setup(tmp_path)
+    path = str(tmp_path / "m.ckpt")
+    model.save(path)
+    loaded = AbsaModel.load(path)
+    assert all(t.data.flags.writeable
+               for t in loaded.named_tensors().values())
+    before = {k: p.data.copy() for k, p in loaded.named_parameters().items()}
+    sched = Schedule(epochs=1, pretrain_epochs=0, batch_size=8, lr=1e-3,
+                     patience=0)
+    res = fit(loaded, sents, [], docs, sched)
+    assert res.epochs_run == 1 and math.isfinite(res.history[-1]["J_a"])
+    changed = [k for k, p in loaded.named_parameters().items()
+               if not np.array_equal(p.data, before[k])]
+    assert changed
 
 
 def test_target_token_acc_stops_early(tmp_path):
