@@ -52,7 +52,7 @@ def main():
                                            lr=2e-3, patience=0))
 
     sample = max(sentences, key=lambda s: s.n)  # a far-distance sentence
-    _, traces = model.forward(sample, keep_trace=True)
+    _, traces = model.forward([sample], keep_trace=True)
     trace = next(tr for step, tr in traces
                  if step == 1 and tr.direction == args.direction)
     records = agreement_trace(trace)

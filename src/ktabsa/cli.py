@@ -229,7 +229,7 @@ def cmd_trace(args) -> int:
     written = []
     for i, sent in enumerate(sentences[:limit]):
         model.index_tokens(sent)
-        _states, traces = model.forward(sent, keep_trace=True)
+        _states, traces = model.forward([sent], keep_trace=True)
         # export the first aggregation round's routing for the direction
         for step, trace in traces:
             if step == 1 and trace.direction == args.direction:
@@ -249,11 +249,11 @@ def cmd_gradcheck(args) -> int:
         nonlinearity=args.nonlinearity)
     if args.corrupt == "squash":
         with corrupt_squash_backward(1.05):
-            report = model_gradcheck(model, sentence, document,
+            report = model_gradcheck(model, [sentence], [document],
                                      step=args.step, tol=args.tol)
     else:
-        report = model_gradcheck(model, sentence, document, step=args.step,
-                                 tol=args.tol)
+        report = model_gradcheck(model, [sentence], [document],
+                                 step=args.step, tol=args.tol)
     for e in report.entries:
         status = "PASS" if e.passed else "FAIL"
         print(f"{status}  {e.name:<24} {str(e.shape):<14} "

@@ -1,4 +1,4 @@
-"""Corpora, tagging schemes, spans, embeddings, and batching.
+"""Corpora, tagging schemes, spans, embeddings, batching and length groups.
 
 File formats
 ------------
@@ -464,57 +464,21 @@ def dev_split(items: Sequence, fraction: float = 0.2,
     return train, dev
 
 
-@dataclass
-class Batch:
-    """Padded sentence batch; every padded slot is masked out of the loss."""
-
-    sentences: tuple[Sentence, ...]
-    mask: np.ndarray        # [B, L] bool, True on real tokens
-    general_ids: np.ndarray  # [B, L] int64
-    domain_ids: np.ndarray
-    ate_gold: np.ndarray    # [B, L] int64 (outside-tag at padding)
-    ote_gold: np.ndarray
-    asc_gold: np.ndarray    # [B, L] int64, 0 where unlabeled
-    asc_mask: np.ndarray    # [B, L] bool, True where a sentiment label exists
-
-    @property
-    def size(self) -> int:
-        return len(self.sentences)
-
-
-def _pad_batch(group: Sequence[Sentence], general_pad: int,
-               domain_pad: int) -> Batch:
-    b = len(group)
-    length = max(s.n for s in group)
-    mask = np.zeros((b, length), dtype=bool)
-    gids = np.full((b, length), general_pad, dtype=np.int64)
-    dids = np.full((b, length), domain_pad, dtype=np.int64)
-    ate = np.full((b, length), OUTSIDE, dtype=np.int64)
-    ote = np.full((b, length), OUTSIDE, dtype=np.int64)
-    asc = np.zeros((b, length), dtype=np.int64)
-    asc_mask = np.zeros((b, length), dtype=bool)
-    for r, s in enumerate(group):
-        if s.general_ids is None or s.domain_ids is None:
-            raise ValueError("sentence has no embedding ids; run "
-                             "assign_embedding_ids first")
-        n = s.n
-        mask[r, :n] = True
-        gids[r, :n] = s.general_ids
-        dids[r, :n] = s.domain_ids
-        ate[r, :n] = s.ate_gold
-        ote[r, :n] = s.ote_gold
-        for i, lab in enumerate(s.asc_gold):
-            if lab is not None:
-                asc[r, i] = lab
-                asc_mask[r, i] = True
-    return Batch(tuple(group), mask, gids, dids, ate, ote, asc, asc_mask)
-
-
-def make_batches(sentences: Sequence[Sentence], batch_size: int, seed: int,
-                 general_pad: int, domain_pad: int) -> list[Batch]:
+def make_batches(sentences: Sequence[Sentence], batch_size: int,
+                 seed: int) -> list[list[Sentence]]:
+    """Shuffle with ``seed`` and cut into batches of ``batch_size``."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     order = np.random.default_rng(seed).permutation(len(sentences))
     shuffled = [sentences[i] for i in order]
-    return [_pad_batch(shuffled[i:i + batch_size], general_pad, domain_pad)
+    return [shuffled[i:i + batch_size]
             for i in range(0, len(shuffled), batch_size)]
+
+
+def length_groups(items: Sequence[Sentence | Document]) -> list[list[int]]:
+    """Indices of ``items`` grouped by length: groups in order of their
+    first member, members in item order. A model forward runs one group."""
+    groups: dict[int, list[int]] = {}
+    for i, it in enumerate(items):
+        groups.setdefault(it.n, []).append(i)
+    return list(groups.values())

@@ -1,12 +1,16 @@
-"""Shared encoder, task-specific stacks, attention pooling, token decoders."""
+"""Shared encoder, task-specific stacks, attention pooling, token decoders.
+
+Every layer maps a group of equal-length sentences, [G, n, d], at once; the
+encoder, task stacks and decoders also take a single [n, d] sentence.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .tensor import (ConfigError, Tensor, concat, conv1d, default_dtype,
-                     fully_connected, masked_softmax, matmul, relu, reshape,
-                     sigmoid, softmax)
+                     fully_connected, matmul, relu, reshape, sigmoid,
+                     softmax)
 
 NONLINEARITIES = {"relu": relu, "sigmoid": sigmoid}
 
@@ -76,7 +80,7 @@ class SharedEncoder:
 
     def __call__(self, x: Tensor) -> Tensor:
         parts = [bank(x) for bank in self.banks]
-        h = parts[0] if len(parts) == 1 else concat(parts, axis=1)
+        h = parts[0] if len(parts) == 1 else concat(parts, axis=-1)
         return self.nonlin(h)
 
     def named(self):
@@ -117,18 +121,13 @@ class AttentionHead:
                         name=f"{name}.attn.w")
         self.classifier = Affine(rng, d, classes, f"{name}.cls")
 
-    def __call__(self, h: Tensor, mask: np.ndarray | None = None
-                 ) -> tuple[Tensor, Tensor, Tensor]:
-        """Return (weights [n], pooled doc vector [1,d], logits [1,C])."""
-        n = h.shape[0]
-        if mask is None:
-            mask = np.ones(n, dtype=bool)
-        mask = np.asarray(mask, dtype=bool)
-        if not mask.any():
-            raise ValueError("attention over a fully masked sentence")
-        scores = reshape(matmul(h, self.w), (n,))
-        a = masked_softmax(scores, mask)
-        doc = matmul(reshape(a, (1, n)), h)
+    def __call__(self, h: Tensor) -> tuple[Tensor, Tensor, Tensor]:
+        """Return (weights [G, n], pooled doc vectors [G, d], logits [G, C])
+        for hidden states h [G, n, d]."""
+        g, n, d = h.shape
+        scores = reshape(matmul(h, self.w), (g, n))
+        a = softmax(scores, axis=-1)
+        doc = reshape(matmul(reshape(a, (g, 1, n)), h), (g, d))
         logits = self.classifier(doc)
         return a, doc, logits
 
@@ -146,7 +145,7 @@ class TokenDecoder:
 
     def __call__(self, h: Tensor) -> tuple[Tensor, Tensor]:
         logits = self.map(h)
-        return logits, softmax(logits, axis=1)
+        return logits, softmax(logits, axis=-1)
 
     def named(self):
         yield from self.map.named()

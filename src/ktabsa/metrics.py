@@ -41,7 +41,8 @@ class EvalReport:
         d = {k: round(getattr(self, k), ndigits)
              for k in ("f1_a", "f1_o", "f1_s", "acc_s", "f1_i")}
         d["counts"] = self.counts
-        d["per_class"] = self.per_class
+        # string keys, as JSON stores them, so the dict survives a round trip
+        d["per_class"] = {str(c): v for c, v in self.per_class.items()}
         d["degenerate_asc"] = self.degenerate_asc
         return d
 

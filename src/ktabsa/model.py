@@ -1,7 +1,10 @@
 """Full model: iterative multi-task forward pass and checkpointing.
 
-One forward pass embeds the sentence, runs the shared encoder, produces five
-task-specific representations (three token-level tasks, two document-level
+A forward pass runs a group of G sentences of equal length n at once, so
+every token-level tensor is [G, n, ·] and every document-level one [G, ·];
+equal lengths need no padding, and a single sentence is a group of one.
+One forward pass embeds the sentences, runs the shared encoder, produces
+five task-specific representations (three token-level tasks, two document-level
 auxiliary tasks), and then iterates: each token-level task receives routed
 knowledge from the other two, fuses it with the previous iteration's
 predictions, and is re-decoded. Domain knowledge (the document-domain
@@ -13,22 +16,25 @@ attention weights and predictions are computed once per sentence.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
+import os
 import struct
 from collections import Counter
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import layers as L
 from .data import (BEGIN, INSIDE, Document, EmbeddingTable, Sentence,
                    TagSchemes, extract_spans)
-from .routing import (PE_MODES, PositionalEncoding, RoutingTrace,
-                      TransferDirection, predict_vectors, route)
+from .routing import (PE_MODES, PositionalEncoding, RoutingState,
+                      RoutingTrace, TransferDirection, predict_vectors, route)
 from .tensor import (ConfigError, Tensor, add, concat, constant,
-                     default_dtype, dropout, embedding_lookup, reshape,
-                     softmax)
+                     default_dtype, dropout, dropout_keep, embedding_lookup,
+                     reshape, softmax)
 
 ASPECT_TASKS = ("ate", "ote", "asc")
 DOC_TASKS = ("ddc", "dsc")
@@ -174,10 +180,11 @@ def majority_sentiment(labels: list[int]) -> int:
     raise AssertionError("unreachable: labels nonempty")
 
 
-def _broadcast_rows(row: Tensor, n: int) -> Tensor:
-    """Tile a [1, k] row to [n, k] differentiably."""
-    zeros = constant(np.zeros((n, 1), dtype=row.dtype))
-    return add(zeros, row)
+def _broadcast_rows(rows: Tensor, n: int) -> Tensor:
+    """Tile per-item rows [G, k] to [G, n, k] differentiably."""
+    g, k = rows.shape
+    zeros = constant(np.zeros((n, 1), dtype=rows.dtype))
+    return add(zeros, reshape(rows, (g, 1, k)))
 
 
 class AbsaModel:
@@ -218,7 +225,7 @@ class AbsaModel:
         self.heads = {s: L.AttentionHead(rng, config.d_task,
                                          schemes.doc_classes(s), f"doc.{s}")
                       for s in DOC_TASKS}
-        self.pe = PositionalEncoding(config.d_task, config.max_len)
+        self.pe = PositionalEncoding(config.d_task)
 
         self.routes: dict[str, TransferDirection] = {}
         for name in ALL_DIRECTIONS:
@@ -315,35 +322,66 @@ class AbsaModel:
 
     # -- forward ------------------------------------------------------------
 
-    def _embed(self, item: Sentence | Document, train: bool,
-               rng: np.random.Generator | None) -> Tensor:
-        if item.general_ids is None or item.domain_ids is None:
+    def draw_dropout(self, items: Sequence[Sentence | Document],
+                     rng: np.random.Generator
+                     ) -> list[tuple[np.ndarray, np.ndarray]] | None:
+        """Training dropout keep multipliers: per item, in item order, one
+        [n, d_emb] array for the embeddings and then one [n, d_enc] array
+        for the shared encoding; None when dropout is off.
+
+        A batch draws all of its multipliers up front, in batch order, so the
+        random stream does not depend on how the batch splits into
+        equal-length groups."""
+        p = self.config.dropout
+        if p == 0:
+            return None
+        d_emb = self.emb_general.shape[1] + self.emb_domain.shape[1]
+        dtype = self.emb_general.dtype
+        return [(dropout_keep((it.n, d_emb), p, rng, dtype),
+                 dropout_keep((it.n, self.config.d_enc), p, rng, dtype))
+                for it in items]
+
+    def _shared(self, items: Sequence[Sentence | Document],
+                keep: Sequence[tuple[np.ndarray, np.ndarray]] | None
+                ) -> Tensor:
+        """Shared encoding [G, n, d_enc] of a group of equal-length items,
+        with dropout when ``keep`` (from :meth:`draw_dropout`) is given."""
+        if not items:
+            raise ValueError("a forward pass needs at least one input")
+        if any(it.n != items[0].n for it in items):
+            raise ValueError(f"a group needs inputs of equal length, got "
+                             f"lengths {sorted({it.n for it in items})}")
+        if any(it.general_ids is None or it.domain_ids is None
+               for it in items):
             raise ValueError("input has no embedding ids; run "
                              "assign_embedding_ids or index_tokens first")
-        emb = concat([embedding_lookup(self.emb_general, item.general_ids),
-                      embedding_lookup(self.emb_domain, item.domain_ids)],
-                     axis=1)
-        if train and self.config.dropout > 0:
-            emb = dropout(emb, self.config.dropout, rng, training=True)
-        return emb
-
-    def _shared(self, item, train, rng) -> Tensor:
-        h = self.encoder(self._embed(item, train, rng))
-        if train and self.config.dropout > 0:
-            h = dropout(h, self.config.dropout, rng, training=True)
+        general = np.stack([it.general_ids for it in items])
+        domain = np.stack([it.domain_ids for it in items])
+        emb = concat([embedding_lookup(self.emb_general, general),
+                      embedding_lookup(self.emb_domain, domain)], axis=-1)
+        if keep is not None:
+            emb = dropout(emb, np.stack([k[0] for k in keep]))
+        h = self.encoder(emb)
+        if keep is not None:
+            h = dropout(h, np.stack([k[1] for k in keep]))
         return h
 
     def index_tokens(self, sentence: Sentence) -> None:
         sentence.general_ids = self.general_table.lookup(sentence.tokens)
         sentence.domain_ids = self.domain_table.lookup(sentence.tokens)
 
-    def forward(self, sentence: Sentence, train: bool = False,
-                rng: np.random.Generator | None = None,
+    def forward(self, sentences: Sequence[Sentence],
+                keep: Sequence[tuple[np.ndarray, np.ndarray]] | None = None,
                 keep_trace: bool = False
                 ) -> tuple[list[IterationState], list[tuple[int, RoutingTrace]]]:
-        """Run T aggregation rounds; returns T+1 states and routing traces
-        labelled with the aggregation round that produced them."""
-        shared = self._shared(sentence, train, rng)
+        """Run T aggregation rounds over a group of equal-length sentences.
+
+        Returns T+1 states, whose token-level tensors are [G, n, ·] and
+        document-level ones [G, ·], and the routing traces (one per
+        sentence and direction) labelled with the aggregation round that
+        produced them. ``keep`` (from :meth:`draw_dropout`) applies training
+        dropout."""
+        shared = self._shared(sentences, keep)
         hidden = {task: self.stacks[task](shared) for task in ASPECT_TASKS}
         doc_hidden = {s: self.stacks[s](shared) for s in DOC_TASKS}
 
@@ -352,14 +390,14 @@ class AbsaModel:
             a, _vec, logits = self.heads[s](doc_hidden[s])
             doc_attn[s] = a
             doc_logits[s] = logits
-            doc_probs[s] = softmax(logits, axis=1)
+            doc_probs[s] = softmax(logits, axis=-1)
 
         state = self._decode_state(0, hidden, None, doc_attn, doc_logits,
                                    doc_probs)
         states = [state]
         traces: list[tuple[int, RoutingTrace]] = []
         for t in range(1, self.config.iterations + 1):
-            state = self.transfer_and_aggregate(state, sentence, keep_trace,
+            state = self.transfer_and_aggregate(state, sentences, keep_trace,
                                                 traces)
             states.append(state)
         return states, traces
@@ -377,14 +415,15 @@ class AbsaModel:
                               doc_probs)
 
     def transfer_and_aggregate(self, state: IterationState,
-                               sentence: Sentence,
+                               sentences: Sequence[Sentence],
                                keep_trace: bool = False,
                                traces: list | None = None) -> IterationState:
-        """One aggregation round: route knowledge between the token-level
-        tasks, fuse it with the previous predictions and the document-level
-        signals, and re-decode."""
+        """One aggregation round over the group: route knowledge between the
+        token-level tasks, fuse it with the previous predictions and the
+        document-level signals, and re-decode."""
         cfg = self.config
-        n = sentence.n
+        g, n = len(sentences), sentences[0].n
+        adjacency = np.stack([s.adjacency for s in sentences])
         new_hidden: dict[str, Tensor] = {}
         for target in ASPECT_TASKS:
             srcs = cfg.sources_into(target)
@@ -396,41 +435,45 @@ class AbsaModel:
                 direction = self.routes[f"{src}->{target}"]
                 r, q = predict_vectors(state.hidden[src], direction,
                                        self.pe, cfg.pe_mode)
-                v, snaps = route(r, q, sentence.adjacency, cfg.route_iters,
+                v, snaps = route(r, q, adjacency, cfg.route_iters,
                                  keep_trace=keep_trace)
                 if keep_trace and traces is not None:
-                    traces.append((state.t + 1, RoutingTrace(
-                        direction.name, sentence.tokens, sentence.adjacency,
-                        snaps)))
+                    for i, sent in enumerate(sentences):
+                        traces.append((state.t + 1, RoutingTrace(
+                            direction.name, sent.tokens, sent.adjacency,
+                            [RoutingState(st.iteration, st.b[i], st.c[i],
+                                          st.s[i], st.v[i])
+                             for st in snaps])))
                 parts.append(v)
-            h = concat(parts, axis=1)
+            h = concat(parts, axis=-1)
             if srcs:
                 h = self.proj[target](h)
             fuse_in = [h, state.probs["ate"], state.probs["ote"],
                        state.probs["asc"]]
             if target in ("ate", "ote"):
                 if cfg.inject_ddc:
-                    fuse_in.append(reshape(state.doc_attn["ddc"], (n, 1)))
+                    fuse_in.append(reshape(state.doc_attn["ddc"], (g, n, 1)))
                 if cfg.coarse:
                     fuse_in.append(_broadcast_rows(state.doc_probs["dsc"], n))
-                    fuse_in.append(reshape(state.doc_attn["dsc"], (n, 1)))
+                    fuse_in.append(reshape(state.doc_attn["dsc"], (g, n, 1)))
             else:
                 if cfg.inject_dsc:
                     fuse_in.append(_broadcast_rows(state.doc_probs["dsc"], n))
-                    fuse_in.append(reshape(state.doc_attn["dsc"], (n, 1)))
+                    fuse_in.append(reshape(state.doc_attn["dsc"], (g, n, 1)))
                 if cfg.coarse:
-                    fuse_in.append(reshape(state.doc_attn["ddc"], (n, 1)))
-            fused = self.fuse[target](concat(fuse_in, axis=1))
+                    fuse_in.append(reshape(state.doc_attn["ddc"], (g, n, 1)))
+            fused = self.fuse[target](concat(fuse_in, axis=-1))
             new_hidden[target] = self.nonlin(fused)
         return self._decode_state(state.t + 1, new_hidden, state,
                                   state.doc_attn, state.doc_logits,
                                   state.doc_probs)
 
-    def forward_document(self, doc: Document, train: bool = False,
-                         rng: np.random.Generator | None = None
-                         ) -> dict[str, Tensor]:
-        """Document-task logits; these do not depend on the iteration loop."""
-        shared = self._shared(doc, train, rng)
+    def forward_document(self, docs: Sequence[Document],
+                         keep: Sequence[tuple[np.ndarray, np.ndarray]]
+                         | None = None) -> dict[str, Tensor]:
+        """Document-task logits [G, C] of a group of equal-length documents;
+        these do not depend on the iteration loop."""
+        shared = self._shared(docs, keep)
         out = {}
         for s in DOC_TASKS:
             _a, _vec, logits = self.heads[s](self.stacks[s](shared))
@@ -442,11 +485,11 @@ class AbsaModel:
     def predict(self, sentence: Sentence) -> Prediction:
         if sentence.general_ids is None:
             self.index_tokens(sentence)
-        states, _ = self.forward(sentence, train=False)
+        states, _ = self.forward([sentence])
         final = states[-1]
-        ate_tags = final.probs["ate"].data.argmax(axis=1)
-        ote_tags = final.probs["ote"].data.argmax(axis=1)
-        asc_tags = final.probs["asc"].data.argmax(axis=1)
+        ate_tags = final.probs["ate"].data[0].argmax(axis=-1)
+        ote_tags = final.probs["ote"].data[0].argmax(axis=-1)
+        asc_tags = final.probs["asc"].data[0].argmax(axis=-1)
         ate_spans = extract_spans(ate_tags.tolist(), BEGIN, INSIDE)
         ote_spans = extract_spans(ote_tags.tolist(), BEGIN, INSIDE)
         pairs = tuple(
@@ -457,16 +500,16 @@ class AbsaModel:
     # -- persistence --------------------------------------------------------
 
     def save(self, path: str) -> None:
+        """Write the checkpoint through a temporary file in the same
+        directory and rename it over ``path``, so an interrupted save
+        leaves any earlier file at ``path`` untouched."""
         params = self.named_tensors()
         manifest = []
         offset = 0
-        blobs = []
         for name, t in params.items():
-            raw = np.ascontiguousarray(t.data, dtype="<f4").tobytes()
             manifest.append({"name": name, "shape": list(t.shape),
                              "offset": offset})
-            blobs.append(raw)
-            offset += len(raw)
+            offset += 4 * t.size
         header = {
             "format_version": CHECKPOINT_VERSION,
             "config": self.config.to_dict(),
@@ -478,27 +521,52 @@ class AbsaModel:
             "manifest": manifest,
         }
         head = json.dumps(header).encode("utf-8")
-        with open(path, "wb") as f:
-            f.write(CHECKPOINT_MAGIC)
-            f.write(struct.pack("<Q", len(head)))
-            f.write(head)
-            for raw in blobs:
-                f.write(raw)
+        tmp = f"{path}.tmp{os.getpid()}"
+        try:
+            with open(tmp, "wb") as f:
+                f.write(CHECKPOINT_MAGIC)
+                f.write(struct.pack("<Q", len(head)))
+                f.write(head)
+                for t in params.values():
+                    f.write(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+            raise
 
     @staticmethod
-    def read_header(path: str) -> dict:
-        with open(path, "rb") as f:
-            magic = f.read(len(CHECKPOINT_MAGIC))
-            if magic != CHECKPOINT_MAGIC:
-                raise CheckpointError(f"{path}: not a model checkpoint")
-            (hlen,) = struct.unpack("<Q", f.read(8))
-            header = json.loads(f.read(hlen).decode("utf-8"))
+    def _read_header(f, path: str) -> dict:
+        """Read and check the header, leaving ``f`` at the payload."""
+        magic = f.read(len(CHECKPOINT_MAGIC))
+        if magic != CHECKPOINT_MAGIC:
+            raise CheckpointError(f"{path}: not a model checkpoint")
+        size = f.read(8)
+        if len(size) != 8:
+            raise CheckpointError(f"{path}: truncated header")
+        (hlen,) = struct.unpack("<Q", size)
+        left = os.fstat(f.fileno()).st_size - f.tell()
+        if hlen > left:
+            raise CheckpointError(f"{path}: truncated header: {left} of "
+                                  f"{hlen} bytes")
+        head = f.read(hlen)
+        try:
+            header = json.loads(head.decode("utf-8"))
+        except ValueError as e:     # bad UTF-8 or bad JSON
+            raise CheckpointError(f"{path}: undecodable header: {e}") from None
+        if not isinstance(header, dict):
+            raise CheckpointError(f"{path}: header is not a JSON object")
         if header.get("format_version") != CHECKPOINT_VERSION:
             raise CheckpointError(
                 f"{path}: checkpoint format version "
                 f"{header.get('format_version')} is not supported "
                 f"(expected {CHECKPOINT_VERSION})")
         return header
+
+    @classmethod
+    def read_header(cls, path: str) -> dict:
+        with open(path, "rb") as f:
+            return cls._read_header(f, path)
 
     @classmethod
     def load(cls, path: str) -> "AbsaModel":
@@ -520,11 +588,11 @@ class AbsaModel:
         return model
 
     def load_payload(self, path: str) -> None:
-        header = self.read_header(path)
+        """Load every tensor from ``path``. The manifest must name exactly
+        this model's tensors with their shapes, and its entries must tile
+        the payload exactly; otherwise nothing is loaded."""
         with open(path, "rb") as f:
-            f.seek(len(CHECKPOINT_MAGIC))
-            (hlen,) = struct.unpack("<Q", f.read(8))
-            f.seek(len(CHECKPOINT_MAGIC) + 8 + hlen)
+            header = self._read_header(f, path)
             payload = f.read()
         params = self.named_tensors()
         listed = {m["name"] for m in header["manifest"]}
@@ -533,6 +601,7 @@ class AbsaModel:
             extra = sorted(listed - set(params))
             raise CheckpointError(
                 f"{path}: parameter mismatch; missing={missing} extra={extra}")
+        spans = []
         for m in header["manifest"]:
             t = params[m["name"]]
             shape = tuple(m["shape"])
@@ -540,8 +609,24 @@ class AbsaModel:
                 raise CheckpointError(
                     f"{path}: shape mismatch for {m['name']}: checkpoint has "
                     f"{shape}, model has {tuple(t.shape)}")
-            count = int(np.prod(shape)) if shape else 1
-            arr = np.frombuffer(payload, dtype="<f4", count=count,
-                                offset=m["offset"]).reshape(shape)
+            spans.append((m["offset"], m["offset"] + 4 * t.size, m["name"],
+                          shape))
+        spans.sort()
+        covered = 0
+        for start, end, name, _shape in spans:
+            if start != covered:
+                raise CheckpointError(
+                    f"{path}: payload entry {name} starts at byte {start}, "
+                    f"expected {covered}")
+            covered = end
+        if covered != len(payload):
+            what = ("truncated" if covered > len(payload)
+                    else "longer than its manifest")
+            raise CheckpointError(
+                f"{path}: payload {what}: the manifest lists {covered} bytes, "
+                f"the file holds {len(payload)}")
+        for start, end, name, shape in spans:
+            arr = np.frombuffer(payload, dtype="<f4", count=(end - start) // 4,
+                                offset=start).reshape(shape)
             # copy: a view of the read-only payload bytes cannot be trained
-            t.data = np.array(arr, dtype=np.float32)
+            params[name].data = np.array(arr, dtype=np.float32)

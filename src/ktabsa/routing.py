@@ -17,10 +17,14 @@ then:
     5. sharpens b by the vote/output agreement u_hat[i,j] . v[j],
        computed as r v^T + 1 (q * v summed over the vote width)^T.
 
-So a routing step needs O(n^2 + n*d) memory, never the O(n^2*d) vote tensor.
-The number of targets equals the sentence length, so the output is a
-dynamic-length set of vectors rather than a fixed capsule bank. The loop is
-fully unrolled; gradients flow through every iteration.
+The model routes a group of G equal-length sentences at once: r, b, c, s and
+v carry a leading group axis ([G, n, d_route], [G, n, n]), while q depends
+only on the position and is shared by the group. Equal lengths mean there is
+no padding and nothing to mask. So a routing step needs O(G*(n^2 + n*d))
+memory, never the O(n^2*d) vote tensor. The number of targets equals the
+sentence length, so the output is a dynamic-length set of vectors rather
+than a fixed capsule bank. The loop is fully unrolled; gradients flow
+through every iteration.
 """
 
 from __future__ import annotations
@@ -30,8 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .tensor import (ConfigError, Tensor, add, constant, coupled_sum,
-                     default_dtype, masked_softmax, matmul, pairwise_dot,
-                     softmax, squash)
+                     default_dtype, matmul, pairwise_dot, softmax, squash)
 
 PE_MODES = ("add-both", "add-source", "off")
 
@@ -54,19 +57,24 @@ def positional_encoding(n: int, d_model: int) -> np.ndarray:
 
 
 class PositionalEncoding:
-    """Caches the encoding table as a constant tensor up to ``max_len``."""
+    """Encoding tables as constant tensors, computed on first use for each
+    sentence length and cached. There is no length cap: each row depends
+    only on its position, so the table of n rows is the first n rows of
+    any longer table."""
 
-    def __init__(self, d_model: int, max_len: int):
+    def __init__(self, d_model: int):
         self.d_model = d_model
-        self.max_len = max_len
-        self.table = constant(
-            positional_encoding(max_len, d_model).astype(default_dtype()))
+        self.dtype = default_dtype()    # the model's, fixed at construction
+        self._tables: dict[int, Tensor] = {}
 
     def prefix(self, n: int) -> Tensor:
-        if n > self.max_len:
-            raise ConfigError(f"sentence length {n} exceeds positional "
-                              f"encoding capacity {self.max_len}")
-        return constant(self.table.data[:n])
+        """The [n, d_model] encodings of positions 0..n-1."""
+        table = self._tables.get(n)
+        if table is None:
+            table = constant(
+                positional_encoding(n, self.d_model).astype(self.dtype))
+            self._tables[n] = table
+        return table
 
 
 @dataclass
@@ -104,21 +112,23 @@ class RoutingTrace:
 def predict_vectors(h_source: Tensor, direction: TransferDirection,
                     pe: PositionalEncoding, pe_mode: str = "add-both"
                     ) -> tuple[Tensor, Tensor | None]:
-    """Factored vote vectors: u_hat[i, j] = r[i] + q[j].
+    """Factored vote vectors: u_hat[g, i, j] = r[g, i] + q[j].
 
-    ``r = (h [+ PE]) @ W`` is the source part and ``q = PE @ W`` the target
-    part, both [n, d_route]; ``q`` is None unless ``pe_mode`` is "add-both".
-    The projection W is shared across positions; position awareness comes
-    from the additive encodings selected by ``pe_mode``.
+    ``h_source`` is [G, n, d] (or a single [n, d] sentence). ``r = (h [+ PE])
+    @ W`` is the source part, shaped like h with width d_route, and
+    ``q = PE @ W`` the target part, [n, d_route], shared by the group; ``q``
+    is None unless ``pe_mode`` is "add-both". The projection W is shared
+    across positions; position awareness comes from the additive encodings
+    selected by ``pe_mode``.
     """
     if pe_mode not in PE_MODES:
         raise ConfigError(f"unknown pe_mode {pe_mode!r}; expected one of "
                           f"{PE_MODES}")
-    n, d = h_source.shape
+    n, d = h_source.shape[-2:]
     if d != pe.d_model:
         raise ConfigError(f"hidden width {d} does not match positional "
                           f"encoding dimension {pe.d_model}")
-    pe_n = pe.prefix(n)  # also enforces the capacity limit
+    pe_n = pe.prefix(n)
     src = h_source if pe_mode == "off" else add(h_source, pe_n)
     r = matmul(src, direction.weight)
     q = matmul(pe_n, direction.weight) if pe_mode == "add-both" else None
@@ -126,50 +136,41 @@ def predict_vectors(h_source: Tensor, direction: TransferDirection,
 
 
 def route(r: Tensor, q: Tensor | None, adjacency: np.ndarray,
-          iterations: int, mask: np.ndarray | None = None,
-          keep_trace: bool = False) -> tuple[Tensor, list[RoutingState]]:
+          iterations: int, keep_trace: bool = False
+          ) -> tuple[Tensor, list[RoutingState]]:
     """Run the agreement loop and return the final target vectors.
 
-    The votes are ``u_hat[i, j] = r[i] + q[j]`` for source i and target j,
-    with ``r`` [n, d_route] and ``q`` [n, d_route] or None (zero), as
-    returned by :func:`predict_vectors`. ``adjacency`` is the binary n-by-n
-    dependency prior, re-added to the logits at every iteration. ``mask``
-    flags real tokens; padded positions are dropped from the softmax (as
-    targets) and from the vote aggregation (as sources). Gradients flow
-    through the unrolled loop.
+    The votes are ``u_hat[g, i, j] = r[g, i] + q[j]`` for source i and
+    target j of sentence g, with ``r`` [G, n, d_route] and ``q``
+    [n, d_route] or None (zero), as returned by :func:`predict_vectors`.
+    ``adjacency`` is the [G, n, n] binary dependency prior, re-added to the
+    logits at every iteration. A single sentence may drop the group axis
+    from r and adjacency. Gradients flow through the unrolled loop.
     """
     if iterations < 1:
         raise ConfigError(f"routing needs at least one iteration, "
                           f"got {iterations}")
-    if r.ndim != 2:
-        raise ConfigError(f"source votes r must be [n, d], got "
+    if r.ndim not in (2, 3):
+        raise ConfigError(f"source votes r must be [G, n, d] or [n, d], got "
                           f"{tuple(r.shape)}")
-    if q is not None and q.shape != r.shape:
-        raise ConfigError(f"target votes q must match r {tuple(r.shape)}, "
+    n, d = r.shape[-2:]
+    if q is not None and q.shape != (n, d):
+        raise ConfigError(f"target votes q must match r's ({n}, {d}), "
                           f"got {tuple(q.shape)}")
-    n = r.shape[0]
-    if adjacency.shape != (n, n):
+    if adjacency.shape != r.shape[:-1] + (n,):
         raise ConfigError(f"adjacency shape {adjacency.shape} does not match "
-                          f"sentence length {n}")
+                          f"votes {tuple(r.shape)}")
     dtype = r.data.dtype
-    mask = np.ones(n, dtype=bool) if mask is None else np.asarray(mask, bool)
-    masked = not mask.all()
-    target_mask = mask[None, :]                     # masks softmax columns
-    source_keep = constant(mask.astype(dtype)[:, None])
     prior = constant(adjacency.astype(dtype))
 
-    b = constant(np.zeros((n, n), dtype=dtype))
+    b = constant(np.zeros(adjacency.shape, dtype=dtype))
     trace: list[RoutingState] = []
     v = None
     for it in range(1, iterations + 1):
         b = add(b, prior)
-        if masked:
-            c = masked_softmax(b, target_mask, axis=1)
-            c_src = c * source_keep
-        else:
-            c = c_src = softmax(b, axis=1)
-        s = coupled_sum(c_src, r, q)
-        v = squash(s, axis=1)
+        c = softmax(b, axis=-1)
+        s = coupled_sum(c, r, q)
+        v = squash(s, axis=-1)
         b = add(b, pairwise_dot(r, v, q))
         if keep_trace:
             trace.append(RoutingState(it, b.data.copy(), c.data.copy(),

@@ -344,23 +344,35 @@ def tmean(a: Tensor) -> Tensor:
 # linear algebra
 
 
+def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """x^T g with every leading axis folded into the rows: the gradient of a
+    2-d weight applied to [..., di] inputs, as one matmul."""
+    return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    """a @ b for a [..., n, k] and b either a [k, m] weight shared by every
+    leading index or a [..., k, m] batch with the same leading axes."""
+    if (a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]
+            or (b.ndim > 2 and a.shape[:-2] != b.shape[:-2])):
         raise ShapeError(f"matmul shapes {tuple(a.shape)} and {tuple(b.shape)} "
                          "do not chain")
     out = Tensor(a.data @ b.data,
                  requires_grad=a.requires_grad or b.requires_grad)
 
     def fn(g, push):
-        push(a, g @ b.data.T)
-        push(b, a.data.T @ g)
+        push(a, g @ b.data.swapaxes(-1, -2))
+        if b.ndim == 2:
+            push(b, _weight_grad(a.data, g))
+        else:
+            push(b, a.data.swapaxes(-1, -2) @ g)
 
     return _emit(out, (a, b), fn)
 
 
 def fully_connected(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map of row vectors: x[n,di] @ w[di,do] + b[do]."""
-    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
+    """Affine map of row vectors: x[..., di] @ w[di, do] + b[do]."""
+    if x.ndim < 1 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
         raise ShapeError(f"fully_connected shapes {tuple(x.shape)} and "
                          f"{tuple(w.shape)} do not chain")
     if b.shape != (w.shape[1],):
@@ -372,35 +384,38 @@ def fully_connected(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def fn(g, push):
         push(x, g @ w.data.T)
-        push(w, x.data.T @ g)
-        push(b, g.sum(axis=0))
+        push(w, _weight_grad(x.data, g))
+        push(b, g.reshape(-1, g.shape[-1]).sum(axis=0))
 
     return _emit(out, (x, w, b), fn)
 
 
 def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Same-length 1-d convolution over a token sequence.
+    """Same-length 1-d convolution over token sequences.
 
-    ``x`` is [n, d_in], ``kernel`` is [width, d_in, d_out] with odd width;
-    the sequence is zero-padded symmetrically so the output is [n, d_out].
+    ``x`` is [n, d_in] or a group [G, n, d_in], ``kernel`` is
+    [width, d_in, d_out] with odd width. Each sequence is zero-padded
+    symmetrically on its own, so the output is [..., n, d_out] and nothing
+    leaks between the sequences of a group.
     """
-    if x.ndim != 2 or kernel.ndim != 3:
-        raise ShapeError(f"conv1d expects [n,d_in] and [w,d_in,d_out], got "
-                         f"{tuple(x.shape)} and {tuple(kernel.shape)}")
+    if x.ndim not in (2, 3) or kernel.ndim != 3:
+        raise ShapeError(f"conv1d expects [..., n, d_in] and [w, d_in, d_out], "
+                         f"got {tuple(x.shape)} and {tuple(kernel.shape)}")
     w, d_in, d_out = kernel.shape
     if w % 2 == 0:
         raise ConfigError(f"conv1d kernel width must be odd, got {w}")
-    if x.shape[1] != d_in:
-        raise ShapeError(f"conv1d input width {x.shape[1]} != kernel d_in {d_in}")
+    if x.shape[-1] != d_in:
+        raise ShapeError(f"conv1d input width {x.shape[-1]} != kernel d_in "
+                         f"{d_in}")
     if bias is not None and bias.shape != (d_out,):
         raise ShapeError(f"conv1d bias shape {tuple(bias.shape)} != ({d_out},)")
-    n = x.shape[0]
+    *lead, n, _ = x.shape
     pad = w // 2
-    xp = np.zeros((n + w - 1, d_in), dtype=x.dtype)
-    xp[pad:pad + n] = x.data
-    acc = np.zeros((n, d_out), dtype=x.dtype)
+    xp = np.zeros((*lead, n + w - 1, d_in), dtype=x.dtype)
+    xp[..., pad:pad + n, :] = x.data
+    acc = np.zeros((*lead, n, d_out), dtype=x.dtype)
     for o in range(w):
-        acc += xp[o:o + n] @ kernel.data[o]
+        acc += xp[..., o:o + n, :] @ kernel.data[o]
     if bias is not None:
         acc += bias.data
     rg = x.requires_grad or kernel.requires_grad or (
@@ -411,21 +426,23 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
         dk = np.empty_like(kernel.data)
         dxp = np.zeros_like(xp)
         for o in range(w):
-            dk[o] = xp[o:o + n].T @ g
-            dxp[o:o + n] += g @ kernel.data[o].T
+            dk[o] = _weight_grad(xp[..., o:o + n, :], g)
+            dxp[..., o:o + n, :] += g @ kernel.data[o].T
         push(kernel, dk)
-        push(x, dxp[pad:pad + n])
+        push(x, dxp[..., pad:pad + n, :])
         if bias is not None:
-            push(bias, g.sum(axis=0))
+            push(bias, g.reshape(-1, d_out).sum(axis=0))
 
     inputs = (x, kernel) if bias is None else (x, kernel, bias)
     return _emit(out, inputs, fn)
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
+    """Rows of ``table`` for 1-d ids [n] or a group of ids [G, n]."""
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 1:
-        raise ShapeError(f"embedding ids must be 1-d, got shape {ids.shape}")
+    if ids.ndim not in (1, 2):
+        raise ShapeError(f"embedding ids must be [n] or [G, n], got shape "
+                         f"{ids.shape}")
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise IndexError(f"embedding id out of range [0, {table.shape[0]})")
     out = Tensor(table.data[ids], requires_grad=table.requires_grad)
@@ -478,29 +495,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _emit(out, (x,), fn)
 
 
-def masked_softmax(x: Tensor, mask, axis: int = -1) -> Tensor:
-    """Softmax over the positions where ``mask`` is true; others are exactly 0.
-
-    ``mask`` is a boolean numpy array broadcastable to ``x``. A slice with no
-    valid position is a contract violation.
-    """
-    mb = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
-    if not mb.any(axis=axis).all():
-        raise ValueError("masked_softmax over a fully masked slice")
-    d = np.where(mb, x.data, -np.inf)
-    mx = d.max(axis=axis, keepdims=True)
-    e = np.exp(d - mx)
-    y = e / e.sum(axis=axis, keepdims=True)
-    y = y.astype(x.dtype)
-    out = Tensor(y, requires_grad=x.requires_grad)
-
-    def fn(g, push):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        push(x, y * (g - dot))
-
-    return _emit(out, (x,), fn)
-
-
 def squash(x: Tensor, axis: int = -1, eps: float = 1e-9) -> Tensor:
     """Norm-bounding nonlinearity: keeps direction, maps |s| to |s|^2/(1+|s|^2).
 
@@ -522,14 +516,18 @@ def squash(x: Tensor, axis: int = -1, eps: float = 1e-9) -> Tensor:
     return _emit(out, (x,), fn)
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator,
-            training: bool) -> Tensor:
-    """Inverted-scaling Bernoulli dropout; identity when not training."""
+def dropout_keep(shape: tuple[int, ...], p: float, rng: np.random.Generator,
+                 dtype=None) -> np.ndarray:
+    """Inverted-scaling Bernoulli keep multipliers: 0 with probability
+    ``p``, 1/(1-p) otherwise."""
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {p}")
-    if not training or p == 0.0:
-        return x
-    keep = (rng.random(x.shape) >= p).astype(x.dtype) / (1.0 - p)
+    dtype = _default_dtype if dtype is None else dtype
+    return (rng.random(shape) >= p).astype(dtype) / (1.0 - p)
+
+
+def dropout(x: Tensor, keep: np.ndarray) -> Tensor:
+    """Multiply by keep multipliers drawn with :func:`dropout_keep`."""
     out = Tensor(x.data * keep, requires_grad=x.requires_grad)
 
     def fn(g, push):
@@ -542,47 +540,29 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator,
 # losses
 
 
-def cross_entropy(logits: Tensor, target: int) -> Tensor:
-    """Negative log softmax probability of ``target`` under a logit vector."""
-    if logits.ndim != 1:
-        raise ShapeError(f"cross_entropy expects a 1-d logit vector, got "
-                         f"shape {tuple(logits.shape)}")
-    k = logits.shape[0]
-    target = int(target)
-    if not 0 <= target < k:
-        raise IndexError(f"cross_entropy target {target} out of range [0, {k})")
-    d = logits.data
-    mx = d.max()
-    lse = mx + np.log(np.exp(d - mx).sum())
-    out = Tensor(lse - d[target], requires_grad=logits.requires_grad)
-
-    def fn(g, push):
-        p = np.exp(d - lse)
-        p[target] -= 1.0
-        push(logits, g.reshape(()) * p)
-
-    return _emit(out, (logits,), fn)
-
-
 def cross_entropy_rows(logits: Tensor, targets, weights) -> Tensor:
     """Weighted sum of per-row cross-entropies: sum_i w_i * CE(logits[i], t_i).
 
-    Rows with weight exactly 0 contribute exactly 0, so padded or unlabeled
+    ``logits`` is [..., k]; ``targets`` and ``weights`` have its leading
+    shape. Rows with weight exactly 0 contribute exactly 0, so unlabeled
     positions cannot leak into the loss no matter what their target says.
     """
-    if logits.ndim != 2:
-        raise ShapeError(f"cross_entropy_rows expects [n,k] logits, got "
+    if logits.ndim < 2:
+        raise ShapeError(f"cross_entropy_rows expects [..., n, k] logits, got "
                          f"shape {tuple(logits.shape)}")
-    n, k = logits.shape
+    *lead, k = logits.shape
     targets = np.asarray(targets, dtype=np.int64)
     weights = np.asarray(weights, dtype=logits.dtype)
-    if targets.shape != (n,) or weights.shape != (n,):
-        raise ShapeError(f"targets/weights must both have shape ({n},)")
+    if targets.shape != tuple(lead) or weights.shape != tuple(lead):
+        raise ShapeError(f"targets/weights must both have shape {tuple(lead)}")
+    targets = targets.reshape(-1)
+    weights = weights.reshape(-1)
+    n = targets.size
     if n and (targets.min() < 0 or targets.max() >= k):
         bad = int(np.argmax((targets < 0) | (targets >= k)))
         raise IndexError(f"target {targets[bad]} at row {bad} out of "
                          f"range [0, {k})")
-    d = logits.data
+    d = logits.data.reshape(n, k)
     mx = d.max(axis=1, keepdims=True)
     lse = mx + np.log(np.exp(d - mx).sum(axis=1, keepdims=True))
     per_row = lse[:, 0] - d[np.arange(n), targets]
@@ -591,7 +571,8 @@ def cross_entropy_rows(logits: Tensor, targets, weights) -> Tensor:
     def fn(g, push):
         p = np.exp(d - lse)
         p[np.arange(n), targets] -= 1.0
-        push(logits, g.reshape(()) * weights[:, None] * p)
+        push(logits, (g.reshape(()) * weights[:, None] * p).reshape(
+            logits.shape))
 
     return _emit(out, (logits,), fn)
 
@@ -599,66 +580,74 @@ def cross_entropy_rows(logits: Tensor, targets, weights) -> Tensor:
 # ---------------------------------------------------------------------------
 # pairwise voting primitives (used by the routing layer)
 #
-# Routing votes factor as u[i,j] = r[i] + q[j] (source part plus target
-# part), so both ops take the two [n,d] factors and never build the [n,m,d]
-# vote tensor; each is one tape node with a matmul-only backward.
+# Routing votes factor as u[g,i,j] = r[g,i] + q[j] (source part plus target
+# part), so both ops take the factors and never build the [G,n,m,d] vote
+# tensor; each is one tape node with a matmul-only backward. The source
+# factor r and the couplings carry the group axis of equal-length sentences;
+# the target part q = PE W depends only on the position, so the group shares
+# one [m,d] copy. Leading axes are optional: plain [n,·] operands work too.
 
 
 def _check_factors(op: str, r: Tensor, q: Tensor | None, m: int) -> None:
-    if q is not None and q.shape != (m, r.shape[1]):
-        raise ShapeError(f"{op}: target votes q must be ({m}, {r.shape[1]}), "
+    if q is not None and q.shape != (m, r.shape[-1]):
+        raise ShapeError(f"{op}: target votes q must be ({m}, {r.shape[-1]}), "
                          f"got {tuple(q.shape)}")
 
 
 def coupled_sum(c: Tensor, r: Tensor, q: Tensor | None = None) -> Tensor:
-    """s[j] = sum_i c[i,j] * (r[i] + q[j])  for c [n,m], r [n,d], q [m,d].
+    """s[j] = sum_i c[i,j] * (r[i] + q[j])  for c [..., n, m], r [..., n, d]
+    and q [m, d], per leading index.
 
     Computed as c^T r + colsum(c) * q; ``q=None`` means q = 0.
     """
-    if c.ndim != 2 or r.ndim != 2 or c.shape[0] != r.shape[0]:
-        raise ShapeError(f"coupled_sum shapes {tuple(c.shape)} and "
-                         f"{tuple(r.shape)} do not align")
-    _check_factors("coupled_sum", r, q, c.shape[1])
-    s = c.data.T @ r.data
+    cd, rd = c.data, r.data
+    if cd.ndim < 2 or cd.shape[:-1] != rd.shape[:-1]:
+        raise ShapeError(f"coupled_sum shapes {cd.shape} and {rd.shape} do "
+                         f"not align")
+    _check_factors("coupled_sum", r, q, cd.shape[-1])
+    s = cd.swapaxes(-1, -2) @ rd
     if q is not None:
-        colsum = c.data.sum(axis=0)[:, None]
+        colsum = cd.sum(axis=-2)[..., None]
         s += colsum * q.data
     out = Tensor(s, requires_grad=c.requires_grad or r.requires_grad
                  or (q is not None and q.requires_grad))
 
     def fn(g, push):
-        dc = r.data @ g.T
+        dc = rd @ g.swapaxes(-1, -2)
         if q is not None:
-            dc += (g * q.data).sum(axis=1)[None, :]
-            push(q, colsum * g)
+            dc += (g * q.data).sum(axis=-1)[..., None, :]
+            push(q, _unbroadcast(colsum * g, q.shape))
         push(c, dc)
-        push(r, c.data @ g)
+        push(r, cd @ g)
 
     return _emit(out, (c, r) if q is None else (c, r, q), fn)
 
 
 def pairwise_dot(r: Tensor, v: Tensor, q: Tensor | None = None) -> Tensor:
-    """out[i,j] = (r[i] + q[j]) . v[j]  for r [n,d], v [m,d], q [m,d].
+    """out[i,j] = (r[i] + q[j]) . v[j]  for r [..., n, d], v [..., m, d] and
+    q [m, d], per leading index.
 
     Computed as r v^T + 1 (q * v summed over d)^T; ``q=None`` means q = 0.
     """
-    if r.ndim != 2 or v.ndim != 2 or r.shape[1] != v.shape[1]:
-        raise ShapeError(f"pairwise_dot shapes {tuple(r.shape)} and "
-                         f"{tuple(v.shape)} do not align")
-    _check_factors("pairwise_dot", r, q, v.shape[0])
-    a = r.data @ v.data.T
+    rd, vd = r.data, v.data
+    if (rd.ndim < 2 or rd.shape[:-2] != vd.shape[:-2]
+            or rd.shape[-1] != vd.shape[-1]):
+        raise ShapeError(f"pairwise_dot shapes {rd.shape} and {vd.shape} do "
+                         f"not align")
+    _check_factors("pairwise_dot", r, q, vd.shape[-2])
+    a = rd @ vd.swapaxes(-1, -2)
     if q is not None:
-        a += (q.data * v.data).sum(axis=1)[None, :]
+        a += (q.data * vd).sum(axis=-1)[..., None, :]
     out = Tensor(a, requires_grad=r.requires_grad or v.requires_grad
                  or (q is not None and q.requires_grad))
 
     def fn(g, push):
-        dv = g.T @ r.data
+        dv = g.swapaxes(-1, -2) @ rd
         if q is not None:
-            colsum = g.sum(axis=0)[:, None]
+            colsum = g.sum(axis=-2)[..., None]
             dv += colsum * q.data
-            push(q, colsum * v.data)
-        push(r, g @ v.data)
+            push(q, _unbroadcast(colsum * vd, q.shape))
+        push(r, g @ vd)
         push(v, dv)
 
     return _emit(out, (r, v) if q is None else (r, v, q), fn)

@@ -2,8 +2,11 @@
 
 Training runs in two phases: the document tasks are pretrained alone for a
 few epochs, then sentence-level batches and document batches alternate at a
-configurable ratio. Every epoch ends with a dev evaluation; the checkpoint
-with the best pair-F1 is kept. All randomness flows from the model seed, so
+configurable ratio. A batch runs one model forward per group of
+equal-length inputs ([G, n, ·] tensors, no padding), in order of each
+group's first member; its loss is the mean of the per-input losses. Every
+epoch ends with a dev evaluation; the checkpoint with the best pair-F1 is
+kept. All randomness flows from the model seed, so
 a rerun with the same config reproduces the loss trace bit for bit.
 """
 
@@ -17,12 +20,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import (Batch, Document, Sentence, make_batches)
+from .data import Document, Sentence, length_groups, make_batches
 from .metrics import evaluate
 from .model import ASPECT_TASKS, AbsaModel, IterationState, ModelConfig
-from .tensor import (Tape, Tensor, adam_step, clip_grads, cross_entropy,
-                     cross_entropy_rows, global_grad_norm, record, reshape,
-                     scale)
+from .tensor import (Tape, Tensor, adam_step, clip_grads, cross_entropy_rows,
+                     global_grad_norm, record, scale)
 
 
 class DivergenceError(ArithmeticError):
@@ -43,70 +45,81 @@ class LossWeights:
                    cfg.lambda_ddc, cfg.lambda_dsc)
 
 
-def _aspect_loss_from_arrays(states: Sequence[IterationState],
-                             ate_gold: np.ndarray, ote_gold: np.ndarray,
-                             asc_gold: np.ndarray, asc_mask: np.ndarray,
-                             weights: LossWeights) -> Tensor:
+def aspect_loss(states: Sequence[IterationState],
+                sentences: Sequence[Sentence], weights: LossWeights) -> Tensor:
+    """Sum of the per-sentence losses of a group of equal-length sentences.
+
+    A sentence's loss is the token-averaged cross-entropy per task on the
+    final iteration. The sentiment term averages over labeled tokens only
+    and contributes 0 (not NaN) when the sentence has no aspect tokens.
+    """
     final = states[-1]
-    n = ate_gold.shape[0]
-    uniform = np.full(n, 1.0 / n)
-    loss = scale(cross_entropy_rows(final.logits["ate"], ate_gold, uniform),
+    n = sentences[0].n
+    ate = np.array([s.ate_gold for s in sentences], dtype=np.int64)
+    ote = np.array([s.ote_gold for s in sentences], dtype=np.int64)
+    asc = np.array([[0 if lab is None else lab for lab in s.asc_gold]
+                    for s in sentences], dtype=np.int64)
+    labeled = np.array([[lab is not None for lab in s.asc_gold]
+                        for s in sentences], dtype=np.float64)
+    uniform = np.full(ate.shape, 1.0 / n)
+    loss = scale(cross_entropy_rows(final.logits["ate"], ate, uniform),
                  weights.ate)
-    loss = loss + scale(cross_entropy_rows(final.logits["ote"], ote_gold,
+    loss = loss + scale(cross_entropy_rows(final.logits["ote"], ote,
                                            uniform), weights.ote)
-    labeled = float(asc_mask.sum())
-    if labeled > 0:
-        w = asc_mask.astype(np.float64) / labeled
-        loss = loss + scale(cross_entropy_rows(final.logits["asc"], asc_gold,
-                                               w), weights.asc)
+    if labeled.any():
+        per_token = labeled / np.maximum(labeled.sum(axis=1, keepdims=True),
+                                         1.0)
+        loss = loss + scale(cross_entropy_rows(final.logits["asc"], asc,
+                                               per_token), weights.asc)
     return loss
 
 
-def aspect_loss(states: Sequence[IterationState], sentence: Sentence,
-                weights: LossWeights) -> Tensor:
-    """Token-averaged cross-entropy per task on the final iteration.
-
-    The sentiment term averages over labeled tokens only and contributes 0
-    (not NaN) when the sentence has no aspect tokens.
-    """
-    asc_gold = np.array([0 if lab is None else lab
-                         for lab in sentence.asc_gold], dtype=np.int64)
-    asc_mask = np.array([lab is not None for lab in sentence.asc_gold])
-    return _aspect_loss_from_arrays(states, np.asarray(sentence.ate_gold),
-                                    np.asarray(sentence.ote_gold),
-                                    asc_gold, asc_mask, weights)
-
-
-def batch_aspect_loss(model: AbsaModel, batch: Batch, weights: LossWeights,
-                      train: bool, rng: np.random.Generator | None) -> Tensor:
-    """Mean per-sentence loss over a padded batch; padded slots never enter
-    (each sentence is unpadded to its true length before the forward pass)."""
+def _mean_over_groups(items: Sequence, keep: list | None,
+                      group_loss: Callable[[list, list | None], Tensor]
+                      ) -> Tensor:
+    """Mean per-item loss of a batch: ``group_loss(group, keep)`` returns
+    the summed loss of one group of equal-length items, given its dropout
+    multipliers (None in evaluation)."""
     total: Tensor | None = None
-    for r, sent in enumerate(batch.sentences):
-        states, _ = model.forward(sent, train=train, rng=rng)
-        n = sent.n
-        loss = _aspect_loss_from_arrays(
-            states, batch.ate_gold[r, :n], batch.ote_gold[r, :n],
-            batch.asc_gold[r, :n], batch.asc_mask[r, :n], weights)
+    for idx in length_groups(items):
+        loss = group_loss([items[i] for i in idx],
+                          None if keep is None else [keep[i] for i in idx])
         total = loss if total is None else total + loss
-    return scale(total, 1.0 / batch.size)
+    return scale(total, 1.0 / len(items))
 
 
-def document_loss(doc_logits: dict[str, Tensor], document: Document,
+def batch_aspect_loss(model: AbsaModel, batch: Sequence[Sentence],
+                      weights: LossWeights, train: bool,
+                      rng: np.random.Generator | None) -> Tensor:
+    """Mean per-sentence loss over a batch, one forward per group of
+    equal-length sentences. Training draws the dropout of the whole batch
+    first, in batch order."""
+    def group_loss(group, keep):
+        states, _ = model.forward(group, keep)
+        return aspect_loss(states, group, weights)
+
+    keep = model.draw_dropout(batch, rng) if train else None
+    return _mean_over_groups(batch, keep, group_loss)
+
+
+def document_loss(doc_logits: dict[str, Tensor],
+                  documents: Sequence[Document],
                   weights: LossWeights) -> Tensor:
-    """Cross-entropy per present document label; absent labels contribute 0."""
-    if document.domain_gold is None and document.sentiment_gold is None:
+    """Sum over a group of documents of the cross-entropy per present
+    document label; absent labels contribute 0."""
+    if any(d.domain_gold is None and d.sentiment_gold is None
+           for d in documents):
         raise ValueError("document carries no label")
     loss: Tensor | None = None
-    if document.domain_gold is not None:
-        c = doc_logits["ddc"].shape[1]
-        term = scale(cross_entropy(reshape(doc_logits["ddc"], (c,)),
-                                   document.domain_gold), weights.ddc)
-        loss = term
-    if document.sentiment_gold is not None:
-        c = doc_logits["dsc"].shape[1]
-        term = scale(cross_entropy(reshape(doc_logits["dsc"], (c,)),
-                                   document.sentiment_gold), weights.dsc)
+    for task, weight, gold in (
+            ("ddc", weights.ddc, [d.domain_gold for d in documents]),
+            ("dsc", weights.dsc, [d.sentiment_gold for d in documents])):
+        present = [g is not None for g in gold]
+        if not any(present):
+            continue
+        term = scale(cross_entropy_rows(
+            doc_logits[task], [0 if g is None else g for g in gold],
+            np.array(present, dtype=np.float64)), weight)
         loss = term if loss is None else loss + term
     return loss
 
@@ -114,12 +127,14 @@ def document_loss(doc_logits: dict[str, Tensor], document: Document,
 def batch_document_loss(model: AbsaModel, docs: Sequence[Document],
                         weights: LossWeights, train: bool,
                         rng: np.random.Generator | None) -> Tensor:
-    total: Tensor | None = None
-    for doc in docs:
-        logits = model.forward_document(doc, train=train, rng=rng)
-        loss = document_loss(logits, doc, weights)
-        total = loss if total is None else total + loss
-    return scale(total, 1.0 / len(docs))
+    """Mean per-document loss, one forward per group of equal-length
+    documents."""
+    def group_loss(group, keep):
+        return document_loss(model.forward_document(group, keep), group,
+                             weights)
+
+    keep = model.draw_dropout(docs, rng) if train else None
+    return _mean_over_groups(docs, keep, group_loss)
 
 
 class Adam:
@@ -185,18 +200,20 @@ def token_accuracy(model: AbsaModel,
     """Argmax tag accuracy per task; sentiment counts labeled tokens only."""
     hit = {t: 0 for t in ASPECT_TASKS}
     total = {t: 0 for t in ASPECT_TASKS}
-    for sent in sentences:
-        states, _ = model.forward(sent, train=False)
-        final = states[-1]
-        for task, gold in (("ate", sent.ate_gold), ("ote", sent.ote_gold)):
-            pred = final.probs[task].data.argmax(axis=1)
-            hit[task] += int((pred == np.asarray(gold)).sum())
-            total[task] += sent.n
-        pred = final.probs["asc"].data.argmax(axis=1)
-        for i, lab in enumerate(sent.asc_gold):
-            if lab is not None:
-                total["asc"] += 1
-                hit["asc"] += int(pred[i] == lab)
+    for idx in length_groups(sentences):
+        group = [sentences[i] for i in idx]
+        states, _ = model.forward(group)
+        probs = states[-1].probs
+        for task, gold in (("ate", [s.ate_gold for s in group]),
+                           ("ote", [s.ote_gold for s in group])):
+            pred = probs[task].data.argmax(axis=-1)
+            hit[task] += int((pred == np.array(gold)).sum())
+            total[task] += pred.size
+        for pred, sent in zip(probs["asc"].data.argmax(axis=-1), group):
+            for i, lab in enumerate(sent.asc_gold):
+                if lab is not None:
+                    total["asc"] += 1
+                    hit["asc"] += int(pred[i] == lab)
     return {t: (hit[t] / total[t] if total[t] else 1.0) for t in ASPECT_TASKS}
 
 
@@ -252,8 +269,6 @@ def fit(model: AbsaModel, train_sentences: Sequence[Sentence],
     opt = Adam(model.named_parameters(), schedule.lr)
     rng = np.random.default_rng(np.random.SeedSequence(
         [model.config.seed, 9261]))
-    gpad = model.general_table.pad_index
-    dpad = model.domain_table.pad_index
 
     result = TrainResult(best_path=None, best_f1_i=-1.0, epochs_run=0)
     metrics_path = None
@@ -304,7 +319,7 @@ def fit(model: AbsaModel, train_sentences: Sequence[Sentence],
     for epoch in range(schedule.epochs):
         t0 = time.time()
         batches = make_batches(train_sentences, schedule.batch_size,
-                               int(rng.integers(2 ** 31)), gpad, dpad)
+                               int(rng.integers(2 ** 31)))
         chunks = doc_chunks(int(rng.integers(2 ** 31))) if documents else []
         ci = 0
         ja_losses, jd_losses, norms = [], [], []
@@ -444,27 +459,23 @@ def gradcheck_harness(iterations: int = 2, route_iters: int = 2,
     return model, sentence, document
 
 
-def model_gradcheck(model: AbsaModel, sentence: Sentence,
-                    document: Document | None = None, step: float = 1e-3,
-                    tol: float = 1e-3) -> GradcheckReport:
-    """Finite-difference check of the sentence loss (and, when a document is
-    given, the document loss) against analytic gradients, per parameter."""
+def model_gradcheck(model: AbsaModel, sentences: Sequence[Sentence],
+                    documents: Sequence[Document] | None = None,
+                    step: float = 1e-3, tol: float = 1e-3) -> GradcheckReport:
+    """Finite-difference check of the batch sentence loss (and, when
+    documents are given, the batch document loss) against analytic
+    gradients, per parameter. Inputs of mixed length run as their
+    equal-length groups, exactly as in training."""
     weights = LossWeights.from_config(model.config)
     params = model.named_parameters()
-
-    def sentence_loss():
-        states, _ = model.forward(sentence, train=False)
-        return aspect_loss(states, sentence, weights)
-
-    report = gradcheck(sentence_loss, params, step=step, tol=tol)
-    if document is None:
+    report = gradcheck(
+        lambda: batch_aspect_loss(model, sentences, weights, False, None),
+        params, step=step, tol=tol)
+    if not documents:
         return report
-
-    def doc_loss():
-        return document_loss(model.forward_document(document, train=False),
-                             document, weights)
-
-    doc_report = gradcheck(doc_loss, params, step=step, tol=tol)
+    doc_report = gradcheck(
+        lambda: batch_document_loss(model, documents, weights, False, None),
+        params, step=step, tol=tol)
     merged = []
     for a, b in zip(report.entries, doc_report.entries):
         worst = max(a.max_rel_err, b.max_rel_err)

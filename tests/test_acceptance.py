@@ -44,8 +44,8 @@ def test_gradient_suite_full_model():
     weights = LossWeights.from_config(model.config)
 
     def sentence_loss():
-        states, _ = model.forward(sentence, train=False)
-        return aspect_loss(states, sentence, weights)
+        states, _ = model.forward([sentence])
+        return aspect_loss(states, [sentence], weights)
 
     params = model.named_parameters()
     t0 = time.time()
@@ -113,7 +113,8 @@ def test_closed_forms():
     table = positional_encoding(4, 10)
     np.testing.assert_array_equal(table[0], np.tile([0.0, 1.0], 5))
 
-    ce = T.cross_entropy(T.constant([0.0, 0.0, 0.0]), 0).item()
+    ce = T.cross_entropy_rows(T.constant([[0.0, 0.0, 0.0]]), [0],
+                              [1.0]).item()
     assert abs(ce - math.log(3)) < 1e-6
     ok("closed-forms", f"squash norm {norm:.8f}, CE {ce:.8f}")
 
@@ -251,8 +252,8 @@ def test_ablation_structure_and_discriminate_injection():
     model, sent, _ = build_tiny_model(cfg)
 
     def loss_with(weights):
-        states, _ = model.forward(sent)
-        return aspect_loss(states, sent, weights)
+        states, _ = model.forward([sent])
+        return aspect_loss(states, [sent], weights)
 
     tape = T.Tape()
     with T.record(tape):

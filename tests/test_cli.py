@@ -8,6 +8,8 @@ from ktabsa.cli import main
 from ktabsa.model import AbsaModel
 from ktabsa.synth import SynthSpec, write_synthetic
 
+from fixtures import build_tiny_model
+
 
 @pytest.fixture(scope="module")
 def synth_dir(tmp_path_factory):
@@ -225,6 +227,19 @@ def test_eval_scheme_mismatch_exit_3(synth_dir, tmp_path, capsys):
         f.write("word\tB-WEIRD\tO\t_\n\n")
     code = run_cli("eval", "--checkpoint", ckpt, "--corpus", alien)
     assert code == 3
+
+
+def test_eval_truncated_checkpoint_exit_3(synth_dir, tmp_path, capsys):
+    model, _, _ = build_tiny_model()
+    ckpt = str(tmp_path / "m.ckpt")
+    model.save(ckpt)
+    raw = open(ckpt, "rb").read()
+    with open(ckpt, "wb") as f:
+        f.write(raw[:-100])
+    code = run_cli("eval", "--checkpoint", ckpt, "--corpus",
+                   os.path.join(synth_dir, "test.tsv"))
+    assert code == 3
+    assert "truncated" in capsys.readouterr().err
 
 
 def test_gradcheck_cli_passes_and_corruption_fails(capsys):

@@ -300,27 +300,17 @@ def test_dev_split_deterministic():
 
 def test_make_batches_shapes_and_determinism():
     sents = make_sentences(5)
-    table = D.random_embeddings(D.corpus_words(sents), 8,
-                                np.random.default_rng(0))
-    D.assign_embedding_ids(sents, table, table)
-    batches = D.make_batches(sents, 2, seed=5, general_pad=table.pad_index,
-                             domain_pad=table.pad_index)
-    assert [b.size for b in batches] == [2, 2, 1]
-    again = D.make_batches(sents, 2, seed=5, general_pad=table.pad_index,
-                           domain_pad=table.pad_index)
-    assert all(x.sentences == y.sentences for x, y in zip(batches, again))
-    for b in batches:
-        assert b.mask.all()  # uniform lengths here
+    batches = D.make_batches(sents, 2, seed=5)
+    assert [len(b) for b in batches] == [2, 2, 1]
+    again = D.make_batches(sents, 2, seed=5)
+    ids = [[id(s) for s in b] for b in batches]
+    assert ids == [[id(s) for s in b] for b in again]
+    assert sorted(sum(ids, [])) == sorted(map(id, sents))
 
 
-def test_make_batches_padding_and_masks():
-    sents = make_sentences(1, length=3) + make_sentences(1, length=5)
-    table = D.random_embeddings(D.corpus_words(sents), 8,
-                                np.random.default_rng(0))
-    D.assign_embedding_ids(sents, table, table)
-    [batch] = D.make_batches(sents, 2, seed=0, general_pad=table.pad_index,
-                             domain_pad=table.pad_index)
-    short = [i for i, s in enumerate(batch.sentences) if s.n == 3][0]
-    assert batch.mask[short, 3:].sum() == 0
-    assert (batch.general_ids[short, 3:] == table.pad_index).all()
-    assert not batch.asc_mask[short, 3:].any()
+def test_length_groups_in_order_of_first_appearance():
+    sents = (make_sentences(1, length=3) + make_sentences(1, length=5)
+             + make_sentences(1, length=3) + make_sentences(1, length=4)
+             + make_sentences(1, length=5))
+    assert D.length_groups(sents) == [[0, 2], [1, 4], [3]]
+    assert D.length_groups([]) == []

@@ -56,50 +56,23 @@ def test_task_stack_shapes():
 def test_attention_uniform_for_constant_rows():
     rng = np.random.default_rng(4)
     head = AttentionHead(rng, d=6, classes=3, name="doc.x")
-    h = T.constant(np.tile(np.arange(6, dtype=np.float32), (4, 1)))
+    h = T.constant(np.tile(np.arange(6, dtype=np.float32), (2, 4, 1)))
     a, doc, logits = head(h)
-    np.testing.assert_allclose(a.data, np.full(4, 0.25), atol=1e-6)
-    np.testing.assert_allclose(doc.data[0], h.data[0], atol=1e-5)
-    assert logits.shape == (1, 3)
-
-
-def test_attention_single_unmasked_token():
-    rng = np.random.default_rng(5)
-    head = AttentionHead(rng, d=4, classes=2, name="doc.x")
-    h = T.constant(rng.normal(size=(3, 4)).astype(np.float32))
-    mask = np.array([False, True, False])
-    a, doc, _ = head(h, mask)
-    np.testing.assert_allclose(a.data, [0.0, 1.0, 0.0])
-    np.testing.assert_allclose(doc.data[0], h.data[1], atol=1e-6)
+    np.testing.assert_allclose(a.data, np.full((2, 4), 0.25), atol=1e-6)
+    np.testing.assert_allclose(doc.data, h.data[:, 0], atol=1e-5)
+    assert logits.shape == (2, 3)
 
 
 def test_attention_weighted_sum_matches_bruteforce():
     rng = np.random.default_rng(6)
     with T.use_dtype(np.float64):
         head = AttentionHead(rng, d=5, classes=3, name="doc.x")
-        h = T.constant(rng.normal(size=(6, 5)))
+        h = T.constant(rng.normal(size=(3, 6, 5)))
         a, doc, _ = head(h)
-    expected = sum(a.data[i] * h.data[i] for i in range(6))
-    np.testing.assert_allclose(doc.data[0], expected, atol=1e-12)
-    assert abs(a.data.sum() - 1.0) < 1e-6
-
-
-def test_attention_masked_positions_get_exactly_zero():
-    rng = np.random.default_rng(7)
-    head = AttentionHead(rng, d=4, classes=2, name="doc.x")
-    h = T.constant(rng.normal(size=(5, 4)).astype(np.float32))
-    mask = np.array([True, True, False, True, False])
-    a, _, _ = head(h, mask)
-    assert a.data[2] == 0.0 and a.data[4] == 0.0
-    assert abs(a.data.sum() - 1.0) < 1e-6
-
-
-def test_attention_all_masked_rejected():
-    head = AttentionHead(np.random.default_rng(8), d=4, classes=2,
-                         name="doc.x")
-    h = T.constant(np.zeros((2, 4), dtype=np.float32))
-    with pytest.raises(ValueError, match="masked"):
-        head(h, np.array([False, False]))
+    for g in range(3):
+        expected = sum(a.data[g, i] * h.data[g, i] for i in range(6))
+        np.testing.assert_allclose(doc.data[g], expected, atol=1e-12)
+    np.testing.assert_allclose(a.data.sum(axis=1), np.ones(3), atol=1e-6)
 
 
 def test_decoder_zero_weights_uniform_rows():
@@ -146,11 +119,12 @@ def test_shared_encoder_accumulates_gradients_from_all_task_losses():
             else kernel.grad.copy()
 
     def la():
-        states, _ = model.forward(sent)
-        return aspect_loss(states, sent, LossWeights())
+        states, _ = model.forward([sent])
+        return aspect_loss(states, [sent], LossWeights())
 
     def ld():
-        return document_loss(model.forward_document(doc), doc, LossWeights())
+        return document_loss(model.forward_document([doc]), [doc],
+                             LossWeights())
 
     g_aspect = grad_for(la)
     g_doc = grad_for(ld)

@@ -1,15 +1,20 @@
 import dataclasses
+import json
+import os
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ktabsa import tensor as T
-from ktabsa.data import DEFAULT_SCHEMES
+from ktabsa.data import DEFAULT_SCHEMES, Sentence
 from ktabsa.model import (AbsaModel, CheckpointError, apply_ablation,
                           majority_sentiment)
 from ktabsa.training import LossWeights, aspect_loss
 
-from fixtures import build_tiny_model, tiny_config
+from fixtures import build_tiny_model, chain_adjacency, tiny_config
 
 
 def clone_states(states):
@@ -23,19 +28,19 @@ def clone_states(states):
 
 def test_forward_returns_t_plus_one_states():
     model, sent, _ = build_tiny_model(tiny_config(iterations=3))
-    states, _ = model.forward(sent)
+    states, _ = model.forward([sent])
     assert len(states) == 4
     assert [s.t for s in states] == [0, 1, 2, 3]
 
 
 def test_forward_probability_rows_are_distributions():
     model, sent, _ = build_tiny_model()
-    states, _ = model.forward(sent)
+    states, _ = model.forward([sent])
     for st in states:
         for task in ("ate", "ote", "asc"):
             rows = st.probs[task].data
-            np.testing.assert_allclose(rows.sum(axis=1), np.ones(sent.n),
-                                       atol=1e-6)
+            np.testing.assert_allclose(rows.sum(axis=-1),
+                                       np.ones((1, sent.n)), atol=1e-6)
         for s in ("ddc", "dsc"):
             assert abs(st.doc_probs[s].data.sum() - 1.0) < 1e-6
             np.testing.assert_allclose(st.doc_attn[s].data.sum(), 1.0,
@@ -46,7 +51,7 @@ def test_full_ablation_t1_equals_iteration_zero_decode():
     cfg = tiny_config(iterations=1, transfers=(), inject_ddc=False,
                       inject_dsc=False)
     model, sent, _ = build_tiny_model(cfg)
-    states, _ = model.forward(sent)
+    states, _ = model.forward([sent])
     for task in ("ate", "ote", "asc"):
         np.testing.assert_array_equal(states[0].probs[task].data,
                                       states[1].probs[task].data)
@@ -57,10 +62,10 @@ def test_full_ablation_t1_equals_iteration_zero_decode():
 
 def test_t2_equals_composing_transfer_and_aggregate_twice():
     model, sent, _ = build_tiny_model(tiny_config(iterations=2))
-    states, _ = model.forward(sent)
+    states, _ = model.forward([sent])
     s0 = states[0]
-    s1 = model.transfer_and_aggregate(s0, sent)
-    s2 = model.transfer_and_aggregate(s1, sent)
+    s1 = model.transfer_and_aggregate(s0, [sent])
+    s2 = model.transfer_and_aggregate(s1, [sent])
     for task in ("ate", "ote", "asc"):
         np.testing.assert_array_equal(states[1].probs[task].data,
                                       s1.probs[task].data)
@@ -73,7 +78,7 @@ def test_zeroed_fusion_weights_freeze_hiddens_across_iterations():
     for target in ("ate", "ote", "asc"):
         for _n, t in model.fuse[target].named():
             t.data[:] = 0.0
-    states, _ = model.forward(sent)
+    states, _ = model.forward([sent])
     for task in ("ate", "ote", "asc"):
         np.testing.assert_array_equal(states[1].hidden[task].data,
                                       states[2].hidden[task].data)
@@ -83,8 +88,8 @@ def test_zeroed_fusion_weights_freeze_hiddens_across_iterations():
 
 def test_eval_forward_deterministic_bitwise():
     model, sent, _ = build_tiny_model()
-    a, _ = model.forward(sent)
-    b, _ = model.forward(sent)
+    a, _ = model.forward([sent])
+    b, _ = model.forward([sent])
     for sa, sb in zip(a, b):
         for task in ("ate", "ote", "asc"):
             np.testing.assert_array_equal(sa.probs[task].data,
@@ -165,8 +170,8 @@ def test_sentiment_loss_blind_to_domain_attention_head():
     w = LossWeights(ate=0, ote=0, asc=1)
 
     def l_asc():
-        states, _ = model.forward(sent)
-        return aspect_loss(states, sent, w)
+        states, _ = model.forward([sent])
+        return aspect_loss(states, [sent], w)
 
     g = grad_of_loss_wrt(model, l_asc, model.heads["ddc"].w)
     assert g is None or not g.any()
@@ -180,8 +185,8 @@ def test_extraction_loss_blind_to_sentiment_attention_head():
     w = LossWeights(ate=1, ote=1, asc=0)
 
     def l_ext():
-        states, _ = model.forward(sent)
-        return aspect_loss(states, sent, w)
+        states, _ = model.forward([sent])
+        return aspect_loss(states, [sent], w)
 
     g = grad_of_loss_wrt(model, l_ext, model.heads["dsc"].w)
     assert g is None or not g.any()
@@ -193,28 +198,28 @@ def test_doc_signal_sensitivity_routes_to_the_right_tasks():
     # perturbing the ddc attention weight moves h_ate(t+1) but not h_asc(t+1)
     cfg = tiny_config(iterations=1, transfers=())
     model, sent, _ = build_tiny_model(cfg)
-    states, _ = model.forward(sent)
+    states, _ = model.forward([sent])
     base_ate = states[1].hidden["ate"].data.copy()
     base_asc = states[1].hidden["asc"].data.copy()
     model.heads["ddc"].w.data += 0.5
-    states2, _ = model.forward(sent)
+    states2, _ = model.forward([sent])
     assert not np.array_equal(states2[1].hidden["ate"].data, base_ate)
     np.testing.assert_array_equal(states2[1].hidden["asc"].data, base_asc)
 
     model.heads["ddc"].w.data -= 0.5
     model.heads["dsc"].w.data += 0.5
-    states3, _ = model.forward(sent)
+    states3, _ = model.forward([sent])
     np.testing.assert_array_equal(states3[1].hidden["ate"].data, base_ate)
     assert not np.array_equal(states3[1].hidden["asc"].data, base_asc)
 
 
 def test_task_stack_parameter_disjointness():
     model, sent, _ = build_tiny_model()
-    states, _ = model.forward(sent)
+    states, _ = model.forward([sent])
     base_ote = states[0].hidden["ote"].data.copy()
     for _n, t in model.stacks["ate"].named():
         t.data += 0.7
-    states2, _ = model.forward(sent)
+    states2, _ = model.forward([sent])
     np.testing.assert_array_equal(states2[0].hidden["ote"].data, base_ote)
 
 
@@ -238,6 +243,18 @@ def test_predict_all_outside():
         t.data = model.named_tensors()[name].data.copy()
     pred = frozen.predict(sent)
     assert pred.ate_spans == () and pred.ote_spans == () and pred.pairs == ()
+
+
+def test_predict_sentence_longer_than_max_len():
+    model, _, _ = build_tiny_model()
+    assert model.config.max_len == 16
+    words = ("the", "battery", "is", "great", "okay")
+    n = 20
+    sent = Sentence(tuple(words[i % 5] for i in range(n)), (2,) * n,
+                    (2,) * n, (None,) * n, chain_adjacency(n))
+    pred = model.predict(sent)
+    assert pred.tokens == sent.tokens
+    assert all(0 <= s < e <= n for s, e in pred.ate_spans + pred.ote_spans)
 
 
 def test_majority_sentiment_vote_and_ties():
@@ -272,9 +289,9 @@ def test_predict_assembles_spans_and_majority_sentiment(monkeypatch):
 
     import ktabsa.tensor as KT
 
-    def fake_forward(sentence, train=False, rng=None, keep_trace=False):
+    def fake_forward(sentences, keep=None, keep_trace=False):
         def rows(tags):
-            return KT.constant(np.eye(3, dtype=np.float32)[tags] * 9.0)
+            return KT.constant(np.eye(3, dtype=np.float32)[None, tags] * 9.0)
         probs = {"ate": rows([0, 1, 2, 2]),   # BA IA O O -> span (0, 2)
                  "ote": rows([2, 2, 0, 2]),   # one opinion span at token 2
                  "asc": rows([0, 0, 1, 2])}   # pos, pos inside the span
@@ -301,8 +318,8 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
         np.testing.assert_array_equal(clone.named_tensors()[name].data, t.data)
     clone.index_tokens(sent)
     a = model.predict(sent)
-    states_a, _ = model.forward(sent)
-    states_b, _ = clone.forward(sent)
+    states_a, _ = model.forward([sent])
+    states_b, _ = clone.forward([sent])
     for sa, sb in zip(states_a, states_b):
         for task in ("ate", "ote", "asc"):
             np.testing.assert_array_equal(sa.probs[task].data,
@@ -349,8 +366,8 @@ def test_end_to_end_gradcheck_subset():
     w = LossWeights()
 
     def build_loss():
-        states, _ = model.forward(sent)
-        return aspect_loss(states, sent, w)
+        states, _ = model.forward([sent])
+        return aspect_loss(states, [sent], w)
 
     params = model.named_parameters()
     subset = {k: v for k, v in params.items()
@@ -359,3 +376,93 @@ def test_end_to_end_gradcheck_subset():
     report = gradcheck(build_loss, subset)
     assert report.passed, [(e.name, e.max_rel_err) for e in report.failures]
     assert report.worst < 1e-5  # comfortably inside the tolerance
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoint(tmp_path_factory):
+    model, _, _ = build_tiny_model()
+    path = str(tmp_path_factory.mktemp("ckpt") / "m.ckpt")
+    model.save(path)
+    with open(path, "rb") as f:
+        return model, f.read()
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cut=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+def test_truncated_checkpoint_raises_checkpoint_error(saved_checkpoint,
+                                                      tmp_path, cut):
+    model, raw = saved_checkpoint
+    path = str(tmp_path / "cut.ckpt")
+    with open(path, "wb") as f:
+        f.write(raw[:int(cut * len(raw))])
+    with pytest.raises(CheckpointError):
+        AbsaModel.load(path)
+    with pytest.raises(CheckpointError):
+        model.load_payload(path)
+
+
+def with_header(raw: bytes, head: bytes) -> bytes:
+    """The checkpoint ``raw`` with its JSON header bytes replaced."""
+    (hlen,) = struct.unpack("<Q", raw[7:15])
+    return raw[:7] + struct.pack("<Q", len(head)) + head + raw[15 + hlen:]
+
+
+def test_checkpoint_payload_must_tile_exactly(saved_checkpoint, tmp_path):
+    _model, raw = saved_checkpoint
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(raw + b"\0\0\0\0")
+    with pytest.raises(CheckpointError, match="longer than its manifest"):
+        AbsaModel.load(str(path))
+    (hlen,) = struct.unpack("<Q", raw[7:15])
+    header = json.loads(raw[15:15 + hlen])
+    header["manifest"][1]["offset"] += 4   # a gap, then an overlap
+    path.write_bytes(with_header(raw, json.dumps(header).encode()))
+    with pytest.raises(CheckpointError, match="starts at byte"):
+        AbsaModel.load(str(path))
+    for bad in (b"{not json", b"\xff\xfe"):
+        path.write_bytes(with_header(raw, bad))
+        with pytest.raises(CheckpointError, match="undecodable"):
+            AbsaModel.load(str(path))
+
+
+def test_failed_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
+    import ktabsa.model as kmodel
+    model, _, _ = build_tiny_model()
+    path = str(tmp_path / "best.ckpt")
+    model.save(path)
+    with open(path, "rb") as f:
+        before = f.read()
+
+    class FailingFile:
+        """Writes through until the third write, then fails (disk full)."""
+
+        def __init__(self, f):
+            self.f, self.writes = f, 0
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes == 3:
+                self.f.write(data[:len(data) // 2])
+                raise OSError(28, "No space left on device")
+            return self.f.write(data)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+    real_open = open
+    monkeypatch.setattr(kmodel, "open",
+                        lambda *a, **k: FailingFile(real_open(*a, **k)),
+                        raising=False)
+    for t in model.named_parameters().values():
+        t.data += 1.0
+    with pytest.raises(OSError, match="No space"):
+        model.save(path)
+    monkeypatch.undo()
+    with open(path, "rb") as f:
+        assert f.read() == before
+    assert os.listdir(tmp_path) == ["best.ckpt"]
+    AbsaModel.load(path)

@@ -13,21 +13,17 @@ from helpers import check_op_grads, squash_ref
 # oracle: independent step-by-step re-execution of the routing update lines
 
 
-def route_oracle(u_hat, adjacency, iterations, mask=None):
+def route_oracle(u_hat, adjacency, iterations):
     n = u_hat.shape[0]
-    if mask is None:
-        mask = np.ones(n, dtype=bool)
     b = np.zeros((n, n), dtype=np.float64)
     states = []
     v = None
     for _ in range(iterations):
         b = b + adjacency
-        shifted = np.where(mask[None, :], b, -np.inf)
-        shifted = shifted - shifted.max(axis=1, keepdims=True)
+        shifted = b - b.max(axis=1, keepdims=True)
         e = np.exp(shifted)
         c = e / e.sum(axis=1, keepdims=True)
-        c_eff = c * mask[:, None]
-        s = np.einsum("ij,ijd->jd", c_eff, u_hat)
+        s = np.einsum("ij,ijd->jd", c, u_hat)
         v = squash_ref(s)
         b = b + np.einsum("ijd,jd->ij", u_hat, v)
         states.append((b.copy(), c.copy(), v.copy()))
@@ -48,12 +44,11 @@ def random_factors(rng, n, d, scale=1.0, q_none=False):
     return r, q
 
 
-def run_route(r, q, adjacency, iterations, mask=None, keep_trace=True):
+def run_route(r, q, adjacency, iterations, keep_trace=True):
     with T.use_dtype(np.float64):
         v, trace = R.route(T.constant(r),
                            None if q is None else T.constant(q),
-                           adjacency, iterations, mask=mask,
-                           keep_trace=keep_trace)
+                           adjacency, iterations, keep_trace=keep_trace)
     return v, trace
 
 
@@ -101,7 +96,7 @@ def make_direction(d_task, d_route, rng, name=("ote", "asc")):
 def test_predict_vectors_zero_weight():
     rng = np.random.default_rng(0)
     with T.use_dtype(np.float64):
-        pe = R.PositionalEncoding(6, 10)
+        pe = R.PositionalEncoding(6)
         d = R.TransferDirection("ate", "asc", T.constant(np.zeros((6, 4))))
         h = T.constant(rng.normal(size=(3, 6)))
         r, q = R.predict_vectors(h, d, pe)
@@ -111,7 +106,7 @@ def test_predict_vectors_zero_weight():
 def test_predict_vectors_varies_with_target_only_through_pe():
     rng = np.random.default_rng(1)
     with T.use_dtype(np.float64):
-        pe = R.PositionalEncoding(6, 10)
+        pe = R.PositionalEncoding(6)
         direction = make_direction(6, 4, rng)
         h = T.constant(rng.normal(size=(4, 6)))
         r, q = R.predict_vectors(h, direction, pe)
@@ -128,7 +123,7 @@ def test_predict_vectors_varies_with_target_only_through_pe():
 def test_predict_vectors_zero_hidden_is_pe_sum():
     rng = np.random.default_rng(2)
     with T.use_dtype(np.float64):
-        pe = R.PositionalEncoding(6, 10)
+        pe = R.PositionalEncoding(6)
         direction = make_direction(6, 4, rng)
         h = T.constant(np.zeros((3, 6)))
         r, q = R.predict_vectors(h, direction, pe)
@@ -140,19 +135,26 @@ def test_predict_vectors_zero_hidden_is_pe_sum():
             np.testing.assert_allclose(u[i, j], expected, atol=1e-12)
 
 
-def test_predict_vectors_capacity_error():
+def test_predict_vectors_beyond_max_len():
+    # encodings are computed per length on first use, with no length cap;
+    # each row depends only on its position, so every table is a prefix of
+    # any longer one, bit for bit
     with T.use_dtype(np.float64):
-        pe = R.PositionalEncoding(4, 2)
+        pe = R.PositionalEncoding(4)
         direction = make_direction(4, 3, np.random.default_rng(3))
-        h = T.constant(np.zeros((5, 4)))
-        with pytest.raises(T.ConfigError, match="capacity"):
-            R.predict_vectors(h, direction, pe)
+        h = T.constant(np.zeros((200, 4)))
+        r, q = R.predict_vectors(h, direction, pe)
+    assert r.shape == q.shape == (200, 3)
+    long = R.positional_encoding(300, 4)
+    for n in (1, 7, 64, 200):
+        np.testing.assert_array_equal(pe.prefix(n).data, long[:n])
+    assert pe.prefix(200) is pe.prefix(200)   # cached per length
 
 
 def test_predict_vectors_modes():
     rng = np.random.default_rng(4)
     with T.use_dtype(np.float64):
-        pe = R.PositionalEncoding(6, 10)
+        pe = R.PositionalEncoding(6)
         direction = make_direction(6, 4, rng)
         h = T.constant(rng.normal(size=(3, 6)))
         r_off, q_off = R.predict_vectors(h, direction, pe, pe_mode="off")
@@ -261,22 +263,22 @@ def test_route_permutation_equivariance_without_pe():
     np.testing.assert_allclose(vp.data, v.data[perm], atol=1e-9)
 
 
-def test_route_mask_excludes_padded_tokens():
+def test_grouped_route_matches_each_sentence_alone():
+    # a group of equal-length sentences routes each one independently: the
+    # group shares only the target part q
     rng = np.random.default_rng(11)
-    n_real, n_pad = 3, 2
-    r_real, q_real = random_factors(rng, n_real, 4)
-    adjacency_real = np.zeros((n_real, n_real))
-    v_real, _ = run_route(r_real, q_real, adjacency_real, 2)
-
-    n = n_real + n_pad
-    r, q = random_factors(rng, n, 4, 100.0)  # garbage in padded slots
-    r[:n_real] = r_real
-    q[:n_real] = q_real
-    mask = np.array([True] * n_real + [False] * n_pad)
-    v, trace = run_route(r, q, np.zeros((n, n)), 2, mask=mask)
-    np.testing.assert_allclose(v.data[:n_real], v_real.data, atol=1e-9)
-    for st in trace:
-        assert not st.c[:, n_real:].any()  # padded targets get zero coupling
+    g, n, d = 3, 5, 4
+    r = rng.normal(size=(g, n, d))
+    q = rng.normal(size=(n, d))
+    adjacency = (rng.random((g, n, n)) < 0.4).astype(np.float64)
+    v, trace = run_route(r, q, adjacency, 3)
+    assert v.shape == (g, n, d)
+    for i in range(g):
+        v_i, trace_i = run_route(r[i], q, adjacency[i], 3)
+        np.testing.assert_allclose(v.data[i], v_i.data, atol=1e-12)
+        for st, st_i in zip(trace, trace_i):
+            np.testing.assert_allclose(st.c[i], st_i.c, atol=1e-12)
+            np.testing.assert_allclose(st.b[i], st_i.b, atol=1e-12)
 
 
 def test_route_rejects_bad_iteration_count():
@@ -287,7 +289,8 @@ def test_route_rejects_bad_iteration_count():
 def test_route_rejects_misshapen_inputs():
     r = T.constant(np.zeros((2, 3)))
     with pytest.raises(T.ConfigError, match="r must be"):
-        R.route(T.constant(np.zeros((2, 2, 3))), None, np.zeros((2, 2)), 1)
+        R.route(T.constant(np.zeros((1, 2, 2, 3))), None,
+                np.zeros((1, 2, 2)), 1)
     with pytest.raises(T.ConfigError, match="q must match"):
         R.route(r, T.constant(np.zeros((3, 3))), np.zeros((2, 2)), 1)
     with pytest.raises(T.ConfigError, match="adjacency"):
@@ -317,7 +320,7 @@ def test_route_end_to_end_gradients_with_predict_vectors():
     probe = rng.normal(size=(n, d_route))
 
     def build(ts):
-        pe = R.PositionalEncoding(d_task, 8)
+        pe = R.PositionalEncoding(d_task)
         direction = R.TransferDirection("ote", "asc", ts[1])
         r, q = R.predict_vectors(ts[0], direction, pe)
         v, _ = R.route(r, q, adjacency, 2)
@@ -381,7 +384,7 @@ def test_routing_tape_never_holds_pairwise_vote_tensor():
     rng = np.random.default_rng(16)
     n, d_task, d_route = 128, 64, 32
     limit = max(n * n, n * d_route)
-    pe = R.PositionalEncoding(d_task, n)
+    pe = R.PositionalEncoding(d_task)
     direction = R.TransferDirection(
         "ate", "asc", T.Tensor(rng.normal(size=(d_task, d_route)) * 0.1,
                                requires_grad=True, dtype=np.float32))

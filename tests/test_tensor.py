@@ -117,29 +117,6 @@ def test_softmax_rows_sum_to_one(vals):
     assert (out.data > 0).all()
 
 
-def test_masked_softmax_zeroes_masked_positions_exactly():
-    x = T.constant([1.0, 2.0, 3.0, 4.0])
-    mask = np.array([True, False, True, False])
-    y = T.masked_softmax(x, mask)
-    assert y.data[1] == 0.0 and y.data[3] == 0.0
-    assert abs(y.data.sum() - 1.0) < 1e-6
-
-
-def test_masked_softmax_all_masked_rejected():
-    with pytest.raises(ValueError, match="masked"):
-        T.masked_softmax(T.constant([1.0, 2.0]), np.array([False, False]))
-
-
-def test_masked_softmax_grads():
-    rng = np.random.default_rng(5)
-    mask = np.array([[True, True, False], [True, False, True]])
-    w = rng.normal(size=(2, 3))
-    check_op_grads(
-        lambda ts: T.mul(T.masked_softmax(ts[0], mask, axis=1),
-                         T.constant(w, dtype=np.float64)).sum(),
-        [rng.normal(size=(2, 3))])
-
-
 # ---------------------------------------------------------------------------
 # squash
 
@@ -234,18 +211,18 @@ def test_concat_grad_routes_ones_everywhere():
 
 
 def test_cross_entropy_uniform_logits():
-    out = T.cross_entropy(T.constant([0.0, 0.0, 0.0]), 1)
+    out = T.cross_entropy_rows(T.constant([[0.0, 0.0, 0.0]]), [1], [1.0])
     assert abs(out.item() - math.log(3)) < 1e-6
 
 
 def test_cross_entropy_confident():
-    out = T.cross_entropy(T.constant([10.0, 0.0, 0.0]), 0)
+    out = T.cross_entropy_rows(T.constant([[10.0, 0.0, 0.0]]), [0], [1.0])
     assert out.item() < 1e-3
 
 
 def test_cross_entropy_target_out_of_range():
     with pytest.raises(IndexError):
-        T.cross_entropy(T.constant([0.0, 0.0]), 2)
+        T.cross_entropy_rows(T.constant([[0.0, 0.0]]), [2], [1.0])
 
 
 def test_cross_entropy_grad_is_softmax_minus_onehot():
@@ -255,13 +232,14 @@ def test_cross_entropy_grad_is_softmax_minus_onehot():
         t = T.Tensor(x, requires_grad=True)
         tape = T.Tape()
         with T.record(tape):
-            loss = T.cross_entropy(t, 2)
+            loss = T.cross_entropy_rows(T.reshape(t, (1, 5)), [2], [1.0])
         tape.backward(loss)
         p = np.exp(x - x.max())
         p /= p.sum()
         p[2] -= 1
         np.testing.assert_allclose(t.grad, p, atol=1e-12)
-    check_op_grads(lambda ts: T.cross_entropy(ts[0], 2), [x])
+    check_op_grads(lambda ts: T.cross_entropy_rows(ts[0], [2], [1.0]),
+                   [x[None]])
 
 
 def test_cross_entropy_rows_weighted_and_garbage_safe():
@@ -397,23 +375,22 @@ def test_embedding_lookup_bounds():
 
 
 def test_dropout_eval_is_identity_and_train_is_seeded():
-    rng = np.random.default_rng(14)
     x = T.constant(np.ones((100, 4)))
-    assert T.dropout(x, 0.5, rng, training=False) is x
-    a = T.dropout(x, 0.5, np.random.default_rng(1), training=True)
-    b = T.dropout(x, 0.5, np.random.default_rng(1), training=True)
+    assert (T.dropout_keep((100, 4), 0.0, np.random.default_rng(14)) == 1).all()
+    a = T.dropout(x, T.dropout_keep(x.shape, 0.5, np.random.default_rng(1)))
+    b = T.dropout(x, T.dropout_keep(x.shape, 0.5, np.random.default_rng(1)))
     np.testing.assert_array_equal(a.data, b.data)
     kept = a.data[a.data != 0]
     np.testing.assert_allclose(kept, 2.0)  # inverted scaling by 1/(1-p)
     assert 0.3 < (a.data != 0).mean() < 0.7
+    with pytest.raises(T.ConfigError, match="dropout rate"):
+        T.dropout_keep((2, 2), 1.0, np.random.default_rng(1))
 
 
 def test_dropout_grads_use_same_mask():
     x = np.random.default_rng(15).normal(size=(6, 3))
-    check_op_grads(
-        lambda ts: T.dropout(ts[0], 0.5, np.random.default_rng(7),
-                             training=True).sum(),
-        [x])
+    keep = T.dropout_keep(x.shape, 0.5, np.random.default_rng(7), np.float64)
+    check_op_grads(lambda ts: T.dropout(ts[0], keep).sum(), [x])
 
 
 def test_sum_mean_reshape_grads():
@@ -466,6 +443,82 @@ def test_coupled_sum_and_pairwise_dot_match_materialized_votes():
         T.coupled_sum(T.constant(c), T.constant(r), T.constant(q[:2]))
     with pytest.raises(T.ShapeError, match="do not align"):
         T.pairwise_dot(T.constant(r), T.constant(v[:, :2]))
+
+
+def test_grouped_ops_match_per_item_ops():
+    # a leading group axis runs each item exactly as it would run alone
+    rng = np.random.default_rng(21)
+    g, n, d, m = 3, 4, 5, 2
+    x, c = rng.normal(size=(g, n, d)), rng.normal(size=(g, n, n))
+    r, v, q = (rng.normal(size=(g, n, d)), rng.normal(size=(g, n, d)),
+               rng.normal(size=(n, d)))
+    w, b, k = (rng.normal(size=(d, m)), rng.normal(size=m),
+               rng.normal(size=(3, d, m)))
+    lin = rng.normal(size=(g, n))
+    ids = rng.integers(0, 6, size=(g, n))
+    table = rng.normal(size=(6, d))
+    with T.use_dtype(np.float64):
+        C = T.constant
+        grouped = [T.matmul(C(x), C(w)), T.fully_connected(C(x), C(w), C(b)),
+                   T.conv1d(C(x), C(k), C(b)),
+                   T.matmul(C(lin[:, None, :]), C(x)),
+                   T.coupled_sum(C(c), C(r), C(q)),
+                   T.pairwise_dot(C(r), C(v), C(q)),
+                   T.embedding_lookup(C(table), ids)]
+        for i in range(g):
+            alone = [T.matmul(C(x[i]), C(w)),
+                     T.fully_connected(C(x[i]), C(w), C(b)),
+                     T.conv1d(C(x[i]), C(k), C(b)),
+                     T.matmul(C(lin[i][None, :]), C(x[i])),
+                     T.coupled_sum(C(c[i]), C(r[i]), C(q)),
+                     T.pairwise_dot(C(r[i]), C(v[i]), C(q)),
+                     T.embedding_lookup(C(table), ids[i])]
+            for got, want in zip(grouped, alone):
+                np.testing.assert_allclose(got.data[i], want.data,
+                                           atol=1e-12)
+
+
+def test_grouped_ops_grads():
+    rng = np.random.default_rng(22)
+    g, n, d, m = 2, 3, 4, 2
+    x = rng.normal(size=(g, n, d))
+    probe = T.constant(rng.normal(size=(g, n, m)), dtype=np.float64)
+    probe_nn = T.constant(rng.normal(size=(g, n, n)), dtype=np.float64)
+    probe_nd = T.constant(rng.normal(size=(g, n, d)), dtype=np.float64)
+    check_op_grads(lambda ts: T.mul(T.matmul(ts[0], ts[1]), probe).sum(),
+                   [x, rng.normal(size=(d, m))])
+    check_op_grads(lambda ts: T.mul(T.matmul(ts[0], ts[1]), probe).sum(),
+                   [rng.normal(size=(g, n, d)), rng.normal(size=(g, d, m))])
+    check_op_grads(
+        lambda ts: T.mul(T.fully_connected(ts[0], ts[1], ts[2]), probe).sum(),
+        [x, rng.normal(size=(d, m)), rng.normal(size=m)])
+    check_op_grads(
+        lambda ts: T.mul(T.conv1d(ts[0], ts[1], ts[2]), probe).sum(),
+        [x, rng.normal(size=(3, d, m)), rng.normal(size=m)])
+    c, r, q, v = (rng.normal(size=(g, n, n)), rng.normal(size=(g, n, d)),
+                  rng.normal(size=(n, d)), rng.normal(size=(g, n, d)))
+    check_op_grads(
+        lambda ts: T.mul(T.coupled_sum(ts[0], ts[1], ts[2]), probe_nd).sum(),
+        [c, r, q])
+    check_op_grads(
+        lambda ts: T.mul(T.pairwise_dot(ts[0], ts[1], ts[2]), probe_nn).sum(),
+        [r, v, q])
+    check_op_grads(
+        lambda ts: T.cross_entropy_rows(ts[0], [[0, 1, 1], [1, 0, 0]],
+                                        [[0.5, 0.0, 1.0], [1.0, 2.0, 0.0]]),
+        [rng.normal(size=(g, n, 2))])
+
+
+def test_conv1d_group_has_no_leak_between_items():
+    rng = np.random.default_rng(23)
+    x = rng.normal(size=(3, 4, 2))
+    k = T.constant(rng.normal(size=(5, 2, 2)))
+    base = T.conv1d(T.constant(x), k).data
+    x[1] += 100.0
+    moved = T.conv1d(T.constant(x), k).data
+    np.testing.assert_array_equal(base[0], moved[0])
+    np.testing.assert_array_equal(base[2], moved[2])
+    assert not np.array_equal(base[1], moved[1])
 
 
 def test_scale_and_operator_sugar():

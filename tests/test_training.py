@@ -7,22 +7,26 @@ import numpy as np
 import pytest
 
 from ktabsa import tensor as T
-from ktabsa.data import (DEFAULT_SCHEMES, Document, assign_embedding_ids,
-                         corpus_words, load_aspect_corpus,
-                         load_document_corpus, random_embeddings)
+from ktabsa.data import (DEFAULT_SCHEMES, Document, Sentence,
+                         assign_embedding_ids, corpus_words,
+                         load_aspect_corpus, load_document_corpus,
+                         random_embeddings)
 from ktabsa.model import AbsaModel
 from ktabsa.synth import SynthSpec, write_synthetic
 from ktabsa.training import (Adam, DivergenceError, LossWeights, Schedule,
                              aspect_loss, batch_aspect_loss, document_loss,
                              fit, gradcheck, gradcheck_harness,
-                             token_accuracy)
+                             model_gradcheck, token_accuracy)
 
-from fixtures import build_tiny_model, tiny_config, tiny_sentence
+from fixtures import (TINY_WORDS, build_tiny_model, build_tiny_model_f64,
+                      chain_adjacency, tiny_config, tiny_sentence)
 
 
 def fake_states(logits: dict[str, np.ndarray]):
-    return [SimpleNamespace(logits={k: T.constant(np.asarray(v, np.float64))
-                                    for k, v in logits.items()})]
+    """Final state of a group of one sentence with the given [n, 3] logits."""
+    return [SimpleNamespace(logits={
+        k: T.constant(np.asarray(v, np.float64)[None])
+        for k, v in logits.items()})]
 
 
 def ce(logits, target):
@@ -45,7 +49,7 @@ def test_aspect_loss_perfect_predictions_near_zero():
         "ote": mk(sent.ote_gold),
         "asc": mk([0 if g is None else g for g in sent.asc_gold]),
     })
-    loss = aspect_loss(states, sent, LossWeights())
+    loss = aspect_loss(states, [sent], LossWeights())
     assert loss.item() < 1e-6
 
 
@@ -53,9 +57,9 @@ def test_aspect_loss_uniform_is_ln3_per_task():
     sent = tiny_sentence()
     zeros = np.zeros((sent.n, 3))
     states = fake_states({"ate": zeros, "ote": zeros, "asc": zeros})
-    loss = aspect_loss(states, sent, LossWeights(ate=1, ote=0, asc=0))
+    loss = aspect_loss(states, [sent], LossWeights(ate=1, ote=0, asc=0))
     assert abs(loss.item() - math.log(3)) < 1e-6
-    loss = aspect_loss(states, sent, LossWeights(ate=1, ote=1, asc=1))
+    loss = aspect_loss(states, [sent], LossWeights(ate=1, ote=1, asc=1))
     assert abs(loss.item() - 3 * math.log(3)) < 1e-6
 
 
@@ -65,7 +69,7 @@ def test_aspect_loss_matches_per_task_recomputation():
     n = sent.n
     logits = {t: rng.normal(size=(n, 3)) for t in ("ate", "ote", "asc")}
     lw = LossWeights(ate=0.3, ote=1.7, asc=2.5)
-    loss = aspect_loss(fake_states(logits), sent, lw).item()
+    loss = aspect_loss(fake_states(logits), [sent], lw).item()
 
     l_ate = np.mean([ce(logits["ate"][i], sent.ate_gold[i]) for i in range(n)])
     l_ote = np.mean([ce(logits["ote"][i], sent.ote_gold[i]) for i in range(n)])
@@ -81,7 +85,7 @@ def test_aspect_loss_no_labeled_sentiment_tokens_is_zero_not_nan():
                       (None,) * 4, sent.adjacency)
     zeros = np.zeros((4, 3))
     loss = aspect_loss(fake_states({"ate": zeros, "ote": zeros,
-                                    "asc": zeros}), bare,
+                                    "asc": zeros}), [bare],
                        LossWeights(ate=0, ote=0, asc=1))
     assert loss.item() == 0.0
 
@@ -90,9 +94,9 @@ def test_lambda_linearity_doubles_exactly():
     rng = np.random.default_rng(1)
     sent = tiny_sentence()
     logits = {t: rng.normal(size=(sent.n, 3)) for t in ("ate", "ote", "asc")}
-    one = aspect_loss(fake_states(logits), sent,
+    one = aspect_loss(fake_states(logits), [sent],
                       LossWeights(ate=1, ote=0, asc=0)).item()
-    two = aspect_loss(fake_states(logits), sent,
+    two = aspect_loss(fake_states(logits), [sent],
                       LossWeights(ate=2, ote=0, asc=0)).item()
     assert two == 2 * one
 
@@ -101,40 +105,101 @@ def test_masking_exactness_gold_at_unlabeled_positions():
     rng = np.random.default_rng(2)
     sent = tiny_sentence()
     logits = {t: rng.normal(size=(sent.n, 3)) for t in ("ate", "ote", "asc")}
-    base = aspect_loss(fake_states(logits), sent, LossWeights()).item()
+    base = aspect_loss(fake_states(logits), [sent], LossWeights()).item()
     # ASC-unlabeled tokens keep asc_gold None; the loss fills 0 internally.
     # Model outputs at those positions may say anything: perturb the logits
     # rows at unlabeled positions only in the asc task after weighting 0?
     # The contract is about gold tags: rebuild with different hidden garbage.
     # Since None is the only representation, this asserts determinism of the
     # masked path instead: repeated evaluation is bit-identical.
-    again = aspect_loss(fake_states(logits), sent, LossWeights()).item()
+    again = aspect_loss(fake_states(logits), [sent], LossWeights()).item()
     assert base == again
 
 
-def test_batch_loss_ignores_padded_garbage_bitwise():
+# ---------------------------------------------------------------------------
+# equal-length groups
+
+
+def random_sentence(rng, n):
+    """Sentence of n tiny-vocabulary tokens with random tags and a chain
+    dependency prior; roughly every other token carries a sentiment label."""
+    tokens = tuple(rng.choice(TINY_WORDS, size=n))
+    asc = tuple(int(rng.integers(3)) if rng.random() < 0.5 else None
+                for _ in range(n))
+    return Sentence(tokens, tuple(int(t) for t in rng.integers(3, size=n)),
+                    tuple(int(t) for t in rng.integers(3, size=n)), asc,
+                    chain_adjacency(n))
+
+
+def loss_and_grads(model, build):
+    params = model.named_parameters()
+    for p in params.values():
+        p.zero_grad()
+    tape = T.Tape()
+    with T.record(tape):
+        loss = build()
+    tape.backward(loss)
+    return loss.item(), {k: np.zeros_like(p.data) if p.grad is None
+                         else p.grad.copy() for k, p in params.items()}
+
+
+@pytest.mark.parametrize("train", [False, True])
+def test_grouped_batch_equals_mean_of_single_sentence_batches(train):
+    # lengths 3, 5, 3, 5, 4 run as three groups; with dropout on, the batch
+    # draws its multipliers in batch order, so one rng stream gives every
+    # sentence the same dropout in both runs
+    model, _, _ = build_tiny_model_f64(tiny_config(dropout=0.3))
+    rng = np.random.default_rng(8)
+    batch = [random_sentence(rng, n) for n in (3, 5, 3, 5, 4)]
+    assign_embedding_ids(batch, model.general_table, model.domain_table)
+    lw = LossWeights(ate=0.5, ote=1.5, asc=2.0)
+
+    def batch_loss(sentences, stream):
+        return batch_aspect_loss(model, sentences, lw, train, stream)
+
+    stream = np.random.default_rng(99)
+    loss, grads = loss_and_grads(model, lambda: batch_loss(batch, stream))
+    stream = np.random.default_rng(99)
+    singles = [loss_and_grads(model, lambda s=s: batch_loss([s], stream))
+               for s in batch]
+    assert abs(loss - np.mean([l for l, _ in singles])) < 1e-10
+    for name, g in grads.items():
+        mean = np.mean([gs[name] for _, gs in singles], axis=0)
+        np.testing.assert_allclose(g, mean, rtol=0, atol=1e-10, err_msg=name)
+
+
+def test_model_gradcheck_on_a_group_of_sentences():
+    model, sent, _doc = gradcheck_harness()
+    other = Sentence(("great", "service", "is", "the"), (2, 0, 2, 2),
+                     (0, 2, 2, 2), (None, 1, None, None), sent.adjacency)
+    assign_embedding_ids([other], model.general_table, model.domain_table)
+    report = model_gradcheck(model, [sent, other])
+    assert report.passed, [(e.name, e.max_rel_err) for e in report.failures]
+
+
+def test_group_members_do_not_see_each_other():
+    model, _, _ = build_tiny_model()
+    rng = np.random.default_rng(4)
+    group = [random_sentence(rng, 6) for _ in range(3)]
+    assign_embedding_ids(group, model.general_table, model.domain_table)
+    before, _ = model.forward(group)
+    changed = random_sentence(rng, 6)
+    changed.adjacency = np.ones((6, 6), dtype=np.float32)
+    assign_embedding_ids([changed], model.general_table, model.domain_table)
+    after, _ = model.forward([group[0], changed, group[2]])
+    for task in ("ate", "ote", "asc"):
+        old, new = before[-1].logits[task].data, after[-1].logits[task].data
+        np.testing.assert_array_equal(new[0], old[0])
+        np.testing.assert_array_equal(new[2], old[2])
+        assert not np.array_equal(new[1], old[1])
+
+
+def test_forward_rejects_a_group_of_unequal_lengths():
     model, sent, _ = build_tiny_model()
-    from ktabsa.data import make_batches
-    short = tiny_sentence()
-    long = tiny_sentence()
-    long.tokens = long.tokens + ("okay", "okay")
-    long.ate_gold = long.ate_gold + (2, 2)
-    long.ote_gold = long.ote_gold + (2, 2)
-    long.asc_gold = long.asc_gold + (None, None)
-    long.adjacency = np.eye(6, dtype=np.float32)
-    assign_embedding_ids([short, long], model.general_table,
-                         model.domain_table)
-    [batch] = make_batches([short, long], 2, 0,
-                           model.general_table.pad_index,
-                           model.domain_table.pad_index)
-    lw = LossWeights()
-    base = batch_aspect_loss(model, batch, lw, train=False, rng=None).item()
-    batch.ate_gold[~batch.mask] = 1          # garbage tags at padded slots
-    batch.ote_gold[~batch.mask] = 0
-    batch.asc_gold[~batch.mask] = 2
-    poisoned = batch_aspect_loss(model, batch, lw, train=False,
-                                 rng=None).item()
-    assert base == poisoned
+    longer = random_sentence(np.random.default_rng(5), 5)
+    assign_embedding_ids([longer], model.general_table, model.domain_table)
+    with pytest.raises(ValueError, match="equal length"):
+        model.forward([sent, longer])
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +210,7 @@ def test_document_loss_confident_correct_is_small():
     doc = Document(("good",), 0, 1)
     logits = {"ddc": T.constant(np.array([[20.0, 0.0]])),
               "dsc": T.constant(np.array([[0.0, 20.0, 0.0]]))}
-    assert document_loss(logits, doc, LossWeights()).item() < 1e-6
+    assert document_loss(logits, [doc], LossWeights()).item() < 1e-6
 
 
 def test_document_loss_domain_only_is_exactly_weighted_ddc():
@@ -154,7 +219,7 @@ def test_document_loss_domain_only_is_exactly_weighted_ddc():
     ddc = rng.normal(size=(1, 2))
     logits = {"ddc": T.constant(ddc), "dsc": T.constant(rng.normal(size=(1, 3)))}
     lw = LossWeights(ddc=0.7)
-    got = document_loss(logits, doc, lw).item()
+    got = document_loss(logits, [doc], lw).item()
     assert abs(got - 0.7 * ce(ddc[0], 1)) < 1e-9
 
 
@@ -162,7 +227,7 @@ def test_document_loss_uniform_sentiment_is_ln3():
     doc = Document(("x",), None, 2)
     logits = {"ddc": T.constant(np.zeros((1, 2))),
               "dsc": T.constant(np.zeros((1, 3)))}
-    assert abs(document_loss(logits, doc, LossWeights()).item()
+    assert abs(document_loss(logits, [doc], LossWeights()).item()
                - math.log(3)) < 1e-6
 
 
@@ -206,8 +271,7 @@ def test_fit_smoke_writes_metrics_and_checkpoint(tmp_path):
         assert 0 < rec["grad_norm_min"] <= rec["grad_norm_mean"] \
             <= rec["grad_norm_max"]
         assert 0.0 <= rec["clip_frac"] <= 1.0
-    assert [l["grad_norm_mean"] for l in lines] == [
-        h["grad_norm_mean"] for h in res.history]
+    assert lines == res.history   # per_class keys included
 
 
 def test_pure_aspect_training_without_documents(tmp_path):
@@ -234,8 +298,7 @@ def test_loss_strictly_decreases_on_fixed_batch(tmp_path):
     from ktabsa.data import make_batches
     from ktabsa.training import _train_step
     model, sents, _ = make_training_setup(tmp_path)
-    [batch] = make_batches(sents[:8], 8, 0, model.general_table.pad_index,
-                           model.domain_table.pad_index)
+    [batch] = make_batches(sents[:8], 8, 0)
     opt = Adam(model.named_parameters(), lr=1e-4)
     lw = LossWeights()
     losses = [_train_step(model, opt,
@@ -348,7 +411,8 @@ def test_full_model_gradcheck_on_document_loss():
     from ktabsa.training import LossWeights, document_loss
 
     def loss():
-        return document_loss(model.forward_document(doc), doc, LossWeights())
+        return document_loss(model.forward_document([doc]), [doc],
+                             LossWeights())
 
     params = model.named_parameters()
     subset = {k: v for k, v in params.items()
@@ -366,8 +430,8 @@ def test_corrupted_squash_backward_fails_on_routing_parameters():
     from ktabsa.training import LossWeights, aspect_loss
 
     def loss():
-        states, _ = model.forward(sent)
-        return aspect_loss(states, sent, LossWeights())
+        states, _ = model.forward([sent])
+        return aspect_loss(states, [sent], LossWeights())
 
     with T.corrupt_squash_backward(1.05):
         report = gradcheck(loss, subset)
