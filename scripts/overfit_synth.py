@@ -31,7 +31,7 @@ from ktabsa.training import Schedule, fit
 def run(sentences, transfers_on, args):
     kwargs = dict(d_general=24, d_domain=12, d_enc=32, d_task=32, d_route=16,
                   kernel_widths=(3, 5), task_depth=2, dropout=0.0,
-                  iterations=2, route_iters=2, max_len=64, seed=args.seed)
+                  iterations=2, route_iters=2, seed=args.seed)
     if not transfers_on:
         kwargs.update(transfers=(), inject_ddc=False, inject_dsc=False)
     cfg = ModelConfig(**kwargs)

@@ -39,8 +39,7 @@ def main():
 
     cfg = ModelConfig(d_general=24, d_domain=12, d_enc=32, d_task=32,
                       d_route=16, kernel_widths=(3, 5), task_depth=2,
-                      dropout=0.0, iterations=2, route_iters=3, max_len=64,
-                      seed=args.seed)
+                      dropout=0.0, iterations=2, route_iters=3, seed=args.seed)
     rng = np.random.default_rng(args.seed)
     words = corpus_words(sentences)
     general = random_embeddings(words, cfg.d_general, rng)

@@ -2,7 +2,9 @@
 
 Subcommands: train, eval, predict, ablate, trace, gradcheck, gen-synth.
 Exit codes: 0 ok, 2 configuration/usage, 3 data or compatibility, 4 numerical
-failure. The ``KTABSA_OUT_DIR`` environment variable overrides ``out_dir``.
+failure. ``--set``, ``--seed`` and ``KTABSA_OUT_DIR`` (which overrides
+``out_dir``) set keys of the one table in :mod:`ktabsa.config`; ``ablate``
+trains the configured model through :func:`ktabsa.model.apply_ablation`.
 """
 
 from __future__ import annotations
@@ -20,11 +22,11 @@ from .data import (CorpusError, DEFAULT_SCHEMES, assign_embedding_ids,
                    corpus_words, dev_split, load_aspect_corpus,
                    load_document_corpus, load_embeddings, random_embeddings)
 from .metrics import evaluate, write_predictions
-from .model import (ABLATIONS, ALL_DIRECTIONS, AbsaModel,
-                    CheckpointError)
+from .model import (ABLATIONS, ALL_DIRECTIONS, AbsaModel, CheckpointError,
+                    apply_ablation)
 from .routing import agreement_trace
 from .synth import SynthSpec, write_synthetic
-from .tensor import ConfigError, corrupt_squash_backward
+from .tensor import ConfigError
 from .training import (DivergenceError, fit, gradcheck_harness,
                        model_gradcheck)
 
@@ -41,10 +43,10 @@ def _load_run_config(args) -> C.RunConfig:
     rc = C.load_config(args.config)
     rc = C.apply_overrides(rc, args.set or [])
     if args.seed is not None:
-        rc = dataclasses.replace(rc, seed=args.seed)
+        rc = C.with_keys(rc, seed=args.seed)
     env_out = os.environ.get("KTABSA_OUT_DIR")
     if env_out:
-        rc = dataclasses.replace(rc, out_dir=env_out)
+        rc = C.with_keys(rc, out_dir=env_out)
     return rc
 
 
@@ -67,21 +69,22 @@ def _build_corpora(rc: C.RunConfig):
         documents = load_document_corpus(rc.documents, schemes)
 
     words = corpus_words(train + test, documents)
-    emb_rng = np.random.default_rng(np.random.SeedSequence([rc.seed, 77]))
+    mc = rc.model
+    emb_rng = np.random.default_rng(np.random.SeedSequence([mc.seed, 77]))
     if rc.general_embeddings:
         general = load_embeddings(rc.general_embeddings)
-        if general.dim != rc.d_general:
+        if general.dim != mc.d_general:
             raise ConfigError(f"general_embeddings have dim {general.dim}; "
                               f"set d_general = {general.dim}")
     else:
-        general = random_embeddings(words, rc.d_general, emb_rng)
+        general = random_embeddings(words, mc.d_general, emb_rng)
     if rc.domain_embeddings:
         domain = load_embeddings(rc.domain_embeddings)
-        if domain.dim != rc.d_domain:
+        if domain.dim != mc.d_domain:
             raise ConfigError(f"domain_embeddings have dim {domain.dim}; "
                               f"set d_domain = {domain.dim}")
     else:
-        domain = random_embeddings(words, rc.d_domain, emb_rng)
+        domain = random_embeddings(words, mc.d_domain, emb_rng)
 
     for part in (train, test, documents):
         assign_embedding_ids(part, general, domain)
@@ -102,12 +105,12 @@ def _print_report(report) -> None:
 def _single_run(rc: C.RunConfig, out_dir: str, quiet: bool) -> dict:
     schemes, train, test, documents, general, domain = _build_corpora(rc)
     if 0 < rc.dev_fraction < 1:
-        train, dev = dev_split(train, rc.dev_fraction, rc.seed)
+        train, dev = dev_split(train, rc.dev_fraction, rc.model.seed)
     else:
         dev = []
-    model = AbsaModel(rc.model_config(), schemes, general, domain)
+    model = AbsaModel(rc.model, schemes, general, domain)
     log = None if quiet else print
-    result = fit(model, train, dev, documents, rc.schedule(),
+    result = fit(model, train, dev, documents, rc.schedule,
                  out_dir=out_dir, log=log)
     summary = {"out_dir": out_dir, "epochs_run": result.epochs_run,
                "best_dev_f1_i": result.best_f1_i,
@@ -123,21 +126,21 @@ def _single_run(rc: C.RunConfig, out_dir: str, quiet: bool) -> dict:
     return summary
 
 
-def cmd_train(args) -> int:
-    rc = _load_run_config(args)
+def _train_runs(rc: C.RunConfig, quiet: bool) -> int:
+    """Echo ``rc`` and train ``rc.runs`` seeds (``seed``, ``seed + 1``, …)
+    into ``out_dir/run<k>``, with a mean/std summary over several runs."""
     echoed = C.echo_config(rc, rc.out_dir)
-    if not args.quiet:
+    if not quiet:
         print(f"effective config: {echoed}")
     if rc.runs <= 1:
-        summary = _single_run(rc, os.path.join(rc.out_dir, "run0"),
-                              args.quiet)
-        summaries = [summary]
+        summaries = [_single_run(rc, os.path.join(rc.out_dir, "run0"),
+                                 quiet)]
     else:
         summaries = []
         for k in range(rc.runs):
-            run_rc = dataclasses.replace(rc, seed=rc.seed + k)
+            run_rc = C.with_keys(rc, seed=rc.model.seed + k)
             summaries.append(_single_run(
-                run_rc, os.path.join(rc.out_dir, f"run{k}"), args.quiet))
+                run_rc, os.path.join(rc.out_dir, f"run{k}"), quiet))
         agg_source = ("test" if all("test" in s for s in summaries)
                       else "best_dev_f1_i")
         agg = {}
@@ -152,7 +155,7 @@ def cmd_train(args) -> int:
                                "std": float(np.std(vals))}
         with open(os.path.join(rc.out_dir, "summary.json"), "w") as f:
             json.dump({"runs": summaries, "aggregate": agg}, f, indent=2)
-        if not args.quiet:
+        if not quiet:
             for name, stats in agg.items():
                 print(f"{name}: {stats['mean']:.4f} +/- {stats['std']:.4f} "
                       f"over {rc.runs} runs")
@@ -161,26 +164,16 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def cmd_train(args) -> int:
+    return _train_runs(_load_run_config(args), args.quiet)
+
+
 def cmd_ablate(args) -> int:
-    if args.ablate not in ABLATIONS:
-        print(f"unknown ablation {args.ablate!r}; valid names: "
-              f"{', '.join(sorted(ABLATIONS))}", file=sys.stderr)
-        return EXIT_CONFIG
     rc = _load_run_config(args)
-    spec = ABLATIONS[args.ablate]
-    changes = {k: v for k, v in spec.items() if k != "drop"}
-    for direction in spec.get("drop", ()):
-        changes[f"route_{direction.replace('->', '_to_')}"] = False
-    rc = dataclasses.replace(rc, **changes)
-    rc = dataclasses.replace(
-        rc, out_dir=os.path.join(rc.out_dir, f"ablate-{args.ablate}"))
-    C.echo_config(rc, rc.out_dir)
-    summary = _single_run(rc, os.path.join(rc.out_dir, "run0"), args.quiet)
-    with open(os.path.join(rc.out_dir, "train_summary.json"), "w") as f:
-        json.dump([summary], f, indent=2)
-    if not args.quiet:
-        print(f"ablated checkpoint: {summary['checkpoint']}")
-    return EXIT_OK
+    return _train_runs(dataclasses.replace(
+        rc, model=apply_ablation(rc.model, args.ablate),
+        out_dir=os.path.join(rc.out_dir, f"ablate-{args.ablate}")),
+        args.quiet)
 
 
 def _load_checkpoint_corpus(args):
@@ -247,13 +240,8 @@ def cmd_gradcheck(args) -> int:
         iterations=args.iterations, route_iters=args.route_iters,
         seed=args.seed if args.seed is not None else 5,
         nonlinearity=args.nonlinearity)
-    if args.corrupt == "squash":
-        with corrupt_squash_backward(1.05):
-            report = model_gradcheck(model, [sentence], [document],
-                                     step=args.step, tol=args.tol)
-    else:
-        report = model_gradcheck(model, [sentence], [document],
-                                 step=args.step, tol=args.tol)
+    report = model_gradcheck(model, [sentence], [document],
+                             step=args.step, tol=args.tol)
     for e in report.entries:
         status = "PASS" if e.passed else "FAIL"
         print(f"{status}  {e.name:<24} {str(e.shape):<14} "
@@ -328,8 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--nonlinearity", default="sigmoid",
                    choices=("sigmoid", "relu"))
-    p.add_argument("--corrupt", default="", choices=("", "squash"),
-                   help="deliberately corrupt a backward rule")
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("gen-synth", help="write a synthetic corpus bundle")

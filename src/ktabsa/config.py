@@ -1,19 +1,24 @@
 """Flat key/value run configuration with strict parsing.
 
 Config files are plain text: one ``key = value`` per line, ``#`` comments.
-Unknown keys are rejected, every field has a default, and the effective
-configuration is echoed into the output directory so a run can be reproduced
-from its artifacts alone. Relative paths are resolved against the directory
-containing the config file.
+The keys are the fields of :class:`RunConfig` (corpus and artifact paths,
+the dev split and the number of runs), of :class:`~ktabsa.model.ModelConfig`
+and of :class:`~ktabsa.training.Schedule`; each is declared once, in its own
+dataclass, and no name may belong to two of them. Tuple-valued keys
+(``kernel_widths``, ``transfers``) are comma-separated. Unknown and
+duplicate keys are rejected, every key has a default, and the effective
+configuration is echoed into the output directory so a run can be
+reproduced from its artifacts alone. Relative paths are resolved against
+the directory containing the config file.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .model import ALL_DIRECTIONS, ModelConfig
+from .model import ModelConfig
 from .tensor import ConfigError
 from .training import Schedule
 
@@ -23,112 +28,72 @@ PATH_FIELDS = ("aspect_train", "aspect_test", "documents",
 
 @dataclass
 class RunConfig:
-    # corpora and artifacts
     aspect_train: str = ""
     aspect_test: str = ""
     documents: str = ""
     general_embeddings: str = ""
     domain_embeddings: str = ""
     out_dir: str = "out"
-    # model dimensions
-    d_general: int = 50
-    d_domain: int = 30
-    d_enc: int = 64
-    d_task: int = 64
-    d_route: int = 32
-    kernel_widths: tuple[int, ...] = (3, 5)
-    task_depth: int = 2
-    nonlinearity: str = "relu"
-    dropout: float = 0.1
-    iterations: int = 2
-    route_iters: int = 3
-    max_len: int = 128
-    pe_mode: str = "add-both"
-    train_embeddings: bool = True
-    # knowledge paths
-    route_ate_to_ote: bool = True
-    route_ate_to_asc: bool = True
-    route_ote_to_ate: bool = True
-    route_ote_to_asc: bool = True
-    route_asc_to_ate: bool = True
-    route_asc_to_ote: bool = True
-    inject_ddc: bool = True
-    inject_dsc: bool = True
-    coarse: bool = False
-    # loss weights
-    lambda_ate: float = 1.0
-    lambda_ote: float = 1.0
-    lambda_asc: float = 1.0
-    lambda_ddc: float = 1.0
-    lambda_dsc: float = 1.0
-    # optimization schedule
-    lr: float = 1e-4
-    batch_size: int = 32
-    epochs: int = 30
-    pretrain_epochs: int = 2
-    aspect_batches_per_doc: int = 1
-    patience: int = 10
-    clip_norm: float = 5.0
     dev_fraction: float = 0.2
-    target_token_acc: float = 0.0
-    # run control
-    seed: int = 1
     runs: int = 1
-
-    def model_config(self) -> ModelConfig:
-        transfers = tuple(
-            d for d in ALL_DIRECTIONS
-            if getattr(self, f"route_{d.replace('->', '_to_')}"))
-        return ModelConfig(
-            d_general=self.d_general, d_domain=self.d_domain,
-            d_enc=self.d_enc, d_task=self.d_task, d_route=self.d_route,
-            kernel_widths=self.kernel_widths, task_depth=self.task_depth,
-            nonlinearity=self.nonlinearity, dropout=self.dropout,
-            iterations=self.iterations, route_iters=self.route_iters,
-            max_len=self.max_len, pe_mode=self.pe_mode, transfers=transfers,
-            inject_ddc=self.inject_ddc, inject_dsc=self.inject_dsc,
-            coarse=self.coarse, train_embeddings=self.train_embeddings,
-            lambda_ate=self.lambda_ate, lambda_ote=self.lambda_ote,
-            lambda_asc=self.lambda_asc, lambda_ddc=self.lambda_ddc,
-            lambda_dsc=self.lambda_dsc, seed=self.seed)
-
-    def schedule(self) -> Schedule:
-        return Schedule(epochs=self.epochs,
-                        pretrain_epochs=self.pretrain_epochs,
-                        aspect_batches_per_doc=self.aspect_batches_per_doc,
-                        batch_size=self.batch_size, lr=self.lr,
-                        clip_norm=self.clip_norm, patience=self.patience,
-                        target_token_acc=self.target_token_acc)
+    model: ModelConfig = field(default_factory=ModelConfig)
+    schedule: Schedule = field(default_factory=Schedule)
 
 
-_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
+# The nested sections of a RunConfig; their fields are config keys too.
+_SECTIONS = {"model": ModelConfig, "schedule": Schedule}
+_DECLARED = [(f.name, section, f.type)
+             for section, cls in [(None, RunConfig), *_SECTIONS.items()]
+             for f in dataclasses.fields(cls)
+             if section is not None or f.name not in _SECTIONS]
+# config key -> (section attribute or None for RunConfig's own, field type)
+KEYS = {name: (section, kind) for name, section, kind in _DECLARED}
+if len(KEYS) != len(_DECLARED):
+    raise AssertionError("a config key is declared by more than one "
+                         "configuration class")
+
+
+def get_key(rc: RunConfig, key: str):
+    section = KEYS[key][0]
+    return getattr(rc if section is None else getattr(rc, section), key)
+
+
+def with_keys(rc: RunConfig, **values) -> RunConfig:
+    """``rc`` with the given config keys replaced, wherever they live."""
+    split: dict = {None: {}, **{s: {} for s in _SECTIONS}}
+    for key, value in values.items():
+        split[KEYS[key][0]][key] = value
+    return dataclasses.replace(rc, **split[None], **{
+        s: dataclasses.replace(getattr(rc, s), **split[s]) for s in _SECTIONS})
 
 
 def _parse_value(name: str, raw: str):
-    f = _FIELDS[name]
+    kind = KEYS[name][1]
     raw = raw.strip()
-    if f.type in ("str", str):
+    if kind == "str":
         return raw
-    if f.type in ("int", int):
+    if kind == "int":
         try:
             return int(raw)
         except ValueError:
             raise ConfigError(f"{name}: expected an integer, got {raw!r}")
-    if f.type in ("float", float):
+    if kind == "float":
         try:
             return float(raw)
         except ValueError:
             raise ConfigError(f"{name}: expected a number, got {raw!r}")
-    if f.type in ("bool", bool):
+    if kind == "bool":
         low = raw.lower()
         if low in ("true", "1", "yes", "on"):
             return True
         if low in ("false", "0", "no", "off"):
             return False
         raise ConfigError(f"{name}: expected true/false, got {raw!r}")
-    # tuple[int, ...] (kernel widths)
+    parts = raw.replace(",", " ").split()
+    if kind == "tuple[str, ...]":
+        return tuple(parts)
     try:
-        return tuple(int(p) for p in raw.replace(",", " ").split())
+        return tuple(int(p) for p in parts)
     except ValueError:
         raise ConfigError(f"{name}: expected comma-separated integers, "
                           f"got {raw!r}")
@@ -153,7 +118,7 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
                               f"got {raw!r}")
         key, _, val = line.partition("=")
         key = key.strip()
-        if key not in _FIELDS:
+        if key not in KEYS:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
@@ -162,7 +127,7 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         if values.get(key):
             values[key] = os.path.normpath(
                 os.path.join(base_dir, values[key]))
-    return RunConfig(**values)
+    return with_keys(RunConfig(), **values)
 
 
 def load_config(path: str) -> RunConfig:
@@ -181,16 +146,16 @@ def apply_overrides(rc: RunConfig, overrides: list[str]) -> RunConfig:
                               f"got {item!r}")
         key, _, val = item.partition("=")
         key = key.strip()
-        if key not in _FIELDS:
+        if key not in KEYS:
             raise ConfigError(f"unknown config key {key!r}")
         changes[key] = _parse_value(key, val)
-    return dataclasses.replace(rc, **changes)
+    return with_keys(rc, **changes)
 
 
 def format_config(rc: RunConfig) -> str:
     lines = ["# effective configuration"]
-    for f in dataclasses.fields(RunConfig):
-        lines.append(f"{f.name} = {_format_value(getattr(rc, f.name))}")
+    for key in KEYS:
+        lines.append(f"{key} = {_format_value(get_key(rc, key))}")
     return "\n".join(lines) + "\n"
 
 

@@ -118,8 +118,7 @@ def pair_f1(pred_pairs: Sequence[Sequence[Pair]],
 
 
 def evaluate(predictions: Sequence[Prediction],
-             sentences: Sequence[Sentence],
-             schemes: TagSchemes | None = None) -> EvalReport:
+             sentences: Sequence[Sentence]) -> EvalReport:
     if len(predictions) != len(sentences):
         raise ValueError("prediction/sentence counts differ")
     gold_ate = [extract_spans(s.ate_gold) for s in sentences]

@@ -49,6 +49,18 @@ class CheckpointError(RuntimeError):
     """Unreadable or incompatible checkpoint file."""
 
 
+# Header fields every checkpoint carries besides its format version, with
+# their JSON types; manifest entries are checked one by one.
+_HEADER_FIELDS = {"config": dict, "schemes": dict, "general_vocab": list,
+                  "domain_vocab": list, "general_dim": int,
+                  "domain_dim": int, "manifest": list}
+
+
+def _is_count(value) -> bool:
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and value >= 0)
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     d_general: int = 50
@@ -62,7 +74,6 @@ class ModelConfig:
     dropout: float = 0.1
     iterations: int = 2          # aggregation rounds T
     route_iters: int = 3         # routing loop length
-    max_len: int = 128
     pe_mode: str = "add-both"
     transfers: tuple[str, ...] = ALL_DIRECTIONS
     inject_ddc: bool = True
@@ -82,6 +93,15 @@ class ModelConfig:
         if self.route_iters < 1:
             raise ConfigError(f"route_iters must be >= 1, "
                               f"got {self.route_iters}")
+        kw = self.kernel_widths
+        if not kw or len(set(kw)) < len(kw) or any(w < 1 or w % 2 == 0
+                                                   for w in kw):
+            raise ConfigError(f"kernel_widths must be one or more distinct "
+                              f"positive odd widths, got {kw}")
+        for name in ("d_general", "d_domain", "d_enc", "d_task", "d_route"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, "
+                                  f"got {getattr(self, name)}")
         if self.nonlinearity not in L.NONLINEARITIES:
             raise ConfigError(f"unknown nonlinearity {self.nonlinearity!r}")
         if self.pe_mode not in PE_MODES:
@@ -111,17 +131,38 @@ class ModelConfig:
         return bool(self.sources_into(target)) or self.injects_into(target)
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["kernel_widths"] = list(self.kernel_widths)
-        d["transfers"] = list(self.transfers)
-        return d
+        return dataclasses.asdict(self)    # JSON writes tuples as lists
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        d["kernel_widths"] = tuple(d["kernel_widths"])
-        d["transfers"] = tuple(d["transfers"])
-        return cls(**d)
+        """Inverse of :meth:`to_dict` after a JSON round trip; a missing,
+        unknown or wrongly typed key raises :class:`ConfigError`."""
+        d = {k: v for k, v in d.items() if k != "max_len"}  # legacy, unused
+        defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+        if set(d) != set(defaults):
+            raise ConfigError(
+                f"model config keys differ: missing "
+                f"{sorted(set(defaults) - set(d))}, unknown "
+                f"{sorted(set(d) - set(defaults))}")
+        for name, default in defaults.items():
+            if not _json_type_matches(d[name], default):
+                raise ConfigError(f"model config {name} = {d[name]!r} has "
+                                  f"the wrong type")
+        return cls(**{k: tuple(v) if isinstance(v, list) else v
+                      for k, v in d.items()})
+
+
+def _json_type_matches(value, default) -> bool:
+    """Whether a JSON value fits a field with this default: tuples are lists
+    of their elements' type, floats accept ints, bools are not ints."""
+    if isinstance(default, tuple):
+        return isinstance(value, list) and all(
+            _json_type_matches(v, default[0]) for v in value)
+    if isinstance(value, bool) != isinstance(default, bool):
+        return False
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
 
 
 # Named knowledge-path ablations: each removes one source of transferred
@@ -561,6 +602,21 @@ class AbsaModel:
                 f"{path}: checkpoint format version "
                 f"{header.get('format_version')} is not supported "
                 f"(expected {CHECKPOINT_VERSION})")
+        for key, kind in _HEADER_FIELDS.items():
+            value = header.get(key)
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise CheckpointError(f"{path}: header field {key!r} is "
+                                      f"missing or not a {kind.__name__}")
+        for key in ("general_vocab", "domain_vocab"):
+            if not all(isinstance(w, str) for w in header[key]):
+                raise CheckpointError(f"{path}: {key} holds a non-string")
+        for m in header["manifest"]:
+            if not (isinstance(m, dict) and isinstance(m.get("name"), str)
+                    and _is_count(m.get("offset"))
+                    and isinstance(m.get("shape"), list)
+                    and all(_is_count(k) for k in m["shape"])):
+                raise CheckpointError(f"{path}: malformed manifest entry "
+                                      f"{m!r}")
         return header
 
     @classmethod
@@ -571,8 +627,17 @@ class AbsaModel:
     @classmethod
     def load(cls, path: str) -> "AbsaModel":
         header = cls.read_header(path)
-        config = ModelConfig.from_dict(header["config"])
-        schemes = TagSchemes.from_dict(header["schemes"])
+        try:
+            config = ModelConfig.from_dict(header["config"])
+            config.validate()
+            schemes = TagSchemes.from_dict(header["schemes"])
+        except (ConfigError, KeyError, TypeError) as e:
+            raise CheckpointError(f"{path}: bad header: "
+                                  f"{type(e).__name__}: {e}") from None
+        dims = (header["general_dim"], header["domain_dim"])
+        if dims != (config.d_general, config.d_domain):
+            raise CheckpointError(f"{path}: embedding dims {dims} do not "
+                                  f"match the model config")
 
         def build_table(words: list[str], dim: int) -> EmbeddingTable:
             vocab = {w: i for i, w in enumerate(words)}

@@ -191,7 +191,6 @@ task_depth = 2
 dropout = 0.0
 iterations = 2
 route_iters = 2
-max_len = 64
 
 lr = 0.002
 batch_size = 16

@@ -27,11 +27,6 @@ class ConfigError(ValueError):
 
 _default_dtype = np.dtype(np.float32)
 
-# Multiplier applied to the squash backward rule. Only verification tooling
-# touches this (mutation testing of the gradient checker); it must stay 1.0
-# in any real run.
-_squash_grad_scale = 1.0
-
 
 def default_dtype() -> np.dtype:
     return _default_dtype
@@ -47,18 +42,6 @@ def use_dtype(dtype):
         yield
     finally:
         _default_dtype = prev
-
-
-@contextlib.contextmanager
-def corrupt_squash_backward(scale: float):
-    """Deliberately mis-scale the squash backward rule (mutation testing)."""
-    global _squash_grad_scale
-    prev = _squash_grad_scale
-    _squash_grad_scale = float(scale)
-    try:
-        yield
-    finally:
-        _squash_grad_scale = prev
 
 
 class Tensor:
@@ -161,7 +144,7 @@ class Tape:
     """Ordered record of operations; construction order is topological."""
 
     def __init__(self) -> None:
-        self.nodes: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
+        self.nodes: list[tuple[Tensor, Callable]] = []
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -187,7 +170,7 @@ class Tape:
                 slot[1] += g
 
         push(loss, np.ones_like(loss.data))
-        for out, _inputs, fn in reversed(self.nodes):
+        for out, fn in reversed(self.nodes):
             slot = flow.pop(id(out), None)
             if slot is None:
                 continue
@@ -224,9 +207,9 @@ def backward(loss: Tensor) -> None:
     _active.backward(loss)
 
 
-def _emit(out: Tensor, inputs: tuple[Tensor, ...], fn: Callable) -> Tensor:
+def _emit(out: Tensor, fn: Callable) -> Tensor:
     if _active is not None and out.requires_grad:
-        _active.nodes.append((out, inputs, fn))
+        _active.nodes.append((out, fn))
     return out
 
 
@@ -255,7 +238,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         push(a, _unbroadcast(g, a.shape))
         push(b, _unbroadcast(g, b.shape))
 
-    return _emit(out, (a, b), fn)
+    return _emit(out, fn)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -266,7 +249,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         push(a, _unbroadcast(g * b.data, a.shape))
         push(b, _unbroadcast(g * a.data, b.shape))
 
-    return _emit(out, (a, b), fn)
+    return _emit(out, fn)
 
 
 def scale(a: Tensor, k: float) -> Tensor:
@@ -276,7 +259,7 @@ def scale(a: Tensor, k: float) -> Tensor:
     def fn(g, push):
         push(a, g * k)
 
-    return _emit(out, (a,), fn)
+    return _emit(out, fn)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -285,7 +268,7 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     def fn(g, push):
         push(a, g.reshape(a.shape))
 
-    return _emit(out, (a,), fn)
+    return _emit(out, fn)
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -313,7 +296,7 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
             push(p, g[tuple(sl)])
             offset += s
 
-    return _emit(out, tuple(parts), fn)
+    return _emit(out, fn)
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -327,7 +310,7 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
             ge = g if keepdims else np.expand_dims(g, axis)
             push(a, np.broadcast_to(ge, a.shape))
 
-    return _emit(out, (a,), fn)
+    return _emit(out, fn)
 
 
 def tmean(a: Tensor) -> Tensor:
@@ -337,7 +320,7 @@ def tmean(a: Tensor) -> Tensor:
     def fn(g, push):
         push(a, np.broadcast_to(g.reshape(()) / n, a.shape))
 
-    return _emit(out, (a,), fn)
+    return _emit(out, fn)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +350,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         else:
             push(b, a.data.swapaxes(-1, -2) @ g)
 
-    return _emit(out, (a, b), fn)
+    return _emit(out, fn)
 
 
 def fully_connected(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -387,7 +370,7 @@ def fully_connected(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         push(w, _weight_grad(x.data, g))
         push(b, g.reshape(-1, g.shape[-1]).sum(axis=0))
 
-    return _emit(out, (x, w, b), fn)
+    return _emit(out, fn)
 
 
 def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -433,8 +416,7 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
         if bias is not None:
             push(bias, g.reshape(-1, d_out).sum(axis=0))
 
-    inputs = (x, kernel) if bias is None else (x, kernel, bias)
-    return _emit(out, inputs, fn)
+    return _emit(out, fn)
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
@@ -452,7 +434,7 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
         np.add.at(buf, ids, g)
         push(table, buf)
 
-    return _emit(out, (table,), fn)
+    return _emit(out, fn)
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +447,7 @@ def relu(x: Tensor) -> Tensor:
     def fn(g, push):
         push(x, g * (x.data > 0))
 
-    return _emit(out, (x,), fn)
+    return _emit(out, fn)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -478,7 +460,7 @@ def sigmoid(x: Tensor) -> Tensor:
     def fn(g, push):
         push(x, g * y * (1.0 - y))
 
-    return _emit(out, (x,), fn)
+    return _emit(out, fn)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -492,7 +474,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         dot = (g * y).sum(axis=axis, keepdims=True)
         push(x, y * (g - dot))
 
-    return _emit(out, (x,), fn)
+    return _emit(out, fn)
 
 
 def squash(x: Tensor, axis: int = -1, eps: float = 1e-9) -> Tensor:
@@ -511,9 +493,9 @@ def squash(x: Tensor, axis: int = -1, eps: float = 1e-9) -> Tensor:
         fp = (2.0 * r * den - (r * r) * dden) / (den * den)
         gdotx = (g * d).sum(axis=axis, keepdims=True)
         coef = np.where(r > 0, fp / np.maximum(r, 1e-300), 0.0)
-        push(x, _squash_grad_scale * (g * f + d * (gdotx * coef)))
+        push(x, g * f + d * (gdotx * coef))
 
-    return _emit(out, (x,), fn)
+    return _emit(out, fn)
 
 
 def dropout_keep(shape: tuple[int, ...], p: float, rng: np.random.Generator,
@@ -533,7 +515,7 @@ def dropout(x: Tensor, keep: np.ndarray) -> Tensor:
     def fn(g, push):
         push(x, g * keep)
 
-    return _emit(out, (x,), fn)
+    return _emit(out, fn)
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +556,7 @@ def cross_entropy_rows(logits: Tensor, targets, weights) -> Tensor:
         push(logits, (g.reshape(()) * weights[:, None] * p).reshape(
             logits.shape))
 
-    return _emit(out, (logits,), fn)
+    return _emit(out, fn)
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +602,7 @@ def coupled_sum(c: Tensor, r: Tensor, q: Tensor | None = None) -> Tensor:
         push(c, dc)
         push(r, cd @ g)
 
-    return _emit(out, (c, r) if q is None else (c, r, q), fn)
+    return _emit(out, fn)
 
 
 def pairwise_dot(r: Tensor, v: Tensor, q: Tensor | None = None) -> Tensor:
@@ -650,7 +632,7 @@ def pairwise_dot(r: Tensor, v: Tensor, q: Tensor | None = None) -> Tensor:
         push(r, g @ vd)
         push(v, dv)
 
-    return _emit(out, (r, v) if q is None else (r, v, q), fn)
+    return _emit(out, fn)
 
 
 # ---------------------------------------------------------------------------

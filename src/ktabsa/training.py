@@ -23,8 +23,8 @@ import numpy as np
 from .data import Document, Sentence, length_groups, make_batches
 from .metrics import evaluate
 from .model import ASPECT_TASKS, AbsaModel, IterationState, ModelConfig
-from .tensor import (Tape, Tensor, adam_step, clip_grads, cross_entropy_rows,
-                     global_grad_norm, record, scale)
+from .tensor import (ConfigError, Tape, Tensor, adam_step, clip_grads,
+                     cross_entropy_rows, global_grad_norm, record, scale)
 
 
 class DivergenceError(ArithmeticError):
@@ -177,11 +177,11 @@ class Schedule:
 
     def validate(self) -> None:
         if self.pretrain_epochs < 0:
-            raise ValueError("pretrain_epochs must be >= 0")
+            raise ConfigError("pretrain_epochs must be >= 0")
         if self.aspect_batches_per_doc < 1:
-            raise ValueError("aspect_batches_per_doc must be >= 1")
+            raise ConfigError("aspect_batches_per_doc must be >= 1")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise ConfigError("batch_size must be >= 1")
 
 
 @dataclass
@@ -438,7 +438,7 @@ def gradcheck_harness(iterations: int = 2, route_iters: int = 2,
         d_general=5, d_domain=3, d_enc=8, d_task=8, d_route=6,
         kernel_widths=(3,), task_depth=1, nonlinearity=nonlinearity,
         dropout=0.0, iterations=iterations, route_iters=route_iters,
-        max_len=8, seed=seed, coarse=coarse)
+        seed=seed, coarse=coarse)
     words = ["the", "battery", "is", "great", "awful", "service"]
     rng = np.random.default_rng(seed + 101)
     general = random_embeddings(words, config.d_general, rng)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import struct
+
 import numpy as np
 
 from ktabsa import tensor as T
@@ -16,7 +19,7 @@ TINY_WORDS = ["the", "battery", "is", "great", "screen", "awful", "service",
 def tiny_config(**overrides) -> ModelConfig:
     base = dict(d_general=6, d_domain=4, d_enc=8, d_task=8, d_route=6,
                 kernel_widths=(3,), task_depth=1, nonlinearity="relu",
-                dropout=0.0, iterations=2, route_iters=2, max_len=16, seed=3)
+                dropout=0.0, iterations=2, route_iters=2, seed=3)
     base.update(overrides)
     return ModelConfig(**base)
 
@@ -66,3 +69,17 @@ def build_tiny_model(config: ModelConfig | None = None, seed: int = 11,
 def build_tiny_model_f64(config: ModelConfig | None = None, seed: int = 11):
     with T.use_dtype(np.float64):
         return build_tiny_model(config, seed)
+
+
+def with_header(raw: bytes, head: bytes) -> bytes:
+    """The checkpoint ``raw`` with its JSON header bytes replaced."""
+    (hlen,) = struct.unpack("<Q", raw[7:15])
+    return raw[:7] + struct.pack("<Q", len(head)) + head + raw[15 + hlen:]
+
+
+def edit_header(raw: bytes, edit) -> bytes:
+    """The checkpoint ``raw`` with ``edit`` applied to its decoded header."""
+    (hlen,) = struct.unpack("<Q", raw[7:15])
+    header = json.loads(raw[15:15 + hlen])
+    edit(header)
+    return with_header(raw, json.dumps(header).encode())

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
-import numpy as np
+import contextlib
 
+import numpy as np
+import pytest
+
+from ktabsa import routing
 from ktabsa import tensor as T
 
 
@@ -79,6 +83,24 @@ def conv1d_naive(x: np.ndarray, kernel: np.ndarray,
     if bias is not None:
         out += bias
     return out
+
+
+@contextlib.contextmanager
+def corrupt_squash_backward(k: float):
+    """Mutation testing of the gradient checks: within the block the routing
+    layer's squash keeps its forward value but scales its backward by ``k``.
+
+    The corrupted op is built from public ops only:
+    ``k * y + constant((1 - k) * y)`` with ``y = squash(x)``, so the value is
+    ``y`` while gradients flow only through the ``k * y`` term.
+    """
+    def squash(x, axis=-1, eps=1e-9):
+        y = T.squash(x, axis=axis, eps=eps)
+        return T.add(T.scale(y, k), T.constant(y.data * (1.0 - k)))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(routing, "squash", squash)
+        yield
 
 
 def squash_ref(s: np.ndarray, eps: float = 1e-9) -> np.ndarray:

@@ -142,7 +142,7 @@ def test_metric_oracles_two_hundred_sets():
 
 OVERFIT_DIMS = dict(d_general=24, d_domain=12, d_enc=32, d_task=32,
                     d_route=16, kernel_widths=(3, 5), task_depth=2,
-                    dropout=0.0, iterations=2, route_iters=2, max_len=64)
+                    dropout=0.0, iterations=2, route_iters=2)
 
 
 def _overfit_run(sentences, transfers_on: bool):
@@ -285,7 +285,7 @@ def test_determinism_and_persistence(tmp_path):
     def one_fit():
         sentences = load_aspect_corpus(paths["train"])
         documents = load_document_corpus(paths["documents"])
-        cfg = tiny_config(max_len=64)
+        cfg = tiny_config()
         rng = np.random.default_rng(1)
         words = corpus_words(sentences, documents)
         general = random_embeddings(words, cfg.d_general, rng)

@@ -8,7 +8,8 @@ from ktabsa.cli import main
 from ktabsa.model import AbsaModel
 from ktabsa.synth import SynthSpec, write_synthetic
 
-from fixtures import build_tiny_model
+from fixtures import build_tiny_model, edit_header
+from helpers import corrupt_squash_backward
 
 
 @pytest.fixture(scope="module")
@@ -242,6 +243,31 @@ def test_eval_truncated_checkpoint_exit_3(synth_dir, tmp_path, capsys):
     assert "truncated" in capsys.readouterr().err
 
 
+def test_eval_damaged_header_exit_3(synth_dir, tmp_path, capsys):
+    model, _, _ = build_tiny_model()
+    ckpt = tmp_path / "m.ckpt"
+    model.save(str(ckpt))
+    ckpt.write_bytes(edit_header(ckpt.read_bytes(),
+                                 lambda h: h["config"].pop("d_enc")))
+    code = run_cli("eval", "--checkpoint", str(ckpt), "--corpus",
+                   os.path.join(synth_dir, "test.tsv"))
+    assert code == 3
+    assert "d_enc" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting", ["batch_size=0", "pretrain_epochs=-1",
+                                     "aspect_batches_per_doc=0",
+                                     "kernel_widths=", "kernel_widths=3,3",
+                                     "d_enc=-8"])
+def test_invalid_schedule_or_widths_exit_2(synth_dir, tmp_path, capsys,
+                                           setting):
+    cfg = os.path.join(synth_dir, "synthetic.cfg")
+    code = run_cli("train", "--config", cfg, "--quiet",
+                   *fast_overrides(str(tmp_path / "run")), "--set", setting)
+    assert code == 2
+    assert "config error:" in capsys.readouterr().err
+
+
 def test_gradcheck_cli_passes_and_corruption_fails(capsys):
     assert run_cli("gradcheck") == 0
     out = capsys.readouterr().out
@@ -251,7 +277,8 @@ def test_gradcheck_cli_passes_and_corruption_fails(capsys):
     names = [l.split()[1] for l in lines]
     assert len(names) == len(set(names))
 
-    assert run_cli("gradcheck", "--corrupt", "squash") == 4
+    with corrupt_squash_backward(1.05):
+        assert run_cli("gradcheck") == 4
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert "route." in out  # squash-dependent parameters are named

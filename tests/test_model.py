@@ -14,7 +14,8 @@ from ktabsa.model import (AbsaModel, CheckpointError, apply_ablation,
                           majority_sentiment)
 from ktabsa.training import LossWeights, aspect_loss
 
-from fixtures import build_tiny_model, chain_adjacency, tiny_config
+from fixtures import (build_tiny_model, chain_adjacency, edit_header,
+                      tiny_config, with_header)
 
 
 def clone_states(states):
@@ -247,7 +248,6 @@ def test_predict_all_outside():
 
 def test_predict_sentence_longer_than_max_len():
     model, _, _ = build_tiny_model()
-    assert model.config.max_len == 16
     words = ("the", "battery", "is", "great", "okay")
     n = 20
     sent = Sentence(tuple(words[i % 5] for i in range(n)), (2,) * n,
@@ -402,12 +402,6 @@ def test_truncated_checkpoint_raises_checkpoint_error(saved_checkpoint,
         model.load_payload(path)
 
 
-def with_header(raw: bytes, head: bytes) -> bytes:
-    """The checkpoint ``raw`` with its JSON header bytes replaced."""
-    (hlen,) = struct.unpack("<Q", raw[7:15])
-    return raw[:7] + struct.pack("<Q", len(head)) + head + raw[15 + hlen:]
-
-
 def test_checkpoint_payload_must_tile_exactly(saved_checkpoint, tmp_path):
     _model, raw = saved_checkpoint
     path = tmp_path / "m.ckpt"
@@ -424,6 +418,91 @@ def test_checkpoint_payload_must_tile_exactly(saved_checkpoint, tmp_path):
         path.write_bytes(with_header(raw, bad))
         with pytest.raises(CheckpointError, match="undecodable"):
             AbsaModel.load(str(path))
+
+
+def _set(*keys_and_value):
+    """A header edit that sets header[k1][k2]... = value."""
+    *keys, value = keys_and_value
+
+    def edit(header):
+        node = header
+        for k in keys[:-1]:
+            node = node[k]
+        node[keys[-1]] = value
+    return edit
+
+
+def _drop(*keys):
+    def edit(header):
+        node = header
+        for k in keys[:-1]:
+            node = node[k]
+        del node[keys[-1]]
+    return edit
+
+
+DAMAGED_HEADERS = {
+    "no config": _drop("config"),
+    "no schemes": _drop("schemes"),
+    "no general_vocab": _drop("general_vocab"),
+    "no domain_vocab": _drop("domain_vocab"),
+    "no general_dim": _drop("general_dim"),
+    "no domain_dim": _drop("domain_dim"),
+    "no manifest": _drop("manifest"),
+    "config not an object": _set("config", [1, 2]),
+    "vocab entry not a string": _set("general_vocab", 0, 7),
+    "dim as string": _set("domain_dim", "4"),
+    "dim not matching config": _set("domain_dim", 5),
+    "offset as string": _set("manifest", 0, "offset", "0"),
+    "offset as float": _set("manifest", 1, "offset", 1.5),
+    "negative offset": _set("manifest", 1, "offset", -4),
+    "shape as int": _set("manifest", 0, "shape", 5),
+    "shape with string": _set("manifest", 0, "shape", ["a", 6]),
+    "entry without name": _drop("manifest", 0, "name"),
+    "unknown config key": _set("config", "bogus", 1),
+    "missing config key": _drop("config", "d_enc"),
+    "config value of wrong type": _set("config", "d_enc", "8"),
+    "config bool as int": _set("config", "iterations", True),
+    "transfers not a list": _set("config", "transfers", "ate->ote"),
+    "config fails validate": _set("config", "iterations", 0),
+    "unknown transfer direction": _set("config", "transfers", ["ate->ddc"]),
+    "empty kernel widths": _set("config", "kernel_widths", []),
+    "schemes missing a key": _drop("schemes", "ate_tags"),
+    "schemes of wrong type": _set("schemes", "ate_tags", 3),
+}
+
+
+@pytest.mark.parametrize("damage", DAMAGED_HEADERS)
+def test_damaged_header_raises_checkpoint_error(saved_checkpoint, tmp_path,
+                                                damage):
+    model, raw = saved_checkpoint
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(edit_header(raw, DAMAGED_HEADERS[damage]))
+    with pytest.raises(CheckpointError):
+        AbsaModel.load(str(path))
+
+
+def test_legacy_max_len_header_loads_bit_identical(saved_checkpoint,
+                                                   tmp_path):
+    model, raw = saved_checkpoint
+    path = tmp_path / "legacy.ckpt"
+    path.write_bytes(edit_header(raw, _set("config", "max_len", 16)))
+    legacy = AbsaModel.load(str(path))
+    assert legacy.config == model.config
+    for name, t in model.named_tensors().items():
+        np.testing.assert_array_equal(legacy.named_tensors()[name].data,
+                                      t.data)
+    words = ("the", "battery", "is", "great", "okay")
+    for n in (4, 20):
+        sent = Sentence(tuple(words[i % 5] for i in range(n)), (2,) * n,
+                        (2,) * n, (None,) * n, chain_adjacency(n))
+        model.index_tokens(sent)
+        want, _ = model.forward([sent])
+        got, _ = legacy.forward([sent])
+        for task in ("ate", "ote", "asc"):
+            np.testing.assert_array_equal(got[-1].probs[task].data,
+                                          want[-1].probs[task].data)
+        assert legacy.predict(sent) == model.predict(sent)
 
 
 def test_failed_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):

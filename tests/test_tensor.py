@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ktabsa import routing
 from ktabsa import tensor as T
 
-from helpers import check_op_grads, conv1d_naive, squash_ref
+from helpers import (check_op_grads, conv1d_naive, corrupt_squash_backward,
+                     squash_ref)
 
 
 def scalarize(t):
@@ -170,9 +172,12 @@ def test_squash_grads():
 def test_squash_backward_corruption_hook():
     rng = np.random.default_rng(8)
     x = rng.normal(size=(2, 3))
-    with T.corrupt_squash_backward(1.5):
+    with corrupt_squash_backward(1.5):
+        np.testing.assert_allclose(routing.squash(T.constant(x)).data,
+                                   T.squash(T.constant(x)).data, rtol=1e-14)
         with pytest.raises(AssertionError):
-            check_op_grads(lambda ts: T.squash(ts[0]).sum(), [x])
+            check_op_grads(lambda ts: routing.squash(ts[0]).sum(), [x])
+    check_op_grads(lambda ts: routing.squash(ts[0]).sum(), [x])
 
 
 # ---------------------------------------------------------------------------

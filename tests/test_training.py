@@ -20,6 +20,7 @@ from ktabsa.training import (Adam, DivergenceError, LossWeights, Schedule,
 
 from fixtures import (TINY_WORDS, build_tiny_model, build_tiny_model_f64,
                       chain_adjacency, tiny_config, tiny_sentence)
+from helpers import corrupt_squash_backward
 
 
 def fake_states(logits: dict[str, np.ndarray]):
@@ -241,7 +242,7 @@ def make_training_setup(tmp_path, n_sentences=12, **config_overrides):
                                       test_sentences=4, documents=8, seed=5))
     sents = load_aspect_corpus(paths["train"])
     docs = load_document_corpus(paths["documents"])
-    cfg = tiny_config(max_len=64, **config_overrides)
+    cfg = tiny_config(**config_overrides)
     rng = np.random.default_rng(0)
     words = corpus_words(sents, docs)
     gen = random_embeddings(words, cfg.d_general, rng)
@@ -330,7 +331,7 @@ def test_nan_gradient_aborts_before_any_parameter_changes(tmp_path,
         loss = real_loss(*args, **kwargs)
         zero = T.Tensor(np.zeros(()), requires_grad=True)
         T.active_tape().nodes.append(
-            (zero, (poisoned,),
+            (zero,
              lambda g, push: push(poisoned, np.full(poisoned.shape, np.nan))))
         return loss + zero
 
@@ -433,7 +434,7 @@ def test_corrupted_squash_backward_fails_on_routing_parameters():
         states, _ = model.forward([sent])
         return aspect_loss(states, [sent], LossWeights())
 
-    with T.corrupt_squash_backward(1.05):
+    with corrupt_squash_backward(1.05):
         report = gradcheck(loss, subset)
     assert not report.passed
     failing = {e.name for e in report.failures}
