@@ -464,7 +464,10 @@ class AbsaModel:
         document-level signals, and re-decode."""
         cfg = self.config
         g, n = len(sentences), sentences[0].n
-        adjacency = np.stack([s.adjacency for s in sentences])
+        # the routing prior, built once in the model's dtype for every
+        # direction of this round
+        adjacency = np.stack([s.adjacency for s in sentences]).astype(
+            self.emb_general.dtype, copy=False)
         new_hidden: dict[str, Tensor] = {}
         for target in ASPECT_TASKS:
             srcs = cfg.sources_into(target)

@@ -20,11 +20,15 @@ then:
 The model routes a group of G equal-length sentences at once: r, b, c, s and
 v carry a leading group axis ([G, n, d_route], [G, n, n]), while q depends
 only on the position and is shared by the group. Equal lengths mean there is
-no padding and nothing to mask. So a routing step needs O(G*(n^2 + n*d))
-memory, never the O(n^2*d) vote tensor. The number of targets equals the
-sentence length, so the output is a dynamic-length set of vectors rather
-than a fixed capsule bank. The loop is fully unrolled; gradients flow
-through every iteration.
+no padding and nothing to mask. The number of targets equals the sentence
+length, so the output is a dynamic-length set of vectors rather than a
+fixed capsule bank.
+
+:func:`route` runs the whole loop as one tape node: the forward is plain
+numpy, and a hand-written backward replays the unrolled iterations in
+reverse. The node saves each iteration's couplings c_t [G, n, n] and its
+s_t, |s_t| and v_t ([G, n, d_route]), so a routing call holds
+O(T*G*n^2 + G*n*d) memory for T iterations, never the O(n^2*d) vote tensor.
 """
 
 from __future__ import annotations
@@ -33,10 +37,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import (ConfigError, Tensor, add, constant, coupled_sum,
-                     default_dtype, matmul, pairwise_dot, softmax, squash)
+from .tensor import (ConfigError, Tensor, _emit, _unbroadcast, add,
+                     constant, default_dtype, matmul)
 
 PE_MODES = ("add-both", "add-source", "off")
+SQUASH_EPS = 1e-9   # guards squash's division at the zero vector
 
 
 def positional_encoding(n: int, d_model: int) -> np.ndarray:
@@ -135,6 +140,38 @@ def predict_vectors(h_source: Tensor, direction: TransferDirection,
     return r, q
 
 
+def squash(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Norm-bounding nonlinearity over the last axis: keeps each row's
+    direction and maps its norm |s| to |s|^2 / (1 + |s|^2); the zero row
+    maps to itself. Returns the squashed rows and the norms [..., 1]."""
+    norm = np.sqrt((s * s).sum(axis=-1, keepdims=True))
+    return s * _squash_factor(norm), norm
+
+
+def _squash_factor(norm: np.ndarray) -> np.ndarray:
+    nn = norm * norm
+    return nn / ((1.0 + nn) * (norm + SQUASH_EPS))
+
+
+def squash_grad(g: np.ndarray, s: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    """dLoss/ds of ``v = squash(s)`` from ``g`` = dLoss/dv and the norms
+    :func:`squash` returned. A zero row has gradient 0: the radial term is
+    divided by the norm only where the norm is positive."""
+    den = (1.0 + norm * norm) * (norm + SQUASH_EPS)
+    dden = 2.0 * norm * (norm + SQUASH_EPS) + (1.0 + norm * norm)
+    fp = (2.0 * norm * den - (norm * norm) * dden) / (den * den)
+    coef = np.divide(fp, norm, out=np.zeros_like(norm), where=norm > 0)
+    gdots = (g * s).sum(axis=-1, keepdims=True)
+    return g * _squash_factor(norm) + s * (gdots * coef)
+
+
+def _accumulate(acc: np.ndarray | None, g: np.ndarray) -> np.ndarray:
+    if acc is None:
+        return g
+    acc += g
+    return acc
+
+
 def route(r: Tensor, q: Tensor | None, adjacency: np.ndarray,
           iterations: int, keep_trace: bool = False
           ) -> tuple[Tensor, list[RoutingState]]:
@@ -144,8 +181,11 @@ def route(r: Tensor, q: Tensor | None, adjacency: np.ndarray,
     target j of sentence g, with ``r`` [G, n, d_route] and ``q``
     [n, d_route] or None (zero), as returned by :func:`predict_vectors`.
     ``adjacency`` is the [G, n, n] binary dependency prior, re-added to the
-    logits at every iteration. A single sentence may drop the group axis
-    from r and adjacency. Gradients flow through the unrolled loop.
+    logits at every iteration; it is used without a copy when it already
+    has r's dtype. A single sentence may drop the group axis from r and
+    adjacency. The loop is one tape node whose backward runs through every
+    unrolled iteration. The last iteration's agreement update feeds only
+    the trace, so it runs only when ``keep_trace`` is set.
     """
     if iterations < 1:
         raise ConfigError(f"routing needs at least one iteration, "
@@ -160,22 +200,62 @@ def route(r: Tensor, q: Tensor | None, adjacency: np.ndarray,
     if adjacency.shape != r.shape[:-1] + (n,):
         raise ConfigError(f"adjacency shape {adjacency.shape} does not match "
                           f"votes {tuple(r.shape)}")
-    dtype = r.data.dtype
-    prior = constant(adjacency.astype(dtype))
-
-    b = constant(np.zeros(adjacency.shape, dtype=dtype))
+    rd = r.data
+    qd = None if q is None else q.data
+    prior = np.asarray(adjacency, dtype=rd.dtype)
+    b = np.zeros(prior.shape, dtype=rd.dtype)
+    saved: list[tuple[np.ndarray, ...]] = []
     trace: list[RoutingState] = []
-    v = None
     for it in range(1, iterations + 1):
-        b = add(b, prior)
-        c = softmax(b, axis=-1)
-        s = coupled_sum(c, r, q)
-        v = squash(s, axis=-1)
-        b = add(b, pairwise_dot(r, v, q))
+        b += prior
+        c = b - b.max(axis=-1, keepdims=True)      # softmax over targets
+        np.exp(c, out=c)
+        c /= c.sum(axis=-1, keepdims=True)
+        s = c.swapaxes(-1, -2) @ rd                # aggregate
+        if qd is not None:
+            s += c.sum(axis=-2)[..., None] * qd
+        v, norm = squash(s)
+        saved.append((c, s, norm, v))
+        if it < iterations or keep_trace:          # agreement
+            a = rd @ v.swapaxes(-1, -2)
+            if qd is not None:
+                a += (qd * v).sum(axis=-1)[..., None, :]
+            b += a
         if keep_trace:
-            trace.append(RoutingState(it, b.data.copy(), c.data.copy(),
-                                      s.data.copy(), v.data.copy()))
-    return v, trace
+            trace.append(RoutingState(it, b.copy(), c.copy(), s.copy(),
+                                      v.copy()))
+    out = Tensor(v, requires_grad=r.requires_grad
+                 or (q is not None and q.requires_grad))
+
+    def fn(g, push):
+        dr = dq = gb = None     # gb: dLoss/db after the current iteration
+        gv = g
+        for t in range(iterations - 1, -1, -1):
+            c, s, norm, v = saved[t]
+            if gb is not None:  # agreement b += r v^T + 1 (q . v)^T
+                gv = gb.swapaxes(-1, -2) @ rd
+                if qd is not None:
+                    colsum = gb.sum(axis=-2)[..., None]
+                    gv += colsum * qd
+                    dq = _accumulate(dq, _unbroadcast(colsum * v, qd.shape))
+                dr = _accumulate(dr, gb @ v)
+            gs = squash_grad(gv, s, norm)
+            if qd is not None:  # aggregate s = c^T r + colsum(c) q
+                dq = _accumulate(dq, _unbroadcast(
+                    c.sum(axis=-2)[..., None] * gs, qd.shape))
+            dr = _accumulate(dr, c @ gs)
+            if t == 0:          # the first logits are the constant prior
+                break
+            dc = rd @ gs.swapaxes(-1, -2)
+            if qd is not None:
+                dc += (gs * qd).sum(axis=-1)[..., None, :]
+            gc = c * (dc - (dc * c).sum(axis=-1, keepdims=True))
+            gb = _accumulate(gb, gc)
+        push(r, dr)
+        if q is not None:
+            push(q, dq)
+
+    return _emit(out, fn), trace
 
 
 def agreement_trace(trace: RoutingTrace) -> list[dict]:

@@ -477,27 +477,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _emit(out, fn)
 
 
-def squash(x: Tensor, axis: int = -1, eps: float = 1e-9) -> Tensor:
-    """Norm-bounding nonlinearity: keeps direction, maps |s| to |s|^2/(1+|s|^2).
-
-    The zero vector maps to itself; ``eps`` guards the division at the origin.
-    """
-    d = x.data
-    r = np.sqrt((d * d).sum(axis=axis, keepdims=True))
-    f = (r * r) / ((1.0 + r * r) * (r + eps))
-    out = Tensor(d * f, requires_grad=x.requires_grad)
-
-    def fn(g, push):
-        den = (1.0 + r * r) * (r + eps)
-        dden = 2.0 * r * (r + eps) + (1.0 + r * r)
-        fp = (2.0 * r * den - (r * r) * dden) / (den * den)
-        gdotx = (g * d).sum(axis=axis, keepdims=True)
-        coef = np.where(r > 0, fp / np.maximum(r, 1e-300), 0.0)
-        push(x, g * f + d * (gdotx * coef))
-
-    return _emit(out, fn)
-
-
 def dropout_keep(shape: tuple[int, ...], p: float, rng: np.random.Generator,
                  dtype=None) -> np.ndarray:
     """Inverted-scaling Bernoulli keep multipliers: 0 with probability
@@ -555,82 +534,6 @@ def cross_entropy_rows(logits: Tensor, targets, weights) -> Tensor:
         p[np.arange(n), targets] -= 1.0
         push(logits, (g.reshape(()) * weights[:, None] * p).reshape(
             logits.shape))
-
-    return _emit(out, fn)
-
-
-# ---------------------------------------------------------------------------
-# pairwise voting primitives (used by the routing layer)
-#
-# Routing votes factor as u[g,i,j] = r[g,i] + q[j] (source part plus target
-# part), so both ops take the factors and never build the [G,n,m,d] vote
-# tensor; each is one tape node with a matmul-only backward. The source
-# factor r and the couplings carry the group axis of equal-length sentences;
-# the target part q = PE W depends only on the position, so the group shares
-# one [m,d] copy. Leading axes are optional: plain [n,·] operands work too.
-
-
-def _check_factors(op: str, r: Tensor, q: Tensor | None, m: int) -> None:
-    if q is not None and q.shape != (m, r.shape[-1]):
-        raise ShapeError(f"{op}: target votes q must be ({m}, {r.shape[-1]}), "
-                         f"got {tuple(q.shape)}")
-
-
-def coupled_sum(c: Tensor, r: Tensor, q: Tensor | None = None) -> Tensor:
-    """s[j] = sum_i c[i,j] * (r[i] + q[j])  for c [..., n, m], r [..., n, d]
-    and q [m, d], per leading index.
-
-    Computed as c^T r + colsum(c) * q; ``q=None`` means q = 0.
-    """
-    cd, rd = c.data, r.data
-    if cd.ndim < 2 or cd.shape[:-1] != rd.shape[:-1]:
-        raise ShapeError(f"coupled_sum shapes {cd.shape} and {rd.shape} do "
-                         f"not align")
-    _check_factors("coupled_sum", r, q, cd.shape[-1])
-    s = cd.swapaxes(-1, -2) @ rd
-    if q is not None:
-        colsum = cd.sum(axis=-2)[..., None]
-        s += colsum * q.data
-    out = Tensor(s, requires_grad=c.requires_grad or r.requires_grad
-                 or (q is not None and q.requires_grad))
-
-    def fn(g, push):
-        dc = rd @ g.swapaxes(-1, -2)
-        if q is not None:
-            dc += (g * q.data).sum(axis=-1)[..., None, :]
-            push(q, _unbroadcast(colsum * g, q.shape))
-        push(c, dc)
-        push(r, cd @ g)
-
-    return _emit(out, fn)
-
-
-def pairwise_dot(r: Tensor, v: Tensor, q: Tensor | None = None) -> Tensor:
-    """out[i,j] = (r[i] + q[j]) . v[j]  for r [..., n, d], v [..., m, d] and
-    q [m, d], per leading index.
-
-    Computed as r v^T + 1 (q * v summed over d)^T; ``q=None`` means q = 0.
-    """
-    rd, vd = r.data, v.data
-    if (rd.ndim < 2 or rd.shape[:-2] != vd.shape[:-2]
-            or rd.shape[-1] != vd.shape[-1]):
-        raise ShapeError(f"pairwise_dot shapes {rd.shape} and {vd.shape} do "
-                         f"not align")
-    _check_factors("pairwise_dot", r, q, vd.shape[-2])
-    a = rd @ vd.swapaxes(-1, -2)
-    if q is not None:
-        a += (q.data * vd).sum(axis=-1)[..., None, :]
-    out = Tensor(a, requires_grad=r.requires_grad or v.requires_grad
-                 or (q is not None and q.requires_grad))
-
-    def fn(g, push):
-        dv = g.swapaxes(-1, -2) @ rd
-        if q is not None:
-            colsum = g.sum(axis=-2)[..., None]
-            dv += colsum * q.data
-            push(q, _unbroadcast(colsum * vd, q.shape))
-        push(r, g @ vd)
-        push(v, dv)
 
     return _emit(out, fn)
 

@@ -31,27 +31,14 @@ class DivergenceError(ArithmeticError):
     """Training loss or gradient norm became non-finite."""
 
 
-@dataclass(frozen=True)
-class LossWeights:
-    ate: float = 1.0
-    ote: float = 1.0
-    asc: float = 1.0
-    ddc: float = 1.0
-    dsc: float = 1.0
-
-    @classmethod
-    def from_config(cls, cfg: ModelConfig) -> "LossWeights":
-        return cls(cfg.lambda_ate, cfg.lambda_ote, cfg.lambda_asc,
-                   cfg.lambda_ddc, cfg.lambda_dsc)
-
-
 def aspect_loss(states: Sequence[IterationState],
-                sentences: Sequence[Sentence], weights: LossWeights) -> Tensor:
+                sentences: Sequence[Sentence], config: ModelConfig) -> Tensor:
     """Sum of the per-sentence losses of a group of equal-length sentences.
 
     A sentence's loss is the token-averaged cross-entropy per task on the
-    final iteration. The sentiment term averages over labeled tokens only
-    and contributes 0 (not NaN) when the sentence has no aspect tokens.
+    final iteration, weighted by ``config.lambda_ate/ote/asc``. The
+    sentiment term averages over labeled tokens only and contributes 0 (not
+    NaN) when the sentence has no aspect tokens.
     """
     final = states[-1]
     n = sentences[0].n
@@ -63,14 +50,14 @@ def aspect_loss(states: Sequence[IterationState],
                         for s in sentences], dtype=np.float64)
     uniform = np.full(ate.shape, 1.0 / n)
     loss = scale(cross_entropy_rows(final.logits["ate"], ate, uniform),
-                 weights.ate)
+                 config.lambda_ate)
     loss = loss + scale(cross_entropy_rows(final.logits["ote"], ote,
-                                           uniform), weights.ote)
+                                           uniform), config.lambda_ote)
     if labeled.any():
         per_token = labeled / np.maximum(labeled.sum(axis=1, keepdims=True),
                                          1.0)
         loss = loss + scale(cross_entropy_rows(final.logits["asc"], asc,
-                                               per_token), weights.asc)
+                                               per_token), config.lambda_asc)
     return loss
 
 
@@ -89,14 +76,13 @@ def _mean_over_groups(items: Sequence, keep: list | None,
 
 
 def batch_aspect_loss(model: AbsaModel, batch: Sequence[Sentence],
-                      weights: LossWeights, train: bool,
-                      rng: np.random.Generator | None) -> Tensor:
+                      train: bool, rng: np.random.Generator | None) -> Tensor:
     """Mean per-sentence loss over a batch, one forward per group of
     equal-length sentences. Training draws the dropout of the whole batch
     first, in batch order."""
     def group_loss(group, keep):
         states, _ = model.forward(group, keep)
-        return aspect_loss(states, group, weights)
+        return aspect_loss(states, group, model.config)
 
     keep = model.draw_dropout(batch, rng) if train else None
     return _mean_over_groups(batch, keep, group_loss)
@@ -104,16 +90,17 @@ def batch_aspect_loss(model: AbsaModel, batch: Sequence[Sentence],
 
 def document_loss(doc_logits: dict[str, Tensor],
                   documents: Sequence[Document],
-                  weights: LossWeights) -> Tensor:
+                  config: ModelConfig) -> Tensor:
     """Sum over a group of documents of the cross-entropy per present
-    document label; absent labels contribute 0."""
+    document label, weighted by ``config.lambda_ddc/dsc``; absent labels
+    contribute 0."""
     if any(d.domain_gold is None and d.sentiment_gold is None
            for d in documents):
         raise ValueError("document carries no label")
     loss: Tensor | None = None
     for task, weight, gold in (
-            ("ddc", weights.ddc, [d.domain_gold for d in documents]),
-            ("dsc", weights.dsc, [d.sentiment_gold for d in documents])):
+            ("ddc", config.lambda_ddc, [d.domain_gold for d in documents]),
+            ("dsc", config.lambda_dsc, [d.sentiment_gold for d in documents])):
         present = [g is not None for g in gold]
         if not any(present):
             continue
@@ -125,13 +112,13 @@ def document_loss(doc_logits: dict[str, Tensor],
 
 
 def batch_document_loss(model: AbsaModel, docs: Sequence[Document],
-                        weights: LossWeights, train: bool,
-                        rng: np.random.Generator | None) -> Tensor:
+                        train: bool, rng: np.random.Generator | None
+                        ) -> Tensor:
     """Mean per-document loss, one forward per group of equal-length
     documents."""
     def group_loss(group, keep):
         return document_loss(model.forward_document(group, keep), group,
-                             weights)
+                             model.config)
 
     keep = model.draw_dropout(docs, rng) if train else None
     return _mean_over_groups(docs, keep, group_loss)
@@ -265,7 +252,6 @@ def fit(model: AbsaModel, train_sentences: Sequence[Sentence],
         log: Callable[[str], None] | None = None) -> TrainResult:
     """Two-phase training loop; deterministic under the model seed."""
     schedule.validate()
-    weights = LossWeights.from_config(model.config)
     opt = Adam(model.named_parameters(), schedule.lr)
     rng = np.random.default_rng(np.random.SeedSequence(
         [model.config.seed, 9261]))
@@ -302,7 +288,7 @@ def fit(model: AbsaModel, train_sentences: Sequence[Sentence],
         for bi, chunk in enumerate(doc_chunks(int(rng.integers(2 ** 31)))):
             losses.append(_train_step(
                 model, opt,
-                lambda: batch_document_loss(model, chunk, weights, True, rng),
+                lambda: batch_document_loss(model, chunk, True, rng),
                 schedule.clip_norm, f"pretrain epoch {epoch} batch {bi}",
                 norms))
         rec = {"epoch": epoch, "phase": "pretrain",
@@ -326,7 +312,7 @@ def fit(model: AbsaModel, train_sentences: Sequence[Sentence],
         for bi, batch in enumerate(batches):
             ja_losses.append(_train_step(
                 model, opt,
-                lambda: batch_aspect_loss(model, batch, weights, True, rng),
+                lambda: batch_aspect_loss(model, batch, True, rng),
                 schedule.clip_norm, f"epoch {epoch} aspect batch {bi}",
                 norms))
             if chunks and (bi + 1) % schedule.aspect_batches_per_doc == 0:
@@ -334,8 +320,7 @@ def fit(model: AbsaModel, train_sentences: Sequence[Sentence],
                 ci += 1
                 jd_losses.append(_train_step(
                     model, opt,
-                    lambda: batch_document_loss(model, chunk, weights, True,
-                                                rng),
+                    lambda: batch_document_loss(model, chunk, True, rng),
                     schedule.clip_norm, f"epoch {epoch} doc batch {ci - 1}",
                     norms))
         result.step_losses.extend(ja_losses)
@@ -466,15 +451,14 @@ def model_gradcheck(model: AbsaModel, sentences: Sequence[Sentence],
     documents are given, the batch document loss) against analytic
     gradients, per parameter. Inputs of mixed length run as their
     equal-length groups, exactly as in training."""
-    weights = LossWeights.from_config(model.config)
     params = model.named_parameters()
     report = gradcheck(
-        lambda: batch_aspect_loss(model, sentences, weights, False, None),
+        lambda: batch_aspect_loss(model, sentences, False, None),
         params, step=step, tol=tol)
     if not documents:
         return report
     doc_report = gradcheck(
-        lambda: batch_document_loss(model, documents, weights, False, None),
+        lambda: batch_document_loss(model, documents, False, None),
         params, step=step, tol=tol)
     merged = []
     for a, b in zip(report.entries, doc_report.entries):

@@ -88,18 +88,16 @@ def conv1d_naive(x: np.ndarray, kernel: np.ndarray,
 @contextlib.contextmanager
 def corrupt_squash_backward(k: float):
     """Mutation testing of the gradient checks: within the block the routing
-    layer's squash keeps its forward value but scales its backward by ``k``.
+    loop's squash keeps its forward value but its backward, the
+    ``routing.squash_grad`` that ``routing.route`` calls, is scaled by
+    ``k``."""
+    exact = routing.squash_grad
 
-    The corrupted op is built from public ops only:
-    ``k * y + constant((1 - k) * y)`` with ``y = squash(x)``, so the value is
-    ``y`` while gradients flow only through the ``k * y`` term.
-    """
-    def squash(x, axis=-1, eps=1e-9):
-        y = T.squash(x, axis=axis, eps=eps)
-        return T.add(T.scale(y, k), T.constant(y.data * (1.0 - k)))
+    def squash_grad(g, s, norm):
+        return k * exact(g, s, norm)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(routing, "squash", squash)
+        mp.setattr(routing, "squash_grad", squash_grad)
         yield
 
 

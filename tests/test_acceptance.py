@@ -18,9 +18,9 @@ from ktabsa.data import (DEFAULT_SCHEMES, CorpusError,
                          load_aspect_corpus, random_embeddings)
 from ktabsa.metrics import asc_scores, evaluate, pair_f1, span_f1
 from ktabsa.model import AbsaModel, ModelConfig, apply_ablation
-from ktabsa.routing import positional_encoding, route
+from ktabsa.routing import positional_encoding, route, squash
 from ktabsa.synth import SynthSpec, write_synthetic
-from ktabsa.training import (LossWeights, Schedule, aspect_loss, fit,
+from ktabsa.training import (Schedule, aspect_loss, fit,
                              gradcheck, gradcheck_harness)
 
 from fixtures import build_tiny_model, tiny_config
@@ -41,11 +41,9 @@ def test_gradient_suite_full_model():
     100% of parameters under 1e-3 relative error, within 60 s."""
     model, sentence, _doc = gradcheck_harness(iterations=2, route_iters=2)
     assert sentence.n == 4
-    weights = LossWeights.from_config(model.config)
-
     def sentence_loss():
         states, _ = model.forward([sentence])
-        return aspect_loss(states, [sentence], weights)
+        return aspect_loss(states, [sentence], model.config)
 
     params = model.named_parameters()
     t0 = time.time()
@@ -107,7 +105,7 @@ def test_closed_forms():
     exactly; uniform-logit cross-entropy equals ln 3 +/- 1e-6."""
     u = np.zeros(6)
     u[2] = 1.0
-    norm = float(np.linalg.norm(T.squash(T.constant(u)).data))
+    norm = float(np.linalg.norm(squash(u)[0]))
     assert abs(norm - 0.5) < 1e-6
 
     table = positional_encoding(4, 10)
@@ -257,7 +255,8 @@ def test_ablation_structure_and_discriminate_injection():
 
     tape = T.Tape()
     with T.record(tape):
-        loss = loss_with(LossWeights(ate=0, ote=0, asc=1))
+        loss = loss_with(ModelConfig(lambda_ate=0, lambda_ote=0,
+                                     lambda_asc=1))
     tape.backward(loss)
     g = model.heads["ddc"].w.grad
     assert g is None or not g.any()
@@ -266,7 +265,8 @@ def test_ablation_structure_and_discriminate_injection():
         p.zero_grad()
     tape = T.Tape()
     with T.record(tape):
-        loss = loss_with(LossWeights(ate=1, ote=1, asc=0))
+        loss = loss_with(ModelConfig(lambda_ate=1, lambda_ote=1,
+                                     lambda_asc=0))
     tape.backward(loss)
     g = model.heads["dsc"].w.grad
     assert g is None or not g.any()

@@ -103,7 +103,7 @@ def test_shared_encoder_accumulates_gradients_from_all_task_losses():
     import sys
     sys.path.insert(0, "tests")
     from fixtures import build_tiny_model
-    from ktabsa.training import LossWeights, aspect_loss, document_loss
+    from ktabsa.training import aspect_loss, document_loss
 
     model, sent, doc = build_tiny_model()
     kernel = model.encoder.banks[0].kernel
@@ -120,11 +120,11 @@ def test_shared_encoder_accumulates_gradients_from_all_task_losses():
 
     def la():
         states, _ = model.forward([sent])
-        return aspect_loss(states, [sent], LossWeights())
+        return aspect_loss(states, [sent], model.config)
 
     def ld():
         return document_loss(model.forward_document([doc]), [doc],
-                             LossWeights())
+                             model.config)
 
     g_aspect = grad_for(la)
     g_doc = grad_for(ld)

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from ktabsa import tensor as T
 from ktabsa.data import DEFAULT_SCHEMES, Sentence
-from ktabsa.model import (AbsaModel, CheckpointError, apply_ablation,
-                          majority_sentiment)
-from ktabsa.training import LossWeights, aspect_loss
+from ktabsa.model import (AbsaModel, CheckpointError, ModelConfig,
+                          apply_ablation, majority_sentiment)
+from ktabsa.training import aspect_loss
 
 from fixtures import (build_tiny_model, chain_adjacency, edit_header,
                       tiny_config, with_header)
@@ -168,7 +168,7 @@ def test_sentiment_loss_blind_to_domain_attention_head():
     # with routing off and T=1, the only cross paths are the two injections
     cfg = tiny_config(iterations=1, transfers=())
     model, sent, _ = build_tiny_model(cfg)
-    w = LossWeights(ate=0, ote=0, asc=1)
+    w = ModelConfig(lambda_ate=0, lambda_ote=0, lambda_asc=1)
 
     def l_asc():
         states, _ = model.forward([sent])
@@ -183,7 +183,7 @@ def test_sentiment_loss_blind_to_domain_attention_head():
 def test_extraction_loss_blind_to_sentiment_attention_head():
     cfg = tiny_config(iterations=1, transfers=())
     model, sent, _ = build_tiny_model(cfg)
-    w = LossWeights(ate=1, ote=1, asc=0)
+    w = ModelConfig(lambda_ate=1, lambda_ote=1, lambda_asc=0)
 
     def l_ext():
         states, _ = model.forward([sent])
@@ -363,7 +363,7 @@ def test_checkpoint_rejects_garbage(tmp_path):
 def test_end_to_end_gradcheck_subset():
     from ktabsa.training import gradcheck, gradcheck_harness
     model, sent, _doc = gradcheck_harness()
-    w = LossWeights()
+    w = model.config
 
     def build_loss():
         states, _ = model.forward([sent])

@@ -298,19 +298,35 @@ def test_route_rejects_misshapen_inputs():
 
 
 def test_route_gradients_through_unrolled_loop():
+    # float64 finite differences of the hand-written backward with respect
+    # to r and q (and with q = None), for a single sentence without a group
+    # axis and for groups of 1, 2 and 3, through 1 to 4 iterations
     rng = np.random.default_rng(12)
-    n = 3
-    adjacency = np.zeros((n, n))
-    adjacency[0, 1] = adjacency[1, 0] = 1.0
-    w = rng.normal(size=(n, 2))
-    check_op_grads(
-        lambda ts: T.mul(R.route(ts[0], ts[1], adjacency, 3)[0],
-                         T.constant(w, dtype=np.float64)).sum(),
-        [rng.normal(size=(n, 2)), rng.normal(size=(n, 2))])
-    check_op_grads(
-        lambda ts: T.mul(R.route(ts[0], None, adjacency, 3)[0],
-                         T.constant(w, dtype=np.float64)).sum(),
-        [rng.normal(size=(n, 2))])
+    n, d = 3, 2
+    for lead in ((), (1,), (2,), (3,)):
+        adjacency = (rng.random(lead + (n, n)) < 0.4).astype(np.float64)
+        for iters in (1, 2, 3, 4):
+            w = T.constant(rng.normal(size=lead + (n, d)), dtype=np.float64)
+            check_op_grads(
+                lambda ts: T.mul(R.route(ts[0], ts[1], adjacency, iters)[0],
+                                 w).sum(),
+                [rng.normal(size=lead + (n, d)), rng.normal(size=(n, d))])
+            check_op_grads(
+                lambda ts: T.mul(R.route(ts[0], None, adjacency, iters)[0],
+                                 w).sum(),
+                [rng.normal(size=lead + (n, d))])
+
+
+def test_route_records_one_tape_node():
+    rng = np.random.default_rng(17)
+    r = T.Tensor(rng.normal(size=(2, 5, 4)), requires_grad=True)
+    q = T.Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+    for keep_trace in (False, True):
+        tape = T.Tape()
+        with T.record(tape):
+            v, _ = R.route(r, q, np.zeros((2, 5, 5)), 3,
+                           keep_trace=keep_trace)
+        assert len(tape) == 1 and tape.nodes[0][0] is v
 
 
 def test_route_end_to_end_gradients_with_predict_vectors():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from ktabsa import routing
 from ktabsa import tensor as T
 
 from helpers import (check_op_grads, conv1d_naive, corrupt_squash_backward,
-                     squash_ref)
+                     numeric_grad, rel_err, squash_ref)
 
 
 def scalarize(t):
@@ -120,64 +121,102 @@ def test_softmax_rows_sum_to_one(vals):
 
 
 # ---------------------------------------------------------------------------
-# squash
+# squash (the routing loop's nonlinearity, plain numpy inside routing.route)
+
+
+def squash_grad_error(x, w):
+    """Max relative error of routing.squash_grad against central differences
+    of sum(w * squash(x))."""
+    num = numeric_grad(lambda y: float((routing.squash(y)[0] * w).sum()),
+                       x.copy())
+    _, norm = routing.squash(x)
+    return rel_err(routing.squash_grad(w, x, norm), num)
 
 
 def test_squash_unit_vector_halves():
     u = np.zeros(4)
     u[1] = 1.0
-    out = T.squash(T.constant(u))
-    assert abs(np.linalg.norm(out.data) - 0.5) < 1e-6
-    np.testing.assert_allclose(out.data, 0.5 * u, atol=1e-6)
+    v, norm = routing.squash(u)
+    assert abs(np.linalg.norm(v) - 0.5) < 1e-6
+    np.testing.assert_allclose(v, 0.5 * u, atol=1e-6)
+    np.testing.assert_array_equal(norm, [1.0])
 
 
 def test_squash_zero_vector():
-    out = T.squash(T.constant(np.zeros(3)))
-    assert not out.data.any()
+    v, _ = routing.squash(np.zeros(3))
+    assert not v.any()
 
 
 def test_squash_norm_three():
-    s = np.array([3.0, 0.0, 0.0])
-    out = T.squash(T.constant(s))
-    assert abs(np.linalg.norm(out.data) - 0.9) < 1e-6
-    assert out.data[0] > 0
+    v, _ = routing.squash(np.array([3.0, 0.0, 0.0]))
+    assert abs(np.linalg.norm(v) - 0.9) < 1e-6
+    assert v[0] > 0
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.floats(min_value=-20, max_value=20), min_size=1, max_size=6))
 def test_squash_norm_below_one_and_matches_formula(vals):
     s = np.array(vals)
-    out = T.squash(T.Tensor(s, dtype=np.float64))
+    v, _ = routing.squash(s)
     r = np.linalg.norm(s)
-    assert np.linalg.norm(out.data) < 1.0
-    assert abs(np.linalg.norm(out.data) - r * r / (1 + r * r)) < 1e-6
+    assert np.linalg.norm(v) < 1.0
+    assert abs(np.linalg.norm(v) - r * r / (1 + r * r)) < 1e-6
 
 
 def test_squash_matches_reference_rows():
     rng = np.random.default_rng(6)
     s = rng.normal(size=(4, 5))
-    with T.use_dtype(np.float64):
-        out = T.squash(T.constant(s))
-    np.testing.assert_allclose(out.data, squash_ref(s), rtol=1e-9, atol=1e-12)
+    v, _ = routing.squash(s)
+    np.testing.assert_allclose(v, squash_ref(s), rtol=1e-9, atol=1e-12)
 
 
 def test_squash_grads():
     rng = np.random.default_rng(7)
     w = rng.normal(size=(3, 4))
-    check_op_grads(
-        lambda ts: T.mul(T.squash(ts[0]), T.constant(w, dtype=np.float64)).sum(),
-        [rng.normal(size=(3, 4)) + 0.1])
+    assert squash_grad_error(rng.normal(size=(3, 4)) + 0.1, w) < 1e-3
+
+
+def test_squash_grad_of_float32_zero_rows_is_zero_without_warnings():
+    # a zero row has norm 0; the radial term must not compute 0/0
+    s = np.zeros((2, 3, 4), dtype=np.float32)
+    s[1, 0] = [0.5, -1.0, 2.0, 0.25]
+    g = np.ones_like(s)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, norm = routing.squash(s)
+        ds = routing.squash_grad(g, s, norm)
+        r = T.Tensor(np.zeros((2, 3, 4), dtype=np.float32),
+                     requires_grad=True)
+        tape = T.Tape()
+        with T.record(tape):
+            v, _ = routing.route(r, None, np.zeros((2, 3, 3)), 3)
+            loss = v.sum()
+        tape.backward(loss)
+    assert ds.dtype == np.float32 and np.isfinite(ds).all()
+    assert not ds[0].any() and not ds[1, 1:].any() and ds[1, 0].any()
+    assert np.isfinite(r.grad).all() and not r.grad.any()
 
 
 def test_squash_backward_corruption_hook():
+    # the hook leaves the routed values bit-identical and breaks only the
+    # gradient, so finite differences must catch it
     rng = np.random.default_rng(8)
-    x = rng.normal(size=(2, 3))
+    r, q = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
+
+    def routed(ts):
+        return routing.route(ts[0], ts[1], np.eye(2), 2)[0].sum()
+
+    def value():
+        with T.use_dtype(np.float64):
+            return routed([T.constant(r), T.constant(q)]).item()
+
+    exact = value()
     with corrupt_squash_backward(1.5):
-        np.testing.assert_allclose(routing.squash(T.constant(x)).data,
-                                   T.squash(T.constant(x)).data, rtol=1e-14)
+        assert value() == exact
+        assert squash_grad_error(r, q) > 0.3
         with pytest.raises(AssertionError):
-            check_op_grads(lambda ts: routing.squash(ts[0]).sum(), [x])
-    check_op_grads(lambda ts: routing.squash(ts[0]).sum(), [x])
+            check_op_grads(routed, [r, q])
+    check_op_grads(routed, [r, q])
 
 
 # ---------------------------------------------------------------------------
@@ -407,56 +446,11 @@ def test_sum_mean_reshape_grads():
     check_op_grads(lambda ts: ts[0].reshape(4, 3).sum(axis=0).sum(), [x])
 
 
-def test_coupled_sum_and_pairwise_dot_grads():
-    # probe weights make every output element carry a distinct gradient
-    rng = np.random.default_rng(17)
-    n, m, d = 3, 4, 5
-    ps = T.constant(rng.normal(size=(m, d)), dtype=np.float64)
-    pd = T.constant(rng.normal(size=(n, m)), dtype=np.float64)
-    c, r, q, v = (rng.normal(size=(n, m)), rng.normal(size=(n, d)),
-                  rng.normal(size=(m, d)), rng.normal(size=(m, d)))
-    check_op_grads(
-        lambda ts: T.mul(T.coupled_sum(ts[0], ts[1], ts[2]), ps).sum(),
-        [c, r, q])
-    check_op_grads(lambda ts: T.mul(T.coupled_sum(ts[0], ts[1]), ps).sum(),
-                   [c, r])
-    check_op_grads(
-        lambda ts: T.mul(T.pairwise_dot(ts[0], ts[1], ts[2]), pd).sum(),
-        [r, v, q])
-    check_op_grads(lambda ts: T.mul(T.pairwise_dot(ts[0], ts[1]), pd).sum(),
-                   [r, v])
-
-
-def test_coupled_sum_and_pairwise_dot_match_materialized_votes():
-    rng = np.random.default_rng(20)
-    n, m, d = 4, 4, 3
-    c, r, q, v = (rng.normal(size=(n, m)), rng.normal(size=(n, d)),
-                  rng.normal(size=(m, d)), rng.normal(size=(m, d)))
-    u = r[:, None, :] + q[None, :, :]
-    with T.use_dtype(np.float64):
-        s = T.coupled_sum(T.constant(c), T.constant(r), T.constant(q))
-        s0 = T.coupled_sum(T.constant(c), T.constant(r))
-        a = T.pairwise_dot(T.constant(r), T.constant(v), T.constant(q))
-        a0 = T.pairwise_dot(T.constant(r), T.constant(v))
-    np.testing.assert_allclose(s.data, np.einsum("ij,ijd->jd", c, u),
-                               atol=1e-12)
-    np.testing.assert_allclose(s0.data, c.T @ r, atol=1e-12)
-    np.testing.assert_allclose(a.data, np.einsum("ijd,jd->ij", u, v),
-                               atol=1e-12)
-    np.testing.assert_allclose(a0.data, r @ v.T, atol=1e-12)
-    with pytest.raises(T.ShapeError, match="q must be"):
-        T.coupled_sum(T.constant(c), T.constant(r), T.constant(q[:2]))
-    with pytest.raises(T.ShapeError, match="do not align"):
-        T.pairwise_dot(T.constant(r), T.constant(v[:, :2]))
-
-
 def test_grouped_ops_match_per_item_ops():
     # a leading group axis runs each item exactly as it would run alone
     rng = np.random.default_rng(21)
     g, n, d, m = 3, 4, 5, 2
-    x, c = rng.normal(size=(g, n, d)), rng.normal(size=(g, n, n))
-    r, v, q = (rng.normal(size=(g, n, d)), rng.normal(size=(g, n, d)),
-               rng.normal(size=(n, d)))
+    x = rng.normal(size=(g, n, d))
     w, b, k = (rng.normal(size=(d, m)), rng.normal(size=m),
                rng.normal(size=(3, d, m)))
     lin = rng.normal(size=(g, n))
@@ -467,16 +461,12 @@ def test_grouped_ops_match_per_item_ops():
         grouped = [T.matmul(C(x), C(w)), T.fully_connected(C(x), C(w), C(b)),
                    T.conv1d(C(x), C(k), C(b)),
                    T.matmul(C(lin[:, None, :]), C(x)),
-                   T.coupled_sum(C(c), C(r), C(q)),
-                   T.pairwise_dot(C(r), C(v), C(q)),
                    T.embedding_lookup(C(table), ids)]
         for i in range(g):
             alone = [T.matmul(C(x[i]), C(w)),
                      T.fully_connected(C(x[i]), C(w), C(b)),
                      T.conv1d(C(x[i]), C(k), C(b)),
                      T.matmul(C(lin[i][None, :]), C(x[i])),
-                     T.coupled_sum(C(c[i]), C(r[i]), C(q)),
-                     T.pairwise_dot(C(r[i]), C(v[i]), C(q)),
                      T.embedding_lookup(C(table), ids[i])]
             for got, want in zip(grouped, alone):
                 np.testing.assert_allclose(got.data[i], want.data,
@@ -488,8 +478,6 @@ def test_grouped_ops_grads():
     g, n, d, m = 2, 3, 4, 2
     x = rng.normal(size=(g, n, d))
     probe = T.constant(rng.normal(size=(g, n, m)), dtype=np.float64)
-    probe_nn = T.constant(rng.normal(size=(g, n, n)), dtype=np.float64)
-    probe_nd = T.constant(rng.normal(size=(g, n, d)), dtype=np.float64)
     check_op_grads(lambda ts: T.mul(T.matmul(ts[0], ts[1]), probe).sum(),
                    [x, rng.normal(size=(d, m))])
     check_op_grads(lambda ts: T.mul(T.matmul(ts[0], ts[1]), probe).sum(),
@@ -500,14 +488,6 @@ def test_grouped_ops_grads():
     check_op_grads(
         lambda ts: T.mul(T.conv1d(ts[0], ts[1], ts[2]), probe).sum(),
         [x, rng.normal(size=(3, d, m)), rng.normal(size=m)])
-    c, r, q, v = (rng.normal(size=(g, n, n)), rng.normal(size=(g, n, d)),
-                  rng.normal(size=(n, d)), rng.normal(size=(g, n, d)))
-    check_op_grads(
-        lambda ts: T.mul(T.coupled_sum(ts[0], ts[1], ts[2]), probe_nd).sum(),
-        [c, r, q])
-    check_op_grads(
-        lambda ts: T.mul(T.pairwise_dot(ts[0], ts[1], ts[2]), probe_nn).sum(),
-        [r, v, q])
     check_op_grads(
         lambda ts: T.cross_entropy_rows(ts[0], [[0, 1, 1], [1, 0, 0]],
                                         [[0.5, 0.0, 1.0], [1.0, 2.0, 0.0]]),
@@ -591,6 +571,6 @@ def test_clip_grads():
 def test_finite_outputs_on_finite_inputs():
     rng = np.random.default_rng(19)
     x = T.constant(rng.normal(size=(5, 4)) * 1e3)
-    for out in [T.softmax(x, axis=1), T.sigmoid(x), T.squash(x),
-                T.relu(x)]:
-        assert np.isfinite(out.data).all()
+    for out in [T.softmax(x, axis=1).data, T.sigmoid(x).data,
+                routing.squash(x.data)[0], T.relu(x).data]:
+        assert np.isfinite(out).all()
