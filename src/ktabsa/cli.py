@@ -104,7 +104,7 @@ def _print_report(report) -> None:
 
 def _single_run(rc: C.RunConfig, out_dir: str, quiet: bool) -> dict:
     schemes, train, test, documents, general, domain = _build_corpora(rc)
-    if 0 < rc.dev_fraction < 1:
+    if rc.dev_fraction > 0:
         train, dev = dev_split(train, rc.dev_fraction, rc.model.seed)
     else:
         dev = []
@@ -129,10 +129,11 @@ def _single_run(rc: C.RunConfig, out_dir: str, quiet: bool) -> dict:
 def _train_runs(rc: C.RunConfig, quiet: bool) -> int:
     """Echo ``rc`` and train ``rc.runs`` seeds (``seed``, ``seed + 1``, …)
     into ``out_dir/run<k>``, with a mean/std summary over several runs."""
+    rc.validate()
     echoed = C.echo_config(rc, rc.out_dir)
     if not quiet:
         print(f"effective config: {echoed}")
-    if rc.runs <= 1:
+    if rc.runs == 1:
         summaries = [_single_run(rc, os.path.join(rc.out_dir, "run0"),
                                  quiet)]
     else:
@@ -255,7 +256,7 @@ def cmd_gradcheck(args) -> int:
 def cmd_gen_synth(args) -> int:
     spec = SynthSpec(train_sentences=args.train_sentences,
                      test_sentences=args.test_sentences,
-                     documents=args.documents, seed=args.seed or 7)
+                     documents=args.documents, seed=args.seed)
     paths = write_synthetic(args.out, spec)
     for k, v in paths.items():
         print(f"{k}: {v}")
@@ -323,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-sentences", type=int, default=50)
     p.add_argument("--test-sentences", type=int, default=20)
     p.add_argument("--documents", type=int, default=40)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=7)
     p.set_defaults(fn=cmd_gen_synth)
 
     return parser

@@ -39,6 +39,16 @@ class RunConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
     schedule: Schedule = field(default_factory=Schedule)
 
+    def validate(self) -> None:
+        """Reject out-of-range values of every key before a run starts."""
+        if self.runs < 1:
+            raise ConfigError(f"runs must be >= 1, got {self.runs}")
+        if not 0.0 <= self.dev_fraction < 1.0:
+            raise ConfigError(f"dev_fraction must be in [0, 1), "
+                              f"got {self.dev_fraction}")
+        self.model.validate()
+        self.schedule.validate()
+
 
 # The nested sections of a RunConfig; their fields are config keys too.
 _SECTIONS = {"model": ModelConfig, "schedule": Schedule}

@@ -30,8 +30,8 @@ import numpy as np
 from . import layers as L
 from .data import (BEGIN, INSIDE, Document, EmbeddingTable, Sentence,
                    TagSchemes, extract_spans)
-from .routing import (PE_MODES, PositionalEncoding, RoutingState,
-                      RoutingTrace, TransferDirection, predict_vectors, route)
+from .routing import (PositionalEncoding, RoutingState, RoutingTrace,
+                      TransferDirection, predict_vectors, route)
 from .tensor import (ConfigError, Tensor, add, concat, constant,
                      default_dtype, dropout, dropout_keep, embedding_lookup,
                      reshape, softmax)
@@ -74,12 +74,10 @@ class ModelConfig:
     dropout: float = 0.1
     iterations: int = 2          # aggregation rounds T
     route_iters: int = 3         # routing loop length
-    pe_mode: str = "add-both"
     transfers: tuple[str, ...] = ALL_DIRECTIONS
     inject_ddc: bool = True
     inject_dsc: bool = True
     coarse: bool = False
-    train_embeddings: bool = True
     lambda_ate: float = 1.0
     lambda_ote: float = 1.0
     lambda_asc: float = 1.0
@@ -104,16 +102,16 @@ class ModelConfig:
                                   f"got {getattr(self, name)}")
         if self.nonlinearity not in L.NONLINEARITIES:
             raise ConfigError(f"unknown nonlinearity {self.nonlinearity!r}")
-        if self.pe_mode not in PE_MODES:
-            raise ConfigError(f"unknown pe_mode {self.pe_mode!r}")
         for d in self.transfers:
             if d not in ALL_DIRECTIONS:
                 raise ConfigError(f"unknown transfer direction {d!r}")
         for name in ("lambda_ate", "lambda_ote", "lambda_asc", "lambda_ddc",
                      "lambda_dsc"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative")
-        if self.d_task % 2 != 0 and self.pe_mode != "off":
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and non-negative, "
+                                  f"got {value}")
+        if self.d_task % 2 != 0:
             raise ConfigError("d_task must be even for sinusoidal positions")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
@@ -136,8 +134,14 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         """Inverse of :meth:`to_dict` after a JSON round trip; a missing,
-        unknown or wrongly typed key raises :class:`ConfigError`."""
-        d = {k: v for k, v in d.items() if k != "max_len"}  # legacy, unused
+        unknown or wrongly typed key raises :class:`ConfigError`. Keys of
+        older checkpoints are dropped when they hold the one value the model
+        still supports."""
+        d = {k: v for k, v in d.items() if k != "max_len"}
+        for key, kept in (("pe_mode", "add-both"), ("train_embeddings", True)):
+            if key in d and d.pop(key) != kept:
+                raise ConfigError(f"model config {key} is no longer "
+                                  f"supported; only {kept!r} loads")
         defaults = {f.name: f.default for f in dataclasses.fields(cls)}
         if set(d) != set(defaults):
             raise ConfigError(
@@ -245,12 +249,11 @@ class AbsaModel:
         self.domain_table = domain
         rng = rng if rng is not None else np.random.default_rng(config.seed)
         c1 = schemes.token_classes
-        trainable = config.train_embeddings
 
         self.emb_general = Tensor(general.matrix.astype(default_dtype()),
-                                  requires_grad=trainable, name="emb.general")
+                                  requires_grad=True, name="emb.general")
         self.emb_domain = Tensor(domain.matrix.astype(default_dtype()),
-                                 requires_grad=trainable, name="emb.domain")
+                                 requires_grad=True, name="emb.domain")
         d_emb = general.dim + domain.dim
         self.nonlin = L.NONLINEARITIES[config.nonlinearity]
         self.encoder = L.SharedEncoder(rng, d_emb, config.d_enc,
@@ -346,9 +349,8 @@ class AbsaModel:
         return out
 
     def named_parameters(self) -> dict[str, Tensor]:
-        """The trainable subset of :meth:`named_tensors`."""
-        return {name: t for name, t in self.named_tensors().items()
-                if t.requires_grad}
+        """The trainable tensors: all of :meth:`named_tensors`."""
+        return self.named_tensors()
 
     def manifest(self) -> list[tuple[str, tuple[int, ...]]]:
         return [(name, tuple(t.shape))
@@ -356,8 +358,6 @@ class AbsaModel:
 
     def frozen_embedding_rows(self) -> list[tuple[Tensor, int]]:
         """Rows whose gradients are zeroed every step (the pad rows)."""
-        if not self.config.train_embeddings:
-            return []
         return [(self.emb_general, self.general_table.pad_index),
                 (self.emb_domain, self.domain_table.pad_index)]
 
@@ -477,8 +477,7 @@ class AbsaModel:
             parts = [state.hidden[target]]
             for src in srcs:
                 direction = self.routes[f"{src}->{target}"]
-                r, q = predict_vectors(state.hidden[src], direction,
-                                       self.pe, cfg.pe_mode)
+                r, q = predict_vectors(state.hidden[src], direction, self.pe)
                 v, snaps = route(r, q, adjacency, cfg.route_iters,
                                  keep_trace=keep_trace)
                 if keep_trace and traces is not None:

@@ -2,11 +2,11 @@
 
 A routing step moves knowledge from every source token i to every target
 token j of the same sentence. Each pair's vote is
-``u_hat[i, j] = (h_i [+ PE(i)] [+ PE(j)]) W``: a weight matrix shared across
+``u_hat[i, j] = (h_i + PE(i) + PE(j)) W``: a weight matrix shared across
 the whole sentence, made position-aware by adding sinusoidal encodings of i
 and j. Because W is linear, the vote factors into a source part and a target
-part, ``u_hat[i, j] = r[i] + q[j]`` with ``r = (h [+ PE]) W`` and
-``q = PE W`` (or 0), and the loop only ever holds r and q. The iterative loop
+part, ``u_hat[i, j] = r[i] + q[j]`` with ``r = (h + PE) W`` and
+``q = PE W``, and the loop only ever holds r and q. The iterative loop
 then:
 
     1. adds the dependency adjacency prior to the routing logits b,
@@ -40,7 +40,6 @@ import numpy as np
 from .tensor import (ConfigError, Tensor, _emit, _unbroadcast, add,
                      constant, default_dtype, matmul)
 
-PE_MODES = ("add-both", "add-source", "off")
 SQUASH_EPS = 1e-9   # guards squash's division at the zero vector
 
 
@@ -115,29 +114,22 @@ class RoutingTrace:
 
 
 def predict_vectors(h_source: Tensor, direction: TransferDirection,
-                    pe: PositionalEncoding, pe_mode: str = "add-both"
-                    ) -> tuple[Tensor, Tensor | None]:
+                    pe: PositionalEncoding) -> tuple[Tensor, Tensor]:
     """Factored vote vectors: u_hat[g, i, j] = r[g, i] + q[j].
 
-    ``h_source`` is [G, n, d] (or a single [n, d] sentence). ``r = (h [+ PE])
+    ``h_source`` is [G, n, d] (or a single [n, d] sentence). ``r = (h + PE)
     @ W`` is the source part, shaped like h with width d_route, and
-    ``q = PE @ W`` the target part, [n, d_route], shared by the group; ``q``
-    is None unless ``pe_mode`` is "add-both". The projection W is shared
-    across positions; position awareness comes from the additive encodings
-    selected by ``pe_mode``.
+    ``q = PE @ W`` the target part, [n, d_route], shared by the group. The
+    projection W is shared across positions; position awareness comes from
+    the additive encodings of source and target.
     """
-    if pe_mode not in PE_MODES:
-        raise ConfigError(f"unknown pe_mode {pe_mode!r}; expected one of "
-                          f"{PE_MODES}")
     n, d = h_source.shape[-2:]
     if d != pe.d_model:
         raise ConfigError(f"hidden width {d} does not match positional "
                           f"encoding dimension {pe.d_model}")
     pe_n = pe.prefix(n)
-    src = h_source if pe_mode == "off" else add(h_source, pe_n)
-    r = matmul(src, direction.weight)
-    q = matmul(pe_n, direction.weight) if pe_mode == "add-both" else None
-    return r, q
+    return (matmul(add(h_source, pe_n), direction.weight),
+            matmul(pe_n, direction.weight))
 
 
 def squash(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -172,14 +164,14 @@ def _accumulate(acc: np.ndarray | None, g: np.ndarray) -> np.ndarray:
     return acc
 
 
-def route(r: Tensor, q: Tensor | None, adjacency: np.ndarray,
+def route(r: Tensor, q: Tensor, adjacency: np.ndarray,
           iterations: int, keep_trace: bool = False
           ) -> tuple[Tensor, list[RoutingState]]:
     """Run the agreement loop and return the final target vectors.
 
     The votes are ``u_hat[g, i, j] = r[g, i] + q[j]`` for source i and
     target j of sentence g, with ``r`` [G, n, d_route] and ``q``
-    [n, d_route] or None (zero), as returned by :func:`predict_vectors`.
+    [n, d_route], as returned by :func:`predict_vectors`.
     ``adjacency`` is the [G, n, n] binary dependency prior, re-added to the
     logits at every iteration; it is used without a copy when it already
     has r's dtype. A single sentence may drop the group axis from r and
@@ -194,14 +186,13 @@ def route(r: Tensor, q: Tensor | None, adjacency: np.ndarray,
         raise ConfigError(f"source votes r must be [G, n, d] or [n, d], got "
                           f"{tuple(r.shape)}")
     n, d = r.shape[-2:]
-    if q is not None and q.shape != (n, d):
+    if q.shape != (n, d):
         raise ConfigError(f"target votes q must match r's ({n}, {d}), "
                           f"got {tuple(q.shape)}")
     if adjacency.shape != r.shape[:-1] + (n,):
         raise ConfigError(f"adjacency shape {adjacency.shape} does not match "
                           f"votes {tuple(r.shape)}")
-    rd = r.data
-    qd = None if q is None else q.data
+    rd, qd = r.data, q.data
     prior = np.asarray(adjacency, dtype=rd.dtype)
     b = np.zeros(prior.shape, dtype=rd.dtype)
     saved: list[tuple[np.ndarray, ...]] = []
@@ -212,20 +203,17 @@ def route(r: Tensor, q: Tensor | None, adjacency: np.ndarray,
         np.exp(c, out=c)
         c /= c.sum(axis=-1, keepdims=True)
         s = c.swapaxes(-1, -2) @ rd                # aggregate
-        if qd is not None:
-            s += c.sum(axis=-2)[..., None] * qd
+        s += c.sum(axis=-2)[..., None] * qd
         v, norm = squash(s)
         saved.append((c, s, norm, v))
         if it < iterations or keep_trace:          # agreement
             a = rd @ v.swapaxes(-1, -2)
-            if qd is not None:
-                a += (qd * v).sum(axis=-1)[..., None, :]
+            a += (qd * v).sum(axis=-1)[..., None, :]
             b += a
         if keep_trace:
             trace.append(RoutingState(it, b.copy(), c.copy(), s.copy(),
                                       v.copy()))
-    out = Tensor(v, requires_grad=r.requires_grad
-                 or (q is not None and q.requires_grad))
+    out = Tensor(v, requires_grad=r.requires_grad or q.requires_grad)
 
     def fn(g, push):
         dr = dq = gb = None     # gb: dLoss/db after the current iteration
@@ -233,27 +221,24 @@ def route(r: Tensor, q: Tensor | None, adjacency: np.ndarray,
         for t in range(iterations - 1, -1, -1):
             c, s, norm, v = saved[t]
             if gb is not None:  # agreement b += r v^T + 1 (q . v)^T
+                colsum = gb.sum(axis=-2)[..., None]
                 gv = gb.swapaxes(-1, -2) @ rd
-                if qd is not None:
-                    colsum = gb.sum(axis=-2)[..., None]
-                    gv += colsum * qd
-                    dq = _accumulate(dq, _unbroadcast(colsum * v, qd.shape))
+                gv += colsum * qd
+                dq = _accumulate(dq, _unbroadcast(colsum * v, qd.shape))
                 dr = _accumulate(dr, gb @ v)
             gs = squash_grad(gv, s, norm)
-            if qd is not None:  # aggregate s = c^T r + colsum(c) q
-                dq = _accumulate(dq, _unbroadcast(
-                    c.sum(axis=-2)[..., None] * gs, qd.shape))
+            # aggregate s = c^T r + colsum(c) q
+            dq = _accumulate(dq, _unbroadcast(
+                c.sum(axis=-2)[..., None] * gs, qd.shape))
             dr = _accumulate(dr, c @ gs)
             if t == 0:          # the first logits are the constant prior
                 break
             dc = rd @ gs.swapaxes(-1, -2)
-            if qd is not None:
-                dc += (gs * qd).sum(axis=-1)[..., None, :]
+            dc += (gs * qd).sum(axis=-1)[..., None, :]
             gc = c * (dc - (dc * c).sum(axis=-1, keepdims=True))
             gb = _accumulate(gb, gc)
         push(r, dr)
-        if q is not None:
-            push(q, dq)
+        push(q, dq)
 
     return _emit(out, fn), trace
 

@@ -96,44 +96,8 @@ class Tensor:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{tag})"
 
-    # Light operator sugar; everything routes through the module-level ops
-    # so recording works uniformly.
-    def __add__(self, other):
-        return add(self, _lift(other, self.dtype))
-
-    def __radd__(self, other):
-        return add(_lift(other, self.dtype), self)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, scale(_lift(other, self.dtype), -1.0))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self) -> "Tensor":
-        return tmean(self)
-
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-
-def _lift(value, dtype) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(np.asarray(value), dtype=dtype)
+    def __add__(self, other: "Tensor") -> "Tensor":
+        return add(self, other)
 
 
 def constant(data, dtype=None) -> Tensor:
@@ -199,14 +163,6 @@ def record(tape: Tape | None = None):
         _active = prev
 
 
-def backward(loss: Tensor) -> None:
-    """Run backward on the active tape (must still be in the `record` block)."""
-    if _active is None:
-        raise RuntimeError("backward() outside of a record() block; "
-                           "use Tape.backward for a finished tape")
-    _active.backward(loss)
-
-
 def _emit(out: Tensor, fn: Callable) -> Tensor:
     if _active is not None and out.requires_grad:
         _active.nodes.append((out, fn))
@@ -237,17 +193,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def fn(g, push):
         push(a, _unbroadcast(g, a.shape))
         push(b, _unbroadcast(g, b.shape))
-
-    return _emit(out, fn)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data * b.data,
-                 requires_grad=a.requires_grad or b.requires_grad)
-
-    def fn(g, push):
-        push(a, _unbroadcast(g * b.data, a.shape))
-        push(b, _unbroadcast(g * a.data, b.shape))
 
     return _emit(out, fn)
 
@@ -295,30 +240,6 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
             sl[ax] = slice(offset, offset + s)
             push(p, g[tuple(sl)])
             offset += s
-
-    return _emit(out, fn)
-
-
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims),
-                 requires_grad=a.requires_grad)
-
-    def fn(g, push):
-        if axis is None:
-            push(a, np.broadcast_to(g.reshape(()), a.shape))
-        else:
-            ge = g if keepdims else np.expand_dims(g, axis)
-            push(a, np.broadcast_to(ge, a.shape))
-
-    return _emit(out, fn)
-
-
-def tmean(a: Tensor) -> Tensor:
-    n = a.size
-    out = Tensor(a.data.mean(), requires_grad=a.requires_grad)
-
-    def fn(g, push):
-        push(a, np.broadcast_to(g.reshape(()) / n, a.shape))
 
     return _emit(out, fn)
 

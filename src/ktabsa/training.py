@@ -163,12 +163,24 @@ class Schedule:
     target_token_acc: float = 0.0  # 0 disables accuracy-based early stop
 
     def validate(self) -> None:
+        if self.epochs < 0:
+            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.pretrain_epochs < 0:
             raise ConfigError("pretrain_epochs must be >= 0")
         if self.aspect_batches_per_doc < 1:
             raise ConfigError("aspect_batches_per_doc must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
+        if not (np.isfinite(self.clip_norm) and self.clip_norm >= 0):
+            raise ConfigError(f"clip_norm must be finite and >= 0, "
+                              f"got {self.clip_norm}")
+        if self.patience < 0:
+            raise ConfigError(f"patience must be >= 0, got {self.patience}")
+        if not 0.0 <= self.target_token_acc <= 1.0:
+            raise ConfigError(f"target_token_acc must be in [0, 1], "
+                              f"got {self.target_token_acc}")
 
 
 @dataclass

@@ -35,6 +35,20 @@ def rel_err(a: np.ndarray, b: np.ndarray, floor: float = 1e-6) -> float:
     return float((np.abs(a - b) / denom).max())
 
 
+def weighted_sum(t: T.Tensor, w=None) -> T.Tensor:
+    """The scalar ``sum(w * t)`` as one tape node, ``w`` a constant array
+    that broadcasts to ``t`` (all ones when None). Finite-difference checks
+    reduce an op's output to a loss with it; a random ``w`` probes the whole
+    Jacobian rather than its column sums."""
+    w = np.ones(t.shape, t.dtype) if w is None else np.asarray(w, t.dtype)
+    out = T.Tensor((t.data * w).sum(), requires_grad=t.requires_grad)
+
+    def fn(g, push):
+        push(t, np.broadcast_to(g * w, t.shape))
+
+    return T._emit(out, fn)
+
+
 def check_op_grads(build, arrays, step: float = 1e-3, tol: float = 1e-3):
     """FD-check every input of an op.
 

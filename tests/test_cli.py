@@ -47,6 +47,18 @@ def test_gen_synth_writes_bundle(tmp_path):
         assert os.path.exists(os.path.join(out, name))
 
 
+def test_gen_synth_seed_zero_is_its_own_corpus(tmp_path):
+    # seed 0 is a seed like any other, not a request for the default 7
+    corpora = {}
+    for seed in ("0", "7"):
+        out = tmp_path / f"seed{seed}"
+        assert run_cli("gen-synth", "--out", str(out), "--seed", seed,
+                       "--train-sentences", "6", "--test-sentences", "2",
+                       "--documents", "4") == 0
+        corpora[seed] = (out / "train.tsv").read_bytes()
+    assert corpora["0"] != corpora["7"]
+
+
 def test_train_eval_predict_cycle(synth_dir, tmp_path):
     cfg = os.path.join(synth_dir, "synthetic.cfg")
     out = str(tmp_path / "run")
@@ -247,18 +259,30 @@ def test_eval_damaged_header_exit_3(synth_dir, tmp_path, capsys):
     model, _, _ = build_tiny_model()
     ckpt = tmp_path / "m.ckpt"
     model.save(str(ckpt))
-    ckpt.write_bytes(edit_header(ckpt.read_bytes(),
-                                 lambda h: h["config"].pop("d_enc")))
-    code = run_cli("eval", "--checkpoint", str(ckpt), "--corpus",
-                   os.path.join(synth_dir, "test.tsv"))
-    assert code == 3
-    assert "d_enc" in capsys.readouterr().err
+    raw = ckpt.read_bytes()
+    # a missing key, and retired keys holding a value the model dropped
+    for key, damage in (("d_enc", lambda h: h["config"].pop("d_enc")),
+                        ("pe_mode", lambda h: h["config"].update(
+                            pe_mode="off")),
+                        ("train_embeddings", lambda h: h["config"].update(
+                            train_embeddings=False))):
+        ckpt.write_bytes(edit_header(raw, damage))
+        code = run_cli("eval", "--checkpoint", str(ckpt), "--corpus",
+                       os.path.join(synth_dir, "test.tsv"))
+        assert code == 3
+        assert key in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("setting", ["batch_size=0", "pretrain_epochs=-1",
                                      "aspect_batches_per_doc=0",
                                      "kernel_widths=", "kernel_widths=3,3",
-                                     "d_enc=-8"])
+                                     "d_enc=-8", "epochs=-1", "lr=nan",
+                                     "lr=inf", "lr=-1", "lr=0",
+                                     "clip_norm=-1", "clip_norm=inf",
+                                     "patience=-2", "target_token_acc=5",
+                                     "lambda_ate=nan", "lambda_ote=inf",
+                                     "runs=0", "dev_fraction=1.5",
+                                     "dev_fraction=-0.1"])
 def test_invalid_schedule_or_widths_exit_2(synth_dir, tmp_path, capsys,
                                            setting):
     cfg = os.path.join(synth_dir, "synthetic.cfg")

@@ -31,7 +31,7 @@ def non_default_config() -> C.RunConfig:
         C.RunConfig(), aspect_train="/data/train.tsv", out_dir="/tmp/o",
         dev_fraction=0.35, runs=3, seed=42, d_enc=48, dropout=0.25,
         kernel_widths=(3, 5, 7), transfers=("ote->asc", "ate->ote"),
-        coarse=True, inject_dsc=False, lambda_asc=0.3, pe_mode="off",
+        coarse=True, inject_dsc=False, lambda_asc=0.3,
         lr=0.0013, batch_size=7, epochs=11, pretrain_epochs=0,
         aspect_batches_per_doc=3, clip_norm=0.0, patience=4,
         target_token_acc=0.9)
@@ -63,8 +63,8 @@ def test_file_syntax_paths_and_overrides():
         C.parse_config("epochs = many\n")
 
 
-@pytest.mark.parametrize("key", ["route_ate_to_ote", "max_len", "model",
-                                 "schedule"])
+@pytest.mark.parametrize("key", ["route_ate_to_ote", "max_len", "pe_mode",
+                                 "train_embeddings", "model", "schedule"])
 def test_removed_and_section_names_are_unknown_keys(key):
     with pytest.raises(ConfigError, match="unknown config key"):
         C.parse_config(f"{key} = 1\n")

@@ -465,6 +465,9 @@ DAMAGED_HEADERS = {
     "config bool as int": _set("config", "iterations", True),
     "transfers not a list": _set("config", "transfers", "ate->ote"),
     "config fails validate": _set("config", "iterations", 0),
+    "retired pe_mode value": _set("config", "pe_mode", "off"),
+    "retired train_embeddings value": _set("config", "train_embeddings",
+                                           False),
     "unknown transfer direction": _set("config", "transfers", ["ate->ddc"]),
     "empty kernel widths": _set("config", "kernel_widths", []),
     "schemes missing a key": _drop("schemes", "ate_tags"),
@@ -484,9 +487,15 @@ def test_damaged_header_raises_checkpoint_error(saved_checkpoint, tmp_path,
 
 def test_legacy_max_len_header_loads_bit_identical(saved_checkpoint,
                                                    tmp_path):
+    # older checkpoints carry keys that held the one value still supported
     model, raw = saved_checkpoint
     path = tmp_path / "legacy.ckpt"
-    path.write_bytes(edit_header(raw, _set("config", "max_len", 16)))
+
+    def legacy_keys(header):
+        header["config"].update(max_len=16, pe_mode="add-both",
+                                train_embeddings=True)
+
+    path.write_bytes(edit_header(raw, legacy_keys))
     legacy = AbsaModel.load(str(path))
     assert legacy.config == model.config
     for name, t in model.named_tensors().items():

@@ -6,7 +6,7 @@ import pytest
 from ktabsa import routing as R
 from ktabsa import tensor as T
 
-from helpers import check_op_grads, squash_ref
+from helpers import check_op_grads, squash_ref, weighted_sum
 
 
 # ---------------------------------------------------------------------------
@@ -33,21 +33,20 @@ def route_oracle(u_hat, adjacency, iterations):
 def materialize(r, q):
     """The full vote tensor u_hat[i, j] = r[i] + q[j] the oracle runs on."""
     r = np.asarray(r, dtype=np.float64)
-    if q is None:
-        return np.repeat(r[:, None, :], r.shape[0], axis=1)
     return r[:, None, :] + np.asarray(q, dtype=np.float64)[None, :, :]
 
 
-def random_factors(rng, n, d, scale=1.0, q_none=False):
+def random_factors(rng, n, d, scale=1.0, zero_q=False):
+    """Random vote parts; ``zero_q`` gives votes that do not depend on the
+    target, and draws nothing for q."""
     r = rng.normal(size=(n, d)) * scale
-    q = None if q_none else rng.normal(size=(n, d)) * scale
+    q = np.zeros((n, d)) if zero_q else rng.normal(size=(n, d)) * scale
     return r, q
 
 
 def run_route(r, q, adjacency, iterations, keep_trace=True):
     with T.use_dtype(np.float64):
-        v, trace = R.route(T.constant(r),
-                           None if q is None else T.constant(q),
+        v, trace = R.route(T.constant(r), T.constant(q),
                            adjacency, iterations, keep_trace=keep_trace)
     return v, trace
 
@@ -110,7 +109,11 @@ def test_predict_vectors_varies_with_target_only_through_pe():
         direction = make_direction(6, 4, rng)
         h = T.constant(rng.normal(size=(4, 6)))
         r, q = R.predict_vectors(h, direction, pe)
-        pw = pe.prefix(4).data @ direction.weight.data
+        table = pe.prefix(4).data
+        w = direction.weight.data
+        pw = table @ w
+    np.testing.assert_allclose(r.data, (h.data + table) @ w, atol=1e-12)
+    np.testing.assert_array_equal(q.data, pw)
     u = materialize(r.data, q.data)
     for i in range(4):
         for j1 in range(4):
@@ -151,27 +154,6 @@ def test_predict_vectors_beyond_max_len():
     assert pe.prefix(200) is pe.prefix(200)   # cached per length
 
 
-def test_predict_vectors_modes():
-    rng = np.random.default_rng(4)
-    with T.use_dtype(np.float64):
-        pe = R.PositionalEncoding(6)
-        direction = make_direction(6, 4, rng)
-        h = T.constant(rng.normal(size=(3, 6)))
-        r_off, q_off = R.predict_vectors(h, direction, pe, pe_mode="off")
-        r_src, q_src = R.predict_vectors(h, direction, pe,
-                                         pe_mode="add-source")
-        table = pe.prefix(3).data
-    # without target-side PE there is no target part, so votes from token i
-    # are identical across targets
-    assert q_off is None and q_src is None
-    np.testing.assert_allclose(r_off.data, h.data @ direction.weight.data)
-    np.testing.assert_allclose(r_src.data,
-                               (h.data + table) @ direction.weight.data,
-                               atol=1e-12)
-    with pytest.raises(T.ConfigError, match="pe_mode"):
-        R.predict_vectors(h, direction, pe, pe_mode="bogus")
-
-
 # ---------------------------------------------------------------------------
 # route
 
@@ -188,8 +170,8 @@ def test_route_single_iteration_no_prior_is_uniform_mean():
 
 def test_route_single_token():
     rng = np.random.default_rng(6)
-    for q_none in (False, True):
-        r, q = random_factors(rng, 1, 5, q_none=q_none)
+    for zero_q in (False, True):
+        r, q = random_factors(rng, 1, 5, zero_q=zero_q)
         u = materialize(r, q)
         for iters in (1, 3):
             v, trace = run_route(r, q, np.ones((1, 1)), iters)
@@ -202,8 +184,8 @@ def test_route_matches_line_by_line_oracle():
     n = 3
     adjacency = np.zeros((n, n))
     adjacency[0, 2] = adjacency[2, 0] = 1.0
-    for q_none in (False, True):
-        r, q = random_factors(rng, n, 4, q_none=q_none)
+    for zero_q in (False, True):
+        r, q = random_factors(rng, n, 4, zero_q=zero_q)
         v, trace = run_route(r, q, adjacency, 3)
         ov, ostates = route_oracle(materialize(r, q), adjacency, 3)
         np.testing.assert_allclose(v.data, ov, atol=1e-9)
@@ -219,7 +201,7 @@ def test_route_invariants_random():
         n = int(rng.integers(1, 8))
         iters = int(rng.integers(1, 5))
         r, q = random_factors(rng, n, 4, rng.uniform(0.2, 3.0),
-                              q_none=rng.random() < 0.25)
+                              zero_q=rng.random() < 0.25)
         adjacency = (rng.random((n, n)) < 0.3).astype(float)
         v, trace = run_route(r, q, adjacency, iters)
         for st in trace:
@@ -246,7 +228,7 @@ def test_route_adjacency_monotonicity_first_iteration():
     r = np.ones((n, 2))  # u_hat = 1 everywhere
     adjacency = np.zeros((n, n))
     adjacency[0, 1] = 1.0
-    _, trace = run_route(r, None, adjacency, 1)
+    _, trace = run_route(r, np.zeros((n, 2)), adjacency, 1)
     c = trace[0].c
     assert c[0, 1] > c[0, 0] and c[0, 1] > c[0, 2]
 
@@ -283,37 +265,40 @@ def test_grouped_route_matches_each_sentence_alone():
 
 def test_route_rejects_bad_iteration_count():
     with pytest.raises(T.ConfigError, match="iteration"):
-        R.route(T.constant(np.zeros((2, 3))), None, np.zeros((2, 2)), 0)
+        R.route(T.constant(np.zeros((2, 3))), T.constant(np.zeros((2, 3))),
+                np.zeros((2, 2)), 0)
 
 
 def test_route_rejects_misshapen_inputs():
-    r = T.constant(np.zeros((2, 3)))
+    r = q = T.constant(np.zeros((2, 3)))
     with pytest.raises(T.ConfigError, match="r must be"):
-        R.route(T.constant(np.zeros((1, 2, 2, 3))), None,
+        R.route(T.constant(np.zeros((1, 2, 2, 3))), q,
                 np.zeros((1, 2, 2)), 1)
     with pytest.raises(T.ConfigError, match="q must match"):
         R.route(r, T.constant(np.zeros((3, 3))), np.zeros((2, 2)), 1)
     with pytest.raises(T.ConfigError, match="adjacency"):
-        R.route(r, None, np.zeros((3, 3)), 1)
+        R.route(r, q, np.zeros((3, 3)), 1)
 
 
 def test_route_gradients_through_unrolled_loop():
     # float64 finite differences of the hand-written backward with respect
-    # to r and q (and with q = None), for a single sentence without a group
-    # axis and for groups of 1, 2 and 3, through 1 to 4 iterations
+    # to r and q (and to r alone with a zero q), for a single sentence
+    # without a group axis and for groups of 1, 2 and 3, through 1 to 4
+    # iterations
     rng = np.random.default_rng(12)
     n, d = 3, 2
+    zero_q = T.constant(np.zeros((n, d)), dtype=np.float64)
     for lead in ((), (1,), (2,), (3,)):
         adjacency = (rng.random(lead + (n, n)) < 0.4).astype(np.float64)
         for iters in (1, 2, 3, 4):
-            w = T.constant(rng.normal(size=lead + (n, d)), dtype=np.float64)
+            w = rng.normal(size=lead + (n, d))
             check_op_grads(
-                lambda ts: T.mul(R.route(ts[0], ts[1], adjacency, iters)[0],
-                                 w).sum(),
+                lambda ts: weighted_sum(
+                    R.route(ts[0], ts[1], adjacency, iters)[0], w),
                 [rng.normal(size=lead + (n, d)), rng.normal(size=(n, d))])
             check_op_grads(
-                lambda ts: T.mul(R.route(ts[0], None, adjacency, iters)[0],
-                                 w).sum(),
+                lambda ts: weighted_sum(
+                    R.route(ts[0], zero_q, adjacency, iters)[0], w),
                 [rng.normal(size=lead + (n, d))])
 
 
@@ -340,7 +325,7 @@ def test_route_end_to_end_gradients_with_predict_vectors():
         direction = R.TransferDirection("ote", "asc", ts[1])
         r, q = R.predict_vectors(ts[0], direction, pe)
         v, _ = R.route(r, q, adjacency, 2)
-        return T.mul(v, T.constant(probe, dtype=np.float64)).sum()
+        return weighted_sum(v, probe)
 
     check_op_grads(build, [rng.normal(size=(n, d_task)),
                            rng.normal(size=(d_task, d_route))])
@@ -411,7 +396,7 @@ def test_routing_tape_never_holds_pairwise_vote_tensor():
     with T.record(tape):
         r, q = R.predict_vectors(h, direction, pe)
         v, _ = R.route(r, q, adjacency, 3)
-        loss = v.sum()
+        loss = weighted_sum(v)
     recorded = max(node[0].size for node in tape.nodes)
     assert recorded <= limit, f"tape output of {recorded} elements"
 

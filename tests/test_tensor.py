@@ -10,11 +10,7 @@ from ktabsa import routing
 from ktabsa import tensor as T
 
 from helpers import (check_op_grads, conv1d_naive, corrupt_squash_backward,
-                     numeric_grad, rel_err, squash_ref)
-
-
-def scalarize(t):
-    return t.sum() if t.size > 1 else t.reshape(())
+                     numeric_grad, rel_err, squash_ref, weighted_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +36,7 @@ def test_matmul_shape_error_names_both_shapes():
 
 def test_matmul_grads_match_finite_differences():
     rng = np.random.default_rng(0)
-    check_op_grads(lambda ts: T.matmul(ts[0], ts[1]).sum(),
+    check_op_grads(lambda ts: weighted_sum(T.matmul(ts[0], ts[1])),
                    [rng.normal(size=(4, 3)), rng.normal(size=(3, 2))])
 
 
@@ -81,7 +77,7 @@ def test_conv1d_even_width_rejected():
 def test_conv1d_grads():
     rng = np.random.default_rng(3)
     check_op_grads(
-        lambda ts: T.conv1d(ts[0], ts[1], ts[2]).sum(),
+        lambda ts: weighted_sum(T.conv1d(ts[0], ts[1], ts[2])),
         [rng.normal(size=(5, 3)), rng.normal(size=(3, 3, 2)),
          rng.normal(size=2)])
 
@@ -108,7 +104,7 @@ def test_softmax_jacobian_matches_finite_differences():
     for _ in range(3):
         w = rng.normal(size=6)
         check_op_grads(
-            lambda ts, w=w: T.mul(T.softmax(ts[0]), T.constant(w, dtype=np.float64)).sum(),
+            lambda ts, w=w: weighted_sum(T.softmax(ts[0]), w),
             [x])
 
 
@@ -189,8 +185,9 @@ def test_squash_grad_of_float32_zero_rows_is_zero_without_warnings():
                      requires_grad=True)
         tape = T.Tape()
         with T.record(tape):
-            v, _ = routing.route(r, None, np.zeros((2, 3, 3)), 3)
-            loss = v.sum()
+            v, _ = routing.route(r, T.constant(np.zeros((3, 4), np.float32)),
+                                 np.zeros((2, 3, 3)), 3)
+            loss = weighted_sum(v)
         tape.backward(loss)
     assert ds.dtype == np.float32 and np.isfinite(ds).all()
     assert not ds[0].any() and not ds[1, 1:].any() and ds[1, 0].any()
@@ -204,7 +201,7 @@ def test_squash_backward_corruption_hook():
     r, q = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
 
     def routed(ts):
-        return routing.route(ts[0], ts[1], np.eye(2), 2)[0].sum()
+        return weighted_sum(routing.route(ts[0], ts[1], np.eye(2), 2)[0])
 
     def value():
         with T.use_dtype(np.float64):
@@ -244,7 +241,7 @@ def test_concat_grad_routes_ones_everywhere():
     b = T.Tensor([3.0], requires_grad=True)
     tape = T.Tape()
     with T.record(tape):
-        loss = T.concat([a, b]).sum()
+        loss = weighted_sum(T.concat([a, b]))
     tape.backward(loss)
     np.testing.assert_allclose(a.grad, [1.0, 1.0])
     np.testing.assert_allclose(b.grad, [1.0])
@@ -309,25 +306,26 @@ def test_backward_sum_gives_ones():
                  requires_grad=True)
     tape = T.Tape()
     with T.record(tape):
-        loss = x.sum()
+        loss = weighted_sum(x)
     tape.backward(loss)
     np.testing.assert_allclose(x.grad, np.ones((2, 3)))
 
 
 def test_backward_square():
-    x = T.Tensor([3.0], requires_grad=True)
+    # x feeds both operands of one op: both pushes must accumulate
+    x = T.Tensor([[3.0]], requires_grad=True)
     tape = T.Tape()
     with T.record(tape):
-        loss = T.mul(x, x).sum()
+        loss = weighted_sum(T.matmul(x, x))
     tape.backward(loss)
-    np.testing.assert_allclose(x.grad, [6.0])
+    np.testing.assert_allclose(x.grad, [[6.0]])
 
 
 def test_backward_rejects_non_scalar():
     x = T.Tensor([1.0, 2.0], requires_grad=True)
     tape = T.Tape()
     with T.record(tape):
-        y = x * 2.0
+        y = T.scale(x, 2.0)
     with pytest.raises(ValueError, match="scalar"):
         tape.backward(y)
 
@@ -336,7 +334,7 @@ def test_backward_accumulates_across_calls():
     x = T.Tensor([1.0, 2.0], requires_grad=True)
     tape = T.Tape()
     with T.record(tape):
-        loss = (x * 2.0).sum()
+        loss = weighted_sum(T.scale(x, 2.0))
     tape.backward(loss)
     tape.backward(loss)
     np.testing.assert_allclose(x.grad, [4.0, 4.0])
@@ -344,21 +342,21 @@ def test_backward_accumulates_across_calls():
 
 def test_backward_diamond_reuse():
     # y appears twice downstream; flow must merge before propagating.
-    x = T.Tensor([2.0], requires_grad=True)
+    x = T.Tensor([[2.0]], requires_grad=True)
     tape = T.Tape()
     with T.record(tape):
-        y = x * 3.0
-        loss = T.add(y, T.mul(y, y)).sum()  # 3x + 9x^2 -> d/dx = 3 + 18x
+        y = T.scale(x, 3.0)
+        loss = weighted_sum(T.add(y, T.matmul(y, y)))  # 3x + 9x^2 -> 3 + 18x
     tape.backward(loss)
-    np.testing.assert_allclose(x.grad, [3.0 + 18.0 * 2.0])
+    np.testing.assert_allclose(x.grad, [[3.0 + 18.0 * 2.0]])
 
 
 def test_intermediate_requires_grad_tensor_receives_grad():
     x = T.Tensor([1.0, 2.0], requires_grad=True)
     tape = T.Tape()
     with T.record(tape):
-        y = x * 5.0
-        loss = y.sum()
+        y = T.scale(x, 5.0)
+        loss = weighted_sum(y)
     tape.backward(loss)
     np.testing.assert_allclose(y.grad, [1.0, 1.0])
 
@@ -367,13 +365,11 @@ def test_intermediate_requires_grad_tensor_receives_grad():
 # remaining ops
 
 
-def test_add_mul_broadcast_grads():
+def test_add_broadcast_grads():
     rng = np.random.default_rng(11)
-    check_op_grads(lambda ts: T.add(ts[0], ts[1]).sum(),
+    check_op_grads(lambda ts: weighted_sum(T.add(ts[0], ts[1])),
                    [rng.normal(size=(3, 4)), rng.normal(size=(1, 4))])
-    check_op_grads(lambda ts: T.mul(ts[0], ts[1]).sum(),
-                   [rng.normal(size=(3, 4)), rng.normal(size=(3, 1))])
-    check_op_grads(lambda ts: T.mul(ts[0], ts[1]).sum(),
+    check_op_grads(lambda ts: weighted_sum(T.add(ts[0], ts[1])),
                    [rng.normal(size=(2, 3, 4)), rng.normal(size=(3, 4))])
 
 
@@ -381,8 +377,9 @@ def test_relu_sigmoid_grads():
     rng = np.random.default_rng(12)
     x = rng.normal(size=(4, 3))
     x[np.abs(x) < 0.05] = 0.1  # keep FD away from the kink
-    check_op_grads(lambda ts: T.relu(ts[0]).sum(), [x])
-    check_op_grads(lambda ts: T.sigmoid(ts[0]).sum(), [rng.normal(size=(4, 3))])
+    check_op_grads(lambda ts: weighted_sum(T.relu(ts[0])), [x])
+    check_op_grads(lambda ts: weighted_sum(T.sigmoid(ts[0])),
+                   [rng.normal(size=(4, 3))])
 
 
 def test_sigmoid_extremes_finite():
@@ -394,7 +391,7 @@ def test_sigmoid_extremes_finite():
 def test_fully_connected_grads():
     rng = np.random.default_rng(13)
     check_op_grads(
-        lambda ts: T.fully_connected(ts[0], ts[1], ts[2]).sum(),
+        lambda ts: weighted_sum(T.fully_connected(ts[0], ts[1], ts[2])),
         [rng.normal(size=(5, 3)), rng.normal(size=(3, 2)), rng.normal(size=2)])
 
 
@@ -404,7 +401,7 @@ def test_embedding_lookup_scatters_grads():
     ids = [1, 1, 3]
     tape = T.Tape()
     with T.record(tape):
-        loss = T.embedding_lookup(table, ids).sum()
+        loss = weighted_sum(T.embedding_lookup(table, ids))
     tape.backward(loss)
     expected = np.zeros((4, 3))
     expected[1] = 2.0
@@ -434,16 +431,15 @@ def test_dropout_eval_is_identity_and_train_is_seeded():
 def test_dropout_grads_use_same_mask():
     x = np.random.default_rng(15).normal(size=(6, 3))
     keep = T.dropout_keep(x.shape, 0.5, np.random.default_rng(7), np.float64)
-    check_op_grads(lambda ts: T.dropout(ts[0], keep).sum(), [x])
+    check_op_grads(lambda ts: weighted_sum(T.dropout(ts[0], keep)), [x])
 
 
-def test_sum_mean_reshape_grads():
+def test_reshape_grads():
     rng = np.random.default_rng(16)
     x = rng.normal(size=(3, 4))
-    check_op_grads(lambda ts: ts[0].sum(axis=0).sum(), [x])
-    check_op_grads(lambda ts: ts[0].sum(axis=1, keepdims=True).sum(), [x])
-    check_op_grads(lambda ts: ts[0].mean(), [x])
-    check_op_grads(lambda ts: ts[0].reshape(4, 3).sum(axis=0).sum(), [x])
+    probe = rng.normal(size=(4, 3))
+    check_op_grads(lambda ts: weighted_sum(T.reshape(ts[0], (4, 3)), probe),
+                   [x])
 
 
 def test_grouped_ops_match_per_item_ops():
@@ -477,16 +473,16 @@ def test_grouped_ops_grads():
     rng = np.random.default_rng(22)
     g, n, d, m = 2, 3, 4, 2
     x = rng.normal(size=(g, n, d))
-    probe = T.constant(rng.normal(size=(g, n, m)), dtype=np.float64)
-    check_op_grads(lambda ts: T.mul(T.matmul(ts[0], ts[1]), probe).sum(),
+    probe = rng.normal(size=(g, n, m))
+    check_op_grads(lambda ts: weighted_sum(T.matmul(ts[0], ts[1]), probe),
                    [x, rng.normal(size=(d, m))])
-    check_op_grads(lambda ts: T.mul(T.matmul(ts[0], ts[1]), probe).sum(),
+    check_op_grads(lambda ts: weighted_sum(T.matmul(ts[0], ts[1]), probe),
                    [rng.normal(size=(g, n, d)), rng.normal(size=(g, d, m))])
     check_op_grads(
-        lambda ts: T.mul(T.fully_connected(ts[0], ts[1], ts[2]), probe).sum(),
+        lambda ts: weighted_sum(T.fully_connected(ts[0], ts[1], ts[2]), probe),
         [x, rng.normal(size=(d, m)), rng.normal(size=m)])
     check_op_grads(
-        lambda ts: T.mul(T.conv1d(ts[0], ts[1], ts[2]), probe).sum(),
+        lambda ts: weighted_sum(T.conv1d(ts[0], ts[1], ts[2]), probe),
         [x, rng.normal(size=(3, d, m)), rng.normal(size=m)])
     check_op_grads(
         lambda ts: T.cross_entropy_rows(ts[0], [[0, 1, 1], [1, 0, 0]],
@@ -507,13 +503,14 @@ def test_conv1d_group_has_no_leak_between_items():
 
 
 def test_scale_and_operator_sugar():
+    # ``+`` is the one operator a Tensor keeps: the training losses sum with it
     x = T.Tensor([1.0, -2.0], requires_grad=True)
     tape = T.Tape()
     with T.record(tape):
-        y = 2.0 * x + 1.0 - x
-        loss = y.sum()
+        y = T.scale(x, 2.0) + T.scale(x, -1.0)
+        loss = weighted_sum(y)
     tape.backward(loss)
-    np.testing.assert_allclose(y.data, [2.0, -1.0])
+    np.testing.assert_allclose(y.data, [1.0, -2.0])
     np.testing.assert_allclose(x.grad, [1.0, 1.0])
 
 
@@ -527,7 +524,7 @@ def test_tape_replay_determinism():
         tape = T.Tape()
         with T.record(tape):
             h = T.relu(T.matmul(x, w))
-            loss = T.softmax(h, axis=1).sum(axis=0).sum()
+            loss = weighted_sum(T.softmax(h, axis=1))
         tape.backward(loss)
         return loss.item(), x.grad.copy(), w.grad.copy()
 

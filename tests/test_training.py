@@ -20,7 +20,7 @@ from ktabsa.training import (Adam, DivergenceError, Schedule,
 
 from fixtures import (TINY_WORDS, build_tiny_model, build_tiny_model_f64,
                       chain_adjacency, tiny_config, tiny_sentence)
-from helpers import corrupt_squash_backward
+from helpers import corrupt_squash_backward, weighted_sum
 
 
 def fake_states(logits: dict[str, np.ndarray]):
@@ -393,7 +393,7 @@ def test_gradcheck_linear_toy_model_is_exact():
         x = T.constant(rng.normal(size=(4, 3)))
 
     def loss():
-        return T.fully_connected(x, w, b).sum()
+        return weighted_sum(T.fully_connected(x, w, b))
 
     report = gradcheck(loss, {"w": w, "b": b})
     assert report.passed
@@ -404,7 +404,7 @@ def test_gradcheck_rejects_float32_params():
     w = T.Tensor(np.zeros((2, 2), dtype=np.float32), requires_grad=True,
                  name="w")
     with pytest.raises(ValueError, match="float64"):
-        gradcheck(lambda: w.sum(), {"w": w})
+        gradcheck(lambda: weighted_sum(w), {"w": w})
 
 
 def test_full_model_gradcheck_on_document_loss():
