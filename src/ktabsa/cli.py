@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Subcommands: train, eval, predict, ablate, trace, gradcheck, gen-synth.
-Exit codes: 0 ok, 2 configuration/usage, 3 data or compatibility, 4 numerical
-failure. ``--set``, ``--seed`` and ``KTABSA_OUT_DIR`` (which overrides
-``out_dir``) set keys of the one table in :mod:`ktabsa.config`; ``ablate``
-trains the configured model through :func:`ktabsa.model.apply_ablation`.
+Exit codes: 0 ok, 2 configuration/usage, 3 data or compatibility (also a
+file that cannot be read or written), 4 numerical failure. ``--set``,
+``--seed`` and ``KTABSA_OUT_DIR`` (which overrides ``out_dir``) set keys of
+the one table in :mod:`ktabsa.config`; ``ablate`` trains the configured
+model through :func:`ktabsa.model.apply_ablation`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import config as C
 from .data import (CorpusError, DEFAULT_SCHEMES, assign_embedding_ids,
-                   corpus_words, dev_split, load_aspect_corpus,
+                   atomic_write, corpus_words, dev_split, load_aspect_corpus,
                    load_document_corpus, load_embeddings, random_embeddings)
 from .metrics import evaluate, write_predictions
 from .model import (ABLATIONS, ALL_DIRECTIONS, AbsaModel, CheckpointError,
@@ -53,39 +54,33 @@ def _load_run_config(args) -> C.RunConfig:
 def _build_corpora(rc: C.RunConfig):
     if not rc.aspect_train:
         raise ConfigError("aspect_train is required but not set")
-    if not os.path.exists(rc.aspect_train):
-        raise ConfigError(f"aspect_train: file not found: {rc.aspect_train}")
+    for key in ("aspect_train", "aspect_test", "documents"):
+        path = getattr(rc, key)
+        if path and not os.path.exists(path):
+            raise ConfigError(f"{key}: file not found: {path}")
     schemes = DEFAULT_SCHEMES
     train = load_aspect_corpus(rc.aspect_train, schemes)
-    test = []
-    if rc.aspect_test:
-        if not os.path.exists(rc.aspect_test):
-            raise ConfigError(f"aspect_test: file not found: {rc.aspect_test}")
-        test = load_aspect_corpus(rc.aspect_test, schemes)
-    documents = []
-    if rc.documents:
-        if not os.path.exists(rc.documents):
-            raise ConfigError(f"documents: file not found: {rc.documents}")
-        documents = load_document_corpus(rc.documents, schemes)
+    test = (load_aspect_corpus(rc.aspect_test, schemes)
+            if rc.aspect_test else [])
+    documents = (load_document_corpus(rc.documents, schemes)
+                 if rc.documents else [])
 
     words = corpus_words(train + test, documents)
     mc = rc.model
     emb_rng = np.random.default_rng(np.random.SeedSequence([mc.seed, 77]))
-    if rc.general_embeddings:
-        general = load_embeddings(rc.general_embeddings)
-        if general.dim != mc.d_general:
-            raise ConfigError(f"general_embeddings have dim {general.dim}; "
-                              f"set d_general = {general.dim}")
-    else:
-        general = random_embeddings(words, mc.d_general, emb_rng)
-    if rc.domain_embeddings:
-        domain = load_embeddings(rc.domain_embeddings)
-        if domain.dim != mc.d_domain:
-            raise ConfigError(f"domain_embeddings have dim {domain.dim}; "
-                              f"set d_domain = {domain.dim}")
-    else:
-        domain = random_embeddings(words, mc.d_domain, emb_rng)
 
+    def embeddings(kind: str):
+        path = getattr(rc, f"{kind}_embeddings")
+        dim = getattr(mc, f"d_{kind}")
+        if not path:
+            return random_embeddings(words, dim, emb_rng)
+        table = load_embeddings(path)
+        if table.dim != dim:
+            raise ConfigError(f"{kind}_embeddings have dim {table.dim}; "
+                              f"set d_{kind} = {table.dim}")
+        return table
+
+    general, domain = embeddings("general"), embeddings("domain")
     for part in (train, test, documents):
         assign_embedding_ids(part, general, domain)
     return schemes, train, test, documents, general, domain
@@ -154,13 +149,13 @@ def _train_runs(rc: C.RunConfig, quiet: bool) -> int:
             vals = [s["best_dev_f1_i"] for s in summaries]
             agg["dev_f1_i"] = {"mean": float(np.mean(vals)),
                                "std": float(np.std(vals))}
-        with open(os.path.join(rc.out_dir, "summary.json"), "w") as f:
+        with atomic_write(os.path.join(rc.out_dir, "summary.json")) as f:
             json.dump({"runs": summaries, "aggregate": agg}, f, indent=2)
         if not quiet:
             for name, stats in agg.items():
                 print(f"{name}: {stats['mean']:.4f} +/- {stats['std']:.4f} "
                       f"over {rc.runs} runs")
-    with open(os.path.join(rc.out_dir, "train_summary.json"), "w") as f:
+    with atomic_write(os.path.join(rc.out_dir, "train_summary.json")) as f:
         json.dump(summaries, f, indent=2)
     return EXIT_OK
 
@@ -193,7 +188,7 @@ def cmd_eval(args) -> int:
     report = evaluate([model.predict(s) for s in sentences], sentences)
     _print_report(report)
     if args.json_out:
-        with open(args.json_out, "w") as f:
+        with atomic_write(args.json_out) as f:
             json.dump(report.as_dict(), f, indent=2)
     return EXIT_OK
 
@@ -228,7 +223,7 @@ def cmd_trace(args) -> int:
         for step, trace in traces:
             if step == 1 and trace.direction == args.direction:
                 path = os.path.join(args.out, f"trace_{i:03d}.json")
-                with open(path, "w") as f:
+                with atomic_write(path) as f:
                     json.dump(agreement_trace(trace), f, indent=2)
                 written.append(path)
                 break
@@ -338,7 +333,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (CorpusError, CheckpointError, FileNotFoundError) as e:
+    except (CorpusError, CheckpointError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except DivergenceError as e:

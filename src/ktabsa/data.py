@@ -1,4 +1,4 @@
-"""Corpora, tagging schemes, spans, embeddings, batching and length groups.
+"""Corpora, tagging schemes, spans, embeddings, batching, length groups.
 
 File formats
 ------------
@@ -16,6 +16,7 @@ Embeddings: word2vec text format, optional ``count dim`` header.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -28,6 +29,34 @@ import numpy as np
 
 class CorpusError(ValueError):
     """Malformed corpus, embedding, or label content."""
+
+
+def _text_lines(path: str):
+    """(line number, line) pairs of a UTF-8 text file; undecodable bytes
+    raise :class:`CorpusError` naming the file."""
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            yield from enumerate(f, 1)
+        except UnicodeDecodeError as e:
+            raise CorpusError(f"{path}: not UTF-8 text: {e}") from None
+
+
+@contextlib.contextmanager
+def atomic_write(path: str, binary: bool = False):
+    """Open a temporary file next to ``path`` for writing (UTF-8 text unless
+    ``binary``) and rename it over ``path`` once the block completes. A
+    write that fails part-way leaves any earlier file at ``path`` intact and
+    removes the temporary file."""
+    tmp = f"{path}.tmp{os.getpid()}"
+    try:
+        with open(tmp, "wb" if binary else "w",
+                  encoding=None if binary else "utf-8") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 @dataclass(frozen=True)
@@ -153,18 +182,6 @@ def extract_spans(tags: Sequence[int], begin: int = BEGIN,
     return tuple(spans)
 
 
-def tags_from_spans(spans: Iterable[tuple[int, int]], n: int,
-                    begin: int = BEGIN, inside: int = INSIDE,
-                    outside: int = OUTSIDE) -> tuple[int, ...]:
-    """Inverse of extract_spans for disjoint span sets."""
-    tags = [outside] * n
-    for s, e in spans:
-        tags[s] = begin
-        for i in range(s + 1, e):
-            tags[i] = inside
-    return tuple(tags)
-
-
 def gold_pairs(sent: Sentence) -> tuple[tuple[tuple[int, int], int], ...]:
     """Gold (aspect span, sentiment) pairs; the span's first token labels it."""
     out = []
@@ -185,28 +202,27 @@ def _identity_adjacency(n: int) -> np.ndarray:
 
 def _load_adjacency(path: str, sentences: list[Sentence]) -> None:
     edges: dict[int, list[tuple[int, int]]] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise CorpusError(f"{path}:{lineno}: expected "
-                                  f"'<sentence> <i> <j>', got {line!r}")
-            try:
-                si, i, j = (int(p) for p in parts)
-            except ValueError:
-                raise CorpusError(f"{path}:{lineno}: non-integer edge "
-                                  f"entry {line!r}") from None
-            if not 0 <= si < len(sentences):
-                raise CorpusError(f"{path}:{lineno}: sentence index {si} out "
-                                  f"of range (corpus has {len(sentences)})")
-            n = sentences[si].n
-            if not (0 <= i < n and 0 <= j < n):
-                raise CorpusError(f"{path}:{lineno}: token index out of range "
-                                  f"for sentence {si} of length {n}")
-            edges.setdefault(si, []).append((i, j))
+    for lineno, line in _text_lines(path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise CorpusError(f"{path}:{lineno}: expected "
+                              f"'<sentence> <i> <j>', got {line!r}")
+        try:
+            si, i, j = (int(p) for p in parts)
+        except ValueError:
+            raise CorpusError(f"{path}:{lineno}: non-integer edge "
+                              f"entry {line!r}") from None
+        if not 0 <= si < len(sentences):
+            raise CorpusError(f"{path}:{lineno}: sentence index {si} out "
+                              f"of range (corpus has {len(sentences)})")
+        n = sentences[si].n
+        if not (0 <= i < n and 0 <= j < n):
+            raise CorpusError(f"{path}:{lineno}: token index out of range "
+                              f"for sentence {si} of length {n}")
+        edges.setdefault(si, []).append((i, j))
     for si, pairs in edges.items():
         a = sentences[si].adjacency
         for i, j in pairs:
@@ -254,27 +270,26 @@ def load_aspect_corpus(path: str, schemes: TagSchemes = DEFAULT_SCHEMES,
                                   _identity_adjacency(len(tokens))))
         tokens, ate, ote, asc = [], [], [], []
 
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                flush(lineno)
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise CorpusError(
-                    f"{path}:{lineno}: expected 4 tab-separated fields "
-                    f"(token, aspect, opinion, sentiment), got {len(parts)}")
-            if not tokens:
-                first_line = lineno
-            tok, a, o, s = parts
-            try:
-                ate.append(schemes.index("ate", a))
-                ote.append(schemes.index("ote", o))
-                asc.append(None if s == "_" else schemes.index("asc", s))
-            except CorpusError as e:
-                raise CorpusError(f"{path}:{lineno}: {e}") from None
-            tokens.append(tok)
+    for lineno, raw in _text_lines(path):
+        line = raw.rstrip("\n")
+        if not line.strip():
+            flush(lineno)
+            continue
+        parts = line.split("\t")
+        if len(parts) != 4:
+            raise CorpusError(
+                f"{path}:{lineno}: expected 4 tab-separated fields "
+                f"(token, aspect, opinion, sentiment), got {len(parts)}")
+        if not tokens:
+            first_line = lineno
+        tok, a, o, s = parts
+        try:
+            ate.append(schemes.index("ate", a))
+            ote.append(schemes.index("ote", o))
+            asc.append(None if s == "_" else schemes.index("asc", s))
+        except CorpusError as e:
+            raise CorpusError(f"{path}:{lineno}: {e}") from None
+        tokens.append(tok)
     flush(lineno if sentences or tokens else 0)
 
     if adjacency_path is None:
@@ -285,14 +300,6 @@ def load_aspect_corpus(path: str, schemes: TagSchemes = DEFAULT_SCHEMES,
     return sentences
 
 
-def corpus_stats(sentences: Sequence[Sentence]) -> dict[str, int]:
-    return {
-        "sentences": len(sentences),
-        "aspect_terms": sum(len(extract_spans(s.ate_gold)) for s in sentences),
-        "opinion_terms": sum(len(extract_spans(s.ote_gold)) for s in sentences),
-    }
-
-
 # ---------------------------------------------------------------------------
 # document corpus
 
@@ -300,38 +307,37 @@ def corpus_stats(sentences: Sequence[Sentence]) -> dict[str, int]:
 def load_document_corpus(path: str,
                          schemes: TagSchemes = DEFAULT_SCHEMES) -> list[Document]:
     docs: list[Document] = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise CorpusError(f"{path}:{lineno}: bad JSON: {e}") from None
-            text = rec.get("text")
-            if not isinstance(text, str) or not text.split():
-                raise CorpusError(f"{path}:{lineno}: missing or empty 'text'")
-            domain = rec.get("domain")
-            sentiment = rec.get("sentiment")
-            if domain is None and sentiment is None:
-                raise CorpusError(f"{path}:{lineno}: record carries neither "
-                                  "'domain' nor 'sentiment'")
-            di = None
-            if domain is not None:
-                if domain not in schemes.domain_labels:
-                    raise CorpusError(f"{path}:{lineno}: unknown domain "
-                                      f"{domain!r}; expected one of "
-                                      f"{schemes.domain_labels}")
-                di = schemes.domain_labels.index(domain)
-            si = None
-            if sentiment is not None:
-                if sentiment not in schemes.dsc_labels:
-                    raise CorpusError(f"{path}:{lineno}: unknown sentiment "
-                                      f"{sentiment!r}; expected one of "
-                                      f"{schemes.dsc_labels}")
-                si = schemes.dsc_labels.index(sentiment)
-            docs.append(Document(tuple(text.split()), di, si))
+    for lineno, raw in _text_lines(path):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise CorpusError(f"{path}:{lineno}: bad JSON: {e}") from None
+        text = rec.get("text")
+        if not isinstance(text, str) or not text.split():
+            raise CorpusError(f"{path}:{lineno}: missing or empty 'text'")
+        domain = rec.get("domain")
+        sentiment = rec.get("sentiment")
+        if domain is None and sentiment is None:
+            raise CorpusError(f"{path}:{lineno}: record carries neither "
+                              "'domain' nor 'sentiment'")
+        di = None
+        if domain is not None:
+            if domain not in schemes.domain_labels:
+                raise CorpusError(f"{path}:{lineno}: unknown domain "
+                                  f"{domain!r}; expected one of "
+                                  f"{schemes.domain_labels}")
+            di = schemes.domain_labels.index(domain)
+        si = None
+        if sentiment is not None:
+            if sentiment not in schemes.dsc_labels:
+                raise CorpusError(f"{path}:{lineno}: unknown sentiment "
+                                  f"{sentiment!r}; expected one of "
+                                  f"{schemes.dsc_labels}")
+            si = schemes.dsc_labels.index(sentiment)
+        docs.append(Document(tuple(text.split()), di, si))
     return docs
 
 
@@ -379,38 +385,37 @@ def load_embeddings(path: str) -> EmbeddingTable:
     rows: list[np.ndarray] = []
     seen: set[str] = set()
     dim: int | None = None
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, 1):
-            parts = raw.rstrip("\n").split(" ")
-            parts = [p for p in parts if p != ""]
-            if not parts:
-                continue
-            if lineno == 1 and len(parts) == 2:
-                try:
-                    int(parts[0]), int(parts[1])
-                    continue  # count/dim header
-                except ValueError:
-                    pass
-            word, vals = parts[0], parts[1:]
-            if dim is None:
-                dim = len(vals)
-                if dim == 0:
-                    raise CorpusError(f"{path}:{lineno}: row has no values")
-            if len(vals) != dim:
-                raise CorpusError(f"{path}:{lineno}: expected {dim} values, "
-                                  f"got {len(vals)}")
-            if word in seen:
-                warnings.warn(f"{path}:{lineno}: duplicate word {word!r}; "
-                              "keeping the first occurrence")
-                continue
+    for lineno, raw in _text_lines(path):
+        parts = raw.rstrip("\n").split(" ")
+        parts = [p for p in parts if p != ""]
+        if not parts:
+            continue
+        if lineno == 1 and len(parts) == 2:
             try:
-                vec = np.array([float(v) for v in vals], dtype=np.float32)
+                int(parts[0]), int(parts[1])
+                continue  # count/dim header
             except ValueError:
-                raise CorpusError(f"{path}:{lineno}: non-numeric value in "
-                                  f"embedding row for {word!r}") from None
-            seen.add(word)
-            words.append(word)
-            rows.append(vec)
+                pass
+        word, vals = parts[0], parts[1:]
+        if dim is None:
+            dim = len(vals)
+            if dim == 0:
+                raise CorpusError(f"{path}:{lineno}: row has no values")
+        if len(vals) != dim:
+            raise CorpusError(f"{path}:{lineno}: expected {dim} values, "
+                              f"got {len(vals)}")
+        if word in seen:
+            warnings.warn(f"{path}:{lineno}: duplicate word {word!r}; "
+                          "keeping the first occurrence")
+            continue
+        try:
+            vec = np.array([float(v) for v in vals], dtype=np.float32)
+        except ValueError:
+            raise CorpusError(f"{path}:{lineno}: non-numeric value in "
+                              f"embedding row for {word!r}") from None
+        seen.add(word)
+        words.append(word)
+        rows.append(vec)
     if dim is None:
         raise CorpusError(f"{path}: embedding file is empty")
     matrix = np.vstack(rows)

@@ -12,7 +12,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .data import Sentence, TagSchemes, extract_spans, gold_pairs
+from .data import (Sentence, TagSchemes, atomic_write, extract_spans,
+                   gold_pairs)
 from .model import Prediction
 
 Span = tuple[int, int]
@@ -144,7 +145,7 @@ def evaluate(predictions: Sequence[Prediction],
 
 def write_predictions(path: str, predictions: Sequence[Prediction],
                       schemes: TagSchemes) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         for p in predictions:
             rec = {
                 "tokens": list(p.tokens),
@@ -155,22 +156,3 @@ def write_predictions(path: str, predictions: Sequence[Prediction],
                           for span, lab in p.pairs],
             }
             f.write(json.dumps(rec) + "\n")
-
-
-def read_predictions(path: str, schemes: TagSchemes) -> list[Prediction]:
-    out = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            out.append(Prediction(
-                tokens=tuple(rec["tokens"]),
-                ate_spans=tuple(tuple(s) for s in rec["ate_spans"]),
-                ote_spans=tuple(tuple(s) for s in rec["ote_spans"]),
-                pairs=tuple((tuple(p["span"]),
-                             schemes.asc_tags.index(p["sentiment"]))
-                            for p in rec["pairs"]),
-            ))
-    return out

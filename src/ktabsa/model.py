@@ -16,7 +16,6 @@ attention weights and predictions are computed once per sentence.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import json
 import os
@@ -29,12 +28,13 @@ import numpy as np
 
 from . import layers as L
 from .data import (BEGIN, INSIDE, Document, EmbeddingTable, Sentence,
-                   TagSchemes, extract_spans)
+                   TagSchemes, atomic_write, extract_spans)
 from .routing import (PositionalEncoding, RoutingState, RoutingTrace,
-                      TransferDirection, predict_vectors, route)
+                      TransferDirection, directions_per_call, predict_vectors,
+                      route, target_votes)
 from .tensor import (ConfigError, Tensor, add, concat, constant,
                      default_dtype, dropout, dropout_keep, embedding_lookup,
-                     reshape, softmax)
+                     reshape, select, softmax)
 
 ASPECT_TASKS = ("ate", "ote", "asc")
 DOC_TASKS = ("ddc", "dsc")
@@ -421,7 +421,22 @@ class AbsaModel:
         document-level ones [G, ·], and the routing traces (one per
         sentence and direction) labelled with the aggregation round that
         produced them. ``keep`` (from :meth:`draw_dropout`) applies training
-        dropout."""
+        dropout. Every round shares the target votes q."""
+        state = self.initial_state(sentences, keep)
+        plan = self.route_plan(len(sentences), sentences[0].n)
+        states = [state]
+        traces: list[tuple[int, RoutingTrace]] = []
+        for t in range(1, self.config.iterations + 1):
+            state = self.transfer_and_aggregate(state, sentences, keep_trace,
+                                                traces, plan)
+            states.append(state)
+        return states, traces
+
+    def initial_state(self, sentences: Sequence[Sentence],
+                      keep: Sequence[tuple[np.ndarray, np.ndarray]] | None
+                      ) -> IterationState:
+        """Round 0: the task stacks' hidden vectors, their decodes and the
+        document heads, which later rounds reuse unchanged."""
         shared = self._shared(sentences, keep)
         hidden = {task: self.stacks[task](shared) for task in ASPECT_TASKS}
         doc_hidden = {s: self.stacks[s](shared) for s in DOC_TASKS}
@@ -432,16 +447,8 @@ class AbsaModel:
             doc_attn[s] = a
             doc_logits[s] = logits
             doc_probs[s] = softmax(logits, axis=-1)
-
-        state = self._decode_state(0, hidden, None, doc_attn, doc_logits,
-                                   doc_probs)
-        states = [state]
-        traces: list[tuple[int, RoutingTrace]] = []
-        for t in range(1, self.config.iterations + 1):
-            state = self.transfer_and_aggregate(state, sentences, keep_trace,
-                                                traces)
-            states.append(state)
-        return states, traces
+        return self._decode_state(0, hidden, None, doc_attn, doc_logits,
+                                  doc_probs)
 
     def _decode_state(self, t, hidden, prev: IterationState | None,
                       doc_attn, doc_logits, doc_probs) -> IterationState:
@@ -455,40 +462,70 @@ class AbsaModel:
         return IterationState(t, hidden, logits, probs, doc_attn, doc_logits,
                               doc_probs)
 
+    def route_plan(self, g: int, n: int
+                   ) -> list[tuple[list[TransferDirection], Tensor]]:
+        """The enabled directions of a round, grouped by target task, in
+        blocks of at most :func:`directions_per_call` directions; each block
+        comes with its stacked target votes q [k, 1, n, d_route]."""
+        order = [self.routes[f"{src}->{target}"] for target in ASPECT_TASKS
+                 for src in self.config.sources_into(target)]
+        size = directions_per_call(g, n)
+        plan = []
+        for start in range(0, len(order), size):
+            block = order[start:start + size]
+            q = concat([target_votes(d, self.pe, n) for d in block], axis=0)
+            plan.append((block, reshape(q, (len(block), 1, n,
+                                            self.config.d_route))))
+        return plan
+
     def transfer_and_aggregate(self, state: IterationState,
                                sentences: Sequence[Sentence],
                                keep_trace: bool = False,
-                               traces: list | None = None) -> IterationState:
+                               traces: list | None = None,
+                               plan: list | None = None) -> IterationState:
         """One aggregation round over the group: route knowledge between the
-        token-level tasks, fuse it with the previous predictions and the
-        document-level signals, and re-decode."""
+        token-level tasks, one :func:`route` call per block of ``plan``
+        (from :meth:`route_plan`), then :meth:`aggregate` it."""
         cfg = self.config
         g, n = len(sentences), sentences[0].n
+        if plan is None:
+            plan = self.route_plan(g, n)
         # the routing prior, built once in the model's dtype for every
         # direction of this round
         adjacency = np.stack([s.adjacency for s in sentences]).astype(
             self.emb_general.dtype, copy=False)
+        routed: dict[str, Tensor] = {}
+        for block, q in plan:
+            r = concat([predict_vectors(state.hidden[d.source], d, self.pe)
+                        for d in block], axis=0)
+            v, snaps = route(reshape(r, (len(block), g, n, cfg.d_route)), q,
+                             adjacency, cfg.route_iters, keep_trace=keep_trace)
+            for k, direction in enumerate(block):
+                routed[direction.name] = select(v, k)
+                if keep_trace and traces is not None:
+                    for i, sent in enumerate(sentences):
+                        traces.append((state.t + 1, RoutingTrace(
+                            direction.name, sent.tokens, sent.adjacency,
+                            [RoutingState(st.iteration, st.b[k, i],
+                                          st.c[k, i], st.s[k, i], st.v[k, i])
+                             for st in snaps])))
+        return self.aggregate(state, routed)
+
+    def aggregate(self, state: IterationState,
+                  routed: dict[str, Tensor]) -> IterationState:
+        """Fuse each target's routed knowledge ``routed[direction name]``
+        [G, n, d_route] with the previous predictions and the
+        document-level signals, and re-decode."""
+        cfg = self.config
+        g, n = state.hidden["ate"].shape[:2]
         new_hidden: dict[str, Tensor] = {}
         for target in ASPECT_TASKS:
             srcs = cfg.sources_into(target)
             if not srcs and not cfg.injects_into(target):
                 new_hidden[target] = state.hidden[target]
                 continue
-            parts = [state.hidden[target]]
-            for src in srcs:
-                direction = self.routes[f"{src}->{target}"]
-                r, q = predict_vectors(state.hidden[src], direction, self.pe)
-                v, snaps = route(r, q, adjacency, cfg.route_iters,
-                                 keep_trace=keep_trace)
-                if keep_trace and traces is not None:
-                    for i, sent in enumerate(sentences):
-                        traces.append((state.t + 1, RoutingTrace(
-                            direction.name, sent.tokens, sent.adjacency,
-                            [RoutingState(st.iteration, st.b[i], st.c[i],
-                                          st.s[i], st.v[i])
-                             for st in snaps])))
-                parts.append(v)
-            h = concat(parts, axis=-1)
+            h = concat([state.hidden[target]]
+                       + [routed[f"{src}->{target}"] for src in srcs], axis=-1)
             if srcs:
                 h = self.proj[target](h)
             fuse_in = [h, state.probs["ate"], state.probs["ote"],
@@ -543,9 +580,8 @@ class AbsaModel:
     # -- persistence --------------------------------------------------------
 
     def save(self, path: str) -> None:
-        """Write the checkpoint through a temporary file in the same
-        directory and rename it over ``path``, so an interrupted save
-        leaves any earlier file at ``path`` untouched."""
+        """Write the checkpoint atomically: an interrupted save leaves any
+        earlier file at ``path`` untouched."""
         params = self.named_tensors()
         manifest = []
         offset = 0
@@ -564,19 +600,12 @@ class AbsaModel:
             "manifest": manifest,
         }
         head = json.dumps(header).encode("utf-8")
-        tmp = f"{path}.tmp{os.getpid()}"
-        try:
-            with open(tmp, "wb") as f:
-                f.write(CHECKPOINT_MAGIC)
-                f.write(struct.pack("<Q", len(head)))
-                f.write(head)
-                for t in params.values():
-                    f.write(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
-            os.replace(tmp, path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.remove(tmp)
-            raise
+        with atomic_write(path, binary=True) as f:
+            f.write(CHECKPOINT_MAGIC)
+            f.write(struct.pack("<Q", len(head)))
+            f.write(head)
+            for t in params.values():
+                f.write(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
 
     @staticmethod
     def _read_header(f, path: str) -> dict:

@@ -17,18 +17,21 @@ then:
     5. sharpens b by the vote/output agreement u_hat[i,j] . v[j],
        computed as r v^T + 1 (q * v summed over the vote width)^T.
 
-The model routes a group of G equal-length sentences at once: r, b, c, s and
-v carry a leading group axis ([G, n, d_route], [G, n, n]), while q depends
-only on the position and is shared by the group. Equal lengths mean there is
-no padding and nothing to mask. The number of targets equals the sentence
-length, so the output is a dynamic-length set of vectors rather than a
-fixed capsule bank.
+:func:`route` takes any leading axes. The model routes k transfer
+directions of a group of G equal-length sentences in one call: r, b, c, s
+and v are [k, G, n, d_route] and [k, G, n, n], q is [k, 1, n, d_route]
+(it depends only on the position and the direction, so the group shares
+it), and the [G, n, n] adjacency is shared by the directions. Equal lengths
+mean there is no padding and nothing to mask. The number of targets equals
+the sentence length, so the output is a dynamic-length set of vectors
+rather than a fixed capsule bank.
 
-:func:`route` runs the whole loop as one tape node: the forward is plain
-numpy, and a hand-written backward replays the unrolled iterations in
-reverse. The node saves each iteration's couplings c_t [G, n, n] and its
-s_t, |s_t| and v_t ([G, n, d_route]), so a routing call holds
-O(T*G*n^2 + G*n*d) memory for T iterations, never the O(n^2*d) vote tensor.
+The loop is one tape node: the forward is plain numpy, and a hand-written
+backward replays the unrolled iterations in reverse. The node saves each
+iteration's couplings c_t [k, G, n, n] and its s_t, |s_t| and v_t
+([k, G, n, d_route]), so a call holds O(T*k*G*n^2 + k*G*n*d) memory for T
+iterations, never the O(n^2*d) vote tensor. :func:`directions_per_call`
+keeps one coupling array within :data:`COUPLING_BUDGET` elements.
 """
 
 from __future__ import annotations
@@ -41,6 +44,9 @@ from .tensor import (ConfigError, Tensor, _emit, _unbroadcast, add,
                      constant, default_dtype, matmul)
 
 SQUASH_EPS = 1e-9   # guards squash's division at the zero vector
+# Most elements of one stacked [k, G, n, n] coupling array (256 KiB in
+# float32); six directions at G 8, n 64 (2^18) ran slower stacked than apart.
+COUPLING_BUDGET = 1 << 16
 
 
 def positional_encoding(n: int, d_model: int) -> np.ndarray:
@@ -114,22 +120,32 @@ class RoutingTrace:
 
 
 def predict_vectors(h_source: Tensor, direction: TransferDirection,
-                    pe: PositionalEncoding) -> tuple[Tensor, Tensor]:
-    """Factored vote vectors: u_hat[g, i, j] = r[g, i] + q[j].
+                    pe: PositionalEncoding) -> Tensor:
+    """Source part of the factored votes u_hat[g, i, j] = r[g, i] + q[j].
 
-    ``h_source`` is [G, n, d] (or a single [n, d] sentence). ``r = (h + PE)
-    @ W`` is the source part, shaped like h with width d_route, and
-    ``q = PE @ W`` the target part, [n, d_route], shared by the group. The
-    projection W is shared across positions; position awareness comes from
-    the additive encodings of source and target.
+    ``h_source`` is [G, n, d] (or a single [n, d] sentence), and
+    ``r = (h + PE) @ W`` is shaped like h with width d_route. W is shared
+    across positions; the additive encodings make the votes position-aware.
     """
     n, d = h_source.shape[-2:]
     if d != pe.d_model:
         raise ConfigError(f"hidden width {d} does not match positional "
                           f"encoding dimension {pe.d_model}")
-    pe_n = pe.prefix(n)
-    return (matmul(add(h_source, pe_n), direction.weight),
-            matmul(pe_n, direction.weight))
+    return matmul(add(h_source, pe.prefix(n)), direction.weight)
+
+
+def target_votes(direction: TransferDirection, pe: PositionalEncoding,
+                 n: int) -> Tensor:
+    """Target part ``q = PE @ W`` [n, d_route] of the factored votes; it
+    depends only on n and W, so a forward pass computes it once."""
+    return matmul(pe.prefix(n), direction.weight)
+
+
+def directions_per_call(g: int, n: int) -> int:
+    """How many directions one :func:`route` call stacks for a group of g
+    sentences of length n: as many as keep a [k, g, n, n] coupling array
+    within :data:`COUPLING_BUDGET` elements, and at least one."""
+    return max(1, COUPLING_BUDGET // (g * n * n))
 
 
 def squash(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -164,37 +180,47 @@ def _accumulate(acc: np.ndarray | None, g: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _broadcasts_to(shape: tuple[int, ...], target: tuple[int, ...]) -> bool:
+    try:
+        return np.broadcast_shapes(shape, target) == target
+    except ValueError:
+        return False
+
+
 def route(r: Tensor, q: Tensor, adjacency: np.ndarray,
           iterations: int, keep_trace: bool = False
           ) -> tuple[Tensor, list[RoutingState]]:
     """Run the agreement loop and return the final target vectors.
 
-    The votes are ``u_hat[g, i, j] = r[g, i] + q[j]`` for source i and
-    target j of sentence g, with ``r`` [G, n, d_route] and ``q``
-    [n, d_route], as returned by :func:`predict_vectors`.
-    ``adjacency`` is the [G, n, n] binary dependency prior, re-added to the
-    logits at every iteration; it is used without a copy when it already
-    has r's dtype. A single sentence may drop the group axis from r and
-    adjacency. The loop is one tape node whose backward runs through every
-    unrolled iteration. The last iteration's agreement update feeds only
-    the trace, so it runs only when ``keep_trace`` is set.
+    The votes are ``u_hat[..., i, j] = r[..., i] + q[..., j]`` for source i
+    and target j, with ``r`` [..., n, d_route] and ``q`` [..., n, d_route]
+    broadcasting against r, as from :func:`predict_vectors` and
+    :func:`target_votes` (the model passes r [k, G, n, d], q [k, 1, n, d]).
+    ``adjacency`` is the binary dependency prior, broadcasting to the logits
+    ``r.shape[:-1] + (n,)`` and re-added at every iteration; it is used
+    without a copy when it already has r's dtype. The loop is one tape node
+    whose backward runs through every unrolled iteration. The last
+    iteration's agreement update feeds only the trace, so it runs only when
+    ``keep_trace`` is set.
     """
     if iterations < 1:
         raise ConfigError(f"routing needs at least one iteration, "
                           f"got {iterations}")
-    if r.ndim not in (2, 3):
-        raise ConfigError(f"source votes r must be [G, n, d] or [n, d], got "
+    if r.ndim < 2:
+        raise ConfigError(f"source votes r must be [..., n, d], got "
                           f"{tuple(r.shape)}")
     n, d = r.shape[-2:]
-    if q.shape != (n, d):
-        raise ConfigError(f"target votes q must match r's ({n}, {d}), "
-                          f"got {tuple(q.shape)}")
-    if adjacency.shape != r.shape[:-1] + (n,):
-        raise ConfigError(f"adjacency shape {adjacency.shape} does not match "
-                          f"votes {tuple(r.shape)}")
+    logits = r.shape[:-1] + (n,)
+    if q.shape[-2:] != (n, d) or not _broadcasts_to(q.shape, r.shape):
+        raise ConfigError(f"target votes q must match r's ({n}, {d}) and "
+                          f"broadcast to {tuple(r.shape)}, got "
+                          f"{tuple(q.shape)}")
+    if not _broadcasts_to(adjacency.shape, logits):
+        raise ConfigError(f"adjacency shape {adjacency.shape} does not "
+                          f"broadcast to the logits {logits}")
     rd, qd = r.data, q.data
     prior = np.asarray(adjacency, dtype=rd.dtype)
-    b = np.zeros(prior.shape, dtype=rd.dtype)
+    b = np.zeros(logits, dtype=rd.dtype)
     saved: list[tuple[np.ndarray, ...]] = []
     trace: list[RoutingState] = []
     for it in range(1, iterations + 1):

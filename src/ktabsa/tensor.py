@@ -216,6 +216,18 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _emit(out, fn)
 
 
+def select(a: Tensor, i: int) -> Tensor:
+    """Entry ``a[i]`` of the leading axis, a view of ``a``'s data."""
+    out = Tensor(a.data[i], requires_grad=a.requires_grad)
+
+    def fn(g, push):
+        full = np.zeros_like(a.data)
+        full[i] = g
+        push(a, full)
+
+    return _emit(out, fn)
+
+
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not parts:
         raise ShapeError("concat of zero tensors")

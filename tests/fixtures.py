@@ -44,6 +44,17 @@ def tiny_sentence() -> Sentence:
     )
 
 
+def random_sentence(rng: np.random.Generator, n: int) -> Sentence:
+    """Sentence of n tiny-vocabulary tokens with random tags and a chain
+    dependency prior; roughly every other token carries a sentiment label."""
+    tokens = tuple(rng.choice(TINY_WORDS, size=n))
+    asc = tuple(int(rng.integers(3)) if rng.random() < 0.5 else None
+                for _ in range(n))
+    return Sentence(tokens, tuple(int(t) for t in rng.integers(3, size=n)),
+                    tuple(int(t) for t in rng.integers(3, size=n)), asc,
+                    chain_adjacency(n))
+
+
 def tiny_document() -> Document:
     return Document(tokens=("great", "battery", "overall"),
                     domain_gold=0, sentiment_gold=0)

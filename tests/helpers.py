@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import contextlib
+import json
 
 import numpy as np
 import pytest
 
-from ktabsa import routing
+from ktabsa import data, routing
 from ktabsa import tensor as T
+from ktabsa.data import BEGIN, INSIDE, OUTSIDE, extract_spans
+from ktabsa.model import ASPECT_TASKS, Prediction
 
 
 def numeric_grad(fn, x: np.ndarray, step: float = 1e-3) -> np.ndarray:
@@ -115,6 +118,110 @@ def corrupt_squash_backward(k: float):
         yield
 
 
+@contextlib.contextmanager
+def failing_disk(nth_write: int = 3):
+    """Within the block, every file opened for writing through
+    ``ktabsa.data.atomic_write`` fails its ``nth_write``-th write part-way,
+    as on a full disk: half of that data reaches the file, then OSError
+    (ENOSPC) is raised."""
+    real_open = open
+
+    class FailingFile:
+        def __init__(self, f):
+            self.f, self.writes = f, 0
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes == nth_write:
+                self.f.write(data[:len(data) // 2])
+                raise OSError(28, "No space left on device")
+            return self.f.write(data)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "open",
+                   lambda *a, **k: FailingFile(real_open(*a, **k)),
+                   raising=False)
+        yield
+
+
 def squash_ref(s: np.ndarray, eps: float = 1e-9) -> np.ndarray:
     r = np.linalg.norm(s, axis=-1, keepdims=True)
     return (r * r) / (1 + r * r) * s / (r + eps)
+
+
+def per_direction_forward(model, sentences, keep=None, keep_trace=False):
+    """Reference for ``AbsaModel.forward`` that routes every transfer
+    direction in a call of its own, r [G, n, d_route] against q
+    [n, d_route], with no direction axis, stacking or slicing. As in the
+    model, q is computed once per forward and serves every round; round 0
+    and the fusion are the model's own code."""
+    cfg = model.config
+    n = sentences[0].n
+    state = model.initial_state(sentences, keep)
+    q = {name: routing.target_votes(d, model.pe, n)
+         for name, d in model.routes.items()}
+    adjacency = np.stack([s.adjacency for s in sentences]).astype(
+        model.emb_general.dtype)
+    states, traces = [state], []
+    for t in range(1, cfg.iterations + 1):
+        routed = {}
+        for target in ASPECT_TASKS:
+            for src in cfg.sources_into(target):
+                d = model.routes[f"{src}->{target}"]
+                r = routing.predict_vectors(state.hidden[src], d, model.pe)
+                v, snaps = routing.route(r, q[d.name], adjacency,
+                                         cfg.route_iters, keep_trace)
+                routed[d.name] = v
+                if not keep_trace:
+                    continue
+                for i, sent in enumerate(sentences):
+                    traces.append((t, routing.RoutingTrace(
+                        d.name, sent.tokens, sent.adjacency,
+                        [routing.RoutingState(st.iteration, st.b[i], st.c[i],
+                                              st.s[i], st.v[i])
+                         for st in snaps])))
+        state = model.aggregate(state, routed)
+        states.append(state)
+    return states, traces
+
+
+def tags_from_spans(spans, n: int) -> tuple[int, ...]:
+    """BIO tags of disjoint spans: the inverse of ``data.extract_spans``."""
+    tags = [OUTSIDE] * n
+    for s, e in spans:
+        tags[s] = BEGIN
+        for i in range(s + 1, e):
+            tags[i] = INSIDE
+    return tuple(tags)
+
+
+def corpus_stats(sentences) -> dict[str, int]:
+    return {
+        "sentences": len(sentences),
+        "aspect_terms": sum(len(extract_spans(s.ate_gold)) for s in sentences),
+        "opinion_terms": sum(len(extract_spans(s.ote_gold)) for s in sentences),
+    }
+
+
+def read_predictions(path: str, schemes) -> list[Prediction]:
+    """Predictions back from a ``metrics.write_predictions`` JSONL file."""
+    out = []
+    with open(path, "r", encoding="utf-8") as f:
+        for line in f:
+            if not line.strip():
+                continue
+            rec = json.loads(line)
+            out.append(Prediction(
+                tokens=tuple(rec["tokens"]),
+                ate_spans=tuple(tuple(s) for s in rec["ate_spans"]),
+                ote_spans=tuple(tuple(s) for s in rec["ote_spans"]),
+                pairs=tuple((tuple(p["span"]),
+                             schemes.asc_tags.index(p["sentiment"]))
+                            for p in rec["pairs"])))
+    return out

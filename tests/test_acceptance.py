@@ -14,7 +14,7 @@ import pytest
 
 from ktabsa import tensor as T
 from ktabsa.data import (DEFAULT_SCHEMES, CorpusError,
-                         assign_embedding_ids, corpus_stats, corpus_words,
+                         assign_embedding_ids, corpus_words,
                          load_aspect_corpus, random_embeddings)
 from ktabsa.metrics import asc_scores, evaluate, pair_f1, span_f1
 from ktabsa.model import AbsaModel, ModelConfig, apply_ablation
@@ -24,7 +24,7 @@ from ktabsa.training import (Schedule, aspect_loss, fit,
                              gradcheck, gradcheck_harness)
 
 from fixtures import build_tiny_model, tiny_config
-from helpers import squash_ref
+from helpers import corpus_stats, read_predictions, squash_ref
 from test_metrics import asc_oracle, micro_f1_oracle, random_instance
 
 
@@ -311,7 +311,7 @@ def test_determinism_and_persistence(tmp_path):
     preds_clone = [clone.predict(s) for s in test_sentences]
     assert preds_orig == preds_clone
 
-    from ktabsa.metrics import read_predictions, write_predictions
+    from ktabsa.metrics import write_predictions
     report = evaluate(preds_orig, test_sentences)
     pred_path = str(tmp_path / "preds.jsonl")
     write_predictions(pred_path, preds_orig, DEFAULT_SCHEMES)

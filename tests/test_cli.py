@@ -273,6 +273,44 @@ def test_eval_damaged_header_exit_3(synth_dir, tmp_path, capsys):
         assert key in capsys.readouterr().err
 
 
+@pytest.fixture
+def tiny_checkpoint(tmp_path):
+    model, _, _ = build_tiny_model()
+    path = str(tmp_path / "m.ckpt")
+    model.save(path)
+    return path
+
+
+def test_unreadable_or_unwritable_paths_exit_3(synth_dir, tiny_checkpoint,
+                                               tmp_path, capsys):
+    # a directory where a file is expected, an existing file where the
+    # trace directory goes, and a corpus that is not UTF-8: each is a data
+    # error with a one-line message, not a traceback
+    test_tsv = os.path.join(synth_dir, "test.tsv")
+    a_dir = str(tmp_path / "a_dir")
+    os.makedirs(a_dir)
+    a_file = str(tmp_path / "a_file")
+    open(a_file, "w").close()
+    latin1 = str(tmp_path / "latin1.tsv")
+    with open(latin1, "wb") as f:
+        f.write(b"caf\xe9\tO\tO\t_\n\n")
+    for argv, named in (
+            (("predict", "--corpus", test_tsv, "--out", a_dir), a_dir),
+            (("eval", "--corpus", test_tsv, "--json-out", a_dir), a_dir),
+            (("predict", "--corpus", a_dir, "--out", a_file), a_dir),
+            (("trace", "--corpus", test_tsv, "--direction", "ote->asc",
+              "--out", a_file), a_file),
+            (("eval", "--corpus", latin1), latin1)):
+        code = run_cli(argv[0], "--checkpoint", tiny_checkpoint, *argv[1:])
+        err = capsys.readouterr().err
+        assert code == 3, argv
+        assert err.startswith("data error:") and named in err
+        assert len(err.strip().splitlines()) == 1
+    assert sorted(os.listdir(tmp_path)) == ["a_dir", "a_file", "latin1.tsv",
+                                            "m.ckpt"]
+    assert not os.listdir(a_dir) and os.path.getsize(a_file) == 0
+
+
 @pytest.mark.parametrize("setting", ["batch_size=0", "pretrain_epochs=-1",
                                      "aspect_batches_per_doc=0",
                                      "kernel_widths=", "kernel_widths=3,3",

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ktabsa import data as D
+
+from helpers import corpus_stats, failing_disk, tags_from_spans
 
 
 TSV_OK = """\
@@ -77,7 +80,7 @@ def test_span_tag_round_trip(data):
             pos = end
         else:
             pos += 1
-    tags = D.tags_from_spans(spans, n)
+    tags = tags_from_spans(spans, n)
     assert D.extract_spans(tags) == tuple(spans)
 
 
@@ -113,7 +116,7 @@ def test_load_aspect_corpus(tmp_path):
     assert D.extract_spans(s.ote_gold) == ((4, 5),)
     assert s.asc_gold == (None, 0, 0, None, None)
     np.testing.assert_array_equal(s.adjacency, np.eye(5))
-    stats = D.corpus_stats(sents)
+    stats = corpus_stats(sents)
     assert stats == {"sentences": 2, "aspect_terms": 2, "opinion_terms": 2}
 
 
@@ -314,3 +317,30 @@ def test_length_groups_in_order_of_first_appearance():
              + make_sentences(1, length=5))
     assert D.length_groups(sents) == [[0, 2], [1, 4], [3]]
     assert D.length_groups([]) == []
+
+
+# ---------------------------------------------------------------------------
+# file encoding and atomic writes
+
+
+@pytest.mark.parametrize("loader", [D.load_aspect_corpus,
+                                    D.load_document_corpus,
+                                    D.load_embeddings])
+def test_undecodable_bytes_raise_corpus_error_naming_the_file(tmp_path,
+                                                              loader):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"ok\tO\tO\t_\ncaf\xe9\tO\tO\t_\n\n")
+    with pytest.raises(D.CorpusError, match="latin1.txt.*UTF-8"):
+        loader(str(path))
+
+
+def test_atomic_write_failing_midway_keeps_the_earlier_file(tmp_path):
+    path = tmp_path / "out.json"
+    with D.atomic_write(str(path)) as f:
+        f.write("old\n")
+    with failing_disk(nth_write=2), pytest.raises(OSError, match="No space"):
+        with D.atomic_write(str(path)) as f:
+            f.write("new line one\n")
+            f.write("new line two\n")
+    assert path.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["out.json"]

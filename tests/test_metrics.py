@@ -1,9 +1,14 @@
-import numpy as np
+import os
 
-from ktabsa.data import DEFAULT_SCHEMES, Sentence, tags_from_spans
-from ktabsa.metrics import (asc_scores, evaluate, pair_f1, read_predictions,
-                            span_f1, write_predictions)
+import numpy as np
+import pytest
+
+from ktabsa.data import DEFAULT_SCHEMES, Sentence
+from ktabsa.metrics import (asc_scores, evaluate, pair_f1, span_f1,
+                            write_predictions)
 from ktabsa.model import Prediction
+
+from helpers import failing_disk, read_predictions, tags_from_spans
 
 
 # ---------------------------------------------------------------------------
@@ -211,3 +216,15 @@ def test_evaluate_empty_corpus_is_all_zero():
     assert (report.f1_a, report.f1_o, report.acc_s, report.f1_s,
             report.f1_i) == (0.0, 0.0, 0.0, 0.0, 0.0)
     assert report.degenerate_asc
+
+
+def test_failed_prediction_write_keeps_the_earlier_file(tmp_path):
+    path = str(tmp_path / "preds.jsonl")
+    preds = [Prediction(("good", "food"), ((1, 2),), ((0, 1),), (((1, 2), 0),))
+             for _ in range(4)]
+    write_predictions(path, preds[:1], DEFAULT_SCHEMES)
+    before = open(path, "rb").read()
+    with failing_disk(nth_write=3), pytest.raises(OSError, match="No space"):
+        write_predictions(path, preds, DEFAULT_SCHEMES)
+    assert open(path, "rb").read() == before
+    assert os.listdir(tmp_path) == ["preds.jsonl"]

@@ -8,14 +8,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from ktabsa import model as M
+from ktabsa import routing
 from ktabsa import tensor as T
-from ktabsa.data import DEFAULT_SCHEMES, Sentence
-from ktabsa.model import (AbsaModel, CheckpointError, ModelConfig,
+from ktabsa.data import DEFAULT_SCHEMES, Sentence, assign_embedding_ids
+from ktabsa.model import (ABLATIONS, AbsaModel, CheckpointError, ModelConfig,
                           apply_ablation, majority_sentiment)
-from ktabsa.training import aspect_loss
+from ktabsa.training import aspect_loss, batch_aspect_loss
 
-from fixtures import (build_tiny_model, chain_adjacency, edit_header,
+from fixtures import (build_tiny_model, build_tiny_model_f64,
+                      chain_adjacency, edit_header, random_sentence,
                       tiny_config, with_header)
+from helpers import failing_disk, per_direction_forward
 
 
 def clone_states(states):
@@ -306,6 +310,167 @@ def test_predict_assembles_spans_and_majority_sentiment(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# routing a round's directions in blocks
+
+
+def counted(mp, module, name):
+    """Replace ``module.name`` with a wrapper that records each call's
+    positional arguments in the returned list."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    mp.setattr(module, name, wrapper)
+    return calls
+
+
+def grads_of(model, build):
+    """The loss ``build()`` records and every parameter's gradient (None
+    where none flowed)."""
+    params = model.named_parameters()
+    for p in params.values():
+        p.zero_grad()
+    tape = T.Tape()
+    with T.record(tape):
+        loss = build()
+    tape.backward(loss)
+    return loss.item(), {k: p.grad for k, p in params.items()}
+
+
+def assert_same_states(a, b):
+    assert len(a) == len(b)
+    for sa, sb in zip(a, b):
+        for part in ("hidden", "logits", "probs"):
+            for task in ("ate", "ote", "asc"):
+                np.testing.assert_array_equal(getattr(sa, part)[task].data,
+                                              getattr(sb, part)[task].data)
+
+
+def assert_same_traces(a, b):
+    assert [(t, tr.direction, tr.tokens) for t, tr in a] == [
+        (t, tr.direction, tr.tokens) for t, tr in b]
+    for (_, ta), (_, tb) in zip(a, b):
+        assert len(ta.states) == len(tb.states)
+        for sa, sb in zip(ta.states, tb.states):
+            assert sa.iteration == sb.iteration
+            for field in ("b", "c", "s", "v"):
+                np.testing.assert_array_equal(getattr(sa, field),
+                                              getattr(sb, field))
+
+
+def assert_same_grads(a, b):
+    assert a.keys() == b.keys()
+    for name in a:
+        if a[name] is None or b[name] is None:
+            assert a[name] is None and b[name] is None, name
+        else:
+            np.testing.assert_array_equal(a[name], b[name], err_msg=name)
+
+
+@pytest.mark.parametrize("variant", ["default", "no-transfers",
+                                     *sorted(ABLATIONS)])
+def test_forward_matches_per_direction_reference(variant, monkeypatch):
+    # float64, a mixed-length batch with dropout: stacking a round's
+    # directions into blocked route calls changes no bit of the states, the
+    # traces or the parameter gradients
+    cfg = tiny_config(dropout=0.2)
+    if variant == "no-transfers":
+        cfg = dataclasses.replace(cfg, transfers=())
+    elif variant != "default":
+        cfg = apply_ablation(cfg, variant)
+    model, _, _ = build_tiny_model_f64(cfg)
+    rng = np.random.default_rng(21)
+    batch = [random_sentence(rng, n) for n in (4, 7, 4, 1, 7, 4)]
+    assign_embedding_ids(batch, model.general_table, model.domain_table)
+    stacked = model.forward
+
+    def run(forward):
+        outputs = []
+
+        def traced(group, keep=None):
+            states, traces = forward(group, keep, keep_trace=True)
+            outputs.append((states, traces))
+            return states, traces
+
+        with monkeypatch.context() as mp:
+            mp.setattr(model, "forward", traced)
+            loss, grads = grads_of(model, lambda: batch_aspect_loss(
+                model, batch, True, np.random.default_rng(5)))
+        return loss, grads, outputs
+
+    loss, grads, outputs = run(stacked)
+    ref_loss, ref_grads, ref_outputs = run(
+        lambda group, keep, keep_trace: per_direction_forward(
+            model, group, keep, keep_trace))
+    assert loss == ref_loss
+    assert_same_grads(grads, ref_grads)
+    assert len(outputs) == len(ref_outputs) == 3    # lengths 4, 7 and 1
+    for (states, traces), (ref_states, ref_traces) in zip(outputs,
+                                                          ref_outputs):
+        assert_same_states(states, ref_states)
+        assert_same_traces(traces, ref_traces)
+        assert len(traces) == (len(cfg.transfers) * cfg.iterations
+                               * states[0].hidden["ate"].shape[0])
+
+
+def test_any_block_size_gives_identical_values_gradients_and_traces(
+        monkeypatch):
+    # a group of 2 sentences of length 5 has 50 couplings per direction:
+    # budgets of 50, 100 and 300 route the six directions of a round in
+    # blocks of 1, 2 and 6
+    model, _, _ = build_tiny_model()
+    rng = np.random.default_rng(22)
+    group = [random_sentence(rng, 5) for _ in range(2)]
+    assign_embedding_ids(group, model.general_table, model.domain_table)
+    runs = {}
+    for size in (1, 2, 6):
+        with monkeypatch.context() as mp:
+            mp.setattr(routing, "COUPLING_BUDGET", 50 * size)
+            calls = counted(mp, M, "route")
+            out = {}
+
+            def build():
+                out["states"], out["traces"] = model.forward(
+                    group, keep_trace=True)
+                return aspect_loss(out["states"], group, model.config)
+
+            _, grads = grads_of(model, build)
+        assert [c[0].shape[0] for c in calls] == [size] * (6 // size) * 2
+        runs[size] = out["states"], out["traces"], grads
+    for size in (1, 2):
+        assert_same_states(runs[size][0], runs[6][0])
+        assert_same_traces(runs[size][1], runs[6][1])
+        assert_same_grads(runs[size][2], runs[6][2])
+
+
+@pytest.mark.parametrize("g, n, per_round", [(4, 8, 1), (8, 128, 6)])
+def test_route_calls_per_round(g, n, per_round, monkeypatch):
+    # the default budget stacks all six directions of a short group, and
+    # none of a group whose couplings already exceed it
+    model, _, _ = build_tiny_model(tiny_config(iterations=1))
+    rng = np.random.default_rng(23)
+    group = [random_sentence(rng, n) for _ in range(g)]
+    assign_embedding_ids(group, model.general_table, model.domain_table)
+    calls = counted(monkeypatch, M, "route")
+    model.forward(group)
+    assert len(calls) == per_round
+
+
+def test_short_predicted_sentence_routes_twice(monkeypatch):
+    # two rounds, one route call each; the votes take one matmul per
+    # direction and round for r, and one per direction and forward for q
+    model, sent, _ = build_tiny_model()
+    routes = counted(monkeypatch, M, "route")
+    matmuls = counted(monkeypatch, routing, "matmul")
+    model.predict(sent)
+    assert len(routes) == 2
+    assert len(matmuls) == 6 * 2 + 6
+
+
+# ---------------------------------------------------------------------------
 # persistence
 
 
@@ -514,42 +679,16 @@ def test_legacy_max_len_header_loads_bit_identical(saved_checkpoint,
         assert legacy.predict(sent) == model.predict(sent)
 
 
-def test_failed_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
-    import ktabsa.model as kmodel
+def test_failed_save_keeps_the_previous_checkpoint(tmp_path):
     model, _, _ = build_tiny_model()
     path = str(tmp_path / "best.ckpt")
     model.save(path)
     with open(path, "rb") as f:
         before = f.read()
-
-    class FailingFile:
-        """Writes through until the third write, then fails (disk full)."""
-
-        def __init__(self, f):
-            self.f, self.writes = f, 0
-
-        def write(self, data):
-            self.writes += 1
-            if self.writes == 3:
-                self.f.write(data[:len(data) // 2])
-                raise OSError(28, "No space left on device")
-            return self.f.write(data)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.f.close()
-
-    real_open = open
-    monkeypatch.setattr(kmodel, "open",
-                        lambda *a, **k: FailingFile(real_open(*a, **k)),
-                        raising=False)
     for t in model.named_parameters().values():
         t.data += 1.0
-    with pytest.raises(OSError, match="No space"):
+    with failing_disk(), pytest.raises(OSError, match="No space"):
         model.save(path)
-    monkeypatch.undo()
     with open(path, "rb") as f:
         assert f.read() == before
     assert os.listdir(tmp_path) == ["best.ckpt"]

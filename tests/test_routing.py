@@ -98,7 +98,7 @@ def test_predict_vectors_zero_weight():
         pe = R.PositionalEncoding(6)
         d = R.TransferDirection("ate", "asc", T.constant(np.zeros((6, 4))))
         h = T.constant(rng.normal(size=(3, 6)))
-        r, q = R.predict_vectors(h, d, pe)
+        r, q = R.predict_vectors(h, d, pe), R.target_votes(d, pe, 3)
     assert not r.data.any() and not q.data.any()
 
 
@@ -108,7 +108,8 @@ def test_predict_vectors_varies_with_target_only_through_pe():
         pe = R.PositionalEncoding(6)
         direction = make_direction(6, 4, rng)
         h = T.constant(rng.normal(size=(4, 6)))
-        r, q = R.predict_vectors(h, direction, pe)
+        r = R.predict_vectors(h, direction, pe)
+        q = R.target_votes(direction, pe, 4)
         table = pe.prefix(4).data
         w = direction.weight.data
         pw = table @ w
@@ -129,7 +130,8 @@ def test_predict_vectors_zero_hidden_is_pe_sum():
         pe = R.PositionalEncoding(6)
         direction = make_direction(6, 4, rng)
         h = T.constant(np.zeros((3, 6)))
-        r, q = R.predict_vectors(h, direction, pe)
+        r = R.predict_vectors(h, direction, pe)
+        q = R.target_votes(direction, pe, 3)
         table = pe.prefix(3).data
     u = materialize(r.data, q.data)
     for i in range(3):
@@ -146,7 +148,8 @@ def test_predict_vectors_beyond_max_len():
         pe = R.PositionalEncoding(4)
         direction = make_direction(4, 3, np.random.default_rng(3))
         h = T.constant(np.zeros((200, 4)))
-        r, q = R.predict_vectors(h, direction, pe)
+        r = R.predict_vectors(h, direction, pe)
+        q = R.target_votes(direction, pe, 200)
     assert r.shape == q.shape == (200, 3)
     long = R.positional_encoding(300, 4)
     for n in (1, 7, 64, 200):
@@ -271,13 +274,57 @@ def test_route_rejects_bad_iteration_count():
 
 def test_route_rejects_misshapen_inputs():
     r = q = T.constant(np.zeros((2, 3)))
+    stacked = T.constant(np.zeros((2, 1, 2, 3)))
     with pytest.raises(T.ConfigError, match="r must be"):
-        R.route(T.constant(np.zeros((1, 2, 2, 3))), q,
-                np.zeros((1, 2, 2)), 1)
-    with pytest.raises(T.ConfigError, match="q must match"):
-        R.route(r, T.constant(np.zeros((3, 3))), np.zeros((2, 2)), 1)
+        R.route(T.constant(np.zeros(3)), q, np.zeros((2, 2)), 1)
+    for bad_q in (np.zeros((3, 3)),          # trailing shape is not (n, d)
+                  np.zeros(3),
+                  np.zeros((3, 1, 2, 3)),    # leading axis does not broadcast
+                  np.zeros((2, 2, 2, 3))):   # would widen r's group axis
+        with pytest.raises(T.ConfigError, match="q must match"):
+            R.route(stacked, T.constant(bad_q), np.zeros((2, 2)), 1)
     with pytest.raises(T.ConfigError, match="adjacency"):
         R.route(r, q, np.zeros((3, 3)), 1)
+    with pytest.raises(T.ConfigError, match="adjacency"):
+        R.route(stacked, q, np.zeros((3, 1, 2, 2)), 1)
+    # leading axes of any depth are accepted when q and adjacency broadcast
+    v, _ = R.route(stacked, q, np.zeros((1, 2, 2)), 1)
+    assert v.shape == (2, 1, 2, 3)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_stacked_directions_match_one_call_per_direction(dtype):
+    # k directions stacked on a leading axis, each with its target part
+    # shared by the group (q [k, 1, n, d]) and the adjacency shared by the
+    # directions, route exactly like k separate calls: values, traces and
+    # the gradients of r and q agree bit for bit
+    rng = np.random.default_rng(18)
+    k, g, n, d, iters = 3, 2, 5, 4, 3
+    r = rng.normal(size=(k, g, n, d)).astype(dtype)
+    q = rng.normal(size=(k, 1, n, d)).astype(dtype)
+    adjacency = (rng.random((g, n, n)) < 0.4).astype(dtype)
+    probe = rng.normal(size=(k, g, n, d)).astype(dtype)
+
+    def run(r_part, q_part, w):
+        rt = T.Tensor(r_part, requires_grad=True)
+        qt = T.Tensor(q_part, requires_grad=True)
+        tape = T.Tape()
+        with T.record(tape):
+            v, trace = R.route(rt, qt, adjacency, iters, keep_trace=True)
+            loss = weighted_sum(v, w)
+        tape.backward(loss)
+        return v.data, trace, rt.grad, qt.grad
+
+    v, trace, dr, dq = run(r, q, probe)
+    for j in range(k):
+        v_j, trace_j, dr_j, dq_j = run(r[j], q[j, 0], probe[j])
+        np.testing.assert_array_equal(v[j], v_j)
+        np.testing.assert_array_equal(dr[j], dr_j)
+        np.testing.assert_array_equal(dq[j, 0], dq_j)
+        for st, st_j in zip(trace, trace_j, strict=True):
+            for field in ("b", "c", "s", "v"):
+                np.testing.assert_array_equal(getattr(st, field)[j],
+                                              getattr(st_j, field))
 
 
 def test_route_gradients_through_unrolled_loop():
@@ -323,8 +370,8 @@ def test_route_end_to_end_gradients_with_predict_vectors():
     def build(ts):
         pe = R.PositionalEncoding(d_task)
         direction = R.TransferDirection("ote", "asc", ts[1])
-        r, q = R.predict_vectors(ts[0], direction, pe)
-        v, _ = R.route(r, q, adjacency, 2)
+        r = R.predict_vectors(ts[0], direction, pe)
+        v, _ = R.route(r, R.target_votes(direction, pe, n), adjacency, 2)
         return weighted_sum(v, probe)
 
     check_op_grads(build, [rng.normal(size=(n, d_task)),
@@ -394,8 +441,8 @@ def test_routing_tape_never_holds_pairwise_vote_tensor():
     adjacency = np.eye(n)
     tape = T.Tape()
     with T.record(tape):
-        r, q = R.predict_vectors(h, direction, pe)
-        v, _ = R.route(r, q, adjacency, 3)
+        r = R.predict_vectors(h, direction, pe)
+        v, _ = R.route(r, R.target_votes(direction, pe, n), adjacency, 3)
         loss = weighted_sum(v)
     recorded = max(node[0].size for node in tape.nodes)
     assert recorded <= limit, f"tape output of {recorded} elements"

@@ -18,8 +18,8 @@ from ktabsa.training import (Adam, DivergenceError, Schedule,
                              fit, gradcheck, gradcheck_harness,
                              model_gradcheck, token_accuracy)
 
-from fixtures import (TINY_WORDS, build_tiny_model, build_tiny_model_f64,
-                      chain_adjacency, tiny_config, tiny_sentence)
+from fixtures import (build_tiny_model, build_tiny_model_f64,
+                      random_sentence, tiny_config, tiny_sentence)
 from helpers import corrupt_squash_backward, weighted_sum
 
 
@@ -120,17 +120,6 @@ def test_masking_exactness_gold_at_unlabeled_positions():
 
 # ---------------------------------------------------------------------------
 # equal-length groups
-
-
-def random_sentence(rng, n):
-    """Sentence of n tiny-vocabulary tokens with random tags and a chain
-    dependency prior; roughly every other token carries a sentiment label."""
-    tokens = tuple(rng.choice(TINY_WORDS, size=n))
-    asc = tuple(int(rng.integers(3)) if rng.random() < 0.5 else None
-                for _ in range(n))
-    return Sentence(tokens, tuple(int(t) for t in rng.integers(3, size=n)),
-                    tuple(int(t) for t in rng.integers(3, size=n)), asc,
-                    chain_adjacency(n))
 
 
 def loss_and_grads(model, build):
