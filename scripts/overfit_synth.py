@@ -46,7 +46,7 @@ def run(sentences, transfers_on, args):
     t0 = time.time()
     result = fit(model, sentences, [], [], schedule)
     wall = time.time() - t0
-    report = evaluate([model.predict(s) for s in sentences], sentences)
+    report = evaluate(model.predict_many(sentences), sentences)
     return result, report, wall
 
 

@@ -112,9 +112,7 @@ def _single_run(rc: C.RunConfig, out_dir: str, quiet: bool) -> dict:
                "checkpoint": result.best_path}
     if test:
         best = AbsaModel.load(result.best_path)
-        for s in test:
-            best.index_tokens(s)
-        report = evaluate([best.predict(s) for s in test], test)
+        report = evaluate(best.predict_many(test), test)
         summary["test"] = report.as_dict()
         if not quiet:
             _print_report(report)
@@ -174,10 +172,7 @@ def cmd_ablate(args) -> int:
 
 def _load_checkpoint_corpus(args):
     model = AbsaModel.load(args.checkpoint)
-    sentences = load_aspect_corpus(args.corpus, model.schemes)
-    for s in sentences:
-        model.index_tokens(s)
-    return model, sentences
+    return model, load_aspect_corpus(args.corpus, model.schemes)
 
 
 def cmd_eval(args) -> int:
@@ -185,7 +180,7 @@ def cmd_eval(args) -> int:
     if not sentences:
         print("warning: empty evaluation corpus; all metrics are 0",
               file=sys.stderr)
-    report = evaluate([model.predict(s) for s in sentences], sentences)
+    report = evaluate(model.predict_many(sentences), sentences)
     _print_report(report)
     if args.json_out:
         with atomic_write(args.json_out) as f:
@@ -195,7 +190,7 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     model, sentences = _load_checkpoint_corpus(args)
-    predictions = [model.predict(s) for s in sentences]
+    predictions = model.predict_many(sentences)
     write_predictions(args.out, predictions, model.schemes)
     print(f"wrote {len(predictions)} predictions to {args.out}")
     return EXIT_OK

@@ -18,6 +18,7 @@ import dataclasses
 import os
 from dataclasses import dataclass, field
 
+from .data import atomic_write
 from .model import ModelConfig
 from .tensor import ConfigError
 from .training import Schedule
@@ -172,6 +173,6 @@ def format_config(rc: RunConfig) -> str:
 def echo_config(rc: RunConfig, out_dir: str) -> str:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "effective.cfg")
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         f.write(format_config(rc))
     return path

@@ -48,10 +48,11 @@ class EvalReport:
         return d
 
 
-def span_f1(pred: Sequence[set[Span] | Sequence[Span]],
-            gold: Sequence[set[Span] | Sequence[Span]]
+def span_f1(pred: Sequence[Sequence[Span] | Sequence[Pair]],
+            gold: Sequence[Sequence[Span] | Sequence[Pair]]
             ) -> tuple[float, float, float, dict]:
-    """Micro-averaged exact-match span F1 over a corpus."""
+    """Micro-averaged exact-match F1 over a corpus of spans, or of
+    (span, sentiment) pairs."""
     if len(pred) != len(gold):
         raise ValueError(f"pred/gold corpus sizes differ: "
                          f"{len(pred)} vs {len(gold)}")
@@ -104,20 +105,6 @@ def asc_scores(pred_pairs: Sequence[Sequence[Pair]],
     return acc, macro, per_class, degenerate
 
 
-def pair_f1(pred_pairs: Sequence[Sequence[Pair]],
-            gold_pairs_: Sequence[Sequence[Pair]]
-            ) -> tuple[float, float, float, dict]:
-    """Micro F1 over exact (span, sentiment) tuples."""
-    tp = fp = fn = 0
-    for pps, gps in zip(pred_pairs, gold_pairs_):
-        ps, gs = set(pps), set(gps)
-        tp += len(ps & gs)
-        fp += len(ps - gs)
-        fn += len(gs - ps)
-    p, r, f = _f1(tp, fp, fn)
-    return p, r, f, {"tp": tp, "fp": fp, "fn": fn}
-
-
 def evaluate(predictions: Sequence[Prediction],
              sentences: Sequence[Sentence]) -> EvalReport:
     if len(predictions) != len(sentences):
@@ -132,7 +119,7 @@ def evaluate(predictions: Sequence[Prediction],
     _, _, f1_a, counts_a = span_f1(pred_ate, gold_ate)
     _, _, f1_o, counts_o = span_f1(pred_ote, gold_ote)
     acc_s, f1_s, per_class, degenerate = asc_scores(pred_prs, gold_prs)
-    _, _, f1_i, counts_i = pair_f1(pred_prs, gold_prs)
+    _, _, f1_i, counts_i = span_f1(pred_prs, gold_prs)
     return EvalReport(f1_a, f1_o, acc_s, f1_s, f1_i,
                       counts={"ate": counts_a, "ote": counts_o,
                               "pairs": counts_i},

@@ -12,6 +12,10 @@ attention weights) is injected only into aspect and opinion extraction;
 document-sentiment knowledge only into token sentiment classification.
 The document-task representations themselves do not iterate, so their
 attention weights and predictions are computed once per sentence.
+
+Inference groups too: :meth:`AbsaModel.predict_many` runs one forward per
+chunk of at most COUPLING_BUDGET // n^2 sentences of a length group (length
+bucketing as in fairseq's ``batch_by_size``).
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import numpy as np
 
 from . import layers as L
 from .data import (BEGIN, INSIDE, Document, EmbeddingTable, Sentence,
-                   TagSchemes, atomic_write, extract_spans)
+                   TagSchemes, atomic_write, extract_spans, length_groups)
 from .routing import (PositionalEncoding, RoutingState, RoutingTrace,
                       TransferDirection, directions_per_call, predict_vectors,
                       route, target_votes)
@@ -313,8 +317,8 @@ class AbsaModel:
 
     # -- parameters ---------------------------------------------------------
 
-    def named_tensors(self) -> dict[str, Tensor]:
-        """Every persistent tensor, embeddings included, in stable order."""
+    def named_parameters(self) -> dict[str, Tensor]:
+        """Every trainable tensor, embeddings included, in stable order."""
         out: dict[str, Tensor] = {}
 
         def put(name, t):
@@ -348,13 +352,9 @@ class AbsaModel:
                     put(name, t)
         return out
 
-    def named_parameters(self) -> dict[str, Tensor]:
-        """The trainable tensors: all of :meth:`named_tensors`."""
-        return self.named_tensors()
-
     def manifest(self) -> list[tuple[str, tuple[int, ...]]]:
         return [(name, tuple(t.shape))
-                for name, t in self.named_tensors().items()]
+                for name, t in self.named_parameters().items()]
 
     def frozen_embedding_rows(self) -> list[tuple[Tensor, int]]:
         """Rows whose gradients are zeroed every step (the pad rows)."""
@@ -562,27 +562,50 @@ class AbsaModel:
 
     # -- inference ----------------------------------------------------------
 
+    def _final_tags(self, sentences: Sequence[Sentence]
+                    ) -> list[dict[str, np.ndarray]]:
+        """Each sentence's final argmax tags [n] per token-level task, in
+        input order; unindexed sentences are indexed first. A length group
+        runs in chunks of ``directions_per_call(1, n)`` sentences, so one
+        chunk's [G, n, n] couplings stay within COUPLING_BUDGET."""
+        for s in sentences:
+            if s.general_ids is None:
+                self.index_tokens(s)
+        tags: list = [None] * len(sentences)
+        for idx in length_groups(sentences):
+            size = directions_per_call(1, sentences[idx[0]].n)
+            for start in range(0, len(idx), size):
+                chunk = idx[start:start + size]
+                states, _ = self.forward([sentences[i] for i in chunk])
+                best = {task: states[-1].probs[task].data.argmax(axis=-1)
+                        for task in ASPECT_TASKS}
+                for row, i in enumerate(chunk):
+                    tags[i] = {task: a[row] for task, a in best.items()}
+        return tags
+
+    def predict_many(self, sentences: Sequence[Sentence]) -> list[Prediction]:
+        """Spans and (aspect span, majority sentiment) pairs of every
+        sentence, in input order, decoded from :meth:`_final_tags`."""
+        preds = []
+        for sentence, tags in zip(sentences, self._final_tags(sentences)):
+            ate_spans = extract_spans(tags["ate"].tolist(), BEGIN, INSIDE)
+            ote_spans = extract_spans(tags["ote"].tolist(), BEGIN, INSIDE)
+            pairs = tuple(
+                ((s, e), majority_sentiment(tags["asc"][s:e].tolist()))
+                for s, e in ate_spans)
+            preds.append(Prediction(sentence.tokens, ate_spans, ote_spans,
+                                    pairs))
+        return preds
+
     def predict(self, sentence: Sentence) -> Prediction:
-        if sentence.general_ids is None:
-            self.index_tokens(sentence)
-        states, _ = self.forward([sentence])
-        final = states[-1]
-        ate_tags = final.probs["ate"].data[0].argmax(axis=-1)
-        ote_tags = final.probs["ote"].data[0].argmax(axis=-1)
-        asc_tags = final.probs["asc"].data[0].argmax(axis=-1)
-        ate_spans = extract_spans(ate_tags.tolist(), BEGIN, INSIDE)
-        ote_spans = extract_spans(ote_tags.tolist(), BEGIN, INSIDE)
-        pairs = tuple(
-            ((s, e), majority_sentiment(asc_tags[s:e].tolist()))
-            for s, e in ate_spans)
-        return Prediction(sentence.tokens, ate_spans, ote_spans, pairs)
+        return self.predict_many([sentence])[0]
 
     # -- persistence --------------------------------------------------------
 
     def save(self, path: str) -> None:
         """Write the checkpoint atomically: an interrupted save leaves any
         earlier file at ``path`` untouched."""
-        params = self.named_tensors()
+        params = self.named_parameters()
         manifest = []
         offset = 0
         for name, t in params.items():
@@ -657,7 +680,12 @@ class AbsaModel:
 
     @classmethod
     def load(cls, path: str) -> "AbsaModel":
-        header = cls.read_header(path)
+        """Read ``path`` in one pass. Its manifest must name exactly the
+        model's tensors with their shapes and tile the payload exactly;
+        otherwise :class:`CheckpointError` is raised."""
+        with open(path, "rb") as f:
+            header = cls._read_header(f, path)
+            payload = f.read()
         try:
             config = ModelConfig.from_dict(header["config"])
             config.validate()
@@ -680,17 +708,7 @@ class AbsaModel:
                     build_table(header["general_vocab"],
                                 header["general_dim"]),
                     build_table(header["domain_vocab"], header["domain_dim"]))
-        model.load_payload(path)
-        return model
-
-    def load_payload(self, path: str) -> None:
-        """Load every tensor from ``path``. The manifest must name exactly
-        this model's tensors with their shapes, and its entries must tile
-        the payload exactly; otherwise nothing is loaded."""
-        with open(path, "rb") as f:
-            header = self._read_header(f, path)
-            payload = f.read()
-        params = self.named_tensors()
+        params = model.named_parameters()
         listed = {m["name"] for m in header["manifest"]}
         if listed != set(params):
             missing = sorted(set(params) - listed)
@@ -726,3 +744,4 @@ class AbsaModel:
                                 offset=start).reshape(shape)
             # copy: a view of the read-only payload bytes cannot be trained
             params[name].data = np.array(arr, dtype=np.float32)
+        return model

@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import atomic_write
+
 LAPTOP_ASPECTS = (("battery",), ("screen",), ("keyboard",), ("trackpad",),
                   ("battery", "life"), ("speakers",))
 RESTAURANT_ASPECTS = (("pizza",), ("service",), ("staff",), ("sushi",),
@@ -159,12 +161,12 @@ def build_documents(count: int, seed: int) -> list[dict]:
 
 
 def write_rows(path: str, rows: list[Row]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         for row in rows:
             for tok, a, o, s in zip(row.tokens, row.ate, row.ote, row.asc):
                 f.write(f"{tok}\t{a}\t{o}\t{s}\n")
             f.write("\n")
-    with open(path + ".adj", "w", encoding="utf-8") as f:
+    with atomic_write(path + ".adj") as f:
         for si, row in enumerate(rows):
             n = len(row.tokens)
             for i in range(n - 1):
@@ -214,10 +216,10 @@ def write_synthetic(out_dir: str, spec: SynthSpec) -> dict[str, str]:
                                  spec.far_fraction, spec.double_fraction))
     write_rows(test, build_rows(spec.test_sentences, spec.seed + 1,
                                 spec.far_fraction, spec.double_fraction))
-    with open(docs, "w", encoding="utf-8") as f:
+    with atomic_write(docs) as f:
         for rec in build_documents(spec.documents, spec.seed + 2):
             f.write(json.dumps(rec) + "\n")
-    with open(cfg, "w", encoding="utf-8") as f:
+    with atomic_write(cfg) as f:
         f.write(SYNTH_CONFIG.format(train="train.tsv", test="test.tsv",
                                     docs="docs.jsonl", out="run"))
     return {"train": train, "test": test, "documents": docs, "config": cfg}

@@ -3,7 +3,7 @@
 The engine is deliberately small: tensors wrap contiguous float arrays,
 operations compute eagerly with numpy, and the active :class:`Tape` records
 one backward rule per operation. ``Tape.backward`` replays the record in
-reverse, accumulating dLoss/dTensor into every tensor that asked for
+reverse, accumulating dLoss/dTensor into every leaf tensor that asked for
 gradients. Float32 is the working precision; gradient-check tooling switches
 to float64 via :func:`use_dtype`, where central finite differences are
 trustworthy.
@@ -86,12 +86,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def _add_grad(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype, copy=True)
-        else:
-            self.grad += g
-
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{tag})"
@@ -114,7 +108,8 @@ class Tape:
         return len(self.nodes)
 
     def backward(self, loss: Tensor) -> None:
-        """Accumulate dLoss/dT into ``t.grad`` for every recorded tensor.
+        """Accumulate dLoss/dT into ``t.grad`` for every leaf (no recorded
+        node's output); an intermediate's ``.grad`` stays None.
 
         Each call propagates a fresh unit seed, so calling twice doubles the
         gradients of the leaves (accumulation semantics).
@@ -138,10 +133,9 @@ class Tape:
             slot = flow.pop(id(out), None)
             if slot is None:
                 continue
-            out._add_grad(slot[1])
             fn(slot[1], push)
-        for t, g in flow.values():
-            t._add_grad(g)
+        for t, g in flow.values():     # g is push's own copy: hand it over
+            t.grad = g if t.grad is None else t.grad + g
 
 
 _active: Tape | None = None

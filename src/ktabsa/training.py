@@ -199,20 +199,14 @@ def token_accuracy(model: AbsaModel,
     """Argmax tag accuracy per task; sentiment counts labeled tokens only."""
     hit = {t: 0 for t in ASPECT_TASKS}
     total = {t: 0 for t in ASPECT_TASKS}
-    for idx in length_groups(sentences):
-        group = [sentences[i] for i in idx]
-        states, _ = model.forward(group)
-        probs = states[-1].probs
-        for task, gold in (("ate", [s.ate_gold for s in group]),
-                           ("ote", [s.ote_gold for s in group])):
-            pred = probs[task].data.argmax(axis=-1)
-            hit[task] += int((pred == np.array(gold)).sum())
-            total[task] += pred.size
-        for pred, sent in zip(probs["asc"].data.argmax(axis=-1), group):
-            for i, lab in enumerate(sent.asc_gold):
-                if lab is not None:
-                    total["asc"] += 1
-                    hit["asc"] += int(pred[i] == lab)
+    for sent, tags in zip(sentences, model._final_tags(sentences)):
+        for task, gold in (("ate", sent.ate_gold), ("ote", sent.ote_gold)):
+            hit[task] += int((tags[task] == np.array(gold)).sum())
+            total[task] += sent.n
+        for i, lab in enumerate(sent.asc_gold):
+            if lab is not None:
+                total["asc"] += 1
+                hit["asc"] += int(tags["asc"][i] == lab)
     return {t: (hit[t] / total[t] if total[t] else 1.0) for t in ASPECT_TASKS}
 
 
@@ -345,7 +339,7 @@ def fit(model: AbsaModel, train_sentences: Sequence[Sentence],
                **grad_norm_stats(norms, schedule.clip_norm)}
 
         if dev_sentences:
-            report = evaluate([model.predict(s) for s in dev_sentences],
+            report = evaluate(model.predict_many(dev_sentences),
                               dev_sentences)
             rec["dev"] = report.as_dict()
             if report.f1_i > result.best_f1_i:

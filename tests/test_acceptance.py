@@ -16,7 +16,7 @@ from ktabsa import tensor as T
 from ktabsa.data import (DEFAULT_SCHEMES, CorpusError,
                          assign_embedding_ids, corpus_words,
                          load_aspect_corpus, random_embeddings)
-from ktabsa.metrics import asc_scores, evaluate, pair_f1, span_f1
+from ktabsa.metrics import asc_scores, evaluate, span_f1
 from ktabsa.model import AbsaModel, ModelConfig, apply_ablation
 from ktabsa.routing import positional_encoding, route, squash
 from ktabsa.synth import SynthSpec, write_synthetic
@@ -126,7 +126,7 @@ def test_metric_oracles_two_hundred_sets():
         gold_spans = [[g for g, _ in gp] for gp in gold_pairs]
         _, _, f1a, _ = span_f1(pred_spans, gold_spans)
         _, _, f1o, _ = span_f1(gold_spans, pred_spans)  # symmetric exercise
-        _, _, f1i, _ = pair_f1(pred_pairs, gold_pairs)
+        _, _, f1i, _ = span_f1(pred_pairs, gold_pairs)
         acc, f1s, _, _ = asc_scores(pred_pairs, gold_pairs)
         oacc, of1s = asc_oracle(pred_pairs, gold_pairs)
         assert f1a == micro_f1_oracle(pred_spans, gold_spans)

@@ -9,6 +9,8 @@ from ktabsa.model import ABLATIONS, ModelConfig, apply_ablation
 from ktabsa.tensor import ConfigError
 from ktabsa.training import Schedule
 
+from helpers import failing_disk
+
 
 def test_keys_are_the_fields_of_the_three_classes_each_once():
     own = [f.name for f in dataclasses.fields(C.RunConfig)
@@ -95,3 +97,14 @@ def test_ablate_echoes_the_ablated_model_config(name, tmp_path, monkeypatch):
     # ablate trains every configured run, as train does
     assert trained == [(dataclasses.replace(ablated, seed=42 + k), f"run{k}")
                        for k in range(base.runs)]
+
+
+def test_failed_echo_keeps_the_earlier_config(tmp_path):
+    path = C.echo_config(C.RunConfig(), str(tmp_path))
+    with open(path, encoding="utf-8") as f:
+        before = f.read()
+    with failing_disk(nth_write=1), pytest.raises(OSError, match="No space"):
+        C.echo_config(non_default_config(), str(tmp_path))
+    with open(path, encoding="utf-8") as f:
+        assert f.read() == before
+    assert os.listdir(tmp_path) == ["effective.cfg"]

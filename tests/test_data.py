@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ktabsa import data as D
+from ktabsa.synth import SynthSpec, write_synthetic
 
 from helpers import corpus_stats, failing_disk, tags_from_spans
 
@@ -344,3 +345,16 @@ def test_atomic_write_failing_midway_keeps_the_earlier_file(tmp_path):
             f.write("new line two\n")
     assert path.read_text() == "old\n"
     assert os.listdir(tmp_path) == ["out.json"]
+
+
+def test_failed_write_synthetic_keeps_the_earlier_files(tmp_path):
+    write_synthetic(str(tmp_path), SynthSpec(train_sentences=6,
+                                             test_sentences=3, documents=4))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(before) == ["docs.jsonl", "synthetic.cfg", "test.tsv",
+                              "test.tsv.adj", "train.tsv", "train.tsv.adj"]
+    with failing_disk(nth_write=5), pytest.raises(OSError, match="No space"):
+        write_synthetic(str(tmp_path), SynthSpec(train_sentences=6,
+                                                 test_sentences=3,
+                                                 documents=4, seed=99))
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from ktabsa.data import DEFAULT_SCHEMES, Sentence
-from ktabsa.metrics import (asc_scores, evaluate, pair_f1, span_f1,
-                            write_predictions)
+from ktabsa.metrics import asc_scores, evaluate, span_f1, write_predictions
 from ktabsa.model import Prediction
 
 from helpers import failing_disk, read_predictions, tags_from_spans
@@ -131,9 +130,9 @@ def test_asc_scores_degenerate_flag():
 
 def test_pair_f1_examples():
     pairs = [[((0, 2), 1)]]
-    assert pair_f1(pairs, pairs)[2] == 1.0
+    assert span_f1(pairs, pairs)[2] == 1.0
     wrong = [[((0, 2), 0)]]
-    assert pair_f1(wrong, pairs)[2] == 0.0
+    assert span_f1(wrong, pairs)[2] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +149,7 @@ def test_metrics_match_bruteforce_oracles_on_random_sets():
         _, _, f1a, _ = span_f1(pred_spans, gold_spans)
         assert f1a == micro_f1_oracle(pred_spans, gold_spans)
 
-        _, _, f1i, _ = pair_f1(pred_pairs, gold_pairs)
+        _, _, f1i, _ = span_f1(pred_pairs, gold_pairs)
         assert f1i == micro_f1_oracle(pred_pairs, gold_pairs)
 
         acc, f1s, _, _ = asc_scores(pred_pairs, gold_pairs)
@@ -166,8 +165,8 @@ def test_metrics_invariant_under_reordering():
     perm = rng.permutation(len(pred_pairs))
     shuffled_pred = [list(reversed(pred_pairs[i])) for i in perm]
     shuffled_gold = [gold_pairs[i] for i in perm]
-    assert (pair_f1(pred_pairs, gold_pairs)[2]
-            == pair_f1(shuffled_pred, shuffled_gold)[2])
+    assert (span_f1(pred_pairs, gold_pairs)[2]
+            == span_f1(shuffled_pred, shuffled_gold)[2])
 
 
 # ---------------------------------------------------------------------------

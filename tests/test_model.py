@@ -11,9 +11,12 @@ from hypothesis import strategies as st
 from ktabsa import model as M
 from ktabsa import routing
 from ktabsa import tensor as T
-from ktabsa.data import DEFAULT_SCHEMES, Sentence, assign_embedding_ids
+from ktabsa.data import (DEFAULT_SCHEMES, Sentence, assign_embedding_ids,
+                         corpus_words, length_groups, load_aspect_corpus,
+                         random_embeddings)
 from ktabsa.model import (ABLATIONS, AbsaModel, CheckpointError, ModelConfig,
                           apply_ablation, majority_sentiment)
+from ktabsa.synth import SynthSpec, write_synthetic
 from ktabsa.training import aspect_loss, batch_aspect_loss
 
 from fixtures import (build_tiny_model, build_tiny_model_f64,
@@ -244,8 +247,8 @@ def test_predict_all_outside():
                               inject_ddc=False, inject_dsc=False)
     frozen = AbsaModel(cfg, model.schemes, model.general_table,
                        model.domain_table)
-    for name, t in frozen.named_tensors().items():
-        t.data = model.named_tensors()[name].data.copy()
+    for name, t in frozen.named_parameters().items():
+        t.data = model.named_parameters()[name].data.copy()
     pred = frozen.predict(sent)
     assert pred.ate_spans == () and pred.ote_spans == () and pred.pairs == ()
 
@@ -307,6 +310,89 @@ def test_predict_assembles_spans_and_majority_sentiment(monkeypatch):
     assert pred.ate_spans == ((0, 2),)
     assert pred.ote_spans == ((2, 3),)
     assert pred.pairs == (((0, 2), 0),)
+
+
+def synthetic_test_corpus(tmp_path):
+    """The synthetic test split and an untrained tiny model whose
+    embeddings cover its words; the sentences carry no ids yet."""
+    paths = write_synthetic(str(tmp_path), SynthSpec(train_sentences=4,
+                                                     test_sentences=40))
+    sentences = load_aspect_corpus(paths["test"])
+    cfg = tiny_config()
+    rng = np.random.default_rng(12)
+    words = corpus_words(sentences)
+    model = AbsaModel(cfg, DEFAULT_SCHEMES,
+                      random_embeddings(words, cfg.d_general, rng),
+                      random_embeddings(words, cfg.d_domain, rng))
+    return model, sentences
+
+
+def mixed_length_corpus(model, rng):
+    """Lengths 3, 5, 64 and 128 interleaved; the six 128-token sentences
+    fill one chunk of four and one of two at the default budget."""
+    lengths = [3, 128, 5, 64, 128, 3, 128, 64, 5, 128, 3, 128, 128]
+    sentences = [random_sentence(rng, n) for n in lengths]
+    assign_embedding_ids(sentences, model.general_table, model.domain_table)
+    return sentences
+
+
+def final_probs(model, mp):
+    """Record the final-round probabilities of every sentence that a
+    ``model.forward`` call runs, keyed by the sentence's id."""
+    probs = {}
+    real = model.forward
+
+    def recording(sentences, *args, **kwargs):
+        states, traces = real(sentences, *args, **kwargs)
+        for row, sent in enumerate(sentences):
+            probs[id(sent)] = {task: states[-1].probs[task].data[row]
+                               for task in ("ate", "ote", "asc")}
+        return states, traces
+
+    mp.setattr(model, "forward", recording)
+    return probs
+
+
+@pytest.mark.parametrize("corpus", ["synthetic", "mixed"])
+def test_predict_many_equals_per_sentence_predict(corpus, tmp_path,
+                                                  monkeypatch):
+    if corpus == "synthetic":
+        model, sentences = synthetic_test_corpus(tmp_path)
+    else:
+        model, _, _ = build_tiny_model()
+        sentences = mixed_length_corpus(model, np.random.default_rng(31))
+    with monkeypatch.context() as mp:
+        grouped_probs = final_probs(model, mp)
+        grouped = model.predict_many(sentences)
+    with monkeypatch.context() as mp:
+        single_probs = final_probs(model, mp)
+        single = [model.predict(s) for s in sentences]
+    assert grouped == single
+    assert [p.tokens for p in grouped] == [s.tokens for s in sentences]
+    for s in sentences:
+        for task in ("ate", "ote", "asc"):
+            np.testing.assert_allclose(grouped_probs[id(s)][task],
+                                       single_probs[id(s)][task],
+                                       rtol=0, atol=1e-6)
+
+
+def test_predict_many_runs_one_forward_per_length_chunk(monkeypatch):
+    # 2^16 couplings hold 4 sentences of 128 tokens and 16 of 64; a budget
+    # of one coupling array per sentence runs every sentence alone
+    model, _, _ = build_tiny_model()
+    sentences = mixed_length_corpus(model, np.random.default_rng(32))
+    with monkeypatch.context() as mp:
+        calls = counted(mp, model, "forward")
+        grouped = model.predict_many(sentences)
+    lengths = [[s.n for s in c[0]] for c in calls]
+    assert lengths == [[3, 3, 3], [128] * 4, [128] * 2, [5, 5], [64, 64]]
+    with monkeypatch.context() as mp:
+        mp.setattr(routing, "COUPLING_BUDGET", 1)
+        calls = counted(mp, model, "forward")
+        alone = model.predict_many(sentences)
+    assert [c[0] for c in calls] == [[sentences[i]] for idx in
+                                     length_groups(sentences) for i in idx]
+    assert alone == grouped
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +565,8 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     path = str(tmp_path / "m.ckpt")
     model.save(path)
     clone = AbsaModel.load(path)
-    for name, t in model.named_tensors().items():
-        np.testing.assert_array_equal(clone.named_tensors()[name].data, t.data)
+    for name, t in model.named_parameters().items():
+        np.testing.assert_array_equal(clone.named_parameters()[name].data, t.data)
     clone.index_tokens(sent)
     a = model.predict(sent)
     states_a, _ = model.forward([sent])
@@ -557,14 +643,12 @@ def saved_checkpoint(tmp_path_factory):
 @given(cut=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
 def test_truncated_checkpoint_raises_checkpoint_error(saved_checkpoint,
                                                       tmp_path, cut):
-    model, raw = saved_checkpoint
+    _model, raw = saved_checkpoint
     path = str(tmp_path / "cut.ckpt")
     with open(path, "wb") as f:
         f.write(raw[:int(cut * len(raw))])
     with pytest.raises(CheckpointError):
         AbsaModel.load(path)
-    with pytest.raises(CheckpointError):
-        model.load_payload(path)
 
 
 def test_checkpoint_payload_must_tile_exactly(saved_checkpoint, tmp_path):
@@ -663,8 +747,8 @@ def test_legacy_max_len_header_loads_bit_identical(saved_checkpoint,
     path.write_bytes(edit_header(raw, legacy_keys))
     legacy = AbsaModel.load(str(path))
     assert legacy.config == model.config
-    for name, t in model.named_tensors().items():
-        np.testing.assert_array_equal(legacy.named_tensors()[name].data,
+    for name, t in model.named_parameters().items():
+        np.testing.assert_array_equal(legacy.named_parameters()[name].data,
                                       t.data)
     words = ("the", "battery", "is", "great", "okay")
     for n in (4, 20):

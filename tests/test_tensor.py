@@ -351,14 +351,18 @@ def test_backward_diamond_reuse():
     np.testing.assert_allclose(x.grad, [[3.0 + 18.0 * 2.0]])
 
 
-def test_intermediate_requires_grad_tensor_receives_grad():
+def test_intermediate_grad_stays_none_while_leaves_get_their_grads():
+    # only leaves keep a gradient; y's flows on to x and is then dropped
     x = T.Tensor([1.0, 2.0], requires_grad=True)
+    w = T.Tensor([3.0, -1.0], requires_grad=True)
     tape = T.Tape()
     with T.record(tape):
         y = T.scale(x, 5.0)
-        loss = weighted_sum(y)
+        loss = weighted_sum(T.add(y, T.add(y, w)))
     tape.backward(loss)
-    np.testing.assert_allclose(y.grad, [1.0, 1.0])
+    assert y.grad is None and loss.grad is None
+    np.testing.assert_allclose(x.grad, [10.0, 10.0])
+    np.testing.assert_allclose(w.grad, [1.0, 1.0])
 
 
 # ---------------------------------------------------------------------------

@@ -342,7 +342,7 @@ def test_fit_continues_from_loaded_checkpoint(tmp_path):
     model.save(path)
     loaded = AbsaModel.load(path)
     assert all(t.data.flags.writeable
-               for t in loaded.named_tensors().values())
+               for t in loaded.named_parameters().values())
     before = {k: p.data.copy() for k, p in loaded.named_parameters().items()}
     sched = Schedule(epochs=1, pretrain_epochs=0, batch_size=8, lr=1e-3,
                      patience=0)
@@ -368,6 +368,37 @@ def test_token_accuracy_counts_labeled_sentiment_only():
     assert set(acc) == {"ate", "ote", "asc"}
     for v in acc.values():
         assert 0.0 <= v <= 1.0
+
+
+def token_accuracy_one_by_one(model, sentences):
+    """Reference for ``token_accuracy``: every sentence forwarded alone."""
+    hit = {t: 0 for t in ("ate", "ote", "asc")}
+    total = dict(hit)
+    for sent in sentences:
+        states, _ = model.forward([sent])
+        pred = {t: states[-1].probs[t].data[0].argmax(axis=-1)
+                for t in hit}
+        for task, gold in (("ate", sent.ate_gold), ("ote", sent.ote_gold)):
+            hit[task] += sum(int(p == g) for p, g in zip(pred[task], gold))
+            total[task] += len(gold)
+        labeled = [(i, lab) for i, lab in enumerate(sent.asc_gold)
+                   if lab is not None]
+        hit["asc"] += sum(int(pred["asc"][i] == lab) for i, lab in labeled)
+        total["asc"] += len(labeled)
+    return {t: (hit[t] / total[t] if total[t] else 1.0) for t in hit}
+
+
+@pytest.mark.parametrize("n_sentences", [12, 40])
+def test_token_accuracy_equals_sentence_by_sentence_reference(tmp_path,
+                                                              n_sentences):
+    model, sents, _ = make_training_setup(tmp_path, n_sentences)
+    assert token_accuracy(model, sents) == token_accuracy_one_by_one(model,
+                                                                     sents)
+    rng = np.random.default_rng(6)
+    mixed = [random_sentence(rng, n) for n in (4, 128, 4, 128, 128, 128, 128)]
+    tiny, _, _ = build_tiny_model(index=mixed)
+    assert token_accuracy(tiny, mixed) == token_accuracy_one_by_one(tiny,
+                                                                    mixed)
 
 
 # ---------------------------------------------------------------------------
