@@ -126,15 +126,10 @@ def _train_runs(rc: C.RunConfig, quiet: bool) -> int:
     echoed = C.echo_config(rc, rc.out_dir)
     if not quiet:
         print(f"effective config: {echoed}")
-    if rc.runs == 1:
-        summaries = [_single_run(rc, os.path.join(rc.out_dir, "run0"),
-                                 quiet)]
-    else:
-        summaries = []
-        for k in range(rc.runs):
-            run_rc = C.with_keys(rc, seed=rc.model.seed + k)
-            summaries.append(_single_run(
-                run_rc, os.path.join(rc.out_dir, f"run{k}"), quiet))
+    summaries = [_single_run(C.with_keys(rc, seed=rc.model.seed + k),
+                             os.path.join(rc.out_dir, f"run{k}"), quiet)
+                 for k in range(rc.runs)]
+    if rc.runs > 1:
         agg_source = ("test" if all("test" in s for s in summaries)
                       else "best_dev_f1_i")
         agg = {}

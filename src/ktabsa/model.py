@@ -10,8 +10,11 @@ knowledge from the other two, fuses it with the previous iteration's
 predictions, and is re-decoded. Domain knowledge (the document-domain
 attention weights) is injected only into aspect and opinion extraction;
 document-sentiment knowledge only into token sentiment classification.
-The document-task representations themselves do not iterate, so their
-attention weights and predictions are computed once per sentence.
+:meth:`ModelConfig.doc_inputs` is the one table of this wiring, the
+``coarse`` ablation's merged form included. The document-task
+representations themselves do not iterate, so a forward builds their
+[G, n, ·] signals once, together with the routing prior and the route
+plan, and every round reuses them.
 
 Inference groups too: :meth:`AbsaModel.predict_many` runs one forward per
 chunk of at most COUPLING_BUDGET // n^2 sentences of a length group (length
@@ -124,13 +127,21 @@ class ModelConfig:
         return tuple(src for src in ASPECT_TASKS
                      if src != target and f"{src}->{target}" in self.transfers)
 
-    def injects_into(self, target: str) -> bool:
-        if target in ("ate", "ote"):
-            return self.inject_ddc or self.coarse
-        return self.inject_dsc or self.coarse
+    def doc_inputs(self, target: str) -> tuple[str, ...]:
+        """The document signals fused into ``target``, in concatenation
+        order: the domain attention weights ("ddc.attn") into aspect and
+        opinion extraction, the document sentiment distribution and
+        attention weights ("dsc.probs", "dsc.attn") into sentiment
+        classification. ``coarse`` appends the other task's signals."""
+        domain, sentiment = ("ddc.attn",), ("dsc.probs", "dsc.attn")
+        if target == "asc":
+            return ((sentiment if self.inject_dsc else ())
+                    + (domain if self.coarse else ()))
+        return ((domain if self.inject_ddc else ())
+                + (sentiment if self.coarse else ()))
 
     def receives_knowledge(self, target: str) -> bool:
-        return bool(self.sources_into(target)) or self.injects_into(target)
+        return bool(self.sources_into(target) or self.doc_inputs(target))
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)    # JSON writes tuples as lists
@@ -204,9 +215,6 @@ class IterationState:
     hidden: dict[str, Tensor]
     logits: dict[str, Tensor]
     probs: dict[str, Tensor]
-    doc_attn: dict[str, Tensor]
-    doc_logits: dict[str, Tensor]
-    doc_probs: dict[str, Tensor]
 
 
 @dataclass
@@ -300,19 +308,12 @@ class AbsaModel:
                     f"fuse.{target}.out")
 
     def _fuse_width(self, target: str) -> int:
-        c1 = self.schemes.token_classes
-        c_dsc = self.schemes.doc_classes("dsc")
-        width = self.config.d_task + 3 * c1
-        if target in ("ate", "ote"):
-            if self.config.inject_ddc:
-                width += 1                     # domain attention weight
-            if self.config.coarse:
-                width += c_dsc + 1             # merged sentiment knowledge
-        else:
-            if self.config.inject_dsc:
-                width += c_dsc + 1             # doc sentiment pred + attention
-            if self.config.coarse:
-                width += 1                     # merged domain knowledge
+        """The hidden vector, three tag distributions and the document
+        signals: an attention weight is one wide, a distribution C wide."""
+        width = self.config.d_task + 3 * self.schemes.token_classes
+        for signal in self.config.doc_inputs(target):
+            task, _, kind = signal.partition(".")
+            width += 1 if kind == "attn" else self.schemes.doc_classes(task)
         return width
 
     # -- parameters ---------------------------------------------------------
@@ -351,10 +352,6 @@ class AbsaModel:
                 for name, t in self.fuse[target].named():
                     put(name, t)
         return out
-
-    def manifest(self) -> list[tuple[str, tuple[int, ...]]]:
-        return [(name, tuple(t.shape))
-                for name, t in self.named_parameters().items()]
 
     def frozen_embedding_rows(self) -> list[tuple[Tensor, int]]:
         """Rows whose gradients are zeroed every step (the pad rows)."""
@@ -417,41 +414,57 @@ class AbsaModel:
                 ) -> tuple[list[IterationState], list[tuple[int, RoutingTrace]]]:
         """Run T aggregation rounds over a group of equal-length sentences.
 
-        Returns T+1 states, whose token-level tensors are [G, n, ·] and
-        document-level ones [G, ·], and the routing traces (one per
-        sentence and direction) labelled with the aggregation round that
-        produced them. ``keep`` (from :meth:`draw_dropout`) applies training
-        dropout. Every round shares the target votes q."""
-        state = self.initial_state(sentences, keep)
+        Returns T+1 states, whose tensors are [G, n, ·], and the routing
+        traces (one per sentence and direction) labelled with the
+        aggregation round that produced them. ``keep`` (from
+        :meth:`draw_dropout`) applies training dropout. The document
+        signals, the routing prior and the route plan with its target votes
+        q are built once and serve every round."""
+        state, doc = self.initial_state(sentences, keep)
+        adjacency = np.stack([s.adjacency for s in sentences]).astype(
+            self.emb_general.dtype, copy=False)
         plan = self.route_plan(len(sentences), sentences[0].n)
         states = [state]
         traces: list[tuple[int, RoutingTrace]] = []
-        for t in range(1, self.config.iterations + 1):
-            state = self.transfer_and_aggregate(state, sentences, keep_trace,
-                                                traces, plan)
+        for _ in range(self.config.iterations):
+            state = self.transfer_and_aggregate(state, doc, sentences,
+                                                adjacency, plan, keep_trace,
+                                                traces)
             states.append(state)
         return states, traces
 
     def initial_state(self, sentences: Sequence[Sentence],
                       keep: Sequence[tuple[np.ndarray, np.ndarray]] | None
-                      ) -> IterationState:
-        """Round 0: the task stacks' hidden vectors, their decodes and the
-        document heads, which later rounds reuse unchanged."""
+                      ) -> tuple[IterationState, dict[str, Tensor]]:
+        """Round 0 (the task stacks' hidden vectors and their decodes) and
+        the document signals that every later round fuses, keyed as in
+        :meth:`ModelConfig.doc_inputs`: an attention weight [G, n, 1] per
+        token, or the document's label distribution [G, n, C] repeated at
+        every token. Only the signals some target fuses are built."""
         shared = self._shared(sentences, keep)
         hidden = {task: self.stacks[task](shared) for task in ASPECT_TASKS}
-        doc_hidden = {s: self.stacks[s](shared) for s in DOC_TASKS}
+        g, n = shared.shape[:2]
+        wanted = dict.fromkeys(signal for target in ASPECT_TASKS
+                               for signal in self.config.doc_inputs(target))
+        heads = {s: self._doc_head(s, shared) for s in DOC_TASKS
+                 if any(signal.startswith(f"{s}.") for signal in wanted)}
+        doc = {}
+        for signal in wanted:
+            task, _, kind = signal.partition(".")
+            a, _vec, logits = heads[task]
+            doc[signal] = (reshape(a, (g, n, 1)) if kind == "attn" else
+                           _broadcast_rows(softmax(logits, axis=-1), n))
+        return self._decode_state(0, hidden, None), doc
 
-        doc_attn, doc_logits, doc_probs = {}, {}, {}
-        for s in DOC_TASKS:
-            a, _vec, logits = self.heads[s](doc_hidden[s])
-            doc_attn[s] = a
-            doc_logits[s] = logits
-            doc_probs[s] = softmax(logits, axis=-1)
-        return self._decode_state(0, hidden, None, doc_attn, doc_logits,
-                                  doc_probs)
+    def _doc_head(self, task: str, shared: Tensor
+                  ) -> tuple[Tensor, Tensor, Tensor]:
+        """A document task's stack and attention head on the shared
+        encoding: attention weights [G, n], pooled vectors [G, d_task] and
+        logits [G, C]."""
+        return self.heads[task](self.stacks[task](shared))
 
-    def _decode_state(self, t, hidden, prev: IterationState | None,
-                      doc_attn, doc_logits, doc_probs) -> IterationState:
+    def _decode_state(self, t, hidden, prev: IterationState | None
+                      ) -> IterationState:
         logits, probs = {}, {}
         for task in ASPECT_TASKS:
             if prev is not None and hidden[task] is prev.hidden[task]:
@@ -459,8 +472,7 @@ class AbsaModel:
                 probs[task] = prev.probs[task]
             else:
                 logits[task], probs[task] = self.decoders[task](hidden[task])
-        return IterationState(t, hidden, logits, probs, doc_attn, doc_logits,
-                              doc_probs)
+        return IterationState(t, hidden, logits, probs)
 
     def route_plan(self, g: int, n: int
                    ) -> list[tuple[list[TransferDirection], Tensor]]:
@@ -479,21 +491,18 @@ class AbsaModel:
         return plan
 
     def transfer_and_aggregate(self, state: IterationState,
+                               doc: dict[str, Tensor],
                                sentences: Sequence[Sentence],
-                               keep_trace: bool = False,
-                               traces: list | None = None,
-                               plan: list | None = None) -> IterationState:
+                               adjacency: np.ndarray, plan: list,
+                               keep_trace: bool,
+                               traces: list) -> IterationState:
         """One aggregation round over the group: route knowledge between the
-        token-level tasks, one :func:`route` call per block of ``plan``
-        (from :meth:`route_plan`), then :meth:`aggregate` it."""
+        token-level tasks under the routing prior ``adjacency`` [G, n, n],
+        one :func:`route` call per block of ``plan`` (from
+        :meth:`route_plan`), append the traces when ``keep_trace``, then
+        :meth:`aggregate` with the document signals ``doc``."""
         cfg = self.config
         g, n = len(sentences), sentences[0].n
-        if plan is None:
-            plan = self.route_plan(g, n)
-        # the routing prior, built once in the model's dtype for every
-        # direction of this round
-        adjacency = np.stack([s.adjacency for s in sentences]).astype(
-            self.emb_general.dtype, copy=False)
         routed: dict[str, Tensor] = {}
         for block, q in plan:
             r = concat([predict_vectors(state.hidden[d.source], d, self.pe)
@@ -502,51 +511,38 @@ class AbsaModel:
                              adjacency, cfg.route_iters, keep_trace=keep_trace)
             for k, direction in enumerate(block):
                 routed[direction.name] = select(v, k)
-                if keep_trace and traces is not None:
+                if keep_trace:
                     for i, sent in enumerate(sentences):
                         traces.append((state.t + 1, RoutingTrace(
                             direction.name, sent.tokens, sent.adjacency,
                             [RoutingState(st.iteration, st.b[k, i],
                                           st.c[k, i], st.s[k, i], st.v[k, i])
                              for st in snaps])))
-        return self.aggregate(state, routed)
+        return self.aggregate(state, routed, doc)
 
-    def aggregate(self, state: IterationState,
-                  routed: dict[str, Tensor]) -> IterationState:
+    def aggregate(self, state: IterationState, routed: dict[str, Tensor],
+                  doc: dict[str, Tensor]) -> IterationState:
         """Fuse each target's routed knowledge ``routed[direction name]``
-        [G, n, d_route] with the previous predictions and the
-        document-level signals, and re-decode."""
+        [G, n, d_route] with the previous predictions and its document
+        signals ``doc[signal]`` (from :meth:`initial_state`), and
+        re-decode."""
         cfg = self.config
-        g, n = state.hidden["ate"].shape[:2]
         new_hidden: dict[str, Tensor] = {}
         for target in ASPECT_TASKS:
-            srcs = cfg.sources_into(target)
-            if not srcs and not cfg.injects_into(target):
+            if not cfg.receives_knowledge(target):
                 new_hidden[target] = state.hidden[target]
                 continue
+            srcs = cfg.sources_into(target)
             h = concat([state.hidden[target]]
                        + [routed[f"{src}->{target}"] for src in srcs], axis=-1)
             if srcs:
                 h = self.proj[target](h)
-            fuse_in = [h, state.probs["ate"], state.probs["ote"],
-                       state.probs["asc"]]
-            if target in ("ate", "ote"):
-                if cfg.inject_ddc:
-                    fuse_in.append(reshape(state.doc_attn["ddc"], (g, n, 1)))
-                if cfg.coarse:
-                    fuse_in.append(_broadcast_rows(state.doc_probs["dsc"], n))
-                    fuse_in.append(reshape(state.doc_attn["dsc"], (g, n, 1)))
-            else:
-                if cfg.inject_dsc:
-                    fuse_in.append(_broadcast_rows(state.doc_probs["dsc"], n))
-                    fuse_in.append(reshape(state.doc_attn["dsc"], (g, n, 1)))
-                if cfg.coarse:
-                    fuse_in.append(reshape(state.doc_attn["ddc"], (g, n, 1)))
+            fuse_in = ([h, state.probs["ate"], state.probs["ote"],
+                        state.probs["asc"]]
+                       + [doc[signal] for signal in cfg.doc_inputs(target)])
             fused = self.fuse[target](concat(fuse_in, axis=-1))
             new_hidden[target] = self.nonlin(fused)
-        return self._decode_state(state.t + 1, new_hidden, state,
-                                  state.doc_attn, state.doc_logits,
-                                  state.doc_probs)
+        return self._decode_state(state.t + 1, new_hidden, state)
 
     def forward_document(self, docs: Sequence[Document],
                          keep: Sequence[tuple[np.ndarray, np.ndarray]]
@@ -554,11 +550,7 @@ class AbsaModel:
         """Document-task logits [G, C] of a group of equal-length documents;
         these do not depend on the iteration loop."""
         shared = self._shared(docs, keep)
-        out = {}
-        for s in DOC_TASKS:
-            _a, _vec, logits = self.heads[s](self.stacks[s](shared))
-            out[s] = logits
-        return out
+        return {s: self._doc_head(s, shared)[2] for s in DOC_TASKS}
 
     # -- inference ----------------------------------------------------------
 
@@ -674,11 +666,6 @@ class AbsaModel:
         return header
 
     @classmethod
-    def read_header(cls, path: str) -> dict:
-        with open(path, "rb") as f:
-            return cls._read_header(f, path)
-
-    @classmethod
     def load(cls, path: str) -> "AbsaModel":
         """Read ``path`` in one pass. Its manifest must name exactly the
         model's tensors with their shapes and tile the payload exactly;
@@ -697,17 +684,14 @@ class AbsaModel:
         if dims != (config.d_general, config.d_domain):
             raise CheckpointError(f"{path}: embedding dims {dims} do not "
                                   f"match the model config")
-
-        def build_table(words: list[str], dim: int) -> EmbeddingTable:
-            vocab = {w: i for i, w in enumerate(words)}
-            matrix = np.zeros((len(words) + 2, dim), dtype=np.float32)
-            return EmbeddingTable(vocab, matrix, dim, unk_index=len(words),
-                                  pad_index=len(words) + 1)
-
-        model = cls(config, schemes,
-                    build_table(header["general_vocab"],
-                                header["general_dim"]),
-                    build_table(header["domain_vocab"], header["domain_dim"]))
+        # zero tables of the checkpoint's vocabularies: the payload fills them
+        general, domain = (
+            EmbeddingTable.from_words(words, np.zeros((len(words), dim),
+                                                      np.float32),
+                                      np.zeros(dim, np.float32))
+            for words, dim in zip((header["general_vocab"],
+                                   header["domain_vocab"]), dims))
+        model = cls(config, schemes, general, domain)
         params = model.named_parameters()
         listed = {m["name"] for m in header["manifest"]}
         if listed != set(params):

@@ -494,7 +494,8 @@ def global_grad_norm(params) -> float:
 
 
 def clip_grads(params, max_norm: float) -> float:
-    """Scale all gradients so their global norm is at most ``max_norm``."""
+    """Scale all gradients so their global norm is at most ``max_norm``
+    (0 clips nothing) and return their norm before clipping."""
     norm = global_grad_norm(params)
     if norm > max_norm > 0:
         factor = max_norm / norm

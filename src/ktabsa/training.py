@@ -20,11 +20,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import Document, Sentence, length_groups, make_batches
+from .data import (Document, Sentence, atomic_write, length_groups,
+                   make_batches)
 from .metrics import evaluate
 from .model import ASPECT_TASKS, AbsaModel, IterationState, ModelConfig
 from .tensor import (ConfigError, Tape, Tensor, adam_step, clip_grads,
-                     cross_entropy_rows, global_grad_norm, record, scale)
+                     cross_entropy_rows, record, scale)
 
 
 class DivergenceError(ArithmeticError):
@@ -227,10 +228,7 @@ def _train_step(model: AbsaModel, opt: Adam, loss_fn: Callable[[], Tensor],
     for emb, row in model.frozen_embedding_rows():
         if emb.grad is not None:
             emb.grad[row] = 0.0
-    if clip_norm > 0:
-        norm = clip_grads(opt.params.values(), clip_norm)
-    else:
-        norm = global_grad_norm(opt.params.values())
+    norm = clip_grads(opt.params.values(), clip_norm)
     if not np.isfinite(norm):
         raise DivergenceError(f"non-finite gradient norm on {what}")
     opt.step()
@@ -267,17 +265,24 @@ def fit(model: AbsaModel, train_sentences: Sequence[Sentence],
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         metrics_path = os.path.join(out_dir, "metrics.jsonl")
-        open(metrics_path, "w").close()
 
     def emit(msg: str) -> None:
         if log is not None:
             log(msg)
 
+    def write_metrics() -> None:
+        """Rewrite metrics.jsonl whole and atomically: a write that fails
+        part-way leaves the previous epoch's complete file."""
+        if metrics_path is not None:
+            with atomic_write(metrics_path) as f:
+                for rec in result.history:
+                    f.write(json.dumps(rec) + "\n")
+
     def log_epoch(rec: dict) -> None:
         result.history.append(rec)
-        if metrics_path is not None:
-            with open(metrics_path, "a", encoding="utf-8") as f:
-                f.write(json.dumps(rec) + "\n")
+        write_metrics()
+
+    write_metrics()
 
     def doc_chunks(seed: int) -> list[list[Document]]:
         order = np.random.default_rng(seed).permutation(len(documents))

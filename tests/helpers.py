@@ -150,6 +150,11 @@ def failing_disk(nth_write: int = 3):
         yield
 
 
+def param_shapes(model) -> dict[str, tuple[int, ...]]:
+    """Every parameter's shape by name, in ``named_parameters`` order."""
+    return {name: t.shape for name, t in model.named_parameters().items()}
+
+
 def squash_ref(s: np.ndarray, eps: float = 1e-9) -> np.ndarray:
     r = np.linalg.norm(s, axis=-1, keepdims=True)
     return (r * r) / (1 + r * r) * s / (r + eps)
@@ -159,11 +164,12 @@ def per_direction_forward(model, sentences, keep=None, keep_trace=False):
     """Reference for ``AbsaModel.forward`` that routes every transfer
     direction in a call of its own, r [G, n, d_route] against q
     [n, d_route], with no direction axis, stacking or slicing. As in the
-    model, q is computed once per forward and serves every round; round 0
-    and the fusion are the model's own code."""
+    model, q, the routing prior and the document signals are built once per
+    forward and serve every round; round 0 with its document signals and
+    the fusion are the model's own code."""
     cfg = model.config
     n = sentences[0].n
-    state = model.initial_state(sentences, keep)
+    state, doc = model.initial_state(sentences, keep)
     q = {name: routing.target_votes(d, model.pe, n)
          for name, d in model.routes.items()}
     adjacency = np.stack([s.adjacency for s in sentences]).astype(
@@ -186,7 +192,7 @@ def per_direction_forward(model, sentences, keep=None, keep_trace=False):
                         [routing.RoutingState(st.iteration, st.b[i], st.c[i],
                                               st.s[i], st.v[i])
                          for st in snaps])))
-        state = model.aggregate(state, routed)
+        state = model.aggregate(state, routed, doc)
         states.append(state)
     return states, traces
 

@@ -24,7 +24,8 @@ from ktabsa.training import (Schedule, aspect_loss, fit,
                              gradcheck, gradcheck_harness)
 
 from fixtures import build_tiny_model, tiny_config
-from helpers import corpus_stats, read_predictions, squash_ref
+from helpers import (corpus_stats, param_shapes, read_predictions,
+                     squash_ref)
 from test_metrics import asc_oracle, micro_f1_oracle, random_instance
 
 
@@ -208,7 +209,7 @@ def test_ablation_structure_and_discriminate_injection():
     the document-knowledge injections stay discriminate under gradients."""
     base_cfg = tiny_config()
     base_model, sent, _ = build_tiny_model(base_cfg)
-    base = dict(base_model.manifest())
+    base = param_shapes(base_model)
     d_route = base_cfg.d_route
     c_dsc = len(DEFAULT_SCHEMES.dsc_labels)
 
@@ -227,18 +228,18 @@ def test_ablation_structure_and_discriminate_injection():
     for flag, (exp_missing, exp_added, exp_reshaped) in expectations.items():
         cfg = apply_ablation(base_cfg, flag)
         model, _, _ = build_tiny_model(cfg)
-        cut = dict(model.manifest())
+        cut = param_shapes(model)
         missing, added, reshaped = _manifest_diff(base, cut)
         assert missing == exp_missing, (flag, missing)
         assert added == exp_added, (flag, added)
         assert reshaped == exp_reshaped, (flag, reshaped)
     for flag in ("aspect-transfer", "opinion-transfer", "sentiment-transfer"):
-        cut = dict(build_tiny_model(apply_ablation(base_cfg, flag))[0]
-                   .manifest())
+        cut = param_shapes(build_tiny_model(apply_ablation(base_cfg,
+                                                           flag))[0])
         for name in expectations[flag][2]:
             assert cut[name][0] == base[name][0] - d_route
-    cut = dict(build_tiny_model(apply_ablation(base_cfg, "coarse"))[0]
-               .manifest())
+    cut = param_shapes(build_tiny_model(apply_ablation(base_cfg,
+                                                       "coarse"))[0])
     assert cut["fuse.ate.out.w"][0] == base["fuse.ate.out.w"][0] + c_dsc + 1
     assert cut["fuse.asc.out.w"][0] == base["fuse.asc.out.w"][0] + 1
 

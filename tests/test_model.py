@@ -22,7 +22,7 @@ from ktabsa.training import aspect_loss, batch_aspect_loss
 from fixtures import (build_tiny_model, build_tiny_model_f64,
                       chain_adjacency, edit_header, random_sentence,
                       tiny_config, with_header)
-from helpers import failing_disk, per_direction_forward
+from helpers import failing_disk, param_shapes, per_direction_forward
 
 
 def clone_states(states):
@@ -49,10 +49,15 @@ def test_forward_probability_rows_are_distributions():
             rows = st.probs[task].data
             np.testing.assert_allclose(rows.sum(axis=-1),
                                        np.ones((1, sent.n)), atol=1e-6)
-        for s in ("ddc", "dsc"):
-            assert abs(st.doc_probs[s].data.sum() - 1.0) < 1e-6
-            np.testing.assert_allclose(st.doc_attn[s].data.sum(), 1.0,
-                                       atol=1e-6)
+    # the document signals: a label distribution at every token, and
+    # attention weights that sum to one over the tokens
+    _state, doc = model.initial_state([sent], None)
+    assert set(doc) == {"ddc.attn", "dsc.probs", "dsc.attn"}
+    np.testing.assert_allclose(doc["dsc.probs"].data.sum(axis=-1),
+                               np.ones((1, sent.n)), atol=1e-6)
+    for signal in ("ddc.attn", "dsc.attn"):
+        assert doc[signal].shape == (1, sent.n, 1)
+        np.testing.assert_allclose(doc[signal].data.sum(), 1.0, atol=1e-6)
 
 
 def test_full_ablation_t1_equals_iteration_zero_decode():
@@ -64,16 +69,20 @@ def test_full_ablation_t1_equals_iteration_zero_decode():
         np.testing.assert_array_equal(states[0].probs[task].data,
                                       states[1].probs[task].data)
     # parameter-for-parameter: no routing, fusion, or projection tensors
-    names = [n for n, _ in model.manifest()]
-    assert not any(n.startswith(("route.", "fuse.")) for n in names)
+    assert not any(n.startswith(("route.", "fuse."))
+                   for n in model.named_parameters())
 
 
 def test_t2_equals_composing_transfer_and_aggregate_twice():
     model, sent, _ = build_tiny_model(tiny_config(iterations=2))
     states, _ = model.forward([sent])
-    s0 = states[0]
-    s1 = model.transfer_and_aggregate(s0, [sent])
-    s2 = model.transfer_and_aggregate(s1, [sent])
+    s0, doc = model.initial_state([sent], None)
+    adjacency = sent.adjacency[None]
+    plan = model.route_plan(1, sent.n)
+    s1 = model.transfer_and_aggregate(s0, doc, [sent], adjacency, plan,
+                                      False, [])
+    s2 = model.transfer_and_aggregate(s1, doc, [sent], adjacency, plan,
+                                      False, [])
     for task in ("ate", "ote", "asc"):
         np.testing.assert_array_equal(states[1].probs[task].data,
                                       s1.probs[task].data)
@@ -112,13 +121,13 @@ def test_opinion_transfer_ablation_removes_source_routing_tensors():
     cfg = apply_ablation(tiny_config(), "opinion-transfer")
     assert "ote->ate" not in cfg.transfers and "ote->asc" not in cfg.transfers
     model, _, _ = build_tiny_model(cfg)
-    names = [n for n, _ in model.manifest()]
+    names = list(model.named_parameters())
     assert not any("route.ote_to" in n for n in names)
     assert any("route.ate_to_asc" in n for n in names)
     # both targets lost one routed source: projection widths shrink
     full_model, _, _ = build_tiny_model(tiny_config())
-    full = dict(full_model.manifest())
-    cut = dict(model.manifest())
+    full = param_shapes(full_model)
+    cut = param_shapes(model)
     d_route = cfg.d_route
     assert cut["fuse.ate.proj.w"][0] == full["fuse.ate.proj.w"][0] - d_route
     assert cut["fuse.asc.proj.w"][0] == full["fuse.asc.proj.w"][0] - d_route
@@ -128,8 +137,8 @@ def test_ddc_ablation_shrinks_fusion_inputs():
     cfg = apply_ablation(tiny_config(), "ddc-transfer")
     model, _, _ = build_tiny_model(cfg)
     full_model, _, _ = build_tiny_model(tiny_config())
-    full = dict(full_model.manifest())
-    cut = dict(model.manifest())
+    full = param_shapes(full_model)
+    cut = param_shapes(model)
     assert cut["fuse.ate.out.w"][0] == full["fuse.ate.out.w"][0] - 1
     assert cut["fuse.ote.out.w"][0] == full["fuse.ote.out.w"][0] - 1
     assert cut["fuse.asc.out.w"] == full["fuse.asc.out.w"]
@@ -139,8 +148,8 @@ def test_coarse_adds_exactly_the_merged_injection_widths():
     base_model, _, _ = build_tiny_model(tiny_config())
     coarse_model, _, _ = build_tiny_model(apply_ablation(tiny_config(),
                                                          "coarse"))
-    base = dict(base_model.manifest())
-    coarse = dict(coarse_model.manifest())
+    base = param_shapes(base_model)
+    coarse = param_shapes(coarse_model)
     assert set(base) == set(coarse)
     c_dsc = len(DEFAULT_SCHEMES.dsc_labels)
     for target, extra in (("ate", c_dsc + 1), ("ote", c_dsc + 1), ("asc", 1)):
@@ -150,6 +159,54 @@ def test_coarse_adds_exactly_the_merged_injection_widths():
     coarse_count = sum(int(np.prod(s)) for s in coarse.values())
     d_task = tiny_config().d_task
     assert coarse_count - base_count == (2 * (c_dsc + 1) + 1) * d_task
+
+
+# fuse.<target>.out input width per (inject_ddc, inject_dsc, coarse) for
+# tiny_config: d_task 8 + 3 tag distributions of 3 classes = 17, plus 1 per
+# attention weight and 3 for the document sentiment distribution
+FUSE_WIDTHS = {
+    (False, False, False): {"ate": 17, "ote": 17, "asc": 17},
+    (True, False, False): {"ate": 18, "ote": 18, "asc": 17},
+    (False, True, False): {"ate": 17, "ote": 17, "asc": 21},
+    (True, True, False): {"ate": 18, "ote": 18, "asc": 21},
+    (False, False, True): {"ate": 21, "ote": 21, "asc": 18},
+    (True, False, True): {"ate": 22, "ote": 22, "asc": 18},
+    (False, True, True): {"ate": 21, "ote": 21, "asc": 22},
+    (True, True, True): {"ate": 22, "ote": 22, "asc": 22},
+}
+
+
+@pytest.mark.parametrize("flags", sorted(FUSE_WIDTHS))
+def test_fuse_widths_follow_the_document_wiring(flags):
+    inject_ddc, inject_dsc, coarse = flags
+    cfg = tiny_config(inject_ddc=inject_ddc, inject_dsc=inject_dsc,
+                      coarse=coarse)
+    shapes = param_shapes(build_tiny_model(cfg)[0])
+    assert {t: shapes[f"fuse.{t}.out.w"][0] for t in ("ate", "ote", "asc")
+            } == FUSE_WIDTHS[flags]
+    if flags == (True, True, True):
+        assert cfg.doc_inputs("ate") == ("ddc.attn", "dsc.probs", "dsc.attn")
+        assert cfg.doc_inputs("asc") == ("dsc.probs", "dsc.attn", "ddc.attn")
+
+
+def test_document_signals_add_no_tape_node_to_a_round():
+    """A forward builds its document signals once, whatever the number of
+    rounds: a round records as many tape nodes with document injection as
+    without it."""
+    def round_nodes(**overrides):
+        counts = []
+        for iterations in (2, 3):
+            model, sent, _ = build_tiny_model(
+                tiny_config(iterations=iterations, **overrides))
+            tape = T.Tape()
+            with T.record(tape):
+                model.forward([sent])
+            counts.append(len(tape))
+        return counts[1] - counts[0]
+
+    bare = round_nodes(inject_ddc=False, inject_dsc=False)
+    assert round_nodes() == bare
+    assert round_nodes(coarse=True) == bare
 
 
 def test_unknown_ablation_rejected():

@@ -1,0 +1,36 @@
+"""Smoke runs of the example scripts. Each trains through ``fit`` and reads
+``forward``'s outputs, so an interface change that breaks a script fails
+here."""
+
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def run_script(*args: str) -> subprocess.CompletedProcess:
+    # the scripts put src/ on their path relative to the repository root
+    return subprocess.run([sys.executable, *args], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_trace_demo_prints_a_routing_heat_map():
+    proc = run_script("scripts/trace_demo.py", "--epochs", "1")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("sentence: ")
+    assert lines[1] == "direction: ote->asc (rows: source, cols: target)"
+    assert "iteration 1" in lines
+
+
+def test_overfit_synth_prints_the_comparison_table():
+    proc = run_script("scripts/overfit_synth.py", "--sentences", "8",
+                      "--epochs", "1")
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header.split() == ["variant", "epochs-to-target", "acc-ate",
+                              "acc-ote", "acc-asc", "train-F1-I", "wall"]
+    assert len(rows) == 2
+    assert rows[0].startswith("full model")
+    assert rows[1].startswith("no transfer")

@@ -20,7 +20,7 @@ from ktabsa.training import (Adam, DivergenceError, Schedule,
 
 from fixtures import (build_tiny_model, build_tiny_model_f64,
                       random_sentence, tiny_config, tiny_sentence)
-from helpers import corrupt_squash_backward, weighted_sum
+from helpers import corrupt_squash_backward, failing_disk, weighted_sum
 
 
 def fake_states(logits: dict[str, np.ndarray]):
@@ -263,6 +263,28 @@ def test_fit_smoke_writes_metrics_and_checkpoint(tmp_path):
             <= rec["grad_norm_max"]
         assert 0.0 <= rec["clip_frac"] <= 1.0
     assert lines == res.history   # per_class keys included
+
+
+def test_failed_metrics_write_leaves_whole_records(tmp_path):
+    """metrics.jsonl is rewritten whole and atomically after each epoch: a
+    write that fails part-way in the second epoch leaves the first epoch's
+    record, whole, and no torn line."""
+    def without_wall_time(rec):
+        return {k: v for k, v in rec.items() if k != "wall_time_s"}
+
+    sched = Schedule(epochs=3, pretrain_epochs=0, batch_size=8, lr=1e-3,
+                     patience=0)
+    model, sents, _ = make_training_setup(tmp_path)
+    history = fit(model, sents, [], [], sched).history
+    model, sents, _ = make_training_setup(tmp_path)
+    out = str(tmp_path / "run")
+    # epoch k's rewrite makes k writes: the second epoch's fails half-way
+    with failing_disk(nth_write=2), pytest.raises(OSError, match="No space"):
+        fit(model, sents, [], [], sched, out_dir=out)
+    with open(os.path.join(out, "metrics.jsonl"), encoding="utf-8") as f:
+        lines = [json.loads(line) for line in f]
+    assert [without_wall_time(rec) for rec in lines] == [
+        without_wall_time(history[0])]
 
 
 def test_pure_aspect_training_without_documents(tmp_path):
