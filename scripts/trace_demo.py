@@ -10,12 +10,14 @@ Usage: python scripts/trace_demo.py [--epochs 60]
 """
 
 import argparse
+import os
 import sys
 import tempfile
 
 import numpy as np
 
-sys.path.insert(0, "src")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                "..", "src"))
 
 from ktabsa.data import (DEFAULT_SCHEMES, assign_embedding_ids, corpus_words,
                          load_aspect_corpus, random_embeddings)

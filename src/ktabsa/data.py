@@ -1,4 +1,4 @@
-"""Corpora, tagging schemes, spans, embeddings, batching, length groups.
+"""Corpora, tagging schemes, spans, embeddings, batching, length chunks.
 
 File formats
 ------------
@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .routing import directions_per_call
 
 
 class CorpusError(ValueError):
@@ -482,8 +484,20 @@ def make_batches(sentences: Sequence[Sentence], batch_size: int,
 
 def length_groups(items: Sequence[Sentence | Document]) -> list[list[int]]:
     """Indices of ``items`` grouped by length: groups in order of their
-    first member, members in item order. A model forward runs one group."""
+    first member, members in item order."""
     groups: dict[int, list[int]] = {}
     for i, it in enumerate(items):
         groups.setdefault(it.n, []).append(i)
     return list(groups.values())
+
+
+def length_chunks(items: Sequence[Sentence | Document]) -> list[list[int]]:
+    """The inputs that share a model forward, in training and inference
+    alike: each of :func:`length_groups` cut, in order, into chunks of at
+    most ``directions_per_call(1, n)`` items, so that one chunk's [G, n, n]
+    coupling array stays within ``routing.COUPLING_BUDGET`` elements."""
+    chunks = []
+    for idx in length_groups(items):
+        size = directions_per_call(1, items[idx[0]].n)
+        chunks += [idx[i:i + size] for i in range(0, len(idx), size)]
+    return chunks

@@ -16,9 +16,11 @@ representations themselves do not iterate, so a forward builds their
 [G, n, ·] signals once, together with the routing prior and the route
 plan, and every round reuses them.
 
-Inference groups too: :meth:`AbsaModel.predict_many` runs one forward per
-chunk of at most COUPLING_BUDGET // n^2 sentences of a length group (length
-bucketing as in fairseq's ``batch_by_size``).
+Training and inference share one chunking rule, :func:`data.length_chunks`:
+a forward runs a chunk of at most COUPLING_BUDGET // n^2 sentences of a
+length group (length bucketing as in fairseq's ``batch_by_size``), and
+training backpropagates each chunk as soon as it is recorded, so the graph
+of a step is bounded by the budget, not by the batch size.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 
 from . import layers as L
 from .data import (BEGIN, INSIDE, Document, EmbeddingTable, Sentence,
-                   TagSchemes, atomic_write, extract_spans, length_groups)
+                   TagSchemes, atomic_write, extract_spans, length_chunks)
 from .routing import (PositionalEncoding, RoutingState, RoutingTrace,
                       TransferDirection, directions_per_call, predict_vectors,
                       route, target_votes)
@@ -557,22 +559,18 @@ class AbsaModel:
     def _final_tags(self, sentences: Sequence[Sentence]
                     ) -> list[dict[str, np.ndarray]]:
         """Each sentence's final argmax tags [n] per token-level task, in
-        input order; unindexed sentences are indexed first. A length group
-        runs in chunks of ``directions_per_call(1, n)`` sentences, so one
-        chunk's [G, n, n] couplings stay within COUPLING_BUDGET."""
+        input order, one forward per chunk of :func:`data.length_chunks`;
+        unindexed sentences are indexed first."""
         for s in sentences:
             if s.general_ids is None:
                 self.index_tokens(s)
         tags: list = [None] * len(sentences)
-        for idx in length_groups(sentences):
-            size = directions_per_call(1, sentences[idx[0]].n)
-            for start in range(0, len(idx), size):
-                chunk = idx[start:start + size]
-                states, _ = self.forward([sentences[i] for i in chunk])
-                best = {task: states[-1].probs[task].data.argmax(axis=-1)
-                        for task in ASPECT_TASKS}
-                for row, i in enumerate(chunk):
-                    tags[i] = {task: a[row] for task, a in best.items()}
+        for chunk in length_chunks(sentences):
+            states, _ = self.forward([sentences[i] for i in chunk])
+            best = {task: states[-1].probs[task].data.argmax(axis=-1)
+                    for task in ASPECT_TASKS}
+            for row, i in enumerate(chunk):
+                tags[i] = {task: a[row] for task, a in best.items()}
         return tags
 
     def predict_many(self, sentences: Sequence[Sentence]) -> list[Prediction]:

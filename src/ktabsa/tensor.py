@@ -111,8 +111,10 @@ class Tape:
         """Accumulate dLoss/dT into ``t.grad`` for every leaf (no recorded
         node's output); an intermediate's ``.grad`` stays None.
 
-        Each call propagates a fresh unit seed, so calling twice doubles the
-        gradients of the leaves (accumulation semantics).
+        Each call propagates a fresh unit seed and adds into an existing
+        ``.grad`` in place, so calling twice doubles the gradients of the
+        leaves, and a batch backpropagated piece by piece allocates no
+        gradient buffer after the first piece.
         """
         if loss.data.size != 1:
             raise ValueError(
@@ -135,7 +137,10 @@ class Tape:
                 continue
             fn(slot[1], push)
         for t, g in flow.values():     # g is push's own copy: hand it over
-            t.grad = g if t.grad is None else t.grad + g
+            if t.grad is None:
+                t.grad = g
+            else:
+                t.grad += g
 
 
 _active: Tape | None = None

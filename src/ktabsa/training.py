@@ -2,12 +2,16 @@
 
 Training runs in two phases: the document tasks are pretrained alone for a
 few epochs, then sentence-level batches and document batches alternate at a
-configurable ratio. A batch runs one model forward per group of
-equal-length inputs ([G, n, ·] tensors, no padding), in order of each
-group's first member; its loss is the mean of the per-input losses. Every
-epoch ends with a dev evaluation; the checkpoint with the best pair-F1 is
-kept. All randomness flows from the model seed, so
-a rerun with the same config reproduces the loss trace bit for bit.
+configurable ratio. A batch's loss is the mean of the per-input losses.
+Training and inference share one chunking rule, :func:`data.length_chunks`:
+one model forward runs a chunk of equal-length inputs ([G, n, ·] tensors,
+no padding) whose [G, n, n] couplings fit ``routing.COUPLING_BUDGET``. Each
+chunk is backpropagated as soon as it is recorded, and its tape dropped, so
+a step's graph is bounded by the budget, not by ``batch_size``; the
+gradients accumulate in place, and clipping and the optimizer step run once
+per batch. Every epoch ends with a dev evaluation; the checkpoint with the
+best pair-F1 is kept. All randomness flows from the model seed, so a rerun
+with the same config reproduces the loss trace bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import (Document, Sentence, atomic_write, length_groups,
+from .data import (Document, Sentence, atomic_write, length_chunks,
                    make_batches)
 from .metrics import evaluate
 from .model import ASPECT_TASKS, AbsaModel, IterationState, ModelConfig
@@ -62,31 +66,43 @@ def aspect_loss(states: Sequence[IterationState],
     return loss
 
 
-def _mean_over_groups(items: Sequence, keep: list | None,
-                      group_loss: Callable[[list, list | None], Tensor]
-                      ) -> Tensor:
-    """Mean per-item loss of a batch: ``group_loss(group, keep)`` returns
-    the summed loss of one group of equal-length items, given its dropout
-    multipliers (None in evaluation)."""
-    total: Tensor | None = None
-    for idx in length_groups(items):
-        loss = group_loss([items[i] for i in idx],
-                          None if keep is None else [keep[i] for i in idx])
-        total = loss if total is None else total + loss
-    return scale(total, 1.0 / len(items))
+def backprop_chunks(items: Sequence, keep: list | None,
+                    chunk_loss: Callable[[list, list | None], Tensor]
+                    ) -> float:
+    """Mean per-item loss of a batch, its gradient accumulated into every
+    parameter's ``.grad``. ``chunk_loss(chunk, keep)`` returns the summed
+    loss of one chunk of :func:`data.length_chunks`, given its dropout
+    multipliers (None in evaluation). Each chunk's share of the mean is
+    recorded on a tape of its own, checked and backpropagated at once, so a
+    batch's graph never outgrows one chunk's. A non-finite chunk loss
+    raises :class:`DivergenceError` before its backward."""
+    total = 0.0
+    for idx in length_chunks(items):
+        tape = Tape()
+        with record(tape):
+            loss = scale(chunk_loss([items[i] for i in idx],
+                                    None if keep is None
+                                    else [keep[i] for i in idx]),
+                         1.0 / len(items))
+        value = loss.item()
+        if not np.isfinite(value):
+            raise DivergenceError("non-finite loss")
+        tape.backward(loss)
+        total += value
+    return total
 
 
 def batch_aspect_loss(model: AbsaModel, batch: Sequence[Sentence],
-                      train: bool, rng: np.random.Generator | None) -> Tensor:
-    """Mean per-sentence loss over a batch, one forward per group of
-    equal-length sentences. Training draws the dropout of the whole batch
-    first, in batch order."""
-    def group_loss(group, keep):
-        states, _ = model.forward(group, keep)
-        return aspect_loss(states, group, model.config)
+                      train: bool, rng: np.random.Generator | None) -> float:
+    """Mean per-sentence loss over a batch, backpropagated chunk by chunk
+    (:func:`backprop_chunks`). Training draws the dropout of the whole
+    batch first, in batch order."""
+    def chunk_loss(chunk, keep):
+        states, _ = model.forward(chunk, keep)
+        return aspect_loss(states, chunk, model.config)
 
     keep = model.draw_dropout(batch, rng) if train else None
-    return _mean_over_groups(batch, keep, group_loss)
+    return backprop_chunks(batch, keep, chunk_loss)
 
 
 def document_loss(doc_logits: dict[str, Tensor],
@@ -114,15 +130,15 @@ def document_loss(doc_logits: dict[str, Tensor],
 
 def batch_document_loss(model: AbsaModel, docs: Sequence[Document],
                         train: bool, rng: np.random.Generator | None
-                        ) -> Tensor:
-    """Mean per-document loss, one forward per group of equal-length
-    documents."""
-    def group_loss(group, keep):
-        return document_loss(model.forward_document(group, keep), group,
+                        ) -> float:
+    """Mean per-document loss, backpropagated chunk by chunk
+    (:func:`backprop_chunks`)."""
+    def chunk_loss(chunk, keep):
+        return document_loss(model.forward_document(chunk, keep), chunk,
                              model.config)
 
     keep = model.draw_dropout(docs, rng) if train else None
-    return _mean_over_groups(docs, keep, group_loss)
+    return backprop_chunks(docs, keep, chunk_loss)
 
 
 class Adam:
@@ -211,20 +227,19 @@ def token_accuracy(model: AbsaModel,
     return {t: (hit[t] / total[t] if total[t] else 1.0) for t in ASPECT_TASKS}
 
 
-def _train_step(model: AbsaModel, opt: Adam, loss_fn: Callable[[], Tensor],
+def _train_step(model: AbsaModel, opt: Adam, batch_loss: Callable[[], float],
                 clip_norm: float, what: str,
                 grad_norms: list[float] | None = None) -> float:
-    """One optimizer step; returns the loss and appends the pre-clip global
-    gradient norm to ``grad_norms``. A non-finite loss or gradient norm
-    raises :class:`DivergenceError` before any parameter changes."""
-    tape = Tape()
-    with record(tape):
-        loss = loss_fn()
-    value = loss.item()
-    if not np.isfinite(value):
-        raise DivergenceError(f"non-finite loss on {what}")
+    """One optimizer step over the gradient that ``batch_loss()`` (a
+    :func:`batch_aspect_loss` or :func:`batch_document_loss` call)
+    accumulates; returns its loss and appends the pre-clip global gradient
+    norm to ``grad_norms``. A non-finite loss or gradient norm raises
+    :class:`DivergenceError` before any parameter changes."""
     opt.zero_grad()
-    tape.backward(loss)
+    try:
+        value = batch_loss()
+    except DivergenceError as err:
+        raise DivergenceError(f"{err} on {what}") from None
     for emb, row in model.frozen_embedding_rows():
         if emb.grad is not None:
             emb.grad[row] = 0.0
@@ -320,6 +335,7 @@ def fit(model: AbsaModel, train_sentences: Sequence[Sentence],
         chunks = doc_chunks(int(rng.integers(2 ** 31))) if documents else []
         ci = 0
         ja_losses, jd_losses, norms = [], [], []
+        steps_t0 = time.perf_counter()
         for bi, batch in enumerate(batches):
             ja_losses.append(_train_step(
                 model, opt,
@@ -334,6 +350,7 @@ def fit(model: AbsaModel, train_sentences: Sequence[Sentence],
                     lambda: batch_document_loss(model, chunk, True, rng),
                     schedule.clip_norm, f"epoch {epoch} doc batch {ci - 1}",
                     norms))
+        steps_s = time.perf_counter() - steps_t0
         result.step_losses.extend(ja_losses)
         result.step_losses.extend(jd_losses)
         result.epochs_run = epoch + 1
@@ -341,7 +358,8 @@ def fit(model: AbsaModel, train_sentences: Sequence[Sentence],
         rec = {"epoch": epoch, "phase": "joint",
                "J_a": float(np.mean(ja_losses)) if ja_losses else None,
                "J_d": float(np.mean(jd_losses)) if jd_losses else None,
-               **grad_norm_stats(norms, schedule.clip_norm)}
+               **grad_norm_stats(norms, schedule.clip_norm),
+               "train_sent_per_s": round(len(train_sentences) / steps_s, 1)}
 
         if dev_sentences:
             report = evaluate(model.predict_many(dev_sentences),
@@ -458,63 +476,85 @@ def gradcheck_harness(iterations: int = 2, route_iters: int = 2,
 def model_gradcheck(model: AbsaModel, sentences: Sequence[Sentence],
                     documents: Sequence[Document] | None = None,
                     step: float = 1e-3, tol: float = 1e-3) -> GradcheckReport:
-    """Finite-difference check of the batch sentence loss (and, when
-    documents are given, the batch document loss) against analytic
-    gradients, per parameter. Inputs of mixed length run as their
-    equal-length groups, exactly as in training."""
+    """Finite-difference check, per parameter, of the gradient that training
+    accumulates for the batch sentence loss (and, when documents are given,
+    the batch document loss): both sides run :func:`batch_aspect_loss` and
+    :func:`batch_document_loss`, chunk by chunk exactly as in training."""
     params = model.named_parameters()
-    report = gradcheck(
-        lambda: batch_aspect_loss(model, sentences, False, None),
-        params, step=step, tol=tol)
-    if not documents:
-        return report
-    doc_report = gradcheck(
-        lambda: batch_document_loss(model, documents, False, None),
-        params, step=step, tol=tol)
+    losses = [lambda: batch_aspect_loss(model, sentences, False, None)]
+    if documents:
+        losses.append(
+            lambda: batch_document_loss(model, documents, False, None))
+    reports = [_gradcheck(loss, loss, params, step, tol, floor=1e-6)
+               for loss in losses]
     merged = []
-    for a, b in zip(report.entries, doc_report.entries):
-        worst = max(a.max_rel_err, b.max_rel_err)
-        merged.append(GradcheckEntry(a.name, a.shape, worst, worst < tol))
+    for entries in zip(*(r.entries for r in reports)):
+        worst = max(e.max_rel_err for e in entries)
+        merged.append(GradcheckEntry(entries[0].name, entries[0].shape, worst,
+                                     worst < tol))
     return GradcheckReport(merged, tol)
 
 
 def gradcheck(build_loss: Callable[[], Tensor], params: dict[str, Tensor],
               step: float = 1e-3, tol: float = 1e-3,
               floor: float = 1e-6) -> GradcheckReport:
-    """Compare analytic gradients against central finite differences.
+    """Compare the analytic gradients of the loss ``build_loss()`` records
+    against central finite differences.
 
     Parameters must be float64; float32 rounding drowns the comparison.
     ``build_loss`` must be a deterministic pure function of the parameters.
     """
+    def backprop() -> float:
+        tape = Tape()
+        with record(tape):
+            loss = build_loss()
+        tape.backward(loss)
+        return loss.item()
+
+    return _gradcheck(backprop, lambda: build_loss().item(), params, step,
+                      tol, floor)
+
+
+def _gradcheck(backprop: Callable[[], float], value: Callable[[], float],
+               params: dict[str, Tensor], step: float, tol: float,
+               floor: float) -> GradcheckReport:
+    """:func:`gradcheck` of the gradient ``backprop()`` accumulates into
+    the parameters' ``.grad`` against central differences of ``value()``."""
     for p in params.values():
         if p.dtype != np.float64:
             raise ValueError(f"gradcheck requires float64 parameters; "
                              f"{p.name or 'parameter'} is {p.dtype}")
     for p in params.values():
         p.zero_grad()
-    tape = Tape()
-    with record(tape):
-        loss = build_loss()
-    tape.backward(loss)
+    backprop()
     analytic = {name: (p.grad.copy() if p.grad is not None
                        else np.zeros_like(p.data))
                 for name, p in params.items()}
 
+    # the differences need no graph: with the parameters frozen, nothing
+    # that ``value()`` computes from them is recorded or backpropagated
+    frozen = [p for p in params.values() if p.requires_grad]
+    for p in frozen:
+        p.requires_grad = False
     entries = []
-    for name, p in params.items():
-        flat = p.data.reshape(-1)
-        worst = 0.0
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            hi = build_loss().item()
-            flat[i] = orig - step
-            lo = build_loss().item()
-            flat[i] = orig
-            numeric = (hi - lo) / (2.0 * step)
-            a = analytic[name].reshape(-1)[i]
-            err = abs(a - numeric) / max(abs(a), abs(numeric), floor)
-            worst = max(worst, err)
-        entries.append(GradcheckEntry(name, tuple(p.shape), worst,
-                                      worst < tol))
+    try:
+        for name, p in params.items():
+            flat = p.data.reshape(-1)
+            worst = 0.0
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + step
+                hi = value()
+                flat[i] = orig - step
+                lo = value()
+                flat[i] = orig
+                numeric = (hi - lo) / (2.0 * step)
+                a = analytic[name].reshape(-1)[i]
+                err = abs(a - numeric) / max(abs(a), abs(numeric), floor)
+                worst = max(worst, err)
+            entries.append(GradcheckEntry(name, tuple(p.shape), worst,
+                                          worst < tol))
+    finally:
+        for p in frozen:
+            p.requires_grad = True
     return GradcheckReport(entries, tol)

@@ -12,6 +12,7 @@ from ktabsa import data, routing
 from ktabsa import tensor as T
 from ktabsa.data import BEGIN, INSIDE, OUTSIDE, extract_spans
 from ktabsa.model import ASPECT_TASKS, Prediction
+from ktabsa.training import aspect_loss
 
 
 def numeric_grad(fn, x: np.ndarray, step: float = 1e-3) -> np.ndarray:
@@ -195,6 +196,61 @@ def per_direction_forward(model, sentences, keep=None, keep_trace=False):
         state = model.aggregate(state, routed, doc)
         states.append(state)
     return states, traces
+
+
+def whole_batch_aspect_loss(model, batch, train: bool, rng) -> T.Tensor:
+    """Oracle for ``training.batch_aspect_loss``: the batch's mean
+    per-sentence loss as one tensor on the caller's tape, one forward per
+    whole length group, never cut into chunks. Training draws the dropout of
+    the whole batch first, in batch order."""
+    keep = model.draw_dropout(batch, rng) if train else None
+    total = None
+    for idx in data.length_groups(batch):
+        group = [batch[i] for i in idx]
+        states, _ = model.forward(
+            group, None if keep is None else [keep[i] for i in idx])
+        loss = aspect_loss(states, group, model.config)
+        total = loss if total is None else total + loss
+    return T.scale(total, 1.0 / len(batch))
+
+
+def _grads(model) -> dict:
+    return {k: None if p.grad is None else p.grad.copy()
+            for k, p in model.named_parameters().items()}
+
+
+def tape_grads(model, build) -> tuple[float, dict]:
+    """The loss ``build()`` records on one tape and, from one backward,
+    every parameter's gradient (None where none flowed)."""
+    for p in model.named_parameters().values():
+        p.zero_grad()
+    tape = T.Tape()
+    with T.record(tape):
+        loss = build()
+    tape.backward(loss)
+    return loss.item(), _grads(model)
+
+
+def step_grads(model, batch_loss) -> tuple[float, dict]:
+    """The loss ``batch_loss()`` (a ``training.batch_*_loss`` call, which
+    backpropagates chunk by chunk) returns and the gradient it accumulates
+    into every parameter (None where none flowed)."""
+    for p in model.named_parameters().values():
+        p.zero_grad()
+    loss = batch_loss()
+    return loss, _grads(model)
+
+
+def assert_grads_close(a: dict, b: dict, atol: float = 0.0) -> None:
+    """Gradients by name agree within ``atol``, and flowed to the same
+    parameters."""
+    assert a.keys() == b.keys()
+    for name in a:
+        if a[name] is None or b[name] is None:
+            assert a[name] is None and b[name] is None, name
+        else:
+            np.testing.assert_allclose(a[name], b[name], rtol=0, atol=atol,
+                                       err_msg=name)
 
 
 def tags_from_spans(spans, n: int) -> tuple[int, ...]:

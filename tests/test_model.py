@@ -22,7 +22,8 @@ from ktabsa.training import aspect_loss, batch_aspect_loss
 from fixtures import (build_tiny_model, build_tiny_model_f64,
                       chain_adjacency, edit_header, random_sentence,
                       tiny_config, with_header)
-from helpers import failing_disk, param_shapes, per_direction_forward
+from helpers import (assert_grads_close, failing_disk, param_shapes,
+                     per_direction_forward, step_grads, tape_grads)
 
 
 def clone_states(states):
@@ -470,19 +471,6 @@ def counted(mp, module, name):
     return calls
 
 
-def grads_of(model, build):
-    """The loss ``build()`` records and every parameter's gradient (None
-    where none flowed)."""
-    params = model.named_parameters()
-    for p in params.values():
-        p.zero_grad()
-    tape = T.Tape()
-    with T.record(tape):
-        loss = build()
-    tape.backward(loss)
-    return loss.item(), {k: p.grad for k, p in params.items()}
-
-
 def assert_same_states(a, b):
     assert len(a) == len(b)
     for sa, sb in zip(a, b):
@@ -502,15 +490,6 @@ def assert_same_traces(a, b):
             for field in ("b", "c", "s", "v"):
                 np.testing.assert_array_equal(getattr(sa, field),
                                               getattr(sb, field))
-
-
-def assert_same_grads(a, b):
-    assert a.keys() == b.keys()
-    for name in a:
-        if a[name] is None or b[name] is None:
-            assert a[name] is None and b[name] is None, name
-        else:
-            np.testing.assert_array_equal(a[name], b[name], err_msg=name)
 
 
 @pytest.mark.parametrize("variant", ["default", "no-transfers",
@@ -540,7 +519,7 @@ def test_forward_matches_per_direction_reference(variant, monkeypatch):
 
         with monkeypatch.context() as mp:
             mp.setattr(model, "forward", traced)
-            loss, grads = grads_of(model, lambda: batch_aspect_loss(
+            loss, grads = step_grads(model, lambda: batch_aspect_loss(
                 model, batch, True, np.random.default_rng(5)))
         return loss, grads, outputs
 
@@ -549,7 +528,7 @@ def test_forward_matches_per_direction_reference(variant, monkeypatch):
         lambda group, keep, keep_trace: per_direction_forward(
             model, group, keep, keep_trace))
     assert loss == ref_loss
-    assert_same_grads(grads, ref_grads)
+    assert_grads_close(grads, ref_grads)
     assert len(outputs) == len(ref_outputs) == 3    # lengths 4, 7 and 1
     for (states, traces), (ref_states, ref_traces) in zip(outputs,
                                                           ref_outputs):
@@ -580,13 +559,13 @@ def test_any_block_size_gives_identical_values_gradients_and_traces(
                     group, keep_trace=True)
                 return aspect_loss(out["states"], group, model.config)
 
-            _, grads = grads_of(model, build)
+            _, grads = tape_grads(model, build)
         assert [c[0].shape[0] for c in calls] == [size] * (6 // size) * 2
         runs[size] = out["states"], out["traces"], grads
     for size in (1, 2):
         assert_same_states(runs[size][0], runs[6][0])
         assert_same_traces(runs[size][1], runs[6][1])
-        assert_same_grads(runs[size][2], runs[6][2])
+        assert_grads_close(runs[size][2], runs[6][2])
 
 
 @pytest.mark.parametrize("g, n, per_round", [(4, 8, 1), (8, 128, 6)])

@@ -9,14 +9,16 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_script(*args: str) -> subprocess.CompletedProcess:
-    # the scripts put src/ on their path relative to the repository root
-    return subprocess.run([sys.executable, *args], cwd=ROOT,
-                          capture_output=True, text=True, timeout=300)
+def run_script(cwd, name: str, *args: str) -> subprocess.CompletedProcess:
+    # the scripts find src/ from their own location, so they run from any
+    # directory; ``cwd`` is one outside the repository
+    return subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", name), *args],
+        cwd=cwd, capture_output=True, text=True, timeout=300)
 
 
-def test_trace_demo_prints_a_routing_heat_map():
-    proc = run_script("scripts/trace_demo.py", "--epochs", "1")
+def test_trace_demo_prints_a_routing_heat_map(tmp_path):
+    proc = run_script(tmp_path, "trace_demo.py", "--epochs", "1")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0].startswith("sentence: ")
@@ -24,8 +26,8 @@ def test_trace_demo_prints_a_routing_heat_map():
     assert "iteration 1" in lines
 
 
-def test_overfit_synth_prints_the_comparison_table():
-    proc = run_script("scripts/overfit_synth.py", "--sentences", "8",
+def test_overfit_synth_prints_the_comparison_table(tmp_path):
+    proc = run_script(tmp_path, "overfit_synth.py", "--sentences", "8",
                       "--epochs", "1")
     assert proc.returncode == 0, proc.stderr
     header, *rows = proc.stdout.splitlines()

@@ -331,12 +331,17 @@ def test_backward_rejects_non_scalar():
 
 
 def test_backward_accumulates_across_calls():
+    # the second call doubles the gradient, adding into the first call's
+    # buffer in place
     x = T.Tensor([1.0, 2.0], requires_grad=True)
     tape = T.Tape()
     with T.record(tape):
         loss = weighted_sum(T.scale(x, 2.0))
     tape.backward(loss)
+    first = x.grad
+    np.testing.assert_allclose(first, [2.0, 2.0])
     tape.backward(loss)
+    assert x.grad is first
     np.testing.assert_allclose(x.grad, [4.0, 4.0])
 
 

@@ -1,26 +1,31 @@
+import gc
 import json
 import math
 import os
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from ktabsa import routing
 from ktabsa import tensor as T
 from ktabsa.data import (DEFAULT_SCHEMES, Document, Sentence,
-                         assign_embedding_ids, corpus_words,
+                         assign_embedding_ids, corpus_words, length_chunks,
                          load_aspect_corpus, load_document_corpus,
                          random_embeddings)
 from ktabsa.model import AbsaModel, ModelConfig
 from ktabsa.synth import SynthSpec, write_synthetic
-from ktabsa.training import (Adam, DivergenceError, Schedule,
+from ktabsa.training import (Adam, DivergenceError, Schedule, _train_step,
                              aspect_loss, batch_aspect_loss, document_loss,
                              fit, gradcheck, gradcheck_harness,
                              model_gradcheck, token_accuracy)
 
 from fixtures import (build_tiny_model, build_tiny_model_f64,
                       random_sentence, tiny_config, tiny_sentence)
-from helpers import corrupt_squash_backward, failing_disk, weighted_sum
+from helpers import (assert_grads_close, corrupt_squash_backward,
+                     failing_disk, step_grads, tape_grads, weighted_sum,
+                     whole_batch_aspect_loss)
 
 
 def fake_states(logits: dict[str, np.ndarray]):
@@ -122,18 +127,6 @@ def test_masking_exactness_gold_at_unlabeled_positions():
 # equal-length groups
 
 
-def loss_and_grads(model, build):
-    params = model.named_parameters()
-    for p in params.values():
-        p.zero_grad()
-    tape = T.Tape()
-    with T.record(tape):
-        loss = build()
-    tape.backward(loss)
-    return loss.item(), {k: np.zeros_like(p.data) if p.grad is None
-                         else p.grad.copy() for k, p in params.items()}
-
-
 @pytest.mark.parametrize("train", [False, True])
 def test_grouped_batch_equals_mean_of_single_sentence_batches(train):
     # lengths 3, 5, 3, 5, 4 run as three groups; with dropout on, the batch
@@ -148,15 +141,86 @@ def test_grouped_batch_equals_mean_of_single_sentence_batches(train):
     def batch_loss(sentences, stream):
         return batch_aspect_loss(model, sentences, train, stream)
 
+    params = model.named_parameters()
+
+    def loss_and_grads(build):
+        loss, grads = step_grads(model, build)
+        return loss, {k: np.zeros_like(params[k].data) if g is None else g
+                      for k, g in grads.items()}
+
     stream = np.random.default_rng(99)
-    loss, grads = loss_and_grads(model, lambda: batch_loss(batch, stream))
+    loss, grads = loss_and_grads(lambda: batch_loss(batch, stream))
     stream = np.random.default_rng(99)
-    singles = [loss_and_grads(model, lambda s=s: batch_loss([s], stream))
+    singles = [loss_and_grads(lambda s=s: batch_loss([s], stream))
                for s in batch]
     assert abs(loss - np.mean([l for l, _ in singles])) < 1e-10
     for name, g in grads.items():
         mean = np.mean([gs[name] for _, gs in singles], axis=0)
         np.testing.assert_allclose(g, mean, rtol=0, atol=1e-10, err_msg=name)
+
+
+def test_chunked_step_equals_one_whole_batch_tape(monkeypatch):
+    # float64 with dropout: a budget of 72 couplings cuts the five
+    # sentences of 6 tokens into chunks of 2, 2 and 1 and keeps the two of
+    # 3 tokens whole; backpropagating chunk by chunk gives the loss and
+    # gradients of one tape over whole length groups, and every sentence
+    # the same dropout multipliers
+    model, _, _ = build_tiny_model_f64(tiny_config(dropout=0.3))
+    rng = np.random.default_rng(12)
+    batch = [random_sentence(rng, n) for n in (6, 3, 6, 6, 3, 6, 6)]
+    assign_embedding_ids(batch, model.general_table, model.domain_table)
+    monkeypatch.setattr(routing, "COUPLING_BUDGET", 72)
+    assert length_chunks(batch) == [[0, 2], [3, 5], [6], [1, 4]]
+    real_forward = model.forward
+
+    def run(grads_of, batch_loss):
+        seen = {}
+
+        def forward(group, keep=None, **kwargs):
+            for s, k in zip(group, keep):
+                seen[id(s)] = k
+            return real_forward(group, keep, **kwargs)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(model, "forward", forward)
+            loss, grads = grads_of(model, lambda: batch_loss(
+                model, batch, True, np.random.default_rng(4)))
+        return loss, grads, seen
+
+    loss, grads, keep = run(step_grads, batch_aspect_loss)
+    ref_loss, ref_grads, ref_keep = run(tape_grads, whole_batch_aspect_loss)
+    assert abs(loss - ref_loss) <= 1e-12
+    assert_grads_close(grads, ref_grads, atol=1e-12)
+    assert keep.keys() == ref_keep.keys() == {id(s) for s in batch}
+    for i, pair in keep.items():
+        for a, b in zip(pair, ref_keep[i]):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_step_memory_does_not_grow_with_the_batch():
+    # the graph alive at once is one budget-sized chunk (4 sentences of
+    # 128 tokens), so quadrupling the batch barely moves the step's peak
+    model, _, _ = build_tiny_model(tiny_config(dropout=0.1))
+    rng = np.random.default_rng(13)
+    batch = [random_sentence(rng, 128) for _ in range(16)]
+    assign_embedding_ids(batch, model.general_table, model.domain_table)
+    opt = Adam(model.named_parameters(), lr=1e-4)
+
+    def step_peak(sentences):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _train_step(model, opt, lambda: batch_aspect_loss(
+                model, sentences, True, np.random.default_rng(0)), 5.0,
+                "probe")
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    step_peak(batch[:4])                # first-call caches and buffers
+    small, large = step_peak(batch[:4]), step_peak(batch)
+    assert large <= 1.3 * small, (small, large)
 
 
 def test_model_gradcheck_on_a_group_of_sentences():
@@ -255,6 +319,8 @@ def test_fit_smoke_writes_metrics_and_checkpoint(tmp_path):
     assert lines[0]["phase"] == "pretrain" and "J_d" in lines[0]
     assert lines[-1]["phase"] == "joint" and "dev" in lines[-1]
     assert all("wall_time_s" in l for l in lines)
+    assert all(l["train_sent_per_s"] > 0 for l in lines
+               if l["phase"] == "joint")
     for rec in lines:
         for key in ("grad_norm_min", "grad_norm_mean", "grad_norm_max",
                     "clip_frac"):
@@ -270,7 +336,8 @@ def test_failed_metrics_write_leaves_whole_records(tmp_path):
     write that fails part-way in the second epoch leaves the first epoch's
     record, whole, and no torn line."""
     def without_wall_time(rec):
-        return {k: v for k, v in rec.items() if k != "wall_time_s"}
+        return {k: v for k, v in rec.items()
+                if k not in ("wall_time_s", "train_sent_per_s")}
 
     sched = Schedule(epochs=3, pretrain_epochs=0, batch_size=8, lr=1e-3,
                      patience=0)
@@ -309,7 +376,6 @@ def test_seed_determinism_loss_trace_identical(tmp_path):
 
 def test_loss_strictly_decreases_on_fixed_batch(tmp_path):
     from ktabsa.data import make_batches
-    from ktabsa.training import _train_step
     model, sents, _ = make_training_setup(tmp_path)
     [batch] = make_batches(sents[:8], 8, 0)
     opt = Adam(model.named_parameters(), lr=1e-4)
@@ -336,9 +402,10 @@ def test_nan_gradient_aborts_before_any_parameter_changes(tmp_path,
     import ktabsa.training as training
     model, sents, _ = make_training_setup(tmp_path)
     poisoned = model.emb_general
-    real_loss = training.batch_aspect_loss
+    real_loss = training.aspect_loss
 
     def loss_with_nan_grad(*args, **kwargs):
+        # a chunk's loss, recorded on the chunk's own tape
         loss = real_loss(*args, **kwargs)
         zero = T.Tensor(np.zeros(()), requires_grad=True)
         T.active_tape().nodes.append(
@@ -346,7 +413,7 @@ def test_nan_gradient_aborts_before_any_parameter_changes(tmp_path,
              lambda g, push: push(poisoned, np.full(poisoned.shape, np.nan))))
         return loss + zero
 
-    monkeypatch.setattr(training, "batch_aspect_loss", loss_with_nan_grad)
+    monkeypatch.setattr(training, "aspect_loss", loss_with_nan_grad)
     before = {k: p.data.copy() for k, p in model.named_parameters().items()}
     for clip_norm in (5.0, 0.0):
         sched = Schedule(epochs=1, pretrain_epochs=0, batch_size=8, lr=1e-3,
