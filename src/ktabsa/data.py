@@ -360,10 +360,6 @@ class EmbeddingTable:
         return np.array([self.vocab.get(t, unk) for t in tokens],
                         dtype=np.int64)
 
-    @property
-    def rows(self) -> int:
-        return self.matrix.shape[0]
-
     def word_list(self) -> list[str]:
         words = [""] * len(self.vocab)
         for w, i in self.vocab.items():

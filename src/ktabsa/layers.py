@@ -15,48 +15,53 @@ from .tensor import (ConfigError, Tensor, concat, conv1d, default_dtype,
 NONLINEARITIES = {"relu": relu, "sigmoid": sigmoid}
 
 
-def glorot(rng: np.random.Generator, shape: tuple[int, ...],
-           fan_in: int, fan_out: int) -> np.ndarray:
-    s = float(np.sqrt(6.0 / (fan_in + fan_out)))
-    return rng.uniform(-s, s, size=shape).astype(default_dtype())
+class Params:
+    """The ordered registry of a model's trainable tensors, and the rng that
+    initialises them. Every parameter is registered where it is created, so
+    creation order is the one parameter order: the order Adam steps,
+    gradcheck reports and a checkpoint stores."""
 
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.tensors: dict[str, Tensor] = {}
 
-def _zeros(n: int) -> np.ndarray:
-    return np.zeros(n, dtype=default_dtype())
+    def add(self, name: str, data: np.ndarray) -> Tensor:
+        if name in self.tensors:
+            raise ValueError(f"duplicate parameter name {name}")
+        self.tensors[name] = Tensor(data, requires_grad=True, name=name)
+        return self.tensors[name]
+
+    def glorot(self, name: str, shape: tuple[int, ...]) -> Tensor:
+        """Glorot-uniform weights; a [..., d_in, d_out] kernel's leading
+        axes (a convolution's width) multiply both fans."""
+        field = int(np.prod(shape[:-2]))
+        s = float(np.sqrt(6.0 / (field * (shape[-2] + shape[-1]))))
+        return self.add(name, self.rng.uniform(-s, s, size=shape)
+                        .astype(default_dtype()))
+
+    def zeros(self, name: str, n: int) -> Tensor:
+        return self.add(name, np.zeros(n, dtype=default_dtype()))
 
 
 class Affine:
-    """Fully-connected layer parameters with registry-friendly names."""
+    """Fully-connected layer: weight ``{name}.w``, bias ``{name}.b``."""
 
-    def __init__(self, rng: np.random.Generator, d_in: int, d_out: int,
-                 name: str):
-        self.w = Tensor(glorot(rng, (d_in, d_out), d_in, d_out),
-                        requires_grad=True, name=f"{name}.w")
-        self.b = Tensor(_zeros(d_out), requires_grad=True, name=f"{name}.b")
+    def __init__(self, params: Params, d_in: int, d_out: int, name: str):
+        self.w = params.glorot(f"{name}.w", (d_in, d_out))
+        self.b = params.zeros(f"{name}.b", d_out)
 
     def __call__(self, x: Tensor) -> Tensor:
         return fully_connected(x, self.w, self.b)
 
-    def named(self):
-        yield self.w.name, self.w
-        yield self.b.name, self.b
-
 
 class ConvLayer:
-    def __init__(self, rng: np.random.Generator, width: int, d_in: int,
-                 d_out: int, name: str):
-        self.kernel = Tensor(
-            glorot(rng, (width, d_in, d_out), width * d_in, width * d_out),
-            requires_grad=True, name=f"{name}.kernel")
-        self.bias = Tensor(_zeros(d_out), requires_grad=True,
-                           name=f"{name}.bias")
+    def __init__(self, params: Params, width: int, d_in: int, d_out: int,
+                 name: str):
+        self.kernel = params.glorot(f"{name}.kernel", (width, d_in, d_out))
+        self.bias = params.zeros(f"{name}.bias", d_out)
 
     def __call__(self, x: Tensor) -> Tensor:
         return conv1d(x, self.kernel, self.bias)
-
-    def named(self):
-        yield self.kernel.name, self.kernel
-        yield self.bias.name, self.bias
 
 
 class SharedEncoder:
@@ -68,58 +73,44 @@ class SharedEncoder:
     also covers the single-token edge case.
     """
 
-    def __init__(self, rng: np.random.Generator, d_in: int, d_enc: int,
+    def __init__(self, params: Params, d_in: int, d_enc: int,
                  widths: tuple[int, ...], nonlinearity: str, name: str = "enc"):
         if d_enc % len(widths) != 0:
             raise ConfigError(f"encoder width {d_enc} not divisible by the "
                               f"{len(widths)} kernel widths")
         self.nonlin = NONLINEARITIES[nonlinearity]
         slice_out = d_enc // len(widths)
-        self.banks = [ConvLayer(rng, w, d_in, slice_out, f"{name}.w{w}")
+        self.banks = [ConvLayer(params, w, d_in, slice_out, f"{name}.w{w}")
                       for w in widths]
 
     def __call__(self, x: Tensor) -> Tensor:
-        parts = [bank(x) for bank in self.banks]
-        h = parts[0] if len(parts) == 1 else concat(parts, axis=-1)
-        return self.nonlin(h)
-
-    def named(self):
-        for bank in self.banks:
-            yield from bank.named()
+        return self.nonlin(concat([bank(x) for bank in self.banks], axis=-1))
 
 
 class TaskStack:
     """Task-specific convolution stack; parameters are never shared across
     tasks."""
 
-    def __init__(self, rng: np.random.Generator, d_in: int, d_out: int,
-                 depth: int, nonlinearity: str, name: str):
+    def __init__(self, params: Params, d_in: int, d_out: int, depth: int,
+                 nonlinearity: str, name: str):
         if depth < 1:
             raise ConfigError(f"task stack depth must be >= 1, got {depth}")
         self.nonlin = NONLINEARITIES[nonlinearity]
-        self.layers = []
-        for k in range(depth):
-            self.layers.append(ConvLayer(rng, 3, d_in if k == 0 else d_out,
-                                         d_out, f"{name}.{k}"))
+        self.layers = [ConvLayer(params, 3, d_in if k == 0 else d_out, d_out,
+                                 f"{name}.{k}") for k in range(depth)]
 
     def __call__(self, x: Tensor) -> Tensor:
         for layer in self.layers:
             x = self.nonlin(layer(x))
         return x
 
-    def named(self):
-        for layer in self.layers:
-            yield from layer.named()
-
 
 class AttentionHead:
     """Single-query self-attention pooling plus a document classifier."""
 
-    def __init__(self, rng: np.random.Generator, d: int, classes: int,
-                 name: str):
-        self.w = Tensor(glorot(rng, (d, 1), d, 1), requires_grad=True,
-                        name=f"{name}.attn.w")
-        self.classifier = Affine(rng, d, classes, f"{name}.cls")
+    def __init__(self, params: Params, d: int, classes: int, name: str):
+        self.w = params.glorot(f"{name}.attn.w", (d, 1))
+        self.classifier = Affine(params, d, classes, f"{name}.cls")
 
     def __call__(self, h: Tensor) -> tuple[Tensor, Tensor, Tensor]:
         """Return (weights [G, n], pooled doc vectors [G, d], logits [G, C])
@@ -131,21 +122,13 @@ class AttentionHead:
         logits = self.classifier(doc)
         return a, doc, logits
 
-    def named(self):
-        yield self.w.name, self.w
-        yield from self.classifier.named()
-
 
 class TokenDecoder:
     """Per-token affine + softmax over the task's tag inventory."""
 
-    def __init__(self, rng: np.random.Generator, d: int, classes: int,
-                 name: str):
-        self.map = Affine(rng, d, classes, name)
+    def __init__(self, params: Params, d: int, classes: int, name: str):
+        self.map = Affine(params, d, classes, name)
 
     def __call__(self, h: Tensor) -> tuple[Tensor, Tensor]:
         logits = self.map(h)
         return logits, softmax(logits, axis=-1)
-
-    def named(self):
-        yield from self.map.named()

@@ -21,6 +21,10 @@ a forward runs a chunk of at most COUPLING_BUDGET // n^2 sentences of a
 length group (length bucketing as in fairseq's ``batch_by_size``), and
 training backpropagates each chunk as soon as it is recorded, so the graph
 of a step is bounded by the budget, not by the batch size.
+
+Every parameter registers in the model's :class:`layers.Params` where it is
+created, so creation order is the checkpoint order, and the order Adam and
+gradcheck see.
 """
 
 from __future__ import annotations
@@ -261,26 +265,27 @@ class AbsaModel:
         self.schemes = schemes
         self.general_table = general
         self.domain_table = domain
-        rng = rng if rng is not None else np.random.default_rng(config.seed)
+        self.params = params = L.Params(
+            rng if rng is not None else np.random.default_rng(config.seed))
         c1 = schemes.token_classes
 
-        self.emb_general = Tensor(general.matrix.astype(default_dtype()),
-                                  requires_grad=True, name="emb.general")
-        self.emb_domain = Tensor(domain.matrix.astype(default_dtype()),
-                                 requires_grad=True, name="emb.domain")
+        self.emb_general = params.add(
+            "emb.general", general.matrix.astype(default_dtype()))
+        self.emb_domain = params.add(
+            "emb.domain", domain.matrix.astype(default_dtype()))
         d_emb = general.dim + domain.dim
         self.nonlin = L.NONLINEARITIES[config.nonlinearity]
-        self.encoder = L.SharedEncoder(rng, d_emb, config.d_enc,
+        self.encoder = L.SharedEncoder(params, d_emb, config.d_enc,
                                        config.kernel_widths,
                                        config.nonlinearity)
-        self.stacks = {task: L.TaskStack(rng, config.d_enc, config.d_task,
+        self.stacks = {task: L.TaskStack(params, config.d_enc, config.d_task,
                                          config.task_depth,
                                          config.nonlinearity, f"task.{task}")
                        for task in ASPECT_TASKS + DOC_TASKS}
-        self.decoders = {task: L.TokenDecoder(rng, config.d_task, c1,
+        self.decoders = {task: L.TokenDecoder(params, config.d_task, c1,
                                               f"dec.{task}")
                          for task in ASPECT_TASKS}
-        self.heads = {s: L.AttentionHead(rng, config.d_task,
+        self.heads = {s: L.AttentionHead(params, config.d_task,
                                          schemes.doc_classes(s), f"doc.{s}")
                       for s in DOC_TASKS}
         self.pe = PositionalEncoding(config.d_task)
@@ -290,10 +295,8 @@ class AbsaModel:
             if name not in config.transfers:
                 continue
             src, tgt = name.split("->")
-            w = Tensor(L.glorot(rng, (config.d_task, config.d_route),
-                                config.d_task, config.d_route),
-                       requires_grad=True,
-                       name=f"route.{src}_to_{tgt}.w")
+            w = params.glorot(f"route.{src}_to_{tgt}.w",
+                              (config.d_task, config.d_route))
             self.routes[name] = TransferDirection(src, tgt, w)
 
         self.proj: dict[str, L.Affine] = {}
@@ -302,11 +305,11 @@ class AbsaModel:
             srcs = config.sources_into(target)
             if srcs:
                 self.proj[target] = L.Affine(
-                    rng, config.d_task + len(srcs) * config.d_route,
+                    params, config.d_task + len(srcs) * config.d_route,
                     config.d_task, f"fuse.{target}.proj")
             if config.receives_knowledge(target):
                 self.fuse[target] = L.Affine(
-                    rng, self._fuse_width(target), config.d_task,
+                    params, self._fuse_width(target), config.d_task,
                     f"fuse.{target}.out")
 
     def _fuse_width(self, target: str) -> int:
@@ -321,44 +324,9 @@ class AbsaModel:
     # -- parameters ---------------------------------------------------------
 
     def named_parameters(self) -> dict[str, Tensor]:
-        """Every trainable tensor, embeddings included, in stable order."""
-        out: dict[str, Tensor] = {}
-
-        def put(name, t):
-            if name in out:
-                raise AssertionError(f"duplicate parameter name {name}")
-            out[name] = t
-
-        put("emb.general", self.emb_general)
-        put("emb.domain", self.emb_domain)
-        for name, t in self.encoder.named():
-            put(name, t)
-        for task in ASPECT_TASKS + DOC_TASKS:
-            for name, t in self.stacks[task].named():
-                put(name, t)
-        for task in ASPECT_TASKS:
-            for name, t in self.decoders[task].named():
-                put(name, t)
-        for s in DOC_TASKS:
-            for name, t in self.heads[s].named():
-                put(name, t)
-        for dname in ALL_DIRECTIONS:
-            if dname in self.routes:
-                w = self.routes[dname].weight
-                put(w.name, w)
-        for target in ASPECT_TASKS:
-            if target in self.proj:
-                for name, t in self.proj[target].named():
-                    put(name, t)
-            if target in self.fuse:
-                for name, t in self.fuse[target].named():
-                    put(name, t)
-        return out
-
-    def frozen_embedding_rows(self) -> list[tuple[Tensor, int]]:
-        """Rows whose gradients are zeroed every step (the pad rows)."""
-        return [(self.emb_general, self.general_table.pad_index),
-                (self.emb_domain, self.domain_table.pad_index)]
+        """Every trainable tensor, embeddings included, in creation order:
+        a copy of the registry the constructor filled."""
+        return dict(self.params.tensors)
 
     # -- forward ------------------------------------------------------------
 

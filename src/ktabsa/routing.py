@@ -102,7 +102,9 @@ class TransferDirection:
 
 @dataclass
 class RoutingState:
-    """Snapshot of one routing iteration (plain arrays, detached)."""
+    """Snapshot of one routing iteration: plain arrays, off the tape. c, s
+    and v are the arrays the backward pass reads, so treat them as
+    read-only."""
 
     iteration: int
     b: np.ndarray
@@ -236,9 +238,8 @@ def route(r: Tensor, q: Tensor, adjacency: np.ndarray,
             a = rd @ v.swapaxes(-1, -2)
             a += (qd * v).sum(axis=-1)[..., None, :]
             b += a
-        if keep_trace:
-            trace.append(RoutingState(it, b.copy(), c.copy(), s.copy(),
-                                      v.copy()))
+        if keep_trace:      # c, s and v are fresh arrays; b grows in place
+            trace.append(RoutingState(it, b.copy(), c, s, v))
     out = Tensor(v, requires_grad=r.requires_grad or q.requires_grad)
 
     def fn(g, push):

@@ -228,29 +228,22 @@ def select(a: Tensor, i: int) -> Tensor:
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
+    """Join ``parts`` along ``axis``; a lone part is returned as is."""
     if not parts:
         raise ShapeError("concat of zero tensors")
     if len(parts) == 1:
         return parts[0]
-    nd = parts[0].ndim
-    ax = axis % nd
-    for p in parts[1:]:
-        if p.ndim != nd or any(p.shape[i] != parts[0].shape[i]
-                               for i in range(nd) if i != ax):
-            raise ShapeError(
-                f"concat shapes disagree off axis {axis}: "
-                f"{[tuple(p.shape) for p in parts]}")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=ax),
-                 requires_grad=any(p.requires_grad for p in parts))
-    sizes = [p.shape[ax] for p in parts]
+    try:
+        data = np.concatenate([p.data for p in parts], axis=axis)
+    except ValueError:      # numpy's AxisError is a ValueError too
+        raise ShapeError(f"concat shapes disagree off axis {axis}: "
+                         f"{[tuple(p.shape) for p in parts]}") from None
+    out = Tensor(data, requires_grad=any(p.requires_grad for p in parts))
+    bounds = np.cumsum([p.shape[axis] for p in parts[:-1]])
 
     def fn(g, push):
-        offset = 0
-        for p, s in zip(parts, sizes):
-            sl = [slice(None)] * nd
-            sl[ax] = slice(offset, offset + s)
-            push(p, g[tuple(sl)])
-            offset += s
+        for p, gp in zip(parts, np.split(g, bounds, axis=axis)):
+            push(p, gp)
 
     return _emit(out, fn)
 

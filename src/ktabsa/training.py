@@ -227,7 +227,7 @@ def token_accuracy(model: AbsaModel,
     return {t: (hit[t] / total[t] if total[t] else 1.0) for t in ASPECT_TASKS}
 
 
-def _train_step(model: AbsaModel, opt: Adam, batch_loss: Callable[[], float],
+def _train_step(opt: Adam, batch_loss: Callable[[], float],
                 clip_norm: float, what: str,
                 grad_norms: list[float] | None = None) -> float:
     """One optimizer step over the gradient that ``batch_loss()`` (a
@@ -240,9 +240,6 @@ def _train_step(model: AbsaModel, opt: Adam, batch_loss: Callable[[], float],
         value = batch_loss()
     except DivergenceError as err:
         raise DivergenceError(f"{err} on {what}") from None
-    for emb, row in model.frozen_embedding_rows():
-        if emb.grad is not None:
-            emb.grad[row] = 0.0
     norm = clip_grads(opt.params.values(), clip_norm)
     if not np.isfinite(norm):
         raise DivergenceError(f"non-finite gradient norm on {what}")
@@ -313,8 +310,7 @@ def fit(model: AbsaModel, train_sentences: Sequence[Sentence],
         losses, norms = [], []
         for bi, chunk in enumerate(doc_chunks(int(rng.integers(2 ** 31)))):
             losses.append(_train_step(
-                model, opt,
-                lambda: batch_document_loss(model, chunk, True, rng),
+                opt, lambda: batch_document_loss(model, chunk, True, rng),
                 schedule.clip_norm, f"pretrain epoch {epoch} batch {bi}",
                 norms))
         rec = {"epoch": epoch, "phase": "pretrain",
@@ -338,16 +334,14 @@ def fit(model: AbsaModel, train_sentences: Sequence[Sentence],
         steps_t0 = time.perf_counter()
         for bi, batch in enumerate(batches):
             ja_losses.append(_train_step(
-                model, opt,
-                lambda: batch_aspect_loss(model, batch, True, rng),
+                opt, lambda: batch_aspect_loss(model, batch, True, rng),
                 schedule.clip_norm, f"epoch {epoch} aspect batch {bi}",
                 norms))
             if chunks and (bi + 1) % schedule.aspect_batches_per_doc == 0:
                 chunk = chunks[ci % len(chunks)]
                 ci += 1
                 jd_losses.append(_train_step(
-                    model, opt,
-                    lambda: batch_document_loss(model, chunk, True, rng),
+                    opt, lambda: batch_document_loss(model, chunk, True, rng),
                     schedule.clip_norm, f"epoch {epoch} doc batch {ci - 1}",
                     norms))
         steps_s = time.perf_counter() - steps_t0
@@ -429,10 +423,6 @@ class GradcheckReport:
     def failures(self) -> list[GradcheckEntry]:
         return [e for e in self.entries if not e.passed]
 
-    @property
-    def worst(self) -> float:
-        return max((e.max_rel_err for e in self.entries), default=0.0)
-
 
 def gradcheck_harness(iterations: int = 2, route_iters: int = 2,
                       seed: int = 5, nonlinearity: str = "sigmoid",
@@ -495,31 +485,15 @@ def model_gradcheck(model: AbsaModel, sentences: Sequence[Sentence],
     return GradcheckReport(merged, tol)
 
 
-def gradcheck(build_loss: Callable[[], Tensor], params: dict[str, Tensor],
-              step: float = 1e-3, tol: float = 1e-3,
-              floor: float = 1e-6) -> GradcheckReport:
-    """Compare the analytic gradients of the loss ``build_loss()`` records
-    against central finite differences.
-
-    Parameters must be float64; float32 rounding drowns the comparison.
-    ``build_loss`` must be a deterministic pure function of the parameters.
-    """
-    def backprop() -> float:
-        tape = Tape()
-        with record(tape):
-            loss = build_loss()
-        tape.backward(loss)
-        return loss.item()
-
-    return _gradcheck(backprop, lambda: build_loss().item(), params, step,
-                      tol, floor)
-
-
 def _gradcheck(backprop: Callable[[], float], value: Callable[[], float],
                params: dict[str, Tensor], step: float, tol: float,
                floor: float) -> GradcheckReport:
-    """:func:`gradcheck` of the gradient ``backprop()`` accumulates into
-    the parameters' ``.grad`` against central differences of ``value()``."""
+    """Compare the gradient ``backprop()`` accumulates into the parameters'
+    ``.grad`` against central differences of ``value()``.
+
+    Parameters must be float64; float32 rounding drowns the comparison.
+    ``value`` must be a deterministic pure function of the parameters.
+    """
     for p in params.values():
         if p.dtype != np.float64:
             raise ValueError(f"gradcheck requires float64 parameters; "

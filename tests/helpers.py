@@ -12,7 +12,7 @@ from ktabsa import data, routing
 from ktabsa import tensor as T
 from ktabsa.data import BEGIN, INSIDE, OUTSIDE, extract_spans
 from ktabsa.model import ASPECT_TASKS, Prediction
-from ktabsa.training import aspect_loss
+from ktabsa.training import _gradcheck, aspect_loss
 
 
 def numeric_grad(fn, x: np.ndarray, step: float = 1e-3) -> np.ndarray:
@@ -149,6 +149,27 @@ def failing_disk(nth_write: int = 3):
                    lambda *a, **k: FailingFile(real_open(*a, **k)),
                    raising=False)
         yield
+
+
+def gradcheck(build_loss, params: dict, step: float = 1e-3,
+              tol: float = 1e-3, floor: float = 1e-6):
+    """Check the analytic gradients of the loss ``build_loss()`` records
+    against central finite differences, per parameter; ``build_loss`` must
+    be a deterministic pure function of the float64 ``params``."""
+    def backprop() -> float:
+        tape = T.Tape()
+        with T.record(tape):
+            loss = build_loss()
+        tape.backward(loss)
+        return loss.item()
+
+    return _gradcheck(backprop, lambda: build_loss().item(), params, step,
+                      tol, floor)
+
+
+def worst(report) -> float:
+    """The largest relative error of a gradcheck report."""
+    return max((e.max_rel_err for e in report.entries), default=0.0)
 
 
 def param_shapes(model) -> dict[str, tuple[int, ...]]:

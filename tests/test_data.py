@@ -228,7 +228,7 @@ def test_load_embeddings_with_and_without_header(tmp_path):
     body = "apple 1 2 3\nbanana 4 5 6\n"
     for text in (body, "2 3\n" + body):
         table = D.load_embeddings(write(tmp_path, "v.txt", text))
-        assert table.rows == 4  # 2 words + unk + pad
+        assert table.matrix.shape[0] == 4  # 2 words + unk + pad
         assert table.dim == 3
         np.testing.assert_allclose(table.matrix[table.vocab["apple"]],
                                    [1, 2, 3])

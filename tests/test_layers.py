@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ktabsa import tensor as T
-from ktabsa.layers import (AttentionHead, SharedEncoder, TaskStack,
+from ktabsa.layers import (AttentionHead, Params, SharedEncoder, TaskStack,
                            TokenDecoder)
 
 from helpers import conv1d_naive
@@ -10,7 +10,7 @@ from helpers import conv1d_naive
 
 def test_encoder_single_token_sentence():
     rng = np.random.default_rng(0)
-    enc = SharedEncoder(rng, d_in=6, d_enc=8, widths=(3, 5),
+    enc = SharedEncoder(Params(rng), d_in=6, d_enc=8, widths=(3, 5),
                         nonlinearity="relu")
     out = enc(T.constant(rng.normal(size=(1, 6)).astype(np.float32)))
     assert out.shape == (1, 8)
@@ -19,7 +19,7 @@ def test_encoder_single_token_sentence():
 
 def test_encoder_zero_input_zero_bias_gives_nonlinearity_of_zero():
     rng = np.random.default_rng(1)
-    enc = SharedEncoder(rng, d_in=4, d_enc=6, widths=(3,),
+    enc = SharedEncoder(Params(rng), d_in=4, d_enc=6, widths=(3,),
                         nonlinearity="sigmoid")
     out = enc(T.constant(np.zeros((3, 4), dtype=np.float32)))
     np.testing.assert_allclose(out.data, 0.5)  # sigmoid(0)
@@ -28,7 +28,7 @@ def test_encoder_zero_input_zero_bias_gives_nonlinearity_of_zero():
 def test_encoder_matches_naive_conv_reference():
     rng = np.random.default_rng(2)
     with T.use_dtype(np.float64):
-        enc = SharedEncoder(rng, d_in=5, d_enc=8, widths=(3, 5),
+        enc = SharedEncoder(Params(rng), d_in=5, d_enc=8, widths=(3, 5),
                             nonlinearity="relu")
         x = rng.normal(size=(7, 5))
         out = enc(T.constant(x))
@@ -41,21 +41,31 @@ def test_encoder_matches_naive_conv_reference():
 
 def test_encoder_width_divisibility_enforced():
     with pytest.raises(T.ConfigError, match="divisible"):
-        SharedEncoder(np.random.default_rng(0), 4, 7, (3, 5), "relu")
+        SharedEncoder(Params(np.random.default_rng(0)), 4, 7, (3, 5), "relu")
 
 
 def test_task_stack_shapes():
     rng = np.random.default_rng(3)
-    stack = TaskStack(rng, d_in=8, d_out=6, depth=2, nonlinearity="relu",
+    params = Params(rng)
+    stack = TaskStack(params, d_in=8, d_out=6, depth=2, nonlinearity="relu",
                       name="task.x")
     out = stack(T.constant(rng.normal(size=(5, 8)).astype(np.float32)))
     assert out.shape == (5, 6)
-    assert len(list(stack.named())) == 4  # two kernels, two biases
+    assert list(params.tensors) == ["task.x.0.kernel", "task.x.0.bias",
+                                    "task.x.1.kernel", "task.x.1.bias"]
+    assert params.tensors["task.x.1.kernel"] is stack.layers[1].kernel
+
+
+def test_params_rejects_a_duplicate_name():
+    params = Params(np.random.default_rng(0))
+    params.zeros("x.b", 4)
+    with pytest.raises(ValueError, match="duplicate parameter name x.b"):
+        params.glorot("x.b", (4, 4))
 
 
 def test_attention_uniform_for_constant_rows():
     rng = np.random.default_rng(4)
-    head = AttentionHead(rng, d=6, classes=3, name="doc.x")
+    head = AttentionHead(Params(rng), d=6, classes=3, name="doc.x")
     h = T.constant(np.tile(np.arange(6, dtype=np.float32), (2, 4, 1)))
     a, doc, logits = head(h)
     np.testing.assert_allclose(a.data, np.full((2, 4), 0.25), atol=1e-6)
@@ -66,7 +76,7 @@ def test_attention_uniform_for_constant_rows():
 def test_attention_weighted_sum_matches_bruteforce():
     rng = np.random.default_rng(6)
     with T.use_dtype(np.float64):
-        head = AttentionHead(rng, d=5, classes=3, name="doc.x")
+        head = AttentionHead(Params(rng), d=5, classes=3, name="doc.x")
         h = T.constant(rng.normal(size=(3, 6, 5)))
         a, doc, _ = head(h)
     for g in range(3):
@@ -77,7 +87,7 @@ def test_attention_weighted_sum_matches_bruteforce():
 
 def test_decoder_zero_weights_uniform_rows():
     rng = np.random.default_rng(9)
-    dec = TokenDecoder(rng, d=6, classes=3, name="dec.x")
+    dec = TokenDecoder(Params(rng), d=6, classes=3, name="dec.x")
     dec.map.w.data[:] = 0.0
     dec.map.b.data[:] = 0.0
     _logits, probs = dec(T.constant(rng.normal(size=(4, 6)).astype(np.float32)))
@@ -86,7 +96,7 @@ def test_decoder_zero_weights_uniform_rows():
 
 def test_decoder_rows_sum_to_one_and_argmax_shift_invariant():
     rng = np.random.default_rng(10)
-    dec = TokenDecoder(rng, d=6, classes=3, name="dec.x")
+    dec = TokenDecoder(Params(rng), d=6, classes=3, name="dec.x")
     h = T.constant(rng.normal(size=(5, 6)).astype(np.float32))
     logits, probs = dec(h)
     np.testing.assert_allclose(probs.data.sum(axis=1), np.ones(5), atol=1e-6)

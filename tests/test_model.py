@@ -14,6 +14,7 @@ from ktabsa import tensor as T
 from ktabsa.data import (DEFAULT_SCHEMES, Sentence, assign_embedding_ids,
                          corpus_words, length_groups, load_aspect_corpus,
                          random_embeddings)
+from ktabsa.layers import Params
 from ktabsa.model import (ABLATIONS, AbsaModel, CheckpointError, ModelConfig,
                           apply_ablation, majority_sentiment)
 from ktabsa.synth import SynthSpec, write_synthetic
@@ -22,8 +23,9 @@ from ktabsa.training import aspect_loss, batch_aspect_loss
 from fixtures import (build_tiny_model, build_tiny_model_f64,
                       chain_adjacency, edit_header, random_sentence,
                       tiny_config, with_header)
-from helpers import (assert_grads_close, failing_disk, param_shapes,
-                     per_direction_forward, step_grads, tape_grads)
+from helpers import (assert_grads_close, failing_disk, gradcheck,
+                     param_shapes, per_direction_forward, step_grads,
+                     tape_grads, worst)
 
 
 def clone_states(states):
@@ -94,7 +96,7 @@ def test_t2_equals_composing_transfer_and_aggregate_twice():
 def test_zeroed_fusion_weights_freeze_hiddens_across_iterations():
     model, sent, _ = build_tiny_model(tiny_config(iterations=3))
     for target in ("ate", "ote", "asc"):
-        for _n, t in model.fuse[target].named():
+        for t in (model.fuse[target].w, model.fuse[target].b):
             t.data[:] = 0.0
     states, _ = model.forward([sent])
     for task in ("ate", "ote", "asc"):
@@ -283,8 +285,9 @@ def test_task_stack_parameter_disjointness():
     model, sent, _ = build_tiny_model()
     states, _ = model.forward([sent])
     base_ote = states[0].hidden["ote"].data.copy()
-    for _n, t in model.stacks["ate"].named():
-        t.data += 0.7
+    for name, t in model.named_parameters().items():
+        if name.startswith("task.ate."):
+            t.data += 0.7
     states2, _ = model.forward([sent])
     np.testing.assert_array_equal(states2[0].hidden["ote"].data, base_ote)
 
@@ -295,11 +298,9 @@ def test_task_stack_parameter_disjointness():
 
 def test_predict_all_outside():
     model, sent, _ = build_tiny_model()
-    for _n, t in model.decoders["ate"].named():
-        t.data[:] = 0.0
+    model.decoders["ate"].map.w.data[:] = 0.0
     model.decoders["ate"].map.b.data[:] = [0.0, 0.0, 10.0]  # force O
-    for _n, t in model.decoders["ote"].named():
-        t.data[:] = 0.0
+    model.decoders["ote"].map.w.data[:] = 0.0
     model.decoders["ote"].map.b.data[:] = [0.0, 0.0, 10.0]
     cfg = dataclasses.replace(model.config, iterations=1, transfers=(),
                               inject_ddc=False, inject_dsc=False)
@@ -648,7 +649,7 @@ def test_checkpoint_rejects_garbage(tmp_path):
 
 
 def test_end_to_end_gradcheck_subset():
-    from ktabsa.training import gradcheck, gradcheck_harness
+    from ktabsa.training import gradcheck_harness
     model, sent, _doc = gradcheck_harness()
     w = model.config
 
@@ -662,7 +663,45 @@ def test_end_to_end_gradcheck_subset():
                        "doc.ddc.attn.w", "enc.w3.bias", "emb.general")}
     report = gradcheck(build_loss, subset)
     assert report.passed, [(e.name, e.max_rel_err) for e in report.failures]
-    assert report.worst < 1e-5  # comfortably inside the tolerance
+    assert worst(report) < 1e-5  # comfortably inside the tolerance
+
+
+def reachable_trainables(model) -> set[int]:
+    """The ids of every requires_grad Tensor reachable from the model's
+    attributes, walking through the layers and containers but not the
+    registry."""
+    found, seen, todo = set(), set(), [model]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, Params):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, T.Tensor):
+            if obj.requires_grad:
+                found.add(id(obj))
+        elif isinstance(obj, dict):
+            todo.extend(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            todo.extend(obj)
+        elif hasattr(obj, "__dict__"):
+            todo.extend(vars(obj).values())
+    return found
+
+
+@pytest.mark.parametrize("ablation", [None, "coarse", "opinion-transfer"])
+def test_parameter_inventory_is_complete_in_checkpoint_order(tmp_path,
+                                                             ablation):
+    cfg = tiny_config() if ablation is None else apply_ablation(
+        tiny_config(), ablation)
+    model, _, _ = build_tiny_model(cfg)
+    params = model.named_parameters()
+    assert all(t.name == name for name, t in params.items())
+    assert {id(t) for t in params.values()} == reachable_trainables(model)
+    path = str(tmp_path / "m.ckpt")
+    model.save(path)
+    with open(path, "rb") as f:
+        manifest = AbsaModel._read_header(f, path)["manifest"]
+    assert [m["name"] for m in manifest] == list(params)
 
 
 @pytest.fixture(scope="module")

@@ -234,6 +234,9 @@ def test_concat_mismatch_rejected():
     with pytest.raises(T.ShapeError):
         T.concat([T.constant(np.zeros((2, 3))), T.constant(np.zeros((2, 4)))],
                  axis=0)
+    with pytest.raises(T.ShapeError):     # rank mismatch
+        T.concat([T.constant(np.zeros((2, 3))),
+                  T.constant(np.zeros((2, 3, 1)))], axis=0)
 
 
 def test_concat_grad_routes_ones_everywhere():

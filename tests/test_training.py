@@ -18,14 +18,14 @@ from ktabsa.model import AbsaModel, ModelConfig
 from ktabsa.synth import SynthSpec, write_synthetic
 from ktabsa.training import (Adam, DivergenceError, Schedule, _train_step,
                              aspect_loss, batch_aspect_loss, document_loss,
-                             fit, gradcheck, gradcheck_harness,
-                             model_gradcheck, token_accuracy)
+                             fit, gradcheck_harness, model_gradcheck,
+                             token_accuracy)
 
 from fixtures import (build_tiny_model, build_tiny_model_f64,
                       random_sentence, tiny_config, tiny_sentence)
 from helpers import (assert_grads_close, corrupt_squash_backward,
-                     failing_disk, step_grads, tape_grads, weighted_sum,
-                     whole_batch_aspect_loss)
+                     failing_disk, gradcheck, step_grads, tape_grads,
+                     weighted_sum, whole_batch_aspect_loss, worst)
 
 
 def fake_states(logits: dict[str, np.ndarray]):
@@ -211,7 +211,7 @@ def test_step_memory_does_not_grow_with_the_batch():
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            _train_step(model, opt, lambda: batch_aspect_loss(
+            _train_step(opt, lambda: batch_aspect_loss(
                 model, sentences, True, np.random.default_rng(0)), 5.0,
                 "probe")
             return tracemalloc.get_traced_memory()[1] - base
@@ -307,6 +307,21 @@ def make_training_setup(tmp_path, n_sentences=12, **config_overrides):
     return model, sents, docs
 
 
+def test_pad_rows_stay_zero_through_fit(tmp_path):
+    # no lookup returns the pad index, so the pad rows get no gradient and
+    # Adam never moves them; every checkpoint still stores them
+    model, sents, docs = make_training_setup(tmp_path)
+    start = [model.emb_general.data.copy(), model.emb_domain.data.copy()]
+    sched = Schedule(epochs=1, pretrain_epochs=1, batch_size=8, lr=1e-2,
+                     patience=0)
+    fit(model, sents, [], docs, sched)
+    for emb, table, before in zip((model.emb_general, model.emb_domain),
+                                  (model.general_table, model.domain_table),
+                                  start):
+        assert not np.array_equal(emb.data, before)     # embeddings trained
+        assert not emb.data[table.pad_index].any()
+
+
 def test_fit_smoke_writes_metrics_and_checkpoint(tmp_path):
     model, sents, docs = make_training_setup(tmp_path)
     out = str(tmp_path / "run")
@@ -379,7 +394,7 @@ def test_loss_strictly_decreases_on_fixed_batch(tmp_path):
     model, sents, _ = make_training_setup(tmp_path)
     [batch] = make_batches(sents[:8], 8, 0)
     opt = Adam(model.named_parameters(), lr=1e-4)
-    losses = [_train_step(model, opt,
+    losses = [_train_step(opt,
                           lambda: batch_aspect_loss(model, batch, True,
                                                     np.random.default_rng(0)),
                           5.0, "fixed batch")
@@ -506,7 +521,7 @@ def test_gradcheck_linear_toy_model_is_exact():
 
     report = gradcheck(loss, {"w": w, "b": b})
     assert report.passed
-    assert report.worst < 1e-8
+    assert worst(report) < 1e-8
 
 
 def test_gradcheck_rejects_float32_params():
