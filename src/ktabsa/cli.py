@@ -207,7 +207,7 @@ def cmd_trace(args) -> int:
     limit = args.limit if args.limit > 0 else len(sentences)
     written = []
     for i, sent in enumerate(sentences[:limit]):
-        model.index_tokens(sent)
+        assign_embedding_ids([sent], model.general_table, model.domain_table)
         _states, traces = model.forward([sent], keep_trace=True)
         # export the first aggregation round's routing for the direction
         for step, trace in traces:
@@ -222,10 +222,12 @@ def cmd_trace(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    for flag, value in (("--step", args.step), ("--tol", args.tol)):
+        if not (np.isfinite(value) and value > 0):
+            raise ConfigError(f"{flag} must be finite and > 0, got {value}")
     model, sentence, document = gradcheck_harness(
         iterations=args.iterations, route_iters=args.route_iters,
-        seed=args.seed if args.seed is not None else 5,
-        nonlinearity=args.nonlinearity)
+        seed=args.seed, nonlinearity=args.nonlinearity)
     report = model_gradcheck(model, [sentence], [document],
                              step=args.step, tol=args.tol)
     for e in report.entries:
@@ -239,6 +241,9 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_gen_synth(args) -> int:
+    for key in ("train_sentences", "test_sentences", "documents", "seed"):
+        if getattr(args, key) < 0:
+            raise ConfigError(f"--{key.replace('_', '-')} must be >= 0")
     spec = SynthSpec(train_sentences=args.train_sentences,
                      test_sentences=args.test_sentences,
                      documents=args.documents, seed=args.seed)
@@ -299,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--route-iters", type=int, default=2)
     p.add_argument("--step", type=float, default=1e-3)
     p.add_argument("--tol", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=5)
     p.add_argument("--nonlinearity", default="sigmoid",
                    choices=("sigmoid", "relu"))
     p.set_defaults(fn=cmd_gradcheck)

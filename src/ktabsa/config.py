@@ -145,8 +145,11 @@ def load_config(path: str) -> RunConfig:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     with open(path, "r", encoding="utf-8") as f:
-        return parse_config(f.read(), base_dir=os.path.dirname(
-            os.path.abspath(path)))
+        try:
+            text = f.read()
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{path}: not UTF-8 text: {e}") from None
+    return parse_config(text, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
 def apply_overrides(rc: RunConfig, overrides: list[str]) -> RunConfig:

@@ -4,14 +4,18 @@ File formats
 ------------
 Aspect corpus: UTF-8 TSV, one token per line as
 ``token<TAB>ate-tag<TAB>ote-tag<TAB>sentiment-or-_``, blank line between
-sentences. An optional sidecar at ``<path>.adj`` lists dependency edges as
-``<sentence-index> <i> <j>`` (0-based); matrices are symmetrized and get a
-unit diagonal. Without a sidecar, adjacency is the identity.
+sentences. An optional sidecar at ``<path>.adj``, the only source of
+edges, lists dependency edges as ``<sentence-index> <i> <j>`` (0-based);
+matrices are symmetrized and get a unit diagonal. Without a sidecar,
+adjacency is the identity.
 
-Document corpus: JSONL with keys ``text`` (required), ``domain`` and
-``sentiment`` (each optional, at least one present).
+Document corpus: JSONL, one object per line with keys ``text`` (required),
+``domain`` and ``sentiment`` (each optional, at least one present).
 
-Embeddings: word2vec text format, optional ``count dim`` header.
+Embeddings: word2vec text format, optional ``count dim`` header, finite
+values.
+
+Training cuts sentences and documents alike with :func:`make_batches`.
 """
 
 from __future__ import annotations
@@ -158,8 +162,7 @@ def bio_valid(tags: Sequence[int]) -> bool:
     return True
 
 
-def extract_spans(tags: Sequence[int], begin: int = BEGIN,
-                  inside: int = INSIDE) -> tuple[tuple[int, int], ...]:
+def extract_spans(tags: Sequence[int]) -> tuple[tuple[int, int], ...]:
     """Maximal begin-then-inside runs as (start, end-exclusive) spans.
 
     Decoding is lenient: an orphan inside tag opens a new span, so model
@@ -168,11 +171,11 @@ def extract_spans(tags: Sequence[int], begin: int = BEGIN,
     spans: list[tuple[int, int]] = []
     start: int | None = None
     for i, t in enumerate(tags):
-        if t == begin:
+        if t == BEGIN:
             if start is not None:
                 spans.append((start, i))
             start = i
-        elif t == inside:
+        elif t == INSIDE:
             if start is None:
                 start = i
         else:
@@ -196,10 +199,6 @@ def gold_pairs(sent: Sentence) -> tuple[tuple[tuple[int, int], int], ...]:
 
 # ---------------------------------------------------------------------------
 # aspect corpus
-
-
-def _identity_adjacency(n: int) -> np.ndarray:
-    return np.eye(n, dtype=np.float32)
 
 
 def _load_adjacency(path: str, sentences: list[Sentence]) -> None:
@@ -232,10 +231,10 @@ def _load_adjacency(path: str, sentences: list[Sentence]) -> None:
             a[j, i] = 1.0
 
 
-def load_aspect_corpus(path: str, schemes: TagSchemes = DEFAULT_SCHEMES,
-                       adjacency_path: str | None = None) -> list[Sentence]:
+def load_aspect_corpus(path: str, schemes: TagSchemes = DEFAULT_SCHEMES
+                       ) -> list[Sentence]:
     """Parse the TSV corpus, validating tags, BIO structure, and sentiment
-    placement. ``adjacency_path`` defaults to ``<path>.adj`` when that file
+    placement, and add the edges of the ``<path>.adj`` sidecar if it
     exists."""
     sentences: list[Sentence] = []
     tokens: list[str] = []
@@ -269,7 +268,7 @@ def load_aspect_corpus(path: str, schemes: TagSchemes = DEFAULT_SCHEMES,
                                   "aspect spans but carries a sentiment")
         sentences.append(Sentence(tuple(tokens), tuple(ate), tuple(ote),
                                   tuple(asc),
-                                  _identity_adjacency(len(tokens))))
+                                  np.eye(len(tokens), dtype=np.float32)))
         tokens, ate, ote, asc = [], [], [], []
 
     for lineno, raw in _text_lines(path):
@@ -294,11 +293,8 @@ def load_aspect_corpus(path: str, schemes: TagSchemes = DEFAULT_SCHEMES,
         tokens.append(tok)
     flush(lineno if sentences or tokens else 0)
 
-    if adjacency_path is None:
-        candidate = path + ".adj"
-        adjacency_path = candidate if os.path.exists(candidate) else None
-    if adjacency_path is not None:
-        _load_adjacency(adjacency_path, sentences)
+    if os.path.exists(path + ".adj"):
+        _load_adjacency(path + ".adj", sentences)
     return sentences
 
 
@@ -317,6 +313,9 @@ def load_document_corpus(path: str,
             rec = json.loads(line)
         except json.JSONDecodeError as e:
             raise CorpusError(f"{path}:{lineno}: bad JSON: {e}") from None
+        if not isinstance(rec, dict):
+            raise CorpusError(f"{path}:{lineno}: expected a JSON object, "
+                              f"got {type(rec).__name__}")
         text = rec.get("text")
         if not isinstance(text, str) or not text.split():
             raise CorpusError(f"{path}:{lineno}: missing or empty 'text'")
@@ -411,6 +410,9 @@ def load_embeddings(path: str) -> EmbeddingTable:
         except ValueError:
             raise CorpusError(f"{path}:{lineno}: non-numeric value in "
                               f"embedding row for {word!r}") from None
+        if not np.isfinite(vec).all():
+            raise CorpusError(f"{path}:{lineno}: non-finite value in "
+                              f"embedding row for {word!r}")
         seen.add(word)
         words.append(word)
         rows.append(vec)
@@ -467,13 +469,12 @@ def dev_split(items: Sequence, fraction: float = 0.2,
     return train, dev
 
 
-def make_batches(sentences: Sequence[Sentence], batch_size: int,
-                 seed: int) -> list[list[Sentence]]:
+def make_batches(items: Sequence, batch_size: int, seed: int) -> list[list]:
     """Shuffle with ``seed`` and cut into batches of ``batch_size``."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    order = np.random.default_rng(seed).permutation(len(sentences))
-    shuffled = [sentences[i] for i in order]
+    order = np.random.default_rng(seed).permutation(len(items))
+    shuffled = [items[i] for i in order]
     return [shuffled[i:i + batch_size]
             for i in range(0, len(shuffled), batch_size)]
 

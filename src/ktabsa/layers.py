@@ -74,13 +74,13 @@ class SharedEncoder:
     """
 
     def __init__(self, params: Params, d_in: int, d_enc: int,
-                 widths: tuple[int, ...], nonlinearity: str, name: str = "enc"):
+                 widths: tuple[int, ...], nonlinearity: str):
         if d_enc % len(widths) != 0:
             raise ConfigError(f"encoder width {d_enc} not divisible by the "
                               f"{len(widths)} kernel widths")
         self.nonlin = NONLINEARITIES[nonlinearity]
         slice_out = d_enc // len(widths)
-        self.banks = [ConvLayer(params, w, d_in, slice_out, f"{name}.w{w}")
+        self.banks = [ConvLayer(params, w, d_in, slice_out, f"enc.w{w}")
                       for w in widths]
 
     def __call__(self, x: Tensor) -> Tensor:

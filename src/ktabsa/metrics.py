@@ -18,6 +18,7 @@ from .model import Prediction
 
 Span = tuple[int, int]
 Pair = tuple[Span, int]
+NUM_SENTIMENTS = 3      # the three-way label set the macro-F1 divides by
 
 
 def _f1(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
@@ -38,8 +39,8 @@ class EvalReport:
     per_class: dict = field(default_factory=dict)
     degenerate_asc: bool = False
 
-    def as_dict(self, ndigits: int = 6) -> dict:
-        d = {k: round(getattr(self, k), ndigits)
+    def as_dict(self) -> dict:
+        d = {k: round(getattr(self, k), 6)
              for k in ("f1_a", "f1_o", "f1_s", "acc_s", "f1_i")}
         d["counts"] = self.counts
         # string keys, as JSON stores them, so the dict survives a round trip
@@ -67,8 +68,7 @@ def span_f1(pred: Sequence[Sequence[Span] | Sequence[Pair]],
 
 
 def asc_scores(pred_pairs: Sequence[Sequence[Pair]],
-               gold_pairs_: Sequence[Sequence[Pair]],
-               num_classes: int = 3
+               gold_pairs_: Sequence[Sequence[Pair]]
                ) -> tuple[float, float, dict, bool]:
     """Sentiment accuracy and macro-F1 on correctly extracted aspect spans.
 
@@ -78,7 +78,7 @@ def asc_scores(pred_pairs: Sequence[Sequence[Pair]],
     """
     matched = 0
     correct = 0
-    confusion = [[0] * num_classes for _ in range(num_classes)]
+    confusion = [[0] * NUM_SENTIMENTS for _ in range(NUM_SENTIMENTS)]
     for pps, gps in zip(pred_pairs, gold_pairs_):
         gold_by_span = {span: lab for span, lab in gps}
         for span, plab in pps:
@@ -90,18 +90,17 @@ def asc_scores(pred_pairs: Sequence[Sequence[Pair]],
             if glab == plab:
                 correct += 1
     per_class = {}
-    f1_sum = 0.0
-    for c in range(num_classes):
+    for c in range(NUM_SENTIMENTS):
         tp = confusion[c][c]
         fn = sum(confusion[c]) - tp
-        fp = sum(confusion[r][c] for r in range(num_classes)) - tp
+        fp = sum(confusion[r][c] for r in range(NUM_SENTIMENTS)) - tp
         p, r, f = _f1(tp, fp, fn)
         per_class[c] = {"precision": p, "recall": r, "f1": f,
                         "tp": tp, "fp": fp, "fn": fn}
-    f1_sum = sum(per_class[c]["f1"] for c in range(num_classes))
+    f1_sum = sum(per_class[c]["f1"] for c in range(NUM_SENTIMENTS))
     degenerate = matched == 0
     acc = correct / matched if matched else 0.0
-    macro = f1_sum / num_classes
+    macro = f1_sum / NUM_SENTIMENTS
     return acc, macro, per_class, degenerate
 
 

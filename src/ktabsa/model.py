@@ -40,8 +40,9 @@ from typing import Sequence
 import numpy as np
 
 from . import layers as L
-from .data import (BEGIN, INSIDE, Document, EmbeddingTable, Sentence,
-                   TagSchemes, atomic_write, extract_spans, length_chunks)
+from .data import (Document, EmbeddingTable, Sentence, TagSchemes,
+                   assign_embedding_ids, atomic_write, extract_spans,
+                   length_chunks)
 from .routing import (PositionalEncoding, RoutingState, RoutingTrace,
                       TransferDirection, directions_per_call, predict_vectors,
                       route, target_votes)
@@ -128,6 +129,8 @@ class ModelConfig:
             raise ConfigError("d_task must be even for sinusoidal positions")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def sources_into(self, target: str) -> tuple[str, ...]:
         return tuple(src for src in ASPECT_TASKS
@@ -254,8 +257,7 @@ class AbsaModel:
     """Multi-task tagger with iterative inter-task knowledge routing."""
 
     def __init__(self, config: ModelConfig, schemes: TagSchemes,
-                 general: EmbeddingTable, domain: EmbeddingTable,
-                 rng: np.random.Generator | None = None):
+                 general: EmbeddingTable, domain: EmbeddingTable):
         config.validate()
         if general.dim != config.d_general or domain.dim != config.d_domain:
             raise ConfigError(
@@ -265,8 +267,7 @@ class AbsaModel:
         self.schemes = schemes
         self.general_table = general
         self.domain_table = domain
-        self.params = params = L.Params(
-            rng if rng is not None else np.random.default_rng(config.seed))
+        self.params = params = L.Params(np.random.default_rng(config.seed))
         c1 = schemes.token_classes
 
         self.emb_general = params.add(
@@ -362,7 +363,7 @@ class AbsaModel:
         if any(it.general_ids is None or it.domain_ids is None
                for it in items):
             raise ValueError("input has no embedding ids; run "
-                             "assign_embedding_ids or index_tokens first")
+                             "assign_embedding_ids first")
         general = np.stack([it.general_ids for it in items])
         domain = np.stack([it.domain_ids for it in items])
         emb = concat([embedding_lookup(self.emb_general, general),
@@ -373,10 +374,6 @@ class AbsaModel:
         if keep is not None:
             h = dropout(h, np.stack([k[1] for k in keep]))
         return h
-
-    def index_tokens(self, sentence: Sentence) -> None:
-        sentence.general_ids = self.general_table.lookup(sentence.tokens)
-        sentence.domain_ids = self.domain_table.lookup(sentence.tokens)
 
     def forward(self, sentences: Sequence[Sentence],
                 keep: Sequence[tuple[np.ndarray, np.ndarray]] | None = None,
@@ -484,7 +481,7 @@ class AbsaModel:
                 if keep_trace:
                     for i, sent in enumerate(sentences):
                         traces.append((state.t + 1, RoutingTrace(
-                            direction.name, sent.tokens, sent.adjacency,
+                            direction.name, sent.tokens,
                             [RoutingState(st.iteration, st.b[k, i],
                                           st.c[k, i], st.s[k, i], st.v[k, i])
                              for st in snaps])))
@@ -529,9 +526,8 @@ class AbsaModel:
         """Each sentence's final argmax tags [n] per token-level task, in
         input order, one forward per chunk of :func:`data.length_chunks`;
         unindexed sentences are indexed first."""
-        for s in sentences:
-            if s.general_ids is None:
-                self.index_tokens(s)
+        assign_embedding_ids([s for s in sentences if s.general_ids is None],
+                             self.general_table, self.domain_table)
         tags: list = [None] * len(sentences)
         for chunk in length_chunks(sentences):
             states, _ = self.forward([sentences[i] for i in chunk])
@@ -546,8 +542,8 @@ class AbsaModel:
         sentence, in input order, decoded from :meth:`_final_tags`."""
         preds = []
         for sentence, tags in zip(sentences, self._final_tags(sentences)):
-            ate_spans = extract_spans(tags["ate"].tolist(), BEGIN, INSIDE)
-            ote_spans = extract_spans(tags["ote"].tolist(), BEGIN, INSIDE)
+            ate_spans = extract_spans(tags["ate"].tolist())
+            ote_spans = extract_spans(tags["ote"].tolist())
             pairs = tuple(
                 ((s, e), majority_sentiment(tags["asc"][s:e].tolist()))
                 for s, e in ate_spans)

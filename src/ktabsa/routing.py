@@ -117,7 +117,6 @@ class RoutingState:
 class RoutingTrace:
     direction: str
     tokens: tuple[str, ...] | None
-    adjacency: np.ndarray
     states: list[RoutingState] = field(default_factory=list)
 
 

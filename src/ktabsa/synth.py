@@ -40,6 +40,8 @@ OPINIONS = {
 POLARITIES = ("pos", "neg", "neu")
 NEAR_VERBS = ("is", "was", "seemed")
 FAR_FILLER = ("of", "this", "thing", "honestly", "really", "seemed", "rather")
+FAR_FRACTION = 0.4      # shares of a corpus's far and double sentences
+DOUBLE_FRACTION = 0.2
 
 
 @dataclass
@@ -48,8 +50,6 @@ class SynthSpec:
     test_sentences: int = 20
     documents: int = 40
     seed: int = 7
-    far_fraction: float = 0.4
-    double_fraction: float = 0.2
 
 
 @dataclass
@@ -120,11 +120,10 @@ def _double_row(rng: np.random.Generator, aspects) -> Row:
     return row
 
 
-def build_rows(count: int, seed: int, far_fraction: float = 0.4,
-               double_fraction: float = 0.2) -> list[Row]:
+def build_rows(count: int, seed: int) -> list[Row]:
     rng = np.random.default_rng(seed)
-    n_far = int(round(count * far_fraction))
-    n_double = int(round(count * double_fraction))
+    n_far = int(round(count * FAR_FRACTION))
+    n_double = int(round(count * DOUBLE_FRACTION))
     n_near = count - n_far - n_double
     # cycle (aspect, polarity) combinations so no aspect acquires a usable
     # polarity prior in the far block
@@ -212,10 +211,8 @@ def write_synthetic(out_dir: str, spec: SynthSpec) -> dict[str, str]:
     test = os.path.join(out_dir, "test.tsv")
     docs = os.path.join(out_dir, "docs.jsonl")
     cfg = os.path.join(out_dir, "synthetic.cfg")
-    write_rows(train, build_rows(spec.train_sentences, spec.seed,
-                                 spec.far_fraction, spec.double_fraction))
-    write_rows(test, build_rows(spec.test_sentences, spec.seed + 1,
-                                spec.far_fraction, spec.double_fraction))
+    write_rows(train, build_rows(spec.train_sentences, spec.seed))
+    write_rows(test, build_rows(spec.test_sentences, spec.seed + 1))
     with atomic_write(docs) as f:
         for rec in build_documents(spec.documents, spec.seed + 2):
             f.write(json.dumps(rec) + "\n")

@@ -151,11 +151,11 @@ def active_tape() -> Tape | None:
 
 
 @contextlib.contextmanager
-def record(tape: Tape | None = None):
-    """Make ``tape`` (a fresh one by default) the active recording target."""
+def record(tape: Tape):
+    """Make ``tape`` the active recording target."""
     global _active
     prev = _active
-    _active = tape if tape is not None else Tape()
+    _active = tape
     try:
         yield _active
     finally:
@@ -462,42 +462,3 @@ def cross_entropy_rows(logits: Tensor, targets, weights) -> Tensor:
 
     return _emit(out, fn)
 
-
-# ---------------------------------------------------------------------------
-# optimization
-
-
-def adam_step(param: Tensor, m: np.ndarray, v: np.ndarray, t: int, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> None:
-    """One bias-corrected Adam update, in place; no-op when grad is unset."""
-    g = param.grad
-    if g is None:
-        return
-    m *= beta1
-    m += (1.0 - beta1) * g
-    v *= beta2
-    v += (1.0 - beta2) * (g * g)
-    mhat = m / (1.0 - beta1 ** t)
-    vhat = v / (1.0 - beta2 ** t)
-    param.data -= (lr * mhat / (np.sqrt(vhat) + eps)).astype(param.data.dtype)
-
-
-def global_grad_norm(params) -> float:
-    total = 0.0
-    for p in params:
-        if p.grad is not None:
-            total += float((p.grad.astype(np.float64) ** 2).sum())
-    return float(np.sqrt(total))
-
-
-def clip_grads(params, max_norm: float) -> float:
-    """Scale all gradients so their global norm is at most ``max_norm``
-    (0 clips nothing) and return their norm before clipping."""
-    norm = global_grad_norm(params)
-    if norm > max_norm > 0:
-        factor = max_norm / norm
-        for p in params:
-            if p.grad is not None:
-                p.grad *= factor
-    return norm

@@ -1,17 +1,19 @@
-"""Losses, optimization, the two-phase schedule, and gradient checking.
+"""Losses, Adam and clipping, the two-phase schedule, and gradient checking.
 
 Training runs in two phases: the document tasks are pretrained alone for a
-few epochs, then sentence-level batches and document batches alternate at a
-configurable ratio. A batch's loss is the mean of the per-input losses.
-Training and inference share one chunking rule, :func:`data.length_chunks`:
-one model forward runs a chunk of equal-length inputs ([G, n, ·] tensors,
-no padding) whose [G, n, n] couplings fit ``routing.COUPLING_BUDGET``. Each
-chunk is backpropagated as soon as it is recorded, and its tape dropped, so
-a step's graph is bounded by the budget, not by ``batch_size``; the
-gradients accumulate in place, and clipping and the optimizer step run once
-per batch. Every epoch ends with a dev evaluation; the checkpoint with the
-best pair-F1 is kept. All randomness flows from the model seed, so a rerun
-with the same config reproduces the loss trace bit for bit.
+few epochs, then each ``aspect_batches_per_doc`` sentence batches are
+followed by one document batch, cycling through the epoch's document
+batches; :func:`data.make_batches` cuts both kinds. A batch's loss is the
+mean of the per-input losses. Training and inference share one chunking
+rule, :func:`data.length_chunks`: one model forward runs a chunk of
+equal-length inputs ([G, n, ·] tensors, no padding) whose [G, n, n]
+couplings fit ``routing.COUPLING_BUDGET``. Each chunk is backpropagated as
+soon as it is recorded, and its tape dropped, so a step's graph is bounded
+by the budget, not by ``batch_size``; the gradients accumulate in place,
+and clipping and the optimizer step run once per batch. Every epoch ends
+with a dev evaluation; the checkpoint with the best pair-F1 is kept. All
+randomness flows from the model seed, so a rerun with the same config
+reproduces the loss trace bit for bit.
 """
 
 from __future__ import annotations
@@ -28,8 +30,12 @@ from .data import (Document, Sentence, atomic_write, length_chunks,
                    make_batches)
 from .metrics import evaluate
 from .model import ASPECT_TASKS, AbsaModel, IterationState, ModelConfig
-from .tensor import (ConfigError, Tape, Tensor, adam_step, clip_grads,
-                     cross_entropy_rows, record, scale)
+from .tensor import (ConfigError, Tape, Tensor, cross_entropy_rows, record,
+                     scale)
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class DivergenceError(ArithmeticError):
@@ -93,15 +99,15 @@ def backprop_chunks(items: Sequence, keep: list | None,
 
 
 def batch_aspect_loss(model: AbsaModel, batch: Sequence[Sentence],
-                      train: bool, rng: np.random.Generator | None) -> float:
+                      rng: np.random.Generator | None) -> float:
     """Mean per-sentence loss over a batch, backpropagated chunk by chunk
-    (:func:`backprop_chunks`). Training draws the dropout of the whole
-    batch first, in batch order."""
+    (:func:`backprop_chunks`). Training (an ``rng``, None in evaluation)
+    draws the dropout of the whole batch first, in batch order."""
     def chunk_loss(chunk, keep):
         states, _ = model.forward(chunk, keep)
         return aspect_loss(states, chunk, model.config)
 
-    keep = model.draw_dropout(batch, rng) if train else None
+    keep = model.draw_dropout(batch, rng) if rng is not None else None
     return backprop_chunks(batch, keep, chunk_loss)
 
 
@@ -129,28 +135,24 @@ def document_loss(doc_logits: dict[str, Tensor],
 
 
 def batch_document_loss(model: AbsaModel, docs: Sequence[Document],
-                        train: bool, rng: np.random.Generator | None
-                        ) -> float:
+                        rng: np.random.Generator | None) -> float:
     """Mean per-document loss, backpropagated chunk by chunk
-    (:func:`backprop_chunks`)."""
+    (:func:`backprop_chunks`); dropout as in :func:`batch_aspect_loss`."""
     def chunk_loss(chunk, keep):
         return document_loss(model.forward_document(chunk, keep), chunk,
                              model.config)
 
-    keep = model.draw_dropout(docs, rng) if train else None
+    keep = model.draw_dropout(docs, rng) if rng is not None else None
     return backprop_chunks(docs, keep, chunk_loss)
 
 
 class Adam:
-    """Bias-corrected Adam over a named parameter dict."""
+    """Bias-corrected Adam over a named parameter dict, with moments in
+    float32."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], lr: float):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(p.data, dtype=np.float32)
                   for k, p in params.items()}
@@ -162,10 +164,33 @@ class Adam:
             p.zero_grad()
 
     def step(self) -> None:
+        """One update of every parameter whose gradient is set, in place."""
         self.t += 1
         for k, p in self.params.items():
-            adam_step(p, self.m[k], self.v[k], self.t, self.lr,
-                      self.beta1, self.beta2, self.eps)
+            g = p.grad
+            if g is None:
+                continue
+            m, v = self.m[k], self.v[k]
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
+            mhat = m / (1.0 - ADAM_BETA1 ** self.t)
+            vhat = v / (1.0 - ADAM_BETA2 ** self.t)
+            p.data -= (self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)).astype(
+                p.data.dtype)
+
+
+def clip_grads(params, max_norm: float) -> float:
+    """Scale all gradients so their global norm is at most ``max_norm``
+    (0 clips nothing) and return their norm before clipping."""
+    grads = [p.grad for p in params if p.grad is not None]
+    norm = float(np.sqrt(sum(float((g.astype(np.float64) ** 2).sum())
+                             for g in grads)))
+    if norm > max_norm > 0:
+        for g in grads:
+            g *= max_norm / norm
+    return norm
 
 
 @dataclass
@@ -296,21 +321,16 @@ def fit(model: AbsaModel, train_sentences: Sequence[Sentence],
 
     write_metrics()
 
-    def doc_chunks(seed: int) -> list[list[Document]]:
-        order = np.random.default_rng(seed).permutation(len(documents))
-        shuffled = [documents[i] for i in order]
-        bs = schedule.batch_size
-        return [shuffled[i:i + bs] for i in range(0, len(shuffled), bs)]
-
     # phase 1: document pretraining
     for epoch in range(schedule.pretrain_epochs):
         if not documents:
             break
         t0 = time.time()
         losses, norms = [], []
-        for bi, chunk in enumerate(doc_chunks(int(rng.integers(2 ** 31)))):
+        for bi, docs in enumerate(make_batches(
+                documents, schedule.batch_size, int(rng.integers(2 ** 31)))):
             losses.append(_train_step(
-                opt, lambda: batch_document_loss(model, chunk, True, rng),
+                opt, lambda: batch_document_loss(model, docs, rng),
                 schedule.clip_norm, f"pretrain epoch {epoch} batch {bi}",
                 norms))
         rec = {"epoch": epoch, "phase": "pretrain",
@@ -322,28 +342,29 @@ def fit(model: AbsaModel, train_sentences: Sequence[Sentence],
         emit(f"pretrain {epoch}: J_d={rec['J_d']:.4f}")
 
     # phase 2: alternating aspect/document updates
-    best_epoch = -1
     stale = 0
     for epoch in range(schedule.epochs):
         t0 = time.time()
         batches = make_batches(train_sentences, schedule.batch_size,
                                int(rng.integers(2 ** 31)))
-        chunks = doc_chunks(int(rng.integers(2 ** 31))) if documents else []
-        ci = 0
+        doc_batches = (make_batches(documents, schedule.batch_size,
+                                    int(rng.integers(2 ** 31)))
+                       if documents else [])
+        di = 0
         ja_losses, jd_losses, norms = [], [], []
         steps_t0 = time.perf_counter()
         for bi, batch in enumerate(batches):
             ja_losses.append(_train_step(
-                opt, lambda: batch_aspect_loss(model, batch, True, rng),
+                opt, lambda: batch_aspect_loss(model, batch, rng),
                 schedule.clip_norm, f"epoch {epoch} aspect batch {bi}",
                 norms))
-            if chunks and (bi + 1) % schedule.aspect_batches_per_doc == 0:
-                chunk = chunks[ci % len(chunks)]
-                ci += 1
+            if doc_batches and (bi + 1) % schedule.aspect_batches_per_doc == 0:
+                docs = doc_batches[di % len(doc_batches)]
                 jd_losses.append(_train_step(
-                    opt, lambda: batch_document_loss(model, chunk, True, rng),
-                    schedule.clip_norm, f"epoch {epoch} doc batch {ci - 1}",
+                    opt, lambda: batch_document_loss(model, docs, rng),
+                    schedule.clip_norm, f"epoch {epoch} doc batch {di}",
                     norms))
+                di += 1
         steps_s = time.perf_counter() - steps_t0
         result.step_losses.extend(ja_losses)
         result.step_losses.extend(jd_losses)
@@ -361,7 +382,6 @@ def fit(model: AbsaModel, train_sentences: Sequence[Sentence],
             rec["dev"] = report.as_dict()
             if report.f1_i > result.best_f1_i:
                 result.best_f1_i = report.f1_i
-                best_epoch = epoch
                 stale = 0
                 if out_dir is not None:
                     result.best_path = os.path.join(out_dir, "best.ckpt")
@@ -425,8 +445,7 @@ class GradcheckReport:
 
 
 def gradcheck_harness(iterations: int = 2, route_iters: int = 2,
-                      seed: int = 5, nonlinearity: str = "sigmoid",
-                      coarse: bool = False):
+                      seed: int = 5, nonlinearity: str = "sigmoid"):
     """Small float64 model plus one labeled sentence and one document.
 
     The harness defaults to the sigmoid nonlinearity: central differences at
@@ -442,7 +461,8 @@ def gradcheck_harness(iterations: int = 2, route_iters: int = 2,
         d_general=5, d_domain=3, d_enc=8, d_task=8, d_route=6,
         kernel_widths=(3,), task_depth=1, nonlinearity=nonlinearity,
         dropout=0.0, iterations=iterations, route_iters=route_iters,
-        seed=seed, coarse=coarse)
+        seed=seed)
+    config.validate()
     words = ["the", "battery", "is", "great", "awful", "service"]
     rng = np.random.default_rng(seed + 101)
     general = random_embeddings(words, config.d_general, rng)
@@ -471,12 +491,10 @@ def model_gradcheck(model: AbsaModel, sentences: Sequence[Sentence],
     the batch document loss): both sides run :func:`batch_aspect_loss` and
     :func:`batch_document_loss`, chunk by chunk exactly as in training."""
     params = model.named_parameters()
-    losses = [lambda: batch_aspect_loss(model, sentences, False, None)]
+    losses = [lambda: batch_aspect_loss(model, sentences, None)]
     if documents:
-        losses.append(
-            lambda: batch_document_loss(model, documents, False, None))
-    reports = [_gradcheck(loss, loss, params, step, tol, floor=1e-6)
-               for loss in losses]
+        losses.append(lambda: batch_document_loss(model, documents, None))
+    reports = [_gradcheck(loss, params, step, tol) for loss in losses]
     merged = []
     for entries in zip(*(r.entries for r in reports)):
         worst = max(e.max_rel_err for e in entries)
@@ -485,14 +503,13 @@ def model_gradcheck(model: AbsaModel, sentences: Sequence[Sentence],
     return GradcheckReport(merged, tol)
 
 
-def _gradcheck(backprop: Callable[[], float], value: Callable[[], float],
-               params: dict[str, Tensor], step: float, tol: float,
-               floor: float) -> GradcheckReport:
-    """Compare the gradient ``backprop()`` accumulates into the parameters'
-    ``.grad`` against central differences of ``value()``.
+def _gradcheck(loss: Callable[[], float], params: dict[str, Tensor],
+               step: float, tol: float) -> GradcheckReport:
+    """Compare the gradient ``loss()`` accumulates into the parameters'
+    ``.grad`` against central differences of the value it returns.
 
     Parameters must be float64; float32 rounding drowns the comparison.
-    ``value`` must be a deterministic pure function of the parameters.
+    ``loss`` must be a deterministic pure function of the parameters.
     """
     for p in params.values():
         if p.dtype != np.float64:
@@ -500,13 +517,13 @@ def _gradcheck(backprop: Callable[[], float], value: Callable[[], float],
                              f"{p.name or 'parameter'} is {p.dtype}")
     for p in params.values():
         p.zero_grad()
-    backprop()
+    loss()
     analytic = {name: (p.grad.copy() if p.grad is not None
                        else np.zeros_like(p.data))
                 for name, p in params.items()}
 
     # the differences need no graph: with the parameters frozen, nothing
-    # that ``value()`` computes from them is recorded or backpropagated
+    # that ``loss()`` computes from them is recorded or backpropagated
     frozen = [p for p in params.values() if p.requires_grad]
     for p in frozen:
         p.requires_grad = False
@@ -518,13 +535,13 @@ def _gradcheck(backprop: Callable[[], float], value: Callable[[], float],
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + step
-                hi = value()
+                hi = loss()
                 flat[i] = orig - step
-                lo = value()
+                lo = loss()
                 flat[i] = orig
                 numeric = (hi - lo) / (2.0 * step)
                 a = analytic[name].reshape(-1)[i]
-                err = abs(a - numeric) / max(abs(a), abs(numeric), floor)
+                err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-6)
                 worst = max(worst, err)
             entries.append(GradcheckEntry(name, tuple(p.shape), worst,
                                           worst < tol))

@@ -152,7 +152,7 @@ def failing_disk(nth_write: int = 3):
 
 
 def gradcheck(build_loss, params: dict, step: float = 1e-3,
-              tol: float = 1e-3, floor: float = 1e-6):
+              tol: float = 1e-3):
     """Check the analytic gradients of the loss ``build_loss()`` records
     against central finite differences, per parameter; ``build_loss`` must
     be a deterministic pure function of the float64 ``params``."""
@@ -163,8 +163,7 @@ def gradcheck(build_loss, params: dict, step: float = 1e-3,
         tape.backward(loss)
         return loss.item()
 
-    return _gradcheck(backprop, lambda: build_loss().item(), params, step,
-                      tol, floor)
+    return _gradcheck(backprop, params, step, tol)
 
 
 def worst(report) -> float:
@@ -210,7 +209,7 @@ def per_direction_forward(model, sentences, keep=None, keep_trace=False):
                     continue
                 for i, sent in enumerate(sentences):
                     traces.append((t, routing.RoutingTrace(
-                        d.name, sent.tokens, sent.adjacency,
+                        d.name, sent.tokens,
                         [routing.RoutingState(st.iteration, st.b[i], st.c[i],
                                               st.s[i], st.v[i])
                          for st in snaps])))
@@ -219,12 +218,12 @@ def per_direction_forward(model, sentences, keep=None, keep_trace=False):
     return states, traces
 
 
-def whole_batch_aspect_loss(model, batch, train: bool, rng) -> T.Tensor:
+def whole_batch_aspect_loss(model, batch, rng) -> T.Tensor:
     """Oracle for ``training.batch_aspect_loss``: the batch's mean
     per-sentence loss as one tensor on the caller's tape, one forward per
-    whole length group, never cut into chunks. Training draws the dropout of
-    the whole batch first, in batch order."""
-    keep = model.draw_dropout(batch, rng) if train else None
+    whole length group, never cut into chunks. Training (an ``rng``) draws
+    the dropout of the whole batch first, in batch order."""
+    keep = model.draw_dropout(batch, rng) if rng is not None else None
     total = None
     for idx in data.length_groups(batch):
         group = [batch[i] for i in idx]

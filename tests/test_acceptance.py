@@ -305,8 +305,8 @@ def test_determinism_and_persistence(tmp_path):
     ckpt = str(tmp_path / "model.ckpt")
     model_a.save(ckpt)
     clone = AbsaModel.load(ckpt)
-    for s in test_sentences:
-        model_a.index_tokens(s)
+    assign_embedding_ids(test_sentences, model_a.general_table,
+                         model_a.domain_table)
     preds_orig = [model_a.predict(s) for s in test_sentences]
     preds_clone = [clone.predict(s) for s in test_sentences]
     assert preds_orig == preds_clone

@@ -264,7 +264,8 @@ def test_eval_damaged_header_exit_3(synth_dir, tmp_path, capsys):
                         ("pe_mode", lambda h: h["config"].update(
                             pe_mode="off")),
                         ("train_embeddings", lambda h: h["config"].update(
-                            train_embeddings=False))):
+                            train_embeddings=False)),
+                        ("seed", lambda h: h["config"].update(seed=-1))):
         ckpt.write_bytes(edit_header(raw, damage))
         code = run_cli("eval", "--checkpoint", str(ckpt), "--corpus",
                        os.path.join(synth_dir, "test.tsv"))
@@ -319,7 +320,7 @@ def test_unreadable_or_unwritable_paths_exit_3(synth_dir, tiny_checkpoint,
                                      "patience=-2", "target_token_acc=5",
                                      "lambda_ate=nan", "lambda_ote=inf",
                                      "runs=0", "dev_fraction=1.5",
-                                     "dev_fraction=-0.1"])
+                                     "dev_fraction=-0.1", "seed=-5"])
 def test_invalid_schedule_or_widths_exit_2(synth_dir, tmp_path, capsys,
                                            setting):
     cfg = os.path.join(synth_dir, "synthetic.cfg")
@@ -327,6 +328,32 @@ def test_invalid_schedule_or_widths_exit_2(synth_dir, tmp_path, capsys,
                    *fast_overrides(str(tmp_path / "run")), "--set", setting)
     assert code == 2
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("train", "--seed", "-1"), ("gradcheck", "--seed", "-300"),
+    ("gradcheck", "--step", "0"), ("gradcheck", "--step", "inf"),
+    ("gradcheck", "--tol", "0"), ("gen-synth", "--seed", "-1"),
+    ("gen-synth", "--documents", "-1")], ids=" ".join)
+def test_bad_number_exit_2(synth_dir, tmp_path, capsys, argv):
+    command, *flags = argv
+    if command == "train":
+        flags += ["--config", os.path.join(synth_dir, "synthetic.cfg"),
+                  "--quiet", *fast_overrides(str(tmp_path / "run"))]
+    elif command == "gen-synth":
+        flags += ["--out", str(tmp_path / "bundle")]
+    assert run_cli(command, *flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and len(err.splitlines()) == 1
+    assert os.listdir(tmp_path) == []
+
+
+def test_config_file_not_utf8_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"# caf\xe9\nepochs = 1\n")
+    assert run_cli("train", "--config", str(cfg)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "latin1.cfg" in err
 
 
 def test_gradcheck_cli_passes_and_corruption_fails(capsys):

@@ -220,6 +220,14 @@ def test_document_unknown_label_rejected(tmp_path):
         D.load_document_corpus(write(tmp_path, "d.jsonl", line))
 
 
+@pytest.mark.parametrize("line", ["[1, 2]", "null"])
+def test_document_record_that_is_not_an_object_rejected(tmp_path, line):
+    text = json.dumps({"text": "fine", "domain": "Laptop"}) + "\n" + line
+    with pytest.raises(D.CorpusError,
+                       match=r"d\.jsonl:2: expected a JSON object"):
+        D.load_document_corpus(write(tmp_path, "d.jsonl", text))
+
+
 # ---------------------------------------------------------------------------
 # embeddings
 
@@ -245,6 +253,15 @@ def test_duplicate_word_first_wins_with_warning(tmp_path):
 def test_ragged_rows_rejected_with_line_number(tmp_path):
     text = "a 1 2 3\nb 4 5\n"
     with pytest.raises(D.CorpusError, match=":2:"):
+        D.load_embeddings(write(tmp_path, "v.txt", text))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_embedding_value_rejected_with_line_number(tmp_path,
+                                                              value):
+    # a NaN would also reach the unknown-word row, the column mean
+    text = f"a 1 2 3\nb 4 {value} 6\n"
+    with pytest.raises(D.CorpusError, match=":2: non-finite value.*'b'"):
         D.load_embeddings(write(tmp_path, "v.txt", text))
 
 

@@ -521,7 +521,7 @@ def test_forward_matches_per_direction_reference(variant, monkeypatch):
         with monkeypatch.context() as mp:
             mp.setattr(model, "forward", traced)
             loss, grads = step_grads(model, lambda: batch_aspect_loss(
-                model, batch, True, np.random.default_rng(5)))
+                model, batch, np.random.default_rng(5)))
         return loss, grads, outputs
 
     loss, grads, outputs = run(stacked)
@@ -604,7 +604,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     clone = AbsaModel.load(path)
     for name, t in model.named_parameters().items():
         np.testing.assert_array_equal(clone.named_parameters()[name].data, t.data)
-    clone.index_tokens(sent)
+    assign_embedding_ids([sent], clone.general_table, clone.domain_table)
     a = model.predict(sent)
     states_a, _ = model.forward([sent])
     states_b, _ = clone.forward([sent])
@@ -829,7 +829,7 @@ def test_legacy_max_len_header_loads_bit_identical(saved_checkpoint,
     for n in (4, 20):
         sent = Sentence(tuple(words[i % 5] for i in range(n)), (2,) * n,
                         (2,) * n, (None,) * n, chain_adjacency(n))
-        model.index_tokens(sent)
+        assign_embedding_ids([sent], model.general_table, model.domain_table)
         want, _ = model.forward([sent])
         got, _ = legacy.forward([sent])
         for task in ("ate", "ote", "asc"):

@@ -385,7 +385,7 @@ def test_route_end_to_end_gradients_with_predict_vectors():
 def test_agreement_trace_two_tokens_uniform():
     _, states = run_route(np.zeros((2, 3)), np.zeros((2, 3)),
                           np.zeros((2, 2)), 1)
-    trace = R.RoutingTrace("ote->asc", ("a", "b"), np.zeros((2, 2)), states)
+    trace = R.RoutingTrace("ote->asc", ("a", "b"), states)
     recs = R.agreement_trace(trace)
     assert len(recs) == 1
     np.testing.assert_allclose(recs[0]["c"], [[0.5, 0.5], [0.5, 0.5]])
@@ -399,7 +399,7 @@ def test_agreement_trace_rows_sum_to_one_entries_in_open_interval():
     n = 4
     r, q = random_factors(rng, n, 3)
     _, states = run_route(r, q, np.eye(n), 3)
-    trace = R.RoutingTrace("ate->ote", None, np.eye(n), states)
+    trace = R.RoutingTrace("ate->ote", None, states)
     for rec in R.agreement_trace(trace):
         c = np.array(rec["c"])
         np.testing.assert_allclose(c.sum(axis=1), np.ones(n), atol=1e-9)

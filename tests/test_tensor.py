@@ -547,36 +547,6 @@ def test_tape_replay_determinism():
     np.testing.assert_array_equal(gw1, gw2)
 
 
-def test_adam_step_matches_reference():
-    rng = np.random.default_rng(18)
-    theta = rng.normal(size=5).astype(np.float64)
-    p = T.Tensor(theta.copy(), requires_grad=True, dtype=np.float64)
-    m = np.zeros(5)
-    v = np.zeros(5)
-    rm = np.zeros(5)
-    rv = np.zeros(5)
-    ref = theta.copy()
-    lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
-    for t in range(1, 6):
-        g = rng.normal(size=5)
-        p.grad = g.copy()
-        T.adam_step(p, m, v, t, lr, b1, b2, eps)
-        rm = b1 * rm + (1 - b1) * g
-        rv = b2 * rv + (1 - b2) * g * g
-        ref -= lr * (rm / (1 - b1 ** t)) / (np.sqrt(rv / (1 - b2 ** t)) + eps)
-        np.testing.assert_allclose(p.data, ref, rtol=1e-12)
-
-
-def test_clip_grads():
-    a = T.Tensor(np.zeros(3), requires_grad=True)
-    b = T.Tensor(np.zeros(4), requires_grad=True)
-    a.grad = np.full(3, 10.0, dtype=np.float32)
-    b.grad = np.full(4, 10.0, dtype=np.float32)
-    norm = T.clip_grads([a, b], 5.0)
-    assert norm > 5.0
-    assert abs(T.global_grad_norm([a, b]) - 5.0) < 1e-5
-
-
 def test_finite_outputs_on_finite_inputs():
     rng = np.random.default_rng(19)
     x = T.constant(rng.normal(size=(5, 4)) * 1e3)

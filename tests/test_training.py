@@ -17,9 +17,9 @@ from ktabsa.data import (DEFAULT_SCHEMES, Document, Sentence,
 from ktabsa.model import AbsaModel, ModelConfig
 from ktabsa.synth import SynthSpec, write_synthetic
 from ktabsa.training import (Adam, DivergenceError, Schedule, _train_step,
-                             aspect_loss, batch_aspect_loss, document_loss,
-                             fit, gradcheck_harness, model_gradcheck,
-                             token_accuracy)
+                             aspect_loss, batch_aspect_loss, clip_grads,
+                             document_loss, fit, gradcheck_harness,
+                             model_gradcheck, token_accuracy)
 
 from fixtures import (build_tiny_model, build_tiny_model_f64,
                       random_sentence, tiny_config, tiny_sentence)
@@ -139,7 +139,7 @@ def test_grouped_batch_equals_mean_of_single_sentence_batches(train):
     assign_embedding_ids(batch, model.general_table, model.domain_table)
 
     def batch_loss(sentences, stream):
-        return batch_aspect_loss(model, sentences, train, stream)
+        return batch_aspect_loss(model, sentences, stream if train else None)
 
     params = model.named_parameters()
 
@@ -184,7 +184,7 @@ def test_chunked_step_equals_one_whole_batch_tape(monkeypatch):
         with monkeypatch.context() as mp:
             mp.setattr(model, "forward", forward)
             loss, grads = grads_of(model, lambda: batch_loss(
-                model, batch, True, np.random.default_rng(4)))
+                model, batch, np.random.default_rng(4)))
         return loss, grads, seen
 
     loss, grads, keep = run(step_grads, batch_aspect_loss)
@@ -212,8 +212,7 @@ def test_step_memory_does_not_grow_with_the_batch():
         try:
             base = tracemalloc.get_traced_memory()[0]
             _train_step(opt, lambda: batch_aspect_loss(
-                model, sentences, True, np.random.default_rng(0)), 5.0,
-                "probe")
+                model, sentences, np.random.default_rng(0)), 5.0, "probe")
             return tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -284,6 +283,42 @@ def test_document_loss_uniform_sentiment_is_ln3():
               "dsc": T.constant(np.zeros((1, 3)))}
     assert abs(document_loss(logits, [doc], ModelConfig()).item()
                - math.log(3)) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# optimizer
+
+
+def test_adam_step_matches_reference():
+    # Adam keeps its moments in float32, so the reference does too
+    rng = np.random.default_rng(18)
+    theta = rng.normal(size=5).astype(np.float64)
+    p = T.Tensor(theta.copy(), requires_grad=True, dtype=np.float64)
+    opt = Adam({"p": p}, lr=1e-2)
+    rm = np.zeros(5, dtype=np.float32)
+    rv = np.zeros(5, dtype=np.float32)
+    ref = theta.copy()
+    lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
+    for t in range(1, 6):
+        g = rng.normal(size=5)
+        p.grad = g.copy()
+        opt.step()
+        rm = (b1 * rm + (1 - b1) * g).astype(np.float32)
+        rv = (b2 * rv + (1 - b2) * (g * g)).astype(np.float32)
+        ref -= lr * (rm / (1 - b1 ** t)) / (np.sqrt(rv / (1 - b2 ** t)) + eps)
+        np.testing.assert_allclose(p.data, ref, rtol=1e-12)
+
+
+def test_clip_grads():
+    a = T.Tensor(np.zeros(3), requires_grad=True)
+    b = T.Tensor(np.zeros(4), requires_grad=True)
+    a.grad = np.full(3, 10.0, dtype=np.float32)
+    b.grad = np.full(4, 10.0, dtype=np.float32)
+    norm = clip_grads([a, b], 5.0)
+    assert norm == pytest.approx(np.sqrt(7) * 10.0)
+    clipped = np.sqrt((a.grad.astype(np.float64) ** 2).sum()
+                      + (b.grad.astype(np.float64) ** 2).sum())
+    assert abs(clipped - 5.0) < 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +404,50 @@ def test_failed_metrics_write_leaves_whole_records(tmp_path):
         without_wall_time(history[0])]
 
 
+def test_joint_phase_interleaves_and_cycles_document_batches(tmp_path,
+                                                            monkeypatch):
+    # 24 sentences in aspect batches of 3 make 8 aspect steps and, at two
+    # aspect steps per document step, 4 document steps; the 8 documents
+    # make only 3 batches (3, 3, 2), so the fourth step reuses the first
+    import ktabsa.training as training
+    model, sents, docs = make_training_setup(tmp_path, n_sentences=24)
+    calls = []
+
+    def recorded(kind, real):
+        def wrapper(model, items, *rest):
+            loss = real(model, items, *rest)
+            calls.append((kind, [id(it) for it in items], loss))
+            return loss
+        return wrapper
+
+    monkeypatch.setattr(training, "batch_aspect_loss", recorded(
+        "a", training.batch_aspect_loss))
+    monkeypatch.setattr(training, "batch_document_loss", recorded(
+        "d", training.batch_document_loss))
+    sched = Schedule(epochs=2, pretrain_epochs=1, aspect_batches_per_doc=2,
+                     batch_size=3, lr=1e-3, patience=0)
+    res = fit(model, sents, [], docs, sched)
+
+    pretrain, joint = calls[:3], calls[3:]
+    assert [kind for kind, _, _ in pretrain] == ["d"] * 3
+    assert len(joint) == 2 * 12
+    expected_order = []
+    for epoch in range(2):
+        epoch_calls = joint[12 * epoch:12 * (epoch + 1)]
+        assert "".join(kind for kind, _, _ in epoch_calls) == "aad" * 4
+        aspect = [c for c in epoch_calls if c[0] == "a"]
+        doc = [c for c in epoch_calls if c[0] == "d"]
+        assert sorted(i for _, ids, _ in aspect for i in ids) == sorted(
+            id(s) for s in sents)
+        assert [len(ids) for _, ids, _ in doc] == [3, 3, 2, 3]
+        assert sorted(i for _, ids, _ in doc[:3] for i in ids) == sorted(
+            id(d) for d in docs)
+        assert doc[3][1] == doc[0][1]
+        expected_order += [loss for _, _, loss in aspect + doc]
+    assert res.step_losses == [loss for _, _, loss in pretrain] \
+        + expected_order
+
+
 def test_pure_aspect_training_without_documents(tmp_path):
     model, sents, _ = make_training_setup(tmp_path)
     sched = Schedule(epochs=1, pretrain_epochs=3, batch_size=8, lr=1e-3,
@@ -395,7 +474,7 @@ def test_loss_strictly_decreases_on_fixed_batch(tmp_path):
     [batch] = make_batches(sents[:8], 8, 0)
     opt = Adam(model.named_parameters(), lr=1e-4)
     losses = [_train_step(opt,
-                          lambda: batch_aspect_loss(model, batch, True,
+                          lambda: batch_aspect_loss(model, batch,
                                                     np.random.default_rng(0)),
                           5.0, "fixed batch")
               for _ in range(10)]
