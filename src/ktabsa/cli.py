@@ -20,8 +20,9 @@ import numpy as np
 
 from . import config as C
 from .data import (CorpusError, DEFAULT_SCHEMES, assign_embedding_ids,
-                   atomic_write, corpus_words, dev_split, load_aspect_corpus,
-                   load_document_corpus, load_embeddings, random_embeddings)
+                   atomic_write, corpus_words, dev_split, length_chunks,
+                   load_aspect_corpus, load_document_corpus, load_embeddings,
+                   random_embeddings)
 from .metrics import evaluate, write_predictions
 from .model import (ABLATIONS, ALL_DIRECTIONS, AbsaModel, CheckpointError,
                     apply_ablation)
@@ -203,21 +204,20 @@ def cmd_trace(args) -> int:
               file=sys.stderr)
         return EXIT_CONFIG
     sentences = load_aspect_corpus(args.corpus, model.schemes)
+    sentences = sentences[:args.limit] if args.limit > 0 else sentences
+    assign_embedding_ids(sentences, model.general_table, model.domain_table)
     os.makedirs(args.out, exist_ok=True)
-    limit = args.limit if args.limit > 0 else len(sentences)
-    written = []
-    for i, sent in enumerate(sentences[:limit]):
-        assign_embedding_ids([sent], model.general_table, model.domain_table)
-        _states, traces = model.forward([sent], keep_trace=True)
-        # export the first aggregation round's routing for the direction
-        for step, trace in traces:
-            if step == 1 and trace.direction == args.direction:
-                path = os.path.join(args.out, f"trace_{i:03d}.json")
-                with atomic_write(path) as f:
-                    json.dump(agreement_trace(trace), f, indent=2)
-                written.append(path)
-                break
-    print(f"wrote {len(written)} trace files to {args.out}")
+    for chunk in length_chunks(sentences):
+        _states, traces = model.forward([sentences[i] for i in chunk],
+                                        keep_trace=True)
+        # round 1's routing for the direction, per sentence in chunk order
+        chosen = [trace for step, trace in traces
+                  if step == 1 and trace.direction == args.direction]
+        for i, trace in zip(chunk, chosen):
+            path = os.path.join(args.out, f"trace_{i:03d}.json")
+            with atomic_write(path) as f:
+                json.dump(agreement_trace(trace), f, indent=2)
+    print(f"wrote {len(sentences)} trace files to {args.out}")
     return EXIT_OK
 
 

@@ -12,8 +12,8 @@ adjacency is the identity.
 Document corpus: JSONL, one object per line with keys ``text`` (required),
 ``domain`` and ``sentiment`` (each optional, at least one present).
 
-Embeddings: word2vec text format, optional ``count dim`` header, finite
-values.
+Embeddings: word2vec text format, optional ``count dim`` header, values
+finite in float32.
 
 Training cuts sentences and documents alike with :func:`make_batches`.
 """
@@ -70,7 +70,9 @@ class TagSchemes:
     """Tag inventories for the three token-level tasks and two document tasks.
 
     Token-level BIO inventories are ordered (begin, inside, outside), so index
-    0/1/2 always mean B/I/O.
+    0/1/2 always mean B/I/O, and sentiment has three polarities. Spans,
+    decoders and metrics hard-wire both facts, so :data:`DEFAULT_SCHEMES` is
+    the only inventory a model accepts.
     """
 
     ate_tags: tuple[str, ...] = ("BA", "IA", "O")
@@ -101,18 +103,6 @@ class TagSchemes:
         except ValueError:
             raise CorpusError(f"unknown {task} tag {tag!r}; "
                               f"expected one of {tags}") from None
-
-    def to_dict(self) -> dict:
-        return {"ate_tags": list(self.ate_tags), "ote_tags": list(self.ote_tags),
-                "asc_tags": list(self.asc_tags),
-                "domain_labels": list(self.domain_labels),
-                "dsc_labels": list(self.dsc_labels)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TagSchemes":
-        return cls(tuple(d["ate_tags"]), tuple(d["ote_tags"]),
-                   tuple(d["asc_tags"]), tuple(d["domain_labels"]),
-                   tuple(d["dsc_labels"]))
 
 
 DEFAULT_SCHEMES = TagSchemes()
@@ -406,7 +396,9 @@ def load_embeddings(path: str) -> EmbeddingTable:
                           "keeping the first occurrence")
             continue
         try:
-            vec = np.array([float(v) for v in vals], dtype=np.float32)
+            # a value beyond float32's range casts to inf, rejected below
+            with np.errstate(over="ignore"):
+                vec = np.array([float(v) for v in vals], dtype=np.float32)
         except ValueError:
             raise CorpusError(f"{path}:{lineno}: non-numeric value in "
                               f"embedding row for {word!r}") from None

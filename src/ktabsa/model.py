@@ -23,8 +23,9 @@ training backpropagates each chunk as soon as it is recorded, so the graph
 of a step is bounded by the budget, not by the batch size.
 
 Every parameter registers in the model's :class:`layers.Params` where it is
-created, so creation order is the checkpoint order, and the order Adam and
-gradcheck see.
+created, so creation order is the order Adam and gradcheck see and the
+payload order of a checkpoint. :meth:`AbsaModel._header` describes a
+checkpoint once: ``save`` writes it, and ``load`` accepts exactly it.
 """
 
 from __future__ import annotations
@@ -35,14 +36,15 @@ import os
 import struct
 from collections import Counter
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Sequence
 
 import numpy as np
 
 from . import layers as L
-from .data import (Document, EmbeddingTable, Sentence, TagSchemes,
-                   assign_embedding_ids, atomic_write, extract_spans,
-                   length_chunks)
+from .data import (DEFAULT_SCHEMES, Document, EmbeddingTable, Sentence,
+                   TagSchemes, assign_embedding_ids, atomic_write,
+                   extract_spans, length_chunks)
 from .routing import (PositionalEncoding, RoutingState, RoutingTrace,
                       TransferDirection, directions_per_call, predict_vectors,
                       route, target_votes)
@@ -61,18 +63,6 @@ CHECKPOINT_MAGIC = b"KTABSA\n"
 
 class CheckpointError(RuntimeError):
     """Unreadable or incompatible checkpoint file."""
-
-
-# Header fields every checkpoint carries besides its format version, with
-# their JSON types; manifest entries are checked one by one.
-_HEADER_FIELDS = {"config": dict, "schemes": dict, "general_vocab": list,
-                  "domain_vocab": list, "general_dim": int,
-                  "domain_dim": int, "manifest": list}
-
-
-def _is_count(value) -> bool:
-    return (isinstance(value, int) and not isinstance(value, bool)
-            and value >= 0)
 
 
 @dataclass(frozen=True)
@@ -152,15 +142,14 @@ class ModelConfig:
     def receives_knowledge(self, target: str) -> bool:
         return bool(self.sources_into(target) or self.doc_inputs(target))
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)    # JSON writes tuples as lists
-
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        """Inverse of :meth:`to_dict` after a JSON round trip; a missing,
-        unknown or wrongly typed key raises :class:`ConfigError`. Keys of
-        older checkpoints are dropped when they hold the one value the model
-        still supports."""
+        """The ``config`` of a checkpoint header; a missing, unknown or
+        wrongly typed key raises :class:`ConfigError`. Keys of older
+        checkpoints are dropped when they hold the one value the model still
+        supports."""
+        if not isinstance(d, dict):
+            raise ConfigError(f"model config is not an object: {d!r}")
         d = {k: v for k, v in d.items() if k != "max_len"}
         for key, kept in (("pe_mode", "add-both"), ("train_embeddings", True)):
             if key in d and d.pop(key) != kept:
@@ -259,6 +248,8 @@ class AbsaModel:
     def __init__(self, config: ModelConfig, schemes: TagSchemes,
                  general: EmbeddingTable, domain: EmbeddingTable):
         config.validate()
+        if schemes != DEFAULT_SCHEMES:
+            raise ConfigError("only the default tag schemes are supported")
         if general.dim != config.d_general or domain.dim != config.d_domain:
             raise ConfigError(
                 f"embedding dims ({general.dim}, {domain.dim}) do not match "
@@ -556,37 +547,44 @@ class AbsaModel:
 
     # -- persistence --------------------------------------------------------
 
-    def save(self, path: str) -> None:
-        """Write the checkpoint atomically: an interrupted save leaves any
-        earlier file at ``path`` untouched."""
-        params = self.named_parameters()
-        manifest = []
-        offset = 0
-        for name, t in params.items():
+    def _header(self) -> dict:
+        """The checkpoint header of this model, as JSON reads it back: the
+        config, tag schemes, vocabularies and embedding dims, and a manifest
+        of the parameters packed as little-endian float32 in creation
+        order."""
+        manifest, offset = [], 0
+        for name, t in self.params.tensors.items():
             manifest.append({"name": name, "shape": list(t.shape),
                              "offset": offset})
             offset += 4 * t.size
-        header = {
+        return json.loads(json.dumps({
             "format_version": CHECKPOINT_VERSION,
-            "config": self.config.to_dict(),
-            "schemes": self.schemes.to_dict(),
+            "config": dataclasses.asdict(self.config),
+            "schemes": dataclasses.asdict(self.schemes),
             "general_vocab": self.general_table.word_list(),
             "domain_vocab": self.domain_table.word_list(),
             "general_dim": self.general_table.dim,
             "domain_dim": self.domain_table.dim,
             "manifest": manifest,
-        }
-        head = json.dumps(header).encode("utf-8")
+        }))
+
+    def save(self, path: str) -> None:
+        """Write the magic, the length of the :meth:`_header` JSON, the
+        header and the payload, atomically: an interrupted save leaves any
+        earlier file at ``path`` untouched."""
+        head = json.dumps(self._header()).encode("utf-8")
         with atomic_write(path, binary=True) as f:
             f.write(CHECKPOINT_MAGIC)
             f.write(struct.pack("<Q", len(head)))
             f.write(head)
-            for t in params.values():
+            for t in self.params.tensors.values():
                 f.write(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
 
     @staticmethod
     def _read_header(f, path: str) -> dict:
-        """Read and check the header, leaving ``f`` at the payload."""
+        """Read the header, leaving ``f`` at the payload, and check what
+        building its model needs: the format version and both vocabularies
+        as lists of distinct strings."""
         magic = f.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointError(f"{path}: not a model checkpoint")
@@ -610,84 +608,60 @@ class AbsaModel:
                 f"{path}: checkpoint format version "
                 f"{header.get('format_version')} is not supported "
                 f"(expected {CHECKPOINT_VERSION})")
-        for key, kind in _HEADER_FIELDS.items():
-            value = header.get(key)
-            if not isinstance(value, kind) or isinstance(value, bool):
-                raise CheckpointError(f"{path}: header field {key!r} is "
-                                      f"missing or not a {kind.__name__}")
         for key in ("general_vocab", "domain_vocab"):
-            if not all(isinstance(w, str) for w in header[key]):
-                raise CheckpointError(f"{path}: {key} holds a non-string")
-        for m in header["manifest"]:
-            if not (isinstance(m, dict) and isinstance(m.get("name"), str)
-                    and _is_count(m.get("offset"))
-                    and isinstance(m.get("shape"), list)
-                    and all(_is_count(k) for k in m["shape"])):
-                raise CheckpointError(f"{path}: malformed manifest entry "
-                                      f"{m!r}")
+            words = header.get(key)
+            if not (isinstance(words, list)
+                    and all(isinstance(w, str) for w in words)
+                    and len(set(words)) == len(words)):
+                raise CheckpointError(f"{path}: header field {key!r} is not "
+                                      f"a list of distinct strings")
         return header
 
     @classmethod
     def load(cls, path: str) -> "AbsaModel":
-        """Read ``path`` in one pass. Its manifest must name exactly the
-        model's tensors with their shapes and tile the payload exactly;
-        otherwise :class:`CheckpointError` is raised."""
+        """Read ``path`` in one pass and build the model of its config and
+        vocabularies. Its other header fields must equal that model's
+        :meth:`_header` as JSON text, and its payload must hold exactly that
+        model's parameters; otherwise :class:`CheckpointError` is raised."""
         with open(path, "rb") as f:
             header = cls._read_header(f, path)
             payload = f.read()
         try:
-            config = ModelConfig.from_dict(header["config"])
+            config = ModelConfig.from_dict(header.get("config"))
             config.validate()
-            schemes = TagSchemes.from_dict(header["schemes"])
-        except (ConfigError, KeyError, TypeError) as e:
-            raise CheckpointError(f"{path}: bad header: "
-                                  f"{type(e).__name__}: {e}") from None
-        dims = (header["general_dim"], header["domain_dim"])
-        if dims != (config.d_general, config.d_domain):
-            raise CheckpointError(f"{path}: embedding dims {dims} do not "
-                                  f"match the model config")
+        except ConfigError as e:
+            raise CheckpointError(f"{path}: bad model config: {e}") from None
         # zero tables of the checkpoint's vocabularies: the payload fills them
         general, domain = (
             EmbeddingTable.from_words(words, np.zeros((len(words), dim),
                                                       np.float32),
                                       np.zeros(dim, np.float32))
-            for words, dim in zip((header["general_vocab"],
-                                   header["domain_vocab"]), dims))
-        model = cls(config, schemes, general, domain)
-        params = model.named_parameters()
-        listed = {m["name"] for m in header["manifest"]}
-        if listed != set(params):
-            missing = sorted(set(params) - listed)
-            extra = sorted(listed - set(params))
-            raise CheckpointError(
-                f"{path}: parameter mismatch; missing={missing} extra={extra}")
-        spans = []
-        for m in header["manifest"]:
-            t = params[m["name"]]
-            shape = tuple(m["shape"])
-            if shape != t.shape:
-                raise CheckpointError(
-                    f"{path}: shape mismatch for {m['name']}: checkpoint has "
-                    f"{shape}, model has {tuple(t.shape)}")
-            spans.append((m["offset"], m["offset"] + 4 * t.size, m["name"],
-                          shape))
-        spans.sort()
-        covered = 0
-        for start, end, name, _shape in spans:
-            if start != covered:
-                raise CheckpointError(
-                    f"{path}: payload entry {name} starts at byte {start}, "
-                    f"expected {covered}")
-            covered = end
-        if covered != len(payload):
-            what = ("truncated" if covered > len(payload)
+            for words, dim in ((header["general_vocab"], config.d_general),
+                               (header["domain_vocab"], config.d_domain)))
+        model = cls(config, DEFAULT_SCHEMES, general, domain)
+        expected = model._header()
+        listed = header.get("manifest")
+        fields = [(key, header.get(key), expected[key])
+                  for key in ("schemes", "general_dim", "domain_dim")]
+        fields += [(f"manifest entry {i}", got, want) for i, (got, want) in
+                   enumerate(zip_longest(listed if isinstance(listed, list)
+                                         else [], expected["manifest"]))]
+        for name, got, want in fields:
+            # compared as JSON text, where 4.0 != 4 and true != 1
+            if json.dumps(got) != json.dumps(want):
+                raise CheckpointError(f"{path}: header {name} is "
+                                      f"{json.dumps(got)}, the model's is "
+                                      f"{json.dumps(want)}")
+        params = model.params.tensors
+        size = 4 * sum(t.size for t in params.values())
+        if size != len(payload):
+            what = ("truncated" if size > len(payload)
                     else "longer than its manifest")
             raise CheckpointError(
-                f"{path}: payload {what}: the manifest lists {covered} bytes, "
+                f"{path}: payload {what}: the manifest lists {size} bytes, "
                 f"the file holds {len(payload)}")
-        for start, end, name, shape in spans:
-            arr = np.frombuffer(payload, dtype="<f4", count=(end - start) // 4,
-                                offset=start).reshape(shape)
-            # copy: a view of the read-only payload bytes cannot be trained
-            params[name].data = np.array(arr, dtype=np.float32)
+        for m, t in zip(expected["manifest"], params.values()):
+            # a copy: a view of the read-only payload cannot be trained
+            t.data = np.frombuffer(payload, "<f4", t.size, m["offset"]
+                                   ).reshape(t.shape).astype(np.float32)
         return model

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from ktabsa.cli import main
+from ktabsa.data import assign_embedding_ids, length_chunks, load_aspect_corpus
 from ktabsa.model import AbsaModel
+from ktabsa.routing import agreement_trace
 from ktabsa.synth import SynthSpec, write_synthetic
 
 from fixtures import build_tiny_model, edit_header
@@ -215,6 +217,46 @@ def test_trace_invalid_direction_exit_2(synth_dir, tmp_path, capsys):
     assert code == 2
 
 
+def test_trace_forwards_each_chunk_once(tiny_checkpoint, tmp_path,
+                                        monkeypatch):
+    # sentences of two interleaved lengths: one forward per length chunk,
+    # files named by corpus index, each as the one-sentence export
+    words = ("the", "battery", "is", "great", "screen", "awful")
+    corpus = tmp_path / "two_lengths.tsv"
+    corpus.write_text("".join(
+        "".join(f"{words[(k + i) % 6]}\tO\tO\t_\n" for i in range(n)) + "\n"
+        for k, n in enumerate((4, 6, 4, 6, 4))))
+    model = AbsaModel.load(tiny_checkpoint)
+    sentences = load_aspect_corpus(str(corpus))
+    assign_embedding_ids(sentences, model.general_table, model.domain_table)
+    want = []
+    for sent in sentences:
+        _states, traces = model.forward([sent], keep_trace=True)
+        want.append(next(agreement_trace(t) for step, t in traces
+                         if step == 1 and t.direction == "ote->asc"))
+    calls, forward = [], AbsaModel.forward
+
+    def counted(self, group, *args, **kwargs):
+        calls.append(len(group))
+        return forward(self, group, *args, **kwargs)
+
+    monkeypatch.setattr(AbsaModel, "forward", counted)
+    tdir = tmp_path / "traces"
+    assert run_cli("trace", "--checkpoint", tiny_checkpoint, "--corpus",
+                   str(corpus), "--direction", "ote->asc",
+                   "--out", str(tdir)) == 0
+    assert calls == [len(chunk) for chunk in length_chunks(sentences)]
+    assert len(calls) == 2
+    assert sorted(os.listdir(tdir)) == [f"trace_{i:03d}.json"
+                                        for i in range(len(sentences))]
+    for i, records in enumerate(want):
+        got = json.loads((tdir / f"trace_{i:03d}.json").read_text())
+        assert len(got) == len(records)
+        for g, w in zip(got, records):
+            assert {**g, "c": None} == {**w, "c": None}
+            np.testing.assert_allclose(g["c"], w["c"], rtol=0, atol=1e-6)
+
+
 def test_eval_empty_corpus_warns_exit_0(synth_dir, tmp_path, capsys):
     cfg = os.path.join(synth_dir, "synthetic.cfg")
     out = str(tmp_path / "run")
@@ -259,13 +301,16 @@ def test_eval_damaged_header_exit_3(synth_dir, tmp_path, capsys):
     ckpt = tmp_path / "m.ckpt"
     model.save(str(ckpt))
     raw = ckpt.read_bytes()
-    # a missing key, and retired keys holding a value the model dropped
+    # a missing key, retired keys holding a value the model dropped, and
+    # tag schemes that would misread every gold tag
     for key, damage in (("d_enc", lambda h: h["config"].pop("d_enc")),
                         ("pe_mode", lambda h: h["config"].update(
                             pe_mode="off")),
                         ("train_embeddings", lambda h: h["config"].update(
                             train_embeddings=False)),
-                        ("seed", lambda h: h["config"].update(seed=-1))):
+                        ("seed", lambda h: h["config"].update(seed=-1)),
+                        ("schemes", lambda h: h["schemes"].update(
+                            ate_tags=["O", "BA", "IA"]))):
         ckpt.write_bytes(edit_header(raw, damage))
         code = run_cli("eval", "--checkpoint", str(ckpt), "--corpus",
                        os.path.join(synth_dir, "test.tsv"))

@@ -256,7 +256,7 @@ def test_ragged_rows_rejected_with_line_number(tmp_path):
         D.load_embeddings(write(tmp_path, "v.txt", text))
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e39", "-1e39"])
 def test_non_finite_embedding_value_rejected_with_line_number(tmp_path,
                                                               value):
     # a NaN would also reach the unknown-word row, the column mean

@@ -736,7 +736,7 @@ def test_checkpoint_payload_must_tile_exactly(saved_checkpoint, tmp_path):
     header = json.loads(raw[15:15 + hlen])
     header["manifest"][1]["offset"] += 4   # a gap, then an overlap
     path.write_bytes(with_header(raw, json.dumps(header).encode()))
-    with pytest.raises(CheckpointError, match="starts at byte"):
+    with pytest.raises(CheckpointError, match="manifest entry 1 is"):
         AbsaModel.load(str(path))
     for bad in (b"{not json", b"\xff\xfe"):
         path.write_bytes(with_header(raw, bad))
@@ -763,6 +763,11 @@ def _drop(*keys):
             node = node[k]
         del node[keys[-1]]
     return edit
+
+
+def _swap_first_manifest_entries(header):
+    manifest = header["manifest"]
+    manifest[0], manifest[1] = manifest[1], manifest[0]
 
 
 DAMAGED_HEADERS = {
@@ -796,6 +801,15 @@ DAMAGED_HEADERS = {
     "empty kernel widths": _set("config", "kernel_widths", []),
     "schemes missing a key": _drop("schemes", "ate_tags"),
     "schemes of wrong type": _set("schemes", "ate_tags", 3),
+    "reordered ate_tags": _set("schemes", "ate_tags", ["O", "BA", "IA"]),
+    "non-string asc_tags entry": _set("schemes", "asc_tags",
+                                      ["pos", 3, "neu"]),
+    "extra schemes key": _set("schemes", "bogus", ["x"]),
+    "manifest entries swapped": _swap_first_manifest_entries,
+    "duplicate vocabulary word": _set("general_vocab", 1, "the"),
+    # the tiny model's own dims as floats: equal as numbers, not as JSON
+    "general_dim as float": _set("general_dim", 6.0),
+    "domain_dim as float": _set("domain_dim", 4.0),
 }
 
 
@@ -807,6 +821,42 @@ def test_damaged_header_raises_checkpoint_error(saved_checkpoint, tmp_path,
     path.write_bytes(edit_header(raw, DAMAGED_HEADERS[damage]))
     with pytest.raises(CheckpointError):
         AbsaModel.load(str(path))
+
+
+def test_saved_header_is_the_models_header(saved_checkpoint, tmp_path):
+    model, raw = saved_checkpoint
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(raw)
+    with open(path, "rb") as f:
+        assert AbsaModel._read_header(f, str(path)) == model._header()
+
+
+V1_CHECKPOINT = os.path.join(os.path.dirname(__file__), "data",
+                             "tiny_v1.ckpt")
+
+
+def test_format_1_checkpoint_keeps_loading(tmp_path):
+    # build_tiny_model() as saved when format 1 was current; its bytes are
+    # fixed, so a change to save or load that breaks old files shows here
+    loaded = AbsaModel.load(V1_CHECKPOINT)
+    fresh, _, _ = build_tiny_model()
+    got, want = loaded.named_parameters(), fresh.named_parameters()
+    assert list(got) == list(want)
+    for name, t in want.items():
+        assert got[name].data.dtype == t.data.dtype
+        assert got[name].data.tobytes() == t.data.tobytes(), name
+    path = tmp_path / "again.ckpt"
+    loaded.save(str(path))
+    with open(V1_CHECKPOINT, "rb") as f:
+        assert path.read_bytes() == f.read()
+
+
+def test_model_accepts_only_the_default_tag_schemes():
+    general = random_embeddings(["a"], 6, np.random.default_rng(0))
+    domain = random_embeddings(["a"], 4, np.random.default_rng(1))
+    other = dataclasses.replace(DEFAULT_SCHEMES, ate_tags=("O", "BA", "IA"))
+    with pytest.raises(T.ConfigError, match="default tag schemes"):
+        AbsaModel(tiny_config(), other, general, domain)
 
 
 def test_legacy_max_len_header_loads_bit_identical(saved_checkpoint,
