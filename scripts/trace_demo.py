@@ -54,9 +54,9 @@ def main():
 
     sample = max(sentences, key=lambda s: s.n)  # a far-distance sentence
     _, traces = model.forward([sample], keep_trace=True)
-    trace = next(tr for step, tr in traces
-                 if step == 1 and tr.direction == args.direction)
-    records = agreement_trace(trace)
+    trace = next(tr for tr in traces
+                 if tr.round == 1 and tr.direction == args.direction)
+    records = agreement_trace(trace, sample.tokens)
     tokens = records[0]["tokens"]
     print(f"sentence: {' '.join(tokens)}")
     print(f"direction: {args.direction} (rows: source, cols: target)\n")

@@ -195,14 +195,12 @@ def cmd_predict(args) -> int:
 def cmd_trace(args) -> int:
     model = AbsaModel.load(args.checkpoint)
     if args.direction not in ALL_DIRECTIONS:
-        print(f"unknown direction {args.direction!r}; valid: "
-              f"{', '.join(ALL_DIRECTIONS)}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"unknown direction {args.direction!r}; valid: "
+                          f"{', '.join(ALL_DIRECTIONS)}")
     if args.direction not in model.config.transfers:
-        print(f"direction {args.direction!r} is disabled in this checkpoint "
-              f"(enabled: {', '.join(model.config.transfers)})",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"direction {args.direction!r} is disabled in this "
+                          f"checkpoint (enabled: "
+                          f"{', '.join(model.config.transfers)})")
     sentences = load_aspect_corpus(args.corpus, model.schemes)
     sentences = sentences[:args.limit] if args.limit > 0 else sentences
     assign_embedding_ids(sentences, model.general_table, model.domain_table)
@@ -211,12 +209,13 @@ def cmd_trace(args) -> int:
         _states, traces = model.forward([sentences[i] for i in chunk],
                                         keep_trace=True)
         # round 1's routing for the direction, per sentence in chunk order
-        chosen = [trace for step, trace in traces
-                  if step == 1 and trace.direction == args.direction]
+        chosen = [trace for trace in traces
+                  if trace.round == 1 and trace.direction == args.direction]
         for i, trace in zip(chunk, chosen):
             path = os.path.join(args.out, f"trace_{i:03d}.json")
             with atomic_write(path) as f:
-                json.dump(agreement_trace(trace), f, indent=2)
+                json.dump(agreement_trace(trace, sentences[i].tokens), f,
+                          indent=2)
     print(f"wrote {len(sentences)} trace files to {args.out}")
     return EXIT_OK
 

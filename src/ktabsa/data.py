@@ -367,11 +367,13 @@ class EmbeddingTable:
 
 
 def load_embeddings(path: str) -> EmbeddingTable:
-    """Word2vec text format; first-seen row wins on duplicate words."""
+    """Word2vec text format, with an optional ``count dim`` header that must
+    match the rows; first-seen row wins on duplicate words."""
     words: list[str] = []
     rows: list[np.ndarray] = []
     seen: set[str] = set()
     dim: int | None = None
+    header, count = None, 0
     for lineno, raw in _text_lines(path):
         parts = raw.rstrip("\n").split(" ")
         parts = [p for p in parts if p != ""]
@@ -379,8 +381,8 @@ def load_embeddings(path: str) -> EmbeddingTable:
             continue
         if lineno == 1 and len(parts) == 2:
             try:
-                int(parts[0]), int(parts[1])
-                continue  # count/dim header
+                header = int(parts[0]), int(parts[1])
+                continue
             except ValueError:
                 pass
         word, vals = parts[0], parts[1:]
@@ -391,6 +393,7 @@ def load_embeddings(path: str) -> EmbeddingTable:
         if len(vals) != dim:
             raise CorpusError(f"{path}:{lineno}: expected {dim} values, "
                               f"got {len(vals)}")
+        count += 1
         if word in seen:
             warnings.warn(f"{path}:{lineno}: duplicate word {word!r}; "
                           "keeping the first occurrence")
@@ -410,8 +413,12 @@ def load_embeddings(path: str) -> EmbeddingTable:
         rows.append(vec)
     if dim is None:
         raise CorpusError(f"{path}: embedding file is empty")
+    if header not in (None, (count, dim)):
+        raise CorpusError(f"{path}:1: header says {header[0]} rows of "
+                          f"{header[1]}, the file has {count} of {dim}")
     matrix = np.vstack(rows)
-    unk = matrix.mean(axis=0)
+    # in float64: a float32 sum of finite rows can overflow, their mean not
+    unk = matrix.mean(axis=0, dtype=np.float64).astype(np.float32)
     return EmbeddingTable.from_words(words, matrix, unk)
 
 

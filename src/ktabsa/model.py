@@ -369,25 +369,23 @@ class AbsaModel:
     def forward(self, sentences: Sequence[Sentence],
                 keep: Sequence[tuple[np.ndarray, np.ndarray]] | None = None,
                 keep_trace: bool = False
-                ) -> tuple[list[IterationState], list[tuple[int, RoutingTrace]]]:
+                ) -> tuple[list[IterationState], list[RoutingTrace]]:
         """Run T aggregation rounds over a group of equal-length sentences.
 
-        Returns T+1 states, whose tensors are [G, n, ·], and the routing
-        traces (one per sentence and direction) labelled with the
-        aggregation round that produced them. ``keep`` (from
-        :meth:`draw_dropout`) applies training dropout. The document
-        signals, the routing prior and the route plan with its target votes
-        q are built once and serve every round."""
+        Returns T+1 states, whose tensors are [G, n, ·], and, if
+        ``keep_trace``, the routing traces by round, direction and sentence.
+        ``keep`` (from :meth:`draw_dropout`) applies training dropout. The
+        document signals, the routing prior and the route plan with its
+        target votes q are built once and serve every round."""
         state, doc = self.initial_state(sentences, keep)
         adjacency = np.stack([s.adjacency for s in sentences]).astype(
             self.emb_general.dtype, copy=False)
         plan = self.route_plan(len(sentences), sentences[0].n)
         states = [state]
-        traces: list[tuple[int, RoutingTrace]] = []
+        traces: list[RoutingTrace] = []
         for _ in range(self.config.iterations):
-            state = self.transfer_and_aggregate(state, doc, sentences,
-                                                adjacency, plan, keep_trace,
-                                                traces)
+            state = self.transfer_and_aggregate(
+                state, doc, adjacency, plan, traces if keep_trace else None)
             states.append(state)
         return states, traces
 
@@ -449,33 +447,29 @@ class AbsaModel:
         return plan
 
     def transfer_and_aggregate(self, state: IterationState,
-                               doc: dict[str, Tensor],
-                               sentences: Sequence[Sentence],
-                               adjacency: np.ndarray, plan: list,
-                               keep_trace: bool,
-                               traces: list) -> IterationState:
-        """One aggregation round over the group: route knowledge between the
-        token-level tasks under the routing prior ``adjacency`` [G, n, n],
-        one :func:`route` call per block of ``plan`` (from
-        :meth:`route_plan`), append the traces when ``keep_trace``, then
-        :meth:`aggregate` with the document signals ``doc``."""
+                               doc: dict[str, Tensor], adjacency: np.ndarray,
+                               plan: list, traces: list[RoutingTrace] | None
+                               ) -> IterationState:
+        """One aggregation round over the group: one :func:`route` call per
+        block of ``plan`` (from :meth:`route_plan`) under the routing prior
+        ``adjacency`` [G, n, n], each trace appended to ``traces`` unless it
+        is None, then :meth:`aggregate` with the document signals ``doc``."""
         cfg = self.config
-        g, n = len(sentences), sentences[0].n
+        g, n = adjacency.shape[:2]
         routed: dict[str, Tensor] = {}
         for block, q in plan:
             r = concat([predict_vectors(state.hidden[d.source], d, self.pe)
                         for d in block], axis=0)
-            v, snaps = route(reshape(r, (len(block), g, n, cfg.d_route)), q,
-                             adjacency, cfg.route_iters, keep_trace=keep_trace)
+            v, kept = route(reshape(r, (len(block), g, n, cfg.d_route)), q,
+                            adjacency, cfg.route_iters)
+            if traces is not None:
+                traces += [RoutingTrace(state.t + 1, d.name, [
+                    RoutingState(st.c[k, i], st.s[k, i], st.v[k, i])
+                    for st in kept]) for k, d in enumerate(block)
+                    for i in range(g)]
+            del kept    # held past the call, they would raise predict's peak
             for k, direction in enumerate(block):
                 routed[direction.name] = select(v, k)
-                if keep_trace:
-                    for i, sent in enumerate(sentences):
-                        traces.append((state.t + 1, RoutingTrace(
-                            direction.name, sent.tokens,
-                            [RoutingState(st.iteration, st.b[k, i],
-                                          st.c[k, i], st.s[k, i], st.v[k, i])
-                             for st in snaps])))
         return self.aggregate(state, routed, doc)
 
     def aggregate(self, state: IterationState, routed: dict[str, Tensor],

@@ -30,13 +30,15 @@ The loop is one tape node: the forward is plain numpy, and a hand-written
 backward replays the unrolled iterations in reverse. The node saves each
 iteration's couplings c_t [k, G, n, n] and its s_t, |s_t| and v_t
 ([k, G, n, d_route]), so a call holds O(T*k*G*n^2 + k*G*n*d) memory for T
-iterations, never the O(n^2*d) vote tensor. :func:`directions_per_call`
+iterations, never the O(n^2*d) vote tensor. It returns what it saves but
+|s_t|, as one :class:`RoutingState` per iteration: a routing trace is a view
+of those arrays and costs no extra work. :func:`directions_per_call`
 keeps one coupling array within :data:`COUPLING_BUDGET` elements.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,12 +104,10 @@ class TransferDirection:
 
 @dataclass
 class RoutingState:
-    """Snapshot of one routing iteration: plain arrays, off the tape. c, s
-    and v are the arrays the backward pass reads, so treat them as
-    read-only."""
+    """One routing iteration: the couplings c [..., n, n], aggregates s and
+    outputs v [..., n, d_route]. Plain arrays, off the tape, that the
+    backward pass reads, so treat them as read-only."""
 
-    iteration: int
-    b: np.ndarray
     c: np.ndarray
     s: np.ndarray
     v: np.ndarray
@@ -115,9 +115,12 @@ class RoutingState:
 
 @dataclass
 class RoutingTrace:
+    """One sentence's routing on one direction in aggregation round
+    ``round``: one state per iteration, views of a :func:`route` call's."""
+
+    round: int
     direction: str
-    tokens: tuple[str, ...] | None
-    states: list[RoutingState] = field(default_factory=list)
+    states: list[RoutingState]
 
 
 def predict_vectors(h_source: Tensor, direction: TransferDirection,
@@ -188,10 +191,10 @@ def _broadcasts_to(shape: tuple[int, ...], target: tuple[int, ...]) -> bool:
         return False
 
 
-def route(r: Tensor, q: Tensor, adjacency: np.ndarray,
-          iterations: int, keep_trace: bool = False
+def route(r: Tensor, q: Tensor, adjacency: np.ndarray, iterations: int
           ) -> tuple[Tensor, list[RoutingState]]:
-    """Run the agreement loop and return the final target vectors.
+    """Run the agreement loop; return the final target vectors and the
+    states its backward reads, one per iteration.
 
     The votes are ``u_hat[..., i, j] = r[..., i] + q[..., j]`` for source i
     and target j, with ``r`` [..., n, d_route] and ``q`` [..., n, d_route]
@@ -200,9 +203,7 @@ def route(r: Tensor, q: Tensor, adjacency: np.ndarray,
     ``adjacency`` is the binary dependency prior, broadcasting to the logits
     ``r.shape[:-1] + (n,)`` and re-added at every iteration; it is used
     without a copy when it already has r's dtype. The loop is one tape node
-    whose backward runs through every unrolled iteration. The last
-    iteration's agreement update feeds only the trace, so it runs only when
-    ``keep_trace`` is set.
+    whose backward runs through every unrolled iteration.
     """
     if iterations < 1:
         raise ConfigError(f"routing needs at least one iteration, "
@@ -222,8 +223,7 @@ def route(r: Tensor, q: Tensor, adjacency: np.ndarray,
     rd, qd = r.data, q.data
     prior = np.asarray(adjacency, dtype=rd.dtype)
     b = np.zeros(logits, dtype=rd.dtype)
-    saved: list[tuple[np.ndarray, ...]] = []
-    trace: list[RoutingState] = []
+    states, norms = [], []      # what the backward reads, per iteration
     for it in range(1, iterations + 1):
         b += prior
         c = b - b.max(axis=-1, keepdims=True)      # softmax over targets
@@ -232,20 +232,19 @@ def route(r: Tensor, q: Tensor, adjacency: np.ndarray,
         s = c.swapaxes(-1, -2) @ rd                # aggregate
         s += c.sum(axis=-2)[..., None] * qd
         v, norm = squash(s)
-        saved.append((c, s, norm, v))
-        if it < iterations or keep_trace:          # agreement
+        states.append(RoutingState(c, s, v))
+        norms.append(norm)
+        if it < iterations:                        # agreement
             a = rd @ v.swapaxes(-1, -2)
             a += (qd * v).sum(axis=-1)[..., None, :]
             b += a
-        if keep_trace:      # c, s and v are fresh arrays; b grows in place
-            trace.append(RoutingState(it, b.copy(), c, s, v))
     out = Tensor(v, requires_grad=r.requires_grad or q.requires_grad)
 
     def fn(g, push):
         dr = dq = gb = None     # gb: dLoss/db after the current iteration
         gv = g
         for t in range(iterations - 1, -1, -1):
-            c, s, norm, v = saved[t]
+            c, s, v, norm = states[t].c, states[t].s, states[t].v, norms[t]
             if gb is not None:  # agreement b += r v^T + 1 (q . v)^T
                 colsum = gb.sum(axis=-2)[..., None]
                 gv = gb.swapaxes(-1, -2) @ rd
@@ -266,22 +265,21 @@ def route(r: Tensor, q: Tensor, adjacency: np.ndarray,
         push(r, dr)
         push(q, dq)
 
-    return _emit(out, fn), trace
+    return _emit(out, fn), states
 
 
-def agreement_trace(trace: RoutingTrace) -> list[dict]:
-    """Plot-ready coupling matrices, one record per iteration.
-
-    Rows are annotated as source tokens, columns as target tokens.
-    """
+def agreement_trace(trace: RoutingTrace, tokens: tuple[str, ...]
+                    ) -> list[dict]:
+    """Plot-ready coupling matrices of the sentence ``tokens``, one record
+    per iteration from 1; rows are source tokens, columns target tokens."""
     if not trace.states:
         raise ValueError("empty routing trace")
-    tokens = list(trace.tokens) if trace.tokens is not None else None
+    tokens = list(tokens)
     return [{
         "direction": trace.direction,
-        "iteration": st.iteration,
+        "iteration": it,
         "c": [[float(x) for x in row] for row in st.c],
         "tokens": tokens,
         "rows": "source",
         "cols": "target",
-    } for st in trace.states]
+    } for it, st in enumerate(trace.states, 1)]

@@ -202,17 +202,15 @@ def per_direction_forward(model, sentences, keep=None, keep_trace=False):
             for src in cfg.sources_into(target):
                 d = model.routes[f"{src}->{target}"]
                 r = routing.predict_vectors(state.hidden[src], d, model.pe)
-                v, snaps = routing.route(r, q[d.name], adjacency,
-                                         cfg.route_iters, keep_trace)
+                v, kept = routing.route(r, q[d.name], adjacency,
+                                        cfg.route_iters)
                 routed[d.name] = v
                 if not keep_trace:
                     continue
-                for i, sent in enumerate(sentences):
-                    traces.append((t, routing.RoutingTrace(
-                        d.name, sent.tokens,
-                        [routing.RoutingState(st.iteration, st.b[i], st.c[i],
-                                              st.s[i], st.v[i])
-                         for st in snaps])))
+                for i in range(len(sentences)):
+                    traces.append(routing.RoutingTrace(t, d.name, [
+                        routing.RoutingState(st.c[i], st.s[i], st.v[i])
+                        for st in kept]))
         state = model.aggregate(state, routed, doc)
         states.append(state)
     return states, traces

@@ -75,8 +75,7 @@ def test_routing_invariants_thousand_instances():
         u = r[:, None, :] + q[None, :, :]
 
         with T.use_dtype(np.float64):
-            v, trace = route(T.constant(r), T.constant(q), adjacency, iters,
-                             keep_trace=True)
+            v, trace = route(T.constant(r), T.constant(q), adjacency, iters)
 
         # independent step-by-step re-execution of the update rules
         b = np.zeros((n, n))
@@ -91,8 +90,7 @@ def test_routing_invariants_thousand_instances():
             np.testing.assert_allclose(st.c.sum(axis=1), np.ones(n),
                                        atol=1e-6)
             assert (np.linalg.norm(st.v, axis=1) < 1.0).all()
-            gap = max(np.abs(st.c - c).max(), np.abs(st.v - v_ref).max(),
-                      np.abs(st.b - b).max())
+            gap = max(np.abs(st.c - c).max(), np.abs(st.v - v_ref).max())
             worst_gap = max(worst_gap, gap)
             assert gap < 1e-6
     ok("routing-invariants", f"1000 instances, worst oracle gap "

@@ -6,11 +6,11 @@ import pytest
 
 from ktabsa.cli import main
 from ktabsa.data import assign_embedding_ids, length_chunks, load_aspect_corpus
-from ktabsa.model import AbsaModel
+from ktabsa.model import AbsaModel, apply_ablation
 from ktabsa.routing import agreement_trace
 from ktabsa.synth import SynthSpec, write_synthetic
 
-from fixtures import build_tiny_model, edit_header
+from fixtures import build_tiny_model, edit_header, tiny_config
 from helpers import corrupt_squash_backward
 
 
@@ -217,6 +217,21 @@ def test_trace_invalid_direction_exit_2(synth_dir, tmp_path, capsys):
     assert code == 2
 
 
+def test_trace_disabled_direction_is_a_config_error(tmp_path, capsys):
+    model, _, _ = build_tiny_model(
+        apply_ablation(tiny_config(), "opinion-transfer"))
+    ckpt = str(tmp_path / "ablated.ckpt")
+    model.save(ckpt)
+    corpus = tmp_path / "one.tsv"
+    corpus.write_text("the\tO\tO\t_\nbattery\tBA\tO\tpos\n\n")
+    code = run_cli("trace", "--checkpoint", ckpt, "--corpus", str(corpus),
+                   "--direction", "ote->asc", "--out", str(tmp_path / "t"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "(enabled: ate->ote, ate->asc, asc->ate, asc->ote)" in err
+
+
 def test_trace_forwards_each_chunk_once(tiny_checkpoint, tmp_path,
                                         monkeypatch):
     # sentences of two interleaved lengths: one forward per length chunk,
@@ -232,8 +247,8 @@ def test_trace_forwards_each_chunk_once(tiny_checkpoint, tmp_path,
     want = []
     for sent in sentences:
         _states, traces = model.forward([sent], keep_trace=True)
-        want.append(next(agreement_trace(t) for step, t in traces
-                         if step == 1 and t.direction == "ote->asc"))
+        want.append(next(agreement_trace(t, sent.tokens) for t in traces
+                         if t.round == 1 and t.direction == "ote->asc"))
     calls, forward = [], AbsaModel.forward
 
     def counted(self, group, *args, **kwargs):

@@ -243,11 +243,29 @@ def test_load_embeddings_with_and_without_header(tmp_path):
         assert not table.matrix[table.pad_index].any()
 
 
+@pytest.mark.parametrize("header", ["3 2", "2 4"])
+def test_embedding_header_disagreeing_with_rows_rejected(tmp_path, header):
+    # a truncated file (fewer rows than the header's count) or a header
+    # whose dim is not the row width fails at the header's line
+    text = f"{header}\na 1 2\nb 3 4\n"
+    with pytest.raises(D.CorpusError, match=r"v\.txt:1: header says"):
+        D.load_embeddings(write(tmp_path, "v.txt", text))
+
+
+def test_unknown_row_of_rows_near_float32_limit_is_finite(tmp_path):
+    # the column mean of finite float32 rows is finite; summed in float32,
+    # two rows of 3e38 overflow with a RuntimeWarning (an error here)
+    table = D.load_embeddings(write(tmp_path, "v.txt", "a 3e38 1\nb 3e38 1\n"))
+    np.testing.assert_array_equal(table.matrix[table.unk_index],
+                                  np.array([3e38, 1], dtype=np.float32))
+
+
 def test_duplicate_word_first_wins_with_warning(tmp_path):
-    text = "w 1 1\nw 2 2\n"
-    with pytest.warns(UserWarning, match="duplicate"):
-        table = D.load_embeddings(write(tmp_path, "v.txt", text))
-    np.testing.assert_allclose(table.matrix[table.vocab["w"]], [1, 1])
+    body = "w 1 1\nw 2 2\n"
+    for text in (body, "2 2\n" + body):    # a header counts duplicate rows
+        with pytest.warns(UserWarning, match="duplicate"):
+            table = D.load_embeddings(write(tmp_path, "v.txt", text))
+        np.testing.assert_allclose(table.matrix[table.vocab["w"]], [1, 1])
 
 
 def test_ragged_rows_rejected_with_line_number(tmp_path):

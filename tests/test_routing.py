@@ -44,10 +44,10 @@ def random_factors(rng, n, d, scale=1.0, zero_q=False):
     return r, q
 
 
-def run_route(r, q, adjacency, iterations, keep_trace=True):
+def run_route(r, q, adjacency, iterations):
     with T.use_dtype(np.float64):
-        v, trace = R.route(T.constant(r), T.constant(q),
-                           adjacency, iterations, keep_trace=keep_trace)
+        v, trace = R.route(T.constant(r), T.constant(q), adjacency,
+                           iterations)
     return v, trace
 
 
@@ -192,9 +192,8 @@ def test_route_matches_line_by_line_oracle():
         v, trace = run_route(r, q, adjacency, 3)
         ov, ostates = route_oracle(materialize(r, q), adjacency, 3)
         np.testing.assert_allclose(v.data, ov, atol=1e-9)
-        for st, (ob, oc, ovv) in zip(trace, ostates):
+        for st, (_ob, oc, ovv) in zip(trace, ostates):
             np.testing.assert_allclose(st.c, oc, atol=1e-9)
-            np.testing.assert_allclose(st.b, ob, atol=1e-9)
             np.testing.assert_allclose(st.v, ovv, atol=1e-9)
 
 
@@ -219,11 +218,12 @@ def test_route_agreement_update_is_exact():
     r, q = random_factors(rng, n, 3)
     u = materialize(r, q)
     _, trace = run_route(r, q, np.zeros((n, n)), 2)
-    # b after the sharpen step equals its pre-update value plus u.v exactly
-    first = trace[0]
-    pre = np.zeros((n, n))  # logits before iteration 1's sharpening (A = 0)
-    expected = pre + np.einsum("ijd,jd->ij", u, first.v)
-    np.testing.assert_allclose(first.b, expected, atol=1e-12)
+    # with A = 0 the logits after iteration 1's sharpening are exactly
+    # u.v_1, so iteration 2's couplings are their row softmax
+    b = np.einsum("ijd,jd->ij", u, trace[0].v)
+    e = np.exp(b - b.max(axis=1, keepdims=True))
+    np.testing.assert_allclose(trace[1].c, e / e.sum(axis=1, keepdims=True),
+                               rtol=0, atol=1e-12)
 
 
 def test_route_adjacency_monotonicity_first_iteration():
@@ -263,7 +263,6 @@ def test_grouped_route_matches_each_sentence_alone():
         np.testing.assert_allclose(v.data[i], v_i.data, atol=1e-12)
         for st, st_i in zip(trace, trace_i):
             np.testing.assert_allclose(st.c[i], st_i.c, atol=1e-12)
-            np.testing.assert_allclose(st.b[i], st_i.b, atol=1e-12)
 
 
 def test_route_rejects_bad_iteration_count():
@@ -310,7 +309,7 @@ def test_stacked_directions_match_one_call_per_direction(dtype):
         qt = T.Tensor(q_part, requires_grad=True)
         tape = T.Tape()
         with T.record(tape):
-            v, trace = R.route(rt, qt, adjacency, iters, keep_trace=True)
+            v, trace = R.route(rt, qt, adjacency, iters)
             loss = weighted_sum(v, w)
         tape.backward(loss)
         return v.data, trace, rt.grad, qt.grad
@@ -322,7 +321,7 @@ def test_stacked_directions_match_one_call_per_direction(dtype):
         np.testing.assert_array_equal(dr[j], dr_j)
         np.testing.assert_array_equal(dq[j, 0], dq_j)
         for st, st_j in zip(trace, trace_j, strict=True):
-            for field in ("b", "c", "s", "v"):
+            for field in ("c", "s", "v"):
                 np.testing.assert_array_equal(getattr(st, field)[j],
                                               getattr(st_j, field))
 
@@ -353,12 +352,42 @@ def test_route_records_one_tape_node():
     rng = np.random.default_rng(17)
     r = T.Tensor(rng.normal(size=(2, 5, 4)), requires_grad=True)
     q = T.Tensor(rng.normal(size=(5, 4)), requires_grad=True)
-    for keep_trace in (False, True):
-        tape = T.Tape()
-        with T.record(tape):
-            v, _ = R.route(r, q, np.zeros((2, 5, 5)), 3,
-                           keep_trace=keep_trace)
-        assert len(tape) == 1 and tape.nodes[0][0] is v
+    tape = T.Tape()
+    with T.record(tape):
+        v, _ = R.route(r, q, np.zeros((2, 5, 5)), 3)
+    assert len(tape) == 1 and tape.nodes[0][0] is v
+
+
+def test_route_returns_the_states_its_backward_reads():
+    # one state per iteration, matching the line-by-line oracle; each of its
+    # c, s and v is the very array the backward reads, so scaling one in
+    # place between the forward and the backward changes the gradient
+    rng = np.random.default_rng(19)
+    n, d, iters = 4, 3, 3
+    r0, q0 = random_factors(rng, n, d)
+    adjacency = np.eye(n)
+    _, ostates = route_oracle(materialize(r0, q0), adjacency, iters)
+
+    def run(spoil=None):
+        with T.use_dtype(np.float64):
+            r = T.Tensor(r0, requires_grad=True)
+            tape = T.Tape()
+            with T.record(tape):
+                v, states = R.route(r, T.constant(q0), adjacency, iters)
+                loss = weighted_sum(v)
+            if spoil is not None:
+                getattr(states[0], spoil)[...] *= 2.0
+            tape.backward(loss)
+        return v, states, r.grad
+
+    v, states, grad = run()
+    assert len(states) == iters and states[-1].v is v.data
+    for st, (_ob, oc, ov) in zip(states, ostates, strict=True):
+        np.testing.assert_allclose(st.c, oc, atol=1e-9)
+        np.testing.assert_allclose(st.v, ov, atol=1e-9)
+        np.testing.assert_allclose(st.v, squash_ref(st.s), atol=1e-12)
+    for field in ("c", "s", "v"):
+        assert not np.allclose(run(field)[2], grad), field
 
 
 def test_route_end_to_end_gradients_with_predict_vectors():
@@ -385,8 +414,8 @@ def test_route_end_to_end_gradients_with_predict_vectors():
 def test_agreement_trace_two_tokens_uniform():
     _, states = run_route(np.zeros((2, 3)), np.zeros((2, 3)),
                           np.zeros((2, 2)), 1)
-    trace = R.RoutingTrace("ote->asc", ("a", "b"), states)
-    recs = R.agreement_trace(trace)
+    trace = R.RoutingTrace(1, "ote->asc", states)
+    recs = R.agreement_trace(trace, ("a", "b"))
     assert len(recs) == 1
     np.testing.assert_allclose(recs[0]["c"], [[0.5, 0.5], [0.5, 0.5]])
     assert recs[0]["direction"] == "ote->asc"
@@ -399,8 +428,10 @@ def test_agreement_trace_rows_sum_to_one_entries_in_open_interval():
     n = 4
     r, q = random_factors(rng, n, 3)
     _, states = run_route(r, q, np.eye(n), 3)
-    trace = R.RoutingTrace("ate->ote", None, states)
-    for rec in R.agreement_trace(trace):
+    trace = R.RoutingTrace(1, "ate->ote", states)
+    recs = R.agreement_trace(trace, ("w", "x", "y", "z"))
+    assert [rec["iteration"] for rec in recs] == [1, 2, 3]
+    for rec in recs:
         c = np.array(rec["c"])
         np.testing.assert_allclose(c.sum(axis=1), np.ones(n), atol=1e-9)
         assert (c > 0).all() and (c < 1).all()
