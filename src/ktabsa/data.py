@@ -301,7 +301,7 @@ def load_document_corpus(path: str,
             continue
         try:
             rec = json.loads(line)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, RecursionError) as e:
             raise CorpusError(f"{path}:{lineno}: bad JSON: {e}") from None
         if not isinstance(rec, dict):
             raise CorpusError(f"{path}:{lineno}: expected a JSON object, "

@@ -593,7 +593,7 @@ class AbsaModel:
         head = f.read(hlen)
         try:
             header = json.loads(head.decode("utf-8"))
-        except ValueError as e:     # bad UTF-8 or bad JSON
+        except (ValueError, RecursionError) as e:  # bad UTF-8 or JSON
             raise CheckpointError(f"{path}: undecodable header: {e}") from None
         if not isinstance(header, dict):
             raise CheckpointError(f"{path}: header is not a JSON object")

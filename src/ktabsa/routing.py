@@ -6,39 +6,42 @@ token j of the same sentence. Each pair's vote is
 the whole sentence, made position-aware by adding sinusoidal encodings of i
 and j. Because W is linear, the vote factors into a source part and a target
 part, ``u_hat[i, j] = r[i] + q[j]`` with ``r = (h + PE) W`` and
-``q = PE W``, and the loop only ever holds r and q. The iterative loop
-then:
+``q = PE W``, and the loop only ever holds r and q. Iteration t = 1..T:
 
-    1. adds the dependency adjacency prior to the routing logits b,
-    2. normalizes b over targets j into coupling coefficients c (softmax),
+    1. forms the logits b_t[i, j] = t A[i, j] + u_hat[i, j] . V_t[j] from
+       the adjacency prior A and the sum V_t = v_1 + ... + v_{t-1},
+    2. normalizes b_t over targets j into coupling coefficients c_t,
     3. aggregates votes per target, s[j] = sum_i c[i,j] * u_hat[i,j],
-       computed as s = c^T r + colsum(c) * q,
-    4. bounds each aggregate with squash, v[j],
-    5. sharpens b by the vote/output agreement u_hat[i,j] . v[j],
-       computed as r v^T + 1 (q * v summed over the vote width)^T.
+    4. bounds each aggregate with squash, v_t[j].
+
+Logits and couplings are held target-major, [..., j, i], so the softmax
+reduces axis -2. With r1 = [r | 1], b_t^T = t A^T + [V_t | q . V_t] r1^T,
+and c_t r1 = [c_t r | m_t], m_t the coupling mass into each target, so
+s_t = c_t r + m_t q. c_1 = softmax(A) is computed once, at A's shape.
 
 :func:`route` takes any leading axes. The model routes k transfer
-directions of a group of G equal-length sentences in one call: r, b, c, s
-and v are [k, G, n, d_route] and [k, G, n, n], q is [k, 1, n, d_route]
-(it depends only on the position and the direction, so the group shares
-it), and the [G, n, n] adjacency is shared by the directions. Equal lengths
-mean there is no padding and nothing to mask. The number of targets equals
-the sentence length, so the output is a dynamic-length set of vectors
-rather than a fixed capsule bank.
+directions of a group of G equal-length sentences in one call: r, s and v
+are [k, G, n, d_route], q is [k, 1, n, d_route] (it depends only on the
+position and the direction, so the group shares it), and the [G, n, n]
+adjacency and c_1 are shared by the directions. Equal lengths mean there
+is no padding and nothing to mask. The number of targets equals the
+sentence length, so the output is a dynamic-length set of vectors rather
+than a fixed capsule bank.
 
 The loop is one tape node: the forward is plain numpy, and a hand-written
-backward replays the unrolled iterations in reverse. The node saves each
-iteration's couplings c_t [k, G, n, n] and its s_t, |s_t| and v_t
-([k, G, n, d_route]), so a call holds O(T*k*G*n^2 + k*G*n*d) memory for T
-iterations, never the O(n^2*d) vote tensor. It returns what it saves but
-|s_t|, as one :class:`RoutingState` per iteration: a routing trace is a view
-of those arrays and costs no extra work. :func:`directions_per_call`
-keeps one coupling array within :data:`COUPLING_BUDGET` elements.
+backward replays the unrolled iterations in reverse, rebuilding V_t from
+the outputs. The node saves c_1 [G, n, n], c_2..c_T [k, G, n, n] and each
+s_t, m_t and v_t: about (T-1)*k*G*n^2 + G*n^2 coupling elements plus
+O(k*G*n*d), never the O(n^2*d) vote tensor. It returns what it saves but
+m_t, as one :class:`RoutingState` per iteration: a routing trace is a view
+of those arrays and costs no extra work. :func:`directions_per_call` keeps
+one coupling array within :data:`COUPLING_BUDGET` elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -104,9 +107,9 @@ class TransferDirection:
 
 @dataclass
 class RoutingState:
-    """One routing iteration: the couplings c [..., n, n], aggregates s and
-    outputs v [..., n, d_route]. Plain arrays, off the tape, that the
-    backward pass reads, so treat them as read-only."""
+    """One routing iteration: the couplings c [..., source, target] (a view;
+    iteration 1's broadcasts c_1), aggregates s and outputs v [..., n,
+    d_route]. Arrays off the tape that the backward reads: read-only."""
 
     c: np.ndarray
     s: np.ndarray
@@ -156,32 +159,33 @@ def squash(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Norm-bounding nonlinearity over the last axis: keeps each row's
     direction and maps its norm |s| to |s|^2 / (1 + |s|^2); the zero row
     maps to itself. Returns the squashed rows and the norms [..., 1]."""
-    norm = np.sqrt((s * s).sum(axis=-1, keepdims=True))
-    return s * _squash_factor(norm), norm
+    nn = _dot(s, s)
+    norm = np.sqrt(nn)
+    return s * (nn / ((1.0 + nn) * (norm + SQUASH_EPS))), norm
 
 
-def _squash_factor(norm: np.ndarray) -> np.ndarray:
-    nn = norm * norm
-    return nn / ((1.0 + nn) * (norm + SQUASH_EPS))
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of the rows (last axis) of a and b, as [..., 1]."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0]
 
 
 def squash_grad(g: np.ndarray, s: np.ndarray, norm: np.ndarray) -> np.ndarray:
     """dLoss/ds of ``v = squash(s)`` from ``g`` = dLoss/dv and the norms
-    :func:`squash` returned. A zero row has gradient 0: the radial term is
-    divided by the norm only where the norm is positive."""
-    den = (1.0 + norm * norm) * (norm + SQUASH_EPS)
-    dden = 2.0 * norm * (norm + SQUASH_EPS) + (1.0 + norm * norm)
-    fp = (2.0 * norm * den - (norm * norm) * dden) / (den * den)
-    coef = np.divide(fp, norm, out=np.zeros_like(norm), where=norm > 0)
-    gdots = (g * s).sum(axis=-1, keepdims=True)
-    return g * _squash_factor(norm) + s * (gdots * coef)
+    :func:`squash` returned: ``g f(|s|) + s (g . s) f'(|s|) / |s|`` for the
+    squash factor f, whose ``f'(x) / x = (x (1 - x^2) + 2 eps) / ((1 + x^2)
+    (x + eps))^2`` is finite at 0, so a zero row has gradient 0."""
+    nn = norm * norm
+    den = (1.0 + nn) * (norm + SQUASH_EPS)
+    coef = (norm * (1.0 - nn) + 2.0 * SQUASH_EPS) / (den * den)
+    return g * (nn / den) + s * (_dot(g, s) * coef)
 
 
-def _accumulate(acc: np.ndarray | None, g: np.ndarray) -> np.ndarray:
-    if acc is None:
-        return g
-    acc += g
-    return acc
+def _target_softmax(logits: np.ndarray, out=None) -> np.ndarray:
+    """Softmax of target-major logits over the targets (axis -2)."""
+    out = np.subtract(logits, logits.max(axis=-2, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-2, keepdims=True)
+    return out
 
 
 def _broadcasts_to(shape: tuple[int, ...], target: tuple[int, ...]) -> bool:
@@ -201,9 +205,8 @@ def route(r: Tensor, q: Tensor, adjacency: np.ndarray, iterations: int
     broadcasting against r, as from :func:`predict_vectors` and
     :func:`target_votes` (the model passes r [k, G, n, d], q [k, 1, n, d]).
     ``adjacency`` is the binary dependency prior, broadcasting to the logits
-    ``r.shape[:-1] + (n,)`` and re-added at every iteration; it is used
-    without a copy when it already has r's dtype. The loop is one tape node
-    whose backward runs through every unrolled iteration.
+    ``r.shape[:-1] + (n,)``, copied transposed once per call. The loop is
+    one tape node whose backward runs through every unrolled iteration.
     """
     if iterations < 1:
         raise ConfigError(f"routing needs at least one iteration, "
@@ -221,47 +224,54 @@ def route(r: Tensor, q: Tensor, adjacency: np.ndarray, iterations: int
         raise ConfigError(f"adjacency shape {adjacency.shape} does not "
                           f"broadcast to the logits {logits}")
     rd, qd = r.data, q.data
-    prior = np.asarray(adjacency, dtype=rd.dtype)
-    b = np.zeros(logits, dtype=rd.dtype)
-    states, norms = [], []      # what the backward reads, per iteration
-    for it in range(1, iterations + 1):
-        b += prior
-        c = b - b.max(axis=-1, keepdims=True)      # softmax over targets
-        np.exp(c, out=c)
-        c /= c.sum(axis=-1, keepdims=True)
-        s = c.swapaxes(-1, -2) @ rd                # aggregate
-        s += c.sum(axis=-2)[..., None] * qd
-        v, norm = squash(s)
-        states.append(RoutingState(c, s, v))
-        norms.append(norm)
-        if it < iterations:                        # agreement
-            a = rd @ v.swapaxes(-1, -2)
-            a += (qd * v).sum(axis=-1)[..., None, :]
-            b += a
+    prior = np.ascontiguousarray(adjacency.swapaxes(-1, -2), rd.dtype)
+    r1 = np.empty(rd.shape[:-1] + (d + 1,), rd.dtype)
+    r1[..., :d], r1[..., d] = rd, 1
+    c = _target_softmax(prior)                  # c_1, at A's shape
+    states, masses = [], []
+    for t in range(iterations):
+        if t:                                   # iteration t + 1's logits
+            c = vq @ r1.swapaxes(-1, -2)
+            c += (t + 1) * prior
+            _target_softmax(c, out=c)
+        else:   # c_1 broadcast as by np.broadcast_to, minus its set-up cost
+            st = [0] * (len(logits) - c.ndim) + [
+                x * (m > 1) for m, x in zip(c.shape, c.strides)]
+            c = np.ndarray(logits, c.dtype, c, 0, st)
+            c.flags.writeable = False
+        s1 = c @ r1                             # [c r | coupling mass]
+        mass = s1[..., d:].copy()               # so that s1 can be freed
+        s = s1[..., :d] + mass * qd
+        v, _ = squash(s)
+        states.append(RoutingState(c.swapaxes(-1, -2), s, v))
+        masses.append(mass)
+        if t + 1 < iterations:                  # vq = [V | q . V]
+            v1 = np.concatenate((v, _dot(qd, v)), -1)
+            vq = vq + v1 if t else v1
     out = Tensor(v, requires_grad=r.requires_grad or q.requires_grad)
 
     def fn(g, push):
-        dr = dq = gb = None     # gb: dLoss/db after the current iteration
-        gv = g
+        r1 = np.concatenate((rd, np.ones_like(rd[..., :1])), -1)
+        sums = list(accumulate(st.v for st in states[:-1]))     # V_2, ...
+        dr = dq = gsum = 0      # gsum: dLoss/dV from the later iterations
+        gv, gl = g, None
         for t in range(iterations - 1, -1, -1):
-            c, s, v, norm = states[t].c, states[t].s, states[t].v, norms[t]
-            if gb is not None:  # agreement b += r v^T + 1 (q . v)^T
-                colsum = gb.sum(axis=-2)[..., None]
-                gv = gb.swapaxes(-1, -2) @ rd
-                gv += colsum * qd
-                dq = _accumulate(dq, _unbroadcast(colsum * v, qd.shape))
-                dr = _accumulate(dr, gb @ v)
-            gs = squash_grad(gv, s, norm)
-            # aggregate s = c^T r + colsum(c) q
-            dq = _accumulate(dq, _unbroadcast(
-                c.sum(axis=-2)[..., None] * gs, qd.shape))
-            dr = _accumulate(dr, c @ gs)
-            if t == 0:          # the first logits are the constant prior
-                break
-            dc = rd @ gs.swapaxes(-1, -2)
-            dc += (gs * qd).sum(axis=-1)[..., None, :]
-            gc = c * (dc - (dc * c).sum(axis=-1, keepdims=True))
-            gb = _accumulate(gb, gc)
+            c, s = states[t].c, states[t].s     # c: [..., source, target]
+            gs = squash_grad(gv, s, np.sqrt(_dot(s, s)))
+            gq = masses[t] * gs
+            if t == 0:                          # c_1 depends on A alone
+                dr += c @ gs
+            else:
+                gs1 = np.concatenate((gs, _dot(gs, qd)), -1)
+                x = c @ gs1                     # [c^T gs | c^T (gs . q)]
+                gl = np.matmul(gs1, r1.swapaxes(-1, -2), out=gl)  # dLoss/dc
+                gl -= _dot(x, r1).swapaxes(-1, -2)
+                gl *= c.swapaxes(-1, -2)        # dLoss/dlogits
+                y = gl @ r1                     # [gl r | row sums of gl]
+                dr += x[..., :d] + gl.swapaxes(-1, -2) @ sums[t - 1]
+                gq += y[..., d:] * sums[t - 1]
+                gv = gsum = gsum + y[..., :d] + y[..., d:] * qd
+            dq += _unbroadcast(gq, qd.shape)
         push(r, dr)
         push(q, dq)
 

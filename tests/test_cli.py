@@ -10,7 +10,8 @@ from ktabsa.model import AbsaModel, apply_ablation
 from ktabsa.routing import agreement_trace
 from ktabsa.synth import SynthSpec, write_synthetic
 
-from fixtures import build_tiny_model, edit_header, tiny_config
+from fixtures import (build_tiny_model, edit_header, tiny_config,
+                      with_header)
 from helpers import corrupt_squash_backward
 
 
@@ -331,6 +332,21 @@ def test_eval_damaged_header_exit_3(synth_dir, tmp_path, capsys):
                        os.path.join(synth_dir, "test.tsv"))
         assert code == 3
         assert key in capsys.readouterr().err
+
+
+def test_eval_deeply_nested_checkpoint_header_exit_3(synth_dir, tmp_path,
+                                                     capsys):
+    # json.loads raises RecursionError, not ValueError, on deep nesting
+    model, _, _ = build_tiny_model()
+    ckpt = tmp_path / "m.ckpt"
+    model.save(str(ckpt))
+    ckpt.write_bytes(with_header(ckpt.read_bytes(), b"[" * 5000))
+    code = run_cli("eval", "--checkpoint", str(ckpt), "--corpus",
+                   os.path.join(synth_dir, "test.tsv"))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("data error:") and "undecodable header" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 @pytest.fixture

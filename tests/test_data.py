@@ -228,6 +228,13 @@ def test_document_record_that_is_not_an_object_rejected(tmp_path, line):
         D.load_document_corpus(write(tmp_path, "d.jsonl", text))
 
 
+def test_deeply_nested_document_line_is_a_corpus_error(tmp_path):
+    # json.loads raises RecursionError, not JSONDecodeError, on deep nesting
+    text = json.dumps({"text": "fine", "domain": "Laptop"}) + "\n" + "[" * 5000
+    with pytest.raises(D.CorpusError, match=r"d\.jsonl:2: bad JSON"):
+        D.load_document_corpus(write(tmp_path, "d.jsonl", text))
+
+
 # ---------------------------------------------------------------------------
 # embeddings
 
@@ -249,6 +256,15 @@ def test_embedding_header_disagreeing_with_rows_rejected(tmp_path, header):
     # whose dim is not the row width fails at the header's line
     text = f"{header}\na 1 2\nb 3 4\n"
     with pytest.raises(D.CorpusError, match=r"v\.txt:1: header says"):
+        D.load_embeddings(write(tmp_path, "v.txt", text))
+
+
+def test_first_row_of_two_integers_is_read_as_a_header(tmp_path):
+    # `count dim` cannot be told from a one-value row whose word is an
+    # integer; read as a header, it must match the rows after it
+    text = "7 1\n8 2\n9 3\n"
+    with pytest.raises(D.CorpusError,
+                       match=r"v\.txt:1: header says 7 rows of 1"):
         D.load_embeddings(write(tmp_path, "v.txt", text))
 
 

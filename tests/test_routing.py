@@ -348,6 +348,42 @@ def test_route_gradients_through_unrolled_loop():
                 [rng.normal(size=lead + (n, d))])
 
 
+def test_stacked_route_matches_oracle_with_asymmetric_adjacency():
+    # corpus adjacency is symmetric, so model-level tests cannot tell the
+    # couplings from their transpose; an asymmetric prior can: every
+    # direction and sentence of a [k, G] stack matches the line-by-line
+    # oracle, values and every iteration's c [source, target]
+    rng = np.random.default_rng(20)
+    k, g, n, d, iters = 3, 2, 5, 4, 3
+    r = rng.normal(size=(k, g, n, d))
+    q = rng.normal(size=(k, 1, n, d))
+    adjacency = np.triu(rng.random((g, n, n)) < 0.6, 1).astype(np.float64)
+    assert (adjacency != adjacency.swapaxes(-1, -2)).any()
+    v, states = run_route(r, q, adjacency, iters)
+    for j in range(k):
+        for i in range(g):
+            ov, ostates = route_oracle(materialize(r[j, i], q[j, 0]),
+                                       adjacency[i], iters)
+            np.testing.assert_allclose(v.data[j, i], ov, rtol=0, atol=1e-9)
+            for st, (_ob, oc, _ov) in zip(states, ostates, strict=True):
+                np.testing.assert_allclose(st.c[j, i], oc, rtol=0, atol=1e-9)
+
+
+def test_stacked_route_gradients_with_adjacency_shared_by_directions():
+    # float64 finite differences with r [2, 3, n, d], q [2, 1, n, d] and
+    # one [3, n, n] adjacency for both directions, so iteration 1's
+    # couplings are computed once and broadcast over the directions
+    rng = np.random.default_rng(21)
+    n, d = 3, 2
+    adjacency = (rng.random((3, n, n)) < 0.4).astype(np.float64)
+    for iters in (1, 2, 3):
+        w = rng.normal(size=(2, 3, n, d))
+        check_op_grads(
+            lambda ts: weighted_sum(
+                R.route(ts[0], ts[1], adjacency, iters)[0], w),
+            [rng.normal(size=(2, 3, n, d)), rng.normal(size=(2, 1, n, d))])
+
+
 def test_route_records_one_tape_node():
     rng = np.random.default_rng(17)
     r = T.Tensor(rng.normal(size=(2, 5, 4)), requires_grad=True)
@@ -359,9 +395,12 @@ def test_route_records_one_tape_node():
 
 
 def test_route_returns_the_states_its_backward_reads():
-    # one state per iteration, matching the line-by-line oracle; each of its
-    # c, s and v is the very array the backward reads, so scaling one in
-    # place between the forward and the backward changes the gradient
+    # one state per iteration, matching the line-by-line oracle; each c, s
+    # and v is the very array the backward reads, so scaling one in place
+    # between the forward and the backward changes the gradient. The last
+    # v is the output, which the backward does not read. Iteration 1's c
+    # is a read-only broadcast of couplings computed once per call, so it
+    # is scaled through the array behind the view
     rng = np.random.default_rng(19)
     n, d, iters = 4, 3, 3
     r0, q0 = random_factors(rng, n, d)
@@ -376,7 +415,10 @@ def test_route_returns_the_states_its_backward_reads():
                 v, states = R.route(r, T.constant(q0), adjacency, iters)
                 loss = weighted_sum(v)
             if spoil is not None:
-                getattr(states[0], spoil)[...] *= 2.0
+                arr = getattr(states[spoil[0]], spoil[1])
+                while not arr.flags.writeable:
+                    arr = arr.base
+                arr *= 2.0
             tape.backward(loss)
         return v, states, r.grad
 
@@ -386,8 +428,9 @@ def test_route_returns_the_states_its_backward_reads():
         np.testing.assert_allclose(st.c, oc, atol=1e-9)
         np.testing.assert_allclose(st.v, ov, atol=1e-9)
         np.testing.assert_allclose(st.v, squash_ref(st.s), atol=1e-12)
-    for field in ("c", "s", "v"):
-        assert not np.allclose(run(field)[2], grad), field
+    for it in range(iters):
+        for field in ("c", "s", "v")[:3 if it < iters - 1 else 2]:
+            assert not np.allclose(run((it, field))[2], grad), (it, field)
 
 
 def test_route_end_to_end_gradients_with_predict_vectors():

@@ -36,3 +36,19 @@ def test_overfit_synth_prints_the_comparison_table(tmp_path):
     assert len(rows) == 2
     assert rows[0].startswith("full model")
     assert rows[1].startswith("no transfer")
+
+
+def test_route_timing_prints_a_row_per_bench_shape(tmp_path):
+    # --against this checkout loads a second copy of the package beside the
+    # first, as it would another revision's
+    proc = run_script(tmp_path, "route_timing.py", "--reps", "1",
+                      "--against", ROOT)
+    assert proc.returncode == 0, proc.stderr
+    _, header, *rows = proc.stdout.splitlines()
+    assert header.split() == ["k", "G", "n", "fwd_ms", "bwd_ms",
+                              "against_fwd_ms", "against_bwd_ms",
+                              "fwd_ratio", "bwd_ratio"]
+    assert [tuple(int(x) for x in row.split()[:3]) for row in rows] == [
+        (4, 1, 128), (2, 1, 128), (6, 1, 64), (1, 4, 128), (2, 8, 64),
+        (6, 1, 15), (6, 8, 15)]
+    assert all(float(x) > 0 for row in rows for x in row.split()[3:])
