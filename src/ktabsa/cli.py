@@ -29,8 +29,8 @@ from .model import (ABLATIONS, ALL_DIRECTIONS, AbsaModel, CheckpointError,
 from .routing import agreement_trace
 from .synth import SynthSpec, write_synthetic
 from .tensor import ConfigError
-from .training import (DivergenceError, fit, gradcheck_harness,
-                       model_gradcheck)
+from .training import (GRADCHECK_TOL, DivergenceError, fit,
+                       gradcheck_harness, model_gradcheck)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -59,12 +59,9 @@ def _build_corpora(rc: C.RunConfig):
         path = getattr(rc, key)
         if path and not os.path.exists(path):
             raise ConfigError(f"{key}: file not found: {path}")
-    schemes = DEFAULT_SCHEMES
-    train = load_aspect_corpus(rc.aspect_train, schemes)
-    test = (load_aspect_corpus(rc.aspect_test, schemes)
-            if rc.aspect_test else [])
-    documents = (load_document_corpus(rc.documents, schemes)
-                 if rc.documents else [])
+    train = load_aspect_corpus(rc.aspect_train)
+    test = load_aspect_corpus(rc.aspect_test) if rc.aspect_test else []
+    documents = load_document_corpus(rc.documents) if rc.documents else []
 
     words = corpus_words(train + test, documents)
     mc = rc.model
@@ -84,7 +81,7 @@ def _build_corpora(rc: C.RunConfig):
     general, domain = embeddings("general"), embeddings("domain")
     for part in (train, test, documents):
         assign_embedding_ids(part, general, domain)
-    return schemes, train, test, documents, general, domain
+    return train, test, documents, general, domain
 
 
 def _print_report(report) -> None:
@@ -99,12 +96,12 @@ def _print_report(report) -> None:
 
 
 def _single_run(rc: C.RunConfig, out_dir: str, quiet: bool) -> dict:
-    schemes, train, test, documents, general, domain = _build_corpora(rc)
+    train, test, documents, general, domain = _build_corpora(rc)
     if rc.dev_fraction > 0:
         train, dev = dev_split(train, rc.dev_fraction, rc.model.seed)
     else:
         dev = []
-    model = AbsaModel(rc.model, schemes, general, domain)
+    model = AbsaModel(rc.model, DEFAULT_SCHEMES, general, domain)
     log = None if quiet else print
     result = fit(model, train, dev, documents, rc.schedule,
                  out_dir=out_dir, log=log)
@@ -168,7 +165,7 @@ def cmd_ablate(args) -> int:
 
 def _load_checkpoint_corpus(args):
     model = AbsaModel.load(args.checkpoint)
-    return model, load_aspect_corpus(args.corpus, model.schemes)
+    return model, load_aspect_corpus(args.corpus)
 
 
 def cmd_eval(args) -> int:
@@ -193,6 +190,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    if args.limit < 0:
+        raise ConfigError(f"--limit must be >= 0, got {args.limit}")
     model = AbsaModel.load(args.checkpoint)
     if args.direction not in ALL_DIRECTIONS:
         raise ConfigError(f"unknown direction {args.direction!r}; valid: "
@@ -201,7 +200,7 @@ def cmd_trace(args) -> int:
         raise ConfigError(f"direction {args.direction!r} is disabled in this "
                           f"checkpoint (enabled: "
                           f"{', '.join(model.config.transfers)})")
-    sentences = load_aspect_corpus(args.corpus, model.schemes)
+    sentences = load_aspect_corpus(args.corpus)
     sentences = sentences[:args.limit] if args.limit > 0 else sentences
     assign_embedding_ids(sentences, model.general_table, model.domain_table)
     os.makedirs(args.out, exist_ok=True)
@@ -221,21 +220,16 @@ def cmd_trace(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    for flag, value in (("--step", args.step), ("--tol", args.tol)):
-        if not (np.isfinite(value) and value > 0):
-            raise ConfigError(f"{flag} must be finite and > 0, got {value}")
-    model, sentence, document = gradcheck_harness(
-        iterations=args.iterations, route_iters=args.route_iters,
-        seed=args.seed, nonlinearity=args.nonlinearity)
-    report = model_gradcheck(model, [sentence], [document],
-                             step=args.step, tol=args.tol)
+    model, sentence, document = gradcheck_harness()
+    report = model_gradcheck(model, [sentence], [document])
     for e in report.entries:
         status = "PASS" if e.passed else "FAIL"
         print(f"{status}  {e.name:<24} {str(e.shape):<14} "
               f"max_rel_err={e.max_rel_err:.3e}")
     n = len(report.entries)
     print(f"{'all pass' if report.passed else 'FAILURES'}: "
-          f"{n - len(report.failures)}/{n} parameters within {report.tol}")
+          f"{n - len(report.failures)}/{n} parameters within "
+          f"{GRADCHECK_TOL}")
     return EXIT_OK if report.passed else EXIT_NUMERIC
 
 
@@ -299,13 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck",
                        help="finite-difference check of all gradients")
-    p.add_argument("--iterations", type=int, default=2)
-    p.add_argument("--route-iters", type=int, default=2)
-    p.add_argument("--step", type=float, default=1e-3)
-    p.add_argument("--tol", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=5)
-    p.add_argument("--nonlinearity", default="sigmoid",
-                   choices=("sigmoid", "relu"))
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("gen-synth", help="write a synthetic corpus bundle")

@@ -221,8 +221,7 @@ def _load_adjacency(path: str, sentences: list[Sentence]) -> None:
             a[j, i] = 1.0
 
 
-def load_aspect_corpus(path: str, schemes: TagSchemes = DEFAULT_SCHEMES
-                       ) -> list[Sentence]:
+def load_aspect_corpus(path: str) -> list[Sentence]:
     """Parse the TSV corpus, validating tags, BIO structure, and sentiment
     placement, and add the edges of the ``<path>.adj`` sidecar if it
     exists."""
@@ -241,10 +240,10 @@ def load_aspect_corpus(path: str, schemes: TagSchemes = DEFAULT_SCHEMES
         where = f"sentence {idx} (line {first_line})"
         if not bio_valid(ate):
             raise CorpusError(f"{path}: {where}: invalid aspect BIO sequence "
-                              f"{[schemes.ate_tags[t] for t in ate]}")
+                              f"{[DEFAULT_SCHEMES.ate_tags[t] for t in ate]}")
         if not bio_valid(ote):
             raise CorpusError(f"{path}: {where}: invalid opinion BIO sequence "
-                              f"{[schemes.ote_tags[t] for t in ote]}")
+                              f"{[DEFAULT_SCHEMES.ote_tags[t] for t in ote]}")
         inside_aspect = [False] * len(tokens)
         for s, e in extract_spans(ate):
             for i in range(s, e):
@@ -275,9 +274,9 @@ def load_aspect_corpus(path: str, schemes: TagSchemes = DEFAULT_SCHEMES
             first_line = lineno
         tok, a, o, s = parts
         try:
-            ate.append(schemes.index("ate", a))
-            ote.append(schemes.index("ote", o))
-            asc.append(None if s == "_" else schemes.index("asc", s))
+            ate.append(DEFAULT_SCHEMES.index("ate", a))
+            ote.append(DEFAULT_SCHEMES.index("ote", o))
+            asc.append(None if s == "_" else DEFAULT_SCHEMES.index("asc", s))
         except CorpusError as e:
             raise CorpusError(f"{path}:{lineno}: {e}") from None
         tokens.append(tok)
@@ -292,8 +291,7 @@ def load_aspect_corpus(path: str, schemes: TagSchemes = DEFAULT_SCHEMES
 # document corpus
 
 
-def load_document_corpus(path: str,
-                         schemes: TagSchemes = DEFAULT_SCHEMES) -> list[Document]:
+def load_document_corpus(path: str) -> list[Document]:
     docs: list[Document] = []
     for lineno, raw in _text_lines(path):
         line = raw.strip()
@@ -316,18 +314,18 @@ def load_document_corpus(path: str,
                               "'domain' nor 'sentiment'")
         di = None
         if domain is not None:
-            if domain not in schemes.domain_labels:
+            if domain not in DEFAULT_SCHEMES.domain_labels:
                 raise CorpusError(f"{path}:{lineno}: unknown domain "
                                   f"{domain!r}; expected one of "
-                                  f"{schemes.domain_labels}")
-            di = schemes.domain_labels.index(domain)
+                                  f"{DEFAULT_SCHEMES.domain_labels}")
+            di = DEFAULT_SCHEMES.domain_labels.index(domain)
         si = None
         if sentiment is not None:
-            if sentiment not in schemes.dsc_labels:
+            if sentiment not in DEFAULT_SCHEMES.dsc_labels:
                 raise CorpusError(f"{path}:{lineno}: unknown sentiment "
                                   f"{sentiment!r}; expected one of "
-                                  f"{schemes.dsc_labels}")
-            si = schemes.dsc_labels.index(sentiment)
+                                  f"{DEFAULT_SCHEMES.dsc_labels}")
+            si = DEFAULT_SCHEMES.dsc_labels.index(sentiment)
         docs.append(Document(tuple(text.split()), di, si))
     return docs
 

@@ -45,9 +45,9 @@ from . import layers as L
 from .data import (DEFAULT_SCHEMES, Document, EmbeddingTable, Sentence,
                    TagSchemes, assign_embedding_ids, atomic_write,
                    extract_spans, length_chunks)
-from .routing import (PositionalEncoding, RoutingState, RoutingTrace,
-                      TransferDirection, directions_per_call, predict_vectors,
-                      route, target_votes)
+from .routing import (RoutingState, RoutingTrace, TransferDirection,
+                      directions_per_call, predict_vectors, route,
+                      target_votes)
 from .tensor import (ConfigError, Tensor, add, concat, constant,
                      default_dtype, dropout, dropout_keep, embedding_lookup,
                      reshape, select, softmax)
@@ -280,7 +280,6 @@ class AbsaModel:
         self.heads = {s: L.AttentionHead(params, config.d_task,
                                          schemes.doc_classes(s), f"doc.{s}")
                       for s in DOC_TASKS}
-        self.pe = PositionalEncoding(config.d_task)
 
         self.routes: dict[str, TransferDirection] = {}
         for name in ALL_DIRECTIONS:
@@ -441,7 +440,7 @@ class AbsaModel:
         plan = []
         for start in range(0, len(order), size):
             block = order[start:start + size]
-            q = concat([target_votes(d, self.pe, n) for d in block], axis=0)
+            q = concat([target_votes(d, n) for d in block], axis=0)
             plan.append((block, reshape(q, (len(block), 1, n,
                                             self.config.d_route))))
         return plan
@@ -458,7 +457,7 @@ class AbsaModel:
         g, n = adjacency.shape[:2]
         routed: dict[str, Tensor] = {}
         for block, q in plan:
-            r = concat([predict_vectors(state.hidden[d.source], d, self.pe)
+            r = concat([predict_vectors(state.hidden[d.source], d)
                         for d in block], axis=0)
             v, kept = route(reshape(r, (len(block), g, n, cfg.d_route)), q,
                             adjacency, cfg.route_iters)
@@ -616,7 +615,8 @@ class AbsaModel:
         """Read ``path`` in one pass and build the model of its config and
         vocabularies. Its other header fields must equal that model's
         :meth:`_header` as JSON text, and its payload must hold exactly that
-        model's parameters; otherwise :class:`CheckpointError` is raised."""
+        model's parameters, all finite; otherwise :class:`CheckpointError`
+        is raised."""
         with open(path, "rb") as f:
             header = cls._read_header(f, path)
             payload = f.read()
@@ -658,4 +658,7 @@ class AbsaModel:
             # a copy: a view of the read-only payload cannot be trained
             t.data = np.frombuffer(payload, "<f4", t.size, m["offset"]
                                    ).reshape(t.shape).astype(np.float32)
+            if not np.isfinite(t.data).all():
+                raise CheckpointError(f"{path}: tensor {m['name']} holds a "
+                                      f"non-finite value")
         return model

@@ -41,12 +41,13 @@ one coupling array within :data:`COUPLING_BUDGET` elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate
 
 import numpy as np
 
 from .tensor import (ConfigError, Tensor, _emit, _unbroadcast, add,
-                     constant, default_dtype, matmul)
+                     constant, matmul)
 
 SQUASH_EPS = 1e-9   # guards squash's division at the zero vector
 # Most elements of one stacked [k, G, n, n] coupling array (256 KiB in
@@ -71,25 +72,13 @@ def positional_encoding(n: int, d_model: int) -> np.ndarray:
     return table
 
 
-class PositionalEncoding:
-    """Encoding tables as constant tensors, computed on first use for each
-    sentence length and cached. There is no length cap: each row depends
-    only on its position, so the table of n rows is the first n rows of
-    any longer table."""
-
-    def __init__(self, d_model: int):
-        self.d_model = d_model
-        self.dtype = default_dtype()    # the model's, fixed at construction
-        self._tables: dict[int, Tensor] = {}
-
-    def prefix(self, n: int) -> Tensor:
-        """The [n, d_model] encodings of positions 0..n-1."""
-        table = self._tables.get(n)
-        if table is None:
-            table = constant(
-                positional_encoding(n, self.d_model).astype(self.dtype))
-            self._tables[n] = table
-        return table
+@cache
+def _encoding(n: int, d_model: int, dtype: np.dtype) -> Tensor:
+    """The [n, d_model] encodings of positions 0..n-1 as a constant of
+    ``dtype``, computed once per key. There is no length cap: each row
+    depends only on its position, so the table of n rows is the first n
+    rows of any longer table."""
+    return constant(positional_encoding(n, d_model).astype(dtype))
 
 
 @dataclass
@@ -126,26 +115,25 @@ class RoutingTrace:
     states: list[RoutingState]
 
 
-def predict_vectors(h_source: Tensor, direction: TransferDirection,
-                    pe: PositionalEncoding) -> Tensor:
+def predict_vectors(h_source: Tensor, direction: TransferDirection) -> Tensor:
     """Source part of the factored votes u_hat[g, i, j] = r[g, i] + q[j].
 
     ``h_source`` is [G, n, d] (or a single [n, d] sentence), and
-    ``r = (h + PE) @ W`` is shaped like h with width d_route. W is shared
-    across positions; the additive encodings make the votes position-aware.
+    ``r = (h + PE) @ W`` is shaped like h with width d_route; the encodings
+    take h's width and dtype. W is shared across positions; the additive
+    encodings make the votes position-aware.
     """
     n, d = h_source.shape[-2:]
-    if d != pe.d_model:
-        raise ConfigError(f"hidden width {d} does not match positional "
-                          f"encoding dimension {pe.d_model}")
-    return matmul(add(h_source, pe.prefix(n)), direction.weight)
+    return matmul(add(h_source, _encoding(n, d, h_source.dtype)),
+                  direction.weight)
 
 
-def target_votes(direction: TransferDirection, pe: PositionalEncoding,
-                 n: int) -> Tensor:
-    """Target part ``q = PE @ W`` [n, d_route] of the factored votes; it
-    depends only on n and W, so a forward pass computes it once."""
-    return matmul(pe.prefix(n), direction.weight)
+def target_votes(direction: TransferDirection, n: int) -> Tensor:
+    """Target part ``q = PE @ W`` [n, d_route] of the factored votes, with
+    W's input width and dtype; it depends only on n and W, so a forward
+    pass computes it once."""
+    w = direction.weight
+    return matmul(_encoding(n, w.shape[0], w.dtype), w)
 
 
 def directions_per_call(g: int, n: int) -> int:

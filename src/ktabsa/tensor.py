@@ -55,10 +55,9 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "name")
 
     def __init__(self, data, requires_grad: bool = False,
-                 name: str | None = None, dtype=None):
-        if dtype is None:
-            held = getattr(data, "dtype", None)
-            dtype = held if held in (np.float32, np.float64) else _default_dtype
+                 name: str | None = None):
+        held = getattr(data, "dtype", None)
+        dtype = held if held in (np.float32, np.float64) else _default_dtype
         self.data = np.ascontiguousarray(np.asarray(data, dtype=dtype))
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
@@ -94,8 +93,8 @@ class Tensor:
         return add(self, other)
 
 
-def constant(data, dtype=None) -> Tensor:
-    return Tensor(data, requires_grad=False, dtype=dtype)
+def constant(data) -> Tensor:
+    return Tensor(data, requires_grad=False)
 
 
 class Tape:

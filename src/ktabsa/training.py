@@ -36,6 +36,9 @@ from .tensor import (ConfigError, Tape, Tensor, cross_entropy_rows, record,
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# central-difference step and relative-error bound of every gradient check
+GRADCHECK_STEP = 1e-3
+GRADCHECK_TOL = 1e-3
 
 
 class DivergenceError(ArithmeticError):
@@ -427,13 +430,15 @@ class GradcheckEntry:
     name: str
     shape: tuple[int, ...]
     max_rel_err: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.max_rel_err < GRADCHECK_TOL
 
 
 @dataclass
 class GradcheckReport:
     entries: list[GradcheckEntry]
-    tol: float
 
     @property
     def passed(self) -> bool:
@@ -444,14 +449,14 @@ class GradcheckReport:
         return [e for e in self.entries if not e.passed]
 
 
-def gradcheck_harness(iterations: int = 2, route_iters: int = 2,
-                      seed: int = 5, nonlinearity: str = "sigmoid"):
+def gradcheck_harness():
     """Small float64 model plus one labeled sentence and one document.
 
-    The harness defaults to the sigmoid nonlinearity: central differences at
-    the mandated 1e-3 step are meaningless across a relu kink, and with a few
-    hundred relu sites some preactivation always sits within a step of zero.
-    relu's backward rule is finite-difference-checked at the op level instead.
+    The harness uses the sigmoid nonlinearity: central differences at
+    :data:`GRADCHECK_STEP` are meaningless across a relu kink, and with a
+    few hundred relu sites some preactivation always sits within a step of
+    zero. relu's backward rule is finite-difference-checked at the op level
+    instead.
     """
     from .data import (DEFAULT_SCHEMES, Document, Sentence,
                        assign_embedding_ids, random_embeddings)
@@ -459,12 +464,11 @@ def gradcheck_harness(iterations: int = 2, route_iters: int = 2,
 
     config = ModelConfig(
         d_general=5, d_domain=3, d_enc=8, d_task=8, d_route=6,
-        kernel_widths=(3,), task_depth=1, nonlinearity=nonlinearity,
-        dropout=0.0, iterations=iterations, route_iters=route_iters,
-        seed=seed)
+        kernel_widths=(3,), task_depth=1, nonlinearity="sigmoid",
+        dropout=0.0, iterations=2, route_iters=2, seed=5)
     config.validate()
     words = ["the", "battery", "is", "great", "awful", "service"]
-    rng = np.random.default_rng(seed + 101)
+    rng = np.random.default_rng(config.seed + 101)
     general = random_embeddings(words, config.d_general, rng)
     domain = random_embeddings(words, config.d_domain, rng)
     adjacency = np.eye(4, dtype=np.float32)
@@ -484,8 +488,8 @@ def gradcheck_harness(iterations: int = 2, route_iters: int = 2,
 
 
 def model_gradcheck(model: AbsaModel, sentences: Sequence[Sentence],
-                    documents: Sequence[Document] | None = None,
-                    step: float = 1e-3, tol: float = 1e-3) -> GradcheckReport:
+                    documents: Sequence[Document] | None = None
+                    ) -> GradcheckReport:
     """Finite-difference check, per parameter, of the gradient that training
     accumulates for the batch sentence loss (and, when documents are given,
     the batch document loss): both sides run :func:`batch_aspect_loss` and
@@ -494,17 +498,15 @@ def model_gradcheck(model: AbsaModel, sentences: Sequence[Sentence],
     losses = [lambda: batch_aspect_loss(model, sentences, None)]
     if documents:
         losses.append(lambda: batch_document_loss(model, documents, None))
-    reports = [_gradcheck(loss, params, step, tol) for loss in losses]
-    merged = []
-    for entries in zip(*(r.entries for r in reports)):
-        worst = max(e.max_rel_err for e in entries)
-        merged.append(GradcheckEntry(entries[0].name, entries[0].shape, worst,
-                                     worst < tol))
-    return GradcheckReport(merged, tol)
+    reports = [_gradcheck(loss, params) for loss in losses]
+    return GradcheckReport([
+        GradcheckEntry(entries[0].name, entries[0].shape,
+                       max(e.max_rel_err for e in entries))
+        for entries in zip(*(r.entries for r in reports))])
 
 
-def _gradcheck(loss: Callable[[], float], params: dict[str, Tensor],
-               step: float, tol: float) -> GradcheckReport:
+def _gradcheck(loss: Callable[[], float], params: dict[str, Tensor]
+               ) -> GradcheckReport:
     """Compare the gradient ``loss()`` accumulates into the parameters'
     ``.grad`` against central differences of the value it returns.
 
@@ -534,18 +536,17 @@ def _gradcheck(loss: Callable[[], float], params: dict[str, Tensor],
             worst = 0.0
             for i in range(flat.size):
                 orig = flat[i]
-                flat[i] = orig + step
+                flat[i] = orig + GRADCHECK_STEP
                 hi = loss()
-                flat[i] = orig - step
+                flat[i] = orig - GRADCHECK_STEP
                 lo = loss()
                 flat[i] = orig
-                numeric = (hi - lo) / (2.0 * step)
+                numeric = (hi - lo) / (2.0 * GRADCHECK_STEP)
                 a = analytic[name].reshape(-1)[i]
                 err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-6)
                 worst = max(worst, err)
-            entries.append(GradcheckEntry(name, tuple(p.shape), worst,
-                                          worst < tol))
+            entries.append(GradcheckEntry(name, tuple(p.shape), worst))
     finally:
         for p in frozen:
             p.requires_grad = True
-    return GradcheckReport(entries, tol)
+    return GradcheckReport(entries)

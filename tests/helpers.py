@@ -151,10 +151,10 @@ def failing_disk(nth_write: int = 3):
         yield
 
 
-def gradcheck(build_loss, params: dict, step: float = 1e-3,
-              tol: float = 1e-3):
+def gradcheck(build_loss, params: dict):
     """Check the analytic gradients of the loss ``build_loss()`` records
-    against central finite differences, per parameter; ``build_loss`` must
+    against central finite differences, per parameter, at
+    ``training.GRADCHECK_STEP`` and ``GRADCHECK_TOL``; ``build_loss`` must
     be a deterministic pure function of the float64 ``params``."""
     def backprop() -> float:
         tape = T.Tape()
@@ -163,7 +163,7 @@ def gradcheck(build_loss, params: dict, step: float = 1e-3,
         tape.backward(loss)
         return loss.item()
 
-    return _gradcheck(backprop, params, step, tol)
+    return _gradcheck(backprop, params)
 
 
 def worst(report) -> float:
@@ -191,7 +191,7 @@ def per_direction_forward(model, sentences, keep=None, keep_trace=False):
     cfg = model.config
     n = sentences[0].n
     state, doc = model.initial_state(sentences, keep)
-    q = {name: routing.target_votes(d, model.pe, n)
+    q = {name: routing.target_votes(d, n)
          for name, d in model.routes.items()}
     adjacency = np.stack([s.adjacency for s in sentences]).astype(
         model.emb_general.dtype)
@@ -201,7 +201,7 @@ def per_direction_forward(model, sentences, keep=None, keep_trace=False):
         for target in ASPECT_TASKS:
             for src in cfg.sources_into(target):
                 d = model.routes[f"{src}->{target}"]
-                r = routing.predict_vectors(state.hidden[src], d, model.pe)
+                r = routing.predict_vectors(state.hidden[src], d)
                 v, kept = routing.route(r, q[d.name], adjacency,
                                         cfg.route_iters)
                 routed[d.name] = v

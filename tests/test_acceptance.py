@@ -20,7 +20,8 @@ from ktabsa.metrics import asc_scores, evaluate, span_f1
 from ktabsa.model import AbsaModel, ModelConfig, apply_ablation
 from ktabsa.routing import positional_encoding, route, squash
 from ktabsa.synth import SynthSpec, write_synthetic
-from ktabsa.training import Schedule, aspect_loss, fit, gradcheck_harness
+from ktabsa.training import (GRADCHECK_STEP, GRADCHECK_TOL, Schedule,
+                             aspect_loss, fit, gradcheck_harness)
 
 from fixtures import build_tiny_model, tiny_config
 from helpers import (corpus_stats, gradcheck, param_shapes, read_predictions,
@@ -39,15 +40,17 @@ def ok(name: str, detail: str = "") -> None:
 def test_gradient_suite_full_model():
     """End-to-end FD check: 4-token sentence, T=2, iter=2, 64-bit, step 1e-3,
     100% of parameters under 1e-3 relative error, within 60 s."""
-    model, sentence, _doc = gradcheck_harness(iterations=2, route_iters=2)
+    model, sentence, _doc = gradcheck_harness()
     assert sentence.n == 4
+    assert model.config.iterations == model.config.route_iters == 2
+    assert GRADCHECK_STEP == GRADCHECK_TOL == 1e-3
     def sentence_loss():
         states, _ = model.forward([sentence])
         return aspect_loss(states, [sentence], model.config)
 
     params = model.named_parameters()
     t0 = time.time()
-    report = gradcheck(sentence_loss, params, step=1e-3, tol=1e-3)
+    report = gradcheck(sentence_loss, params)
     elapsed = time.time() - t0
     n_params = sum(p.size for p in params.values())
     assert report.passed, [(e.name, e.max_rel_err) for e in report.failures]

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -407,9 +408,7 @@ def test_invalid_schedule_or_widths_exit_2(synth_dir, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("argv", [
-    ("train", "--seed", "-1"), ("gradcheck", "--seed", "-300"),
-    ("gradcheck", "--step", "0"), ("gradcheck", "--step", "inf"),
-    ("gradcheck", "--tol", "0"), ("gen-synth", "--seed", "-1"),
+    ("train", "--seed", "-1"), ("gen-synth", "--seed", "-1"),
     ("gen-synth", "--documents", "-1")], ids=" ".join)
 def test_bad_number_exit_2(synth_dir, tmp_path, capsys, argv):
     command, *flags = argv
@@ -430,6 +429,49 @@ def test_config_file_not_utf8_exit_2(tmp_path, capsys):
     assert run_cli("train", "--config", str(cfg)) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "latin1.cfg" in err
+
+
+def test_trace_negative_limit_exit_2(synth_dir, tiny_checkpoint, tmp_path,
+                                     capsys):
+    out = tmp_path / "traces"
+    code = run_cli("trace", "--checkpoint", tiny_checkpoint, "--corpus",
+                   os.path.join(synth_dir, "test.tsv"), "--direction",
+                   "ote->asc", "--out", str(out), "--limit", "-3")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and "--limit" in err
+    assert not out.exists()
+
+
+def test_eval_non_finite_checkpoint_value_exit_3(synth_dir, tiny_checkpoint,
+                                                 capsys):
+    raw = bytearray(open(tiny_checkpoint, "rb").read())
+    (hlen,) = struct.unpack("<Q", raw[7:15])
+    header = json.loads(raw[15:15 + hlen])
+    entry, = [m for m in header["manifest"] if m["name"] == "emb.general"]
+    at = 15 + hlen + entry["offset"] + 4 * 3        # its fourth float
+    for bad in (np.nan, np.inf, -np.inf):
+        raw[at:at + 4] = np.float32(bad).astype("<f4").tobytes()
+        with open(tiny_checkpoint, "wb") as f:
+            f.write(raw)
+        code = run_cli("eval", "--checkpoint", tiny_checkpoint, "--corpus",
+                       os.path.join(synth_dir, "test.tsv"))
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("data error:")
+        assert "emb.general" in captured.err
+        assert "non-finite" in captured.err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--step", "1e-4"), ("--tol", "1e-2"), ("--iterations", "3"),
+    ("--route-iters", "3"), ("--seed", "5"), ("--nonlinearity", "relu")])
+def test_gradcheck_takes_no_options(capsys, flag, value):
+    with pytest.raises(SystemExit) as exit_:
+        run_cli("gradcheck", flag, value)
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "unrecognized arguments" in err
 
 
 def test_gradcheck_cli_passes_and_corruption_fails(capsys):

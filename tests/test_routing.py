@@ -87,30 +87,27 @@ def test_pe_odd_dimension_rejected():
 
 
 def make_direction(d_task, d_route, rng, name=("ote", "asc")):
-    w = T.Tensor(rng.normal(size=(d_task, d_route)), requires_grad=True,
-                 dtype=np.float64)
+    w = T.Tensor(rng.normal(size=(d_task, d_route)), requires_grad=True)
     return R.TransferDirection(name[0], name[1], w)
 
 
 def test_predict_vectors_zero_weight():
     rng = np.random.default_rng(0)
     with T.use_dtype(np.float64):
-        pe = R.PositionalEncoding(6)
         d = R.TransferDirection("ate", "asc", T.constant(np.zeros((6, 4))))
         h = T.constant(rng.normal(size=(3, 6)))
-        r, q = R.predict_vectors(h, d, pe), R.target_votes(d, pe, 3)
+        r, q = R.predict_vectors(h, d), R.target_votes(d, 3)
     assert not r.data.any() and not q.data.any()
 
 
 def test_predict_vectors_varies_with_target_only_through_pe():
     rng = np.random.default_rng(1)
     with T.use_dtype(np.float64):
-        pe = R.PositionalEncoding(6)
         direction = make_direction(6, 4, rng)
         h = T.constant(rng.normal(size=(4, 6)))
-        r = R.predict_vectors(h, direction, pe)
-        q = R.target_votes(direction, pe, 4)
-        table = pe.prefix(4).data
+        r = R.predict_vectors(h, direction)
+        q = R.target_votes(direction, 4)
+        table = R.positional_encoding(4, 6)
         w = direction.weight.data
         pw = table @ w
     np.testing.assert_allclose(r.data, (h.data + table) @ w, atol=1e-12)
@@ -127,12 +124,11 @@ def test_predict_vectors_varies_with_target_only_through_pe():
 def test_predict_vectors_zero_hidden_is_pe_sum():
     rng = np.random.default_rng(2)
     with T.use_dtype(np.float64):
-        pe = R.PositionalEncoding(6)
         direction = make_direction(6, 4, rng)
         h = T.constant(np.zeros((3, 6)))
-        r = R.predict_vectors(h, direction, pe)
-        q = R.target_votes(direction, pe, 3)
-        table = pe.prefix(3).data
+        r = R.predict_vectors(h, direction)
+        q = R.target_votes(direction, 3)
+        table = R.positional_encoding(3, 6)
     u = materialize(r.data, q.data)
     for i in range(3):
         for j in range(3):
@@ -141,20 +137,61 @@ def test_predict_vectors_zero_hidden_is_pe_sum():
 
 
 def test_predict_vectors_beyond_max_len():
-    # encodings are computed per length on first use, with no length cap;
-    # each row depends only on its position, so every table is a prefix of
-    # any longer one, bit for bit
+    # encodings are computed per length on first use, with no length cap
     with T.use_dtype(np.float64):
-        pe = R.PositionalEncoding(4)
         direction = make_direction(4, 3, np.random.default_rng(3))
         h = T.constant(np.zeros((200, 4)))
-        r = R.predict_vectors(h, direction, pe)
-        q = R.target_votes(direction, pe, 200)
+        r = R.predict_vectors(h, direction)
+        q = R.target_votes(direction, 200)
     assert r.shape == q.shape == (200, 3)
-    long = R.positional_encoding(300, 4)
-    for n in (1, 7, 64, 200):
-        np.testing.assert_array_equal(pe.prefix(n).data, long[:n])
-    assert pe.prefix(200) is pe.prefix(200)   # cached per length
+
+
+def test_encoding_table_is_cached_per_length_width_and_dtype():
+    f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
+    for n, d in ((1, 4), (7, 4), (200, 4), (12, 6)):
+        for dtype in (f32, f64):
+            table = R._encoding(n, d, dtype)
+            assert R._encoding(n, d, dtype) is table
+            assert table.shape == (n, d) and table.dtype == dtype
+    assert R._encoding(7, 4, f32) is not R._encoding(7, 4, f64)
+    assert R._encoding(7, 4, f32) is not R._encoding(7, 6, f32)
+
+
+def test_encoding_tables_of_float32_and_float64_callers_are_apart():
+    rng = np.random.default_rng(3)
+    h32 = T.constant(rng.normal(size=(5, 4)).astype(np.float32))
+    h64 = T.constant(h32.data.astype(np.float64))
+    d32 = R.TransferDirection("ate", "asc", T.constant(
+        rng.normal(size=(4, 3)).astype(np.float32)))
+    d64 = R.TransferDirection("ate", "asc", T.constant(
+        d32.weight.data.astype(np.float64)))
+    for h, d in ((h32, d32), (h64, d64), (h32, d32)):
+        r, q = R.predict_vectors(h, d), R.target_votes(d, 5)
+        assert r.dtype == q.dtype == h.dtype
+        table = R._encoding(5, 4, h.dtype)
+        np.testing.assert_array_equal(
+            q.data, table.data @ d.weight.data)
+        np.testing.assert_array_equal(
+            table.data, R.positional_encoding(5, 4).astype(h.dtype))
+    assert R._encoding(5, 4, h32.dtype) is not R._encoding(5, 4, h64.dtype)
+
+
+def test_encoding_table_is_a_prefix_of_any_longer_one():
+    # each row depends only on its position, so every table is the first
+    # rows of any longer one, bit for bit, in either dtype
+    for dtype in (np.dtype(np.float32), np.dtype(np.float64)):
+        long = R._encoding(300, 8, dtype).data
+        for n in (1, 7, 64, 200, 299):
+            np.testing.assert_array_equal(R._encoding(n, 8, dtype).data,
+                                          long[:n])
+
+
+def test_weight_of_the_wrong_width_is_a_shape_error():
+    with T.use_dtype(np.float64):
+        direction = make_direction(6, 3, np.random.default_rng(4))
+        h = T.constant(np.zeros((5, 4)))
+        with pytest.raises(T.ShapeError):
+            R.predict_vectors(h, direction)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +370,7 @@ def test_route_gradients_through_unrolled_loop():
     # iterations
     rng = np.random.default_rng(12)
     n, d = 3, 2
-    zero_q = T.constant(np.zeros((n, d)), dtype=np.float64)
+    zero_q = T.constant(np.zeros((n, d)))
     for lead in ((), (1,), (2,), (3,)):
         adjacency = (rng.random(lead + (n, n)) < 0.4).astype(np.float64)
         for iters in (1, 2, 3, 4):
@@ -440,10 +477,9 @@ def test_route_end_to_end_gradients_with_predict_vectors():
     probe = rng.normal(size=(n, d_route))
 
     def build(ts):
-        pe = R.PositionalEncoding(d_task)
         direction = R.TransferDirection("ote", "asc", ts[1])
-        r = R.predict_vectors(ts[0], direction, pe)
-        v, _ = R.route(r, R.target_votes(direction, pe, n), adjacency, 2)
+        r = R.predict_vectors(ts[0], direction)
+        v, _ = R.route(r, R.target_votes(direction, n), adjacency, 2)
         return weighted_sum(v, probe)
 
     check_op_grads(build, [rng.normal(size=(n, d_task)),
@@ -506,17 +542,16 @@ def test_routing_tape_never_holds_pairwise_vote_tensor():
     rng = np.random.default_rng(16)
     n, d_task, d_route = 128, 64, 32
     limit = max(n * n, n * d_route)
-    pe = R.PositionalEncoding(d_task)
-    direction = R.TransferDirection(
-        "ate", "asc", T.Tensor(rng.normal(size=(d_task, d_route)) * 0.1,
-                               requires_grad=True, dtype=np.float32))
+    direction = R.TransferDirection("ate", "asc", T.Tensor(
+        (rng.normal(size=(d_task, d_route)) * 0.1).astype(np.float32),
+        requires_grad=True))
     h = T.Tensor(rng.normal(size=(n, d_task)).astype(np.float32),
                  requires_grad=True)
     adjacency = np.eye(n)
     tape = T.Tape()
     with T.record(tape):
-        r = R.predict_vectors(h, direction, pe)
-        v, _ = R.route(r, R.target_votes(direction, pe, n), adjacency, 3)
+        r = R.predict_vectors(h, direction)
+        v, _ = R.route(r, R.target_votes(direction, n), adjacency, 3)
         loss = weighted_sum(v)
     recorded = max(node[0].size for node in tape.nodes)
     assert recorded <= limit, f"tape output of {recorded} elements"

@@ -293,7 +293,7 @@ def test_adam_step_matches_reference():
     # Adam keeps its moments in float32, so the reference does too
     rng = np.random.default_rng(18)
     theta = rng.normal(size=5).astype(np.float64)
-    p = T.Tensor(theta.copy(), requires_grad=True, dtype=np.float64)
+    p = T.Tensor(theta.copy(), requires_grad=True)
     opt = Adam({"p": p}, lr=1e-2)
     rm = np.zeros(5, dtype=np.float32)
     rv = np.zeros(5, dtype=np.float32)
