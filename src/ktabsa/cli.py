@@ -205,8 +205,8 @@ def cmd_trace(args) -> int:
     assign_embedding_ids(sentences, model.general_table, model.domain_table)
     os.makedirs(args.out, exist_ok=True)
     for chunk in length_chunks(sentences):
-        _states, traces = model.forward([sentences[i] for i in chunk],
-                                        keep_trace=True)
+        _states, traces = model.checked_forward(sentences, chunk,
+                                                keep_trace=True)
         # round 1's routing for the direction, per sentence in chunk order
         chosen = [trace for trace in traces
                   if trace.round == 1 and trace.direction == args.direction]

@@ -1,7 +1,11 @@
 """Shared encoder, task-specific stacks, attention pooling, token decoders.
 
-Every layer maps a group of equal-length sentences, [G, n, d], at once; the
-encoder, task stacks and decoders also take a single [n, d] sentence.
+Every layer maps a group of equal-length sentences, [G, n, d], at once.
+:class:`TaskStack` and :class:`TokenDecoder` carry their tasks as a leading
+axis, [k, G, n, d], through grouped ops that stack the per-task parameters
+inside the op, so names and checkpoints stay per task. Each layer's
+``__call__`` runs it as a unit, which is what a caller timing the layers
+wraps (see :mod:`ktabsa.model`).
 """
 
 from __future__ import annotations
@@ -9,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .tensor import (ConfigError, Tensor, concat, conv1d, default_dtype,
-                     fully_connected, matmul, relu, reshape, sigmoid,
-                     softmax)
+                     fully_connected, grouped_affine, grouped_conv1d, matmul,
+                     relu, reshape, sigmoid, softmax)
 
 NONLINEARITIES = {"relu": relu, "sigmoid": sigmoid}
 
@@ -60,9 +64,6 @@ class ConvLayer:
         self.kernel = params.glorot(f"{name}.kernel", (width, d_in, d_out))
         self.bias = params.zeros(f"{name}.bias", d_out)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return conv1d(x, self.kernel, self.bias)
-
 
 class SharedEncoder:
     """Multi-width convolution bank over the embedded sentence.
@@ -84,24 +85,29 @@ class SharedEncoder:
                       for w in widths]
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.nonlin(concat([bank(x) for bank in self.banks], axis=-1))
+        return self.nonlin(concat([conv1d(x, bank.kernel, bank.bias)
+                                   for bank in self.banks], axis=-1))
 
 
 class TaskStack:
-    """Task-specific convolution stack; parameters are never shared across
-    tasks."""
+    """Task-specific convolution stacks, one grouped convolution per layer
+    over the tasks; parameters are never shared across tasks."""
 
     def __init__(self, params: Params, d_in: int, d_out: int, depth: int,
-                 nonlinearity: str, name: str):
+                 nonlinearity: str, tasks: tuple[str, ...]):
         if depth < 1:
             raise ConfigError(f"task stack depth must be >= 1, got {depth}")
         self.nonlin = NONLINEARITIES[nonlinearity]
-        self.layers = [ConvLayer(params, 3, d_in if k == 0 else d_out, d_out,
-                                 f"{name}.{k}") for k in range(depth)]
+        self.layers = {task: [ConvLayer(params, 3, d_in if k == 0 else d_out,
+                                        d_out, f"task.{task}.{k}")
+                              for k in range(depth)] for task in tasks}
 
-    def __call__(self, x: Tensor) -> Tensor:
-        for layer in self.layers:
-            x = self.nonlin(layer(x))
+    def __call__(self, x: Tensor, tasks: tuple[str, ...]) -> Tensor:
+        """Hidden states [len(tasks), G, n, d_out] of ``tasks``, in that
+        order, over the shared encoding x [G, n, d_in]."""
+        for layers in zip(*(self.layers[task] for task in tasks)):
+            x = self.nonlin(grouped_conv1d(x, [c.kernel for c in layers],
+                                           [c.bias for c in layers]))
         return x
 
 
@@ -124,11 +130,17 @@ class AttentionHead:
 
 
 class TokenDecoder:
-    """Per-token affine + softmax over the task's tag inventory."""
+    """Per-token affine + softmax over each task's tag inventory."""
 
-    def __init__(self, params: Params, d: int, classes: int, name: str):
-        self.map = Affine(params, d, classes, name)
+    def __init__(self, params: Params, d: int, classes: int,
+                 tasks: tuple[str, ...]):
+        self.maps = {task: Affine(params, d, classes, f"dec.{task}")
+                     for task in tasks}
 
     def __call__(self, h: Tensor) -> tuple[Tensor, Tensor]:
-        logits = self.map(h)
+        """Logits and distributions [k, G, n, C] of h [k, G, n, d], row i
+        the i-th task's."""
+        maps = list(self.maps.values())
+        logits = grouped_affine([[(h, i)] for i in range(len(maps))],
+                                [m.w for m in maps], [m.b for m in maps])
         return logits, softmax(logits, axis=-1)

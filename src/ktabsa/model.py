@@ -13,8 +13,25 @@ document-sentiment knowledge only into token sentiment classification.
 :meth:`ModelConfig.doc_inputs` is the one table of this wiring, the
 ``coarse`` ablation's merged form included. The document-task
 representations themselves do not iterate, so a forward builds their
-[G, n, ·] signals once, together with the routing prior and the route
-plan, and every round reuses them.
+signals once, together with the routing prior and the route plan, and
+every round reuses them.
+
+The tasks are an axis, not a loop: the five task stacks run as one
+[5, G, n, d] stack, and the three token-level tasks stay [3, G, n, ·] from
+there to the loss. A round computes the votes of every direction in one
+:func:`predict_vectors` call (each direction reads its source's row),
+routes them in the route plan's target-major order, and projects, fuses
+and decodes the three targets in one grouped affine map each, whose
+per-task weights and narrower inputs are zero-padded to the widest. The
+per-task parameters, their names and the checkpoint do not change.
+
+The layers and the round are called as units that a tracer can wrap:
+:class:`layers.SharedEncoder`, :class:`layers.TaskStack`,
+:class:`layers.AttentionHead` and :class:`layers.TokenDecoder` once per
+forward or round, :meth:`AbsaModel.transfer_and_aggregate` once per round,
+and :func:`predict_vectors` and :func:`route` through this module's names.
+A round calls :func:`predict_vectors` (its second positional argument a
+:class:`routing.TransferDirection`) before its first :func:`route` call.
 
 Training and inference share one chunking rule, :func:`data.length_chunks`:
 a forward runs a chunk of at most COUPLING_BUDGET // n^2 sentences of a
@@ -47,10 +64,10 @@ from .data import (DEFAULT_SCHEMES, Document, EmbeddingTable, Sentence,
                    extract_spans, length_chunks)
 from .routing import (RoutingState, RoutingTrace, TransferDirection,
                       directions_per_call, predict_vectors, route,
-                      target_votes)
-from .tensor import (ConfigError, Tensor, add, concat, constant,
+                      routing_prior, target_votes)
+from .tensor import (ConfigError, DivergenceError, Tensor, concat,
                      default_dtype, dropout, dropout_keep, embedding_lookup,
-                     reshape, select, softmax)
+                     grouped_affine, reshape, select, softmax)
 
 ASPECT_TASKS = ("ate", "ote", "asc")
 DOC_TASKS = ("ddc", "dsc")
@@ -209,10 +226,13 @@ def apply_ablation(config: ModelConfig, name: str) -> ModelConfig:
 
 @dataclass
 class IterationState:
+    """Round t's hidden states, tag logits and tag distributions of the
+    aspect tasks, each stacked [3, G, n, ·] in :data:`ASPECT_TASKS` order."""
+
     t: int
-    hidden: dict[str, Tensor]
-    logits: dict[str, Tensor]
-    probs: dict[str, Tensor]
+    hidden: Tensor
+    logits: Tensor
+    probs: Tensor
 
 
 @dataclass
@@ -233,13 +253,6 @@ def majority_sentiment(labels: list[int]) -> int:
         if lab in tied:
             return lab
     raise AssertionError("unreachable: labels nonempty")
-
-
-def _broadcast_rows(rows: Tensor, n: int) -> Tensor:
-    """Tile per-item rows [G, k] to [G, n, k] differentiably."""
-    g, k = rows.shape
-    zeros = constant(np.zeros((n, 1), dtype=rows.dtype))
-    return add(zeros, reshape(rows, (g, 1, k)))
 
 
 class AbsaModel:
@@ -270,13 +283,11 @@ class AbsaModel:
         self.encoder = L.SharedEncoder(params, d_emb, config.d_enc,
                                        config.kernel_widths,
                                        config.nonlinearity)
-        self.stacks = {task: L.TaskStack(params, config.d_enc, config.d_task,
-                                         config.task_depth,
-                                         config.nonlinearity, f"task.{task}")
-                       for task in ASPECT_TASKS + DOC_TASKS}
-        self.decoders = {task: L.TokenDecoder(params, config.d_task, c1,
-                                              f"dec.{task}")
-                         for task in ASPECT_TASKS}
+        self.stacks = L.TaskStack(params, config.d_enc, config.d_task,
+                                  config.task_depth, config.nonlinearity,
+                                  ASPECT_TASKS + DOC_TASKS)
+        self.decoders = L.TokenDecoder(params, config.d_task, c1,
+                                       ASPECT_TASKS)
         self.heads = {s: L.AttentionHead(params, config.d_task,
                                          schemes.doc_classes(s), f"doc.{s}")
                       for s in DOC_TASKS}
@@ -288,7 +299,17 @@ class AbsaModel:
             src, tgt = name.split("->")
             w = params.glorot(f"route.{src}_to_{tgt}.w",
                               (config.d_task, config.d_route))
-            self.routes[name] = TransferDirection(src, tgt, w)
+            self.routes[name] = TransferDirection(src, tgt, w,
+                                                  ASPECT_TASKS.index(src))
+        # the directions of a round grouped by target: the route plan's
+        # order, and the order of the votes and of the routed vectors
+        self.order = [self.routes[f"{src}->{target}"]
+                      for target in ASPECT_TASKS
+                      for src in config.sources_into(target)]
+        # the targets that fuse knowledge, each with the rows of ``order``
+        # routed into it
+        self.into = {t: [k for k, d in enumerate(self.order) if d.target == t]
+                     for t in ASPECT_TASKS if config.receives_knowledge(t)}
 
         self.proj: dict[str, L.Affine] = {}
         self.fuse: dict[str, L.Affine] = {}
@@ -371,20 +392,21 @@ class AbsaModel:
                 ) -> tuple[list[IterationState], list[RoutingTrace]]:
         """Run T aggregation rounds over a group of equal-length sentences.
 
-        Returns T+1 states, whose tensors are [G, n, ·], and, if
+        Returns T+1 states, whose tensors are [3, G, n, ·], and, if
         ``keep_trace``, the routing traces by round, direction and sentence.
         ``keep`` (from :meth:`draw_dropout`) applies training dropout. The
-        document signals, the routing prior and the route plan with its
-        target votes q are built once and serve every round."""
+        document signals, the routing prior (:func:`routing.routing_prior`)
+        and the route plan with its target votes q are built once and serve
+        every round."""
         state, doc = self.initial_state(sentences, keep)
-        adjacency = np.stack([s.adjacency for s in sentences]).astype(
-            self.emb_general.dtype, copy=False)
+        prior = routing_prior(np.stack([s.adjacency for s in sentences]),
+                              self.emb_general.dtype)
         plan = self.route_plan(len(sentences), sentences[0].n)
         states = [state]
         traces: list[RoutingTrace] = []
         for _ in range(self.config.iterations):
             state = self.transfer_and_aggregate(
-                state, doc, adjacency, plan, traces if keep_trace else None)
+                state, doc, prior, plan, traces if keep_trace else None)
             states.append(state)
         return states, traces
 
@@ -394,131 +416,146 @@ class AbsaModel:
         """Round 0 (the task stacks' hidden vectors and their decodes) and
         the document signals that every later round fuses, keyed as in
         :meth:`ModelConfig.doc_inputs`: an attention weight [G, n, 1] per
-        token, or the document's label distribution [G, n, C] repeated at
-        every token. Only the signals some target fuses are built."""
+        token, or the document's label distribution [G, 1, C], which the
+        fusion repeats at every token. Only the signals some target fuses
+        are built, and the aspect stacks run with the document stacks they
+        need as one [k, G, n, d] :class:`layers.TaskStack` call."""
         shared = self._shared(sentences, keep)
-        hidden = {task: self.stacks[task](shared) for task in ASPECT_TASKS}
-        g, n = shared.shape[:2]
         wanted = dict.fromkeys(signal for target in ASPECT_TASKS
                                for signal in self.config.doc_inputs(target))
-        heads = {s: self._doc_head(s, shared) for s in DOC_TASKS
-                 if any(signal.startswith(f"{s}.") for signal in wanted)}
+        docs = tuple(s for s in DOC_TASKS
+                     if any(signal.startswith(f"{s}.") for signal in wanted))
+        hidden = self.stacks(shared, ASPECT_TASKS + docs)
+        g, n = shared.shape[:2]
+        heads = {s: self.heads[s](select(hidden, len(ASPECT_TASKS) + k))
+                 for k, s in enumerate(docs)}
         doc = {}
         for signal in wanted:
             task, _, kind = signal.partition(".")
             a, _vec, logits = heads[task]
             doc[signal] = (reshape(a, (g, n, 1)) if kind == "attn" else
-                           _broadcast_rows(softmax(logits, axis=-1), n))
-        return self._decode_state(0, hidden, None), doc
-
-    def _doc_head(self, task: str, shared: Tensor
-                  ) -> tuple[Tensor, Tensor, Tensor]:
-        """A document task's stack and attention head on the shared
-        encoding: attention weights [G, n], pooled vectors [G, d_task] and
-        logits [G, C]."""
-        return self.heads[task](self.stacks[task](shared))
-
-    def _decode_state(self, t, hidden, prev: IterationState | None
-                      ) -> IterationState:
-        logits, probs = {}, {}
-        for task in ASPECT_TASKS:
-            if prev is not None and hidden[task] is prev.hidden[task]:
-                logits[task] = prev.logits[task]   # unchanged hidden: reuse
-                probs[task] = prev.probs[task]
-            else:
-                logits[task], probs[task] = self.decoders[task](hidden[task])
-        return IterationState(t, hidden, logits, probs)
+                           reshape(softmax(logits, axis=-1), (g, 1, -1)))
+        if docs:
+            hidden = select(hidden, slice(0, len(ASPECT_TASKS)))
+        return IterationState(0, hidden, *self.decoders(hidden)), doc
 
     def route_plan(self, g: int, n: int
                    ) -> list[tuple[list[TransferDirection], Tensor]]:
-        """The enabled directions of a round, grouped by target task, in
-        blocks of at most :func:`directions_per_call` directions; each block
-        comes with its stacked target votes q [k, 1, n, d_route]."""
-        order = [self.routes[f"{src}->{target}"] for target in ASPECT_TASKS
-                 for src in self.config.sources_into(target)]
+        """The enabled directions of a round in :attr:`order`, in blocks of
+        at most :func:`directions_per_call` directions; each block comes
+        with its stacked target votes q [k, 1, n, d_route]."""
+        if not self.order:
+            return []
         size = directions_per_call(g, n)
-        plan = []
-        for start in range(0, len(order), size):
-            block = order[start:start + size]
-            q = concat([target_votes(d, n) for d in block], axis=0)
-            plan.append((block, reshape(q, (len(block), 1, n,
-                                            self.config.d_route))))
-        return plan
+        q = target_votes(n, *self.order)
+        return [(self.order[i:i + size], q if size >= len(self.order)
+                 else select(q, slice(i, i + size)))
+                for i in range(0, len(self.order), size)]
 
     def transfer_and_aggregate(self, state: IterationState,
-                               doc: dict[str, Tensor], adjacency: np.ndarray,
+                               doc: dict[str, Tensor], adjacency,
                                plan: list, traces: list[RoutingTrace] | None
                                ) -> IterationState:
-        """One aggregation round over the group: one :func:`route` call per
-        block of ``plan`` (from :meth:`route_plan`) under the routing prior
-        ``adjacency`` [G, n, n], each trace appended to ``traces`` unless it
-        is None, then :meth:`aggregate` with the document signals ``doc``."""
+        """One aggregation round over the group: the votes of every
+        direction in one :func:`predict_vectors` call, one :func:`route`
+        call per block of ``plan`` (from :meth:`route_plan`) under the
+        routing prior ``adjacency`` ([G, n, n], or its
+        :func:`routing.routing_prior`), each trace appended to ``traces``
+        unless it is None, then :meth:`aggregate` with the document signals
+        ``doc``."""
         cfg = self.config
-        g, n = adjacency.shape[:2]
-        routed: dict[str, Tensor] = {}
+        g = state.hidden.shape[1]
+        routed, start = [], 0
+        if plan:
+            r = predict_vectors(state.hidden, *self.order)
         for block, q in plan:
-            r = concat([predict_vectors(state.hidden[d.source], d)
-                        for d in block], axis=0)
-            v, kept = route(reshape(r, (len(block), g, n, cfg.d_route)), q,
-                            adjacency, cfg.route_iters)
+            v, kept = route(r if len(plan) == 1
+                            else select(r, slice(start, start + len(block))),
+                            q, adjacency, cfg.route_iters)
+            start += len(block)
             if traces is not None:
                 traces += [RoutingTrace(state.t + 1, d.name, [
                     RoutingState(st.c[k, i], st.s[k, i], st.v[k, i])
                     for st in kept]) for k, d in enumerate(block)
                     for i in range(g)]
             del kept    # held past the call, they would raise predict's peak
-            for k, direction in enumerate(block):
-                routed[direction.name] = select(v, k)
-        return self.aggregate(state, routed, doc)
+            routed.append(v)
+        return self.aggregate(state, concat(routed) if routed else None, doc)
 
-    def aggregate(self, state: IterationState, routed: dict[str, Tensor],
+    def aggregate(self, state: IterationState, routed: Tensor | None,
                   doc: dict[str, Tensor]) -> IterationState:
-        """Fuse each target's routed knowledge ``routed[direction name]``
-        [G, n, d_route] with the previous predictions and its document
-        signals ``doc[signal]`` (from :meth:`initial_state`), and
-        re-decode."""
-        cfg = self.config
-        new_hidden: dict[str, Tensor] = {}
-        for target in ASPECT_TASKS:
-            if not cfg.receives_knowledge(target):
-                new_hidden[target] = state.hidden[target]
-                continue
-            srcs = cfg.sources_into(target)
-            h = concat([state.hidden[target]]
-                       + [routed[f"{src}->{target}"] for src in srcs], axis=-1)
-            if srcs:
-                h = self.proj[target](h)
-            fuse_in = ([h, state.probs["ate"], state.probs["ote"],
-                        state.probs["asc"]]
-                       + [doc[signal] for signal in cfg.doc_inputs(target)])
-            fused = self.fuse[target](concat(fuse_in, axis=-1))
-            new_hidden[target] = self.nonlin(fused)
-        return self._decode_state(state.t + 1, new_hidden, state)
+        """Fuse each target's routed knowledge, row k of ``routed`` [k, G, n,
+        d_route] for the k-th direction of :attr:`order`, with the previous
+        predictions and its document signals ``doc[signal]`` (from
+        :meth:`initial_state`), and re-decode.
+
+        The targets are the groups of one grouped affine map for the
+        projection and one for the fusion; a narrower input (fewer sources
+        or document signals) ends in zeros, met by zero weight rows."""
+        cfg, h, into = self.config, state.hidden, self.into
+        fusing = list(into)
+        if not fusing:
+            return dataclasses.replace(state, t=state.t + 1)
+        projected = [t for t in fusing if into[t]]
+        if projected:
+            p = grouped_affine(
+                [[(h, ASPECT_TASKS.index(t))] + [(routed, k) for k in into[t]]
+                 for t in projected], [self.proj[t].w for t in projected],
+                [self.proj[t].b for t in projected])
+        fused = self.nonlin(grouped_affine(
+            [[(p, projected.index(t)) if into[t]
+              else (h, ASPECT_TASKS.index(t))]
+             + [(state.probs, i) for i in range(len(ASPECT_TASKS))]
+             + [(doc[signal], ()) for signal in cfg.doc_inputs(t)]
+             for t in fusing], [self.fuse[t].w for t in fusing],
+            [self.fuse[t].b for t in fusing]))
+        if len(fusing) < len(ASPECT_TASKS):     # the others keep their state
+            fused = select(concat([h, fused]), [
+                len(ASPECT_TASKS) + fusing.index(t) if t in fusing else i
+                for i, t in enumerate(ASPECT_TASKS)])
+        return IterationState(state.t + 1, fused, *self.decoders(fused))
 
     def forward_document(self, docs: Sequence[Document],
                          keep: Sequence[tuple[np.ndarray, np.ndarray]]
                          | None = None) -> dict[str, Tensor]:
         """Document-task logits [G, C] of a group of equal-length documents;
         these do not depend on the iteration loop."""
-        shared = self._shared(docs, keep)
-        return {s: self._doc_head(s, shared)[2] for s in DOC_TASKS}
+        hidden = self.stacks(self._shared(docs, keep), DOC_TASKS)
+        return {s: self.heads[s](select(hidden, k))[2]
+                for k, s in enumerate(DOC_TASKS)}
 
     # -- inference ----------------------------------------------------------
+
+    def checked_forward(self, sentences: Sequence[Sentence],
+                        chunk: Sequence[int], keep_trace: bool = False
+                        ) -> tuple[list[IterationState], list[RoutingTrace]]:
+        """:meth:`forward` of ``sentences[i]`` for i in ``chunk``; a
+        non-finite final distribution (a finite checkpoint can still
+        overflow the forward) raises :class:`DivergenceError` naming the
+        first such sentence's index."""
+        with np.errstate(all="ignore"):     # checked below instead
+            states, traces = self.forward([sentences[i] for i in chunk],
+                                          keep_trace=keep_trace)
+        finite = np.isfinite(states[-1].probs.data).all(axis=(0, 2, 3))
+        if not finite.all():
+            raise DivergenceError(f"non-finite prediction for sentence "
+                                  f"{chunk[int(finite.argmin())]}")
+        return states, traces
 
     def _final_tags(self, sentences: Sequence[Sentence]
                     ) -> list[dict[str, np.ndarray]]:
         """Each sentence's final argmax tags [n] per token-level task, in
-        input order, one forward per chunk of :func:`data.length_chunks`;
-        unindexed sentences are indexed first."""
+        input order, one :meth:`checked_forward` per chunk of
+        :func:`data.length_chunks`; unindexed sentences are indexed
+        first."""
         assign_embedding_ids([s for s in sentences if s.general_ids is None],
                              self.general_table, self.domain_table)
         tags: list = [None] * len(sentences)
         for chunk in length_chunks(sentences):
-            states, _ = self.forward([sentences[i] for i in chunk])
-            best = {task: states[-1].probs[task].data.argmax(axis=-1)
-                    for task in ASPECT_TASKS}
+            states, _ = self.checked_forward(sentences, chunk)
+            best = states[-1].probs.data.argmax(axis=-1)
             for row, i in enumerate(chunk):
-                tags[i] = {task: a[row] for task, a in best.items()}
+                tags[i] = dict(zip(ASPECT_TASKS, best[:, row]))
         return tags
 
     def predict_many(self, sentences: Sequence[Sentence]) -> list[Prediction]:

@@ -17,16 +17,18 @@ part, ``u_hat[i, j] = r[i] + q[j]`` with ``r = (h + PE) W`` and
 Logits and couplings are held target-major, [..., j, i], so the softmax
 reduces axis -2. With r1 = [r | 1], b_t^T = t A^T + [V_t | q . V_t] r1^T,
 and c_t r1 = [c_t r | m_t], m_t the coupling mass into each target, so
-s_t = c_t r + m_t q. c_1 = softmax(A) is computed once, at A's shape.
+s_t = c_t r + m_t q. c_1 = softmax(A) is computed at A's shape by
+:func:`routing_prior`, which a forward calls once for all of its routing.
 
 :func:`route` takes any leading axes. The model routes k transfer
 directions of a group of G equal-length sentences in one call: r, s and v
 are [k, G, n, d_route], q is [k, 1, n, d_route] (it depends only on the
 position and the direction, so the group shares it), and the [G, n, n]
-adjacency and c_1 are shared by the directions. Equal lengths mean there
-is no padding and nothing to mask. The number of targets equals the
-sentence length, so the output is a dynamic-length set of vectors rather
-than a fixed capsule bank.
+adjacency and c_1 are shared by the directions, whose votes
+:func:`predict_vectors` and :func:`target_votes` build in one grouped
+matmul each. Equal lengths mean there is no padding and nothing to mask.
+The number of targets equals the sentence length, so the output is a
+dynamic-length set of vectors rather than a fixed capsule bank.
 
 The loop is one tape node: the forward is plain numpy, and a hand-written
 backward replays the unrolled iterations in reverse, rebuilding V_t from
@@ -47,7 +49,7 @@ from itertools import accumulate
 import numpy as np
 
 from .tensor import (ConfigError, Tensor, _emit, _unbroadcast, add,
-                     constant, matmul)
+                     constant, grouped_affine)
 
 SQUASH_EPS = 1e-9   # guards squash's division at the zero vector
 # Most elements of one stacked [k, G, n, n] coupling array (256 KiB in
@@ -83,11 +85,13 @@ def _encoding(n: int, d_model: int, dtype: np.dtype) -> Tensor:
 
 @dataclass
 class TransferDirection:
-    """One ordered source->target task pair with its projection weight."""
+    """One ordered source->target task pair with its projection weight;
+    ``row`` is the source's row in the hidden states stacked by task."""
 
     source: str
     target: str
     weight: Tensor
+    row: int = 0
 
     @property
     def name(self) -> str:
@@ -115,25 +119,29 @@ class RoutingTrace:
     states: list[RoutingState]
 
 
-def predict_vectors(h_source: Tensor, direction: TransferDirection) -> Tensor:
-    """Source part of the factored votes u_hat[g, i, j] = r[g, i] + q[j].
+def predict_vectors(hidden: Tensor, *directions: TransferDirection) -> Tensor:
+    """Source parts of the factored votes u_hat[g, i, j] = r[g, i] + q[j]
+    of k directions, r [k, ..., n, d_route], in one grouped matmul.
 
-    ``h_source`` is [G, n, d] (or a single [n, d] sentence), and
-    ``r = (h + PE) @ W`` is shaped like h with width d_route; the encodings
-    take h's width and dtype. W is shared across positions; the additive
-    encodings make the votes position-aware.
+    Direction t maps ``r = (h + PE) @ W`` of its source h = ``hidden[t.row]``
+    [..., n, d] by its weight W; the encodings take h's width and dtype. W
+    is shared across positions; the encodings make the votes
+    position-aware.
     """
-    n, d = h_source.shape[-2:]
-    return matmul(add(h_source, _encoding(n, d, h_source.dtype)),
-                  direction.weight)
+    n, d = hidden.shape[-2:]
+    x = add(hidden, _encoding(n, d, hidden.dtype))
+    return grouped_affine([[(x, t.row)] for t in directions],
+                          [t.weight for t in directions])
 
 
-def target_votes(direction: TransferDirection, n: int) -> Tensor:
-    """Target part ``q = PE @ W`` [n, d_route] of the factored votes, with
-    W's input width and dtype; it depends only on n and W, so a forward
-    pass computes it once."""
-    w = direction.weight
-    return matmul(_encoding(n, w.shape[0], w.dtype), w)
+def target_votes(n: int, *directions: TransferDirection) -> Tensor:
+    """Target parts ``q = PE @ W`` [k, 1, n, d_route] of the factored votes
+    of k directions, with W's input width and dtype; they depend only on n
+    and the weights, so a forward pass computes them once."""
+    w = directions[0].weight
+    pe = _encoding(n, w.shape[0], w.dtype)
+    return grouped_affine([[(pe, None)]] * len(directions),
+                          [t.weight for t in directions])
 
 
 def directions_per_call(g: int, n: int) -> int:
@@ -176,6 +184,13 @@ def _target_softmax(logits: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
+def routing_prior(adjacency: np.ndarray, dtype) -> tuple:
+    """The prior as :func:`route` reads it, target-major: the transposed
+    adjacency and c_1 = softmax(A) over the targets."""
+    at = np.ascontiguousarray(adjacency.swapaxes(-1, -2), dtype)
+    return at, _target_softmax(at)
+
+
 def _broadcasts_to(shape: tuple[int, ...], target: tuple[int, ...]) -> bool:
     try:
         return np.broadcast_shapes(shape, target) == target
@@ -183,8 +198,8 @@ def _broadcasts_to(shape: tuple[int, ...], target: tuple[int, ...]) -> bool:
         return False
 
 
-def route(r: Tensor, q: Tensor, adjacency: np.ndarray, iterations: int
-          ) -> tuple[Tensor, list[RoutingState]]:
+def route(r: Tensor, q: Tensor, adjacency: np.ndarray | tuple,
+          iterations: int) -> tuple[Tensor, list[RoutingState]]:
     """Run the agreement loop; return the final target vectors and the
     states its backward reads, one per iteration.
 
@@ -193,8 +208,8 @@ def route(r: Tensor, q: Tensor, adjacency: np.ndarray, iterations: int
     broadcasting against r, as from :func:`predict_vectors` and
     :func:`target_votes` (the model passes r [k, G, n, d], q [k, 1, n, d]).
     ``adjacency`` is the binary dependency prior, broadcasting to the logits
-    ``r.shape[:-1] + (n,)``, copied transposed once per call. The loop is
-    one tape node whose backward runs through every unrolled iteration.
+    ``r.shape[:-1] + (n,)``, or its :func:`routing_prior`. The loop is one
+    tape node whose backward runs through every unrolled iteration.
     """
     if iterations < 1:
         raise ConfigError(f"routing needs at least one iteration, "
@@ -208,14 +223,15 @@ def route(r: Tensor, q: Tensor, adjacency: np.ndarray, iterations: int
         raise ConfigError(f"target votes q must match r's ({n}, {d}) and "
                           f"broadcast to {tuple(r.shape)}, got "
                           f"{tuple(q.shape)}")
-    if not _broadcasts_to(adjacency.shape, logits):
-        raise ConfigError(f"adjacency shape {adjacency.shape} does not "
-                          f"broadcast to the logits {logits}")
     rd, qd = r.data, q.data
-    prior = np.ascontiguousarray(adjacency.swapaxes(-1, -2), rd.dtype)
+    if not isinstance(adjacency, tuple):
+        adjacency = routing_prior(adjacency, rd.dtype)
+    prior, c = adjacency                        # c = c_1, at A's shape
+    if not _broadcasts_to(prior.shape, logits):
+        raise ConfigError(f"adjacency shape {prior.shape} does not "
+                          f"broadcast to the logits {logits}")
     r1 = np.empty(rd.shape[:-1] + (d + 1,), rd.dtype)
     r1[..., :d], r1[..., d] = rd, 1
-    c = _target_softmax(prior)                  # c_1, at A's shape
     states, masses = [], []
     for t in range(iterations):
         if t:                                   # iteration t + 1's logits

@@ -25,6 +25,10 @@ class ConfigError(ValueError):
     """Invalid structural knob: kernel width, dimension, iteration count."""
 
 
+class DivergenceError(ArithmeticError):
+    """A loss, gradient norm or prediction became non-finite."""
+
+
 _default_dtype = np.dtype(np.float32)
 
 
@@ -214,8 +218,9 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _emit(out, fn)
 
 
-def select(a: Tensor, i: int) -> Tensor:
-    """Entry ``a[i]`` of the leading axis, a view of ``a``'s data."""
+def select(a: Tensor, i) -> Tensor:
+    """``a[i]`` for an index that picks no element twice: an int or slice
+    of the leading axis (a view of ``a``'s data) or a permutation."""
     out = Tensor(a.data[i], requires_grad=a.requires_grad)
 
     def fn(g, push):
@@ -298,7 +303,8 @@ def fully_connected(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Same-length 1-d convolution over token sequences.
+    """Same-length 1-d convolution over token sequences, as one group of
+    :func:`grouped_conv1d`.
 
     ``x`` is [n, d_in] or a group [G, n, d_in], ``kernel`` is
     [width, d_in, d_out] with odd width. Each sequence is zero-padded
@@ -316,29 +322,138 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
                          f"{d_in}")
     if bias is not None and bias.shape != (d_out,):
         raise ShapeError(f"conv1d bias shape {tuple(bias.shape)} != ({d_out},)")
-    *lead, n, _ = x.shape
+    bias = bias or constant(np.zeros(d_out, x.dtype))
+    out = grouped_conv1d(x if x.ndim == 3 else reshape(x, (1,) + x.shape),
+                         [kernel], [bias])
+    return reshape(out, x.shape[:-1] + (d_out,))
+
+
+def _stacked(params: Sequence[Tensor], shape: tuple[int, ...]) -> np.ndarray:
+    """The data of k parameters as one array of ``shape`` [k, rows, m]:
+    parameter i, flattened to [r_i, m], fills the first r_i rows of entry
+    i and zeros the rest. A lone parameter comes back as a view."""
+    data = [p.data for p in params]
+    if len(data) == 1:
+        return data[0].reshape(shape)
+    if all([d.size == data[0].size for d in data]):     # nothing to pad
+        return np.array(data).reshape(shape)
+    out = np.zeros(shape, dtype=data[0].dtype)
+    for i, d in enumerate(data):
+        d = d.reshape(-1, shape[-1])
+        out[i, :len(d)] = d
+    return out
+
+
+def _push_rows(push, params: Sequence[Tensor], grads: np.ndarray) -> None:
+    """Push each parameter its rows of the stacked gradient [k, rows, m]."""
+    for p, gp in zip(params, grads):
+        push(p, gp[:p.data.size // gp.shape[-1]].reshape(p.data.shape))
+
+
+def grouped_conv1d(x: Tensor, kernels: Sequence[Tensor],
+                   biases: Sequence[Tensor]) -> Tensor:
+    """k same-length convolutions as one op, [k, G, n, d_out].
+
+    ``x`` is [G, n, d_in], read by every group, or [k, G, n, d_in], whose
+    row i group i reads; kernel i is [w, d_in, d_out] (one odd w for all)
+    with bias i [d_out]. The padded windows of every token (im2col) meet
+    the stacked kernels in one matmul per group over all G*n tokens; the
+    backward rebuilds the windows rather than keep them.
+    """
+    k, (w, d_in, d_out) = len(kernels), kernels[0].data.shape
+    *lead, n, _ = x.data.shape
     pad = w // 2
     xp = np.zeros((*lead, n + w - 1, d_in), dtype=x.dtype)
     xp[..., pad:pad + n, :] = x.data
-    acc = np.zeros((*lead, n, d_out), dtype=x.dtype)
-    for o in range(w):
-        acc += xp[..., o:o + n, :] @ kernel.data[o]
-    if bias is not None:
-        acc += bias.data
-    rg = x.requires_grad or kernel.requires_grad or (
-        bias is not None and bias.requires_grad)
-    out = Tensor(acc, requires_grad=rg)
+
+    def windows() -> np.ndarray:
+        cols = np.empty((*lead, n, w, d_in), dtype=x.dtype)
+        for o in range(w):
+            cols[..., o, :] = xp[..., o:o + n, :]
+        return cols.reshape(*lead[:-1], -1, w * d_in)
+
+    stack = _stacked(kernels, (k, w * d_in, d_out))
+    out = windows() @ stack + _stacked(biases, (k, 1, d_out))
+    out = Tensor(out.reshape(k, lead[-1], n, d_out), requires_grad=any(
+        [t.requires_grad for t in (x, *kernels, *biases)]))
 
     def fn(g, push):
-        dk = np.empty_like(kernel.data)
+        g = g.reshape(k, -1, d_out)
+        _push_rows(push, kernels, windows().swapaxes(-1, -2) @ g)
+        _push_rows(push, biases, g.sum(axis=1, keepdims=True))
         dxp = np.zeros_like(xp)
         for o in range(w):
-            dk[o] = _weight_grad(xp[..., o:o + n, :], g)
-            dxp[..., o:o + n, :] += g @ kernel.data[o].T
-        push(kernel, dk)
+            dx = g @ stack[:, o * d_in:(o + 1) * d_in].swapaxes(-1, -2)
+            dxp[..., o:o + n, :] += (dx.sum(axis=0) if x.ndim == 3 else dx
+                                     ).reshape(*lead, n, d_in)
         push(x, dxp[..., pad:pad + n, :])
-        if bias is not None:
-            push(bias, g.reshape(-1, d_out).sum(axis=0))
+
+    return _emit(out, fn)
+
+
+def grouped_affine(inputs: Sequence[Sequence[tuple[Tensor, object]]],
+                   weights: Sequence[Tensor],
+                   biases: Sequence[Tensor] | None = None) -> Tensor:
+    """k affine maps as one op, [k, ..., m].
+
+    Group i concatenates ``x.data[j]`` of its (x, j) pairs ``inputs[i]``,
+    broadcast to the leading shape of the first, along the last axis (j
+    indexes x's data without picking an element twice: an int of its
+    leading axis, () for all of it) and maps the result by weight i
+    [d_i, m] plus bias i [m]. Narrower groups' inputs end in zeros and
+    their weights in zero rows, so the k maps run as one batched matmul
+    over the rows of every leading axis.
+    """
+    k, m = len(weights), weights[0].data.shape[1]
+    width = max([w.data.shape[0] for w in weights])
+    lead = inputs[0][0][0].data[inputs[0][0][1]].shape[:-1]
+
+    def gather() -> np.ndarray:     # the backward rebuilds it too
+        if all([len(group) == 1 and w.data.shape[0] == width
+                for group, w in zip(inputs, weights)]):
+            xs = np.array([x.data[j] for (x, j), in inputs])
+            if xs.shape == (k, *lead, width):   # one full input a group
+                return xs.reshape(k, -1, width)
+        xs = np.zeros((k, *lead, width), dtype=weights[0].data.dtype)
+        for i in range(k):
+            col = 0
+            for x, j in inputs[i]:
+                part = x.data[j]
+                xs[i, ..., col:col + part.shape[-1]] = part
+                col += part.shape[-1]
+            if col != weights[i].data.shape[0]:
+                raise ShapeError(f"group {i}: {col} input columns for "
+                                 f"weight {weights[i].data.shape}")
+        return xs.reshape(k, -1, width)
+
+    stack = _stacked(weights, (k, width, m))
+    out = gather() @ stack
+    if biases is not None:
+        out += _stacked(biases, (k, 1, m))
+    out = Tensor(out.reshape(k, *lead, m), requires_grad=any(
+        [t.requires_grad for t in (*weights, *(biases or ()))]
+        + [x.requires_grad for group in inputs for x, _ in group]))
+
+    def fn(g, push):
+        g = g.reshape(k, -1, m)
+        _push_rows(push, weights, gather().swapaxes(-1, -2) @ g)
+        if biases is not None:
+            _push_rows(push, biases, g.sum(axis=1, keepdims=True))
+        dx = (g @ stack.swapaxes(-1, -2)).reshape(k, *lead, width)
+        grads: dict[int, tuple[Tensor, np.ndarray]] = {}
+        for i in range(k):
+            col = 0
+            for x, j in inputs[i]:
+                size = x.data.shape[-1]
+                if x.requires_grad:
+                    if id(x) not in grads:
+                        grads[id(x)] = (x, np.zeros_like(x.data))
+                    gx = grads[id(x)][1]
+                    gx[j] += _unbroadcast(dx[i, ..., col:col + size],
+                                          gx[j].shape)
+                col += size
+        for x, gx in grads.values():
+            push(x, gx)
 
     return _emit(out, fn)
 

@@ -30,8 +30,8 @@ from .data import (Document, Sentence, atomic_write, length_chunks,
                    make_batches)
 from .metrics import evaluate
 from .model import ASPECT_TASKS, AbsaModel, IterationState, ModelConfig
-from .tensor import (ConfigError, Tape, Tensor, cross_entropy_rows, record,
-                     scale)
+from .tensor import (ConfigError, DivergenceError, Tape, Tensor,
+                     cross_entropy_rows, record, scale)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -41,10 +41,6 @@ GRADCHECK_STEP = 1e-3
 GRADCHECK_TOL = 1e-3
 
 
-class DivergenceError(ArithmeticError):
-    """Training loss or gradient norm became non-finite."""
-
-
 def aspect_loss(states: Sequence[IterationState],
                 sentences: Sequence[Sentence], config: ModelConfig) -> Tensor:
     """Sum of the per-sentence losses of a group of equal-length sentences.
@@ -52,27 +48,23 @@ def aspect_loss(states: Sequence[IterationState],
     A sentence's loss is the token-averaged cross-entropy per task on the
     final iteration, weighted by ``config.lambda_ate/ote/asc``. The
     sentiment term averages over labeled tokens only and contributes 0 (not
-    NaN) when the sentence has no aspect tokens.
+    NaN) when the sentence has no aspect tokens. The three tasks' logits
+    are stacked, so the loss is one cross-entropy with the lambdas folded
+    into its row weights.
     """
-    final = states[-1]
     n = sentences[0].n
-    ate = np.array([s.ate_gold for s in sentences], dtype=np.int64)
-    ote = np.array([s.ote_gold for s in sentences], dtype=np.int64)
-    asc = np.array([[0 if lab is None else lab for lab in s.asc_gold]
-                    for s in sentences], dtype=np.int64)
+    gold = np.array([[s.ate_gold for s in sentences],
+                     [s.ote_gold for s in sentences],
+                     [[0 if lab is None else lab for lab in s.asc_gold]
+                      for s in sentences]], dtype=np.int64)
     labeled = np.array([[lab is not None for lab in s.asc_gold]
                         for s in sentences], dtype=np.float64)
-    uniform = np.full(ate.shape, 1.0 / n)
-    loss = scale(cross_entropy_rows(final.logits["ate"], ate, uniform),
-                 config.lambda_ate)
-    loss = loss + scale(cross_entropy_rows(final.logits["ote"], ote,
-                                           uniform), config.lambda_ote)
-    if labeled.any():
-        per_token = labeled / np.maximum(labeled.sum(axis=1, keepdims=True),
-                                         1.0)
-        loss = loss + scale(cross_entropy_rows(final.logits["asc"], asc,
-                                               per_token), config.lambda_asc)
-    return loss
+    weights = np.stack([
+        np.full(labeled.shape, config.lambda_ate / n),
+        np.full(labeled.shape, config.lambda_ote / n),
+        config.lambda_asc * labeled
+        / np.maximum(labeled.sum(axis=1, keepdims=True), 1.0)])
+    return cross_entropy_rows(states[-1].logits, gold, weights)
 
 
 def backprop_chunks(items: Sequence, keep: list | None,

@@ -11,7 +11,7 @@ import pytest
 from ktabsa import data, routing
 from ktabsa import tensor as T
 from ktabsa.data import BEGIN, INSIDE, OUTSIDE, extract_spans
-from ktabsa.model import ASPECT_TASKS, Prediction
+from ktabsa.model import ASPECT_TASKS, DOC_TASKS, IterationState, Prediction
 from ktabsa.training import _gradcheck, aspect_loss
 
 
@@ -181,38 +181,80 @@ def squash_ref(s: np.ndarray, eps: float = 1e-9) -> np.ndarray:
     return (r * r) / (1 + r * r) * s / (r + eps)
 
 
-def per_direction_forward(model, sentences, keep=None, keep_trace=False):
-    """Reference for ``AbsaModel.forward`` that routes every transfer
-    direction in a call of its own, r [G, n, d_route] against q
-    [n, d_route], with no direction axis, stacking or slicing. As in the
-    model, q, the routing prior and the document signals are built once per
-    forward and serve every round; round 0 with its document signals and
-    the fusion are the model's own code."""
+def _stacked(parts):
+    """Per-task tensors [G, n, ·] stacked as one [k, G, n, ·] tensor."""
+    return T.concat([T.reshape(p, (1,) + p.shape) for p in parts], axis=0)
+
+
+def per_task_forward(model, sentences, keep=None, keep_trace=False):
+    """Reference for ``AbsaModel.forward`` that runs every task as a chain
+    of its own: one ``conv1d`` per task and layer, one affine map per
+    decoder, projection and fusion, and one ``route`` call per transfer
+    direction, r [G, n, d_route] against q [n, d_route], with no task or
+    direction axis, grouped op, stacking or slicing. Only the embedding and
+    the shared encoder are the model's own code. The states are stacked
+    [3, G, n, ·] at the end of each round, as the model returns them, and
+    the traces come in the model's order: by round, by direction in
+    target-major order, then by sentence."""
     cfg = model.config
-    n = sentences[0].n
-    state, doc = model.initial_state(sentences, keep)
-    q = {name: routing.target_votes(d, n)
-         for name, d in model.routes.items()}
+    g, n = len(sentences), sentences[0].n
+    nonlin = model.nonlin
+    shared = model._shared(sentences, keep)
+
+    def stack(task, x):
+        for layer in model.stacks.layers[task]:
+            x = nonlin(T.conv1d(x, layer.kernel, layer.bias))
+        return x
+
+    def decode(hidden):
+        logits = [T.fully_connected(h, m.w, m.b) for h, m in
+                  zip(hidden, model.decoders.maps.values())]
+        return (hidden, logits, [T.softmax(x, axis=-1) for x in logits])
+
+    doc = {}
+    for task in DOC_TASKS:
+        a, _vec, logits = model.heads[task](stack(task, shared))
+        doc[f"{task}.attn"] = T.reshape(a, (g, n, 1))
+        probs = T.reshape(T.softmax(logits, axis=-1), (g, 1, logits.shape[1]))
+        doc[f"{task}.probs"] = T.add(T.constant(np.zeros((n, 1), probs.dtype)),
+                                     probs)
+    hidden, logits, probs = decode([stack(t, shared) for t in ASPECT_TASKS])
     adjacency = np.stack([s.adjacency for s in sentences]).astype(
         model.emb_general.dtype)
-    states, traces = [state], []
+    states = [IterationState(0, _stacked(hidden), _stacked(logits),
+                             _stacked(probs))]
+    traces = []
     for t in range(1, cfg.iterations + 1):
-        routed = {}
-        for target in ASPECT_TASKS:
-            for src in cfg.sources_into(target):
-                d = model.routes[f"{src}->{target}"]
-                r = routing.predict_vectors(state.hidden[src], d)
-                v, kept = routing.route(r, q[d.name], adjacency,
-                                        cfg.route_iters)
-                routed[d.name] = v
-                if not keep_trace:
-                    continue
-                for i in range(len(sentences)):
-                    traces.append(routing.RoutingTrace(t, d.name, [
-                        routing.RoutingState(st.c[i], st.s[i], st.v[i])
-                        for st in kept]))
-        state = model.aggregate(state, routed, doc)
-        states.append(state)
+        new_hidden = list(hidden)
+        for i, target in enumerate(ASPECT_TASKS):
+            if not cfg.receives_knowledge(target):
+                continue
+            h = hidden[i]
+            srcs = cfg.sources_into(target)
+            if srcs:
+                routed = []
+                for src in srcs:
+                    d = model.routes[f"{src}->{target}"]
+                    pe = routing._encoding(n, d.weight.shape[0], h.dtype)
+                    r = T.matmul(T.add(hidden[ASPECT_TASKS.index(src)], pe),
+                                 d.weight)
+                    v, kept = routing.route(r, T.matmul(pe, d.weight),
+                                            adjacency, cfg.route_iters)
+                    routed.append(v)
+                    traces += [routing.RoutingTrace(t, d.name, [
+                        routing.RoutingState(st.c[j], st.s[j], st.v[j])
+                        for st in kept]) for j in range(g)] if keep_trace \
+                        else []
+                proj = model.proj[target]
+                h = T.fully_connected(T.concat([h] + routed, axis=-1),
+                                      proj.w, proj.b)
+            fuse = model.fuse[target]
+            new_hidden[i] = nonlin(T.fully_connected(T.concat(
+                [h] + probs + [doc[s] for s in cfg.doc_inputs(target)],
+                axis=-1), fuse.w, fuse.b))
+        hidden, logits, probs = decode(new_hidden)
+        states.append(IterationState(t, _stacked(hidden), _stacked(logits),
+                                     _stacked(probs)))
     return states, traces
 
 

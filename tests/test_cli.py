@@ -463,6 +463,35 @@ def test_eval_non_finite_checkpoint_value_exit_3(synth_dir, tiny_checkpoint,
         assert "non-finite" in captured.err
 
 
+@pytest.mark.parametrize("command", ["eval", "predict", "trace"])
+def test_forward_overflow_exits_4_naming_the_sentence(command, tmp_path,
+                                                      capsys):
+    # a finite checkpoint whose forward overflows: 12 emb.general floats
+    # (the rows of "the" and "battery") at 3e38 load, then turn the second
+    # sentence's logits into NaN; no metric, prediction or trace of it is
+    # written
+    model, _, _ = build_tiny_model()
+    model.emb_general.data[:2] = 3e38
+    ckpt = str(tmp_path / "m.ckpt")
+    model.save(ckpt)
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text("".join(
+        "".join(f"{w}\tO\tO\t_\n" for w in words) + "\n"
+        for words in (("is", "great"), ("the", "battery", "is", "great"))))
+    out = tmp_path / "out"
+    extra = {"eval": [], "predict": ["--out", str(out)],
+             "trace": ["--direction", "ote->asc", "--out", str(out)]}
+    code = run_cli(command, "--checkpoint", ckpt, "--corpus", str(corpus),
+                   *extra[command])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err == ("numerical failure: non-finite prediction for "
+                            "sentence 1\n")
+    assert not (out / "trace_001.json").exists()
+    if command == "predict":
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--step", "1e-4"), ("--tol", "1e-2"), ("--iterations", "3"),
     ("--route-iters", "3"), ("--seed", "5"), ("--nonlinearity", "relu")])

@@ -48,12 +48,28 @@ def test_task_stack_shapes():
     rng = np.random.default_rng(3)
     params = Params(rng)
     stack = TaskStack(params, d_in=8, d_out=6, depth=2, nonlinearity="relu",
-                      name="task.x")
-    out = stack(T.constant(rng.normal(size=(5, 8)).astype(np.float32)))
-    assert out.shape == (5, 6)
-    assert list(params.tensors) == ["task.x.0.kernel", "task.x.0.bias",
-                                    "task.x.1.kernel", "task.x.1.bias"]
-    assert params.tensors["task.x.1.kernel"] is stack.layers[1].kernel
+                      tasks=("x", "y"))
+    x = T.constant(rng.normal(size=(2, 5, 8)).astype(np.float32))
+    assert stack(x, ("x", "y")).shape == (2, 2, 5, 6)
+    assert stack(x, ("y",)).shape == (1, 2, 5, 6)
+    assert list(params.tensors) == [
+        f"task.{t}.{k}.{p}" for t in "xy" for k in (0, 1)
+        for p in ("kernel", "bias")]
+    assert params.tensors["task.x.1.kernel"] is stack.layers["x"][1].kernel
+
+
+def test_task_stack_matches_a_conv1d_chain_per_task():
+    rng = np.random.default_rng(5)
+    with T.use_dtype(np.float64):
+        stack = TaskStack(Params(rng), d_in=4, d_out=3, depth=2,
+                          nonlinearity="sigmoid", tasks=("a", "b", "c"))
+        x = T.constant(rng.normal(size=(2, 6, 4)))
+        out = stack(x, ("c", "a"))
+    for row, task in enumerate(("c", "a")):
+        h = x
+        for layer in stack.layers[task]:
+            h = T.sigmoid(T.conv1d(h, layer.kernel, layer.bias))
+        np.testing.assert_allclose(out.data[row], h.data, atol=1e-12)
 
 
 def test_params_rejects_a_duplicate_name():
@@ -87,24 +103,30 @@ def test_attention_weighted_sum_matches_bruteforce():
 
 def test_decoder_zero_weights_uniform_rows():
     rng = np.random.default_rng(9)
-    dec = TokenDecoder(Params(rng), d=6, classes=3, name="dec.x")
-    dec.map.w.data[:] = 0.0
-    dec.map.b.data[:] = 0.0
-    _logits, probs = dec(T.constant(rng.normal(size=(4, 6)).astype(np.float32)))
+    dec = TokenDecoder(Params(rng), d=6, classes=3, tasks=("x",))
+    dec.maps["x"].w.data[:] = 0.0
+    dec.maps["x"].b.data[:] = 0.0
+    _logits, probs = dec(T.constant(
+        rng.normal(size=(1, 1, 4, 6)).astype(np.float32)))
     np.testing.assert_allclose(probs.data, 1.0 / 3, atol=1e-7)
 
 
 def test_decoder_rows_sum_to_one_and_argmax_shift_invariant():
     rng = np.random.default_rng(10)
-    dec = TokenDecoder(Params(rng), d=6, classes=3, name="dec.x")
-    h = T.constant(rng.normal(size=(5, 6)).astype(np.float32))
+    dec = TokenDecoder(Params(rng), d=6, classes=3, tasks=("x", "y"))
+    h = T.constant(rng.normal(size=(2, 1, 5, 6)).astype(np.float32))
     logits, probs = dec(h)
-    np.testing.assert_allclose(probs.data.sum(axis=1), np.ones(5), atol=1e-6)
+    np.testing.assert_allclose(probs.data.sum(axis=-1), np.ones((2, 1, 5)),
+                               atol=1e-6)
     shifted = T.softmax(T.add(logits, T.constant(np.full((5, 1), 7.5,
                                                          dtype=np.float32))),
-                        axis=1)
-    np.testing.assert_array_equal(probs.data.argmax(axis=1),
-                                  shifted.data.argmax(axis=1))
+                        axis=-1)
+    np.testing.assert_array_equal(probs.data.argmax(axis=-1),
+                                  shifted.data.argmax(axis=-1))
+    for row, m in enumerate(dec.maps.values()):
+        np.testing.assert_allclose(
+            logits.data[row], T.fully_connected(T.constant(h.data[row]), m.w,
+                                                m.b).data, atol=1e-6)
 
 
 def test_shared_encoder_accumulates_gradients_from_all_task_losses():

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -24,13 +25,12 @@ from fixtures import (build_tiny_model, build_tiny_model_f64,
                       chain_adjacency, edit_header, random_sentence,
                       tiny_config, with_header)
 from helpers import (assert_grads_close, failing_disk, gradcheck,
-                     param_shapes, per_direction_forward, step_grads,
+                     param_shapes, per_task_forward, step_grads,
                      tape_grads, worst)
 
 
 def clone_states(states):
-    return [{task: st.probs[task].data.copy() for task in ("ate", "ote", "asc")}
-            for st in states]
+    return [st.probs.data.copy() for st in states]
 
 
 # ---------------------------------------------------------------------------
@@ -48,16 +48,15 @@ def test_forward_probability_rows_are_distributions():
     model, sent, _ = build_tiny_model()
     states, _ = model.forward([sent])
     for st in states:
-        for task in ("ate", "ote", "asc"):
-            rows = st.probs[task].data
-            np.testing.assert_allclose(rows.sum(axis=-1),
-                                       np.ones((1, sent.n)), atol=1e-6)
-    # the document signals: a label distribution at every token, and
-    # attention weights that sum to one over the tokens
+        np.testing.assert_allclose(st.probs.data.sum(axis=-1),
+                                   np.ones((3, 1, sent.n)), atol=1e-6)
+    # the document signals: a label distribution that the fusion repeats
+    # at every token, and attention weights that sum to one over the tokens
     _state, doc = model.initial_state([sent], None)
     assert set(doc) == {"ddc.attn", "dsc.probs", "dsc.attn"}
+    assert doc["dsc.probs"].shape == (1, 1, 3)
     np.testing.assert_allclose(doc["dsc.probs"].data.sum(axis=-1),
-                               np.ones((1, sent.n)), atol=1e-6)
+                               np.ones((1, 1)), atol=1e-6)
     for signal in ("ddc.attn", "dsc.attn"):
         assert doc[signal].shape == (1, sent.n, 1)
         np.testing.assert_allclose(doc[signal].data.sum(), 1.0, atol=1e-6)
@@ -68,9 +67,7 @@ def test_full_ablation_t1_equals_iteration_zero_decode():
                       inject_dsc=False)
     model, sent, _ = build_tiny_model(cfg)
     states, _ = model.forward([sent])
-    for task in ("ate", "ote", "asc"):
-        np.testing.assert_array_equal(states[0].probs[task].data,
-                                      states[1].probs[task].data)
+    np.testing.assert_array_equal(states[0].probs.data, states[1].probs.data)
     # parameter-for-parameter: no routing, fusion, or projection tensors
     assert not any(n.startswith(("route.", "fuse."))
                    for n in model.named_parameters())
@@ -84,11 +81,8 @@ def test_t2_equals_composing_transfer_and_aggregate_twice():
     plan = model.route_plan(1, sent.n)
     s1 = model.transfer_and_aggregate(s0, doc, adjacency, plan, None)
     s2 = model.transfer_and_aggregate(s1, doc, adjacency, plan, None)
-    for task in ("ate", "ote", "asc"):
-        np.testing.assert_array_equal(states[1].probs[task].data,
-                                      s1.probs[task].data)
-        np.testing.assert_array_equal(states[2].probs[task].data,
-                                      s2.probs[task].data)
+    np.testing.assert_array_equal(states[1].probs.data, s1.probs.data)
+    np.testing.assert_array_equal(states[2].probs.data, s2.probs.data)
 
 
 def test_zeroed_fusion_weights_freeze_hiddens_across_iterations():
@@ -97,11 +91,10 @@ def test_zeroed_fusion_weights_freeze_hiddens_across_iterations():
         for t in (model.fuse[target].w, model.fuse[target].b):
             t.data[:] = 0.0
     states, _ = model.forward([sent])
-    for task in ("ate", "ote", "asc"):
-        np.testing.assert_array_equal(states[1].hidden[task].data,
-                                      states[2].hidden[task].data)
-        np.testing.assert_array_equal(states[2].hidden[task].data,
-                                      states[3].hidden[task].data)
+    np.testing.assert_array_equal(states[1].hidden.data,
+                                  states[2].hidden.data)
+    np.testing.assert_array_equal(states[2].hidden.data,
+                                  states[3].hidden.data)
 
 
 def test_eval_forward_deterministic_bitwise():
@@ -109,9 +102,7 @@ def test_eval_forward_deterministic_bitwise():
     a, _ = model.forward([sent])
     b, _ = model.forward([sent])
     for sa, sb in zip(a, b):
-        for task in ("ate", "ote", "asc"):
-            np.testing.assert_array_equal(sa.probs[task].data,
-                                          sb.probs[task].data)
+        np.testing.assert_array_equal(sa.probs.data, sb.probs.data)
 
 
 # ---------------------------------------------------------------------------
@@ -265,29 +256,29 @@ def test_doc_signal_sensitivity_routes_to_the_right_tasks():
     cfg = tiny_config(iterations=1, transfers=())
     model, sent, _ = build_tiny_model(cfg)
     states, _ = model.forward([sent])
-    base_ate = states[1].hidden["ate"].data.copy()
-    base_asc = states[1].hidden["asc"].data.copy()
+    base_ate = states[1].hidden.data[0].copy()
+    base_asc = states[1].hidden.data[2].copy()
     model.heads["ddc"].w.data += 0.5
     states2, _ = model.forward([sent])
-    assert not np.array_equal(states2[1].hidden["ate"].data, base_ate)
-    np.testing.assert_array_equal(states2[1].hidden["asc"].data, base_asc)
+    assert not np.array_equal(states2[1].hidden.data[0], base_ate)
+    np.testing.assert_array_equal(states2[1].hidden.data[2], base_asc)
 
     model.heads["ddc"].w.data -= 0.5
     model.heads["dsc"].w.data += 0.5
     states3, _ = model.forward([sent])
-    np.testing.assert_array_equal(states3[1].hidden["ate"].data, base_ate)
-    assert not np.array_equal(states3[1].hidden["asc"].data, base_asc)
+    np.testing.assert_array_equal(states3[1].hidden.data[0], base_ate)
+    assert not np.array_equal(states3[1].hidden.data[2], base_asc)
 
 
 def test_task_stack_parameter_disjointness():
     model, sent, _ = build_tiny_model()
     states, _ = model.forward([sent])
-    base_ote = states[0].hidden["ote"].data.copy()
+    base_ote = states[0].hidden.data[1].copy()
     for name, t in model.named_parameters().items():
         if name.startswith("task.ate."):
             t.data += 0.7
     states2, _ = model.forward([sent])
-    np.testing.assert_array_equal(states2[0].hidden["ote"].data, base_ote)
+    np.testing.assert_array_equal(states2[0].hidden.data[1], base_ote)
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +287,10 @@ def test_task_stack_parameter_disjointness():
 
 def test_predict_all_outside():
     model, sent, _ = build_tiny_model()
-    model.decoders["ate"].map.w.data[:] = 0.0
-    model.decoders["ate"].map.b.data[:] = [0.0, 0.0, 10.0]  # force O
-    model.decoders["ote"].map.w.data[:] = 0.0
-    model.decoders["ote"].map.b.data[:] = [0.0, 0.0, 10.0]
+    model.decoders.maps["ate"].w.data[:] = 0.0
+    model.decoders.maps["ate"].b.data[:] = [0.0, 0.0, 10.0]  # force O
+    model.decoders.maps["ote"].w.data[:] = 0.0
+    model.decoders.maps["ote"].b.data[:] = [0.0, 0.0, 10.0]
     cfg = dataclasses.replace(model.config, iterations=1, transfers=(),
                               inject_ddc=False, inject_dsc=False)
     frozen = AbsaModel(cfg, model.schemes, model.general_table,
@@ -355,10 +346,11 @@ def test_predict_assembles_spans_and_majority_sentiment(monkeypatch):
 
     def fake_forward(sentences, keep=None, keep_trace=False):
         def rows(tags):
-            return KT.constant(np.eye(3, dtype=np.float32)[None, tags] * 9.0)
-        probs = {"ate": rows([0, 1, 2, 2]),   # BA IA O O -> span (0, 2)
-                 "ote": rows([2, 2, 0, 2]),   # one opinion span at token 2
-                 "asc": rows([0, 0, 1, 2])}   # pos, pos inside the span
+            return np.eye(3, dtype=np.float32)[None, tags] * 9.0
+        probs = KT.constant(np.stack([
+            rows([0, 1, 2, 2]),     # ate: BA IA O O -> span (0, 2)
+            rows([2, 2, 0, 2]),     # ote: one opinion span at token 2
+            rows([0, 0, 1, 2])]))   # asc: pos, pos inside the span
         state = SimpleNamespace(probs=probs)
         return [state], []
 
@@ -402,8 +394,7 @@ def final_probs(model, mp):
     def recording(sentences, *args, **kwargs):
         states, traces = real(sentences, *args, **kwargs)
         for row, sent in enumerate(sentences):
-            probs[id(sent)] = {task: states[-1].probs[task].data[row]
-                               for task in ("ate", "ote", "asc")}
+            probs[id(sent)] = states[-1].probs.data[:, row]
         return states, traces
 
     mp.setattr(model, "forward", recording)
@@ -427,10 +418,8 @@ def test_predict_many_equals_per_sentence_predict(corpus, tmp_path,
     assert grouped == single
     assert [p.tokens for p in grouped] == [s.tokens for s in sentences]
     for s in sentences:
-        for task in ("ate", "ote", "asc"):
-            np.testing.assert_allclose(grouped_probs[id(s)][task],
-                                       single_probs[id(s)][task],
-                                       rtol=0, atol=1e-6)
+        np.testing.assert_allclose(grouped_probs[id(s)], single_probs[id(s)],
+                                   rtol=0, atol=1e-6)
 
 
 def test_predict_many_runs_one_forward_per_length_chunk(monkeypatch):
@@ -470,32 +459,35 @@ def counted(mp, module, name):
     return calls
 
 
-def assert_same_states(a, b):
+def assert_same_states(a, b, rtol=0.0):
     assert len(a) == len(b)
     for sa, sb in zip(a, b):
+        assert sa.t == sb.t
         for part in ("hidden", "logits", "probs"):
-            for task in ("ate", "ote", "asc"):
-                np.testing.assert_array_equal(getattr(sa, part)[task].data,
-                                              getattr(sb, part)[task].data)
+            np.testing.assert_allclose(getattr(sa, part).data,
+                                       getattr(sb, part).data, rtol=rtol,
+                                       atol=rtol, err_msg=part)
 
 
-def assert_same_traces(a, b):
+def assert_same_traces(a, b, rtol=0.0):
     assert [(tr.round, tr.direction) for tr in a] == [
         (tr.round, tr.direction) for tr in b]
     for ta, tb in zip(a, b):
         assert len(ta.states) == len(tb.states)
         for sa, sb in zip(ta.states, tb.states):
             for field in ("c", "s", "v"):
-                np.testing.assert_array_equal(getattr(sa, field),
-                                              getattr(sb, field))
+                np.testing.assert_allclose(getattr(sa, field),
+                                           getattr(sb, field), rtol=rtol,
+                                           atol=rtol)
 
 
 @pytest.mark.parametrize("variant", ["default", "no-transfers",
                                      *sorted(ABLATIONS)])
 def test_forward_matches_per_direction_reference(variant, monkeypatch):
-    # float64, a mixed-length batch with dropout: stacking a round's
-    # directions into blocked route calls changes no bit of the states, the
-    # traces or the parameter gradients
+    # float64, a mixed-length batch with dropout: carrying the tasks and a
+    # round's directions as stacked axes, in grouped ops and blocked route
+    # calls, gives the per-task oracle's states, traces and parameter
+    # gradients within float64 rounding
     cfg = tiny_config(dropout=0.2)
     if variant == "no-transfers":
         cfg = dataclasses.replace(cfg, transfers=())
@@ -523,17 +515,17 @@ def test_forward_matches_per_direction_reference(variant, monkeypatch):
 
     loss, grads, outputs = run(stacked)
     ref_loss, ref_grads, ref_outputs = run(
-        lambda group, keep, keep_trace: per_direction_forward(
+        lambda group, keep, keep_trace: per_task_forward(
             model, group, keep, keep_trace))
-    assert loss == ref_loss
-    assert_grads_close(grads, ref_grads)
+    assert loss == pytest.approx(ref_loss, rel=1e-12)
+    assert_grads_close(grads, ref_grads, atol=1e-12)
     assert len(outputs) == len(ref_outputs) == 3    # lengths 4, 7 and 1
     for (states, traces), (ref_states, ref_traces) in zip(outputs,
                                                           ref_outputs):
-        assert_same_states(states, ref_states)
-        assert_same_traces(traces, ref_traces)
+        assert_same_states(states, ref_states, rtol=1e-12)
+        assert_same_traces(traces, ref_traces, rtol=1e-12)
         assert len(traces) == (len(cfg.transfers) * cfg.iterations
-                               * states[0].hidden["ate"].shape[0])
+                               * states[0].hidden.shape[1])
 
 
 def test_any_block_size_gives_identical_values_gradients_and_traces(
@@ -592,6 +584,82 @@ def test_traced_forward_equals_untraced():
     assert_grads_close(grads, t_grads)
 
 
+# the structures the grouped forward must carry like the per-task oracle:
+# tiny_config is depth 1 with one kernel width of 3
+STRUCTURES = {
+    "tiny": {},
+    "depth-3": {"task_depth": 3},
+    "two-widths-depth-2": {"kernel_widths": (3, 5), "task_depth": 2},
+    "width-5": {"kernel_widths": (5,)},
+    **{name: {"ablation": name} for name in sorted(ABLATIONS)},
+}
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["one-block", "split"])
+@pytest.mark.parametrize("structure", sorted(STRUCTURES))
+def test_grouped_forward_matches_the_per_task_oracle(structure, split,
+                                                     monkeypatch):
+    # a group of G = 3 sentences of 5 tokens, with dropout; "split" lowers
+    # the coupling budget to two directions a route call (75 couplings a
+    # direction), so a round routes in blocks. Values agree within float32
+    # rounding, and float64 gradients within float64 rounding
+    spec = dict(STRUCTURES[structure])
+    cfg = tiny_config(dropout=0.2, **{
+        k: v for k, v in spec.items() if k != "ablation"})
+    if "ablation" in spec:
+        cfg = apply_ablation(cfg, spec["ablation"])
+    if split:
+        monkeypatch.setattr(routing, "COUPLING_BUDGET", 150)
+    for build, rtol in ((build_tiny_model, 1e-5), (build_tiny_model_f64,
+                                                   1e-10)):
+        model, _, _ = build(cfg)
+        rng = np.random.default_rng(26)
+        group = [random_sentence(rng, 5) for _ in range(3)]
+        assign_embedding_ids(group, model.general_table, model.domain_table)
+        keep = model.draw_dropout(group, np.random.default_rng(6))
+        runs = []
+        for forward in (model.forward, lambda *a, **k: per_task_forward(
+                model, *a, **k)):
+            out = {}
+
+            def loss():
+                out["states"], out["traces"] = forward(group, keep,
+                                                       keep_trace=True)
+                return aspect_loss(out["states"], group, model.config)
+
+            runs.append((out, *tape_grads(model, loss)))
+        (got, loss, grads), (want, ref_loss, ref_grads) = runs
+        assert_same_states(got["states"], want["states"], rtol=rtol)
+        assert_same_traces(got["traces"], want["traces"], rtol=rtol)
+        assert loss == pytest.approx(ref_loss, rel=rtol)
+        if build is build_tiny_model_f64:
+            assert_grads_close(grads, ref_grads, atol=1e-10)
+
+
+# sys.setprofile "call" events of one warm predict of the tiny sentence on
+# the tiny model with every task run as a chain of its own (measured on the
+# forward before the grouped ops, numpy 2.4, Python 3.11)
+PER_TASK_PREDICT_CALLS = 1298
+
+
+def test_predict_call_budget():
+    # the grouped forward dispatches at most 65% of the per-task Python calls
+    model, sent, _ = build_tiny_model()
+    model.predict(sent)     # the encodings and numpy's lazy set-up
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(profile)
+    try:
+        model.predict(sent)
+    finally:
+        sys.setprofile(None)
+    assert calls <= 0.65 * PER_TASK_PREDICT_CALLS, calls
+
+
 @pytest.mark.parametrize("g, n, per_round", [(4, 8, 1), (8, 128, 6)])
 def test_route_calls_per_round(g, n, per_round, monkeypatch):
     # the default budget stacks all six directions of a short group, and
@@ -606,14 +674,14 @@ def test_route_calls_per_round(g, n, per_round, monkeypatch):
 
 
 def test_short_predicted_sentence_routes_twice(monkeypatch):
-    # two rounds, one route call each; the votes take one matmul per
-    # direction and round for r, and one per direction and forward for q
+    # two rounds, one route call each; the votes take one grouped matmul of
+    # all six directions per round for r, and one per forward for q
     model, sent, _ = build_tiny_model()
     routes = counted(monkeypatch, M, "route")
-    matmuls = counted(monkeypatch, routing, "matmul")
+    matmuls = counted(monkeypatch, routing, "grouped_affine")
     model.predict(sent)
     assert len(routes) == 2
-    assert len(matmuls) == 6 * 2 + 6
+    assert [len(c[1]) for c in matmuls] == [6] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -632,9 +700,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     states_a, _ = model.forward([sent])
     states_b, _ = clone.forward([sent])
     for sa, sb in zip(states_a, states_b):
-        for task in ("ate", "ote", "asc"):
-            np.testing.assert_array_equal(sa.probs[task].data,
-                                          sb.probs[task].data)
+        np.testing.assert_array_equal(sa.probs.data, sb.probs.data)
     b = clone.predict(sent)
     assert a == b
 
@@ -905,9 +971,8 @@ def test_legacy_max_len_header_loads_bit_identical(saved_checkpoint,
         assign_embedding_ids([sent], model.general_table, model.domain_table)
         want, _ = model.forward([sent])
         got, _ = legacy.forward([sent])
-        for task in ("ate", "ote", "asc"):
-            np.testing.assert_array_equal(got[-1].probs[task].data,
-                                          want[-1].probs[task].data)
+        np.testing.assert_array_equal(got[-1].probs.data,
+                                      want[-1].probs.data)
         assert legacy.predict(sent) == model.predict(sent)
 
 

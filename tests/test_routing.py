@@ -91,12 +91,21 @@ def make_direction(d_task, d_route, rng, name=("ote", "asc")):
     return R.TransferDirection(name[0], name[1], w)
 
 
+def votes(h, direction):
+    """One direction's vote parts r (shaped like h [..., n, d], width
+    d_route) and q [n, d_route], without the direction axis that
+    ``predict_vectors`` and ``target_votes`` stack: h is the only source."""
+    n = h.shape[-2]
+    r = R.predict_vectors(T.reshape(h, (1,) + h.shape), direction)
+    return T.select(r, 0), T.select(R.target_votes(n, direction), (0, 0))
+
+
 def test_predict_vectors_zero_weight():
     rng = np.random.default_rng(0)
     with T.use_dtype(np.float64):
         d = R.TransferDirection("ate", "asc", T.constant(np.zeros((6, 4))))
         h = T.constant(rng.normal(size=(3, 6)))
-        r, q = R.predict_vectors(h, d), R.target_votes(d, 3)
+        r, q = votes(h, d)
     assert not r.data.any() and not q.data.any()
 
 
@@ -105,8 +114,7 @@ def test_predict_vectors_varies_with_target_only_through_pe():
     with T.use_dtype(np.float64):
         direction = make_direction(6, 4, rng)
         h = T.constant(rng.normal(size=(4, 6)))
-        r = R.predict_vectors(h, direction)
-        q = R.target_votes(direction, 4)
+        r, q = votes(h, direction)
         table = R.positional_encoding(4, 6)
         w = direction.weight.data
         pw = table @ w
@@ -126,8 +134,7 @@ def test_predict_vectors_zero_hidden_is_pe_sum():
     with T.use_dtype(np.float64):
         direction = make_direction(6, 4, rng)
         h = T.constant(np.zeros((3, 6)))
-        r = R.predict_vectors(h, direction)
-        q = R.target_votes(direction, 3)
+        r, q = votes(h, direction)
         table = R.positional_encoding(3, 6)
     u = materialize(r.data, q.data)
     for i in range(3):
@@ -141,8 +148,7 @@ def test_predict_vectors_beyond_max_len():
     with T.use_dtype(np.float64):
         direction = make_direction(4, 3, np.random.default_rng(3))
         h = T.constant(np.zeros((200, 4)))
-        r = R.predict_vectors(h, direction)
-        q = R.target_votes(direction, 200)
+        r, q = votes(h, direction)
     assert r.shape == q.shape == (200, 3)
 
 
@@ -166,7 +172,7 @@ def test_encoding_tables_of_float32_and_float64_callers_are_apart():
     d64 = R.TransferDirection("ate", "asc", T.constant(
         d32.weight.data.astype(np.float64)))
     for h, d in ((h32, d32), (h64, d64), (h32, d32)):
-        r, q = R.predict_vectors(h, d), R.target_votes(d, 5)
+        r, q = votes(h, d)
         assert r.dtype == q.dtype == h.dtype
         table = R._encoding(5, 4, h.dtype)
         np.testing.assert_array_equal(
@@ -191,7 +197,27 @@ def test_weight_of_the_wrong_width_is_a_shape_error():
         direction = make_direction(6, 3, np.random.default_rng(4))
         h = T.constant(np.zeros((5, 4)))
         with pytest.raises(T.ShapeError):
-            R.predict_vectors(h, direction)
+            votes(h, direction)
+
+
+def test_predict_vectors_reads_each_direction_its_source_row():
+    # the stacked hidden states of three sources; each direction's votes
+    # are its own source's, in argument order, and q stacks the same way
+    rng = np.random.default_rng(5)
+    with T.use_dtype(np.float64):
+        hidden = T.constant(rng.normal(size=(3, 2, 5, 6)))
+        directions = [R.TransferDirection("x", "y", T.constant(
+            rng.normal(size=(6, 4))), row) for row in (2, 0, 2, 1)]
+        r = R.predict_vectors(hidden, *directions)
+        q = R.target_votes(5, *directions)
+    assert r.shape == (4, 2, 5, 4) and q.shape == (4, 1, 5, 4)
+    table = R.positional_encoding(5, 6)
+    for k, t in enumerate(directions):
+        np.testing.assert_allclose(
+            r.data[k], (hidden.data[t.row] + table) @ t.weight.data,
+            atol=1e-12)
+        np.testing.assert_allclose(q.data[k, 0], table @ t.weight.data,
+                                   atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +504,7 @@ def test_route_end_to_end_gradients_with_predict_vectors():
 
     def build(ts):
         direction = R.TransferDirection("ote", "asc", ts[1])
-        r = R.predict_vectors(ts[0], direction)
-        v, _ = R.route(r, R.target_votes(direction, n), adjacency, 2)
+        v, _ = R.route(*votes(ts[0], direction), adjacency, 2)
         return weighted_sum(v, probe)
 
     check_op_grads(build, [rng.normal(size=(n, d_task)),
@@ -550,8 +575,7 @@ def test_routing_tape_never_holds_pairwise_vote_tensor():
     adjacency = np.eye(n)
     tape = T.Tape()
     with T.record(tape):
-        r = R.predict_vectors(h, direction)
-        v, _ = R.route(r, R.target_votes(direction, n), adjacency, 3)
+        v, _ = R.route(*votes(h, direction), adjacency, 3)
         loss = weighted_sum(v)
     recorded = max(node[0].size for node in tape.nodes)
     assert recorded <= limit, f"tape output of {recorded} elements"

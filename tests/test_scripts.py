@@ -52,3 +52,18 @@ def test_route_timing_prints_a_row_per_bench_shape(tmp_path):
         (4, 1, 128), (2, 1, 128), (6, 1, 64), (1, 4, 128), (2, 8, 64),
         (6, 1, 15), (6, 8, 15)]
     assert all(float(x) > 0 for row in rows for x in row.split()[3:])
+
+
+def test_predict_timing_prints_a_row_per_length_class(tmp_path):
+    # --against this checkout loads a second copy of the package beside the
+    # first, as it would another revision's, and predicts the same
+    proc = run_script(tmp_path, "predict_timing.py", "--reps", "1",
+                      "--against", ROOT)
+    assert proc.returncode == 0, proc.stderr
+    _, header, *rows, same = proc.stdout.splitlines()
+    assert header.split() == ["class", "sentences", "p50_ms",
+                              "against_p50_ms", "ratio"]
+    assert [row.split()[:2] for row in rows] == [
+        ["short", "60"], ["64", "8"], ["128", "4"]]
+    assert all(float(x) > 0 for row in rows for x in row.split()[2:])
+    assert same == "predictions identical: yes"

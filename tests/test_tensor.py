@@ -502,6 +502,68 @@ def test_grouped_ops_grads():
         [rng.normal(size=(g, n, 2))])
 
 
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "stacked"])
+def test_grouped_conv1d_matches_a_conv_per_group_and_its_grads(shared):
+    # three kernels over one [G, n, d_in] input that every group reads, or
+    # over a [3, G, n, d_in] input whose row i group i reads
+    rng = np.random.default_rng(24)
+    k, g, n, d_in, d_out = 3, 2, 4, 2, 3
+    x = rng.normal(size=(g, n, d_in) if shared else (k, g, n, d_in))
+    params = ([rng.normal(size=(3, d_in, d_out)) for _ in range(k)]
+              + [rng.normal(size=d_out) for _ in range(k)])
+    with T.use_dtype(np.float64):
+        C = T.constant
+        out = T.grouped_conv1d(C(x), [C(p) for p in params[:k]],
+                               [C(p) for p in params[k:]])
+    assert out.shape == (k, g, n, d_out)
+    for i in range(k):
+        for j in range(g):
+            np.testing.assert_allclose(
+                out.data[i, j], conv1d_naive(x[j] if shared else x[i, j],
+                                             params[i], params[k + i]),
+                atol=1e-12)
+    probe = rng.normal(size=(k, g, n, d_out))
+    check_op_grads(lambda ts: weighted_sum(
+        T.grouped_conv1d(ts[0], ts[1:k + 1], ts[k + 1:]), probe),
+        [x] + params)
+
+
+def test_grouped_affine_pads_rows_and_gathers_shared_inputs():
+    # group widths 5, 2 and 4: zero rows pad the narrower weights. x is
+    # stacked and read by rows (row 1 by two groups), s is read whole by two
+    # groups, and c [G, 1, 1] is broadcast over the tokens
+    rng = np.random.default_rng(25)
+    g, n, m = 2, 3, 4
+    x, s, c = (rng.normal(size=(3, g, n, 2)), rng.normal(size=(g, n, 2)),
+               rng.normal(size=(g, 1, 1)))
+    params = [rng.normal(size=(width, m)) for width in (5, 2, 4)] + [
+        rng.normal(size=m) for _ in range(3)]
+
+    def build(ts):
+        x, s, c, *p = ts
+        return T.grouped_affine([[(x, 1), (s, ()), (c, ())], [(x, 2)],
+                                 [(s, ()), (x, 1)]], p[:3], p[3:])
+
+    with T.use_dtype(np.float64):
+        out = build([T.constant(a) for a in [x, s, c] + params])
+    parts = [np.concatenate([x[1], s, np.broadcast_to(c, (g, n, 1))], -1),
+             x[2], np.concatenate([s, x[1]], -1)]
+    for i, part in enumerate(parts):
+        np.testing.assert_allclose(out.data[i],
+                                   part @ params[i] + params[3 + i],
+                                   atol=1e-12)
+    probe = rng.normal(size=(3, g, n, m))
+    check_op_grads(lambda ts: weighted_sum(build(ts), probe),
+                   [x, s, c] + params)
+
+
+def test_grouped_affine_rejects_a_weight_of_the_wrong_height():
+    x = T.constant(np.zeros((2, 3, 4)))
+    with pytest.raises(T.ShapeError, match="group 1: 4 input columns"):
+        T.grouped_affine([[(x, 0)], [(x, 1)]], [T.constant(np.zeros((4, 2))),
+                                                T.constant(np.zeros((5, 2)))])
+
+
 def test_conv1d_group_has_no_leak_between_items():
     rng = np.random.default_rng(23)
     x = rng.normal(size=(3, 4, 2))

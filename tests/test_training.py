@@ -29,10 +29,11 @@ from helpers import (assert_grads_close, corrupt_squash_backward,
 
 
 def fake_states(logits: dict[str, np.ndarray]):
-    """Final state of a group of one sentence with the given [n, 3] logits."""
-    return [SimpleNamespace(logits={
-        k: T.constant(np.asarray(v, np.float64)[None])
-        for k, v in logits.items()})]
+    """Final state of a group of one sentence with the given [n, 3] logits
+    per task, stacked [3, 1, n, 3] as the model's states hold them."""
+    return [SimpleNamespace(logits=T.constant(np.stack([
+        np.asarray(logits[k], np.float64)[None] for k in ("ate", "ote",
+                                                            "asc")])))]
 
 
 def ce(logits, target):
@@ -241,8 +242,7 @@ def test_group_members_do_not_see_each_other():
     changed.adjacency = np.ones((6, 6), dtype=np.float32)
     assign_embedding_ids([changed], model.general_table, model.domain_table)
     after, _ = model.forward([group[0], changed, group[2]])
-    for task in ("ate", "ote", "asc"):
-        old, new = before[-1].logits[task].data, after[-1].logits[task].data
+    for old, new in zip(before[-1].logits.data, after[-1].logits.data):
         np.testing.assert_array_equal(new[0], old[0])
         np.testing.assert_array_equal(new[2], old[2])
         assert not np.array_equal(new[1], old[1])
@@ -559,8 +559,7 @@ def token_accuracy_one_by_one(model, sentences):
     total = dict(hit)
     for sent in sentences:
         states, _ = model.forward([sent])
-        pred = {t: states[-1].probs[t].data[0].argmax(axis=-1)
-                for t in hit}
+        pred = dict(zip(hit, states[-1].probs.data[:, 0].argmax(axis=-1)))
         for task, gold in (("ate", sent.ate_gold), ("ote", sent.ote_gold)):
             hit[task] += sum(int(p == g) for p, g in zip(pred[task], gold))
             total[task] += len(gold)
