@@ -18,8 +18,8 @@ every round reuses them.
 
 The tasks are an axis, not a loop: the five task stacks run as one
 [5, G, n, d] stack, and the three token-level tasks stay [3, G, n, ·] from
-there to the loss. A round computes the votes of every direction in one
-:func:`predict_vectors` call (each direction reads its source's row),
+there to the loss. A round computes the votes of a block of directions in
+one :func:`predict_vectors` call (each direction reads its source's row),
 routes them in the route plan's target-major order, and projects, fuses
 and decodes the three targets in one grouped affine map each, whose
 per-task weights and narrower inputs are zero-padded to the widest. The
@@ -30,8 +30,9 @@ The layers and the round are called as units that a tracer can wrap:
 :class:`layers.AttentionHead` and :class:`layers.TokenDecoder` once per
 forward or round, :meth:`AbsaModel.transfer_and_aggregate` once per round,
 and :func:`predict_vectors` and :func:`route` through this module's names.
-A round calls :func:`predict_vectors` (its second positional argument a
-:class:`routing.TransferDirection`) before its first :func:`route` call.
+Each :func:`route` call follows a :func:`predict_vectors` call of the
+same block of directions, whose second positional argument is the first
+of them, a :class:`routing.TransferDirection`.
 
 Training and inference share one chunking rule, :func:`data.length_chunks`:
 a forward runs a chunk of at most COUPLING_BUDGET // n^2 sentences of a
@@ -63,8 +64,8 @@ from .data import (DEFAULT_SCHEMES, Document, EmbeddingTable, Sentence,
                    TagSchemes, assign_embedding_ids, atomic_write,
                    extract_spans, length_chunks)
 from .routing import (RoutingState, RoutingTrace, TransferDirection,
-                      directions_per_call, predict_vectors, route,
-                      routing_prior, target_votes)
+                      directions_per_call, encode_positions,
+                      predict_vectors, route, routing_prior, target_votes)
 from .tensor import (ConfigError, DivergenceError, Tensor, concat,
                      default_dtype, dropout, dropout_keep, embedding_lookup,
                      grouped_affine, reshape, select, softmax)
@@ -299,8 +300,7 @@ class AbsaModel:
             src, tgt = name.split("->")
             w = params.glorot(f"route.{src}_to_{tgt}.w",
                               (config.d_task, config.d_route))
-            self.routes[name] = TransferDirection(src, tgt, w,
-                                                  ASPECT_TASKS.index(src))
+            self.routes[name] = TransferDirection(src, tgt, w)
         # the directions of a round grouped by target: the route plan's
         # order, and the order of the votes and of the routed vectors
         self.order = [self.routes[f"{src}->{target}"]
@@ -444,35 +444,28 @@ class AbsaModel:
         """The enabled directions of a round in :attr:`order`, in blocks of
         at most :func:`directions_per_call` directions; each block comes
         with its stacked target votes q [k, 1, n, d_route]."""
-        if not self.order:
-            return []
         size = directions_per_call(g, n)
-        q = target_votes(n, *self.order)
-        return [(self.order[i:i + size], q if size >= len(self.order)
-                 else select(q, slice(i, i + size)))
-                for i in range(0, len(self.order), size)]
+        blocks = [self.order[i:i + size]
+                  for i in range(0, len(self.order), size)]
+        return [(block, target_votes(n, *block)) for block in blocks]
 
     def transfer_and_aggregate(self, state: IterationState,
-                               doc: dict[str, Tensor], adjacency,
+                               doc: dict[str, Tensor],
+                               prior: tuple[np.ndarray, np.ndarray],
                                plan: list, traces: list[RoutingTrace] | None
                                ) -> IterationState:
-        """One aggregation round over the group: the votes of every
-        direction in one :func:`predict_vectors` call, one :func:`route`
-        call per block of ``plan`` (from :meth:`route_plan`) under the
-        routing prior ``adjacency`` ([G, n, n], or its
-        :func:`routing.routing_prior`), each trace appended to ``traces``
-        unless it is None, then :meth:`aggregate` with the document signals
-        ``doc``."""
+        """One aggregation round over the group: per block of ``plan``
+        (from :meth:`route_plan`), the block's votes in one
+        :func:`predict_vectors` call and one :func:`route` call under the
+        :func:`routing.routing_prior` ``prior`` of the [G, n, n] adjacency,
+        each trace appended to ``traces`` unless it is None; then
+        :meth:`aggregate` with the document signals ``doc``."""
         cfg = self.config
         g = state.hidden.shape[1]
-        routed, start = [], 0
-        if plan:
-            r = predict_vectors(state.hidden, *self.order)
+        routed, x = [], encode_positions(state.hidden) if plan else None
         for block, q in plan:
-            v, kept = route(r if len(plan) == 1
-                            else select(r, slice(start, start + len(block))),
-                            q, adjacency, cfg.route_iters)
-            start += len(block)
+            r = predict_vectors(x, *block, tasks=ASPECT_TASKS)
+            v, kept = route(r, q, prior, cfg.route_iters)
             if traces is not None:
                 traces += [RoutingTrace(state.t + 1, d.name, [
                     RoutingState(st.c[k, i], st.s[k, i], st.v[k, i])

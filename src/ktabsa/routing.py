@@ -85,13 +85,11 @@ def _encoding(n: int, d_model: int, dtype: np.dtype) -> Tensor:
 
 @dataclass
 class TransferDirection:
-    """One ordered source->target task pair with its projection weight;
-    ``row`` is the source's row in the hidden states stacked by task."""
+    """One ordered source->target task pair with its projection weight."""
 
     source: str
     target: str
     weight: Tensor
-    row: int = 0
 
     @property
     def name(self) -> str:
@@ -119,18 +117,26 @@ class RoutingTrace:
     states: list[RoutingState]
 
 
-def predict_vectors(hidden: Tensor, *directions: TransferDirection) -> Tensor:
+def encode_positions(hidden: Tensor) -> Tensor:
+    """``h + PE`` of states h [..., n, d], the encodings in h's width and
+    dtype; a round adds them once for all of its :func:`predict_vectors`
+    calls."""
+    n, d = hidden.shape[-2:]
+    return add(hidden, _encoding(n, d, hidden.dtype))
+
+
+def predict_vectors(encoded: Tensor, *directions: TransferDirection,
+                    tasks: tuple[str, ...]) -> Tensor:
     """Source parts of the factored votes u_hat[g, i, j] = r[g, i] + q[j]
     of k directions, r [k, ..., n, d_route], in one grouped matmul.
 
-    Direction t maps ``r = (h + PE) @ W`` of its source h = ``hidden[t.row]``
-    [..., n, d] by its weight W; the encodings take h's width and dtype. W
-    is shared across positions; the encodings make the votes
-    position-aware.
+    ``encoded`` stacks the :func:`encode_positions` of the states of
+    ``tasks``, in that order; direction t maps ``r = (h + PE) @ W`` of its
+    source's states h [..., n, d] by its weight W. W is shared across
+    positions; the encodings make the votes position-aware.
     """
-    n, d = hidden.shape[-2:]
-    x = add(hidden, _encoding(n, d, hidden.dtype))
-    return grouped_affine([[(x, t.row)] for t in directions],
+    return grouped_affine([[(encoded, tasks.index(t.source))]
+                           for t in directions],
                           [t.weight for t in directions])
 
 
@@ -198,7 +204,7 @@ def _broadcasts_to(shape: tuple[int, ...], target: tuple[int, ...]) -> bool:
         return False
 
 
-def route(r: Tensor, q: Tensor, adjacency: np.ndarray | tuple,
+def route(r: Tensor, q: Tensor, prior: tuple[np.ndarray, np.ndarray],
           iterations: int) -> tuple[Tensor, list[RoutingState]]:
     """Run the agreement loop; return the final target vectors and the
     states its backward reads, one per iteration.
@@ -207,9 +213,10 @@ def route(r: Tensor, q: Tensor, adjacency: np.ndarray | tuple,
     and target j, with ``r`` [..., n, d_route] and ``q`` [..., n, d_route]
     broadcasting against r, as from :func:`predict_vectors` and
     :func:`target_votes` (the model passes r [k, G, n, d], q [k, 1, n, d]).
-    ``adjacency`` is the binary dependency prior, broadcasting to the logits
-    ``r.shape[:-1] + (n,)``, or its :func:`routing_prior`. The loop is one
-    tape node whose backward runs through every unrolled iteration.
+    ``prior`` is the :func:`routing_prior` of the binary dependency
+    adjacency, which broadcasts to the logits ``r.shape[:-1] + (n,)``. The
+    loop is one tape node whose backward runs through every unrolled
+    iteration.
     """
     if iterations < 1:
         raise ConfigError(f"routing needs at least one iteration, "
@@ -224,11 +231,9 @@ def route(r: Tensor, q: Tensor, adjacency: np.ndarray | tuple,
                           f"broadcast to {tuple(r.shape)}, got "
                           f"{tuple(q.shape)}")
     rd, qd = r.data, q.data
-    if not isinstance(adjacency, tuple):
-        adjacency = routing_prior(adjacency, rd.dtype)
-    prior, c = adjacency                        # c = c_1, at A's shape
-    if not _broadcasts_to(prior.shape, logits):
-        raise ConfigError(f"adjacency shape {prior.shape} does not "
+    at, c = prior                               # A^T and c_1, at A's shape
+    if not _broadcasts_to(at.shape, logits):
+        raise ConfigError(f"adjacency shape {at.shape} does not "
                           f"broadcast to the logits {logits}")
     r1 = np.empty(rd.shape[:-1] + (d + 1,), rd.dtype)
     r1[..., :d], r1[..., d] = rd, 1
@@ -236,7 +241,7 @@ def route(r: Tensor, q: Tensor, adjacency: np.ndarray | tuple,
     for t in range(iterations):
         if t:                                   # iteration t + 1's logits
             c = vq @ r1.swapaxes(-1, -2)
-            c += (t + 1) * prior
+            c += (t + 1) * at
             _target_softmax(c, out=c)
         else:   # c_1 broadcast as by np.broadcast_to, minus its set-up cost
             st = [0] * (len(logits) - c.ndim) + [

@@ -331,7 +331,8 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
 def _stacked(params: Sequence[Tensor], shape: tuple[int, ...]) -> np.ndarray:
     """The data of k parameters as one array of ``shape`` [k, rows, m]:
     parameter i, flattened to [r_i, m], fills the first r_i rows of entry
-    i and zeros the rest. A lone parameter comes back as a view."""
+    i and zeros the rest. A lone parameter comes back as a view, and
+    equal sizes need no zeros."""
     data = [p.data for p in params]
     if len(data) == 1:
         return data[0].reshape(shape)

@@ -219,8 +219,8 @@ def per_task_forward(model, sentences, keep=None, keep_trace=False):
         doc[f"{task}.probs"] = T.add(T.constant(np.zeros((n, 1), probs.dtype)),
                                      probs)
     hidden, logits, probs = decode([stack(t, shared) for t in ASPECT_TASKS])
-    adjacency = np.stack([s.adjacency for s in sentences]).astype(
-        model.emb_general.dtype)
+    prior = routing.routing_prior(np.stack([s.adjacency for s in sentences]),
+                                  model.emb_general.dtype)
     states = [IterationState(0, _stacked(hidden), _stacked(logits),
                              _stacked(probs))]
     traces = []
@@ -239,7 +239,7 @@ def per_task_forward(model, sentences, keep=None, keep_trace=False):
                     r = T.matmul(T.add(hidden[ASPECT_TASKS.index(src)], pe),
                                  d.weight)
                     v, kept = routing.route(r, T.matmul(pe, d.weight),
-                                            adjacency, cfg.route_iters)
+                                            prior, cfg.route_iters)
                     routed.append(v)
                     traces += [routing.RoutingTrace(t, d.name, [
                         routing.RoutingState(st.c[j], st.s[j], st.v[j])

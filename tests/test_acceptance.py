@@ -18,7 +18,7 @@ from ktabsa.data import (DEFAULT_SCHEMES, CorpusError,
                          load_aspect_corpus, random_embeddings)
 from ktabsa.metrics import asc_scores, evaluate, span_f1
 from ktabsa.model import AbsaModel, ModelConfig, apply_ablation
-from ktabsa.routing import positional_encoding, route, squash
+from ktabsa.routing import positional_encoding, route, routing_prior, squash
 from ktabsa.synth import SynthSpec, write_synthetic
 from ktabsa.training import (GRADCHECK_STEP, GRADCHECK_TOL, Schedule,
                              aspect_loss, fit, gradcheck_harness)
@@ -78,7 +78,8 @@ def test_routing_invariants_thousand_instances():
         u = r[:, None, :] + q[None, :, :]
 
         with T.use_dtype(np.float64):
-            v, trace = route(T.constant(r), T.constant(q), adjacency, iters)
+            v, trace = route(T.constant(r), T.constant(q),
+                             routing_prior(adjacency, np.float64), iters)
 
         # independent step-by-step re-execution of the update rules
         b = np.zeros((n, n))

@@ -77,10 +77,10 @@ def test_t2_equals_composing_transfer_and_aggregate_twice():
     model, sent, _ = build_tiny_model(tiny_config(iterations=2))
     states, _ = model.forward([sent])
     s0, doc = model.initial_state([sent], None)
-    adjacency = sent.adjacency[None]
+    prior = routing.routing_prior(sent.adjacency[None], s0.hidden.dtype)
     plan = model.route_plan(1, sent.n)
-    s1 = model.transfer_and_aggregate(s0, doc, adjacency, plan, None)
-    s2 = model.transfer_and_aggregate(s1, doc, adjacency, plan, None)
+    s1 = model.transfer_and_aggregate(s0, doc, prior, plan, None)
+    s2 = model.transfer_and_aggregate(s1, doc, prior, plan, None)
     np.testing.assert_array_equal(states[1].probs.data, s1.probs.data)
     np.testing.assert_array_equal(states[2].probs.data, s2.probs.data)
 
@@ -556,6 +556,33 @@ def test_any_block_size_gives_identical_values_gradients_and_traces(
         assert_same_states(runs[size][0], runs[6][0])
         assert_same_traces(runs[size][1], runs[6][1])
         assert_grads_close(runs[size][2], runs[6][2])
+
+
+def test_each_route_call_follows_the_votes_of_its_own_block(monkeypatch):
+    # a caller that times routes per direction books each route call to the
+    # directions of the predict_vectors call before it, so each block's
+    # votes come from their own call, its directions from the second
+    # positional argument on
+    model, _, _ = build_tiny_model()
+    rng = np.random.default_rng(23)
+    group = [random_sentence(rng, 5) for _ in range(2)]
+    assign_embedding_ids(group, model.general_table, model.domain_table)
+    for size in (1, 2, 6):
+        with monkeypatch.context() as mp:
+            mp.setattr(routing, "COUPLING_BUDGET", 50 * size)
+            calls = []
+            for name in ("predict_vectors", "route"):
+                real = getattr(M, name)
+                mp.setattr(M, name, lambda *a, real=real, name=name, **kw: (
+                    calls.append((name, a)) or real(*a, **kw)))
+            model.forward(group)
+        blocks = [model.order[i:i + size] for i in range(0, 6, size)]
+        assert [name for name, _ in calls] == (
+            ["predict_vectors", "route"] * len(blocks) * 2)
+        for (_, votes), (_, routed), block in zip(
+                calls[::2], calls[1::2], blocks * 2):
+            assert [d.name for d in votes[1:]] == [d.name for d in block]
+            assert routed[0].shape[0] == len(block)
 
 
 def test_traced_forward_equals_untraced():

@@ -46,8 +46,8 @@ def random_factors(rng, n, d, scale=1.0, zero_q=False):
 
 def run_route(r, q, adjacency, iterations):
     with T.use_dtype(np.float64):
-        v, trace = R.route(T.constant(r), T.constant(q), adjacency,
-                           iterations)
+        v, trace = R.route(T.constant(r), T.constant(q),
+                           R.routing_prior(adjacency, np.float64), iterations)
     return v, trace
 
 
@@ -96,7 +96,8 @@ def votes(h, direction):
     d_route) and q [n, d_route], without the direction axis that
     ``predict_vectors`` and ``target_votes`` stack: h is the only source."""
     n = h.shape[-2]
-    r = R.predict_vectors(T.reshape(h, (1,) + h.shape), direction)
+    r = R.predict_vectors(R.encode_positions(T.reshape(h, (1,) + h.shape)),
+                          direction, tasks=(direction.source,))
     return T.select(r, 0), T.select(R.target_votes(n, direction), (0, 0))
 
 
@@ -206,15 +207,17 @@ def test_predict_vectors_reads_each_direction_its_source_row():
     rng = np.random.default_rng(5)
     with T.use_dtype(np.float64):
         hidden = T.constant(rng.normal(size=(3, 2, 5, 6)))
-        directions = [R.TransferDirection("x", "y", T.constant(
-            rng.normal(size=(6, 4))), row) for row in (2, 0, 2, 1)]
-        r = R.predict_vectors(hidden, *directions)
+        directions = [R.TransferDirection(src, "y", T.constant(
+            rng.normal(size=(6, 4)))) for src in "cacb"]
+        r = R.predict_vectors(R.encode_positions(hidden), *directions,
+                              tasks=("a", "b", "c"))
         q = R.target_votes(5, *directions)
     assert r.shape == (4, 2, 5, 4) and q.shape == (4, 1, 5, 4)
     table = R.positional_encoding(5, 6)
     for k, t in enumerate(directions):
         np.testing.assert_allclose(
-            r.data[k], (hidden.data[t.row] + table) @ t.weight.data,
+            r.data[k], (hidden.data["abc".index(t.source)] + table)
+            @ t.weight.data,
             atol=1e-12)
         np.testing.assert_allclose(q.data[k, 0], table @ t.weight.data,
                                    atol=1e-12)
@@ -331,26 +334,30 @@ def test_grouped_route_matches_each_sentence_alone():
 def test_route_rejects_bad_iteration_count():
     with pytest.raises(T.ConfigError, match="iteration"):
         R.route(T.constant(np.zeros((2, 3))), T.constant(np.zeros((2, 3))),
-                np.zeros((2, 2)), 0)
+                R.routing_prior(np.zeros((2, 2)), np.float32), 0)
 
 
 def test_route_rejects_misshapen_inputs():
     r = q = T.constant(np.zeros((2, 3)))
     stacked = T.constant(np.zeros((2, 1, 2, 3)))
+
+    def prior(adjacency):
+        return R.routing_prior(adjacency, r.dtype)
+
     with pytest.raises(T.ConfigError, match="r must be"):
-        R.route(T.constant(np.zeros(3)), q, np.zeros((2, 2)), 1)
+        R.route(T.constant(np.zeros(3)), q, prior(np.zeros((2, 2))), 1)
     for bad_q in (np.zeros((3, 3)),          # trailing shape is not (n, d)
                   np.zeros(3),
                   np.zeros((3, 1, 2, 3)),    # leading axis does not broadcast
                   np.zeros((2, 2, 2, 3))):   # would widen r's group axis
         with pytest.raises(T.ConfigError, match="q must match"):
-            R.route(stacked, T.constant(bad_q), np.zeros((2, 2)), 1)
+            R.route(stacked, T.constant(bad_q), prior(np.zeros((2, 2))), 1)
     with pytest.raises(T.ConfigError, match="adjacency"):
-        R.route(r, q, np.zeros((3, 3)), 1)
+        R.route(r, q, prior(np.zeros((3, 3))), 1)
     with pytest.raises(T.ConfigError, match="adjacency"):
-        R.route(stacked, q, np.zeros((3, 1, 2, 2)), 1)
+        R.route(stacked, q, prior(np.zeros((3, 1, 2, 2))), 1)
     # leading axes of any depth are accepted when q and adjacency broadcast
-    v, _ = R.route(stacked, q, np.zeros((1, 2, 2)), 1)
+    v, _ = R.route(stacked, q, prior(np.zeros((1, 2, 2))), 1)
     assert v.shape == (2, 1, 2, 3)
 
 
@@ -364,7 +371,7 @@ def test_stacked_directions_match_one_call_per_direction(dtype):
     k, g, n, d, iters = 3, 2, 5, 4, 3
     r = rng.normal(size=(k, g, n, d)).astype(dtype)
     q = rng.normal(size=(k, 1, n, d)).astype(dtype)
-    adjacency = (rng.random((g, n, n)) < 0.4).astype(dtype)
+    prior = R.routing_prior(rng.random((g, n, n)) < 0.4, dtype)
     probe = rng.normal(size=(k, g, n, d)).astype(dtype)
 
     def run(r_part, q_part, w):
@@ -372,7 +379,7 @@ def test_stacked_directions_match_one_call_per_direction(dtype):
         qt = T.Tensor(q_part, requires_grad=True)
         tape = T.Tape()
         with T.record(tape):
-            v, trace = R.route(rt, qt, adjacency, iters)
+            v, trace = R.route(rt, qt, prior, iters)
             loss = weighted_sum(v, w)
         tape.backward(loss)
         return v.data, trace, rt.grad, qt.grad
@@ -398,16 +405,16 @@ def test_route_gradients_through_unrolled_loop():
     n, d = 3, 2
     zero_q = T.constant(np.zeros((n, d)))
     for lead in ((), (1,), (2,), (3,)):
-        adjacency = (rng.random(lead + (n, n)) < 0.4).astype(np.float64)
+        prior = R.routing_prior(rng.random(lead + (n, n)) < 0.4, np.float64)
         for iters in (1, 2, 3, 4):
             w = rng.normal(size=lead + (n, d))
             check_op_grads(
                 lambda ts: weighted_sum(
-                    R.route(ts[0], ts[1], adjacency, iters)[0], w),
+                    R.route(ts[0], ts[1], prior, iters)[0], w),
                 [rng.normal(size=lead + (n, d)), rng.normal(size=(n, d))])
             check_op_grads(
                 lambda ts: weighted_sum(
-                    R.route(ts[0], zero_q, adjacency, iters)[0], w),
+                    R.route(ts[0], zero_q, prior, iters)[0], w),
                 [rng.normal(size=lead + (n, d))])
 
 
@@ -438,12 +445,12 @@ def test_stacked_route_gradients_with_adjacency_shared_by_directions():
     # couplings are computed once and broadcast over the directions
     rng = np.random.default_rng(21)
     n, d = 3, 2
-    adjacency = (rng.random((3, n, n)) < 0.4).astype(np.float64)
+    prior = R.routing_prior(rng.random((3, n, n)) < 0.4, np.float64)
     for iters in (1, 2, 3):
         w = rng.normal(size=(2, 3, n, d))
         check_op_grads(
             lambda ts: weighted_sum(
-                R.route(ts[0], ts[1], adjacency, iters)[0], w),
+                R.route(ts[0], ts[1], prior, iters)[0], w),
             [rng.normal(size=(2, 3, n, d)), rng.normal(size=(2, 1, n, d))])
 
 
@@ -453,7 +460,7 @@ def test_route_records_one_tape_node():
     q = T.Tensor(rng.normal(size=(5, 4)), requires_grad=True)
     tape = T.Tape()
     with T.record(tape):
-        v, _ = R.route(r, q, np.zeros((2, 5, 5)), 3)
+        v, _ = R.route(r, q, R.routing_prior(np.zeros((2, 5, 5)), r.dtype), 3)
     assert len(tape) == 1 and tape.nodes[0][0] is v
 
 
@@ -475,7 +482,8 @@ def test_route_returns_the_states_its_backward_reads():
             r = T.Tensor(r0, requires_grad=True)
             tape = T.Tape()
             with T.record(tape):
-                v, states = R.route(r, T.constant(q0), adjacency, iters)
+                v, states = R.route(r, T.constant(q0),
+                                    R.routing_prior(adjacency, r.dtype), iters)
                 loss = weighted_sum(v)
             if spoil is not None:
                 arr = getattr(states[spoil[0]], spoil[1])
@@ -499,12 +507,12 @@ def test_route_returns_the_states_its_backward_reads():
 def test_route_end_to_end_gradients_with_predict_vectors():
     rng = np.random.default_rng(13)
     n, d_task, d_route = 3, 4, 4
-    adjacency = np.eye(n)
+    prior = R.routing_prior(np.eye(n), np.float64)
     probe = rng.normal(size=(n, d_route))
 
     def build(ts):
         direction = R.TransferDirection("ote", "asc", ts[1])
-        v, _ = R.route(*votes(ts[0], direction), adjacency, 2)
+        v, _ = R.route(*votes(ts[0], direction), prior, 2)
         return weighted_sum(v, probe)
 
     check_op_grads(build, [rng.normal(size=(n, d_task)),
@@ -572,10 +580,10 @@ def test_routing_tape_never_holds_pairwise_vote_tensor():
         requires_grad=True))
     h = T.Tensor(rng.normal(size=(n, d_task)).astype(np.float32),
                  requires_grad=True)
-    adjacency = np.eye(n)
+    prior = R.routing_prior(np.eye(n), h.dtype)
     tape = T.Tape()
     with T.record(tape):
-        v, _ = R.route(*votes(h, direction), adjacency, 3)
+        v, _ = R.route(*votes(h, direction), prior, 3)
         loss = weighted_sum(v)
     recorded = max(node[0].size for node in tape.nodes)
     assert recorded <= limit, f"tape output of {recorded} elements"

@@ -185,8 +185,9 @@ def test_squash_grad_of_float32_zero_rows_is_zero_without_warnings():
                      requires_grad=True)
         tape = T.Tape()
         with T.record(tape):
-            v, _ = routing.route(r, T.constant(np.zeros((3, 4), np.float32)),
-                                 np.zeros((2, 3, 3)), 3)
+            v, _ = routing.route(
+                r, T.constant(np.zeros((3, 4), np.float32)),
+                routing.routing_prior(np.zeros((2, 3, 3)), np.float32), 3)
             loss = weighted_sum(v)
         tape.backward(loss)
     assert ds.dtype == np.float32 and np.isfinite(ds).all()
@@ -201,7 +202,8 @@ def test_squash_backward_corruption_hook():
     r, q = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
 
     def routed(ts):
-        return weighted_sum(routing.route(ts[0], ts[1], np.eye(2), 2)[0])
+        prior = routing.routing_prior(np.eye(2), ts[0].dtype)
+        return weighted_sum(routing.route(ts[0], ts[1], prior, 2)[0])
 
     def value():
         with T.use_dtype(np.float64):
