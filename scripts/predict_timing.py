@@ -6,14 +6,17 @@ generator makes them, and sentences stitched from them and padded with
 "and" to exactly 64 and 128 tokens. The model is the default
 ``ModelConfig`` on seeded random embeddings, untrained; it runs in float32
 with one BLAS thread. A row prints the median latency of one length class
-over ``--reps`` passes of every sentence, in milliseconds.
+over ``--reps`` passes of every sentence, in milliseconds, and the Python
+calls (``sys.setprofile`` call events) of one untimed predict of the
+class's first sentence: a count that, unlike the latency, does not drift
+with the host.
 
 ``--against PATH`` builds the same model from the package under
 ``PATH/src`` (for example a ``git archive`` of another revision) and
 alternates the two predict by predict, swapping which goes first each
 pass, so both see the same host; the row then adds that package's median
-and the ratio of the medians (this checkout over the other), and a last
-line says whether the two predicted the same spans and pairs.
+and calls and the ratio of the medians (this checkout over the other), and
+a last line says whether the two predicted the same spans and pairs.
 
 Usage: python scripts/predict_timing.py [--reps 20] [--seed 7]
                                         [--against PATH]
@@ -98,6 +101,22 @@ def length_class(n: int) -> str:
     return str(n) if n in LONG else "short"
 
 
+def python_calls(net, sentence) -> int:
+    """The Python function calls one ``net.predict(sentence)`` makes."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(profile)
+    try:
+        net.predict(sentence)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--reps", type=int, default=20)
@@ -120,6 +139,8 @@ def main(argv=None) -> int:
     classes = [length_class(s.n) for s in runs[0][1]]
     firsts = [[net.predict(s) for s in sentences]     # warm-up pass
               for net, sentences in runs]
+    counts = [{c: python_calls(net, sentences[classes.index(c)])
+               for c in dict.fromkeys(classes)} for net, sentences in runs]
     samples = [{c: [] for c in classes} for _ in runs]
     for rep in range(args.reps):
         order = range(len(runs))
@@ -129,15 +150,17 @@ def main(argv=None) -> int:
                 t0 = time.perf_counter()
                 net.predict(sentences[i])
                 samples[k][c].append(time.perf_counter() - t0)
-    cols = ["class", "sentences", "p50_ms"]
+    cols = ["class", "sentences", "p50_ms", "calls"]
     if args.against:
-        cols += ["against_p50_ms", "ratio"]
+        cols += ["against_p50_ms", "against_calls", "ratio"]
     print(f"numpy {np.__version__}, float32, default ModelConfig, seed "
           f"{args.seed}, median of {args.reps} passes")
     print(" ".join(f"{c:>14}" for c in cols))
     for c in dict.fromkeys(classes):
         p50 = [1e3 * statistics.median(s[c]) for s in samples]
-        row = [c, classes.count(c), *p50]
+        row = [c, classes.count(c)]
+        for ms, count in zip(p50, counts):
+            row += [ms, count[c]]
         if args.against:
             row.append(p50[0] / p50[1])
         print(" ".join(f"{x:>14.3f}" if isinstance(x, float) else f"{x:>14}"

@@ -22,8 +22,9 @@ there to the loss. A round computes the votes of a block of directions in
 one :func:`predict_vectors` call (each direction reads its source's row),
 routes them in the route plan's target-major order, and projects, fuses
 and decodes the three targets in one grouped affine map each, whose
-per-task weights and narrower inputs are zero-padded to the widest. The
-per-task parameters, their names and the checkpoint do not change.
+narrower inputs are zero-padded to the widest. Each family of per-task
+parameters lives as views of one block (:meth:`layers.Params.block`) that
+the grouped ops read as it is; names and the checkpoint stay per task.
 
 The layers and the round are called as units that a tracer can wrap:
 :class:`layers.SharedEncoder`, :class:`layers.TaskStack`,
@@ -66,7 +67,7 @@ from .data import (DEFAULT_SCHEMES, Document, EmbeddingTable, Sentence,
 from .routing import (RoutingState, RoutingTrace, TransferDirection,
                       directions_per_call, encode_positions,
                       predict_vectors, route, routing_prior, target_votes)
-from .tensor import (ConfigError, DivergenceError, Tensor, concat,
+from .tensor import (ConfigError, DivergenceError, Stack, Tensor, concat,
                      default_dtype, dropout, dropout_keep, embedding_lookup,
                      grouped_affine, reshape, select, softmax)
 
@@ -293,36 +294,48 @@ class AbsaModel:
                                          schemes.doc_classes(s), f"doc.{s}")
                       for s in DOC_TASKS}
 
+        # the directions of a round grouped by target: the route plan's
+        # order, the order of the votes and of the routed vectors, and the
+        # entry order of the route weights' block
+        order = [f"{src}->{target}" for target in ASPECT_TASKS
+                 for src in config.sources_into(target)]
+        self.route_weights = params.block(len(order), config.d_task,
+                                          config.d_route)
         self.routes: dict[str, TransferDirection] = {}
         for name in ALL_DIRECTIONS:
             if name not in config.transfers:
                 continue
             src, tgt = name.split("->")
             w = params.glorot(f"route.{src}_to_{tgt}.w",
-                              (config.d_task, config.d_route))
+                              (config.d_task, config.d_route),
+                              self.route_weights, order.index(name))
             self.routes[name] = TransferDirection(src, tgt, w)
-        # the directions of a round grouped by target: the route plan's
-        # order, and the order of the votes and of the routed vectors
-        self.order = [self.routes[f"{src}->{target}"]
-                      for target in ASPECT_TASKS
-                      for src in config.sources_into(target)]
+        self.order = [self.routes[name] for name in order]
         # the targets that fuse knowledge, each with the rows of ``order``
         # routed into it
         self.into = {t: [k for k, d in enumerate(self.order) if d.target == t]
                      for t in ASPECT_TASKS if config.receives_knowledge(t)}
 
+        # the projections and the fusions of the targets are a family
+        # each, in target order, created target by target
+        projected = [t for t in self.into if self.into[t]]
+        widths = {t: config.d_task + len(self.into[t]) * config.d_route
+                  for t in projected}
+        self.proj_blocks = L.layer_blocks(params, list(widths.values()),
+                                          config.d_task)
+        self.fuse_blocks = L.layer_blocks(
+            params, [self._fuse_width(t) for t in self.into], config.d_task)
         self.proj: dict[str, L.Affine] = {}
         self.fuse: dict[str, L.Affine] = {}
-        for target in ASPECT_TASKS:
-            srcs = config.sources_into(target)
-            if srcs:
+        for i, target in enumerate(self.into):
+            if target in widths:
                 self.proj[target] = L.Affine(
-                    params, config.d_task + len(srcs) * config.d_route,
-                    config.d_task, f"fuse.{target}.proj")
-            if config.receives_knowledge(target):
-                self.fuse[target] = L.Affine(
-                    params, self._fuse_width(target), config.d_task,
-                    f"fuse.{target}.out")
+                    params, widths[target], config.d_task,
+                    f"fuse.{target}.proj",
+                    (*self.proj_blocks, projected.index(target)))
+            self.fuse[target] = L.Affine(
+                params, self._fuse_width(target), config.d_task,
+                f"fuse.{target}.out", (*self.fuse_blocks, i))
 
     def _fuse_width(self, target: str) -> int:
         """The hidden vector, three tag distributions and the document
@@ -419,7 +432,9 @@ class AbsaModel:
         token, or the document's label distribution [G, 1, C], which the
         fusion repeats at every token. Only the signals some target fuses
         are built, and the aspect stacks run with the document stacks they
-        need as one [k, G, n, d] :class:`layers.TaskStack` call."""
+        need as one [k, G, n, d] :class:`layers.TaskStack` call. A head
+        whose distribution no target fuses computes only its attention
+        weights."""
         shared = self._shared(sentences, keep)
         wanted = dict.fromkeys(signal for target in ASPECT_TASKS
                                for signal in self.config.doc_inputs(target))
@@ -427,7 +442,8 @@ class AbsaModel:
                      if any(signal.startswith(f"{s}.") for signal in wanted))
         hidden = self.stacks(shared, ASPECT_TASKS + docs)
         g, n = shared.shape[:2]
-        heads = {s: self.heads[s](select(hidden, len(ASPECT_TASKS) + k))
+        heads = {s: self.heads[s](select(hidden, len(ASPECT_TASKS) + k),
+                                  classify=f"{s}.probs" in wanted)
                  for k, s in enumerate(docs)}
         doc = {}
         for signal in wanted:
@@ -440,14 +456,18 @@ class AbsaModel:
         return IterationState(0, hidden, *self.decoders(hidden)), doc
 
     def route_plan(self, g: int, n: int
-                   ) -> list[tuple[list[TransferDirection], Tensor]]:
+                   ) -> list[tuple[list[TransferDirection], Stack, Tensor]]:
         """The enabled directions of a round in :attr:`order`, in blocks of
         at most :func:`directions_per_call` directions; each block comes
-        with its stacked target votes q [k, 1, n, d_route]."""
-        size = directions_per_call(g, n)
-        blocks = [self.order[i:i + size]
-                  for i in range(0, len(self.order), size)]
-        return [(block, target_votes(n, *block)) for block in blocks]
+        with its rows of the route weights' block and its stacked target
+        votes q [k, 1, n, d_route]."""
+        size, rows = directions_per_call(g, n), list(range(len(self.order)))
+        plan = []
+        for i in range(0, len(rows), size):
+            weights = self.route_weights.rows(rows[i:i + size])
+            plan.append((self.order[i:i + size], weights,
+                         target_votes(n, weights)))
+        return plan
 
     def transfer_and_aggregate(self, state: IterationState,
                                doc: dict[str, Tensor],
@@ -463,8 +483,9 @@ class AbsaModel:
         cfg = self.config
         g = state.hidden.shape[1]
         routed, x = [], encode_positions(state.hidden) if plan else None
-        for block, q in plan:
-            r = predict_vectors(x, *block, tasks=ASPECT_TASKS)
+        for block, weights, q in plan:
+            r = predict_vectors(x, *block, tasks=ASPECT_TASKS,
+                                weights=weights)
             v, kept = route(r, q, prior, cfg.route_iters)
             if traces is not None:
                 traces += [RoutingTrace(state.t + 1, d.name, [
@@ -493,15 +514,13 @@ class AbsaModel:
         if projected:
             p = grouped_affine(
                 [[(h, ASPECT_TASKS.index(t))] + [(routed, k) for k in into[t]]
-                 for t in projected], [self.proj[t].w for t in projected],
-                [self.proj[t].b for t in projected])
+                 for t in projected], *self.proj_blocks)
         fused = self.nonlin(grouped_affine(
             [[(p, projected.index(t)) if into[t]
               else (h, ASPECT_TASKS.index(t))]
              + [(state.probs, i) for i in range(len(ASPECT_TASKS))]
              + [(doc[signal], ()) for signal in cfg.doc_inputs(t)]
-             for t in fusing], [self.fuse[t].w for t in fusing],
-            [self.fuse[t].b for t in fusing]))
+             for t in fusing], *self.fuse_blocks))
         if len(fusing) < len(ASPECT_TASKS):     # the others keep their state
             fused = select(concat([h, fused]), [
                 len(ASPECT_TASKS) + fusing.index(t) if t in fusing else i
@@ -685,9 +704,9 @@ class AbsaModel:
                 f"{path}: payload {what}: the manifest lists {size} bytes, "
                 f"the file holds {len(payload)}")
         for m, t in zip(expected["manifest"], params.values()):
-            # a copy: a view of the read-only payload cannot be trained
-            t.data = np.frombuffer(payload, "<f4", t.size, m["offset"]
-                                   ).reshape(t.shape).astype(np.float32)
+            # into the model's arrays, which may be views of a block
+            t.data[...] = np.frombuffer(payload, "<f4", t.size, m["offset"]
+                                        ).reshape(t.shape)
             if not np.isfinite(t.data).all():
                 raise CheckpointError(f"{path}: tensor {m['name']} holds a "
                                       f"non-finite value")

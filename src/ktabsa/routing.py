@@ -48,7 +48,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .tensor import (ConfigError, Tensor, _emit, _unbroadcast, add,
+from .tensor import (ConfigError, Stack, Tensor, _emit, _unbroadcast, add,
                      constant, grouped_affine)
 
 SQUASH_EPS = 1e-9   # guards squash's division at the zero vector
@@ -126,28 +126,28 @@ def encode_positions(hidden: Tensor) -> Tensor:
 
 
 def predict_vectors(encoded: Tensor, *directions: TransferDirection,
-                    tasks: tuple[str, ...]) -> Tensor:
+                    tasks: tuple[str, ...], weights: Stack) -> Tensor:
     """Source parts of the factored votes u_hat[g, i, j] = r[g, i] + q[j]
     of k directions, r [k, ..., n, d_route], in one grouped matmul.
 
     ``encoded`` stacks the :func:`encode_positions` of the states of
     ``tasks``, in that order; direction t maps ``r = (h + PE) @ W`` of its
-    source's states h [..., n, d] by its weight W. W is shared across
-    positions; the encodings make the votes position-aware.
+    source's states h [..., n, d] by its weight W, entry t of ``weights``.
+    W is shared across positions; the encodings make the votes
+    position-aware.
     """
     return grouped_affine([[(encoded, tasks.index(t.source))]
-                           for t in directions],
-                          [t.weight for t in directions])
+                           for t in directions], weights)
 
 
-def target_votes(n: int, *directions: TransferDirection) -> Tensor:
+def target_votes(n: int, weights: Stack) -> Tensor:
     """Target parts ``q = PE @ W`` [k, 1, n, d_route] of the factored votes
-    of k directions, with W's input width and dtype; they depend only on n
-    and the weights, so a forward pass computes them once."""
-    w = directions[0].weight
-    pe = _encoding(n, w.shape[0], w.dtype)
-    return grouped_affine([[(pe, None)]] * len(directions),
-                          [t.weight for t in directions])
+    of k directions whose weights W are ``weights``, with W's input width
+    and dtype; they depend only on n and the weights, so a forward pass
+    computes them once."""
+    k, d, _ = weights.data.shape
+    pe = _encoding(n, d, weights.data.dtype)
+    return grouped_affine([[(pe, None)]] * k, weights)
 
 
 def directions_per_call(g: int, n: int) -> int:

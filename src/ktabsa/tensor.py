@@ -12,7 +12,7 @@ trustworthy.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -95,6 +95,19 @@ class Tensor:
 
     def __add__(self, other: "Tensor") -> "Tensor":
         return add(self, other)
+
+
+class Parameter(Tensor):
+    """A trainable tensor whose ``data`` may be a view of a block (see
+    :class:`Stack`): a new value is written into it, and rebinding raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, attr: str, value) -> None:
+        if attr == "data" and value is not getattr(self, "data", value):
+            raise AttributeError(f"parameter {self.name}: write into its "
+                                 f"data (p.data[...] = x), do not rebind it")
+        super().__setattr__(attr, value)
 
 
 def constant(data) -> Tensor:
@@ -324,25 +337,30 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ShapeError(f"conv1d bias shape {tuple(bias.shape)} != ({d_out},)")
     bias = bias or constant(np.zeros(d_out, x.dtype))
     out = grouped_conv1d(x if x.ndim == 3 else reshape(x, (1,) + x.shape),
-                         [kernel], [bias])
+                         Stack([kernel], kernel.data.reshape(1, -1, d_out)),
+                         Stack([bias], bias.data.reshape(1, 1, d_out)))
     return reshape(out, x.shape[:-1] + (d_out,))
 
 
-def _stacked(params: Sequence[Tensor], shape: tuple[int, ...]) -> np.ndarray:
-    """The data of k parameters as one array of ``shape`` [k, rows, m]:
-    parameter i, flattened to [r_i, m], fills the first r_i rows of entry
-    i and zeros the rest. A lone parameter comes back as a view, and
-    equal sizes need no zeros."""
-    data = [p.data for p in params]
-    if len(data) == 1:
-        return data[0].reshape(shape)
-    if all([d.size == data[0].size for d in data]):     # nothing to pad
-        return np.array(data).reshape(shape)
-    out = np.zeros(shape, dtype=data[0].dtype)
-    for i, d in enumerate(data):
-        d = d.reshape(-1, shape[-1])
-        out[i, :len(d)] = d
-    return out
+class Stack(NamedTuple):
+    """k parameters as the operand of a grouped op, with their data as one
+    array [k, rows, m]: parameter i, flattened to [r_i, m], in the first
+    r_i rows of entry i, zeros below. A family of parameters lives as views
+    of such a block (:meth:`layers.Params.block`), so no op stacks them."""
+
+    params: list[Tensor]
+    data: np.ndarray
+
+    def rows(self, index: list[int]) -> "Stack":
+        """Entries ``index``: a view if they are consecutive, else a copy."""
+        return Stack([self.params[i] for i in index],
+                     self.data[_as_slice(index)])
+
+
+def _as_slice(index: list[int]) -> slice | list[int]:
+    """Consecutive indices as a slice, so that indexing makes a view."""
+    i, k = index[0], len(index)
+    return slice(i, i + k) if index == list(range(i, i + k)) else index
 
 
 def _push_rows(push, params: Sequence[Tensor], grads: np.ndarray) -> None:
@@ -351,17 +369,18 @@ def _push_rows(push, params: Sequence[Tensor], grads: np.ndarray) -> None:
         push(p, gp[:p.data.size // gp.shape[-1]].reshape(p.data.shape))
 
 
-def grouped_conv1d(x: Tensor, kernels: Sequence[Tensor],
-                   biases: Sequence[Tensor]) -> Tensor:
+def grouped_conv1d(x: Tensor, kernels: Stack, biases: Stack) -> Tensor:
     """k same-length convolutions as one op, [k, G, n, d_out].
 
     ``x`` is [G, n, d_in], read by every group, or [k, G, n, d_in], whose
     row i group i reads; kernel i is [w, d_in, d_out] (one odd w for all)
-    with bias i [d_out]. The padded windows of every token (im2col) meet
-    the stacked kernels in one matmul per group over all G*n tokens; the
-    backward rebuilds the windows rather than keep them.
+    with bias i [d_out], stacked [k, w * d_in, d_out] and [k, 1, d_out].
+    The padded windows of every token (im2col) meet the stacked kernels in
+    one matmul per group over all G*n tokens; the backward rebuilds the
+    windows rather than keep them.
     """
-    k, (w, d_in, d_out) = len(kernels), kernels[0].data.shape
+    stack = kernels.data
+    k, (w, d_in, d_out) = len(stack), kernels.params[0].data.shape
     *lead, n, _ = x.data.shape
     pad = w // 2
     xp = np.zeros((*lead, n + w - 1, d_in), dtype=x.dtype)
@@ -373,15 +392,14 @@ def grouped_conv1d(x: Tensor, kernels: Sequence[Tensor],
             cols[..., o, :] = xp[..., o:o + n, :]
         return cols.reshape(*lead[:-1], -1, w * d_in)
 
-    stack = _stacked(kernels, (k, w * d_in, d_out))
-    out = windows() @ stack + _stacked(biases, (k, 1, d_out))
+    out = windows() @ stack + biases.data
     out = Tensor(out.reshape(k, lead[-1], n, d_out), requires_grad=any(
-        [t.requires_grad for t in (x, *kernels, *biases)]))
+        [t.requires_grad for t in (x, *kernels.params, *biases.params)]))
 
     def fn(g, push):
         g = g.reshape(k, -1, d_out)
-        _push_rows(push, kernels, windows().swapaxes(-1, -2) @ g)
-        _push_rows(push, biases, g.sum(axis=1, keepdims=True))
+        _push_rows(push, kernels.params, windows().swapaxes(-1, -2) @ g)
+        _push_rows(push, biases.params, g.sum(axis=1, keepdims=True))
         dxp = np.zeros_like(xp)
         for o in range(w):
             dx = g @ stack[:, o * d_in:(o + 1) * d_in].swapaxes(-1, -2)
@@ -393,53 +411,58 @@ def grouped_conv1d(x: Tensor, kernels: Sequence[Tensor],
 
 
 def grouped_affine(inputs: Sequence[Sequence[tuple[Tensor, object]]],
-                   weights: Sequence[Tensor],
-                   biases: Sequence[Tensor] | None = None) -> Tensor:
+                   weights: Stack, biases: Stack | None = None) -> Tensor:
     """k affine maps as one op, [k, ..., m].
 
     Group i concatenates ``x.data[j]`` of its (x, j) pairs ``inputs[i]``,
     broadcast to the leading shape of the first, along the last axis (j
     indexes x's data without picking an element twice: an int of its
     leading axis, () for all of it) and maps the result by weight i
-    [d_i, m] plus bias i [m]. Narrower groups' inputs end in zeros and
-    their weights in zero rows, so the k maps run as one batched matmul
-    over the rows of every leading axis.
+    [d_i, m] plus bias i [m], stacked [k, width, m] and [k, 1, m]. Narrower
+    groups' inputs end in zeros, met by the zero rows of their weights, so
+    the k maps run as one batched matmul over the rows of every leading
+    axis. When each group reads one full-width row of the same x, the
+    input is ``x.data[rows]``: a view for consecutive rows.
     """
-    k, m = len(weights), weights[0].data.shape[1]
-    width = max([w.data.shape[0] for w in weights])
-    lead = inputs[0][0][0].data[inputs[0][0][1]].shape[:-1]
+    k, width, m = weights.data.shape
+    x0, j0 = inputs[0][0]
+    lead = x0.data[j0].shape[:-1]
+    rows = [j for group in inputs for x, j in group
+            if x is x0 and type(j) is int]      # a full row of x0 a group?
+    shared = (_as_slice(rows) if len(rows) == k == sum(map(len, inputs))
+              and x0.data.shape[-1] == width
+              and all([p.data.shape[0] == width for p in weights.params])
+              else None)
 
     def gather() -> np.ndarray:     # the backward rebuilds it too
-        if all([len(group) == 1 and w.data.shape[0] == width
-                for group, w in zip(inputs, weights)]):
-            xs = np.array([x.data[j] for (x, j), in inputs])
-            if xs.shape == (k, *lead, width):   # one full input a group
-                return xs.reshape(k, -1, width)
-        xs = np.zeros((k, *lead, width), dtype=weights[0].data.dtype)
+        if shared is not None:
+            return x0.data[shared].reshape(k, -1, width)
+        xs = np.zeros((k, *lead, width), dtype=weights.data.dtype)
         for i in range(k):
             col = 0
             for x, j in inputs[i]:
                 part = x.data[j]
                 xs[i, ..., col:col + part.shape[-1]] = part
                 col += part.shape[-1]
-            if col != weights[i].data.shape[0]:
+            if col != weights.params[i].data.shape[0]:
                 raise ShapeError(f"group {i}: {col} input columns for "
-                                 f"weight {weights[i].data.shape}")
+                                 f"weight {weights.params[i].data.shape}")
         return xs.reshape(k, -1, width)
 
-    stack = _stacked(weights, (k, width, m))
+    stack = weights.data
     out = gather() @ stack
     if biases is not None:
-        out += _stacked(biases, (k, 1, m))
+        out += biases.data
     out = Tensor(out.reshape(k, *lead, m), requires_grad=any(
-        [t.requires_grad for t in (*weights, *(biases or ()))]
+        [t.requires_grad for t in (*weights.params,
+                                   *(biases.params if biases else ()))]
         + [x.requires_grad for group in inputs for x, _ in group]))
 
     def fn(g, push):
         g = g.reshape(k, -1, m)
-        _push_rows(push, weights, gather().swapaxes(-1, -2) @ g)
+        _push_rows(push, weights.params, gather().swapaxes(-1, -2) @ g)
         if biases is not None:
-            _push_rows(push, biases, g.sum(axis=1, keepdims=True))
+            _push_rows(push, biases.params, g.sum(axis=1, keepdims=True))
         dx = (g @ stack.swapaxes(-1, -2)).reshape(k, *lead, width)
         grads: dict[int, tuple[Tensor, np.ndarray]] = {}
         for i in range(k):

@@ -85,6 +85,40 @@ def check_op_grads(build, arrays, step: float = 1e-3, tol: float = 1e-3):
                 f"(max rel err {err:.3e})")
 
 
+def stacked(params) -> T.Stack:
+    """Standalone parameters as the operand of a grouped op: their data
+    copied into one zero-padded [k, rows, m] array, laid out as
+    ``layers.Params.block`` lays out a family."""
+    m = params[0].shape[-1]
+    data = np.zeros((len(params), max(p.size // m for p in params), m),
+                    params[0].dtype)
+    for entry, p in zip(data, params):
+        entry[:p.size // m] = p.data.reshape(-1, m)
+    return T.Stack(list(params), data)
+
+
+def assert_views_of_blocks(model) -> None:
+    """Every parameter is a view of its entry of one block
+    (``layers.Params.block``), and the entry's rows past it are exactly
+    zero; the families of several hold every parameter but the
+    embeddings', the encoder's and the document heads'."""
+    blocks = model.params.blocks
+    for block in blocks:
+        m = block.data.shape[-1]
+        for entry, p in zip(block.data, block.params):
+            rows = p.size // m
+            assert np.shares_memory(p.data, entry[:rows]), p.name
+            np.testing.assert_array_equal(p.data.reshape(rows, m),
+                                          entry[:rows], err_msg=p.name)
+            assert not entry[rows:].any(), f"{p.name}: nonzero padding"
+    assert sorted(p.name for b in blocks for p in b.params) == sorted(
+        model.named_parameters())
+    assert sorted(p.name for b in blocks if len(b.params) > 1
+                  for p in b.params) == sorted(
+        name for name in model.named_parameters()
+        if not name.startswith(("emb.", "enc.", "doc.")))
+
+
 def conv1d_naive(x: np.ndarray, kernel: np.ndarray,
                  bias: np.ndarray | None = None) -> np.ndarray:
     """Triple-loop same-padding 1-d convolution reference."""

@@ -6,7 +6,7 @@ import pytest
 from ktabsa import routing as R
 from ktabsa import tensor as T
 
-from helpers import check_op_grads, squash_ref, weighted_sum
+from helpers import check_op_grads, squash_ref, stacked, weighted_sum
 
 
 # ---------------------------------------------------------------------------
@@ -95,10 +95,11 @@ def votes(h, direction):
     """One direction's vote parts r (shaped like h [..., n, d], width
     d_route) and q [n, d_route], without the direction axis that
     ``predict_vectors`` and ``target_votes`` stack: h is the only source."""
-    n = h.shape[-2]
+    n, weights = h.shape[-2], stacked([direction.weight])
     r = R.predict_vectors(R.encode_positions(T.reshape(h, (1,) + h.shape)),
-                          direction, tasks=(direction.source,))
-    return T.select(r, 0), T.select(R.target_votes(n, direction), (0, 0))
+                          direction, tasks=(direction.source,),
+                          weights=weights)
+    return T.select(r, 0), T.select(R.target_votes(n, weights), (0, 0))
 
 
 def test_predict_vectors_zero_weight():
@@ -209,9 +210,10 @@ def test_predict_vectors_reads_each_direction_its_source_row():
         hidden = T.constant(rng.normal(size=(3, 2, 5, 6)))
         directions = [R.TransferDirection(src, "y", T.constant(
             rng.normal(size=(6, 4)))) for src in "cacb"]
+        weights = stacked([t.weight for t in directions])
         r = R.predict_vectors(R.encode_positions(hidden), *directions,
-                              tasks=("a", "b", "c"))
-        q = R.target_votes(5, *directions)
+                              tasks=("a", "b", "c"), weights=weights)
+        q = R.target_votes(5, weights)
     assert r.shape == (4, 2, 5, 4) and q.shape == (4, 1, 5, 4)
     table = R.positional_encoding(5, 6)
     for k, t in enumerate(directions):

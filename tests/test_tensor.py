@@ -10,7 +10,8 @@ from ktabsa import routing
 from ktabsa import tensor as T
 
 from helpers import (check_op_grads, conv1d_naive, corrupt_squash_backward,
-                     numeric_grad, rel_err, squash_ref, weighted_sum)
+                     numeric_grad, rel_err, squash_ref, stacked,
+                     weighted_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -515,8 +516,8 @@ def test_grouped_conv1d_matches_a_conv_per_group_and_its_grads(shared):
               + [rng.normal(size=d_out) for _ in range(k)])
     with T.use_dtype(np.float64):
         C = T.constant
-        out = T.grouped_conv1d(C(x), [C(p) for p in params[:k]],
-                               [C(p) for p in params[k:]])
+        out = T.grouped_conv1d(C(x), stacked([C(p) for p in params[:k]]),
+                               stacked([C(p) for p in params[k:]]))
     assert out.shape == (k, g, n, d_out)
     for i in range(k):
         for j in range(g):
@@ -526,7 +527,8 @@ def test_grouped_conv1d_matches_a_conv_per_group_and_its_grads(shared):
                 atol=1e-12)
     probe = rng.normal(size=(k, g, n, d_out))
     check_op_grads(lambda ts: weighted_sum(
-        T.grouped_conv1d(ts[0], ts[1:k + 1], ts[k + 1:]), probe),
+        T.grouped_conv1d(ts[0], stacked(ts[1:k + 1]), stacked(ts[k + 1:])),
+        probe),
         [x] + params)
 
 
@@ -544,7 +546,8 @@ def test_grouped_affine_pads_rows_and_gathers_shared_inputs():
     def build(ts):
         x, s, c, *p = ts
         return T.grouped_affine([[(x, 1), (s, ()), (c, ())], [(x, 2)],
-                                 [(s, ()), (x, 1)]], p[:3], p[3:])
+                                 [(s, ()), (x, 1)]], stacked(p[:3]),
+                                stacked(p[3:]))
 
     with T.use_dtype(np.float64):
         out = build([T.constant(a) for a in [x, s, c] + params])
@@ -559,11 +562,35 @@ def test_grouped_affine_pads_rows_and_gathers_shared_inputs():
                    [x, s, c] + params)
 
 
+@pytest.mark.parametrize("rows", [[0, 1, 2], [1, 2, 0, 2, 0, 1]],
+                         ids=["consecutive", "repeated"])
+def test_grouped_affine_reads_rows_of_one_tensor_in_place(rows):
+    # each group reads one row of the same x: the decoders read consecutive
+    # rows (a view), the votes repeated rows out of order (one gather)
+    rng = np.random.default_rng(26)
+    k, g, n, d, m = len(rows), 2, 3, 4, 5
+    x = rng.normal(size=(3, g, n, d))
+    params = ([rng.normal(size=(d, m)) for _ in range(k)]
+              + [rng.normal(size=m) for _ in range(k)])
+
+    def build(ts):
+        return T.grouped_affine([[(ts[0], j)] for j in rows],
+                                stacked(ts[1:k + 1]), stacked(ts[k + 1:]))
+
+    with T.use_dtype(np.float64):
+        out = build([T.constant(a) for a in [x] + params])
+    for i, j in enumerate(rows):
+        np.testing.assert_allclose(out.data[i], x[j] @ params[i]
+                                   + params[k + i], atol=1e-12)
+    probe = rng.normal(size=(k, g, n, m))
+    check_op_grads(lambda ts: weighted_sum(build(ts), probe), [x] + params)
+
+
 def test_grouped_affine_rejects_a_weight_of_the_wrong_height():
     x = T.constant(np.zeros((2, 3, 4)))
     with pytest.raises(T.ShapeError, match="group 1: 4 input columns"):
-        T.grouped_affine([[(x, 0)], [(x, 1)]], [T.constant(np.zeros((4, 2))),
-                                                T.constant(np.zeros((5, 2)))])
+        T.grouped_affine([[(x, 0)], [(x, 1)]], stacked(
+            [T.constant(np.zeros((4, 2))), T.constant(np.zeros((5, 2)))]))
 
 
 def test_conv1d_group_has_no_leak_between_items():

@@ -23,9 +23,10 @@ from ktabsa.training import (Adam, DivergenceError, Schedule, _train_step,
 
 from fixtures import (build_tiny_model, build_tiny_model_f64,
                       random_sentence, tiny_config, tiny_sentence)
-from helpers import (assert_grads_close, corrupt_squash_backward,
-                     failing_disk, gradcheck, step_grads, tape_grads,
-                     weighted_sum, whole_batch_aspect_loss, worst)
+from helpers import (assert_grads_close, assert_views_of_blocks,
+                     corrupt_squash_backward, failing_disk, gradcheck,
+                     step_grads, tape_grads, weighted_sum,
+                     whole_batch_aspect_loss, worst)
 
 
 def fake_states(logits: dict[str, np.ndarray]):
@@ -230,6 +231,7 @@ def test_model_gradcheck_on_a_group_of_sentences():
     assign_embedding_ids([other], model.general_table, model.domain_table)
     report = model_gradcheck(model, [sent, other])
     assert report.passed, [(e.name, e.max_rel_err) for e in report.failures]
+    assert_views_of_blocks(model)   # its in-place nudges reach the blocks
 
 
 def test_group_members_do_not_see_each_other():
