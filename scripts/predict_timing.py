@@ -8,15 +8,16 @@ generator makes them, and sentences stitched from them and padded with
 with one BLAS thread. A row prints the median latency of one length class
 over ``--reps`` passes of every sentence, in milliseconds, and the Python
 calls (``sys.setprofile`` call events) of one untimed predict of the
-class's first sentence: a count that, unlike the latency, does not drift
-with the host.
+class's first sentence and the tape nodes of one forward of it: counts
+that, unlike the latency, do not drift with the host.
 
 ``--against PATH`` builds the same model from the package under
 ``PATH/src`` (for example a ``git archive`` of another revision) and
 alternates the two predict by predict, swapping which goes first each
-pass, so both see the same host; the row then adds that package's median
-and calls and the ratio of the medians (this checkout over the other), and
-a last line says whether the two predicted the same spans and pairs.
+pass, so both see the same host; the row then adds that package's median,
+calls and nodes and the ratio of the medians (this checkout over the
+other), and a last line says whether the two predicted the same spans and
+pairs.
 
 Usage: python scripts/predict_timing.py [--reps 20] [--seed 7]
                                         [--against PATH]
@@ -29,7 +30,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import importlib
-import importlib.util
 import statistics
 import sys
 import tempfile
@@ -37,24 +37,12 @@ import time
 
 import numpy as np
 
+from checkout import load_checkout
+
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 SHORT = 60                      # short sentences in the corpus
 LONG = {64: 8, 128: 4}          # long sentences per length
 EMBEDDING_SEED = 5
-
-
-def load_package(src: str, name: str):
-    """The ``data`` and ``model`` modules of the package ``src/ktabsa``,
-    imported as the package ``name``, so two checkouts load side by side."""
-    pkg = os.path.join(src, "ktabsa")
-    spec = importlib.util.spec_from_file_location(
-        name, os.path.join(pkg, "__init__.py"),
-        submodule_search_locations=[pkg])
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return (importlib.import_module(f"{name}.data"),
-            importlib.import_module(f"{name}.model"))
 
 
 def write_corpus(path: str, seed: int) -> None:
@@ -85,7 +73,7 @@ def write_corpus(path: str, seed: int) -> None:
 
 def build(package, corpus: str):
     """The default model of ``package`` and the corpus, indexed for it."""
-    data, model = package
+    data, model, _ = package
     sentences = data.load_aspect_corpus(corpus)
     config = model.ModelConfig()
     rng = np.random.default_rng(EMBEDDING_SEED)
@@ -117,6 +105,15 @@ def python_calls(net, sentence) -> int:
     return calls
 
 
+def tape_nodes(tensor, net, sentence) -> int:
+    """The tape nodes one ``net.forward([sentence])`` records on a tape of
+    the package's ``tensor`` module."""
+    tape = tensor.Tape()
+    with tensor.record(tape):
+        net.forward([sentence])
+    return len(tape)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--reps", type=int, default=20)
@@ -126,12 +123,13 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.reps < 1:
         ap.error("--reps must be at least 1")
-    packages = [load_package(os.path.join(ROOT, "src"), "ktabsa")]
+    modules = ("data", "model", "tensor")
+    packages = [load_checkout(os.path.join(ROOT, "src"), "ktabsa", *modules)]
     if args.against:
         src = os.path.join(args.against, "src")
         if not os.path.isfile(os.path.join(src, "ktabsa", "model.py")):
             ap.error(f"no src/ktabsa/model.py under {args.against}")
-        packages.append(load_package(src, "ktabsa_against"))
+        packages.append(load_checkout(src, "ktabsa_against", *modules))
     with tempfile.TemporaryDirectory() as tmp:
         corpus = os.path.join(tmp, "corpus.tsv")
         write_corpus(corpus, args.seed)
@@ -139,8 +137,10 @@ def main(argv=None) -> int:
     classes = [length_class(s.n) for s in runs[0][1]]
     firsts = [[net.predict(s) for s in sentences]     # warm-up pass
               for net, sentences in runs]
-    counts = [{c: python_calls(net, sentences[classes.index(c)])
-               for c in dict.fromkeys(classes)} for net, sentences in runs]
+    counts = [{c: (python_calls(net, sentences[classes.index(c)]),
+                   tape_nodes(tensor, net, sentences[classes.index(c)]))
+               for c in dict.fromkeys(classes)}
+              for (_, _, tensor), (net, sentences) in zip(packages, runs)]
     samples = [{c: [] for c in classes} for _ in runs]
     for rep in range(args.reps):
         order = range(len(runs))
@@ -150,9 +150,9 @@ def main(argv=None) -> int:
                 t0 = time.perf_counter()
                 net.predict(sentences[i])
                 samples[k][c].append(time.perf_counter() - t0)
-    cols = ["class", "sentences", "p50_ms", "calls"]
+    cols = ["class", "sentences", "p50_ms", "calls", "nodes"]
     if args.against:
-        cols += ["against_p50_ms", "against_calls", "ratio"]
+        cols += ["against_p50_ms", "against_calls", "against_nodes", "ratio"]
     print(f"numpy {np.__version__}, float32, default ModelConfig, seed "
           f"{args.seed}, median of {args.reps} passes")
     print(" ".join(f"{c:>14}" for c in cols))
@@ -160,7 +160,7 @@ def main(argv=None) -> int:
         p50 = [1e3 * statistics.median(s[c]) for s in samples]
         row = [c, classes.count(c)]
         for ms, count in zip(p50, counts):
-            row += [ms, count[c]]
+            row += [ms, *count[c]]
         if args.against:
             row.append(p50[0] / p50[1])
         print(" ".join(f"{x:>14.3f}" if isinstance(x, float) else f"{x:>14}"

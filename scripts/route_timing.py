@@ -25,33 +25,19 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"      # before numpy loads its BLAS
 
 import argparse
-import importlib
-import importlib.util
 import statistics
 import sys
 import time
 
 import numpy as np
 
+from checkout import load_checkout
+
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 SHAPES = ((4, 1, 128), (2, 1, 128), (6, 1, 64), (1, 4, 128), (2, 8, 64),
           (6, 1, 15), (6, 8, 15))
 D_ROUTE = 32
 ITERATIONS = 3
-
-
-def load_kernel(src: str, name: str):
-    """The ``routing`` and ``tensor`` modules of the package ``src/ktabsa``,
-    imported as the package ``name``, so two checkouts load side by side."""
-    pkg = os.path.join(src, "ktabsa")
-    spec = importlib.util.spec_from_file_location(
-        name, os.path.join(pkg, "__init__.py"),
-        submodule_search_locations=[pkg])
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return (importlib.import_module(f"{name}.routing"),
-            importlib.import_module(f"{name}.tensor"))
 
 
 def inputs(k: int, g: int, n: int, seed: int = 0):
@@ -99,12 +85,14 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.reps < 1:
         ap.error("--reps must be at least 1")
-    kernels = [load_kernel(os.path.join(ROOT, "src"), "ktabsa")]
+    kernels = [load_checkout(os.path.join(ROOT, "src"), "ktabsa", "routing",
+                             "tensor")]
     if args.against:
         src = os.path.join(args.against, "src")
         if not os.path.isfile(os.path.join(src, "ktabsa", "routing.py")):
             ap.error(f"no src/ktabsa/routing.py under {args.against}")
-        kernels.append(load_kernel(src, "ktabsa_against"))
+        kernels.append(load_checkout(src, "ktabsa_against", "routing",
+                                     "tensor"))
     cols = ["k", "G", "n", "fwd_ms", "bwd_ms"]
     if args.against:
         cols += ["against_fwd_ms", "against_bwd_ms", "fwd_ratio",

@@ -1,22 +1,25 @@
 """Shared encoder, task-specific stacks, attention pooling, token decoders.
 
 Every layer maps a group of equal-length sentences, [G, n, d], at once.
-:class:`TaskStack` and :class:`TokenDecoder` carry their tasks as a leading
-axis, [k, G, n, d], through grouped ops that read the tasks' parameters
-as one block (:meth:`Params.block`), so names and checkpoints stay per
-task. Each layer's ``__call__`` runs it as a unit, which is what a caller
-timing the layers wraps (see :mod:`ktabsa.model`).
+:class:`TaskStack`, :class:`AttentionHead` and :class:`TokenDecoder` carry
+their tasks as a leading axis, [k, G, n, d], through grouped ops that read
+the tasks' parameters as one block (:meth:`Params.block`), so names and
+checkpoints stay per task; the encoder runs each of its banks as a
+one-entry grouped convolution. Each layer's ``__call__`` runs it as a
+unit, which is what a caller timing the layers wraps (see
+:mod:`ktabsa.model`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import (ConfigError, Parameter, Stack, Tensor, concat, conv1d,
-                     default_dtype, fully_connected, grouped_affine,
-                     grouped_conv1d, matmul, relu, reshape, sigmoid, softmax)
+from .tensor import (Parameter, Stack, Tensor, concat, default_dtype,
+                     grouped_affine, grouped_conv1d, matmul, relu, reshape,
+                     sigmoid, softmax)
 
 NONLINEARITIES = {"relu": relu, "sigmoid": sigmoid}
+CONV = ("kernel", "bias")       # the part names of a convolution layer
 
 
 class Params:
@@ -37,6 +40,11 @@ class Params:
         self.blocks.append(Stack([None] * k,
                                  np.zeros((k, rows, m), default_dtype())))
         return self.blocks[-1]
+
+    def family(self, k: int, rows: int, m: int) -> tuple[Stack, Stack]:
+        """The weight block [k, rows, m] and bias block [k, 1, m] of k
+        layers whose weights flatten to at most ``rows`` rows of m."""
+        return self.block(k, rows, m), self.block(k, 1, m)
 
     def add(self, name: str, data: np.ndarray, block: Stack | None = None,
             row: int = 0) -> Parameter:
@@ -64,63 +72,40 @@ class Params:
               row: int = 0) -> Parameter:
         return self.add(name, np.zeros(n, dtype=default_dtype()), block, row)
 
-
-class Affine:
-    """Fully-connected layer: weight ``{name}.w``, bias ``{name}.b``, or
-    entry i of the blocks of ``into`` (weights, biases, i)."""
-
-    def __init__(self, params: Params, d_in: int, d_out: int, name: str,
-                 into: tuple[Stack, Stack, int] | None = None):
-        w, b, i = into or (None, None, 0)
-        self.w = params.glorot(f"{name}.w", (d_in, d_out), w, i)
-        self.b = params.zeros(f"{name}.b", d_out, b, i)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return fully_connected(x, self.w, self.b)
-
-
-def layer_blocks(params: Params, rows: list[int], m: int
-                 ) -> tuple[Stack, Stack]:
-    """The weight and bias blocks of layers i whose weight is ``rows[i]``
-    rows of m, flattened."""
-    return (params.block(len(rows), max(rows, default=0), m),
-            params.block(len(rows), 1, m))
-
-
-class ConvLayer:
-    """Kernel ``{name}.kernel`` and bias ``{name}.bias``, or entry i of the
-    blocks of ``into`` (kernels, biases, i)."""
-
-    def __init__(self, params: Params, width: int, d_in: int, d_out: int,
-                 name: str, into: tuple[Stack, Stack, int] | None = None):
-        w, b, i = into or (None, None, 0)
-        self.kernel = params.glorot(f"{name}.kernel", (width, d_in, d_out),
-                                    w, i)
-        self.bias = params.zeros(f"{name}.bias", d_out, b, i)
+    def layer(self, name: str, shape: tuple[int, ...],
+              family: tuple[Stack, Stack] | None = None, i: int = 0,
+              parts: tuple[str, str] = ("w", "b")) -> tuple[Stack, Stack]:
+        """Register a Glorot weight ``{name}.{parts[0]}`` of ``shape`` and a
+        zero bias ``{name}.{parts[1]}`` as entry i of ``family`` (from
+        :meth:`family`), or of a one-entry family of their own; return the
+        family."""
+        family = family or self.family(1, int(np.prod(shape[:-1])), shape[-1])
+        self.glorot(f"{name}.{parts[0]}", shape, family[0], i)
+        self.zeros(f"{name}.{parts[1]}", shape[-1], family[1], i)
+        return family
 
 
 class SharedEncoder:
     """Multi-width convolution bank over the embedded sentence.
 
-    Each kernel width contributes an equal slice of the output, so d_enc must
-    divide evenly among the widths; the slices are concatenated and passed
-    through the nonlinearity. Same padding keeps the sequence length, which
-    also covers the single-token edge case.
+    Each kernel width contributes an equal slice of the output (d_enc
+    divides evenly among the widths, as :meth:`ModelConfig.validate`
+    checks); the slices are concatenated and passed through the
+    nonlinearity. Same padding keeps the sequence length, which also covers
+    the single-token edge case.
     """
 
     def __init__(self, params: Params, d_in: int, d_enc: int,
                  widths: tuple[int, ...], nonlinearity: str):
-        if d_enc % len(widths) != 0:
-            raise ConfigError(f"encoder width {d_enc} not divisible by the "
-                              f"{len(widths)} kernel widths")
         self.nonlin = NONLINEARITIES[nonlinearity]
-        slice_out = d_enc // len(widths)
-        self.banks = [ConvLayer(params, w, d_in, slice_out, f"enc.w{w}")
+        self.banks = [params.layer(f"enc.w{w}",
+                                   (w, d_in, d_enc // len(widths)), parts=CONV)
                       for w in widths]
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.nonlin(concat([conv1d(x, bank.kernel, bank.bias)
-                                   for bank in self.banks], axis=-1))
+        """The encoding [G, n, d_enc] of x [G, n, d_in]."""
+        h = concat([grouped_conv1d(x, *bank) for bank in self.banks], axis=-1)
+        return self.nonlin(reshape(h, h.shape[1:]))
 
 
 class TaskStack:
@@ -130,18 +115,14 @@ class TaskStack:
 
     def __init__(self, params: Params, d_in: int, d_out: int, depth: int,
                  nonlinearity: str, tasks: tuple[str, ...]):
-        if depth < 1:
-            raise ConfigError(f"task stack depth must be >= 1, got {depth}")
         self.nonlin = NONLINEARITIES[nonlinearity]
         self.row = {task: i for i, task in enumerate(tasks)}
-        self.blocks = [layer_blocks(params, [3 * (d_out if k else d_in)]
-                                    * len(tasks), d_out)
-                       for k in range(depth)]
-        self.layers = {task: [ConvLayer(params, 3, d_out if k else d_in,
-                                        d_out, f"task.{task}.{k}",
-                                        (*self.blocks[k], i))
-                              for k in range(depth)]
-                       for i, task in enumerate(tasks)}
+        self.blocks = [params.family(len(tasks), 3 * (d_out if k else d_in),
+                                     d_out) for k in range(depth)]
+        for i, task in enumerate(tasks):
+            for k, family in enumerate(self.blocks):
+                params.layer(f"task.{task}.{k}", (3, d_out if k else d_in,
+                                                  d_out), family, i, CONV)
 
     def __call__(self, x: Tensor, tasks: tuple[str, ...]) -> Tensor:
         """Hidden states [len(tasks), G, n, d_out] of ``tasks``, in that
@@ -154,25 +135,31 @@ class TaskStack:
 
 
 class AttentionHead:
-    """Single-query self-attention pooling plus a document classifier."""
+    """Single-query self-attention pooling plus a document classifier per
+    task: weights ``doc.{task}.attn.w`` [d, 1], entries of one block, and
+    ``doc.{task}.cls.{w,b}``, a family each, since the tasks' class counts
+    differ."""
 
-    def __init__(self, params: Params, d: int, classes: int, name: str):
-        self.w = params.glorot(f"{name}.attn.w", (d, 1))
-        self.classifier = Affine(params, d, classes, f"{name}.cls")
+    def __init__(self, params: Params, d: int, classes: dict[str, int]):
+        self.row = {task: i for i, task in enumerate(classes)}
+        self.w = params.block(len(classes), d, 1)
+        self.classifiers = {}
+        for i, (task, c) in enumerate(classes.items()):
+            params.glorot(f"doc.{task}.attn.w", (d, 1), self.w, i)
+            self.classifiers[task] = params.layer(f"doc.{task}.cls", (d, c))
 
-    def __call__(self, h: Tensor, classify: bool = True
-                 ) -> tuple[Tensor, Tensor | None, Tensor | None]:
-        """Return (weights [G, n], pooled doc vectors [G, d], logits [G, C])
-        for hidden states h [G, n, d]; without ``classify``, only the
-        weights, and None for the others."""
-        g, n, d = h.shape
-        scores = reshape(matmul(h, self.w), (g, n))
-        a = softmax(scores, axis=-1)
-        if not classify:
-            return a, None, None
-        doc = reshape(matmul(reshape(a, (g, 1, n)), h), (g, d))
-        logits = self.classifier(doc)
-        return a, doc, logits
+    def __call__(self, h: Tensor, tasks: tuple[str, ...]
+                 ) -> tuple[Tensor, list[Tensor]]:
+        """Attention weights [k, G, n, 1] over the tokens of h [k, G, n, d],
+        the hidden states of ``tasks`` in that order, and per task its
+        logits [1, G, 1, C]."""
+        k, g, n, _ = h.shape
+        a = softmax(grouped_affine([[(h, i)] for i in range(k)],
+                                   self.w.rows([self.row[t] for t in tasks])),
+                    axis=-2)
+        pooled = matmul(reshape(a, (k, g, 1, n)), h)
+        return a, [grouped_affine([[(pooled, i)]], *self.classifiers[task])
+                   for i, task in enumerate(tasks)]
 
 
 class TokenDecoder:
@@ -180,14 +167,13 @@ class TokenDecoder:
 
     def __init__(self, params: Params, d: int, classes: int,
                  tasks: tuple[str, ...]):
-        self.w, self.b = layer_blocks(params, [d] * len(tasks), classes)
-        self.maps = {task: Affine(params, d, classes, f"dec.{task}",
-                                  (self.w, self.b, i))
-                     for i, task in enumerate(tasks)}
+        self.w, self.b = params.family(len(tasks), d, classes)
+        for i, task in enumerate(tasks):
+            params.layer(f"dec.{task}", (d, classes), (self.w, self.b), i)
 
     def __call__(self, h: Tensor) -> tuple[Tensor, Tensor]:
         """Logits and distributions [k, G, n, C] of h [k, G, n, d], row i
         the i-th task's."""
-        logits = grouped_affine([[(h, i)] for i in range(len(self.maps))],
+        logits = grouped_affine([[(h, i)] for i in range(h.shape[0])],
                                 self.w, self.b)
         return logits, softmax(logits, axis=-1)

@@ -17,9 +17,10 @@ signals once, together with the routing prior and the route plan, and
 every round reuses them.
 
 The tasks are an axis, not a loop: the five task stacks run as one
-[5, G, n, d] stack, and the three token-level tasks stay [3, G, n, ·] from
-there to the loss. A round computes the votes of a block of directions in
-one :func:`predict_vectors` call (each direction reads its source's row),
+[5, G, n, d] stack, its document rows run through one attention head, and
+the three token-level tasks stay [3, G, n, ·] from there to the loss. A
+round computes the votes of a block of directions in one
+:func:`predict_vectors` call (each direction reads its source's row),
 routes them in the route plan's target-major order, and projects, fuses
 and decodes the three targets in one grouped affine map each, whose
 narrower inputs are zero-padded to the widest. Each family of per-task
@@ -123,6 +124,12 @@ class ModelConfig:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, "
                                   f"got {getattr(self, name)}")
+        if self.d_enc % len(kw) != 0:
+            raise ConfigError(f"d_enc {self.d_enc} is not divisible by the "
+                              f"{len(kw)} kernel widths")
+        if self.task_depth < 1:
+            raise ConfigError(f"task_depth must be >= 1, "
+                              f"got {self.task_depth}")
         if self.nonlinearity not in L.NONLINEARITIES:
             raise ConfigError(f"unknown nonlinearity {self.nonlinearity!r}")
         for d in self.transfers:
@@ -290,9 +297,8 @@ class AbsaModel:
                                   ASPECT_TASKS + DOC_TASKS)
         self.decoders = L.TokenDecoder(params, config.d_task, c1,
                                        ASPECT_TASKS)
-        self.heads = {s: L.AttentionHead(params, config.d_task,
-                                         schemes.doc_classes(s), f"doc.{s}")
-                      for s in DOC_TASKS}
+        self.heads = L.AttentionHead(params, config.d_task, {
+            s: schemes.doc_classes(s) for s in DOC_TASKS})
 
         # the directions of a round grouped by target: the route plan's
         # order, the order of the votes and of the routed vectors, and the
@@ -319,23 +325,19 @@ class AbsaModel:
         # the projections and the fusions of the targets are a family
         # each, in target order, created target by target
         projected = [t for t in self.into if self.into[t]]
-        widths = {t: config.d_task + len(self.into[t]) * config.d_route
-                  for t in projected}
-        self.proj_blocks = L.layer_blocks(params, list(widths.values()),
-                                          config.d_task)
-        self.fuse_blocks = L.layer_blocks(
-            params, [self._fuse_width(t) for t in self.into], config.d_task)
-        self.proj: dict[str, L.Affine] = {}
-        self.fuse: dict[str, L.Affine] = {}
+        proj = {t: config.d_task + len(self.into[t]) * config.d_route
+                for t in projected}
+        fuse = {t: self._fuse_width(t) for t in self.into}
+        self.proj_blocks, self.fuse_blocks = (
+            params.family(len(widths), max(widths.values(), default=0),
+                          config.d_task) for widths in (proj, fuse))
         for i, target in enumerate(self.into):
-            if target in widths:
-                self.proj[target] = L.Affine(
-                    params, widths[target], config.d_task,
-                    f"fuse.{target}.proj",
-                    (*self.proj_blocks, projected.index(target)))
-            self.fuse[target] = L.Affine(
-                params, self._fuse_width(target), config.d_task,
-                f"fuse.{target}.out", (*self.fuse_blocks, i))
+            if target in proj:
+                params.layer(f"fuse.{target}.proj",
+                             (proj[target], config.d_task), self.proj_blocks,
+                             projected.index(target))
+            params.layer(f"fuse.{target}.out", (fuse[target], config.d_task),
+                         self.fuse_blocks, i)
 
     def _fuse_width(self, target: str) -> int:
         """The hidden vector, three tag distributions and the document
@@ -425,33 +427,32 @@ class AbsaModel:
 
     def initial_state(self, sentences: Sequence[Sentence],
                       keep: Sequence[tuple[np.ndarray, np.ndarray]] | None
-                      ) -> tuple[IterationState, dict[str, Tensor]]:
+                      ) -> tuple[IterationState,
+                                 dict[str, tuple[Tensor, int]]]:
         """Round 0 (the task stacks' hidden vectors and their decodes) and
         the document signals that every later round fuses, keyed as in
-        :meth:`ModelConfig.doc_inputs`: an attention weight [G, n, 1] per
-        token, or the document's label distribution [G, 1, C], which the
-        fusion repeats at every token. Only the signals some target fuses
-        are built, and the aspect stacks run with the document stacks they
-        need as one [k, G, n, d] :class:`layers.TaskStack` call. A head
-        whose distribution no target fuses computes only its attention
-        weights."""
+        :meth:`ModelConfig.doc_inputs`: (x, i) with ``x.data[i]`` an
+        attention weight [G, n, 1] per token, or the document's label
+        distribution [G, 1, C], which the fusion repeats at every token.
+        Only the signals some target fuses are built: the aspect stacks run
+        with the document stacks they need as one [k, G, n, d]
+        :class:`layers.TaskStack` call, and those document rows of its
+        output as one :class:`layers.AttentionHead` call."""
         shared = self._shared(sentences, keep)
         wanted = dict.fromkeys(signal for target in ASPECT_TASKS
                                for signal in self.config.doc_inputs(target))
         docs = tuple(s for s in DOC_TASKS
                      if any(signal.startswith(f"{s}.") for signal in wanted))
         hidden = self.stacks(shared, ASPECT_TASKS + docs)
-        g, n = shared.shape[:2]
-        heads = {s: self.heads[s](select(hidden, len(ASPECT_TASKS) + k),
-                                  classify=f"{s}.probs" in wanted)
-                 for k, s in enumerate(docs)}
         doc = {}
-        for signal in wanted:
-            task, _, kind = signal.partition(".")
-            a, _vec, logits = heads[task]
-            doc[signal] = (reshape(a, (g, n, 1)) if kind == "attn" else
-                           reshape(softmax(logits, axis=-1), (g, 1, -1)))
         if docs:
+            a, logits = self.heads(select(hidden, slice(len(ASPECT_TASKS),
+                                                         None)), docs)
+            for signal in wanted:
+                task, _, kind = signal.partition(".")
+                k = docs.index(task)
+                doc[signal] = ((a, k) if kind == "attn" else
+                               (softmax(logits[k], axis=-1), 0))
             hidden = select(hidden, slice(0, len(ASPECT_TASKS)))
         return IterationState(0, hidden, *self.decoders(hidden)), doc
 
@@ -470,7 +471,7 @@ class AbsaModel:
         return plan
 
     def transfer_and_aggregate(self, state: IterationState,
-                               doc: dict[str, Tensor],
+                               doc: dict[str, tuple[Tensor, int]],
                                prior: tuple[np.ndarray, np.ndarray],
                                plan: list, traces: list[RoutingTrace] | None
                                ) -> IterationState:
@@ -497,7 +498,7 @@ class AbsaModel:
         return self.aggregate(state, concat(routed) if routed else None, doc)
 
     def aggregate(self, state: IterationState, routed: Tensor | None,
-                  doc: dict[str, Tensor]) -> IterationState:
+                  doc: dict[str, tuple[Tensor, int]]) -> IterationState:
         """Fuse each target's routed knowledge, row k of ``routed`` [k, G, n,
         d_route] for the k-th direction of :attr:`order`, with the previous
         predictions and its document signals ``doc[signal]`` (from
@@ -519,7 +520,7 @@ class AbsaModel:
             [[(p, projected.index(t)) if into[t]
               else (h, ASPECT_TASKS.index(t))]
              + [(state.probs, i) for i in range(len(ASPECT_TASKS))]
-             + [(doc[signal], ()) for signal in cfg.doc_inputs(t)]
+             + [doc[signal] for signal in cfg.doc_inputs(t)]
              for t in fusing], *self.fuse_blocks))
         if len(fusing) < len(ASPECT_TASKS):     # the others keep their state
             fused = select(concat([h, fused]), [
@@ -533,8 +534,9 @@ class AbsaModel:
         """Document-task logits [G, C] of a group of equal-length documents;
         these do not depend on the iteration loop."""
         hidden = self.stacks(self._shared(docs, keep), DOC_TASKS)
-        return {s: self.heads[s](select(hidden, k))[2]
-                for k, s in enumerate(DOC_TASKS)}
+        _a, logits = self.heads(hidden, DOC_TASKS)
+        return {s: reshape(x, (len(docs), -1))
+                for s, x in zip(DOC_TASKS, logits)}
 
     # -- inference ----------------------------------------------------------
 

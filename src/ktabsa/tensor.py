@@ -315,33 +315,6 @@ def fully_connected(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _emit(out, fn)
 
 
-def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Same-length 1-d convolution over token sequences, as one group of
-    :func:`grouped_conv1d`.
-
-    ``x`` is [n, d_in] or a group [G, n, d_in], ``kernel`` is
-    [width, d_in, d_out] with odd width. Each sequence is zero-padded
-    symmetrically on its own, so the output is [..., n, d_out] and nothing
-    leaks between the sequences of a group.
-    """
-    if x.ndim not in (2, 3) or kernel.ndim != 3:
-        raise ShapeError(f"conv1d expects [..., n, d_in] and [w, d_in, d_out], "
-                         f"got {tuple(x.shape)} and {tuple(kernel.shape)}")
-    w, d_in, d_out = kernel.shape
-    if w % 2 == 0:
-        raise ConfigError(f"conv1d kernel width must be odd, got {w}")
-    if x.shape[-1] != d_in:
-        raise ShapeError(f"conv1d input width {x.shape[-1]} != kernel d_in "
-                         f"{d_in}")
-    if bias is not None and bias.shape != (d_out,):
-        raise ShapeError(f"conv1d bias shape {tuple(bias.shape)} != ({d_out},)")
-    bias = bias or constant(np.zeros(d_out, x.dtype))
-    out = grouped_conv1d(x if x.ndim == 3 else reshape(x, (1,) + x.shape),
-                         Stack([kernel], kernel.data.reshape(1, -1, d_out)),
-                         Stack([bias], bias.data.reshape(1, 1, d_out)))
-    return reshape(out, x.shape[:-1] + (d_out,))
-
-
 class Stack(NamedTuple):
     """k parameters as the operand of a grouped op, with their data as one
     array [k, rows, m]: parameter i, flattened to [r_i, m], in the first

@@ -101,7 +101,7 @@ def assert_views_of_blocks(model) -> None:
     """Every parameter is a view of its entry of one block
     (``layers.Params.block``), and the entry's rows past it are exactly
     zero; the families of several hold every parameter but the
-    embeddings', the encoder's and the document heads'."""
+    embeddings', the encoder's and the document classifiers'."""
     blocks = model.params.blocks
     for block in blocks:
         m = block.data.shape[-1]
@@ -116,7 +116,15 @@ def assert_views_of_blocks(model) -> None:
     assert sorted(p.name for b in blocks if len(b.params) > 1
                   for p in b.params) == sorted(
         name for name in model.named_parameters()
-        if not name.startswith(("emb.", "enc.", "doc.")))
+        if not name.startswith(("emb.", "enc.", "doc.ddc.cls.",
+                                "doc.dsc.cls.")))
+
+
+def conv1d(x: T.Tensor, kernel: T.Tensor, bias: T.Tensor) -> T.Tensor:
+    """One same-length convolution [G, n, d_out] of x [G, n, d_in]: a
+    one-entry ``grouped_conv1d``."""
+    return T.select(T.grouped_conv1d(x, stacked([kernel]), stacked([bias])),
+                    0)
 
 
 def conv1d_naive(x: np.ndarray, kernel: np.ndarray,
@@ -220,34 +228,47 @@ def _stacked(parts):
     return T.concat([T.reshape(p, (1,) + p.shape) for p in parts], axis=0)
 
 
+def attend(h: T.Tensor, w: T.Tensor) -> tuple[T.Tensor, T.Tensor]:
+    """Single-query attention of h [G, n, d] under weight w [d, 1]: the
+    weights [G, n] and the pooled vectors [G, d]."""
+    g, n, d = h.shape
+    a = T.softmax(T.reshape(T.matmul(h, w), (g, n)), axis=-1)
+    return a, T.reshape(T.matmul(T.reshape(a, (g, 1, n)), h), (g, d))
+
+
 def per_task_forward(model, sentences, keep=None, keep_trace=False):
     """Reference for ``AbsaModel.forward`` that runs every task as a chain
-    of its own: one ``conv1d`` per task and layer, one affine map per
-    decoder, projection and fusion, and one ``route`` call per transfer
-    direction, r [G, n, d_route] against q [n, d_route], with no task or
-    direction axis, grouped op, stacking or slicing. Only the embedding and
+    of its own, reading the parameters by name: one one-entry convolution
+    per task and layer, one attention pooling and classifier per document
+    task, one affine map per decoder, projection and fusion, and one
+    ``route`` call per transfer direction, r [G, n, d_route] against
+    q [n, d_route], with no task or direction axis. Only the embedding and
     the shared encoder are the model's own code. The states are stacked
     [3, G, n, ·] at the end of each round, as the model returns them, and
     the traces come in the model's order: by round, by direction in
     target-major order, then by sentence."""
-    cfg = model.config
+    cfg, P = model.config, model.params.tensors
     g, n = len(sentences), sentences[0].n
     nonlin = model.nonlin
     shared = model._shared(sentences, keep)
 
     def stack(task, x):
-        for layer in model.stacks.layers[task]:
-            x = nonlin(T.conv1d(x, layer.kernel, layer.bias))
+        for k in range(cfg.task_depth):
+            x = nonlin(conv1d(x, P[f"task.{task}.{k}.kernel"],
+                              P[f"task.{task}.{k}.bias"]))
         return x
 
+    def affine(x, name):
+        return T.fully_connected(x, P[f"{name}.w"], P[f"{name}.b"])
+
     def decode(hidden):
-        logits = [T.fully_connected(h, m.w, m.b) for h, m in
-                  zip(hidden, model.decoders.maps.values())]
+        logits = [affine(h, f"dec.{t}") for h, t in zip(hidden, ASPECT_TASKS)]
         return (hidden, logits, [T.softmax(x, axis=-1) for x in logits])
 
     doc = {}
     for task in DOC_TASKS:
-        a, _vec, logits = model.heads[task](stack(task, shared))
+        a, vec = attend(stack(task, shared), P[f"doc.{task}.attn.w"])
+        logits = affine(vec, f"doc.{task}.cls")
         doc[f"{task}.attn"] = T.reshape(a, (g, n, 1))
         probs = T.reshape(T.softmax(logits, axis=-1), (g, 1, logits.shape[1]))
         doc[f"{task}.probs"] = T.add(T.constant(np.zeros((n, 1), probs.dtype)),
@@ -279,13 +300,11 @@ def per_task_forward(model, sentences, keep=None, keep_trace=False):
                         routing.RoutingState(st.c[j], st.s[j], st.v[j])
                         for st in kept]) for j in range(g)] if keep_trace \
                         else []
-                proj = model.proj[target]
-                h = T.fully_connected(T.concat([h] + routed, axis=-1),
-                                      proj.w, proj.b)
-            fuse = model.fuse[target]
-            new_hidden[i] = nonlin(T.fully_connected(T.concat(
+                h = affine(T.concat([h] + routed, axis=-1),
+                           f"fuse.{target}.proj")
+            new_hidden[i] = nonlin(affine(T.concat(
                 [h] + probs + [doc[s] for s in cfg.doc_inputs(target)],
-                axis=-1), fuse.w, fuse.b))
+                axis=-1), f"fuse.{target}.out"))
         hidden, logits, probs = decode(new_hidden)
         states.append(IterationState(t, _stacked(hidden), _stacked(logits),
                                      _stacked(probs)))

@@ -259,7 +259,7 @@ def test_ablation_structure_and_discriminate_injection():
         loss = loss_with(ModelConfig(lambda_ate=0, lambda_ote=0,
                                      lambda_asc=1))
     tape.backward(loss)
-    g = model.heads["ddc"].w.grad
+    g = model.params.tensors["doc.ddc.attn.w"].grad
     assert g is None or not g.any()
 
     for p in model.named_parameters().values():
@@ -269,7 +269,7 @@ def test_ablation_structure_and_discriminate_injection():
         loss = loss_with(ModelConfig(lambda_ate=1, lambda_ote=1,
                                      lambda_asc=0))
     tape.backward(loss)
-    g = model.heads["dsc"].w.grad
+    g = model.params.tensors["doc.dsc.attn.w"].grad
     assert g is None or not g.any()
     ok("ablation-structure",
        "6 flags produce exact manifest diffs; injections stay discriminate")

@@ -326,6 +326,10 @@ def test_eval_damaged_header_exit_3(synth_dir, tmp_path, capsys):
                         ("train_embeddings", lambda h: h["config"].update(
                             train_embeddings=False)),
                         ("seed", lambda h: h["config"].update(seed=-1)),
+                        ("task_depth", lambda h: h["config"].update(
+                            task_depth=0)),
+                        ("divisible", lambda h: h["config"].update(
+                            kernel_widths=[3, 5], d_enc=9)),
                         ("schemes", lambda h: h["schemes"].update(
                             ate_tags=["O", "BA", "IA"]))):
         ckpt.write_bytes(edit_header(raw, damage))
@@ -391,6 +395,8 @@ def test_unreadable_or_unwritable_paths_exit_3(synth_dir, tiny_checkpoint,
 @pytest.mark.parametrize("setting", ["batch_size=0", "pretrain_epochs=-1",
                                      "aspect_batches_per_doc=0",
                                      "kernel_widths=", "kernel_widths=3,3",
+                                     "kernel_widths=4", "task_depth=0",
+                                     "kernel_widths=3,5 d_enc=33",
                                      "d_enc=-8", "epochs=-1", "lr=nan",
                                      "lr=inf", "lr=-1", "lr=0",
                                      "clip_norm=-1", "clip_norm=inf",
@@ -401,10 +407,13 @@ def test_unreadable_or_unwritable_paths_exit_3(synth_dir, tiny_checkpoint,
 def test_invalid_schedule_or_widths_exit_2(synth_dir, tmp_path, capsys,
                                            setting):
     cfg = os.path.join(synth_dir, "synthetic.cfg")
+    # a setting of several assignments sets each of them
+    sets = [arg for s in setting.split() for arg in ("--set", s)]
     code = run_cli("train", "--config", cfg, "--quiet",
-                   *fast_overrides(str(tmp_path / "run")), "--set", setting)
+                   *fast_overrides(str(tmp_path / "run")), *sets)
     assert code == 2
     assert "config error:" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []     # nothing written before the check
 
 
 @pytest.mark.parametrize("argv", [

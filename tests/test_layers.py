@@ -4,16 +4,17 @@ import pytest
 from ktabsa import tensor as T
 from ktabsa.layers import (AttentionHead, Params, SharedEncoder, TaskStack,
                            TokenDecoder)
+from ktabsa.model import ModelConfig
 
-from helpers import conv1d_naive
+from helpers import conv1d, conv1d_naive
 
 
 def test_encoder_single_token_sentence():
     rng = np.random.default_rng(0)
     enc = SharedEncoder(Params(rng), d_in=6, d_enc=8, widths=(3, 5),
                         nonlinearity="relu")
-    out = enc(T.constant(rng.normal(size=(1, 6)).astype(np.float32)))
-    assert out.shape == (1, 8)
+    out = enc(T.constant(rng.normal(size=(2, 1, 6)).astype(np.float32)))
+    assert out.shape == (2, 1, 8)
     assert np.isfinite(out.data).all()
 
 
@@ -21,27 +22,30 @@ def test_encoder_zero_input_zero_bias_gives_nonlinearity_of_zero():
     rng = np.random.default_rng(1)
     enc = SharedEncoder(Params(rng), d_in=4, d_enc=6, widths=(3,),
                         nonlinearity="sigmoid")
-    out = enc(T.constant(np.zeros((3, 4), dtype=np.float32)))
+    out = enc(T.constant(np.zeros((2, 3, 4), dtype=np.float32)))
     np.testing.assert_allclose(out.data, 0.5)  # sigmoid(0)
 
 
 def test_encoder_matches_naive_conv_reference():
     rng = np.random.default_rng(2)
     with T.use_dtype(np.float64):
-        enc = SharedEncoder(Params(rng), d_in=5, d_enc=8, widths=(3, 5),
+        params = Params(rng)
+        enc = SharedEncoder(params, d_in=5, d_enc=8, widths=(3, 5),
                             nonlinearity="relu")
-        x = rng.normal(size=(7, 5))
+        x = rng.normal(size=(2, 7, 5))
         out = enc(T.constant(x))
-    parts = []
-    for bank in enc.banks:
-        parts.append(conv1d_naive(x, bank.kernel.data, bank.bias.data))
-    expected = np.maximum(np.concatenate(parts, axis=1), 0)
-    np.testing.assert_allclose(out.data, expected, atol=1e-10)
+    P = params.tensors
+    for g in range(2):
+        parts = [conv1d_naive(x[g], P[f"enc.w{w}.kernel"].data,
+                              P[f"enc.w{w}.bias"].data) for w in (3, 5)]
+        expected = np.maximum(np.concatenate(parts, axis=1), 0)
+        np.testing.assert_allclose(out.data[g], expected, atol=1e-10)
 
 
 def test_encoder_width_divisibility_enforced():
+    # the config rejects it, before any layer or file is made
     with pytest.raises(T.ConfigError, match="divisible"):
-        SharedEncoder(Params(np.random.default_rng(0)), 4, 7, (3, 5), "relu")
+        ModelConfig(d_enc=7, kernel_widths=(3, 5)).validate()
 
 
 def test_task_stack_shapes():
@@ -55,20 +59,25 @@ def test_task_stack_shapes():
     assert list(params.tensors) == [
         f"task.{t}.{k}.{p}" for t in "xy" for k in (0, 1)
         for p in ("kernel", "bias")]
-    assert params.tensors["task.x.1.kernel"] is stack.layers["x"][1].kernel
+    kernels, biases = stack.blocks[1]
+    assert kernels.params[0] is params.tensors["task.x.1.kernel"]
+    assert biases.params[1] is params.tensors["task.y.1.bias"]
 
 
 def test_task_stack_matches_a_conv1d_chain_per_task():
     rng = np.random.default_rng(5)
     with T.use_dtype(np.float64):
-        stack = TaskStack(Params(rng), d_in=4, d_out=3, depth=2,
+        params = Params(rng)
+        stack = TaskStack(params, d_in=4, d_out=3, depth=2,
                           nonlinearity="sigmoid", tasks=("a", "b", "c"))
         x = T.constant(rng.normal(size=(2, 6, 4)))
         out = stack(x, ("c", "a"))
+    P = params.tensors
     for row, task in enumerate(("c", "a")):
         h = x
-        for layer in stack.layers[task]:
-            h = T.sigmoid(T.conv1d(h, layer.kernel, layer.bias))
+        for k in range(2):
+            h = T.sigmoid(conv1d(h, P[f"task.{task}.{k}.kernel"],
+                                 P[f"task.{task}.{k}.bias"]))
         np.testing.assert_allclose(out.data[row], h.data, atol=1e-12)
 
 
@@ -79,33 +88,47 @@ def test_params_rejects_a_duplicate_name():
         params.glorot("x.b", (4, 4))
 
 
+def two_task_head(rng, d):
+    """A head over tasks "x" (2 classes) and "y" (3 classes)."""
+    params = Params(rng)
+    return AttentionHead(params, d, {"x": 2, "y": 3}), params.tensors
+
+
 def test_attention_uniform_for_constant_rows():
     rng = np.random.default_rng(4)
-    head = AttentionHead(Params(rng), d=6, classes=3, name="doc.x")
-    h = T.constant(np.tile(np.arange(6, dtype=np.float32), (2, 4, 1)))
-    a, doc, logits = head(h)
-    np.testing.assert_allclose(a.data, np.full((2, 4), 0.25), atol=1e-6)
-    np.testing.assert_allclose(doc.data, h.data[:, 0], atol=1e-5)
-    assert logits.shape == (2, 3)
+    head, _ = two_task_head(rng, 6)
+    h = T.constant(np.tile(np.arange(6, dtype=np.float32), (2, 2, 4, 1)))
+    a, logits = head(h, ("x", "y"))
+    np.testing.assert_allclose(a.data, np.full((2, 2, 4, 1), 0.25), atol=1e-6)
+    assert [x.shape for x in logits] == [(1, 2, 1, 2), (1, 2, 1, 3)]
 
 
 def test_attention_weighted_sum_matches_bruteforce():
+    # each task's attention and classifier against a per-task numpy
+    # reference, over both tasks and over a subset
     rng = np.random.default_rng(6)
-    with T.use_dtype(np.float64):
-        head = AttentionHead(Params(rng), d=5, classes=3, name="doc.x")
-        h = T.constant(rng.normal(size=(3, 6, 5)))
-        a, doc, _ = head(h)
-    for g in range(3):
-        expected = sum(a.data[g, i] * h.data[g, i] for i in range(6))
-        np.testing.assert_allclose(doc.data[g], expected, atol=1e-12)
-    np.testing.assert_allclose(a.data.sum(axis=1), np.ones(3), atol=1e-6)
+    for tasks in (("x", "y"), ("y",)):
+        with T.use_dtype(np.float64):
+            head, P = two_task_head(rng, 5)
+            h = rng.normal(size=(len(tasks), 3, 6, 5))
+            a, logits = head(T.constant(h), tasks)
+        for i, task in enumerate(tasks):
+            scores = h[i] @ P[f"doc.{task}.attn.w"].data[:, 0]
+            e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+            want = e / e.sum(axis=-1, keepdims=True)
+            np.testing.assert_allclose(a.data[i, ..., 0], want, atol=1e-12)
+            pooled = np.einsum("gn,gnd->gd", want, h[i])
+            np.testing.assert_allclose(
+                logits[i].data[0, :, 0], pooled @ P[f"doc.{task}.cls.w"].data
+                + P[f"doc.{task}.cls.b"].data, atol=1e-12)
 
 
 def test_decoder_zero_weights_uniform_rows():
     rng = np.random.default_rng(9)
-    dec = TokenDecoder(Params(rng), d=6, classes=3, tasks=("x",))
-    dec.maps["x"].w.data[:] = 0.0
-    dec.maps["x"].b.data[:] = 0.0
+    params = Params(rng)
+    dec = TokenDecoder(params, d=6, classes=3, tasks=("x",))
+    params.tensors["dec.x.w"].data[:] = 0.0
+    params.tensors["dec.x.b"].data[:] = 0.0
     _logits, probs = dec(T.constant(
         rng.normal(size=(1, 1, 4, 6)).astype(np.float32)))
     np.testing.assert_allclose(probs.data, 1.0 / 3, atol=1e-7)
@@ -113,7 +136,8 @@ def test_decoder_zero_weights_uniform_rows():
 
 def test_decoder_rows_sum_to_one_and_argmax_shift_invariant():
     rng = np.random.default_rng(10)
-    dec = TokenDecoder(Params(rng), d=6, classes=3, tasks=("x", "y"))
+    params = Params(rng)
+    dec = TokenDecoder(params, d=6, classes=3, tasks=("x", "y"))
     h = T.constant(rng.normal(size=(2, 1, 5, 6)).astype(np.float32))
     logits, probs = dec(h)
     np.testing.assert_allclose(probs.data.sum(axis=-1), np.ones((2, 1, 5)),
@@ -123,10 +147,11 @@ def test_decoder_rows_sum_to_one_and_argmax_shift_invariant():
                         axis=-1)
     np.testing.assert_array_equal(probs.data.argmax(axis=-1),
                                   shifted.data.argmax(axis=-1))
-    for row, m in enumerate(dec.maps.values()):
+    for row, task in enumerate("xy"):
         np.testing.assert_allclose(
-            logits.data[row], T.fully_connected(T.constant(h.data[row]), m.w,
-                                                m.b).data, atol=1e-6)
+            logits.data[row], T.fully_connected(
+                T.constant(h.data[row]), params.tensors[f"dec.{task}.w"],
+                params.tensors[f"dec.{task}.b"]).data, atol=1e-6)
 
 
 def test_shared_encoder_accumulates_gradients_from_all_task_losses():
@@ -138,7 +163,7 @@ def test_shared_encoder_accumulates_gradients_from_all_task_losses():
     from ktabsa.training import aspect_loss, document_loss
 
     model, sent, doc = build_tiny_model()
-    kernel = model.encoder.banks[0].kernel
+    kernel = model.params.tensors["enc.w3.kernel"]
 
     def grad_for(fn):
         for p in model.named_parameters().values():

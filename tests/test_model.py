@@ -55,12 +55,13 @@ def test_forward_probability_rows_are_distributions():
     # at every token, and attention weights that sum to one over the tokens
     _state, doc = model.initial_state([sent], None)
     assert set(doc) == {"ddc.attn", "dsc.probs", "dsc.attn"}
-    assert doc["dsc.probs"].shape == (1, 1, 3)
-    np.testing.assert_allclose(doc["dsc.probs"].data.sum(axis=-1),
+    signal = {name: x.data[i] for name, (x, i) in doc.items()}
+    assert signal["dsc.probs"].shape == (1, 1, 3)
+    np.testing.assert_allclose(signal["dsc.probs"].sum(axis=-1),
                                np.ones((1, 1)), atol=1e-6)
-    for signal in ("ddc.attn", "dsc.attn"):
-        assert doc[signal].shape == (1, sent.n, 1)
-        np.testing.assert_allclose(doc[signal].data.sum(), 1.0, atol=1e-6)
+    for name in ("ddc.attn", "dsc.attn"):
+        assert signal[name].shape == (1, sent.n, 1)
+        np.testing.assert_allclose(signal[name].sum(), 1.0, atol=1e-6)
 
 
 def test_full_ablation_t1_equals_iteration_zero_decode():
@@ -88,8 +89,8 @@ def test_t2_equals_composing_transfer_and_aggregate_twice():
 
 def test_zeroed_fusion_weights_freeze_hiddens_across_iterations():
     model, sent, _ = build_tiny_model(tiny_config(iterations=3))
-    for target in ("ate", "ote", "asc"):
-        for t in (model.fuse[target].w, model.fuse[target].b):
+    for name, t in model.named_parameters().items():
+        if name.startswith("fuse.") and ".out." in name:
             t.data[:] = 0.0
     states, _ = model.forward([sent])
     np.testing.assert_array_equal(states[1].hidden.data,
@@ -231,9 +232,10 @@ def test_sentiment_loss_blind_to_domain_attention_head():
         states, _ = model.forward([sent])
         return aspect_loss(states, [sent], w)
 
-    g = grad_of_loss_wrt(model, l_asc, model.heads["ddc"].w)
+    attn = model.params.tensors
+    g = grad_of_loss_wrt(model, l_asc, attn["doc.ddc.attn.w"])
     assert g is None or not g.any()
-    g_dsc = grad_of_loss_wrt(model, l_asc, model.heads["dsc"].w)
+    g_dsc = grad_of_loss_wrt(model, l_asc, attn["doc.dsc.attn.w"])
     assert g_dsc is not None and g_dsc.any()
 
 
@@ -246,9 +248,10 @@ def test_extraction_loss_blind_to_sentiment_attention_head():
         states, _ = model.forward([sent])
         return aspect_loss(states, [sent], w)
 
-    g = grad_of_loss_wrt(model, l_ext, model.heads["dsc"].w)
+    attn = model.params.tensors
+    g = grad_of_loss_wrt(model, l_ext, attn["doc.dsc.attn.w"])
     assert g is None or not g.any()
-    g_ddc = grad_of_loss_wrt(model, l_ext, model.heads["ddc"].w)
+    g_ddc = grad_of_loss_wrt(model, l_ext, attn["doc.ddc.attn.w"])
     assert g_ddc is not None and g_ddc.any()
 
 
@@ -259,13 +262,14 @@ def test_doc_signal_sensitivity_routes_to_the_right_tasks():
     states, _ = model.forward([sent])
     base_ate = states[1].hidden.data[0].copy()
     base_asc = states[1].hidden.data[2].copy()
-    model.heads["ddc"].w.data += 0.5
+    attn = model.params.tensors
+    attn["doc.ddc.attn.w"].data[...] += 0.5
     states2, _ = model.forward([sent])
     assert not np.array_equal(states2[1].hidden.data[0], base_ate)
     np.testing.assert_array_equal(states2[1].hidden.data[2], base_asc)
 
-    model.heads["ddc"].w.data -= 0.5
-    model.heads["dsc"].w.data += 0.5
+    attn["doc.ddc.attn.w"].data[...] -= 0.5
+    attn["doc.dsc.attn.w"].data[...] += 0.5
     states3, _ = model.forward([sent])
     np.testing.assert_array_equal(states3[1].hidden.data[0], base_ate)
     assert not np.array_equal(states3[1].hidden.data[2], base_asc)
@@ -288,10 +292,11 @@ def test_task_stack_parameter_disjointness():
 
 def test_predict_all_outside():
     model, sent, _ = build_tiny_model()
-    model.decoders.maps["ate"].w.data[:] = 0.0
-    model.decoders.maps["ate"].b.data[:] = [0.0, 0.0, 10.0]  # force O
-    model.decoders.maps["ote"].w.data[:] = 0.0
-    model.decoders.maps["ote"].b.data[:] = [0.0, 0.0, 10.0]
+    P = model.params.tensors
+    P["dec.ate.w"].data[:] = 0.0
+    P["dec.ate.b"].data[:] = [0.0, 0.0, 10.0]  # force O
+    P["dec.ote.w"].data[:] = 0.0
+    P["dec.ote.b"].data[:] = [0.0, 0.0, 10.0]
     cfg = dataclasses.replace(model.config, iterations=1, transfers=(),
                               inject_ddc=False, inject_dsc=False)
     frozen = AbsaModel(cfg, model.schemes, model.general_table,
@@ -666,10 +671,10 @@ def test_grouped_forward_matches_the_per_task_oracle(structure, split,
 
 # sys.setprofile "call" events of one warm predict of the tiny sentence on
 # the tiny model (numpy 2.4, Python 3.11): 1,298 with every task run as a
-# chain of its own, 595 with the tasks as an axis, and this many with the
-# parameter families read as blocks and the unused document classifier
-# skipped
-PREDICT_CALLS = 488
+# chain of its own, 595 with the tasks as an axis, 488 with the parameter
+# families read as blocks, and this many with the two document heads one
+# grouped head
+PREDICT_CALLS = 460
 
 
 def test_predict_call_budget():
@@ -692,15 +697,16 @@ def test_predict_call_budget():
 
 def test_default_forward_tape_nodes():
     # the tape nodes of one default-config forward: 144 with every task run
-    # alone, 53 with the tasks as an axis, 49 once the domain head stops at
-    # its attention weights (only ddc.attn is fused)
+    # alone, 53 with the tasks as an axis, 49 with the domain head stopped
+    # at its attention weights, and this many with the two document heads
+    # one grouped head and the encoder's banks grouped convolutions
     model, _, _ = build_tiny_model(ModelConfig())
     sent = random_sentence(np.random.default_rng(0), 12)
     assign_embedding_ids([sent], model.general_table, model.domain_table)
     tape = T.Tape()
     with T.record(tape):
         model.forward([sent])
-    assert len(tape) == 49
+    assert len(tape) == 40
 
 
 @pytest.mark.parametrize("g, n, per_round", [(4, 8, 1), (8, 128, 6)])
@@ -765,10 +771,10 @@ def test_a_parameter_is_written_into_not_rebound():
     # rebinding would detach a member from its block, so it raises; an
     # in-place write, as Adam and gradcheck make, reaches the block
     model, _, _ = build_tiny_model()
-    for p in (model.decoders.maps["ote"].w, model.emb_general):
+    for p in (model.params.tensors["dec.ote.w"], model.emb_general):
         with pytest.raises(AttributeError, match="do not rebind"):
             p.data = p.data.copy()
-    p = model.decoders.maps["ote"].w
+    p = model.params.tensors["dec.ote.w"]
     p.data -= 1.0
     np.testing.assert_array_equal(model.decoders.w.data[1], p.data)
     assert_views_of_blocks(model)
@@ -978,6 +984,9 @@ DAMAGED_HEADERS = {
                                            False),
     "unknown transfer direction": _set("config", "transfers", ["ate->ddc"]),
     "empty kernel widths": _set("config", "kernel_widths", []),
+    "task stacks of depth 0": _set("config", "task_depth", 0),
+    "d_enc not divisible by the widths": lambda h: h["config"].update(
+        kernel_widths=[3, 5], d_enc=9),
     "schemes missing a key": _drop("schemes", "ate_tags"),
     "schemes of wrong type": _set("schemes", "ate_tags", 3),
     "reordered ate_tags": _set("schemes", "ate_tags", ["O", "BA", "IA"]),

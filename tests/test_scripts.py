@@ -62,12 +62,14 @@ def test_predict_timing_prints_a_row_per_length_class(tmp_path):
     assert proc.returncode == 0, proc.stderr
     _, header, *rows, same = proc.stdout.splitlines()
     assert header.split() == ["class", "sentences", "p50_ms", "calls",
-                              "against_p50_ms", "against_calls", "ratio"]
+                              "nodes", "against_p50_ms", "against_calls",
+                              "against_nodes", "ratio"]
     assert [row.split()[:2] for row in rows] == [
         ["short", "60"], ["64", "8"], ["128", "4"]]
     assert all(float(x) > 0 for row in rows for x in row.split()[2:])
-    # a count, and the same code makes the same calls
-    calls = [row.split()[3] for row in rows]
-    assert all(c.isdigit() for c in calls)
-    assert calls == [row.split()[5] for row in rows]
+    # counts, and the same code makes the same calls and records the same
+    # tape nodes
+    counts = [row.split()[3:5] for row in rows]
+    assert all(c.isdigit() for pair in counts for c in pair)
+    assert counts == [row.split()[6:8] for row in rows]
     assert same == "predictions identical: yes"

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from ktabsa import routing
 from ktabsa import tensor as T
 
-from helpers import (check_op_grads, conv1d_naive, corrupt_squash_backward,
-                     numeric_grad, rel_err, squash_ref, stacked,
-                     weighted_sum)
+from helpers import (check_op_grads, conv1d, conv1d_naive,
+                     corrupt_squash_backward, numeric_grad, rel_err,
+                     squash_ref, stacked, weighted_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -42,44 +42,41 @@ def test_matmul_grads_match_finite_differences():
 
 
 # ---------------------------------------------------------------------------
-# conv1d
+# one convolution: a one-entry grouped_conv1d (helpers.conv1d)
 
 
 def test_conv1d_identity_kernel():
     d = 3
     k = np.zeros((1, d, d))
     k[0] = np.eye(d)
-    x = np.random.default_rng(1).normal(size=(5, d))
-    out = T.conv1d(T.constant(x), T.constant(k))
+    x = np.random.default_rng(1).normal(size=(2, 5, d))
+    out = conv1d(T.constant(x), T.constant(k), T.constant(np.zeros(d)))
     np.testing.assert_allclose(out.data, x, rtol=1e-6)
 
 
 def test_conv1d_zero_kernel():
-    x = T.constant(np.ones((4, 2)))
+    x = T.constant(np.ones((1, 4, 2)))
     k = T.constant(np.zeros((3, 2, 5)))
-    assert not T.conv1d(x, k).data.any()
+    assert not conv1d(x, k, T.constant(np.zeros(5))).data.any()
 
 
 def test_conv1d_matches_naive_loops():
     rng = np.random.default_rng(2)
-    x = rng.normal(size=(5, 3))
+    x = rng.normal(size=(2, 5, 3))
     k = rng.normal(size=(3, 3, 4))
     b = rng.normal(size=4)
     with T.use_dtype(np.float64):
-        out = T.conv1d(T.constant(x), T.constant(k), T.constant(b))
-    np.testing.assert_allclose(out.data, conv1d_naive(x, k, b), atol=1e-12)
-
-
-def test_conv1d_even_width_rejected():
-    with pytest.raises(T.ConfigError, match="odd"):
-        T.conv1d(T.constant(np.zeros((3, 2))), T.constant(np.zeros((2, 2, 2))))
+        out = conv1d(T.constant(x), T.constant(k), T.constant(b))
+    for g in range(2):
+        np.testing.assert_allclose(out.data[g], conv1d_naive(x[g], k, b),
+                                   atol=1e-12)
 
 
 def test_conv1d_grads():
     rng = np.random.default_rng(3)
     check_op_grads(
-        lambda ts: weighted_sum(T.conv1d(ts[0], ts[1], ts[2])),
-        [rng.normal(size=(5, 3)), rng.normal(size=(3, 3, 2)),
+        lambda ts: weighted_sum(conv1d(ts[0], ts[1], ts[2])),
+        [rng.normal(size=(1, 5, 3)), rng.normal(size=(3, 3, 2)),
          rng.normal(size=2)])
 
 
@@ -470,13 +467,13 @@ def test_grouped_ops_match_per_item_ops():
     with T.use_dtype(np.float64):
         C = T.constant
         grouped = [T.matmul(C(x), C(w)), T.fully_connected(C(x), C(w), C(b)),
-                   T.conv1d(C(x), C(k), C(b)),
+                   conv1d(C(x), C(k), C(b)),
                    T.matmul(C(lin[:, None, :]), C(x)),
                    T.embedding_lookup(C(table), ids)]
         for i in range(g):
             alone = [T.matmul(C(x[i]), C(w)),
                      T.fully_connected(C(x[i]), C(w), C(b)),
-                     T.conv1d(C(x[i]), C(k), C(b)),
+                     T.select(conv1d(C(x[i:i + 1]), C(k), C(b)), 0),
                      T.matmul(C(lin[i][None, :]), C(x[i])),
                      T.embedding_lookup(C(table), ids[i])]
             for got, want in zip(grouped, alone):
@@ -497,7 +494,7 @@ def test_grouped_ops_grads():
         lambda ts: weighted_sum(T.fully_connected(ts[0], ts[1], ts[2]), probe),
         [x, rng.normal(size=(d, m)), rng.normal(size=m)])
     check_op_grads(
-        lambda ts: weighted_sum(T.conv1d(ts[0], ts[1], ts[2]), probe),
+        lambda ts: weighted_sum(conv1d(ts[0], ts[1], ts[2]), probe),
         [x, rng.normal(size=(3, d, m)), rng.normal(size=m)])
     check_op_grads(
         lambda ts: T.cross_entropy_rows(ts[0], [[0, 1, 1], [1, 0, 0]],
@@ -596,10 +593,10 @@ def test_grouped_affine_rejects_a_weight_of_the_wrong_height():
 def test_conv1d_group_has_no_leak_between_items():
     rng = np.random.default_rng(23)
     x = rng.normal(size=(3, 4, 2))
-    k = T.constant(rng.normal(size=(5, 2, 2)))
-    base = T.conv1d(T.constant(x), k).data
+    k, b = T.constant(rng.normal(size=(5, 2, 2))), T.constant(np.zeros(2))
+    base = conv1d(T.constant(x), k, b).data
     x[1] += 100.0
-    moved = T.conv1d(T.constant(x), k).data
+    moved = conv1d(T.constant(x), k, b).data
     np.testing.assert_array_equal(base[0], moved[0])
     np.testing.assert_array_equal(base[2], moved[2])
     assert not np.array_equal(base[1], moved[1])
