@@ -2,10 +2,10 @@
 """Time the routing loop's tape node, forward and backward, at the shapes
 the benchmark's workloads route.
 
-Each shape (k directions, G sentences, n tokens) routes r [k, G, n, 32] and
-q [k, 1, n, 32] in float32 under a [G, n, n] adjacency (unit diagonal,
-token chain and a few random edges, symmetrized as the corpus reader does)
-for 3 iterations, with one BLAS thread. The forward is one ``route`` call
+Each shape (k directions, G sentences, n tokens) routes the vote parts
+p [k, G, n, 32] and q [k, 1, n, 32] in float32 under a [G, n, n] adjacency
+(unit diagonal, token chain and a few random edges, symmetrized as the
+corpus reader does) for 3 iterations, with one BLAS thread. The forward is one ``route`` call
 recorded on a tape; the backward is that node's own backward, fed a fixed
 dLoss/dv, with a push that discards the gradients. A row prints the median
 over ``--reps`` calls, in milliseconds.
@@ -14,7 +14,9 @@ over ``--reps`` calls, in milliseconds.
 kernel (for example a ``git archive`` of another revision) and alternates
 the two call by call, swapping which goes first every repetition, so both
 see the same host; the row then adds that kernel's medians and the ratio
-of the medians (this checkout over the other).
+of the medians (this checkout over the other). A checkout whose ``route``
+takes the source parts r = p + q in place of p reads the same arrays as
+(r, q): the same shapes and the same loop, so the ratio stays comparable.
 
 Usage: python scripts/route_timing.py [--reps 200] [--against PATH]
 """
@@ -42,7 +44,7 @@ ITERATIONS = 3
 
 def inputs(k: int, g: int, n: int, seed: int = 0):
     rng = np.random.default_rng(seed)
-    r = rng.normal(size=(k, g, n, D_ROUTE)).astype(np.float32)
+    p = rng.normal(size=(k, g, n, D_ROUTE)).astype(np.float32)
     q = rng.normal(size=(k, 1, n, D_ROUTE)).astype(np.float32)
     adjacency = np.zeros((g, n, n), dtype=np.float32)
     idx = np.arange(n - 1)
@@ -51,24 +53,24 @@ def inputs(k: int, g: int, n: int, seed: int = 0):
         a[rng.integers(0, n, 2), rng.integers(0, n, 2)] = 1.0
     adjacency = np.maximum(adjacency, adjacency.swapaxes(-1, -2))
     adjacency[:, np.arange(n), np.arange(n)] = 1.0
-    gv = rng.normal(size=r.shape).astype(np.float32)
-    return r, q, adjacency, gv
+    gv = rng.normal(size=p.shape).astype(np.float32)
+    return p, q, adjacency, gv
 
 
-def time_call(kernel, r, q, adjacency, gv) -> tuple[float, float]:
+def time_call(kernel, p, q, adjacency, gv) -> tuple[float, float]:
     """Seconds of one forward ``route`` call and of its node's backward.
     The routing prior, which a model forward builds once for all of its
     route calls, is built before the clock starts; a checkout without
     ``routing_prior`` builds it inside ``route``."""
     routing, tensor = kernel
-    rt = tensor.Tensor(r, requires_grad=True)
+    pt = tensor.Tensor(p, requires_grad=True)
     qt = tensor.Tensor(q, requires_grad=True)
     if hasattr(routing, "routing_prior"):
-        adjacency = routing.routing_prior(adjacency, r.dtype)
+        adjacency = routing.routing_prior(adjacency, p.dtype)
     tape = tensor.Tape()
     with tensor.record(tape):
         t0 = time.perf_counter()
-        routing.route(rt, qt, adjacency, ITERATIONS)
+        routing.route(pt, qt, adjacency, ITERATIONS)
         t1 = time.perf_counter()
     (_, backward), = tape.nodes
     t2 = time.perf_counter()

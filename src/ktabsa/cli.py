@@ -60,6 +60,8 @@ def _build_corpora(rc: C.RunConfig):
         if path and not os.path.exists(path):
             raise ConfigError(f"{key}: file not found: {path}")
     train = load_aspect_corpus(rc.aspect_train)
+    if not train:
+        raise CorpusError(f"aspect_train: no sentences in {rc.aspect_train}")
     test = load_aspect_corpus(rc.aspect_test) if rc.aspect_test else []
     documents = load_document_corpus(rc.documents) if rc.documents else []
 
@@ -234,13 +236,12 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_gen_synth(args) -> int:
-    for key in ("train_sentences", "test_sentences", "documents", "seed"):
-        if getattr(args, key) < 0:
+    counts = {f.name: getattr(args, f.name)
+              for f in dataclasses.fields(SynthSpec)}
+    for key, value in counts.items():
+        if value < 0:
             raise ConfigError(f"--{key.replace('_', '-')} must be >= 0")
-    spec = SynthSpec(train_sentences=args.train_sentences,
-                     test_sentences=args.test_sentences,
-                     documents=args.documents, seed=args.seed)
-    paths = write_synthetic(args.out, spec)
+    paths = write_synthetic(args.out, SynthSpec(**counts))
     for k, v in paths.items():
         print(f"{k}: {v}")
     return EXIT_OK
@@ -297,10 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-synth", help="write a synthetic corpus bundle")
     p.add_argument("--out", required=True)
-    p.add_argument("--train-sentences", type=int, default=50)
-    p.add_argument("--test-sentences", type=int, default=20)
-    p.add_argument("--documents", type=int, default=40)
-    p.add_argument("--seed", type=int, default=7)
+    for field in dataclasses.fields(SynthSpec):     # the counts and seed
+        p.add_argument(f"--{field.name.replace('_', '-')}", type=int,
+                       default=field.default)
     p.set_defaults(fn=cmd_gen_synth)
 
     return parser

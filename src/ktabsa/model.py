@@ -19,13 +19,14 @@ every round reuses them.
 The tasks are an axis, not a loop: the five task stacks run as one
 [5, G, n, d] stack, its document rows run through one attention head, and
 the three token-level tasks stay [3, G, n, ·] from there to the loss. A
-round computes the votes of a block of directions in one
-:func:`predict_vectors` call (each direction reads its source's row),
-routes them in the route plan's target-major order, and projects, fuses
-and decodes the three targets in one grouped affine map each, whose
-narrower inputs are zero-padded to the widest. Each family of per-task
-parameters lives as views of one block (:meth:`layers.Params.block`) that
-the grouped ops read as it is; names and the checkpoint stay per task.
+round computes the hidden parts p = h W of a block of directions' votes in
+one :func:`predict_vectors` call (each reads its source's row of the
+hidden stack), routes them against the plan's position parts q = PE W in
+target-major order, and projects, fuses and decodes the three targets in
+one grouped affine map each, whose narrower inputs are zero-padded to the
+widest. Each family of per-task parameters lives as views of one block
+(:meth:`layers.Params.block`) that the grouped ops read as it is; names
+and the checkpoint stay per task.
 
 The layers and the round are called as units that a tracer can wrap:
 :class:`layers.SharedEncoder`, :class:`layers.TaskStack`,
@@ -66,8 +67,8 @@ from .data import (DEFAULT_SCHEMES, Document, EmbeddingTable, Sentence,
                    TagSchemes, assign_embedding_ids, atomic_write,
                    extract_spans, length_chunks)
 from .routing import (RoutingState, RoutingTrace, TransferDirection,
-                      directions_per_call, encode_positions,
-                      predict_vectors, route, routing_prior, target_votes)
+                      directions_per_call, predict_vectors, route,
+                      routing_prior, target_votes)
 from .tensor import (ConfigError, DivergenceError, Stack, Tensor, concat,
                      default_dtype, dropout, dropout_keep, embedding_lookup,
                      grouped_affine, reshape, select, softmax)
@@ -307,16 +308,13 @@ class AbsaModel:
                  for src in config.sources_into(target)]
         self.route_weights = params.block(len(order), config.d_task,
                                           config.d_route)
-        self.routes: dict[str, TransferDirection] = {}
         for name in ALL_DIRECTIONS:
-            if name not in config.transfers:
-                continue
-            src, tgt = name.split("->")
-            w = params.glorot(f"route.{src}_to_{tgt}.w",
+            if name in config.transfers:
+                src, tgt = name.split("->")
+                params.glorot(f"route.{src}_to_{tgt}.w",
                               (config.d_task, config.d_route),
                               self.route_weights, order.index(name))
-            self.routes[name] = TransferDirection(src, tgt, w)
-        self.order = [self.routes[name] for name in order]
+        self.order = [TransferDirection(*name.split("->")) for name in order]
         # the targets that fuse knowledge, each with the rows of ``order``
         # routed into it
         self.into = {t: [k for k, d in enumerate(self.order) if d.target == t]
@@ -483,11 +481,11 @@ class AbsaModel:
         :meth:`aggregate` with the document signals ``doc``."""
         cfg = self.config
         g = state.hidden.shape[1]
-        routed, x = [], encode_positions(state.hidden) if plan else None
+        routed = []
         for block, weights, q in plan:
-            r = predict_vectors(x, *block, tasks=ASPECT_TASKS,
+            p = predict_vectors(state.hidden, *block, tasks=ASPECT_TASKS,
                                 weights=weights)
-            v, kept = route(r, q, prior, cfg.route_iters)
+            v, kept = route(p, q, prior, cfg.route_iters)
             if traces is not None:
                 traces += [RoutingTrace(state.t + 1, d.name, [
                     RoutingState(st.c[k, i], st.s[k, i], st.v[k, i])

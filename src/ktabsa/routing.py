@@ -4,9 +4,10 @@ A routing step moves knowledge from every source token i to every target
 token j of the same sentence. Each pair's vote is
 ``u_hat[i, j] = (h_i + PE(i) + PE(j)) W``: a weight matrix shared across
 the whole sentence, made position-aware by adding sinusoidal encodings of i
-and j. Because W is linear, the vote factors into a source part and a target
-part, ``u_hat[i, j] = r[i] + q[j]`` with ``r = (h + PE) W`` and
-``q = PE W``, and the loop only ever holds r and q. Iteration t = 1..T:
+and j. Because W is linear, the vote factors into
+``u_hat[i, j] = p[i] + q[i] + q[j]`` with ``p = h W`` and ``q = PE W``;
+:func:`route` forms the source part ``r = p + q`` once, and the loop only
+ever holds r and q. Iteration t = 1..T:
 
     1. forms the logits b_t[i, j] = t A[i, j] + u_hat[i, j] . V_t[j] from
        the adjacency prior A and the sum V_t = v_1 + ... + v_{t-1},
@@ -21,14 +22,14 @@ s_t = c_t r + m_t q. c_1 = softmax(A) is computed at A's shape by
 :func:`routing_prior`, which a forward calls once for all of its routing.
 
 :func:`route` takes any leading axes. The model routes k transfer
-directions of a group of G equal-length sentences in one call: r, s and v
+directions of a group of G equal-length sentences in one call: p, s and v
 are [k, G, n, d_route], q is [k, 1, n, d_route] (it depends only on the
 position and the direction, so the group shares it), and the [G, n, n]
-adjacency and c_1 are shared by the directions, whose votes
-:func:`predict_vectors` and :func:`target_votes` build in one grouped
-matmul each. Equal lengths mean there is no padding and nothing to mask.
-The number of targets equals the sentence length, so the output is a
-dynamic-length set of vectors rather than a fixed capsule bank.
+adjacency and c_1 are shared by the directions. :func:`predict_vectors`
+builds p from the rows of the hidden stack and :func:`target_votes` builds
+q, in one grouped matmul each. Equal lengths mean there is no padding and
+nothing to mask. The number of targets equals the sentence length, so the
+output is a dynamic-length set of vectors rather than a fixed capsule bank.
 
 The loop is one tape node: the forward is plain numpy, and a hand-written
 backward replays the unrolled iterations in reverse, rebuilding V_t from
@@ -48,7 +49,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .tensor import (ConfigError, Stack, Tensor, _emit, _unbroadcast, add,
+from .tensor import (ConfigError, Stack, Tensor, _emit, _unbroadcast,
                      constant, grouped_affine)
 
 SQUASH_EPS = 1e-9   # guards squash's division at the zero vector
@@ -85,11 +86,10 @@ def _encoding(n: int, d_model: int, dtype: np.dtype) -> Tensor:
 
 @dataclass
 class TransferDirection:
-    """One ordered source->target task pair with its projection weight."""
+    """One ordered source->target task pair."""
 
     source: str
     target: str
-    weight: Tensor
 
     @property
     def name(self) -> str:
@@ -117,34 +117,26 @@ class RoutingTrace:
     states: list[RoutingState]
 
 
-def encode_positions(hidden: Tensor) -> Tensor:
-    """``h + PE`` of states h [..., n, d], the encodings in h's width and
-    dtype; a round adds them once for all of its :func:`predict_vectors`
-    calls."""
-    n, d = hidden.shape[-2:]
-    return add(hidden, _encoding(n, d, hidden.dtype))
-
-
-def predict_vectors(encoded: Tensor, *directions: TransferDirection,
+def predict_vectors(hidden: Tensor, *directions: TransferDirection,
                     tasks: tuple[str, ...], weights: Stack) -> Tensor:
-    """Source parts of the factored votes u_hat[g, i, j] = r[g, i] + q[j]
-    of k directions, r [k, ..., n, d_route], in one grouped matmul.
+    """Hidden parts ``p = h @ W`` [k, ..., n, d_route] of the factored votes
+    u_hat[g, i, j] = p[g, i] + q[i] + q[j] of k directions, in one grouped
+    matmul.
 
-    ``encoded`` stacks the :func:`encode_positions` of the states of
-    ``tasks``, in that order; direction t maps ``r = (h + PE) @ W`` of its
-    source's states h [..., n, d] by its weight W, entry t of ``weights``.
-    W is shared across positions; the encodings make the votes
-    position-aware.
+    ``hidden`` stacks the states of ``tasks``, in that order; direction t
+    maps its source's states h [..., n, d] by its weight W, entry t of
+    ``weights``. W is shared across positions; :func:`target_votes` makes
+    the votes position-aware.
     """
-    return grouped_affine([[(encoded, tasks.index(t.source))]
+    return grouped_affine([[(hidden, tasks.index(t.source))]
                            for t in directions], weights)
 
 
 def target_votes(n: int, weights: Stack) -> Tensor:
-    """Target parts ``q = PE @ W`` [k, 1, n, d_route] of the factored votes
-    of k directions whose weights W are ``weights``, with W's input width
-    and dtype; they depend only on n and the weights, so a forward pass
-    computes them once."""
+    """Position parts ``q = PE @ W`` [k, 1, n, d_route] of the factored
+    votes of k directions whose weights W are ``weights``, with W's input
+    width and dtype; they depend only on n and the weights, so a forward
+    pass computes them once."""
     k, d, _ = weights.data.shape
     pe = _encoding(n, d, weights.data.dtype)
     return grouped_affine([[(pe, None)]] * k, weights)
@@ -204,39 +196,39 @@ def _broadcasts_to(shape: tuple[int, ...], target: tuple[int, ...]) -> bool:
         return False
 
 
-def route(r: Tensor, q: Tensor, prior: tuple[np.ndarray, np.ndarray],
+def route(p: Tensor, q: Tensor, prior: tuple[np.ndarray, np.ndarray],
           iterations: int) -> tuple[Tensor, list[RoutingState]]:
     """Run the agreement loop; return the final target vectors and the
     states its backward reads, one per iteration.
 
     The votes are ``u_hat[..., i, j] = r[..., i] + q[..., j]`` for source i
-    and target j, with ``r`` [..., n, d_route] and ``q`` [..., n, d_route]
-    broadcasting against r, as from :func:`predict_vectors` and
-    :func:`target_votes` (the model passes r [k, G, n, d], q [k, 1, n, d]).
-    ``prior`` is the :func:`routing_prior` of the binary dependency
-    adjacency, which broadcasts to the logits ``r.shape[:-1] + (n,)``. The
+    and target j, with ``r = p + q``, ``p`` [..., n, d_route] and ``q``
+    [..., n, d_route] broadcasting against p, as from :func:`predict_vectors`
+    and :func:`target_votes` (the model passes p [k, G, n, d], q [k, 1, n,
+    d]). ``prior`` is the :func:`routing_prior` of the binary dependency
+    adjacency, which broadcasts to the logits ``p.shape[:-1] + (n,)``. The
     loop is one tape node whose backward runs through every unrolled
     iteration.
     """
     if iterations < 1:
         raise ConfigError(f"routing needs at least one iteration, "
                           f"got {iterations}")
-    if r.ndim < 2:
-        raise ConfigError(f"source votes r must be [..., n, d], got "
-                          f"{tuple(r.shape)}")
-    n, d = r.shape[-2:]
-    logits = r.shape[:-1] + (n,)
-    if q.shape[-2:] != (n, d) or not _broadcasts_to(q.shape, r.shape):
-        raise ConfigError(f"target votes q must match r's ({n}, {d}) and "
-                          f"broadcast to {tuple(r.shape)}, got "
+    if p.ndim < 2:
+        raise ConfigError(f"hidden votes p must be [..., n, d], got "
+                          f"{tuple(p.shape)}")
+    n, d = p.shape[-2:]
+    logits = p.shape[:-1] + (n,)
+    if q.shape[-2:] != (n, d) or not _broadcasts_to(q.shape, p.shape):
+        raise ConfigError(f"position votes q must match p's ({n}, {d}) and "
+                          f"broadcast to {tuple(p.shape)}, got "
                           f"{tuple(q.shape)}")
-    rd, qd = r.data, q.data
+    pd, qd = p.data, q.data
     at, c = prior                               # A^T and c_1, at A's shape
     if not _broadcasts_to(at.shape, logits):
         raise ConfigError(f"adjacency shape {at.shape} does not "
                           f"broadcast to the logits {logits}")
-    r1 = np.empty(rd.shape[:-1] + (d + 1,), rd.dtype)
-    r1[..., :d], r1[..., d] = rd, 1
+    r1 = np.empty(pd.shape[:-1] + (d + 1,), pd.dtype)
+    r1[..., :d], r1[..., d] = pd + qd, 1
     states, masses = [], []
     for t in range(iterations):
         if t:                                   # iteration t + 1's logits
@@ -257,10 +249,10 @@ def route(r: Tensor, q: Tensor, prior: tuple[np.ndarray, np.ndarray],
         if t + 1 < iterations:                  # vq = [V | q . V]
             v1 = np.concatenate((v, _dot(qd, v)), -1)
             vq = vq + v1 if t else v1
-    out = Tensor(v, requires_grad=r.requires_grad or q.requires_grad)
+    out = Tensor(v, requires_grad=p.requires_grad or q.requires_grad)
 
     def fn(g, push):
-        r1 = np.concatenate((rd, np.ones_like(rd[..., :1])), -1)
+        r1 = np.concatenate((pd + qd, np.ones_like(pd[..., :1])), -1)
         sums = list(accumulate(st.v for st in states[:-1]))     # V_2, ...
         dr = dq = gsum = 0      # gsum: dLoss/dV from the later iterations
         gv, gl = g, None
@@ -280,9 +272,10 @@ def route(r: Tensor, q: Tensor, prior: tuple[np.ndarray, np.ndarray],
                 dr += x[..., :d] + gl.swapaxes(-1, -2) @ sums[t - 1]
                 gq += y[..., d:] * sums[t - 1]
                 gv = gsum = gsum + y[..., :d] + y[..., d:] * qd
-            dq += _unbroadcast(gq, qd.shape)
-        push(r, dr)
-        push(q, dq)
+            dq += gq                            # at p's shape until pushed
+        dq += dr                                # r = p + q
+        push(p, dr)
+        push(q, _unbroadcast(dq, qd.shape))
 
     return _emit(out, fn), states
 

@@ -295,26 +295,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit(out, fn)
 
 
-def fully_connected(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map of row vectors: x[..., di] @ w[di, do] + b[do]."""
-    if x.ndim < 1 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
-        raise ShapeError(f"fully_connected shapes {tuple(x.shape)} and "
-                         f"{tuple(w.shape)} do not chain")
-    if b.shape != (w.shape[1],):
-        raise ShapeError(f"bias shape {tuple(b.shape)} does not match output "
-                         f"width {w.shape[1]}")
-    out = Tensor(x.data @ w.data + b.data,
-                 requires_grad=x.requires_grad or w.requires_grad
-                 or b.requires_grad)
-
-    def fn(g, push):
-        push(x, g @ w.data.T)
-        push(w, _weight_grad(x.data, g))
-        push(b, g.reshape(-1, g.shape[-1]).sum(axis=0))
-
-    return _emit(out, fn)
-
-
 class Stack(NamedTuple):
     """k parameters as the operand of a grouped op, with their data as one
     array [k, rows, m]: parameter i, flattened to [r_i, m], in the first
@@ -395,21 +375,24 @@ def grouped_affine(inputs: Sequence[Sequence[tuple[Tensor, object]]],
     groups' inputs end in zeros, met by the zero rows of their weights, so
     the k maps run as one batched matmul over the rows of every leading
     axis. When each group reads one full-width row of the same x, the
-    input is ``x.data[rows]``: a view for consecutive rows.
+    input is ``x.data[rows]``: a view for consecutive rows. When each reads
+    all of the same ``x.data[j]``, one broadcast matmul maps it k times.
     """
     k, width, m = weights.data.shape
     x0, j0 = inputs[0][0]
     lead = x0.data[j0].shape[:-1]
     rows = [j for group in inputs for x, j in group
             if x is x0 and type(j) is int]      # a full row of x0 a group?
-    shared = (_as_slice(rows) if len(rows) == k == sum(map(len, inputs))
-              and x0.data.shape[-1] == width
-              and all([p.data.shape[0] == width for p in weights.params])
-              else None)
+    shared = None   # (index of x0.data, its groups): the input, uncopied
+    if ((len(rows) == k == sum(map(len, inputs))
+         or inputs == [[(x0, j0)]] * k)         # or all of x0.data[j0] each?
+            and x0.data.shape[-1] == width
+            and all([p.data.shape[0] == width for p in weights.params])):
+        shared = (_as_slice(rows), k) if rows else (j0, 1)
 
     def gather() -> np.ndarray:     # the backward rebuilds it too
         if shared is not None:
-            return x0.data[shared].reshape(k, -1, width)
+            return x0.data[shared[0]].reshape(shared[1], -1, width)
         xs = np.zeros((k, *lead, width), dtype=weights.data.dtype)
         for i in range(k):
             col = 0

@@ -241,12 +241,12 @@ def per_task_forward(model, sentences, keep=None, keep_trace=False):
     of its own, reading the parameters by name: one one-entry convolution
     per task and layer, one attention pooling and classifier per document
     task, one affine map per decoder, projection and fusion, and one
-    ``route`` call per transfer direction, r [G, n, d_route] against
-    q [n, d_route], with no task or direction axis. Only the embedding and
-    the shared encoder are the model's own code. The states are stacked
-    [3, G, n, ·] at the end of each round, as the model returns them, and
-    the traces come in the model's order: by round, by direction in
-    target-major order, then by sentence."""
+    ``route`` call per transfer direction, p = h W [G, n, d_route] against
+    q = PE W [n, d_route], with no task or direction axis. Only the
+    embedding and the shared encoder are the model's own code. The states
+    are stacked [3, G, n, ·] at the end of each round, as the model returns
+    them, and the traces come in the model's order: by round, by direction
+    in target-major order, then by sentence."""
     cfg, P = model.config, model.params.tensors
     g, n = len(sentences), sentences[0].n
     nonlin = model.nonlin
@@ -259,7 +259,7 @@ def per_task_forward(model, sentences, keep=None, keep_trace=False):
         return x
 
     def affine(x, name):
-        return T.fully_connected(x, P[f"{name}.w"], P[f"{name}.b"])
+        return T.add(T.matmul(x, P[f"{name}.w"]), P[f"{name}.b"])
 
     def decode(hidden):
         logits = [affine(h, f"dec.{t}") for h, t in zip(hidden, ASPECT_TASKS)]
@@ -289,14 +289,13 @@ def per_task_forward(model, sentences, keep=None, keep_trace=False):
             if srcs:
                 routed = []
                 for src in srcs:
-                    d = model.routes[f"{src}->{target}"]
-                    pe = routing._encoding(n, d.weight.shape[0], h.dtype)
-                    r = T.matmul(T.add(hidden[ASPECT_TASKS.index(src)], pe),
-                                 d.weight)
-                    v, kept = routing.route(r, T.matmul(pe, d.weight),
-                                            prior, cfg.route_iters)
+                    w = P[f"route.{src}_to_{target}.w"]
+                    pe = routing._encoding(n, w.shape[0], h.dtype)
+                    v, kept = routing.route(
+                        T.matmul(hidden[ASPECT_TASKS.index(src)], w),
+                        T.matmul(pe, w), prior, cfg.route_iters)
                     routed.append(v)
-                    traces += [routing.RoutingTrace(t, d.name, [
+                    traces += [routing.RoutingTrace(t, f"{src}->{target}", [
                         routing.RoutingState(st.c[j], st.s[j], st.v[j])
                         for st in kept]) for j in range(g)] if keep_trace \
                         else []

@@ -70,15 +70,16 @@ def test_routing_invariants_thousand_instances():
         iters = int(rng.integers(1, 5))
         d = int(rng.integers(2, 7))
         scale = rng.uniform(0.2, 2.5)
-        r = rng.normal(size=(n, d)) * scale
+        p = rng.normal(size=(n, d)) * scale
         q = (np.zeros((n, d)) if rng.random() < 0.25
              else rng.normal(size=(n, d)) * scale)
         adjacency = (rng.random((n, n)) < 0.3).astype(np.float64)
-        # the oracle runs on the materialized votes u[i, j] = r[i] + q[j]
-        u = r[:, None, :] + q[None, :, :]
+        # the oracle runs on the materialized votes
+        # u[i, j] = p[i] + q[i] + q[j]
+        u = (p + q)[:, None, :] + q[None, :, :]
 
         with T.use_dtype(np.float64):
-            v, trace = route(T.constant(r), T.constant(q),
+            v, trace = route(T.constant(p), T.constant(q),
                              routing_prior(adjacency, np.float64), iters)
 
         # independent step-by-step re-execution of the update rules

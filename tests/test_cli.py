@@ -63,6 +63,34 @@ def test_gen_synth_seed_zero_is_its_own_corpus(tmp_path):
     assert corpora["0"] != corpora["7"]
 
 
+def test_gen_synth_defaults_are_the_synth_specs(tmp_path):
+    # with no count flags, gen-synth writes SynthSpec()'s bundle
+    run_cli("gen-synth", "--out", str(tmp_path / "cli"))
+    write_synthetic(str(tmp_path / "spec"), SynthSpec())
+    for name in ("train.tsv", "train.tsv.adj", "test.tsv", "test.tsv.adj",
+                 "docs.jsonl", "synthetic.cfg"):
+        assert ((tmp_path / "cli" / name).read_bytes()
+                == (tmp_path / "spec" / name).read_bytes()), name
+
+
+@pytest.mark.parametrize("command", [["train"], ["ablate", "--ablate",
+                                                 "coarse"]], ids=" ".join)
+def test_empty_aspect_training_corpus_exit_3(tmp_path, capsys, command):
+    # a bundle of no sentences and no documents: nothing to train on, so no
+    # run of empty epochs and no untrained checkpoint
+    bundle = str(tmp_path / "bundle")
+    assert run_cli("gen-synth", "--out", bundle, "--train-sentences", "0",
+                   "--test-sentences", "0", "--documents", "0") == 0
+    out = tmp_path / "run"
+    assert run_cli(*command, "--config",
+                   os.path.join(bundle, "synthetic.cfg"), "--quiet",
+                   *fast_overrides(str(out))) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: aspect_train: no sentences")
+    assert not [f for _, _, files in os.walk(out) for f in files
+                if f.endswith(".ckpt")]
+
+
 def test_train_eval_predict_cycle(synth_dir, tmp_path):
     cfg = os.path.join(synth_dir, "synthetic.cfg")
     out = str(tmp_path / "run")

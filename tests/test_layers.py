@@ -149,9 +149,9 @@ def test_decoder_rows_sum_to_one_and_argmax_shift_invariant():
                                   shifted.data.argmax(axis=-1))
     for row, task in enumerate("xy"):
         np.testing.assert_allclose(
-            logits.data[row], T.fully_connected(
-                T.constant(h.data[row]), params.tensors[f"dec.{task}.w"],
-                params.tensors[f"dec.{task}.b"]).data, atol=1e-6)
+            logits.data[row],
+            h.data[row] @ params.tensors[f"dec.{task}.w"].data
+            + params.tensors[f"dec.{task}.b"].data, atol=1e-6)
 
 
 def test_shared_encoder_accumulates_gradients_from_all_task_losses():

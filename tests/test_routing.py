@@ -30,23 +30,24 @@ def route_oracle(u_hat, adjacency, iterations):
     return v, states
 
 
-def materialize(r, q):
-    """The full vote tensor u_hat[i, j] = r[i] + q[j] the oracle runs on."""
-    r = np.asarray(r, dtype=np.float64)
-    return r[:, None, :] + np.asarray(q, dtype=np.float64)[None, :, :]
+def materialize(p, q):
+    """The full vote tensor u_hat[i, j] = p[i] + q[i] + q[j] the oracle
+    runs on."""
+    p, q = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
+    return (p + q)[:, None, :] + q[None, :, :]
 
 
 def random_factors(rng, n, d, scale=1.0, zero_q=False):
-    """Random vote parts; ``zero_q`` gives votes that do not depend on the
-    target, and draws nothing for q."""
-    r = rng.normal(size=(n, d)) * scale
+    """Random vote parts p and q; ``zero_q`` gives votes that do not depend
+    on the positions, and draws nothing for q."""
+    p = rng.normal(size=(n, d)) * scale
     q = np.zeros((n, d)) if zero_q else rng.normal(size=(n, d)) * scale
-    return r, q
+    return p, q
 
 
-def run_route(r, q, adjacency, iterations):
+def run_route(p, q, adjacency, iterations):
     with T.use_dtype(np.float64):
-        v, trace = R.route(T.constant(r), T.constant(q),
+        v, trace = R.route(T.constant(p), T.constant(q),
                            R.routing_prior(adjacency, np.float64), iterations)
     return v, trace
 
@@ -86,43 +87,41 @@ def test_pe_odd_dimension_rejected():
 # predict_vectors
 
 
-def make_direction(d_task, d_route, rng, name=("ote", "asc")):
-    w = T.Tensor(rng.normal(size=(d_task, d_route)), requires_grad=True)
-    return R.TransferDirection(name[0], name[1], w)
+def make_weight(d_task, d_route, rng):
+    return T.Tensor(rng.normal(size=(d_task, d_route)), requires_grad=True)
 
 
-def votes(h, direction):
-    """One direction's vote parts r (shaped like h [..., n, d], width
-    d_route) and q [n, d_route], without the direction axis that
-    ``predict_vectors`` and ``target_votes`` stack: h is the only source."""
-    n, weights = h.shape[-2], stacked([direction.weight])
-    r = R.predict_vectors(R.encode_positions(T.reshape(h, (1,) + h.shape)),
-                          direction, tasks=(direction.source,),
+def votes(h, w):
+    """The vote parts p = h W (shaped like h [..., n, d], width d_route) and
+    q = PE W [n, d_route] of one direction of weight w, without the
+    direction axis that ``predict_vectors`` and ``target_votes`` stack: h
+    is the only source."""
+    n, weights = h.shape[-2], stacked([w])
+    p = R.predict_vectors(T.reshape(h, (1,) + h.shape),
+                          R.TransferDirection("ote", "asc"), tasks=("ote",),
                           weights=weights)
-    return T.select(r, 0), T.select(R.target_votes(n, weights), (0, 0))
+    return T.select(p, 0), T.select(R.target_votes(n, weights), (0, 0))
 
 
 def test_predict_vectors_zero_weight():
     rng = np.random.default_rng(0)
     with T.use_dtype(np.float64):
-        d = R.TransferDirection("ate", "asc", T.constant(np.zeros((6, 4))))
         h = T.constant(rng.normal(size=(3, 6)))
-        r, q = votes(h, d)
-    assert not r.data.any() and not q.data.any()
+        p, q = votes(h, T.constant(np.zeros((6, 4))))
+    assert not p.data.any() and not q.data.any()
 
 
 def test_predict_vectors_varies_with_target_only_through_pe():
     rng = np.random.default_rng(1)
     with T.use_dtype(np.float64):
-        direction = make_direction(6, 4, rng)
+        w = make_weight(6, 4, rng)
         h = T.constant(rng.normal(size=(4, 6)))
-        r, q = votes(h, direction)
+        p, q = votes(h, w)
         table = R.positional_encoding(4, 6)
-        w = direction.weight.data
-        pw = table @ w
-    np.testing.assert_allclose(r.data, (h.data + table) @ w, atol=1e-12)
+        pw = table @ w.data
+    np.testing.assert_allclose(p.data, h.data @ w.data, atol=1e-12)
     np.testing.assert_array_equal(q.data, pw)
-    u = materialize(r.data, q.data)
+    u = materialize(p.data, q.data)
     for i in range(4):
         for j1 in range(4):
             for j2 in range(4):
@@ -134,24 +133,50 @@ def test_predict_vectors_varies_with_target_only_through_pe():
 def test_predict_vectors_zero_hidden_is_pe_sum():
     rng = np.random.default_rng(2)
     with T.use_dtype(np.float64):
-        direction = make_direction(6, 4, rng)
+        w = make_weight(6, 4, rng)
         h = T.constant(np.zeros((3, 6)))
-        r, q = votes(h, direction)
+        p, q = votes(h, w)
         table = R.positional_encoding(3, 6)
-    u = materialize(r.data, q.data)
+    u = materialize(p.data, q.data)
     for i in range(3):
         for j in range(3):
-            expected = (table[i] + table[j]) @ direction.weight.data
+            expected = (table[i] + table[j]) @ w.data
             np.testing.assert_allclose(u[i, j], expected, atol=1e-12)
+
+
+def test_route_runs_the_papers_votes_built_literally():
+    # u_hat[i, j] = (h_i + PE(i) + PE(j)) W, built pair by pair: route,
+    # given p = h W and q = PE W, forms exactly these votes, so its
+    # couplings, aggregates and outputs are the oracle's on them
+    rng = np.random.default_rng(30)
+    n, d_task, d_route, iters = 5, 6, 4, 3
+    adjacency = (rng.random((n, n)) < 0.4).astype(np.float64)
+    with T.use_dtype(np.float64):
+        w = make_weight(d_task, d_route, rng)
+        h = T.constant(rng.normal(size=(n, d_task)))
+        v, states = R.route(*votes(h, w), R.routing_prior(adjacency,
+                                                          np.float64), iters)
+    pe = R.positional_encoding(n, d_task)
+    u_hat = np.empty((n, n, d_route))
+    for i in range(n):
+        for j in range(n):
+            u_hat[i, j] = (h.data[i] + pe[i] + pe[j]) @ w.data
+    ov, ostates = route_oracle(u_hat, adjacency, iters)
+    np.testing.assert_allclose(v.data, ov, rtol=0, atol=1e-12)
+    for st, (_ob, oc, ovv) in zip(states, ostates, strict=True):
+        np.testing.assert_allclose(st.c, oc, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(st.s, np.einsum("ij,ijd->jd", oc, u_hat),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(st.v, ovv, rtol=0, atol=1e-12)
 
 
 def test_predict_vectors_beyond_max_len():
     # encodings are computed per length on first use, with no length cap
     with T.use_dtype(np.float64):
-        direction = make_direction(4, 3, np.random.default_rng(3))
+        w = make_weight(4, 3, np.random.default_rng(3))
         h = T.constant(np.zeros((200, 4)))
-        r, q = votes(h, direction)
-    assert r.shape == q.shape == (200, 3)
+        p, q = votes(h, w)
+    assert p.shape == q.shape == (200, 3)
 
 
 def test_encoding_table_is_cached_per_length_width_and_dtype():
@@ -169,16 +194,13 @@ def test_encoding_tables_of_float32_and_float64_callers_are_apart():
     rng = np.random.default_rng(3)
     h32 = T.constant(rng.normal(size=(5, 4)).astype(np.float32))
     h64 = T.constant(h32.data.astype(np.float64))
-    d32 = R.TransferDirection("ate", "asc", T.constant(
-        rng.normal(size=(4, 3)).astype(np.float32)))
-    d64 = R.TransferDirection("ate", "asc", T.constant(
-        d32.weight.data.astype(np.float64)))
-    for h, d in ((h32, d32), (h64, d64), (h32, d32)):
-        r, q = votes(h, d)
-        assert r.dtype == q.dtype == h.dtype
+    w32 = T.constant(rng.normal(size=(4, 3)).astype(np.float32))
+    w64 = T.constant(w32.data.astype(np.float64))
+    for h, w in ((h32, w32), (h64, w64), (h32, w32)):
+        p, q = votes(h, w)
+        assert p.dtype == q.dtype == h.dtype
         table = R._encoding(5, 4, h.dtype)
-        np.testing.assert_array_equal(
-            q.data, table.data @ d.weight.data)
+        np.testing.assert_array_equal(q.data, table.data @ w.data)
         np.testing.assert_array_equal(
             table.data, R.positional_encoding(5, 4).astype(h.dtype))
     assert R._encoding(5, 4, h32.dtype) is not R._encoding(5, 4, h64.dtype)
@@ -196,10 +218,10 @@ def test_encoding_table_is_a_prefix_of_any_longer_one():
 
 def test_weight_of_the_wrong_width_is_a_shape_error():
     with T.use_dtype(np.float64):
-        direction = make_direction(6, 3, np.random.default_rng(4))
+        w = make_weight(6, 3, np.random.default_rng(4))
         h = T.constant(np.zeros((5, 4)))
         with pytest.raises(T.ShapeError):
-            votes(h, direction)
+            votes(h, w)
 
 
 def test_predict_vectors_reads_each_direction_its_source_row():
@@ -208,21 +230,18 @@ def test_predict_vectors_reads_each_direction_its_source_row():
     rng = np.random.default_rng(5)
     with T.use_dtype(np.float64):
         hidden = T.constant(rng.normal(size=(3, 2, 5, 6)))
-        directions = [R.TransferDirection(src, "y", T.constant(
-            rng.normal(size=(6, 4)))) for src in "cacb"]
-        weights = stacked([t.weight for t in directions])
-        r = R.predict_vectors(R.encode_positions(hidden), *directions,
-                              tasks=("a", "b", "c"), weights=weights)
-        q = R.target_votes(5, weights)
-    assert r.shape == (4, 2, 5, 4) and q.shape == (4, 1, 5, 4)
+        directions = [R.TransferDirection(src, "y") for src in "cacb"]
+        ws = [T.constant(rng.normal(size=(6, 4))) for _ in directions]
+        p = R.predict_vectors(hidden, *directions, tasks=("a", "b", "c"),
+                              weights=stacked(ws))
+        q = R.target_votes(5, stacked(ws))
+    assert p.shape == (4, 2, 5, 4) and q.shape == (4, 1, 5, 4)
     table = R.positional_encoding(5, 6)
-    for k, t in enumerate(directions):
+    for k, (t, w) in enumerate(zip(directions, ws)):
         np.testing.assert_allclose(
-            r.data[k], (hidden.data["abc".index(t.source)] + table)
-            @ t.weight.data,
+            p.data[k], hidden.data["abc".index(t.source)] @ w.data,
             atol=1e-12)
-        np.testing.assert_allclose(q.data[k, 0], table @ t.weight.data,
-                                   atol=1e-12)
+        np.testing.assert_allclose(q.data[k, 0], table @ w.data, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +251,9 @@ def test_predict_vectors_reads_each_direction_its_source_row():
 def test_route_single_iteration_no_prior_is_uniform_mean():
     rng = np.random.default_rng(5)
     n, d = 4, 3
-    r, q = random_factors(rng, n, d)
-    u = materialize(r, q)
-    v, trace = run_route(r, q, np.zeros((n, n)), 1)
+    p, q = random_factors(rng, n, d)
+    u = materialize(p, q)
+    v, trace = run_route(p, q, np.zeros((n, n)), 1)
     np.testing.assert_allclose(trace[0].c, np.full((n, n), 1.0 / n))
     np.testing.assert_allclose(v.data, squash_ref(u.mean(axis=0)), atol=1e-12)
 
@@ -242,10 +261,10 @@ def test_route_single_iteration_no_prior_is_uniform_mean():
 def test_route_single_token():
     rng = np.random.default_rng(6)
     for zero_q in (False, True):
-        r, q = random_factors(rng, 1, 5, zero_q=zero_q)
-        u = materialize(r, q)
+        p, q = random_factors(rng, 1, 5, zero_q=zero_q)
+        u = materialize(p, q)
         for iters in (1, 3):
-            v, trace = run_route(r, q, np.ones((1, 1)), iters)
+            v, trace = run_route(p, q, np.ones((1, 1)), iters)
             np.testing.assert_allclose(trace[-1].c, [[1.0]])
             np.testing.assert_allclose(v.data, squash_ref(u[0]), atol=1e-12)
 
@@ -256,9 +275,9 @@ def test_route_matches_line_by_line_oracle():
     adjacency = np.zeros((n, n))
     adjacency[0, 2] = adjacency[2, 0] = 1.0
     for zero_q in (False, True):
-        r, q = random_factors(rng, n, 4, zero_q=zero_q)
-        v, trace = run_route(r, q, adjacency, 3)
-        ov, ostates = route_oracle(materialize(r, q), adjacency, 3)
+        p, q = random_factors(rng, n, 4, zero_q=zero_q)
+        v, trace = run_route(p, q, adjacency, 3)
+        ov, ostates = route_oracle(materialize(p, q), adjacency, 3)
         np.testing.assert_allclose(v.data, ov, atol=1e-9)
         for st, (_ob, oc, ovv) in zip(trace, ostates):
             np.testing.assert_allclose(st.c, oc, atol=1e-9)
@@ -270,10 +289,10 @@ def test_route_invariants_random():
     for _ in range(25):
         n = int(rng.integers(1, 8))
         iters = int(rng.integers(1, 5))
-        r, q = random_factors(rng, n, 4, rng.uniform(0.2, 3.0),
+        p, q = random_factors(rng, n, 4, rng.uniform(0.2, 3.0),
                               zero_q=rng.random() < 0.25)
         adjacency = (rng.random((n, n)) < 0.3).astype(float)
-        v, trace = run_route(r, q, adjacency, iters)
+        v, trace = run_route(p, q, adjacency, iters)
         for st in trace:
             np.testing.assert_allclose(st.c.sum(axis=1), np.ones(n),
                                        atol=1e-9)
@@ -283,9 +302,9 @@ def test_route_invariants_random():
 def test_route_agreement_update_is_exact():
     rng = np.random.default_rng(9)
     n = 4
-    r, q = random_factors(rng, n, 3)
-    u = materialize(r, q)
-    _, trace = run_route(r, q, np.zeros((n, n)), 2)
+    p, q = random_factors(rng, n, 3)
+    u = materialize(p, q)
+    _, trace = run_route(p, q, np.zeros((n, n)), 2)
     # with A = 0 the logits after iteration 1's sharpening are exactly
     # u.v_1, so iteration 2's couplings are their row softmax
     b = np.einsum("ijd,jd->ij", u, trace[0].v)
@@ -296,10 +315,10 @@ def test_route_agreement_update_is_exact():
 
 def test_route_adjacency_monotonicity_first_iteration():
     n = 3
-    r = np.ones((n, 2))  # u_hat = 1 everywhere
+    p = np.ones((n, 2))  # u_hat = 1 everywhere
     adjacency = np.zeros((n, n))
     adjacency[0, 1] = 1.0
-    _, trace = run_route(r, np.zeros((n, 2)), adjacency, 1)
+    _, trace = run_route(p, np.zeros((n, 2)), adjacency, 1)
     c = trace[0].c
     assert c[0, 1] > c[0, 0] and c[0, 1] > c[0, 2]
 
@@ -307,27 +326,28 @@ def test_route_adjacency_monotonicity_first_iteration():
 def test_route_permutation_equivariance_without_pe():
     rng = np.random.default_rng(10)
     n = 5
-    r, q = random_factors(rng, n, 3)
+    p, q = random_factors(rng, n, 3)
     adjacency = (rng.random((n, n)) < 0.4).astype(float)
     perm = rng.permutation(n)
-    v, _ = run_route(r, q, adjacency, 3)
-    # permuting the tokens permutes u_hat[i, j] = r[i] + q[j] on both axes
-    vp, _ = run_route(r[perm], q[perm], adjacency[np.ix_(perm, perm)], 3)
+    v, _ = run_route(p, q, adjacency, 3)
+    # permuting the tokens permutes u_hat[i, j] = p[i] + q[i] + q[j] on both
+    # axes
+    vp, _ = run_route(p[perm], q[perm], adjacency[np.ix_(perm, perm)], 3)
     np.testing.assert_allclose(vp.data, v.data[perm], atol=1e-9)
 
 
 def test_grouped_route_matches_each_sentence_alone():
     # a group of equal-length sentences routes each one independently: the
-    # group shares only the target part q
+    # group shares only the position part q
     rng = np.random.default_rng(11)
     g, n, d = 3, 5, 4
-    r = rng.normal(size=(g, n, d))
+    p = rng.normal(size=(g, n, d))
     q = rng.normal(size=(n, d))
     adjacency = (rng.random((g, n, n)) < 0.4).astype(np.float64)
-    v, trace = run_route(r, q, adjacency, 3)
+    v, trace = run_route(p, q, adjacency, 3)
     assert v.shape == (g, n, d)
     for i in range(g):
-        v_i, trace_i = run_route(r[i], q, adjacency[i], 3)
+        v_i, trace_i = run_route(p[i], q, adjacency[i], 3)
         np.testing.assert_allclose(v.data[i], v_i.data, atol=1e-12)
         for st, st_i in zip(trace, trace_i):
             np.testing.assert_allclose(st.c[i], st_i.c, atol=1e-12)
@@ -340,22 +360,22 @@ def test_route_rejects_bad_iteration_count():
 
 
 def test_route_rejects_misshapen_inputs():
-    r = q = T.constant(np.zeros((2, 3)))
+    p = q = T.constant(np.zeros((2, 3)))
     stacked = T.constant(np.zeros((2, 1, 2, 3)))
 
     def prior(adjacency):
-        return R.routing_prior(adjacency, r.dtype)
+        return R.routing_prior(adjacency, p.dtype)
 
-    with pytest.raises(T.ConfigError, match="r must be"):
+    with pytest.raises(T.ConfigError, match="p must be"):
         R.route(T.constant(np.zeros(3)), q, prior(np.zeros((2, 2))), 1)
     for bad_q in (np.zeros((3, 3)),          # trailing shape is not (n, d)
                   np.zeros(3),
                   np.zeros((3, 1, 2, 3)),    # leading axis does not broadcast
-                  np.zeros((2, 2, 2, 3))):   # would widen r's group axis
+                  np.zeros((2, 2, 2, 3))):   # would widen p's group axis
         with pytest.raises(T.ConfigError, match="q must match"):
             R.route(stacked, T.constant(bad_q), prior(np.zeros((2, 2))), 1)
     with pytest.raises(T.ConfigError, match="adjacency"):
-        R.route(r, q, prior(np.zeros((3, 3))), 1)
+        R.route(p, q, prior(np.zeros((3, 3))), 1)
     with pytest.raises(T.ConfigError, match="adjacency"):
         R.route(stacked, q, prior(np.zeros((3, 1, 2, 2))), 1)
     # leading axes of any depth are accepted when q and adjacency broadcast
@@ -365,32 +385,32 @@ def test_route_rejects_misshapen_inputs():
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_stacked_directions_match_one_call_per_direction(dtype):
-    # k directions stacked on a leading axis, each with its target part
+    # k directions stacked on a leading axis, each with its position part
     # shared by the group (q [k, 1, n, d]) and the adjacency shared by the
     # directions, route exactly like k separate calls: values, traces and
-    # the gradients of r and q agree bit for bit
+    # the gradients of p and q agree bit for bit
     rng = np.random.default_rng(18)
     k, g, n, d, iters = 3, 2, 5, 4, 3
-    r = rng.normal(size=(k, g, n, d)).astype(dtype)
+    p = rng.normal(size=(k, g, n, d)).astype(dtype)
     q = rng.normal(size=(k, 1, n, d)).astype(dtype)
     prior = R.routing_prior(rng.random((g, n, n)) < 0.4, dtype)
     probe = rng.normal(size=(k, g, n, d)).astype(dtype)
 
-    def run(r_part, q_part, w):
-        rt = T.Tensor(r_part, requires_grad=True)
+    def run(p_part, q_part, w):
+        pt = T.Tensor(p_part, requires_grad=True)
         qt = T.Tensor(q_part, requires_grad=True)
         tape = T.Tape()
         with T.record(tape):
-            v, trace = R.route(rt, qt, prior, iters)
+            v, trace = R.route(pt, qt, prior, iters)
             loss = weighted_sum(v, w)
         tape.backward(loss)
-        return v.data, trace, rt.grad, qt.grad
+        return v.data, trace, pt.grad, qt.grad
 
-    v, trace, dr, dq = run(r, q, probe)
+    v, trace, dp, dq = run(p, q, probe)
     for j in range(k):
-        v_j, trace_j, dr_j, dq_j = run(r[j], q[j, 0], probe[j])
+        v_j, trace_j, dp_j, dq_j = run(p[j], q[j, 0], probe[j])
         np.testing.assert_array_equal(v[j], v_j)
-        np.testing.assert_array_equal(dr[j], dr_j)
+        np.testing.assert_array_equal(dp[j], dp_j)
         np.testing.assert_array_equal(dq[j, 0], dq_j)
         for st, st_j in zip(trace, trace_j, strict=True):
             for field in ("c", "s", "v"):
@@ -400,7 +420,7 @@ def test_stacked_directions_match_one_call_per_direction(dtype):
 
 def test_route_gradients_through_unrolled_loop():
     # float64 finite differences of the hand-written backward with respect
-    # to r and q (and to r alone with a zero q), for a single sentence
+    # to p and q (and to p alone with a zero q), for a single sentence
     # without a group axis and for groups of 1, 2 and 3, through 1 to 4
     # iterations
     rng = np.random.default_rng(12)
@@ -427,14 +447,14 @@ def test_stacked_route_matches_oracle_with_asymmetric_adjacency():
     # oracle, values and every iteration's c [source, target]
     rng = np.random.default_rng(20)
     k, g, n, d, iters = 3, 2, 5, 4, 3
-    r = rng.normal(size=(k, g, n, d))
+    p = rng.normal(size=(k, g, n, d))
     q = rng.normal(size=(k, 1, n, d))
     adjacency = np.triu(rng.random((g, n, n)) < 0.6, 1).astype(np.float64)
     assert (adjacency != adjacency.swapaxes(-1, -2)).any()
-    v, states = run_route(r, q, adjacency, iters)
+    v, states = run_route(p, q, adjacency, iters)
     for j in range(k):
         for i in range(g):
-            ov, ostates = route_oracle(materialize(r[j, i], q[j, 0]),
+            ov, ostates = route_oracle(materialize(p[j, i], q[j, 0]),
                                        adjacency[i], iters)
             np.testing.assert_allclose(v.data[j, i], ov, rtol=0, atol=1e-9)
             for st, (_ob, oc, _ov) in zip(states, ostates, strict=True):
@@ -442,7 +462,7 @@ def test_stacked_route_matches_oracle_with_asymmetric_adjacency():
 
 
 def test_stacked_route_gradients_with_adjacency_shared_by_directions():
-    # float64 finite differences with r [2, 3, n, d], q [2, 1, n, d] and
+    # float64 finite differences with p [2, 3, n, d], q [2, 1, n, d] and
     # one [3, n, n] adjacency for both directions, so iteration 1's
     # couplings are computed once and broadcast over the directions
     rng = np.random.default_rng(21)
@@ -458,11 +478,11 @@ def test_stacked_route_gradients_with_adjacency_shared_by_directions():
 
 def test_route_records_one_tape_node():
     rng = np.random.default_rng(17)
-    r = T.Tensor(rng.normal(size=(2, 5, 4)), requires_grad=True)
+    p = T.Tensor(rng.normal(size=(2, 5, 4)), requires_grad=True)
     q = T.Tensor(rng.normal(size=(5, 4)), requires_grad=True)
     tape = T.Tape()
     with T.record(tape):
-        v, _ = R.route(r, q, R.routing_prior(np.zeros((2, 5, 5)), r.dtype), 3)
+        v, _ = R.route(p, q, R.routing_prior(np.zeros((2, 5, 5)), p.dtype), 3)
     assert len(tape) == 1 and tape.nodes[0][0] is v
 
 
@@ -475,17 +495,17 @@ def test_route_returns_the_states_its_backward_reads():
     # is scaled through the array behind the view
     rng = np.random.default_rng(19)
     n, d, iters = 4, 3, 3
-    r0, q0 = random_factors(rng, n, d)
+    p0, q0 = random_factors(rng, n, d)
     adjacency = np.eye(n)
-    _, ostates = route_oracle(materialize(r0, q0), adjacency, iters)
+    _, ostates = route_oracle(materialize(p0, q0), adjacency, iters)
 
     def run(spoil=None):
         with T.use_dtype(np.float64):
-            r = T.Tensor(r0, requires_grad=True)
+            p = T.Tensor(p0, requires_grad=True)
             tape = T.Tape()
             with T.record(tape):
-                v, states = R.route(r, T.constant(q0),
-                                    R.routing_prior(adjacency, r.dtype), iters)
+                v, states = R.route(p, T.constant(q0),
+                                    R.routing_prior(adjacency, p.dtype), iters)
                 loss = weighted_sum(v)
             if spoil is not None:
                 arr = getattr(states[spoil[0]], spoil[1])
@@ -493,7 +513,7 @@ def test_route_returns_the_states_its_backward_reads():
                     arr = arr.base
                 arr *= 2.0
             tape.backward(loss)
-        return v, states, r.grad
+        return v, states, p.grad
 
     v, states, grad = run()
     assert len(states) == iters and states[-1].v is v.data
@@ -513,8 +533,7 @@ def test_route_end_to_end_gradients_with_predict_vectors():
     probe = rng.normal(size=(n, d_route))
 
     def build(ts):
-        direction = R.TransferDirection("ote", "asc", ts[1])
-        v, _ = R.route(*votes(ts[0], direction), prior, 2)
+        v, _ = R.route(*votes(ts[0], ts[1]), prior, 2)
         return weighted_sum(v, probe)
 
     check_op_grads(build, [rng.normal(size=(n, d_task)),
@@ -540,8 +559,8 @@ def test_agreement_trace_two_tokens_uniform():
 def test_agreement_trace_rows_sum_to_one_entries_in_open_interval():
     rng = np.random.default_rng(15)
     n = 4
-    r, q = random_factors(rng, n, 3)
-    _, states = run_route(r, q, np.eye(n), 3)
+    p, q = random_factors(rng, n, 3)
+    _, states = run_route(p, q, np.eye(n), 3)
     trace = R.RoutingTrace(1, "ate->ote", states)
     recs = R.agreement_trace(trace, ("w", "x", "y", "z"))
     assert [rec["iteration"] for rec in recs] == [1, 2, 3]
@@ -552,16 +571,16 @@ def test_agreement_trace_rows_sum_to_one_entries_in_open_interval():
 
 
 def test_agreement_strictly_increases_for_aligned_votes():
-    # target 1 has a large target-side vote part along e1, so the votes into
-    # it agree with its output; every source part is small and orthogonal to
-    # e1 and to each other: the (0, 1) coupling must sharpen monotonically
-    # across iterations
+    # position 1 has a large part q_1 along e1, which every vote into target
+    # 1 carries, so they agree with its output; every hidden part p_i is
+    # small and orthogonal to e1 and to each other: the (0, 1) coupling must
+    # sharpen monotonically across iterations
     n, d = 3, 6
-    r = np.zeros((n, d))
-    r[0, 3] = r[1, 4] = r[2, 5] = 0.1
+    p = np.zeros((n, d))
+    p[0, 3] = p[1, 4] = p[2, 5] = 0.1
     q = np.zeros((n, d))
     q[1, 0] = 4.0
-    _, states = run_route(r, q, np.zeros((n, n)), 4)
+    _, states = run_route(p, q, np.zeros((n, n)), 4)
     series = [st.c[0, 1] for st in states]
     assert all(b > a for a, b in zip(series, series[1:]))
 
@@ -577,15 +596,14 @@ def test_routing_tape_never_holds_pairwise_vote_tensor():
     rng = np.random.default_rng(16)
     n, d_task, d_route = 128, 64, 32
     limit = max(n * n, n * d_route)
-    direction = R.TransferDirection("ate", "asc", T.Tensor(
-        (rng.normal(size=(d_task, d_route)) * 0.1).astype(np.float32),
-        requires_grad=True))
+    w = T.Tensor((rng.normal(size=(d_task, d_route)) * 0.1).astype(np.float32),
+                 requires_grad=True)
     h = T.Tensor(rng.normal(size=(n, d_task)).astype(np.float32),
                  requires_grad=True)
     prior = R.routing_prior(np.eye(n), h.dtype)
     tape = T.Tape()
     with T.record(tape):
-        v, _ = R.route(*votes(h, direction), prior, 3)
+        v, _ = R.route(*votes(h, w), prior, 3)
         loss = weighted_sum(v)
     recorded = max(node[0].size for node in tape.nodes)
     assert recorded <= limit, f"tape output of {recorded} elements"
@@ -604,4 +622,4 @@ def test_routing_tape_never_holds_pairwise_vote_tensor():
     tape.backward(loss)
     assert pushed and max(pushed) <= limit, (
         f"gradient of {max(pushed)} elements pushed in backward")
-    assert h.grad is not None and direction.weight.grad is not None
+    assert h.grad is not None and w.grad is not None

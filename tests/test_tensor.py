@@ -400,10 +400,11 @@ def test_sigmoid_extremes_finite():
     np.testing.assert_allclose(out.data, [0.0, 0.5, 1.0], atol=1e-7)
 
 
-def test_fully_connected_grads():
+def test_affine_map_grads():
+    # x @ w + b, the bias broadcast over the rows
     rng = np.random.default_rng(13)
     check_op_grads(
-        lambda ts: weighted_sum(T.fully_connected(ts[0], ts[1], ts[2])),
+        lambda ts: weighted_sum(T.add(T.matmul(ts[0], ts[1]), ts[2])),
         [rng.normal(size=(5, 3)), rng.normal(size=(3, 2)), rng.normal(size=2)])
 
 
@@ -466,13 +467,13 @@ def test_grouped_ops_match_per_item_ops():
     table = rng.normal(size=(6, d))
     with T.use_dtype(np.float64):
         C = T.constant
-        grouped = [T.matmul(C(x), C(w)), T.fully_connected(C(x), C(w), C(b)),
+        grouped = [T.matmul(C(x), C(w)), T.add(T.matmul(C(x), C(w)), C(b)),
                    conv1d(C(x), C(k), C(b)),
                    T.matmul(C(lin[:, None, :]), C(x)),
                    T.embedding_lookup(C(table), ids)]
         for i in range(g):
             alone = [T.matmul(C(x[i]), C(w)),
-                     T.fully_connected(C(x[i]), C(w), C(b)),
+                     T.add(T.matmul(C(x[i]), C(w)), C(b)),
                      T.select(conv1d(C(x[i:i + 1]), C(k), C(b)), 0),
                      T.matmul(C(lin[i][None, :]), C(x[i])),
                      T.embedding_lookup(C(table), ids[i])]
@@ -491,7 +492,7 @@ def test_grouped_ops_grads():
     check_op_grads(lambda ts: weighted_sum(T.matmul(ts[0], ts[1]), probe),
                    [rng.normal(size=(g, n, d)), rng.normal(size=(g, d, m))])
     check_op_grads(
-        lambda ts: weighted_sum(T.fully_connected(ts[0], ts[1], ts[2]), probe),
+        lambda ts: weighted_sum(T.add(T.matmul(ts[0], ts[1]), ts[2]), probe),
         [x, rng.normal(size=(d, m)), rng.normal(size=m)])
     check_op_grads(
         lambda ts: weighted_sum(conv1d(ts[0], ts[1], ts[2]), probe),
@@ -581,6 +582,40 @@ def test_grouped_affine_reads_rows_of_one_tensor_in_place(rows):
                                    + params[k + i], atol=1e-12)
     probe = rng.normal(size=(k, g, n, m))
     check_op_grads(lambda ts: weighted_sum(build(ts), probe), [x] + params)
+
+
+@pytest.mark.parametrize("j", [(), None], ids=["whole", "new-axis"])
+def test_grouped_affine_maps_one_tensor_read_whole_by_every_group(j):
+    # every group reads all of x.data[j], as the votes' position parts read
+    # the encodings: one broadcast matmul gives the values and gradients of
+    # k copies of x through the gather path, bit for bit, and its
+    # gradients pass finite differences
+    rng = np.random.default_rng(27)
+    k, n, d, m = 3, 4, 5, 2
+    x = rng.normal(size=(n, d))
+    params = ([rng.normal(size=(d, m)) for _ in range(k)]
+              + [rng.normal(size=m) for _ in range(k)])
+    probe = rng.normal(size=(k, *x[j].shape[:-1], m))
+
+    def build(xs, ps):
+        return T.grouped_affine([[(t, j)] for t in xs], stacked(ps[:k]),
+                                stacked(ps[k:]))
+
+    def run(copies):
+        with T.use_dtype(np.float64):
+            xs = [T.Tensor(x, requires_grad=True) for _ in range(copies)]
+            ps = [T.Tensor(p, requires_grad=True) for p in params]
+            tape = T.Tape()
+            with T.record(tape):
+                out = build(xs * (k // copies), ps)
+                loss = weighted_sum(out, probe)
+            tape.backward(loss)
+        return [out.data, sum(t.grad for t in xs)] + [t.grad for t in ps]
+
+    for got, want in zip(run(1), run(k), strict=True):
+        np.testing.assert_array_equal(got, want)
+    check_op_grads(lambda ts: weighted_sum(build(ts[:1] * k, ts[1:]), probe),
+                   [x] + params)
 
 
 def test_grouped_affine_rejects_a_weight_of_the_wrong_height():

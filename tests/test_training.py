@@ -597,7 +597,7 @@ def test_gradcheck_linear_toy_model_is_exact():
         x = T.constant(rng.normal(size=(4, 3)))
 
     def loss():
-        return weighted_sum(T.fully_connected(x, w, b))
+        return weighted_sum(T.add(T.matmul(x, w), b))
 
     report = gradcheck(loss, {"w": w, "b": b})
     assert report.passed
