@@ -97,8 +97,9 @@ def _print_report(report) -> None:
     print(json.dumps({c: d[c] for c in METRIC_COLUMNS}))
 
 
-def _single_run(rc: C.RunConfig, out_dir: str, quiet: bool) -> dict:
-    train, test, documents, general, domain = _build_corpora(rc)
+def _single_run(rc: C.RunConfig, corpora, out_dir: str, quiet: bool
+                ) -> dict:
+    train, test, documents, general, domain = corpora
     if rc.dev_fraction > 0:
         train, dev = dev_split(train, rc.dev_fraction, rc.model.seed)
     else:
@@ -121,14 +122,17 @@ def _single_run(rc: C.RunConfig, out_dir: str, quiet: bool) -> dict:
 
 def _train_runs(rc: C.RunConfig, quiet: bool) -> int:
     """Echo ``rc`` and train ``rc.runs`` seeds (``seed``, ``seed + 1``, …)
-    into ``out_dir/run<k>``, with a mean/std summary over several runs."""
+    into ``out_dir/run<k>``, with a mean/std summary over several runs.
+    Every run's corpora are read and checked before anything is written."""
     rc.validate()
+    runs = [C.with_keys(rc, seed=rc.model.seed + k) for k in range(rc.runs)]
+    corpora = [_build_corpora(run) for run in runs]
     echoed = C.echo_config(rc, rc.out_dir)
     if not quiet:
         print(f"effective config: {echoed}")
-    summaries = [_single_run(C.with_keys(rc, seed=rc.model.seed + k),
-                             os.path.join(rc.out_dir, f"run{k}"), quiet)
-                 for k in range(rc.runs)]
+    summaries = [_single_run(run, built, os.path.join(rc.out_dir, f"run{k}"),
+                             quiet)
+                 for k, (run, built) in enumerate(zip(runs, corpora))]
     if rc.runs > 1:
         agg_source = ("test" if all("test" in s for s in summaries)
                       else "best_dev_f1_i")

@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .routing import directions_per_call
+from . import routing
 
 
 class CorpusError(ValueError):
@@ -476,22 +476,18 @@ def make_batches(items: Sequence, batch_size: int, seed: int) -> list[list]:
             for i in range(0, len(shuffled), batch_size)]
 
 
-def length_groups(items: Sequence[Sentence | Document]) -> list[list[int]]:
-    """Indices of ``items`` grouped by length: groups in order of their
-    first member, members in item order."""
-    groups: dict[int, list[int]] = {}
-    for i, it in enumerate(items):
-        groups.setdefault(it.n, []).append(i)
-    return list(groups.values())
-
-
 def length_chunks(items: Sequence[Sentence | Document]) -> list[list[int]]:
     """The inputs that share a model forward, in training and inference
-    alike: each of :func:`length_groups` cut, in order, into chunks of at
-    most ``directions_per_call(1, n)`` items, so that one chunk's [G, n, n]
-    coupling array stays within ``routing.COUPLING_BUDGET`` elements."""
-    chunks = []
-    for idx in length_groups(items):
-        size = directions_per_call(1, items[idx[0]].n)
-        chunks += [idx[i:i + size] for i in range(0, len(idx), size)]
+    alike: the indices of ``items`` sorted stably by length, longest first
+    (so long items fill chunks among themselves), cut greedily into chunks
+    whose n^2 (one routing direction's couplings per item) sum to at most
+    ``routing.COUPLING_BUDGET``; an item over the budget is a chunk alone."""
+    chunks: list[list[int]] = []
+    for i in sorted(range(len(items)), key=lambda i: -items[i].n):
+        cost = items[i].n ** 2
+        if not chunks or total + cost > routing.COUPLING_BUDGET:
+            chunks.append([])
+            total = 0
+        chunks[-1].append(i)
+        total += cost
     return chunks

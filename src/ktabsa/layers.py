@@ -1,10 +1,11 @@
 """Shared encoder, task-specific stacks, attention pooling, token decoders.
 
-Every layer maps a group of equal-length sentences, [G, n, d], at once.
-:class:`TaskStack`, :class:`AttentionHead` and :class:`TokenDecoder` carry
-their tasks as a leading axis, [k, G, n, d], through grouped ops that read
-the tasks' parameters as one block (:meth:`Params.block`), so names and
-checkpoints stay per task; the encoder runs each of its banks as a
+Every layer maps a chunk of items of any lengths at once, laid end to end
+on one token axis, [N, d], that a :class:`tensor.Segments` describes, so
+that no convolution window or attention pool mixes items. The task layers
+carry their tasks as a leading axis, [k, N, d], through grouped ops that
+read the tasks' parameters as one block (:meth:`Params.block`), so names
+and checkpoints stay per task; the encoder runs each of its banks as a
 one-entry grouped convolution. Each layer's ``__call__`` runs it as a
 unit, which is what a caller timing the layers wraps (see
 :mod:`ktabsa.model`).
@@ -14,9 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import (Parameter, Stack, Tensor, concat, default_dtype,
-                     grouped_affine, grouped_conv1d, matmul, relu, reshape,
-                     sigmoid, softmax)
+from .tensor import (Parameter, Segments, Stack, Tensor, concat,
+                     default_dtype, grouped_affine, grouped_conv1d, relu,
+                     reshape, segment_pool, segment_softmax, sigmoid,
+                     softmax)
 
 NONLINEARITIES = {"relu": relu, "sigmoid": sigmoid}
 CONV = ("kernel", "bias")       # the part names of a convolution layer
@@ -91,7 +93,7 @@ class SharedEncoder:
     Each kernel width contributes an equal slice of the output (d_enc
     divides evenly among the widths, as :meth:`ModelConfig.validate`
     checks); the slices are concatenated and passed through the
-    nonlinearity. Same padding keeps the sequence length, which also covers
+    nonlinearity. Same padding keeps each item's length, which also covers
     the single-token edge case.
     """
 
@@ -102,10 +104,12 @@ class SharedEncoder:
                                    (w, d_in, d_enc // len(widths)), parts=CONV)
                       for w in widths]
 
-    def __call__(self, x: Tensor) -> Tensor:
-        """The encoding [G, n, d_enc] of x [G, n, d_in]."""
-        h = concat([grouped_conv1d(x, *bank) for bank in self.banks], axis=-1)
-        return self.nonlin(reshape(h, h.shape[1:]))
+    def __call__(self, x: Tensor, segments: Segments) -> Tensor:
+        """The encoding [N, d_enc] of the items ``segments`` lays out in x
+        [N, d_in]."""
+        h = concat([grouped_conv1d(x, *bank, segments) for bank in self.banks],
+                   axis=-1)
+        return self.nonlin(reshape(h, h.shape[1:]), inplace=True)
 
 
 class TaskStack:
@@ -124,13 +128,15 @@ class TaskStack:
                 params.layer(f"task.{task}.{k}", (3, d_out if k else d_in,
                                                   d_out), family, i, CONV)
 
-    def __call__(self, x: Tensor, tasks: tuple[str, ...]) -> Tensor:
-        """Hidden states [len(tasks), G, n, d_out] of ``tasks``, in that
-        order, over the shared encoding x [G, n, d_in]."""
+    def __call__(self, x: Tensor, tasks: tuple[str, ...],
+                 segments: Segments) -> Tensor:
+        """Hidden states [len(tasks), N, d_out] of ``tasks``, in that
+        order, over the shared encoding x [N, d_in] of ``segments``."""
         rows = [self.row[task] for task in tasks]
         for kernels, biases in self.blocks:
             x = self.nonlin(grouped_conv1d(x, kernels.rows(rows),
-                                           biases.rows(rows)))
+                                           biases.rows(rows), segments),
+                            inplace=True)
         return x
 
 
@@ -148,18 +154,19 @@ class AttentionHead:
             params.glorot(f"doc.{task}.attn.w", (d, 1), self.w, i)
             self.classifiers[task] = params.layer(f"doc.{task}.cls", (d, c))
 
-    def __call__(self, h: Tensor, tasks: tuple[str, ...]
-                 ) -> tuple[Tensor, list[Tensor]]:
-        """Attention weights [k, G, n, 1] over the tokens of h [k, G, n, d],
-        the hidden states of ``tasks`` in that order, and per task its
-        logits [1, G, 1, C]."""
-        k, g, n, _ = h.shape
-        a = softmax(grouped_affine([[(h, i)] for i in range(k)],
-                                   self.w.rows([self.row[t] for t in tasks])),
-                    axis=-2)
-        pooled = matmul(reshape(a, (k, g, 1, n)), h)
-        return a, [grouped_affine([[(pooled, i)]], *self.classifiers[task])
-                   for i, task in enumerate(tasks)]
+    def __call__(self, h: Tensor, tasks: tuple[str, ...],
+                 segments: Segments, classify: tuple[str, ...]
+                 ) -> tuple[Tensor, dict[str, Tensor]]:
+        """Attention weights [k, N, 1] over each item's tokens of h [k, N,
+        d], the hidden states of ``tasks`` in that order, and the logits
+        [1, B, C] of each task of ``classify``."""
+        a = segment_softmax(grouped_affine(
+            [[(h, i)] for i in range(h.shape[0])],
+            self.w.rows([self.row[t] for t in tasks])), segments)
+        pooled = segment_pool(a, h, segments) if classify else None
+        return a, {task: grouped_affine([[(pooled, tasks.index(task))]],
+                                        *self.classifiers[task])
+                   for task in classify}
 
 
 class TokenDecoder:
@@ -172,8 +179,8 @@ class TokenDecoder:
             params.layer(f"dec.{task}", (d, classes), (self.w, self.b), i)
 
     def __call__(self, h: Tensor) -> tuple[Tensor, Tensor]:
-        """Logits and distributions [k, G, n, C] of h [k, G, n, d], row i
-        the i-th task's."""
+        """Logits and distributions [k, N, C] of h [k, N, d], row i the
+        i-th task's."""
         logits = grouped_affine([[(h, i)] for i in range(h.shape[0])],
                                 self.w, self.b)
         return logits, softmax(logits, axis=-1)

@@ -1,8 +1,8 @@
 """Full model: iterative multi-task forward pass and checkpointing.
 
-A forward pass runs a group of G sentences of equal length n at once, so
-every token-level tensor is [G, n, ·] and every document-level one [G, ·];
-equal lengths need no padding, and a single sentence is a group of one.
+A forward pass runs a chunk of B sentences of any lengths, laid end to end
+on one token axis of N rows (a :class:`tensor.Segments`), so token-level
+tensors are [N, ·] and document-level ones [B, ·]; nothing is padded.
 One forward pass embeds the sentences, runs the shared encoder, produces
 five task-specific representations (three token-level tasks, two document-level
 auxiliary tasks), and then iterates: each token-level task receives routed
@@ -17,14 +17,16 @@ signals once, together with the routing prior and the route plan, and
 every round reuses them.
 
 The tasks are an axis, not a loop: the five task stacks run as one
-[5, G, n, d] stack, its document rows run through one attention head, and
-the three token-level tasks stay [3, G, n, ·] from there to the loss. A
-round computes the hidden parts p = h W of a block of directions' votes in
-one :func:`predict_vectors` call (each reads its source's row of the
-hidden stack), routes them against the plan's position parts q = PE W in
-target-major order, and projects, fuses and decodes the three targets in
-one grouped affine map each, whose narrower inputs are zero-padded to the
-widest. Each family of per-task parameters lives as views of one block
+[5, N, d] stack, its document rows run through one attention head, and
+the three token-level tasks stay [3, N, ·] from there to the loss. Only
+routing runs per length group, a run of G sentences of one length n: a
+round computes the hidden parts p = h W of a block of directions' votes
+in one :func:`predict_vectors` call of the group's rows, routes them as
+[k, G, n, d_route] against the plan's position parts q = PE W in
+target-major order, and writes them back along the token axis; it then
+projects, fuses and decodes the three targets in one grouped affine map
+each, whose narrower inputs are zero-padded to the widest. Each family
+of per-task parameters lives as views of one block
 (:meth:`layers.Params.block`) that the grouped ops read as it is; names
 and the checkpoint stay per task.
 
@@ -37,11 +39,9 @@ Each :func:`route` call follows a :func:`predict_vectors` call of the
 same block of directions, whose second positional argument is the first
 of them, a :class:`routing.TransferDirection`.
 
-Training and inference share one chunking rule, :func:`data.length_chunks`:
-a forward runs a chunk of at most COUPLING_BUDGET // n^2 sentences of a
-length group (length bucketing as in fairseq's ``batch_by_size``), and
-training backpropagates each chunk as soon as it is recorded, so the graph
-of a step is bounded by the budget, not by the batch size.
+Training and inference share one chunking rule, :func:`data.length_chunks`
+(packing without cross-contamination, as in Krell et al. 2021), and
+training backpropagates each chunk as soon as it is recorded.
 
 Every parameter registers in the model's :class:`layers.Params` where it is
 created, so creation order is the order Adam and gradcheck see and the
@@ -57,7 +57,7 @@ import os
 import struct
 from collections import Counter
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import groupby, zip_longest
 from typing import Sequence
 
 import numpy as np
@@ -69,9 +69,9 @@ from .data import (DEFAULT_SCHEMES, Document, EmbeddingTable, Sentence,
 from .routing import (RoutingState, RoutingTrace, TransferDirection,
                       directions_per_call, predict_vectors, route,
                       routing_prior, target_votes)
-from .tensor import (ConfigError, DivergenceError, Stack, Tensor, concat,
+from .tensor import (ConfigError, DivergenceError, Segments, Tensor, concat,
                      default_dtype, dropout, dropout_keep, embedding_lookup,
-                     grouped_affine, reshape, select, softmax)
+                     grouped_affine, reshape, segment_expand, select, softmax)
 
 ASPECT_TASKS = ("ate", "ote", "asc")
 DOC_TASKS = ("ddc", "dsc")
@@ -237,7 +237,7 @@ def apply_ablation(config: ModelConfig, name: str) -> ModelConfig:
 @dataclass
 class IterationState:
     """Round t's hidden states, tag logits and tag distributions of the
-    aspect tasks, each stacked [3, G, n, ·] in :data:`ASPECT_TASKS` order."""
+    aspect tasks, each stacked [3, N, ·] in :data:`ASPECT_TASKS` order."""
 
     t: int
     hidden: Tensor
@@ -364,7 +364,7 @@ class AbsaModel:
 
         A batch draws all of its multipliers up front, in batch order, so the
         random stream does not depend on how the batch splits into
-        equal-length groups."""
+        chunks."""
         p = self.config.dropout
         if p == 0:
             return None
@@ -376,50 +376,46 @@ class AbsaModel:
 
     def _shared(self, items: Sequence[Sentence | Document],
                 keep: Sequence[tuple[np.ndarray, np.ndarray]] | None
-                ) -> Tensor:
-        """Shared encoding [G, n, d_enc] of a group of equal-length items,
-        with dropout when ``keep`` (from :meth:`draw_dropout`) is given."""
+                ) -> tuple[Tensor, Segments]:
+        """Shared encoding [N, d_enc] of the items' tokens in item order,
+        with dropout when ``keep`` (from :meth:`draw_dropout`) is given, and
+        their :class:`Segments`."""
         if not items:
             raise ValueError("a forward pass needs at least one input")
-        if any(it.n != items[0].n for it in items):
-            raise ValueError(f"a group needs inputs of equal length, got "
-                             f"lengths {sorted({it.n for it in items})}")
         if any(it.general_ids is None or it.domain_ids is None
                for it in items):
             raise ValueError("input has no embedding ids; run "
                              "assign_embedding_ids first")
-        general = np.stack([it.general_ids for it in items])
-        domain = np.stack([it.domain_ids for it in items])
+        segments = Segments.of(tuple(it.n for it in items))
+        general = np.concatenate([it.general_ids for it in items])
+        domain = np.concatenate([it.domain_ids for it in items])
         emb = concat([embedding_lookup(self.emb_general, general),
                       embedding_lookup(self.emb_domain, domain)], axis=-1)
         if keep is not None:
-            emb = dropout(emb, np.stack([k[0] for k in keep]))
-        h = self.encoder(emb)
+            emb = dropout(emb, np.concatenate([k[0] for k in keep]))
+        h = self.encoder(emb, segments)
         if keep is not None:
-            h = dropout(h, np.stack([k[1] for k in keep]))
-        return h
+            h = dropout(h, np.concatenate([k[1] for k in keep]))
+        return h, segments
 
     def forward(self, sentences: Sequence[Sentence],
                 keep: Sequence[tuple[np.ndarray, np.ndarray]] | None = None,
                 keep_trace: bool = False
                 ) -> tuple[list[IterationState], list[RoutingTrace]]:
-        """Run T aggregation rounds over a group of equal-length sentences.
+        """Run T aggregation rounds over a chunk of sentences of any lengths.
 
-        Returns T+1 states, whose tensors are [3, G, n, ·], and, if
-        ``keep_trace``, the routing traces by round, direction and sentence.
-        ``keep`` (from :meth:`draw_dropout`) applies training dropout. The
-        document signals, the routing prior (:func:`routing.routing_prior`)
-        and the route plan with its target votes q are built once and serve
-        every round."""
+        Returns T+1 states, whose tensors are [3, N, ·], and, if
+        ``keep_trace``, the routing traces by round, length group, direction
+        and sentence. ``keep`` (from :meth:`draw_dropout`) applies training
+        dropout. The document signals and the route plan are built once and
+        serve every round."""
         state, doc = self.initial_state(sentences, keep)
-        prior = routing_prior(np.stack([s.adjacency for s in sentences]),
-                              self.emb_general.dtype)
-        plan = self.route_plan(len(sentences), sentences[0].n)
+        plan = self.route_plan(sentences)
         states = [state]
         traces: list[RoutingTrace] = []
         for _ in range(self.config.iterations):
             state = self.transfer_and_aggregate(
-                state, doc, prior, plan, traces if keep_trace else None)
+                state, doc, plan, traces if keep_trace else None)
             states.append(state)
         return states, traces
 
@@ -429,75 +425,85 @@ class AbsaModel:
                                  dict[str, tuple[Tensor, int]]]:
         """Round 0 (the task stacks' hidden vectors and their decodes) and
         the document signals that every later round fuses, keyed as in
-        :meth:`ModelConfig.doc_inputs`: (x, i) with ``x.data[i]`` an
-        attention weight [G, n, 1] per token, or the document's label
-        distribution [G, 1, C], which the fusion repeats at every token.
-        Only the signals some target fuses are built: the aspect stacks run
-        with the document stacks they need as one [k, G, n, d]
+        :meth:`ModelConfig.doc_inputs`: (x, i) with ``x.data[i]`` [N, ·], an
+        attention weight or the sentence's document label distribution at
+        each token. Only the signals some target fuses are built: the aspect
+        stacks run with the document stacks they need as one [k, N, d]
         :class:`layers.TaskStack` call, and those document rows of its
         output as one :class:`layers.AttentionHead` call."""
-        shared = self._shared(sentences, keep)
+        shared, segments = self._shared(sentences, keep)
         wanted = dict.fromkeys(signal for target in ASPECT_TASKS
                                for signal in self.config.doc_inputs(target))
         docs = tuple(s for s in DOC_TASKS
                      if any(signal.startswith(f"{s}.") for signal in wanted))
-        hidden = self.stacks(shared, ASPECT_TASKS + docs)
+        hidden = self.stacks(shared, ASPECT_TASKS + docs, segments)
         doc = {}
         if docs:
-            a, logits = self.heads(select(hidden, slice(len(ASPECT_TASKS),
-                                                         None)), docs)
+            a, logits = self.heads(
+                select(hidden, slice(len(ASPECT_TASKS), None)), docs,
+                segments, tuple(s for s in docs if f"{s}.probs" in wanted))
             for signal in wanted:
                 task, _, kind = signal.partition(".")
-                k = docs.index(task)
-                doc[signal] = ((a, k) if kind == "attn" else
-                               (softmax(logits[k], axis=-1), 0))
+                doc[signal] = ((a, docs.index(task)) if kind == "attn" else
+                               (segment_expand(softmax(logits[task], axis=-1),
+                                               segments), 0))
             hidden = select(hidden, slice(0, len(ASPECT_TASKS)))
         return IterationState(0, hidden, *self.decoders(hidden)), doc
 
-    def route_plan(self, g: int, n: int
-                   ) -> list[tuple[list[TransferDirection], Stack, Tensor]]:
-        """The enabled directions of a round in :attr:`order`, in blocks of
-        at most :func:`directions_per_call` directions; each block comes
-        with its rows of the route weights' block and its stacked target
-        votes q [k, 1, n, d_route]."""
-        size, rows = directions_per_call(g, n), list(range(len(self.order)))
-        plan = []
-        for i in range(0, len(rows), size):
-            weights = self.route_weights.rows(rows[i:i + size])
-            plan.append((self.order[i:i + size], weights,
-                         target_votes(n, weights)))
+    def route_plan(self, sentences: Sequence[Sentence]) -> list[tuple]:
+        """Per length group (a run of G sentences of length n): its rows of
+        the token axis, (G, n), its :func:`routing.routing_prior` and the
+        directions of :attr:`order` in blocks of at most
+        :func:`directions_per_call`, each with its rows of the route
+        weights' block and its target votes q [k, 1, n, d_route]."""
+        plan, start, rows = [], 0, list(range(len(self.order)))
+        for n, run in groupby(sentences, key=lambda s: s.n):
+            run = list(run)
+            g, size = len(run), directions_per_call(len(run), n)
+            blocks = []
+            for i in range(0, len(rows), size):
+                weights = self.route_weights.rows(rows[i:i + size])
+                blocks.append((self.order[i:i + size], weights,
+                               target_votes(n, weights)))
+            plan.append((slice(start, start + g * n), (g, n), routing_prior(
+                np.stack([s.adjacency for s in run]), self.emb_general.dtype),
+                blocks))
+            start += g * n
         return plan
 
     def transfer_and_aggregate(self, state: IterationState,
                                doc: dict[str, tuple[Tensor, int]],
-                               prior: tuple[np.ndarray, np.ndarray],
                                plan: list, traces: list[RoutingTrace] | None
                                ) -> IterationState:
-        """One aggregation round over the group: per block of ``plan``
-        (from :meth:`route_plan`), the block's votes in one
-        :func:`predict_vectors` call and one :func:`route` call under the
-        :func:`routing.routing_prior` ``prior`` of the [G, n, n] adjacency,
-        each trace appended to ``traces`` unless it is None; then
-        :meth:`aggregate` with the document signals ``doc``."""
-        cfg = self.config
-        g = state.hidden.shape[1]
+        """One aggregation round: per length group and block of ``plan``
+        (from :meth:`route_plan`), one :func:`predict_vectors` call of the
+        group's rows and one :func:`route` call of them as [k, G, n,
+        d_route], each trace appended to ``traces`` unless it is None;
+        then :meth:`aggregate` of the routed rows and ``doc``."""
         routed = []
-        for block, weights, q in plan:
-            p = predict_vectors(state.hidden, *block, tasks=ASPECT_TASKS,
-                                weights=weights)
-            v, kept = route(p, q, prior, cfg.route_iters)
-            if traces is not None:
-                traces += [RoutingTrace(state.t + 1, d.name, [
-                    RoutingState(st.c[k, i], st.s[k, i], st.v[k, i])
-                    for st in kept]) for k, d in enumerate(block)
-                    for i in range(g)]
-            del kept    # held past the call, they would raise predict's peak
-            routed.append(v)
-        return self.aggregate(state, concat(routed) if routed else None, doc)
+        for tokens, (g, n), prior, blocks in plan:
+            vs = []
+            for block, weights, q in blocks:
+                p = predict_vectors(state.hidden, *block, tasks=ASPECT_TASKS,
+                                    weights=weights, tokens=tokens)
+                v, kept = route(reshape(p, (len(block), g, n, -1)), q, prior,
+                                self.config.route_iters)
+                if traces is not None:
+                    traces += [RoutingTrace(state.t + 1, d.name, [
+                        RoutingState(st.c[k, i], st.s[k, i], st.v[k, i])
+                        for st in kept]) for k, d in enumerate(block)
+                        for i in range(g)]
+                del kept    # held past the call, they would raise the peak
+                vs.append(v)
+            if vs:
+                routed.append(reshape(concat(vs), (len(self.order), g * n,
+                                                   -1)))
+        return self.aggregate(state, concat(routed, axis=1) if routed
+                              else None, doc)
 
     def aggregate(self, state: IterationState, routed: Tensor | None,
                   doc: dict[str, tuple[Tensor, int]]) -> IterationState:
-        """Fuse each target's routed knowledge, row k of ``routed`` [k, G, n,
+        """Fuse each target's routed knowledge, row k of ``routed`` [k, N,
         d_route] for the k-th direction of :attr:`order`, with the previous
         predictions and its document signals ``doc[signal]`` (from
         :meth:`initial_state`), and re-decode.
@@ -519,7 +525,7 @@ class AbsaModel:
               else (h, ASPECT_TASKS.index(t))]
              + [(state.probs, i) for i in range(len(ASPECT_TASKS))]
              + [doc[signal] for signal in cfg.doc_inputs(t)]
-             for t in fusing], *self.fuse_blocks))
+             for t in fusing], *self.fuse_blocks), inplace=True)
         if len(fusing) < len(ASPECT_TASKS):     # the others keep their state
             fused = select(concat([h, fused]), [
                 len(ASPECT_TASKS) + fusing.index(t) if t in fusing else i
@@ -529,12 +535,12 @@ class AbsaModel:
     def forward_document(self, docs: Sequence[Document],
                          keep: Sequence[tuple[np.ndarray, np.ndarray]]
                          | None = None) -> dict[str, Tensor]:
-        """Document-task logits [G, C] of a group of equal-length documents;
-        these do not depend on the iteration loop."""
-        hidden = self.stacks(self._shared(docs, keep), DOC_TASKS)
-        _a, logits = self.heads(hidden, DOC_TASKS)
-        return {s: reshape(x, (len(docs), -1))
-                for s, x in zip(DOC_TASKS, logits)}
+        """Document-task logits [B, C] of a chunk of documents of any
+        lengths; these do not depend on the iteration loop."""
+        shared, segments = self._shared(docs, keep)
+        _a, logits = self.heads(self.stacks(shared, DOC_TASKS, segments),
+                                DOC_TASKS, segments, DOC_TASKS)
+        return {s: reshape(x, (len(docs), -1)) for s, x in logits.items()}
 
     # -- inference ----------------------------------------------------------
 
@@ -548,10 +554,11 @@ class AbsaModel:
         with np.errstate(all="ignore"):     # checked below instead
             states, traces = self.forward([sentences[i] for i in chunk],
                                           keep_trace=keep_trace)
-        finite = np.isfinite(states[-1].probs.data).all(axis=(0, 2, 3))
-        if not finite.all():
+        finite = np.isfinite(states[-1].probs.data).all(axis=(0, 2))
+        if not finite.all():    # the sentence of the first such token
+            row = np.cumsum([sentences[i].n for i in chunk]) <= finite.argmin()
             raise DivergenceError(f"non-finite prediction for sentence "
-                                  f"{chunk[int(finite.argmin())]}")
+                                  f"{chunk[row.sum()]}")
         return states, traces
 
     def _final_tags(self, sentences: Sequence[Sentence]
@@ -565,9 +572,11 @@ class AbsaModel:
         tags: list = [None] * len(sentences)
         for chunk in length_chunks(sentences):
             states, _ = self.checked_forward(sentences, chunk)
-            best = states[-1].probs.data.argmax(axis=-1)
-            for row, i in enumerate(chunk):
-                tags[i] = dict(zip(ASPECT_TASKS, best[:, row]))
+            best, start = states[-1].probs.data.argmax(axis=-1), 0
+            for i in chunk:
+                end = start + sentences[i].n
+                tags[i] = dict(zip(ASPECT_TASKS, best[:, start:end]))
+                start = end
         return tags
 
     def predict_many(self, sentences: Sequence[Sentence]) -> list[Prediction]:

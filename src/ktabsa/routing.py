@@ -22,22 +22,24 @@ s_t = c_t r + m_t q. c_1 = softmax(A) is computed at A's shape by
 :func:`routing_prior`, which a forward calls once for all of its routing.
 
 :func:`route` takes any leading axes. The model routes k transfer
-directions of a group of G equal-length sentences in one call: p, s and v
-are [k, G, n, d_route], q is [k, 1, n, d_route] (it depends only on the
-position and the direction, so the group shares it), and the [G, n, n]
-adjacency and c_1 are shared by the directions. :func:`predict_vectors`
-builds p from the rows of the hidden stack and :func:`target_votes` builds
-q, in one grouped matmul each. Equal lengths mean there is no padding and
-nothing to mask. The number of targets equals the sentence length, so the
-output is a dynamic-length set of vectors rather than a fixed capsule bank.
+directions of a length group, the G consecutive sentences of one length n
+in a forward's chunk, in one call: p, s and v are [k, G, n, d_route], q is
+[k, 1, n, d_route] (it depends only on the position and the direction, so
+the group shares it), and the [G, n, n] adjacency and c_1 are shared by
+the directions. :func:`predict_vectors` builds p from the group's rows of
+the hidden stack and :func:`target_votes` builds q, in one grouped matmul
+each. Equal lengths mean there is no padding and nothing to mask. The
+number of targets equals the sentence length, so the output is a
+dynamic-length set of vectors rather than a fixed capsule bank.
 
 The loop is one tape node: the forward is plain numpy, and a hand-written
-backward replays the unrolled iterations in reverse, rebuilding V_t from
-the outputs. The node saves c_1 [G, n, n], c_2..c_T [k, G, n, n] and each
-s_t, m_t and v_t: about (T-1)*k*G*n^2 + G*n^2 coupling elements plus
-O(k*G*n*d), never the O(n^2*d) vote tensor. It returns what it saves but
-m_t, as one :class:`RoutingState` per iteration: a routing trace is a view
-of those arrays and costs no extra work. :func:`directions_per_call` keeps
+backward replays the unrolled iterations in reverse, rebuilding each v_t
+as squash(s_t) and V_t from them. The node saves c_1 [G, n, n], c_2..c_T
+[k, G, n, n] and each s_t and m_t: about (T-1)*k*G*n^2 + G*n^2 coupling
+elements plus O(k*G*n*d), never the O(n^2*d) vote tensor. It returns c_t,
+s_t and v_t as one :class:`RoutingState` per iteration: a routing trace is
+a view of those arrays and costs no extra work, and the v_t that a caller
+drops are freed. :func:`directions_per_call` keeps
 one coupling array within :data:`COUPLING_BUDGET` elements.
 """
 
@@ -118,17 +120,18 @@ class RoutingTrace:
 
 
 def predict_vectors(hidden: Tensor, *directions: TransferDirection,
-                    tasks: tuple[str, ...], weights: Stack) -> Tensor:
-    """Hidden parts ``p = h @ W`` [k, ..., n, d_route] of the factored votes
+                    tasks: tuple[str, ...], weights: Stack,
+                    tokens: slice = slice(None)) -> Tensor:
+    """Hidden parts ``p = h @ W`` [k, T, d_route] of the factored votes
     u_hat[g, i, j] = p[g, i] + q[i] + q[j] of k directions, in one grouped
-    matmul.
+    matmul, over the T rows ``tokens`` of the token axis.
 
-    ``hidden`` stacks the states of ``tasks``, in that order; direction t
-    maps its source's states h [..., n, d] by its weight W, entry t of
-    ``weights``. W is shared across positions; :func:`target_votes` makes
-    the votes position-aware.
+    ``hidden`` [len(tasks), N, d] stacks the states of ``tasks``, in that
+    order; direction t maps its source's states h by its weight W, entry t
+    of ``weights``. W is shared across positions; :func:`target_votes`
+    makes the votes position-aware.
     """
-    return grouped_affine([[(hidden, tasks.index(t.source))]
+    return grouped_affine([[(hidden, (tasks.index(t.source), tokens))]
                            for t in directions], weights)
 
 
@@ -250,14 +253,15 @@ def route(p: Tensor, q: Tensor, prior: tuple[np.ndarray, np.ndarray],
             v1 = np.concatenate((v, _dot(qd, v)), -1)
             vq = vq + v1 if t else v1
     out = Tensor(v, requires_grad=p.requires_grad or q.requires_grad)
+    saved = [(st.c, st.s) for st in states]     # each v_t is squash(s_t)
 
     def fn(g, push):
         r1 = np.concatenate((pd + qd, np.ones_like(pd[..., :1])), -1)
-        sums = list(accumulate(st.v for st in states[:-1]))     # V_2, ...
+        sums = list(accumulate(squash(s)[0] for _, s in saved[:-1]))  # V_2..
         dr = dq = gsum = 0      # gsum: dLoss/dV from the later iterations
         gv, gl = g, None
         for t in range(iterations - 1, -1, -1):
-            c, s = states[t].c, states[t].s     # c: [..., source, target]
+            c, s = saved[t]                     # c: [..., source, target]
             gs = squash_grad(gv, s, np.sqrt(_dot(s, s)))
             gq = masses[t] * gs
             if t == 0:                          # c_1 depends on A alone

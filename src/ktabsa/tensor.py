@@ -12,6 +12,7 @@ trustworthy.
 from __future__ import annotations
 
 import contextlib
+import functools
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -266,33 +267,7 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# linear algebra
-
-
-def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """x^T g with every leading axis folded into the rows: the gradient of a
-    2-d weight applied to [..., di] inputs, as one matmul."""
-    return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """a @ b for a [..., n, k] and b either a [k, m] weight shared by every
-    leading index or a [..., k, m] batch with the same leading axes."""
-    if (a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]
-            or (b.ndim > 2 and a.shape[:-2] != b.shape[:-2])):
-        raise ShapeError(f"matmul shapes {tuple(a.shape)} and {tuple(b.shape)} "
-                         "do not chain")
-    out = Tensor(a.data @ b.data,
-                 requires_grad=a.requires_grad or b.requires_grad)
-
-    def fn(g, push):
-        push(a, g @ b.data.swapaxes(-1, -2))
-        if b.ndim == 2:
-            push(b, _weight_grad(a.data, g))
-        else:
-            push(b, a.data.swapaxes(-1, -2) @ g)
-
-    return _emit(out, fn)
+# grouped ops
 
 
 class Stack(NamedTuple):
@@ -322,43 +297,82 @@ def _push_rows(push, params: Sequence[Tensor], grads: np.ndarray) -> None:
         push(p, gp[:p.data.size // gp.shape[-1]].reshape(p.data.shape))
 
 
-def grouped_conv1d(x: Tensor, kernels: Stack, biases: Stack) -> Tensor:
-    """k same-length convolutions as one op, [k, G, n, d_out].
+class Segments:
+    """B items laid end to end on a token axis: item b holds rows
+    ``offsets[b]:offsets[b + 1]`` of the N."""
 
-    ``x`` is [G, n, d_in], read by every group, or [k, G, n, d_in], whose
-    row i group i reads; kernel i is [w, d_in, d_out] (one odd w for all)
-    with bias i [d_out], stacked [k, w * d_in, d_out] and [k, 1, d_out].
-    The padded windows of every token (im2col) meet the stacked kernels in
-    one matmul per group over all G*n tokens; the backward rebuilds the
-    windows rather than keep them.
+    def __init__(self, lengths: Sequence[int]):
+        self.lengths = np.asarray(lengths, dtype=np.intp)
+        self.offsets = np.concatenate(([0], np.cumsum(self.lengths)))
+        self._windows: dict[int, np.ndarray] = {}
+
+    @classmethod
+    @functools.lru_cache(maxsize=64)
+    def of(cls, lengths: tuple[int, ...]) -> "Segments":
+        """Recent ``lengths`` keep their windows (a sentence length recurs)."""
+        return cls(lengths)
+
+    def windows(self, w: int) -> np.ndarray:
+        """Each token's rows of its width-w window centred on it, [N, w]:
+        N, a zero row past the tokens, where it leaves the token's item."""
+        if w not in self._windows:
+            n, end = self.offsets[-1], np.repeat(self.offsets[1:],
+                                                 self.lengths)
+            src = np.arange(n)[:, None] + np.arange(w) - w // 2
+            inside = (src >= (end - np.repeat(self.lengths, self.lengths)
+                              )[:, None]) & (src < end[:, None])
+            self._windows[w] = np.where(inside, src, n)
+        return self._windows[w]
+
+    def sum(self, a: np.ndarray) -> np.ndarray:
+        """Each item's sum of the rows of a [..., N, m] (axis -2)."""
+        return np.add.reduceat(a, self.offsets[:-1], axis=-2)
+
+    def expand(self, a: np.ndarray) -> np.ndarray:
+        """Row b of a [..., B, m] repeated at each of item b's tokens."""
+        return a.repeat(self.lengths, axis=-2)
+
+
+def grouped_conv1d(x: Tensor, kernels: Stack, biases: Stack,
+                   segments: Segments) -> Tensor:
+    """k "same" convolutions of every item of ``segments`` as one op,
+    [k, N, d_out].
+
+    ``x`` is [N, d_in], read by every group, or [k, N, d_in], whose row i
+    group i reads; kernel i is [w, d_in, d_out] (one odd w for all) with
+    bias i [d_out], stacked [k, w * d_in, d_out] and [k, 1, d_out]. Each
+    token's window (im2col) gathers its rows through
+    :meth:`Segments.windows`, so no window crosses into another item, and
+    meets the stacked kernels in one matmul per group over all N tokens;
+    the backward gathers them again rather than keep them.
     """
     stack = kernels.data
     k, (w, d_in, d_out) = len(stack), kernels.params[0].data.shape
     *lead, n, _ = x.data.shape
-    pad = w // 2
-    xp = np.zeros((*lead, n + w - 1, d_in), dtype=x.dtype)
-    xp[..., pad:pad + n, :] = x.data
+    index = segments.windows(w)
 
-    def windows() -> np.ndarray:
-        cols = np.empty((*lead, n, w, d_in), dtype=x.dtype)
-        for o in range(w):
-            cols[..., o, :] = xp[..., o:o + n, :]
-        return cols.reshape(*lead[:-1], -1, w * d_in)
+    def padded(a: np.ndarray) -> np.ndarray:    # a zero row past the tokens
+        out = np.zeros((*a.shape[:-2], a.shape[-2] + 1, a.shape[-1]), a.dtype)
+        out[..., :-1, :] = a
+        return out
 
-    out = windows() @ stack + biases.data
-    out = Tensor(out.reshape(k, lead[-1], n, d_out), requires_grad=any(
+    out = Tensor(padded(x.data).take(index, axis=-2).reshape(
+        *lead, n, w * d_in) @ stack + biases.data, requires_grad=any(
         [t.requires_grad for t in (x, *kernels.params, *biases.params)]))
 
     def fn(g, push):
-        g = g.reshape(k, -1, d_out)
-        _push_rows(push, kernels.params, windows().swapaxes(-1, -2) @ g)
-        _push_rows(push, biases.params, g.sum(axis=1, keepdims=True))
-        dxp = np.zeros_like(xp)
+        # an offset at a time, holding no [k, N, w * d] copy; token s sits
+        # at offset o of the window that it reads at offset w - 1 - o
+        xp, gp = padded(x.data), padded(g)
+        grads, dx = np.empty_like(stack), np.zeros((k, n, d_in), g.dtype)
         for o in range(w):
-            dx = g @ stack[:, o * d_in:(o + 1) * d_in].swapaxes(-1, -2)
-            dxp[..., o:o + n, :] += (dx.sum(axis=0) if x.ndim == 3 else dx
-                                     ).reshape(*lead, n, d_in)
-        push(x, dxp[..., pad:pad + n, :])
+            rows = slice(o * d_in, (o + 1) * d_in)
+            grads[:, rows] = xp.take(index[:, o], axis=-2).swapaxes(-1, -2) @ g
+            dx += (gp.take(index[:, w - 1 - o], axis=1)
+                   @ stack[:, rows].swapaxes(-1, -2))
+        _push_rows(push, kernels.params, grads)
+        _push_rows(push, biases.params, g.sum(axis=1, keepdims=True))
+        push(x, dx.sum(axis=0) if x.ndim == 2 else dx)
 
     return _emit(out, fn)
 
@@ -460,20 +474,26 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 # nonlinearities
 
 
-def relu(x: Tensor) -> Tensor:
-    out = Tensor(np.maximum(x.data, 0), requires_grad=x.requires_grad)
+def relu(x: Tensor, inplace: bool = False) -> Tensor:
+    """max(x, 0). ``inplace`` writes it over x's data: for a fresh
+    pre-activation that no other op reads, so a layer keeps one array."""
+    y = np.maximum(x.data, 0, out=x.data if inplace else None)
+    out = Tensor(y, requires_grad=x.requires_grad)
 
     def fn(g, push):
-        push(x, g * (x.data > 0))
+        push(x, g * (y > 0))
 
     return _emit(out, fn)
 
 
-def sigmoid(x: Tensor) -> Tensor:
+def sigmoid(x: Tensor, inplace: bool = False) -> Tensor:
+    """1 / (1 + exp(-x)); ``inplace`` as for :func:`relu`."""
     d = x.data
     y = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
                  np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
-    y = y.astype(d.dtype)
+    if inplace:
+        np.copyto(d, y)
+    y = d if inplace else y.astype(d.dtype)
     out = Tensor(y, requires_grad=x.requires_grad)
 
     def fn(g, push):
@@ -492,6 +512,44 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     def fn(g, push):
         dot = (g * y).sum(axis=axis, keepdims=True)
         push(x, y * (g - dot))
+
+    return _emit(out, fn)
+
+
+def segment_softmax(x: Tensor, segments: Segments) -> Tensor:
+    """Softmax of x [..., N, m] over each item's tokens (axis -2)."""
+    d = x.data
+    e = np.exp(d - segments.expand(np.maximum.reduceat(
+        d, segments.offsets[:-1], axis=-2)))
+    y = e / segments.expand(segments.sum(e))
+    out = Tensor(y, requires_grad=x.requires_grad)
+
+    def fn(g, push):
+        push(x, y * (g - segments.expand(segments.sum(g * y))))
+
+    return _emit(out, fn)
+
+
+def segment_pool(a: Tensor, h: Tensor, segments: Segments) -> Tensor:
+    """Each item's rows of h [..., N, d] summed, weighted by a [..., N, 1]."""
+    out = Tensor(segments.sum(a.data * h.data),
+                 requires_grad=a.requires_grad or h.requires_grad)
+
+    def fn(g, push):
+        g = segments.expand(g)
+        push(a, (g * h.data).sum(axis=-1, keepdims=True))
+        push(h, g * a.data)
+
+    return _emit(out, fn)
+
+
+def segment_expand(x: Tensor, segments: Segments) -> Tensor:
+    """Row b of x [..., B, m] at each of item b's tokens, [..., N, m]: a
+    row gather whose backward sums each item's rows."""
+    out = Tensor(segments.expand(x.data), requires_grad=x.requires_grad)
+
+    def fn(g, push):
+        push(x, segments.sum(g))
 
     return _emit(out, fn)
 

@@ -5,9 +5,10 @@ few epochs, then each ``aspect_batches_per_doc`` sentence batches are
 followed by one document batch, cycling through the epoch's document
 batches; :func:`data.make_batches` cuts both kinds. A batch's loss is the
 mean of the per-input losses. Training and inference share one chunking
-rule, :func:`data.length_chunks`: one model forward runs a chunk of
-equal-length inputs ([G, n, ·] tensors, no padding) whose [G, n, n]
-couplings fit ``routing.COUPLING_BUDGET``. Each chunk is backpropagated as
+rule, :func:`data.length_chunks`: one model forward runs a chunk of inputs
+of any lengths, their tokens laid end to end ([N, ·] tensors, no padding),
+whose n^2 couplings per routing direction sum to at most
+``routing.COUPLING_BUDGET``. Each chunk is backpropagated as
 soon as it is recorded, and its tape dropped, so a step's graph is bounded
 by the budget, not by ``batch_size``; the gradients accumulate in place,
 and clipping and the optimizer step run once per batch. Every epoch ends
@@ -43,7 +44,8 @@ GRADCHECK_TOL = 1e-3
 
 def aspect_loss(states: Sequence[IterationState],
                 sentences: Sequence[Sentence], config: ModelConfig) -> Tensor:
-    """Sum of the per-sentence losses of a group of equal-length sentences.
+    """Sum of the per-sentence losses of the sentences of a forward, whose
+    tokens the states lay end to end.
 
     A sentence's loss is the token-averaged cross-entropy per task on the
     final iteration, weighted by ``config.lambda_ate/ote/asc``. The
@@ -52,18 +54,17 @@ def aspect_loss(states: Sequence[IterationState],
     are stacked, so the loss is one cross-entropy with the lambdas folded
     into its row weights.
     """
-    n = sentences[0].n
-    gold = np.array([[s.ate_gold for s in sentences],
-                     [s.ote_gold for s in sentences],
-                     [[0 if lab is None else lab for lab in s.asc_gold]
-                      for s in sentences]], dtype=np.int64)
-    labeled = np.array([[lab is not None for lab in s.asc_gold]
-                        for s in sentences], dtype=np.float64)
+    n = np.array([s.n for s in sentences])
+    asc = [lab for s in sentences for lab in s.asc_gold]
+    labeled = np.array([lab is not None for lab in asc], dtype=np.float64)
+    gold = np.array([[t for s in sentences for t in s.ate_gold],
+                     [t for s in sentences for t in s.ote_gold],
+                     [0 if lab is None else lab for lab in asc]])
     weights = np.stack([
-        np.full(labeled.shape, config.lambda_ate / n),
-        np.full(labeled.shape, config.lambda_ote / n),
-        config.lambda_asc * labeled
-        / np.maximum(labeled.sum(axis=1, keepdims=True), 1.0)])
+        np.repeat(config.lambda_ate / n, n),
+        np.repeat(config.lambda_ote / n, n),
+        config.lambda_asc * labeled / np.repeat(np.maximum(np.add.reduceat(
+            labeled, np.cumsum(n) - n), 1.0), n)])
     return cross_entropy_rows(states[-1].logits, gold, weights)
 
 

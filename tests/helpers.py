@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 
 import numpy as np
@@ -85,6 +86,28 @@ def check_op_grads(build, arrays, step: float = 1e-3, tol: float = 1e-3):
                 f"(max rel err {err:.3e})")
 
 
+def matmul(a: T.Tensor, b: T.Tensor) -> T.Tensor:
+    """a @ b as one tape node, for a [..., n, k] and b either a [k, m]
+    weight shared by every leading index or a [..., k, m] batch with the
+    same leading axes: the plain product the oracles build layers from."""
+    if (a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]
+            or (b.ndim > 2 and a.shape[:-2] != b.shape[:-2])):
+        raise T.ShapeError(f"matmul shapes {tuple(a.shape)} and "
+                           f"{tuple(b.shape)} do not chain")
+    out = T.Tensor(a.data @ b.data,
+                   requires_grad=a.requires_grad or b.requires_grad)
+
+    def fn(g, push):
+        push(a, g @ b.data.swapaxes(-1, -2))
+        if b.ndim == 2:     # every leading axis folded into the rows
+            push(b, a.data.reshape(-1, a.shape[-1]).T
+                 @ g.reshape(-1, g.shape[-1]))
+        else:
+            push(b, a.data.swapaxes(-1, -2) @ g)
+
+    return T._emit(out, fn)
+
+
 def stacked(params) -> T.Stack:
     """Standalone parameters as the operand of a grouped op: their data
     copied into one zero-padded [k, rows, m] array, laid out as
@@ -122,9 +145,11 @@ def assert_views_of_blocks(model) -> None:
 
 def conv1d(x: T.Tensor, kernel: T.Tensor, bias: T.Tensor) -> T.Tensor:
     """One same-length convolution [G, n, d_out] of x [G, n, d_in]: a
-    one-entry ``grouped_conv1d``."""
-    return T.select(T.grouped_conv1d(x, stacked([kernel]), stacked([bias])),
-                    0)
+    one-entry ``grouped_conv1d`` of the G sentences laid end to end."""
+    g, n, d_in = x.shape
+    out = T.grouped_conv1d(T.reshape(x, (g * n, d_in)), stacked([kernel]),
+                           stacked([bias]), T.Segments([n] * g))
+    return T.reshape(out, (g, n, out.shape[-1]))
 
 
 def conv1d_naive(x: np.ndarray, kernel: np.ndarray,
@@ -223,34 +248,63 @@ def squash_ref(s: np.ndarray, eps: float = 1e-9) -> np.ndarray:
     return (r * r) / (1 + r * r) * s / (r + eps)
 
 
+def length_groups(items) -> list[list[int]]:
+    """Indices of ``items`` grouped by length: groups in order of their
+    first member, members in item order."""
+    groups: dict[int, list[int]] = {}
+    for i, it in enumerate(items):
+        groups.setdefault(it.n, []).append(i)
+    return list(groups.values())
+
+
 def _stacked(parts):
-    """Per-task tensors [G, n, ·] stacked as one [k, G, n, ·] tensor."""
-    return T.concat([T.reshape(p, (1,) + p.shape) for p in parts], axis=0)
+    """Per-task tensors [G, n, ·] stacked as one [k, G * n, ·] tensor, the
+    sentences' tokens laid end to end as the model lays them."""
+    g, n, m = parts[0].shape
+    return T.concat([T.reshape(p, (1, g * n, m)) for p in parts], axis=0)
 
 
 def attend(h: T.Tensor, w: T.Tensor) -> tuple[T.Tensor, T.Tensor]:
     """Single-query attention of h [G, n, d] under weight w [d, 1]: the
     weights [G, n] and the pooled vectors [G, d]."""
     g, n, d = h.shape
-    a = T.softmax(T.reshape(T.matmul(h, w), (g, n)), axis=-1)
-    return a, T.reshape(T.matmul(T.reshape(a, (g, 1, n)), h), (g, d))
+    a = T.softmax(T.reshape(matmul(h, w), (g, n)), axis=-1)
+    return a, T.reshape(matmul(T.reshape(a, (g, 1, n)), h), (g, d))
 
 
 def per_task_forward(model, sentences, keep=None, keep_trace=False):
-    """Reference for ``AbsaModel.forward`` that runs every task as a chain
-    of its own, reading the parameters by name: one one-entry convolution
-    per task and layer, one attention pooling and classifier per document
-    task, one affine map per decoder, projection and fusion, and one
-    ``route`` call per transfer direction, p = h W [G, n, d_route] against
-    q = PE W [n, d_route], with no task or direction axis. Only the
-    embedding and the shared encoder are the model's own code. The states
-    are stacked [3, G, n, ·] at the end of each round, as the model returns
-    them, and the traces come in the model's order: by round, by direction
-    in target-major order, then by sentence."""
+    """Reference for ``AbsaModel.forward`` that runs each length group of
+    ``sentences`` (a run of consecutive sentences of one length) alone, as
+    [G, n, ·] tensors, and every task as a chain of its own, reading the
+    parameters by name: one one-entry convolution per task and layer, one
+    attention pooling and classifier per document task, one affine map per
+    decoder, projection and fusion, and one ``route`` call per transfer
+    direction, p = h W [G, n, d_route] against q = PE W [n, d_route], with
+    no task or direction axis. Only the embedding and the shared encoder
+    are the model's own code. The groups' states are laid end to end,
+    [3, N, ·], as the model returns them, and the traces come in the
+    model's order: by round, by length group, by direction in target-major
+    order, then by sentence."""
+    runs, start = [], 0
+    for _, run in itertools.groupby(sentences, key=lambda s: s.n):
+        run = list(run)
+        runs.append(_per_task_group_forward(
+            model, run, keep and keep[start:start + len(run)], keep_trace))
+        start += len(run)
+    states = [IterationState(parts[0].t, *(
+        T.concat([getattr(p, f) for p in parts], axis=1)
+        for f in ("hidden", "logits", "probs")))
+        for parts in zip(*(st for st, _ in runs))]
+    return states, sorted((tr for _, trs in runs for tr in trs),
+                          key=lambda tr: tr.round)
+
+
+def _per_task_group_forward(model, sentences, keep, keep_trace):
+    """:func:`per_task_forward` of one length group."""
     cfg, P = model.config, model.params.tensors
     g, n = len(sentences), sentences[0].n
     nonlin = model.nonlin
-    shared = model._shared(sentences, keep)
+    shared = T.reshape(model._shared(sentences, keep)[0], (g, n, -1))
 
     def stack(task, x):
         for k in range(cfg.task_depth):
@@ -259,7 +313,7 @@ def per_task_forward(model, sentences, keep=None, keep_trace=False):
         return x
 
     def affine(x, name):
-        return T.add(T.matmul(x, P[f"{name}.w"]), P[f"{name}.b"])
+        return T.add(matmul(x, P[f"{name}.w"]), P[f"{name}.b"])
 
     def decode(hidden):
         logits = [affine(h, f"dec.{t}") for h, t in zip(hidden, ASPECT_TASKS)]
@@ -292,8 +346,8 @@ def per_task_forward(model, sentences, keep=None, keep_trace=False):
                     w = P[f"route.{src}_to_{target}.w"]
                     pe = routing._encoding(n, w.shape[0], h.dtype)
                     v, kept = routing.route(
-                        T.matmul(hidden[ASPECT_TASKS.index(src)], w),
-                        T.matmul(pe, w), prior, cfg.route_iters)
+                        matmul(hidden[ASPECT_TASKS.index(src)], w),
+                        matmul(pe, w), prior, cfg.route_iters)
                     routed.append(v)
                     traces += [routing.RoutingTrace(t, f"{src}->{target}", [
                         routing.RoutingState(st.c[j], st.s[j], st.v[j])
@@ -317,7 +371,7 @@ def whole_batch_aspect_loss(model, batch, rng) -> T.Tensor:
     the dropout of the whole batch first, in batch order."""
     keep = model.draw_dropout(batch, rng) if rng is not None else None
     total = None
-    for idx in data.length_groups(batch):
+    for idx in length_groups(batch):
         group = [batch[i] for i in idx]
         states, _ = model.forward(
             group, None if keep is None else [keep[i] for i in idx])

@@ -87,8 +87,9 @@ def test_empty_aspect_training_corpus_exit_3(tmp_path, capsys, command):
                    *fast_overrides(str(out))) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error: aspect_train: no sentences")
-    assert not [f for _, _, files in os.walk(out) for f in files
-                if f.endswith(".ckpt")]
+    # the corpora are read before anything is written: no run directory,
+    # no echoed config, no checkpoint
+    assert not [f for _, _, files in os.walk(out) for f in files]
 
 
 def test_train_eval_predict_cycle(synth_dir, tmp_path):
@@ -265,7 +266,8 @@ def test_trace_disabled_direction_is_a_config_error(tmp_path, capsys):
 def test_trace_forwards_each_chunk_once(tiny_checkpoint, tmp_path,
                                         monkeypatch):
     # sentences of two interleaved lengths: one forward per length chunk,
-    # files named by corpus index, each as the one-sentence export
+    # which sorts them by length, files named by corpus index, each as the
+    # one-sentence export
     words = ("the", "battery", "is", "great", "screen", "awful")
     corpus = tmp_path / "two_lengths.tsv"
     corpus.write_text("".join(
@@ -291,7 +293,7 @@ def test_trace_forwards_each_chunk_once(tiny_checkpoint, tmp_path,
                    str(corpus), "--direction", "ote->asc",
                    "--out", str(tdir)) == 0
     assert calls == [len(chunk) for chunk in length_chunks(sentences)]
-    assert len(calls) == 2
+    assert calls == [5]     # both lengths in one chunk
     assert sorted(os.listdir(tdir)) == [f"trace_{i:03d}.json"
                                         for i in range(len(sentences))]
     for i, records in enumerate(want):

@@ -82,10 +82,11 @@ def test_ablate_echoes_the_ablated_model_config(name, tmp_path, monkeypatch):
         C.with_keys(base, out_dir=str(tmp_path / "out"))))
     trained = []
 
-    def fake_run(rc, out_dir, quiet):
+    def fake_run(rc, corpora, out_dir, quiet):
         trained.append((rc.model, os.path.basename(out_dir)))
         return {"checkpoint": None, "best_dev_f1_i": 0.0}
 
+    monkeypatch.setattr(cli, "_build_corpora", lambda rc: None)
     monkeypatch.setattr(cli, "_single_run", fake_run)
     assert cli.main(["ablate", "--config", str(cfg), "--ablate", name,
                      "--quiet"]) == 0

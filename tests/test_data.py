@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ktabsa import data as D
+from ktabsa import routing
 from ktabsa.synth import SynthSpec, write_synthetic
 
-from helpers import corpus_stats, failing_disk, tags_from_spans
+from helpers import corpus_stats, failing_disk, length_groups, tags_from_spans
 
 
 TSV_OK = """\
@@ -367,8 +368,42 @@ def test_length_groups_in_order_of_first_appearance():
     sents = (make_sentences(1, length=3) + make_sentences(1, length=5)
              + make_sentences(1, length=3) + make_sentences(1, length=4)
              + make_sentences(1, length=5))
-    assert D.length_groups(sents) == [[0, 2], [1, 4], [3]]
-    assert D.length_groups([]) == []
+    assert length_groups(sents) == [[0, 2], [1, 4], [3]]
+    assert length_groups([]) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 300), max_size=40))
+def test_length_chunks_sort_stably_and_fit_the_budget(lengths):
+    items = [D.Document(("w",) * n, 0, None) for n in lengths]
+    chunks = D.length_chunks(items)
+    # the chunks lay out the stable length sort, longest first, each cut
+    # greedily: its n^2 fit the budget, or it is one item, and the next
+    # item would not fit
+    assert sum(chunks, []) == sorted(range(len(items)),
+                                     key=lambda i: -lengths[i])
+    cost = [sum(lengths[i] ** 2 for i in c) for c in chunks]
+    for c, total, nxt in zip(chunks, cost, chunks[1:] + [None]):
+        assert c and (total <= routing.COUPLING_BUDGET or len(c) == 1)
+        if nxt:
+            assert total + lengths[nxt[0]] ** 2 > routing.COUPLING_BUDGET
+
+
+@pytest.mark.parametrize("n", [1, 16, 64, 100, 256, 300])
+def test_length_chunks_of_one_length_hold_budget_over_n_squared(n):
+    items = [D.Document(("w",) * n, 0, None) for _ in range(40)]
+    size = max(1, routing.COUPLING_BUDGET // n ** 2)
+    assert D.length_chunks(items) == [list(range(i, min(i + size, 40)))
+                                      for i in range(0, 40, size)]
+
+
+def test_a_batch_of_short_sentences_is_one_chunk():
+    # a short-train batch: 32 sentences of 4 to 14 tokens, one forward
+    rng = np.random.default_rng(3)
+    sents = [s for n in rng.integers(4, 15, 32)
+             for s in make_sentences(1, length=int(n))]
+    assert D.length_chunks(sents) == [sorted(range(32),
+                                             key=lambda i: -sents[i].n)]
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,7 @@ from ktabsa import routing
 from ktabsa import tensor as T
 from ktabsa.cli import main
 from ktabsa.data import (DEFAULT_SCHEMES, Sentence, assign_embedding_ids,
-                         corpus_words, length_groups, load_aspect_corpus,
-                         random_embeddings)
+                         corpus_words, load_aspect_corpus, random_embeddings)
 from ktabsa.layers import Params
 from ktabsa.model import (ABLATIONS, AbsaModel, CheckpointError, ModelConfig,
                           apply_ablation, majority_sentiment)
@@ -26,8 +25,8 @@ from fixtures import (build_tiny_model, build_tiny_model_f64,
                       chain_adjacency, edit_header, random_sentence,
                       tiny_config, with_header)
 from helpers import (assert_grads_close, assert_views_of_blocks,
-                     failing_disk, gradcheck, param_shapes, per_task_forward,
-                     step_grads, tape_grads, worst)
+                     failing_disk, gradcheck, param_shapes,
+                     per_task_forward, step_grads, tape_grads, worst)
 
 
 def clone_states(states):
@@ -50,18 +49,23 @@ def test_forward_probability_rows_are_distributions():
     states, _ = model.forward([sent])
     for st in states:
         np.testing.assert_allclose(st.probs.data.sum(axis=-1),
-                                   np.ones((3, 1, sent.n)), atol=1e-6)
-    # the document signals: a label distribution that the fusion repeats
-    # at every token, and attention weights that sum to one over the tokens
-    _state, doc = model.initial_state([sent], None)
+                                   np.ones((3, sent.n)), atol=1e-6)
+    # the document signals of two sentences of 4 and 2 tokens: a label
+    # distribution per sentence, repeated at each of its tokens, and
+    # attention weights that sum to one over each sentence's tokens
+    other = random_sentence(np.random.default_rng(3), 2)
+    assign_embedding_ids([other], model.general_table, model.domain_table)
+    _state, doc = model.initial_state([sent, other], None)
     assert set(doc) == {"ddc.attn", "dsc.probs", "dsc.attn"}
     signal = {name: x.data[i] for name, (x, i) in doc.items()}
-    assert signal["dsc.probs"].shape == (1, 1, 3)
-    np.testing.assert_allclose(signal["dsc.probs"].sum(axis=-1),
-                               np.ones((1, 1)), atol=1e-6)
+    probs = signal["dsc.probs"]
+    assert probs.shape == (6, 3)
+    np.testing.assert_allclose(probs.sum(axis=-1), np.ones(6), atol=1e-6)
+    assert (probs[:4] == probs[0]).all() and (probs[4:] == probs[4]).all()
     for name in ("ddc.attn", "dsc.attn"):
-        assert signal[name].shape == (1, sent.n, 1)
-        np.testing.assert_allclose(signal[name].sum(), 1.0, atol=1e-6)
+        assert signal[name].shape == (6, 1)
+        np.testing.assert_allclose([signal[name][:4].sum(),
+                                    signal[name][4:].sum()], 1.0, atol=1e-6)
 
 
 def test_full_ablation_t1_equals_iteration_zero_decode():
@@ -79,10 +83,9 @@ def test_t2_equals_composing_transfer_and_aggregate_twice():
     model, sent, _ = build_tiny_model(tiny_config(iterations=2))
     states, _ = model.forward([sent])
     s0, doc = model.initial_state([sent], None)
-    prior = routing.routing_prior(sent.adjacency[None], s0.hidden.dtype)
-    plan = model.route_plan(1, sent.n)
-    s1 = model.transfer_and_aggregate(s0, doc, prior, plan, None)
-    s2 = model.transfer_and_aggregate(s1, doc, prior, plan, None)
+    plan = model.route_plan([sent])
+    s1 = model.transfer_and_aggregate(s0, doc, plan, None)
+    s2 = model.transfer_and_aggregate(s1, doc, plan, None)
     np.testing.assert_array_equal(states[1].probs.data, s1.probs.data)
     np.testing.assert_array_equal(states[2].probs.data, s2.probs.data)
 
@@ -352,7 +355,7 @@ def test_predict_assembles_spans_and_majority_sentiment(monkeypatch):
 
     def fake_forward(sentences, keep=None, keep_trace=False):
         def rows(tags):
-            return np.eye(3, dtype=np.float32)[None, tags] * 9.0
+            return np.eye(3, dtype=np.float32)[tags] * 9.0
         probs = KT.constant(np.stack([
             rows([0, 1, 2, 2]),     # ate: BA IA O O -> span (0, 2)
             rows([2, 2, 0, 2]),     # ote: one opinion span at token 2
@@ -399,8 +402,10 @@ def final_probs(model, mp):
 
     def recording(sentences, *args, **kwargs):
         states, traces = real(sentences, *args, **kwargs)
-        for row, sent in enumerate(sentences):
-            probs[id(sent)] = states[-1].probs.data[:, row]
+        start = 0
+        for sent in sentences:
+            probs[id(sent)] = states[-1].probs.data[:, start:start + sent.n]
+            start += sent.n
         return states, traces
 
     mp.setattr(model, "forward", recording)
@@ -429,21 +434,23 @@ def test_predict_many_equals_per_sentence_predict(corpus, tmp_path,
 
 
 def test_predict_many_runs_one_forward_per_length_chunk(monkeypatch):
-    # 2^16 couplings hold 4 sentences of 128 tokens and 16 of 64; a budget
-    # of one coupling array per sentence runs every sentence alone
+    # longest first, four sentences of 128 tokens fill the 2^16 couplings
+    # of a chunk, the other two share the next with those of 64, 5 and 3
+    # tokens; a budget of one coupling runs every sentence alone, in the
+    # same sorted order
     model, _, _ = build_tiny_model()
     sentences = mixed_length_corpus(model, np.random.default_rng(32))
     with monkeypatch.context() as mp:
         calls = counted(mp, model, "forward")
         grouped = model.predict_many(sentences)
     lengths = [[s.n for s in c[0]] for c in calls]
-    assert lengths == [[3, 3, 3], [128] * 4, [128] * 2, [5, 5], [64, 64]]
+    assert lengths == [[128] * 4, [128, 128, 64, 64, 5, 5, 3, 3, 3]]
     with monkeypatch.context() as mp:
         mp.setattr(routing, "COUPLING_BUDGET", 1)
         calls = counted(mp, model, "forward")
         alone = model.predict_many(sentences)
-    assert [c[0] for c in calls] == [[sentences[i]] for idx in
-                                     length_groups(sentences) for i in idx]
+    assert [c[0] for c in calls] == [[sentences[i]] for i in sorted(
+        range(len(sentences)), key=lambda i: -sentences[i].n)]
     assert alone == grouped
 
 
@@ -490,10 +497,11 @@ def assert_same_traces(a, b, rtol=0.0):
 @pytest.mark.parametrize("variant", ["default", "no-transfers",
                                      *sorted(ABLATIONS)])
 def test_forward_matches_per_direction_reference(variant, monkeypatch):
-    # float64, a mixed-length batch with dropout: carrying the tasks and a
-    # round's directions as stacked axes, in grouped ops and blocked route
-    # calls, gives the per-task oracle's states, traces and parameter
-    # gradients within float64 rounding
+    # float64, a mixed-length batch with dropout, lengths 1, 4 and 7 (1 is
+    # shorter than the kernel): carrying it as one ragged chunk, the tasks
+    # and a round's directions as stacked axes, in grouped ops and blocked
+    # route calls, gives the states, traces and parameter gradients of the
+    # per-task oracle of each length group within float64 rounding
     cfg = tiny_config(dropout=0.2)
     if variant == "no-transfers":
         cfg = dataclasses.replace(cfg, transfers=())
@@ -525,13 +533,13 @@ def test_forward_matches_per_direction_reference(variant, monkeypatch):
             model, group, keep, keep_trace))
     assert loss == pytest.approx(ref_loss, rel=1e-12)
     assert_grads_close(grads, ref_grads, atol=1e-12)
-    assert len(outputs) == len(ref_outputs) == 3    # lengths 4, 7 and 1
+    assert len(outputs) == len(ref_outputs) == 1    # one chunk
     for (states, traces), (ref_states, ref_traces) in zip(outputs,
                                                           ref_outputs):
         assert_same_states(states, ref_states, rtol=1e-12)
         assert_same_traces(traces, ref_traces, rtol=1e-12)
         assert len(traces) == (len(cfg.transfers) * cfg.iterations
-                               * states[0].hidden.shape[1])
+                               * len(batch))
 
 
 def test_any_block_size_gives_identical_values_gradients_and_traces(
@@ -650,10 +658,12 @@ STRUCTURES = {
 @pytest.mark.parametrize("structure", sorted(STRUCTURES))
 def test_grouped_forward_matches_the_per_task_oracle(structure, split,
                                                      monkeypatch):
-    # a group of G = 3 sentences of 5 tokens, with dropout; "split" lowers
-    # the coupling budget to two directions a route call (75 couplings a
-    # direction), so a round routes in blocks. Values agree within float32
-    # rounding, and float64 gradients within float64 rounding
+    # a chunk of sentences of 5, 5, 5, 2 and 1 tokens (2 and 1 shorter
+    # than a width-5 kernel), with dropout, against the oracle of each
+    # length group alone; "split" lowers the coupling budget to two
+    # directions a route call for the group of 5 (75 couplings a
+    # direction), so a round routes it in blocks. Values agree within
+    # float32 rounding, and float64 gradients within float64 rounding
     spec = dict(STRUCTURES[structure])
     cfg = tiny_config(dropout=0.2, **{
         k: v for k, v in spec.items() if k != "ablation"})
@@ -665,7 +675,7 @@ def test_grouped_forward_matches_the_per_task_oracle(structure, split,
                                                    1e-10)):
         model, _, _ = build(cfg)
         rng = np.random.default_rng(26)
-        group = [random_sentence(rng, 5) for _ in range(3)]
+        group = [random_sentence(rng, n) for n in (5, 5, 5, 2, 1)]
         assign_embedding_ids(group, model.general_table, model.domain_table)
         keep = model.draw_dropout(group, np.random.default_rng(6))
         runs = []
@@ -691,8 +701,9 @@ def test_grouped_forward_matches_the_per_task_oracle(structure, split,
 # the tiny model (numpy 2.4, Python 3.11): 1,298 with every task run as a
 # chain of its own, 595 with the tasks as an axis, 488 with the parameter
 # families read as blocks, 460 with the two document heads one grouped head,
-# and this many with the positional encodings folded into the votes' q
-PREDICT_CALLS = 449
+# 449 with the positional encodings folded into the votes' q, and this many
+# on a ragged token axis with only the fused document task classified
+PREDICT_CALLS = 433
 
 
 def test_predict_call_budget():
@@ -717,15 +728,18 @@ def test_default_forward_tape_nodes():
     # the tape nodes of one default-config forward: 144 with every task run
     # alone, 53 with the tasks as an axis, 49 with the domain head stopped
     # at its attention weights, 40 with the two document heads one grouped
-    # head and the encoder's banks grouped convolutions, and this many with
-    # no node adding the positional encodings to the hidden stack
+    # head and the encoder's banks grouped convolutions, 38 with no node
+    # adding the positional encodings to the hidden stack, and this many on
+    # a ragged token axis: two reshapes a round into and out of a length
+    # group's route call and the row gather of the sentiment distribution
+    # (+5), no domain classifier and a pooling in one node (-2)
     model, _, _ = build_tiny_model(ModelConfig())
     sent = random_sentence(np.random.default_rng(0), 12)
     assign_embedding_ids([sent], model.general_table, model.domain_table)
     tape = T.Tape()
     with T.record(tape):
         model.forward([sent])
-    assert len(tape) == 38
+    assert len(tape) == 41
 
 
 @pytest.mark.parametrize("g, n, per_round", [(4, 8, 1), (8, 128, 6)])

@@ -487,12 +487,13 @@ def test_route_records_one_tape_node():
 
 
 def test_route_returns_the_states_its_backward_reads():
-    # one state per iteration, matching the line-by-line oracle; each c, s
-    # and v is the very array the backward reads, so scaling one in place
-    # between the forward and the backward changes the gradient. The last
-    # v is the output, which the backward does not read. Iteration 1's c
-    # is a read-only broadcast of couplings computed once per call, so it
-    # is scaled through the array behind the view
+    # one state per iteration, matching the line-by-line oracle; each c and
+    # s is the very array the backward reads, so scaling one in place
+    # between the forward and the backward changes the gradient. The
+    # backward rebuilds each v as squash(s), so scaling a v changes nothing
+    # and a caller that drops the states frees them. Iteration 1's c is a
+    # read-only broadcast of couplings computed once per call, so it is
+    # scaled through the array behind the view
     rng = np.random.default_rng(19)
     n, d, iters = 4, 3, 3
     p0, q0 = random_factors(rng, n, d)
@@ -522,8 +523,10 @@ def test_route_returns_the_states_its_backward_reads():
         np.testing.assert_allclose(st.v, ov, atol=1e-9)
         np.testing.assert_allclose(st.v, squash_ref(st.s), atol=1e-12)
     for it in range(iters):
-        for field in ("c", "s", "v")[:3 if it < iters - 1 else 2]:
+        for field in ("c", "s"):
             assert not np.allclose(run((it, field))[2], grad), (it, field)
+        if it < iters - 1:
+            np.testing.assert_array_equal(run((it, "v"))[2], grad)
 
 
 def test_route_end_to_end_gradients_with_predict_vectors():

@@ -10,7 +10,7 @@ from ktabsa import routing
 from ktabsa import tensor as T
 
 from helpers import (check_op_grads, conv1d, conv1d_naive,
-                     corrupt_squash_backward, numeric_grad, rel_err,
+                     corrupt_squash_backward, matmul, numeric_grad, rel_err,
                      squash_ref, stacked, weighted_sum)
 
 
@@ -21,23 +21,23 @@ from helpers import (check_op_grads, conv1d, conv1d_naive,
 def test_matmul_identity():
     a = T.constant([[1.0, 0.0], [0.0, 1.0]])
     b = T.constant([[3.0, 4.0], [5.0, 6.0]])
-    np.testing.assert_allclose(T.matmul(a, b).data, b.data)
+    np.testing.assert_allclose(matmul(a, b).data, b.data)
 
 
 def test_matmul_hand():
     a = T.constant([[1.0, 2.0]])
     b = T.constant([[3.0], [4.0]])
-    np.testing.assert_allclose(T.matmul(a, b).data, [[11.0]])
+    np.testing.assert_allclose(matmul(a, b).data, [[11.0]])
 
 
 def test_matmul_shape_error_names_both_shapes():
     with pytest.raises(T.ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-        T.matmul(T.constant(np.zeros((2, 3))), T.constant(np.zeros((2, 2))))
+        matmul(T.constant(np.zeros((2, 3))), T.constant(np.zeros((2, 2))))
 
 
 def test_matmul_grads_match_finite_differences():
     rng = np.random.default_rng(0)
-    check_op_grads(lambda ts: weighted_sum(T.matmul(ts[0], ts[1])),
+    check_op_grads(lambda ts: weighted_sum(matmul(ts[0], ts[1])),
                    [rng.normal(size=(4, 3)), rng.normal(size=(3, 2))])
 
 
@@ -319,7 +319,7 @@ def test_backward_square():
     x = T.Tensor([[3.0]], requires_grad=True)
     tape = T.Tape()
     with T.record(tape):
-        loss = weighted_sum(T.matmul(x, x))
+        loss = weighted_sum(matmul(x, x))
     tape.backward(loss)
     np.testing.assert_allclose(x.grad, [[6.0]])
 
@@ -354,7 +354,7 @@ def test_backward_diamond_reuse():
     tape = T.Tape()
     with T.record(tape):
         y = T.scale(x, 3.0)
-        loss = weighted_sum(T.add(y, T.matmul(y, y)))  # 3x + 9x^2 -> 3 + 18x
+        loss = weighted_sum(T.add(y, matmul(y, y)))  # 3x + 9x^2 -> 3 + 18x
     tape.backward(loss)
     np.testing.assert_allclose(x.grad, [[3.0 + 18.0 * 2.0]])
 
@@ -404,7 +404,7 @@ def test_affine_map_grads():
     # x @ w + b, the bias broadcast over the rows
     rng = np.random.default_rng(13)
     check_op_grads(
-        lambda ts: weighted_sum(T.add(T.matmul(ts[0], ts[1]), ts[2])),
+        lambda ts: weighted_sum(T.add(matmul(ts[0], ts[1]), ts[2])),
         [rng.normal(size=(5, 3)), rng.normal(size=(3, 2)), rng.normal(size=2)])
 
 
@@ -467,15 +467,15 @@ def test_grouped_ops_match_per_item_ops():
     table = rng.normal(size=(6, d))
     with T.use_dtype(np.float64):
         C = T.constant
-        grouped = [T.matmul(C(x), C(w)), T.add(T.matmul(C(x), C(w)), C(b)),
+        grouped = [matmul(C(x), C(w)), T.add(matmul(C(x), C(w)), C(b)),
                    conv1d(C(x), C(k), C(b)),
-                   T.matmul(C(lin[:, None, :]), C(x)),
+                   matmul(C(lin[:, None, :]), C(x)),
                    T.embedding_lookup(C(table), ids)]
         for i in range(g):
-            alone = [T.matmul(C(x[i]), C(w)),
-                     T.add(T.matmul(C(x[i]), C(w)), C(b)),
+            alone = [matmul(C(x[i]), C(w)),
+                     T.add(matmul(C(x[i]), C(w)), C(b)),
                      T.select(conv1d(C(x[i:i + 1]), C(k), C(b)), 0),
-                     T.matmul(C(lin[i][None, :]), C(x[i])),
+                     matmul(C(lin[i][None, :]), C(x[i])),
                      T.embedding_lookup(C(table), ids[i])]
             for got, want in zip(grouped, alone):
                 np.testing.assert_allclose(got.data[i], want.data,
@@ -487,12 +487,12 @@ def test_grouped_ops_grads():
     g, n, d, m = 2, 3, 4, 2
     x = rng.normal(size=(g, n, d))
     probe = rng.normal(size=(g, n, m))
-    check_op_grads(lambda ts: weighted_sum(T.matmul(ts[0], ts[1]), probe),
+    check_op_grads(lambda ts: weighted_sum(matmul(ts[0], ts[1]), probe),
                    [x, rng.normal(size=(d, m))])
-    check_op_grads(lambda ts: weighted_sum(T.matmul(ts[0], ts[1]), probe),
+    check_op_grads(lambda ts: weighted_sum(matmul(ts[0], ts[1]), probe),
                    [rng.normal(size=(g, n, d)), rng.normal(size=(g, d, m))])
     check_op_grads(
-        lambda ts: weighted_sum(T.add(T.matmul(ts[0], ts[1]), ts[2]), probe),
+        lambda ts: weighted_sum(T.add(matmul(ts[0], ts[1]), ts[2]), probe),
         [x, rng.normal(size=(d, m)), rng.normal(size=m)])
     check_op_grads(
         lambda ts: weighted_sum(conv1d(ts[0], ts[1], ts[2]), probe),
@@ -505,29 +505,76 @@ def test_grouped_ops_grads():
 
 @pytest.mark.parametrize("shared", [True, False], ids=["shared", "stacked"])
 def test_grouped_conv1d_matches_a_conv_per_group_and_its_grads(shared):
-    # three kernels over one [G, n, d_in] input that every group reads, or
-    # over a [3, G, n, d_in] input whose row i group i reads
+    # kernels of width 3 and 5 over items of 4, 1 and 2 tokens laid end to
+    # end, in one [N, d_in] input that every group reads, or a [3, N, d_in]
+    # input whose row i group i reads: each item as a naive convolution of
+    # it alone, and finite differences through the gathered windows
+    for w in (3, 5):
+        check_grouped_conv1d(shared, w)
+
+
+def check_grouped_conv1d(shared: bool, w: int) -> None:
     rng = np.random.default_rng(24)
-    k, g, n, d_in, d_out = 3, 2, 4, 2, 3
-    x = rng.normal(size=(g, n, d_in) if shared else (k, g, n, d_in))
-    params = ([rng.normal(size=(3, d_in, d_out)) for _ in range(k)]
+    k, lengths, d_in, d_out = 3, (4, 1, 2), 2, 3
+    n = sum(lengths)
+    x = rng.normal(size=(n, d_in) if shared else (k, n, d_in))
+    params = ([rng.normal(size=(w, d_in, d_out)) for _ in range(k)]
               + [rng.normal(size=d_out) for _ in range(k)])
+    segments = T.Segments(lengths)
     with T.use_dtype(np.float64):
         C = T.constant
         out = T.grouped_conv1d(C(x), stacked([C(p) for p in params[:k]]),
-                               stacked([C(p) for p in params[k:]]))
-    assert out.shape == (k, g, n, d_out)
+                               stacked([C(p) for p in params[k:]]), segments)
+    assert out.shape == (k, n, d_out)
     for i in range(k):
-        for j in range(g):
+        for a, b in zip(segments.offsets[:-1], segments.offsets[1:]):
             np.testing.assert_allclose(
-                out.data[i, j], conv1d_naive(x[j] if shared else x[i, j],
-                                             params[i], params[k + i]),
-                atol=1e-12)
-    probe = rng.normal(size=(k, g, n, d_out))
+                out.data[i, a:b], conv1d_naive(
+                    x[a:b] if shared else x[i, a:b], params[i],
+                    params[k + i]), atol=1e-12)
+    probe = rng.normal(size=(k, n, d_out))
     check_op_grads(lambda ts: weighted_sum(
-        T.grouped_conv1d(ts[0], stacked(ts[1:k + 1]), stacked(ts[k + 1:])),
-        probe),
+        T.grouped_conv1d(ts[0], stacked(ts[1:k + 1]), stacked(ts[k + 1:]),
+                         segments), probe),
         [x] + params)
+
+
+def test_segment_windows_stop_at_each_items_edge():
+    # row 6, one past the tokens, is the zero row
+    np.testing.assert_array_equal(T.Segments([3, 1, 2]).windows(3), [
+        [6, 0, 1], [0, 1, 2], [1, 2, 6], [6, 3, 6], [6, 4, 5], [4, 5, 6]])
+    np.testing.assert_array_equal(T.Segments([2]).windows(5),
+                                  [[2, 2, 0, 1, 2], [2, 0, 1, 2, 2]])
+
+
+def test_segment_ops_match_each_item_alone_and_their_grads():
+    # items of 3, 1 and 4 rows: a softmax and an attention pooling of each
+    # alone, and each item's row repeated at its rows
+    rng = np.random.default_rng(25)
+    lengths = (3, 1, 4)
+    segments = T.Segments(lengths)
+    x, h = rng.normal(size=(2, 8, 1)), rng.normal(size=(2, 8, 5))
+    rows = rng.normal(size=(2, 3, 4))
+    with T.use_dtype(np.float64):
+        a = T.segment_softmax(T.constant(x), segments)
+        pooled = T.segment_pool(a, T.constant(h), segments)
+        spread = T.segment_expand(T.constant(rows), segments)
+    for b, (i, j) in enumerate(zip(segments.offsets[:-1],
+                                   segments.offsets[1:])):
+        want = T.softmax(T.constant(x[:, i:j]), axis=-2).data
+        np.testing.assert_allclose(a.data[:, i:j], want, atol=1e-12)
+        np.testing.assert_allclose(pooled.data[:, b],
+                                   (want * h[:, i:j]).sum(axis=1), atol=1e-12)
+        np.testing.assert_array_equal(spread.data[:, i:j],
+                                      np.repeat(rows[:, b:b + 1], j - i, 1))
+    probes = [rng.normal(size=shape) for shape in ((2, 8, 1), (2, 3, 5),
+                                                  (2, 8, 4))]
+    check_op_grads(lambda ts: weighted_sum(T.segment_softmax(ts[0], segments),
+                                           probes[0]), [x])
+    check_op_grads(lambda ts: weighted_sum(T.segment_pool(
+        ts[0], ts[1], segments), probes[1]), [x, h])
+    check_op_grads(lambda ts: weighted_sum(T.segment_expand(ts[0], segments),
+                                           probes[2]), [rows])
 
 
 def test_grouped_affine_pads_rows_and_gathers_shared_inputs():
@@ -658,7 +705,7 @@ def test_tape_replay_determinism():
                      requires_grad=True)
         tape = T.Tape()
         with T.record(tape):
-            h = T.relu(T.matmul(x, w))
+            h = T.relu(matmul(x, w))
             loss = weighted_sum(T.softmax(h, axis=1))
         tape.backward(loss)
         return loss.item(), x.grad.copy(), w.grad.copy()

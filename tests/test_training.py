@@ -1,4 +1,5 @@
 import gc
+import importlib
 import json
 import math
 import os
@@ -8,6 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from ktabsa import model as M
 from ktabsa import routing
 from ktabsa import tensor as T
 from ktabsa.data import (DEFAULT_SCHEMES, Document, Sentence,
@@ -17,7 +19,8 @@ from ktabsa.data import (DEFAULT_SCHEMES, Document, Sentence,
 from ktabsa.model import AbsaModel, ModelConfig
 from ktabsa.synth import SynthSpec, write_synthetic
 from ktabsa.training import (Adam, DivergenceError, Schedule, _train_step,
-                             aspect_loss, batch_aspect_loss, clip_grads,
+                             aspect_loss, batch_aspect_loss,
+                             batch_document_loss, clip_grads,
                              document_loss, fit, gradcheck_harness,
                              model_gradcheck, token_accuracy)
 
@@ -25,16 +28,15 @@ from fixtures import (build_tiny_model, build_tiny_model_f64,
                       random_sentence, tiny_config, tiny_sentence)
 from helpers import (assert_grads_close, assert_views_of_blocks,
                      corrupt_squash_backward, failing_disk, gradcheck,
-                     step_grads, tape_grads, weighted_sum,
+                     matmul, step_grads, tape_grads, weighted_sum,
                      whole_batch_aspect_loss, worst)
 
 
 def fake_states(logits: dict[str, np.ndarray]):
-    """Final state of a group of one sentence with the given [n, 3] logits
-    per task, stacked [3, 1, n, 3] as the model's states hold them."""
+    """Final state of a forward with the given [N, 3] logits per task,
+    stacked [3, N, 3] as the model's states hold them."""
     return [SimpleNamespace(logits=T.constant(np.stack([
-        np.asarray(logits[k], np.float64)[None] for k in ("ate", "ote",
-                                                            "asc")])))]
+        np.asarray(logits[k], np.float64) for k in ("ate", "ote", "asc")])))]
 
 
 def ce(logits, target):
@@ -99,6 +101,22 @@ def test_aspect_loss_no_labeled_sentiment_tokens_is_zero_not_nan():
     assert loss.item() == 0.0
 
 
+def test_aspect_loss_of_a_chunk_is_the_sum_of_its_sentences():
+    # sentences of 4, 1 and 4 tokens laid end to end: each keeps its own
+    # token averages, the second with no labeled sentiment token
+    rng = np.random.default_rng(3)
+    sent = tiny_sentence()
+    one = type(sent)(("great",), (2,), (0,), (None,), np.eye(1))
+    chunk = [sent, one, sent]
+    logits = {t: rng.normal(size=(9, 3)) for t in ("ate", "ote", "asc")}
+    lw = ModelConfig(lambda_ate=0.3, lambda_ote=1.7, lambda_asc=2.5)
+    total = aspect_loss(fake_states(logits), chunk, lw).item()
+    parts = [aspect_loss(fake_states({t: x[a:b] for t, x in logits.items()}),
+                         [s], lw).item()
+             for s, a, b in zip(chunk, (0, 4, 5), (4, 5, 9))]
+    assert total == pytest.approx(sum(parts), rel=1e-12)
+
+
 def test_lambda_linearity_doubles_exactly():
     rng = np.random.default_rng(1)
     sent = tiny_sentence()
@@ -126,12 +144,12 @@ def test_masking_exactness_gold_at_unlabeled_positions():
 
 
 # ---------------------------------------------------------------------------
-# equal-length groups
+# chunks of mixed lengths
 
 
 @pytest.mark.parametrize("train", [False, True])
 def test_grouped_batch_equals_mean_of_single_sentence_batches(train):
-    # lengths 3, 5, 3, 5, 4 run as three groups; with dropout on, the batch
+    # lengths 3, 5, 3, 5, 4 run as one chunk; with dropout on, the batch
     # draws its multipliers in batch order, so one rng stream gives every
     # sentence the same dropout in both runs
     model, _, _ = build_tiny_model_f64(tiny_config(
@@ -162,17 +180,17 @@ def test_grouped_batch_equals_mean_of_single_sentence_batches(train):
 
 
 def test_chunked_step_equals_one_whole_batch_tape(monkeypatch):
-    # float64 with dropout: a budget of 72 couplings cuts the five
-    # sentences of 6 tokens into chunks of 2, 2 and 1 and keeps the two of
-    # 3 tokens whole; backpropagating chunk by chunk gives the loss and
-    # gradients of one tape over whole length groups, and every sentence
-    # the same dropout multipliers
+    # float64 with dropout: a budget of 72 couplings cuts the batch, sorted
+    # stably by length, longest first, into chunks of lengths [6, 6],
+    # [6, 6] and [6, 3, 3]; backpropagating chunk by chunk gives the loss
+    # and gradients of one tape over whole length groups, and every
+    # sentence the same dropout multipliers
     model, _, _ = build_tiny_model_f64(tiny_config(dropout=0.3))
     rng = np.random.default_rng(12)
     batch = [random_sentence(rng, n) for n in (6, 3, 6, 6, 3, 6, 6)]
     assign_embedding_ids(batch, model.general_table, model.domain_table)
     monkeypatch.setattr(routing, "COUPLING_BUDGET", 72)
-    assert length_chunks(batch) == [[0, 2], [3, 5], [6], [1, 4]]
+    assert length_chunks(batch) == [[0, 2], [3, 5], [6, 1, 4]]
     real_forward = model.forward
 
     def run(grads_of, batch_loss):
@@ -225,9 +243,11 @@ def test_step_memory_does_not_grow_with_the_batch():
 
 
 def test_model_gradcheck_on_a_group_of_sentences():
+    # sentences of 4 and 3 tokens in one chunk: finite differences run
+    # through the gathered convolution windows and the segment ops
     model, sent, _doc = gradcheck_harness()
-    other = Sentence(("great", "service", "is", "the"), (2, 0, 2, 2),
-                     (0, 2, 2, 2), (None, 1, None, None), sent.adjacency)
+    other = Sentence(("great", "service", "is"), (2, 0, 2), (0, 2, 2),
+                     (None, 1, None), sent.adjacency[1:, 1:])
     assign_embedding_ids([other], model.general_table, model.domain_table)
     report = model_gradcheck(model, [sent, other])
     assert report.passed, [(e.name, e.max_rel_err) for e in report.failures]
@@ -245,17 +265,78 @@ def test_group_members_do_not_see_each_other():
     assign_embedding_ids([changed], model.general_table, model.domain_table)
     after, _ = model.forward([group[0], changed, group[2]])
     for old, new in zip(before[-1].logits.data, after[-1].logits.data):
+        old, new = old.reshape(3, 6, -1), new.reshape(3, 6, -1)
         np.testing.assert_array_equal(new[0], old[0])
         np.testing.assert_array_equal(new[2], old[2])
         assert not np.array_equal(new[1], old[1])
 
 
-def test_forward_rejects_a_group_of_unequal_lengths():
+def bench_inputs(tmp_path, monkeypatch, name: str):
+    """The training sentences and documents that the benchmark's workload
+    ``name`` generates at seed 1, indexed for a default model on random
+    embeddings, and that model."""
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(
+        os.path.dirname(os.path.abspath(__file__))), "bench"))
+    workloads = importlib.import_module("workloads")
+    inputs = workloads.write_inputs(str(tmp_path), 1,
+                                    workloads.WORKLOADS[name])
+    sents = load_aspect_corpus(inputs.train)
+    docs = load_document_corpus(inputs.docs)
+    cfg, rng = ModelConfig(), np.random.default_rng(0)
+    words = corpus_words(sents, docs)
+    gen = random_embeddings(words, cfg.d_general, rng)
+    dom = random_embeddings(words, cfg.d_domain, rng)
+    assign_embedding_ids(sents + docs, gen, dom)
+    return sents, docs, AbsaModel(cfg, DEFAULT_SCHEMES, gen, dom)
+
+
+@pytest.mark.parametrize("name, forwards, routes", [
+    ("short-train", 1, 7), ("long-train", 3, 15)])
+def test_a_bench_batch_runs_one_forward_per_chunk(name, forwards, routes,
+                                                  tmp_path, monkeypatch):
+    # each workload's corpus is one training batch of 32. Short-train's
+    # sentences (7 lengths) and documents (3 lengths) each run one forward
+    # a step, where one forward per length ran 7 and 3, and route each
+    # length group once a round. Long-train's 8
+    # sentences of 64 tokens and 8 of 128 run the chunks of 4 x 128,
+    # 4 x 128 and 8 x 64 that one length at a time ran: 3 forwards and
+    # 6 + 6 + 3 route calls a round
+    sents, docs, model = bench_inputs(tmp_path, monkeypatch, name)
+    assert len(sents) <= 32 and len(docs) <= 32
+    calls = {"forward": 0, "forward_document": 0, "route": 0}
+    for owner, attr in ((model, "forward"), (model, "forward_document"),
+                        (M, "route")):
+        real = getattr(owner, attr)
+        monkeypatch.setattr(owner, attr, lambda *a, real=real, attr=attr,
+                            **k: calls.__setitem__(attr, calls[attr] + 1)
+                            or real(*a, **k))
+    rng = np.random.default_rng(0)
+    batch_aspect_loss(model, sents, rng)
+    batch_document_loss(model, docs, rng)
+    assert calls == {"forward": forwards, "forward_document": 1,
+                     "route": routes * model.config.iterations}
+    if name == "short-train":
+        assert len({s.n for s in sents}) == 7
+        assert len({d.n for d in docs}) == 3
+
+
+def test_forward_of_unequal_lengths_equals_each_sentence_alone():
+    # lengths 4, 5, 4 and 1: the tokens laid end to end in input order,
+    # each sentence's rows as its forward alone gives them
     model, sent, _ = build_tiny_model()
-    longer = random_sentence(np.random.default_rng(5), 5)
-    assign_embedding_ids([longer], model.general_table, model.domain_table)
-    with pytest.raises(ValueError, match="equal length"):
-        model.forward([sent, longer])
+    rng = np.random.default_rng(5)
+    chunk = [sent, random_sentence(rng, 5), random_sentence(rng, 4),
+             random_sentence(rng, 1)]
+    assign_embedding_ids(chunk, model.general_table, model.domain_table)
+    states, _ = model.forward(chunk)
+    assert states[-1].probs.shape == (3, 14, 3)
+    start = 0
+    for s in chunk:
+        alone, _ = model.forward([s])
+        for got, want in zip(states, alone):
+            np.testing.assert_allclose(got.probs.data[:, start:start + s.n],
+                                       want.probs.data, rtol=0, atol=1e-6)
+        start += s.n
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +642,7 @@ def token_accuracy_one_by_one(model, sentences):
     total = dict(hit)
     for sent in sentences:
         states, _ = model.forward([sent])
-        pred = dict(zip(hit, states[-1].probs.data[:, 0].argmax(axis=-1)))
+        pred = dict(zip(hit, states[-1].probs.data.argmax(axis=-1)))
         for task, gold in (("ate", sent.ate_gold), ("ote", sent.ote_gold)):
             hit[task] += sum(int(p == g) for p, g in zip(pred[task], gold))
             total[task] += len(gold)
@@ -597,7 +678,7 @@ def test_gradcheck_linear_toy_model_is_exact():
         x = T.constant(rng.normal(size=(4, 3)))
 
     def loss():
-        return weighted_sum(T.add(T.matmul(x, w), b))
+        return weighted_sum(T.add(matmul(x, w), b))
 
     report = gradcheck(loss, {"w": w, "b": b})
     assert report.passed
