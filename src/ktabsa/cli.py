@@ -123,16 +123,20 @@ def _single_run(rc: C.RunConfig, corpora, out_dir: str, quiet: bool
 def _train_runs(rc: C.RunConfig, quiet: bool) -> int:
     """Echo ``rc`` and train ``rc.runs`` seeds (``seed``, ``seed + 1``, …)
     into ``out_dir/run<k>``, with a mean/std summary over several runs.
-    Every run's corpora are read and checked before anything is written."""
+    Run 0's corpora are checked before anything is written (no check
+    depends on the seed); a later run reads its own when it starts."""
     rc.validate()
     runs = [C.with_keys(rc, seed=rc.model.seed + k) for k in range(rc.runs)]
-    corpora = [_build_corpora(run) for run in runs]
+    corpora = _build_corpora(runs[0])
     echoed = C.echo_config(rc, rc.out_dir)
     if not quiet:
         print(f"effective config: {echoed}")
-    summaries = [_single_run(run, built, os.path.join(rc.out_dir, f"run{k}"),
-                             quiet)
-                 for k, (run, built) in enumerate(zip(runs, corpora))]
+    summaries = []
+    for k, run in enumerate(runs):
+        summaries.append(_single_run(run, corpora or _build_corpora(run),
+                                     os.path.join(rc.out_dir, f"run{k}"),
+                                     quiet))
+        corpora = None
     if rc.runs > 1:
         agg_source = ("test" if all("test" in s for s in summaries)
                       else "best_dev_f1_i")

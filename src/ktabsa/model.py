@@ -52,6 +52,7 @@ checkpoint once: ``save`` writes it, and ``load`` accepts exactly it.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 import struct
@@ -282,6 +283,9 @@ class AbsaModel:
         self.general_table = general
         self.domain_table = domain
         self.params = params = L.Params(np.random.default_rng(config.seed))
+        # a lone item's Segments, with their windows, by its length, which
+        # recurs predict after predict; a chunk's lengths seldom recur
+        self.lone = functools.lru_cache(maxsize=64)(Segments)
         c1 = schemes.token_classes
 
         self.emb_general = params.add(
@@ -386,7 +390,8 @@ class AbsaModel:
                for it in items):
             raise ValueError("input has no embedding ids; run "
                              "assign_embedding_ids first")
-        segments = Segments.of(tuple(it.n for it in items))
+        lengths = tuple(it.n for it in items)
+        segments = self.lone(lengths) if len(items) == 1 else Segments(lengths)
         general = np.concatenate([it.general_ids for it in items])
         domain = np.concatenate([it.domain_ids for it in items])
         emb = concat([embedding_lookup(self.emb_general, general),

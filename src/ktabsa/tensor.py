@@ -12,7 +12,6 @@ trustworthy.
 from __future__ import annotations
 
 import contextlib
-import functools
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -138,14 +137,16 @@ class Tape:
                 f"backward requires a scalar loss, got shape {loss.shape}")
         flow: dict[int, list] = {}
 
-        def push(t: Tensor, g: np.ndarray) -> None:
+        def push(t: Tensor, g: np.ndarray, at=...) -> None:  # g: dLoss/dt[at]
             if not t.requires_grad:
                 return
-            slot = flow.get(id(t))
-            if slot is None:
+            if id(t) in flow:
+                flow[id(t)][1][at] += g
+            elif at is ...:
                 flow[id(t)] = [t, np.array(g, dtype=t.data.dtype, copy=True)]
             else:
-                slot[1] += g
+                flow[id(t)] = [t, np.zeros(t.data.shape, t.data.dtype)]
+                flow[id(t)][1][at] = g
 
         push(loss, np.ones_like(loss.data))
         for out, fn in reversed(self.nodes):
@@ -153,7 +154,7 @@ class Tape:
             if slot is None:
                 continue
             fn(slot[1], push)
-        for t, g in flow.values():     # g is push's own copy: hand it over
+        for t, g in flow.values():     # g is push's own buffer: hand it over
             if t.grad is None:
                 t.grad = g
             else:
@@ -238,9 +239,7 @@ def select(a: Tensor, i) -> Tensor:
     out = Tensor(a.data[i], requires_grad=a.requires_grad)
 
     def fn(g, push):
-        full = np.zeros_like(a.data)
-        full[i] = g
-        push(a, full)
+        push(a, g, i)
 
     return _emit(out, fn)
 
@@ -306,22 +305,15 @@ class Segments:
         self.offsets = np.concatenate(([0], np.cumsum(self.lengths)))
         self._windows: dict[int, np.ndarray] = {}
 
-    @classmethod
-    @functools.lru_cache(maxsize=64)
-    def of(cls, lengths: tuple[int, ...]) -> "Segments":
-        """Recent ``lengths`` keep their windows (a sentence length recurs)."""
-        return cls(lengths)
-
     def windows(self, w: int) -> np.ndarray:
         """Each token's rows of its width-w window centred on it, [N, w]:
         N, a zero row past the tokens, where it leaves the token's item."""
         if w not in self._windows:
-            n, end = self.offsets[-1], np.repeat(self.offsets[1:],
-                                                 self.lengths)
+            n, end = self.offsets[-1], self.offsets[1:].repeat(self.lengths)
+            start = end - self.lengths.repeat(self.lengths)
             src = np.arange(n)[:, None] + np.arange(w) - w // 2
-            inside = (src >= (end - np.repeat(self.lengths, self.lengths)
-                              )[:, None]) & (src < end[:, None])
-            self._windows[w] = np.where(inside, src, n)
+            self._windows[w] = np.where((src >= start[:, None])
+                                        & (src < end[:, None]), src, n)
         return self._windows[w]
 
     def sum(self, a: np.ndarray) -> np.ndarray:
@@ -384,25 +376,29 @@ def grouped_affine(inputs: Sequence[Sequence[tuple[Tensor, object]]],
     Group i concatenates ``x.data[j]`` of its (x, j) pairs ``inputs[i]``,
     broadcast to the leading shape of the first, along the last axis (j
     indexes x's data without picking an element twice: an int of its
-    leading axis, () for all of it) and maps the result by weight i
-    [d_i, m] plus bias i [m], stacked [k, width, m] and [k, 1, m]. Narrower
-    groups' inputs end in zeros, met by the zero rows of their weights, so
-    the k maps run as one batched matmul over the rows of every leading
-    axis. When each group reads one full-width row of the same x, the
-    input is ``x.data[rows]``: a view for consecutive rows. When each reads
+    leading axis, maybe followed by more in a tuple, or () for all of it)
+    and maps the result by weight i [d_i, m] plus bias i [m], stacked [k,
+    width, m] and [k, 1, m]. Narrower groups' inputs end in zeros, met by
+    the zero rows of their weights, so the k maps run as one batched matmul
+    over the rows of every leading axis. When each group reads the same
+    part ``rest`` of one full-width row of the same x, the input is
+    ``x.data[rows, *rest]``: a view for consecutive rows. When each reads
     all of the same ``x.data[j]``, one broadcast matmul maps it k times.
+    The backward pushes each input's gradient into its part ``j`` only.
     """
     k, width, m = weights.data.shape
     x0, j0 = inputs[0][0]
     lead = x0.data[j0].shape[:-1]
-    rows = [j for group in inputs for x, j in group
-            if x is x0 and type(j) is int]      # a full row of x0 a group?
+    rest = j0[1:] if type(j0) is tuple else ()  # a row of x0 each, at rest?
+    rows = [j[0] if rest else j for group in inputs for x, j in group
+            if x is x0 and (type(j) is int if not rest else type(j) is tuple
+                            and type(j[0]) is int and j[1:] == rest)]
     shared = None   # (index of x0.data, its groups): the input, uncopied
     if ((len(rows) == k == sum(map(len, inputs))
          or inputs == [[(x0, j0)]] * k)         # or all of x0.data[j0] each?
             and x0.data.shape[-1] == width
             and all([p.data.shape[0] == width for p in weights.params])):
-        shared = (_as_slice(rows), k) if rows else (j0, 1)
+        shared = ((_as_slice(rows), *rest), k) if rows else (j0, 1)
 
     def gather() -> np.ndarray:     # the backward rebuilds it too
         if shared is not None:
@@ -434,20 +430,14 @@ def grouped_affine(inputs: Sequence[Sequence[tuple[Tensor, object]]],
         if biases is not None:
             _push_rows(push, biases.params, g.sum(axis=1, keepdims=True))
         dx = (g @ stack.swapaxes(-1, -2)).reshape(k, *lead, width)
-        grads: dict[int, tuple[Tensor, np.ndarray]] = {}
         for i in range(k):
             col = 0
             for x, j in inputs[i]:
                 size = x.data.shape[-1]
                 if x.requires_grad:
-                    if id(x) not in grads:
-                        grads[id(x)] = (x, np.zeros_like(x.data))
-                    gx = grads[id(x)][1]
-                    gx[j] += _unbroadcast(dx[i, ..., col:col + size],
-                                          gx[j].shape)
+                    push(x, _unbroadcast(dx[i, ..., col:col + size],
+                                         x.data[j].shape), j)
                 col += size
-        for x, gx in grads.values():
-            push(x, gx)
 
     return _emit(out, fn)
 
@@ -489,11 +479,8 @@ def relu(x: Tensor, inplace: bool = False) -> Tensor:
 def sigmoid(x: Tensor, inplace: bool = False) -> Tensor:
     """1 / (1 + exp(-x)); ``inplace`` as for :func:`relu`."""
     d = x.data
-    y = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
-                 np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
-    if inplace:
-        np.copyto(d, y)
-    y = d if inplace else y.astype(d.dtype)
+    e = np.exp(-np.abs(d))
+    y = np.divide(np.where(d >= 0, 1.0, e), 1.0 + e, out=d if inplace else None)
     out = Tensor(y, requires_grad=x.requires_grad)
 
     def fn(g, push):

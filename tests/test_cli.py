@@ -73,8 +73,9 @@ def test_gen_synth_defaults_are_the_synth_specs(tmp_path):
                 == (tmp_path / "spec" / name).read_bytes()), name
 
 
-@pytest.mark.parametrize("command", [["train"], ["ablate", "--ablate",
-                                                 "coarse"]], ids=" ".join)
+@pytest.mark.parametrize("command", [
+    ["train"], ["train", "--set", "runs=2"], ["ablate", "--ablate", "coarse"]],
+    ids=" ".join)
 def test_empty_aspect_training_corpus_exit_3(tmp_path, capsys, command):
     # a bundle of no sentences and no documents: nothing to train on, so no
     # run of empty epochs and no untrained checkpoint

@@ -615,9 +615,9 @@ def test_routing_tape_never_holds_pairwise_vote_tensor():
 
     def spy(fn):
         def wrapped(g, push):
-            def spy_push(t, grad):
+            def spy_push(t, grad, *at):
                 pushed.append(np.size(grad))
-                push(t, grad)
+                push(t, grad, *at)
             fn(g, spy_push)
         return wrapped
 

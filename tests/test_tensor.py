@@ -394,6 +394,31 @@ def test_relu_sigmoid_grads():
                    [rng.normal(size=(4, 3))])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("op", [T.relu, T.sigmoid], ids=["relu", "sigmoid"])
+def test_nonlinearity_in_place_equals_the_copy(op, dtype):
+    # inplace=True writes the output over the input's data, as a layer does
+    # with its fresh pre-activation: the same values and gradients, bit for
+    # bit, with no second array; the default leaves the input as it was
+    rng = np.random.default_rng(30)
+    x = (rng.normal(size=(3, 5)) * 40).astype(dtype)   # sigmoid saturates
+    x[0, :2] = 0
+    probe = rng.normal(size=x.shape)
+    runs = []
+    for inplace in (False, True):
+        xt = T.Tensor(x.copy(), requires_grad=True)
+        tape = T.Tape()
+        with T.record(tape):
+            y = op(xt, inplace=inplace)
+            loss = weighted_sum(y, probe)
+        tape.backward(loss)
+        assert y.dtype == dtype
+        assert (y.data is xt.data) == inplace
+        runs.append((y.data, xt.grad))
+    np.testing.assert_array_equal(runs[1][0], runs[0][0])
+    np.testing.assert_array_equal(runs[1][1], runs[0][1])
+
+
 def test_sigmoid_extremes_finite():
     out = T.sigmoid(T.constant([-1e4, 0.0, 1e4]))
     assert np.isfinite(out.data).all()
@@ -628,6 +653,42 @@ def test_grouped_affine_reads_rows_of_one_tensor_in_place(rows):
         np.testing.assert_allclose(out.data[i], x[j] @ params[i]
                                    + params[k + i], atol=1e-12)
     probe = rng.normal(size=(k, g, n, m))
+    check_op_grads(lambda ts: weighted_sum(build(ts), probe), [x] + params)
+
+
+@pytest.mark.parametrize("rows", [[0, 1, 2], [1, 2, 0, 2, 0, 1]],
+                         ids=["consecutive", "repeated"])
+def test_grouped_affine_reads_the_same_tokens_of_rows_in_place(rows):
+    # the votes read each source's tokens of one length group, (row,
+    # tokens): the values and gradients of those rows cut out first, and
+    # the backward pushes each group's gradient into its part of x only
+    rng = np.random.default_rng(28)
+    k, n, d, m, tokens = len(rows), 7, 4, 5, slice(2, 5)
+    x = rng.normal(size=(3, n, d))
+    params = ([rng.normal(size=(d, m)) for _ in range(k)]
+              + [rng.normal(size=m) for _ in range(k)])
+    probe = rng.normal(size=(k, 3, m))
+
+    def build(ts):
+        return T.grouped_affine([[(ts[0], (j, tokens))] for j in rows],
+                                stacked(ts[1:k + 1]), stacked(ts[k + 1:]))
+
+    with T.use_dtype(np.float64):
+        xt = T.Tensor(x, requires_grad=True)
+        tape = T.Tape()
+        with T.record(tape):
+            out = build([xt] + [T.constant(p) for p in params])
+    for i, j in enumerate(rows):
+        np.testing.assert_allclose(out.data[i], x[j, tokens] @ params[i]
+                                   + params[k + i], atol=1e-12)
+    pushed = []
+
+    def push(t, g, at=...):
+        if t is xt:
+            pushed.append((g.shape, at))
+
+    tape.nodes[0][1](probe, push)
+    assert pushed == [((3, d), (j, tokens)) for j in rows]
     check_op_grads(lambda ts: weighted_sum(build(ts), probe), [x] + params)
 
 
