@@ -3,9 +3,10 @@
 the benchmark's workloads route.
 
 Each shape (k directions, G sentences, n tokens) routes the vote parts
-p [k, G, n, 32] and q [k, 1, n, 32] in float32 under a [G, n, n] adjacency
-(unit diagonal, token chain and a few random edges, symmetrized as the
-corpus reader does) for 3 iterations, with one BLAS thread. The forward is one ``route`` call
+p [k, G*n, 32], the group's token rows, and q [k, 1, n, 32] in float32
+under a [G, n, n] adjacency (unit diagonal, token chain and a few random
+edges, symmetrized as the corpus reader does) for 3 iterations, with one
+BLAS thread. The forward is one ``route`` call
 recorded on a tape; the backward is that node's own backward, fed a fixed
 dLoss/dv, with a push that discards the gradients. A row prints the median
 over ``--reps`` calls, in milliseconds.
@@ -17,6 +18,8 @@ see the same host; the row then adds that kernel's medians and the ratio
 of the medians (this checkout over the other). A checkout whose ``route``
 takes the source parts r = p + q in place of p reads the same arrays as
 (r, q): the same shapes and the same loop, so the ratio stays comparable.
+A checkout whose ``route`` takes p already folded, [k, G, n, 32], gets the
+same p and dLoss/dv reshaped so.
 
 Usage: python scripts/route_timing.py [--reps 200] [--against PATH]
 """
@@ -44,7 +47,7 @@ ITERATIONS = 3
 
 def inputs(k: int, g: int, n: int, seed: int = 0):
     rng = np.random.default_rng(seed)
-    p = rng.normal(size=(k, g, n, D_ROUTE)).astype(np.float32)
+    p = rng.normal(size=(k, g * n, D_ROUTE)).astype(np.float32)
     q = rng.normal(size=(k, 1, n, D_ROUTE)).astype(np.float32)
     adjacency = np.zeros((g, n, n), dtype=np.float32)
     idx = np.arange(n - 1)
@@ -57,12 +60,33 @@ def inputs(k: int, g: int, n: int, seed: int = 0):
     return p, q, adjacency, gv
 
 
+def reads_rows(kernel) -> bool:
+    """Whether the kernel's ``route`` reads a group's token rows [k, G*n,
+    d] and folds them itself: one that takes them folded, [k, G, n, d],
+    rejects the rows of two one-token sentences."""
+    routing, tensor = kernel
+    adjacency = np.zeros((2, 1, 1), np.float32)
+    if hasattr(routing, "routing_prior"):
+        adjacency = routing.routing_prior(adjacency, np.float32)
+    try:
+        routing.route(tensor.Tensor(np.zeros((1, 2, 1), np.float32)),
+                      tensor.Tensor(np.zeros((1, 1, 1, 1), np.float32)),
+                      adjacency, 1)
+    except ValueError:
+        return False
+    return True
+
+
 def time_call(kernel, p, q, adjacency, gv) -> tuple[float, float]:
     """Seconds of one forward ``route`` call and of its node's backward.
     The routing prior, which a model forward builds once for all of its
     route calls, is built before the clock starts; a checkout without
-    ``routing_prior`` builds it inside ``route``."""
-    routing, tensor = kernel
+    ``routing_prior`` builds it inside ``route``. ``kernel`` is (routing,
+    tensor, whether its ``route`` reads token rows)."""
+    routing, tensor, rows = kernel
+    if not rows:
+        p, gv = (x.reshape(q.shape[:1] + adjacency.shape[:2] + x.shape[-1:])
+                 for x in (p, gv))
     pt = tensor.Tensor(p, requires_grad=True)
     qt = tensor.Tensor(q, requires_grad=True)
     if hasattr(routing, "routing_prior"):
@@ -102,6 +126,7 @@ def main(argv=None) -> int:
     print(f"numpy {np.__version__}, float32, d_route {D_ROUTE}, "
           f"{ITERATIONS} iterations, median of {args.reps} calls")
     print(" ".join(f"{c:>8}" for c in cols))
+    kernels = [(*kernel, reads_rows(kernel)) for kernel in kernels]
     for k, g, n in SHAPES:
         data = inputs(k, g, n)
         for kernel in kernels:      # warm caches and lazy set-up

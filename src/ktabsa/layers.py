@@ -6,7 +6,8 @@ that no convolution window or attention pool mixes items. The task layers
 carry their tasks as a leading axis, [k, N, d], through grouped ops that
 read the tasks' parameters as one block (:meth:`Params.block`), so names
 and checkpoints stay per task; the encoder runs each of its banks as a
-one-entry grouped convolution. Each layer's ``__call__`` runs it as a
+one-entry grouped convolution, and its [1, N, d_enc] output is the one
+group that every task stack reads. Each layer's ``__call__`` runs it as a
 unit, which is what a caller timing the layers wraps (see
 :mod:`ktabsa.model`).
 """
@@ -17,8 +18,7 @@ import numpy as np
 
 from .tensor import (Parameter, Segments, Stack, Tensor, concat,
                      default_dtype, grouped_affine, grouped_conv1d, relu,
-                     reshape, segment_pool, segment_softmax, sigmoid,
-                     softmax)
+                     segment_pool, segment_softmax, sigmoid, softmax)
 
 NONLINEARITIES = {"relu": relu, "sigmoid": sigmoid}
 CONV = ("kernel", "bias")       # the part names of a convolution layer
@@ -105,11 +105,11 @@ class SharedEncoder:
                       for w in widths]
 
     def __call__(self, x: Tensor, segments: Segments) -> Tensor:
-        """The encoding [N, d_enc] of the items ``segments`` lays out in x
-        [N, d_in]."""
-        h = concat([grouped_conv1d(x, *bank, segments) for bank in self.banks],
-                   axis=-1)
-        return self.nonlin(reshape(h, h.shape[1:]), inplace=True)
+        """The encoding [1, N, d_enc] of the items ``segments`` lays out in
+        x [N, d_in]: one group, which every task stack reads."""
+        return self.nonlin(concat([grouped_conv1d(x, *bank, segments)
+                                   for bank in self.banks], axis=-1),
+                           inplace=True)
 
 
 class TaskStack:
@@ -131,7 +131,7 @@ class TaskStack:
     def __call__(self, x: Tensor, tasks: tuple[str, ...],
                  segments: Segments) -> Tensor:
         """Hidden states [len(tasks), N, d_out] of ``tasks``, in that
-        order, over the shared encoding x [N, d_in] of ``segments``."""
+        order, over the shared encoding x [1, N, d_in] of ``segments``."""
         rows = [self.row[task] for task in tasks]
         for kernels, biases in self.blocks:
             x = self.nonlin(grouped_conv1d(x, kernels.rows(rows),

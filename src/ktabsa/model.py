@@ -16,14 +16,16 @@ representations themselves do not iterate, so a forward builds their
 signals once, together with the routing prior and the route plan, and
 every round reuses them.
 
-The tasks are an axis, not a loop: the five task stacks run as one
-[5, N, d] stack, its document rows run through one attention head, and
-the three token-level tasks stay [3, N, ·] from there to the loss. Only
-routing runs per length group, a run of G sentences of one length n: a
-round computes the hidden parts p = h W of a block of directions' votes
-in one :func:`predict_vectors` call of the group's rows, routes them as
-[k, G, n, d_route] against the plan's position parts q = PE W in
-target-major order, and writes them back along the token axis; it then
+The tasks are an axis, not a loop: the shared encoder's one group [1, N,
+d_enc] feeds the five task stacks, which run as one [5, N, d] stack, its
+document rows run through one attention head, and the three token-level
+tasks stay [3, N, ·] from there to the loss. Only routing runs per length
+group, a run of G sentences of one length n: a round computes the hidden
+parts p = h W of a block of directions' votes in one
+:func:`predict_vectors` call of the group's rows, [k, G*n, d_route],
+routes those rows against the plan's position parts q = PE W in
+target-major order (:func:`route` folds them into the group's squares),
+and lays the routed rows along the token axis; it then
 projects, fuses and decodes the three targets in one grouped affine map
 each, whose narrower inputs are zero-padded to the widest. Each family
 of per-task parameters lives as views of one block
@@ -72,7 +74,7 @@ from .routing import (RoutingState, RoutingTrace, TransferDirection,
                       routing_prior, target_votes)
 from .tensor import (ConfigError, DivergenceError, Segments, Tensor, concat,
                      default_dtype, dropout, dropout_keep, embedding_lookup,
-                     grouped_affine, reshape, segment_expand, select, softmax)
+                     grouped_affine, segment_expand, select, softmax)
 
 ASPECT_TASKS = ("ate", "ote", "asc")
 DOC_TASKS = ("ddc", "dsc")
@@ -381,7 +383,7 @@ class AbsaModel:
     def _shared(self, items: Sequence[Sentence | Document],
                 keep: Sequence[tuple[np.ndarray, np.ndarray]] | None
                 ) -> tuple[Tensor, Segments]:
-        """Shared encoding [N, d_enc] of the items' tokens in item order,
+        """Shared encoding [1, N, d_enc] of the items' tokens in item order,
         with dropout when ``keep`` (from :meth:`draw_dropout`) is given, and
         their :class:`Segments`."""
         if not items:
@@ -457,7 +459,7 @@ class AbsaModel:
 
     def route_plan(self, sentences: Sequence[Sentence]) -> list[tuple]:
         """Per length group (a run of G sentences of length n): its rows of
-        the token axis, (G, n), its :func:`routing.routing_prior` and the
+        the token axis, its :func:`routing.routing_prior` and the
         directions of :attr:`order` in blocks of at most
         :func:`directions_per_call`, each with its rows of the route
         weights' block and its target votes q [k, 1, n, d_route]."""
@@ -470,7 +472,7 @@ class AbsaModel:
                 weights = self.route_weights.rows(rows[i:i + size])
                 blocks.append((self.order[i:i + size], weights,
                                target_votes(n, weights)))
-            plan.append((slice(start, start + g * n), (g, n), routing_prior(
+            plan.append((slice(start, start + g * n), routing_prior(
                 np.stack([s.adjacency for s in run]), self.emb_general.dtype),
                 blocks))
             start += g * n
@@ -482,27 +484,25 @@ class AbsaModel:
                                ) -> IterationState:
         """One aggregation round: per length group and block of ``plan``
         (from :meth:`route_plan`), one :func:`predict_vectors` call of the
-        group's rows and one :func:`route` call of them as [k, G, n,
-        d_route], each trace appended to ``traces`` unless it is None;
-        then :meth:`aggregate` of the routed rows and ``doc``."""
+        group's rows and one :func:`route` call of them, [k, G*n, d_route],
+        each trace appended to ``traces`` unless it is None; then
+        :meth:`aggregate` of the routed rows and ``doc``."""
         routed = []
-        for tokens, (g, n), prior, blocks in plan:
+        for tokens, prior, blocks in plan:
             vs = []
             for block, weights, q in blocks:
                 p = predict_vectors(state.hidden, *block, tasks=ASPECT_TASKS,
                                     weights=weights, tokens=tokens)
-                v, kept = route(reshape(p, (len(block), g, n, -1)), q, prior,
-                                self.config.route_iters)
+                v, kept = route(p, q, prior, self.config.route_iters)
                 if traces is not None:
                     traces += [RoutingTrace(state.t + 1, d.name, [
                         RoutingState(st.c[k, i], st.s[k, i], st.v[k, i])
                         for st in kept]) for k, d in enumerate(block)
-                        for i in range(g)]
+                        for i in range(len(prior[0]))]
                 del kept    # held past the call, they would raise the peak
                 vs.append(v)
             if vs:
-                routed.append(reshape(concat(vs), (len(self.order), g * n,
-                                                   -1)))
+                routed.append(concat(vs))
         return self.aggregate(state, concat(routed, axis=1) if routed
                               else None, doc)
 
@@ -540,12 +540,12 @@ class AbsaModel:
     def forward_document(self, docs: Sequence[Document],
                          keep: Sequence[tuple[np.ndarray, np.ndarray]]
                          | None = None) -> dict[str, Tensor]:
-        """Document-task logits [B, C] of a chunk of documents of any
-        lengths; these do not depend on the iteration loop."""
+        """Document-task logits [1, B, C] of a chunk of documents of any
+        lengths, as the attention head returns them; these do not depend on
+        the iteration loop."""
         shared, segments = self._shared(docs, keep)
-        _a, logits = self.heads(self.stacks(shared, DOC_TASKS, segments),
-                                DOC_TASKS, segments, DOC_TASKS)
-        return {s: reshape(x, (len(docs), -1)) for s, x in logits.items()}
+        return self.heads(self.stacks(shared, DOC_TASKS, segments),
+                          DOC_TASKS, segments, DOC_TASKS)[1]
 
     # -- inference ----------------------------------------------------------
 

@@ -23,11 +23,14 @@ s_t = c_t r + m_t q. c_1 = softmax(A) is computed at A's shape by
 
 :func:`route` takes any leading axes. The model routes k transfer
 directions of a length group, the G consecutive sentences of one length n
-in a forward's chunk, in one call: p, s and v are [k, G, n, d_route], q is
-[k, 1, n, d_route] (it depends only on the position and the direction, so
-the group shares it), and the [G, n, n] adjacency and c_1 are shared by
-the directions. :func:`predict_vectors` builds p from the group's rows of
-the hidden stack and :func:`target_votes` builds q, in one grouped matmul
+in a forward's chunk, in one call: p and v are the group's rows of the
+token axis, [k, G*n, d_route], q is [k, 1, n, d_route] (it depends only on
+the position and the direction, so the group shares it), and the [G, n, n]
+adjacency and c_1 are shared by the directions. The prior's [G, n] is how
+:func:`route` folds the rows into squares, so the loop and its states s_t
+and v_t are [k, G, n, d_route] and the couplings [k, G, n, n]; no caller
+reshapes. :func:`predict_vectors` builds p from the group's rows of the
+hidden stack and :func:`target_votes` builds q, in one grouped matmul
 each. Equal lengths mean there is no padding and nothing to mask. The
 number of targets equals the sentence length, so the output is a
 dynamic-length set of vectors rather than a fixed capsule bank.
@@ -45,6 +48,7 @@ one coupling array within :data:`COUPLING_BUDGET` elements.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
@@ -201,35 +205,37 @@ def _broadcasts_to(shape: tuple[int, ...], target: tuple[int, ...]) -> bool:
 
 def route(p: Tensor, q: Tensor, prior: tuple[np.ndarray, np.ndarray],
           iterations: int) -> tuple[Tensor, list[RoutingState]]:
-    """Run the agreement loop; return the final target vectors and the
-    states its backward reads, one per iteration.
+    """Run the agreement loop over the token rows of a length group; return
+    the final target vectors, at p's shape, and the states its backward
+    reads, one per iteration.
 
-    The votes are ``u_hat[..., i, j] = r[..., i] + q[..., j]`` for source i
-    and target j, with ``r = p + q``, ``p`` [..., n, d_route] and ``q``
-    [..., n, d_route] broadcasting against p, as from :func:`predict_vectors`
-    and :func:`target_votes` (the model passes p [k, G, n, d], q [k, 1, n,
-    d]). ``prior`` is the :func:`routing_prior` of the binary dependency
-    adjacency, which broadcasts to the logits ``p.shape[:-1] + (n,)``. The
-    loop is one tape node whose backward runs through every unrolled
-    iteration.
+    ``prior`` is the :func:`routing_prior` of the binary dependency
+    adjacency [G, n, n] of G sentences of length n ([n, n] for one), and
+    ``p`` [..., G*n, d_route] holds their rows, as :func:`predict_vectors`
+    gives them (the model passes p [k, G*n, d]). The loop, and so each
+    state, folds p's rows into the prior's [G, n]. The votes are
+    ``u_hat[..., i, j] = r[..., i] + q[..., j]`` for source i and target j
+    of one sentence, with ``r = p + q`` and ``q`` [..., n, d_route]
+    broadcasting to the folded p, as from :func:`target_votes`. The loop
+    is one tape node whose backward runs through every unrolled iteration.
     """
     if iterations < 1:
         raise ConfigError(f"routing needs at least one iteration, "
                           f"got {iterations}")
     if p.ndim < 2:
-        raise ConfigError(f"hidden votes p must be [..., n, d], got "
+        raise ConfigError(f"hidden votes p must be [..., G*n, d], got "
                           f"{tuple(p.shape)}")
-    n, d = p.shape[-2:]
-    logits = p.shape[:-1] + (n,)
-    if q.shape[-2:] != (n, d) or not _broadcasts_to(q.shape, p.shape):
+    at, c = prior                               # A^T and c_1, [..., n, n]
+    if math.prod(at.shape[:-1]) != p.shape[-2]:
+        raise ConfigError(f"adjacency shape {at.shape} does not fold the "
+                          f"{p.shape[-2]} rows of p")
+    fold = p.shape[:-2] + at.shape[:-1] + p.shape[-1:]
+    n, d = fold[-2:]
+    logits = fold[:-1] + (n,)
+    if q.shape[-2:] != (n, d) or not _broadcasts_to(q.shape, fold):
         raise ConfigError(f"position votes q must match p's ({n}, {d}) and "
-                          f"broadcast to {tuple(p.shape)}, got "
-                          f"{tuple(q.shape)}")
-    pd, qd = p.data, q.data
-    at, c = prior                               # A^T and c_1, at A's shape
-    if not _broadcasts_to(at.shape, logits):
-        raise ConfigError(f"adjacency shape {at.shape} does not "
-                          f"broadcast to the logits {logits}")
+                          f"broadcast to {fold}, got {tuple(q.shape)}")
+    pd, qd = p.data.reshape(fold), q.data
     r1 = np.empty(pd.shape[:-1] + (d + 1,), pd.dtype)
     r1[..., :d], r1[..., d] = pd + qd, 1
     states, masses = [], []
@@ -252,14 +258,15 @@ def route(p: Tensor, q: Tensor, prior: tuple[np.ndarray, np.ndarray],
         if t + 1 < iterations:                  # vq = [V | q . V]
             v1 = np.concatenate((v, _dot(qd, v)), -1)
             vq = vq + v1 if t else v1
-    out = Tensor(v, requires_grad=p.requires_grad or q.requires_grad)
+    out = Tensor(v.reshape(p.shape),
+                 requires_grad=p.requires_grad or q.requires_grad)
     saved = [(st.c, st.s) for st in states]     # each v_t is squash(s_t)
 
     def fn(g, push):
         r1 = np.concatenate((pd + qd, np.ones_like(pd[..., :1])), -1)
         sums = list(accumulate(squash(s)[0] for _, s in saved[:-1]))  # V_2..
         dr = dq = gsum = 0      # gsum: dLoss/dV from the later iterations
-        gv, gl = g, None
+        gv, gl = g.reshape(fold), None
         for t in range(iterations - 1, -1, -1):
             c, s = saved[t]                     # c: [..., source, target]
             gs = squash_grad(gv, s, np.sqrt(_dot(s, s)))
@@ -278,7 +285,7 @@ def route(p: Tensor, q: Tensor, prior: tuple[np.ndarray, np.ndarray],
                 gv = gsum = gsum + y[..., :d] + y[..., d:] * qd
             dq += gq                            # at p's shape until pushed
         dq += dr                                # r = p + q
-        push(p, dr)
+        push(p, dr.reshape(p.shape))
         push(q, _unbroadcast(dq, qd.shape))
 
     return _emit(out, fn), states

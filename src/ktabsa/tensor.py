@@ -214,25 +214,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _emit(out, fn)
 
 
-def scale(a: Tensor, k: float) -> Tensor:
-    k = float(k)
-    out = Tensor(a.data * k, requires_grad=a.requires_grad)
-
-    def fn(g, push):
-        push(a, g * k)
-
-    return _emit(out, fn)
-
-
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = Tensor(a.data.reshape(shape), requires_grad=a.requires_grad)
-
-    def fn(g, push):
-        push(a, g.reshape(a.shape))
-
-    return _emit(out, fn)
-
-
 def select(a: Tensor, i) -> Tensor:
     """``a[i]`` for an index that picks no element twice: an int or slice
     of the leading axis (a view of ``a``'s data) or a permutation."""
@@ -330,8 +311,8 @@ def grouped_conv1d(x: Tensor, kernels: Stack, biases: Stack,
     """k "same" convolutions of every item of ``segments`` as one op,
     [k, N, d_out].
 
-    ``x`` is [N, d_in], read by every group, or [k, N, d_in], whose row i
-    group i reads; kernel i is [w, d_in, d_out] (one odd w for all) with
+    ``x`` is [N, d_in] or [1, N, d_in], read by every group, or [k, N,
+    d_in], whose row i group i reads; kernel i is [w, d_in, d_out] (one odd w for all) with
     bias i [d_out], stacked [k, w * d_in, d_out] and [k, 1, d_out]. Each
     token's window (im2col) gathers its rows through
     :meth:`Segments.windows`, so no window crosses into another item, and
@@ -364,7 +345,7 @@ def grouped_conv1d(x: Tensor, kernels: Stack, biases: Stack,
                    @ stack[:, rows].swapaxes(-1, -2))
         _push_rows(push, kernels.params, grads)
         _push_rows(push, biases.params, g.sum(axis=1, keepdims=True))
-        push(x, dx.sum(axis=0) if x.ndim == 2 else dx)
+        push(x, _unbroadcast(dx, x.data.shape))
 
     return _emit(out, fn)
 

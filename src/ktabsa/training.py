@@ -4,13 +4,15 @@ Training runs in two phases: the document tasks are pretrained alone for a
 few epochs, then each ``aspect_batches_per_doc`` sentence batches are
 followed by one document batch, cycling through the epoch's document
 batches; :func:`data.make_batches` cuts both kinds. A batch's loss is the
-mean of the per-input losses. Training and inference share one chunking
-rule, :func:`data.length_chunks`: one model forward runs a chunk of inputs
-of any lengths, their tokens laid end to end ([N, ·] tensors, no padding),
-whose n^2 couplings per routing direction sum to at most
-``routing.COUPLING_BUDGET``. Each chunk is backpropagated as
-soon as it is recorded, and its tape dropped, so a step's graph is bounded
-by the budget, not by ``batch_size``; the gradients accumulate in place,
+mean of the per-input losses; each input's share of the mean is a row
+weight of the losses' cross-entropies, as the task weights ``lambda_*``
+are, so the loss records no node that only scales. Training and inference
+share one chunking rule, :func:`data.length_chunks`: one model forward
+runs a chunk of inputs of any lengths, their tokens laid end to end ([N,
+·] tensors, no padding), whose n^2 couplings per routing direction sum to
+at most ``routing.COUPLING_BUDGET``. Each chunk is backpropagated as soon
+as it is recorded, and its tape dropped, so a step's graph is bounded by
+the budget, not by ``batch_size``; the gradients accumulate in place,
 and clipping and the optimizer step run once per batch. Every epoch ends
 with a dev evaluation; the checkpoint with the best pair-F1 is kept. All
 randomness flows from the model seed, so a rerun with the same config
@@ -32,7 +34,7 @@ from .data import (Document, Sentence, atomic_write, length_chunks,
 from .metrics import evaluate
 from .model import ASPECT_TASKS, AbsaModel, IterationState, ModelConfig
 from .tensor import (ConfigError, DivergenceError, Tape, Tensor,
-                     cross_entropy_rows, record, scale)
+                     cross_entropy_rows, record)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -43,16 +45,17 @@ GRADCHECK_TOL = 1e-3
 
 
 def aspect_loss(states: Sequence[IterationState],
-                sentences: Sequence[Sentence], config: ModelConfig) -> Tensor:
-    """Sum of the per-sentence losses of the sentences of a forward, whose
-    tokens the states lay end to end.
+                sentences: Sequence[Sentence], config: ModelConfig,
+                share: float) -> Tensor:
+    """``share`` times the sum of the per-sentence losses of the sentences
+    of a forward, whose tokens the states lay end to end.
 
     A sentence's loss is the token-averaged cross-entropy per task on the
     final iteration, weighted by ``config.lambda_ate/ote/asc``. The
     sentiment term averages over labeled tokens only and contributes 0 (not
     NaN) when the sentence has no aspect tokens. The three tasks' logits
-    are stacked, so the loss is one cross-entropy with the lambdas folded
-    into its row weights.
+    are stacked, so the loss is one cross-entropy with the lambdas and the
+    share folded into its row weights.
     """
     n = np.array([s.n for s in sentences])
     asc = [lab for s in sentences for lab in s.asc_gold]
@@ -60,7 +63,7 @@ def aspect_loss(states: Sequence[IterationState],
     gold = np.array([[t for s in sentences for t in s.ate_gold],
                      [t for s in sentences for t in s.ote_gold],
                      [0 if lab is None else lab for lab in asc]])
-    weights = np.stack([
+    weights = share * np.stack([
         np.repeat(config.lambda_ate / n, n),
         np.repeat(config.lambda_ote / n, n),
         config.lambda_asc * labeled / np.repeat(np.maximum(np.add.reduceat(
@@ -69,12 +72,13 @@ def aspect_loss(states: Sequence[IterationState],
 
 
 def backprop_chunks(items: Sequence, keep: list | None,
-                    chunk_loss: Callable[[list, list | None], Tensor]
+                    chunk_loss: Callable[[list, list | None, float], Tensor]
                     ) -> float:
     """Mean per-item loss of a batch, its gradient accumulated into every
-    parameter's ``.grad``. ``chunk_loss(chunk, keep)`` returns the summed
-    loss of one chunk of :func:`data.length_chunks`, given its dropout
-    multipliers (None in evaluation). Each chunk's share of the mean is
+    parameter's ``.grad``. ``chunk_loss(chunk, keep, share)`` returns the
+    summed loss of one chunk of :func:`data.length_chunks`, given its
+    dropout multipliers (None in evaluation), weighted by each item's share
+    of the mean, ``1 / len(items)``. Each chunk's share of the mean is
     recorded on a tape of its own, checked and backpropagated at once, so a
     batch's graph never outgrows one chunk's. A non-finite chunk loss
     raises :class:`DivergenceError` before its backward."""
@@ -82,10 +86,9 @@ def backprop_chunks(items: Sequence, keep: list | None,
     for idx in length_chunks(items):
         tape = Tape()
         with record(tape):
-            loss = scale(chunk_loss([items[i] for i in idx],
-                                    None if keep is None
-                                    else [keep[i] for i in idx]),
-                         1.0 / len(items))
+            loss = chunk_loss([items[i] for i in idx],
+                              None if keep is None
+                              else [keep[i] for i in idx], 1.0 / len(items))
         value = loss.item()
         if not np.isfinite(value):
             raise DivergenceError("non-finite loss")
@@ -99,20 +102,23 @@ def batch_aspect_loss(model: AbsaModel, batch: Sequence[Sentence],
     """Mean per-sentence loss over a batch, backpropagated chunk by chunk
     (:func:`backprop_chunks`). Training (an ``rng``, None in evaluation)
     draws the dropout of the whole batch first, in batch order."""
-    def chunk_loss(chunk, keep):
+    def chunk_loss(chunk, keep, share):
         states, _ = model.forward(chunk, keep)
-        return aspect_loss(states, chunk, model.config)
+        return aspect_loss(states, chunk, model.config, share)
 
     keep = model.draw_dropout(batch, rng) if rng is not None else None
     return backprop_chunks(batch, keep, chunk_loss)
 
 
 def document_loss(doc_logits: dict[str, Tensor],
-                  documents: Sequence[Document],
-                  config: ModelConfig) -> Tensor:
-    """Sum over a group of documents of the cross-entropy per present
-    document label, weighted by ``config.lambda_ddc/dsc``; absent labels
-    contribute 0."""
+                  documents: Sequence[Document], config: ModelConfig,
+                  share: float) -> Tensor:
+    """``share`` times the sum over a chunk of documents of the
+    cross-entropy per present document label, weighted by
+    ``config.lambda_ddc/dsc``; absent labels contribute 0. ``doc_logits``
+    holds each task's [1, B, C] logits as :meth:`AbsaModel.forward_document`
+    returns them, and the share and the lambdas are row weights of their
+    cross-entropy."""
     if any(d.domain_gold is None and d.sentiment_gold is None
            for d in documents):
         raise ValueError("document carries no label")
@@ -123,9 +129,9 @@ def document_loss(doc_logits: dict[str, Tensor],
         present = [g is not None for g in gold]
         if not any(present):
             continue
-        term = scale(cross_entropy_rows(
-            doc_logits[task], [0 if g is None else g for g in gold],
-            np.array(present, dtype=np.float64)), weight)
+        term = cross_entropy_rows(
+            doc_logits[task], [[0 if g is None else g for g in gold]],
+            share * weight * np.array([present], dtype=np.float64))
         loss = term if loss is None else loss + term
     return loss
 
@@ -134,9 +140,9 @@ def batch_document_loss(model: AbsaModel, docs: Sequence[Document],
                         rng: np.random.Generator | None) -> float:
     """Mean per-document loss, backpropagated chunk by chunk
     (:func:`backprop_chunks`); dropout as in :func:`batch_aspect_loss`."""
-    def chunk_loss(chunk, keep):
+    def chunk_loss(chunk, keep, share):
         return document_loss(model.forward_document(chunk, keep), chunk,
-                             model.config)
+                             model.config, share)
 
     keep = model.draw_dropout(docs, rng) if rng is not None else None
     return backprop_chunks(docs, keep, chunk_loss)

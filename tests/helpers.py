@@ -86,6 +86,29 @@ def check_op_grads(build, arrays, step: float = 1e-3, tol: float = 1e-3):
                 f"(max rel err {err:.3e})")
 
 
+def reshape(a: T.Tensor, shape: tuple[int, ...]) -> T.Tensor:
+    """``a`` viewed at ``shape`` as one tape node: the layout changes the
+    oracles build between their plain ops."""
+    out = T.Tensor(a.data.reshape(shape), requires_grad=a.requires_grad)
+
+    def fn(g, push):
+        push(a, g.reshape(a.shape))
+
+    return T._emit(out, fn)
+
+
+def scale(a: T.Tensor, k: float) -> T.Tensor:
+    """``k * a`` as one tape node, for a Python float ``k``: the oracles'
+    form of a loss weight that the program folds into row weights."""
+    k = float(k)
+    out = T.Tensor(a.data * k, requires_grad=a.requires_grad)
+
+    def fn(g, push):
+        push(a, g * k)
+
+    return T._emit(out, fn)
+
+
 def matmul(a: T.Tensor, b: T.Tensor) -> T.Tensor:
     """a @ b as one tape node, for a [..., n, k] and b either a [k, m]
     weight shared by every leading index or a [..., k, m] batch with the
@@ -147,9 +170,9 @@ def conv1d(x: T.Tensor, kernel: T.Tensor, bias: T.Tensor) -> T.Tensor:
     """One same-length convolution [G, n, d_out] of x [G, n, d_in]: a
     one-entry ``grouped_conv1d`` of the G sentences laid end to end."""
     g, n, d_in = x.shape
-    out = T.grouped_conv1d(T.reshape(x, (g * n, d_in)), stacked([kernel]),
+    out = T.grouped_conv1d(reshape(x, (g * n, d_in)), stacked([kernel]),
                            stacked([bias]), T.Segments([n] * g))
-    return T.reshape(out, (g, n, out.shape[-1]))
+    return reshape(out, (g, n, out.shape[-1]))
 
 
 def conv1d_naive(x: np.ndarray, kernel: np.ndarray,
@@ -261,15 +284,15 @@ def _stacked(parts):
     """Per-task tensors [G, n, ·] stacked as one [k, G * n, ·] tensor, the
     sentences' tokens laid end to end as the model lays them."""
     g, n, m = parts[0].shape
-    return T.concat([T.reshape(p, (1, g * n, m)) for p in parts], axis=0)
+    return T.concat([reshape(p, (1, g * n, m)) for p in parts], axis=0)
 
 
 def attend(h: T.Tensor, w: T.Tensor) -> tuple[T.Tensor, T.Tensor]:
     """Single-query attention of h [G, n, d] under weight w [d, 1]: the
     weights [G, n] and the pooled vectors [G, d]."""
     g, n, d = h.shape
-    a = T.softmax(T.reshape(matmul(h, w), (g, n)), axis=-1)
-    return a, T.reshape(matmul(T.reshape(a, (g, 1, n)), h), (g, d))
+    a = T.softmax(reshape(matmul(h, w), (g, n)), axis=-1)
+    return a, reshape(matmul(reshape(a, (g, 1, n)), h), (g, d))
 
 
 def per_task_forward(model, sentences, keep=None, keep_trace=False):
@@ -279,12 +302,12 @@ def per_task_forward(model, sentences, keep=None, keep_trace=False):
     parameters by name: one one-entry convolution per task and layer, one
     attention pooling and classifier per document task, one affine map per
     decoder, projection and fusion, and one ``route`` call per transfer
-    direction, p = h W [G, n, d_route] against q = PE W [n, d_route], with
-    no task or direction axis. Only the embedding and the shared encoder
-    are the model's own code. The groups' states are laid end to end,
-    [3, N, ·], as the model returns them, and the traces come in the
-    model's order: by round, by length group, by direction in target-major
-    order, then by sentence."""
+    direction, the group's rows p = h W [G*n, d_route] against q = PE W
+    [n, d_route], with no task or direction axis. Only the embedding and
+    the shared encoder are the model's own code. The groups' states are
+    laid end to end, [3, N, ·], as the model returns them, and the traces
+    come in the model's order: by round, by length group, by direction in
+    target-major order, then by sentence."""
     runs, start = [], 0
     for _, run in itertools.groupby(sentences, key=lambda s: s.n):
         run = list(run)
@@ -304,7 +327,7 @@ def _per_task_group_forward(model, sentences, keep, keep_trace):
     cfg, P = model.config, model.params.tensors
     g, n = len(sentences), sentences[0].n
     nonlin = model.nonlin
-    shared = T.reshape(model._shared(sentences, keep)[0], (g, n, -1))
+    shared = reshape(model._shared(sentences, keep)[0], (g, n, -1))
 
     def stack(task, x):
         for k in range(cfg.task_depth):
@@ -323,8 +346,8 @@ def _per_task_group_forward(model, sentences, keep, keep_trace):
     for task in DOC_TASKS:
         a, vec = attend(stack(task, shared), P[f"doc.{task}.attn.w"])
         logits = affine(vec, f"doc.{task}.cls")
-        doc[f"{task}.attn"] = T.reshape(a, (g, n, 1))
-        probs = T.reshape(T.softmax(logits, axis=-1), (g, 1, logits.shape[1]))
+        doc[f"{task}.attn"] = reshape(a, (g, n, 1))
+        probs = reshape(T.softmax(logits, axis=-1), (g, 1, logits.shape[1]))
         doc[f"{task}.probs"] = T.add(T.constant(np.zeros((n, 1), probs.dtype)),
                                      probs)
     hidden, logits, probs = decode([stack(t, shared) for t in ASPECT_TASKS])
@@ -346,9 +369,10 @@ def _per_task_group_forward(model, sentences, keep, keep_trace):
                     w = P[f"route.{src}_to_{target}.w"]
                     pe = routing._encoding(n, w.shape[0], h.dtype)
                     v, kept = routing.route(
-                        matmul(hidden[ASPECT_TASKS.index(src)], w),
+                        reshape(matmul(hidden[ASPECT_TASKS.index(src)], w),
+                                (g * n, -1)),
                         matmul(pe, w), prior, cfg.route_iters)
-                    routed.append(v)
+                    routed.append(reshape(v, (g, n, -1)))
                     traces += [routing.RoutingTrace(t, f"{src}->{target}", [
                         routing.RoutingState(st.c[j], st.s[j], st.v[j])
                         for st in kept]) for j in range(g)] if keep_trace \
@@ -375,9 +399,9 @@ def whole_batch_aspect_loss(model, batch, rng) -> T.Tensor:
         group = [batch[i] for i in idx]
         states, _ = model.forward(
             group, None if keep is None else [keep[i] for i in idx])
-        loss = aspect_loss(states, group, model.config)
+        loss = aspect_loss(states, group, model.config, 1.0)
         total = loss if total is None else total + loss
-    return T.scale(total, 1.0 / len(batch))
+    return scale(total, 1.0 / len(batch))
 
 
 def _grads(model) -> dict:

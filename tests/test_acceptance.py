@@ -46,7 +46,7 @@ def test_gradient_suite_full_model():
     assert GRADCHECK_STEP == GRADCHECK_TOL == 1e-3
     def sentence_loss():
         states, _ = model.forward([sentence])
-        return aspect_loss(states, [sentence], model.config)
+        return aspect_loss(states, [sentence], model.config, 1.0)
 
     params = model.named_parameters()
     t0 = time.time()
@@ -253,7 +253,7 @@ def test_ablation_structure_and_discriminate_injection():
 
     def loss_with(weights):
         states, _ = model.forward([sent])
-        return aspect_loss(states, [sent], weights)
+        return aspect_loss(states, [sent], weights, 1.0)
 
     tape = T.Tape()
     with T.record(tape):

@@ -15,7 +15,7 @@ def test_encoder_single_token_sentence():
                         nonlinearity="relu")
     out = enc(T.constant(rng.normal(size=(2, 6)).astype(np.float32)),
               T.Segments([1, 1]))
-    assert out.shape == (2, 8)
+    assert out.shape == (1, 2, 8)
     assert np.isfinite(out.data).all()
 
 
@@ -45,7 +45,7 @@ def test_encoder_matches_naive_conv_reference():
         parts = [conv1d_naive(x[start:start + n], P[f"enc.w{w}.kernel"].data,
                               P[f"enc.w{w}.bias"].data) for w in (3, 5)]
         expected = np.maximum(np.concatenate(parts, axis=1), 0)
-        np.testing.assert_allclose(out.data[start:start + n], expected,
+        np.testing.assert_allclose(out.data[0, start:start + n], expected,
                                    atol=1e-10)
         start += n
 
@@ -207,11 +207,11 @@ def test_shared_encoder_accumulates_gradients_from_all_task_losses():
 
     def la():
         states, _ = model.forward([sent])
-        return aspect_loss(states, [sent], model.config)
+        return aspect_loss(states, [sent], model.config, 1.0)
 
     def ld():
         return document_loss(model.forward_document([doc]), [doc],
-                             model.config)
+                             model.config, 1.0)
 
     g_aspect = grad_for(la)
     g_doc = grad_for(ld)

@@ -233,7 +233,7 @@ def test_sentiment_loss_blind_to_domain_attention_head():
 
     def l_asc():
         states, _ = model.forward([sent])
-        return aspect_loss(states, [sent], w)
+        return aspect_loss(states, [sent], w, 1.0)
 
     attn = model.params.tensors
     g = grad_of_loss_wrt(model, l_asc, attn["doc.ddc.attn.w"])
@@ -249,7 +249,7 @@ def test_extraction_loss_blind_to_sentiment_attention_head():
 
     def l_ext():
         states, _ = model.forward([sent])
-        return aspect_loss(states, [sent], w)
+        return aspect_loss(states, [sent], w, 1.0)
 
     attn = model.params.tensors
     g = grad_of_loss_wrt(model, l_ext, attn["doc.dsc.attn.w"])
@@ -572,7 +572,7 @@ def test_any_block_size_gives_identical_values_gradients_and_traces(
             def build():
                 out["states"], out["traces"] = model.forward(
                     group, keep_trace=True)
-                return aspect_loss(out["states"], group, model.config)
+                return aspect_loss(out["states"], group, model.config, 1.0)
 
             _, grads = tape_grads(model, build)
         assert [c[0].shape[0] for c in calls] == [size] * (6 // size) * 2
@@ -632,7 +632,7 @@ def test_traced_forward_equals_untraced():
         def build():
             out["states"], out["traces"] = model.forward(
                 group, keep, keep_trace=keep_trace)
-            return aspect_loss(out["states"], group, model.config)
+            return aspect_loss(out["states"], group, model.config, 1.0)
 
         loss, grads = tape_grads(model, build)
         runs.append((out["states"], out["traces"], loss, grads))
@@ -686,7 +686,7 @@ def test_grouped_forward_matches_the_per_task_oracle(structure, split,
             def loss():
                 out["states"], out["traces"] = forward(group, keep,
                                                        keep_trace=True)
-                return aspect_loss(out["states"], group, model.config)
+                return aspect_loss(out["states"], group, model.config, 1.0)
 
             runs.append((out, *tape_grads(model, loss)))
         (got, loss, grads), (want, ref_loss, ref_grads) = runs
@@ -698,12 +698,9 @@ def test_grouped_forward_matches_the_per_task_oracle(structure, split,
 
 
 # sys.setprofile "call" events of one warm predict of the tiny sentence on
-# the tiny model (numpy 2.4, Python 3.11): 1,298 with every task run as a
-# chain of its own, 595 with the tasks as an axis, 488 with the parameter
-# families read as blocks, 460 with the two document heads one grouped head,
-# 449 with the positional encodings folded into the votes' q, and this many
-# on a ragged token axis with only the fused document task classified
-PREDICT_CALLS = 433
+# the tiny model (numpy 2.4, Python 3.11), with only computing nodes on the
+# tape: 1,298 when every task ran as a chain of its own
+PREDICT_CALLS = 415
 
 
 def test_predict_call_budget():
@@ -725,21 +722,21 @@ def test_predict_call_budget():
 
 
 def test_default_forward_tape_nodes():
-    # the tape nodes of one default-config forward: 144 with every task run
-    # alone, 53 with the tasks as an axis, 49 with the domain head stopped
-    # at its attention weights, 40 with the two document heads one grouped
-    # head and the encoder's banks grouped convolutions, 38 with no node
-    # adding the positional encodings to the hidden stack, and this many on
-    # a ragged token axis: two reshapes a round into and out of a length
-    # group's route call and the row gather of the sentiment distribution
-    # (+5), no domain classifier and a pooling in one node (-2)
+    # the tape nodes of one default-config forward (144 when every task ran
+    # alone): 2 embedding lookups, their concat, 2 encoder convolutions,
+    # their concat and nonlinearity, 2 task stack layers of 2 nodes, the
+    # head's 4 nodes (attention logits, softmax, pooling, classifier) and
+    # the sentiment distribution's softmax and row gather, 2 selects, the
+    # decoder's 2; then per round 1 vote matmul, 1 route, 1 projection, 1
+    # fusion of 2 nodes and the decoder's 2, and the votes' q once. No node
+    # only reshapes
     model, _, _ = build_tiny_model(ModelConfig())
     sent = random_sentence(np.random.default_rng(0), 12)
     assign_embedding_ids([sent], model.general_table, model.domain_table)
     tape = T.Tape()
     with T.record(tape):
         model.forward([sent])
-    assert len(tape) == 41
+    assert len(tape) == 36
 
 
 @pytest.mark.parametrize("g, n, per_round", [(4, 8, 1), (8, 128, 6)])
@@ -873,7 +870,7 @@ def test_end_to_end_gradcheck_subset():
 
     def build_loss():
         states, _ = model.forward([sent])
-        return aspect_loss(states, [sent], w)
+        return aspect_loss(states, [sent], w, 1.0)
 
     params = model.named_parameters()
     subset = {k: v for k, v in params.items()

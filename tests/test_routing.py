@@ -6,7 +6,8 @@ import pytest
 from ktabsa import routing as R
 from ktabsa import tensor as T
 
-from helpers import check_op_grads, squash_ref, stacked, weighted_sum
+from helpers import (check_op_grads, reshape, squash_ref, stacked,
+                     weighted_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +98,7 @@ def votes(h, w):
     direction axis that ``predict_vectors`` and ``target_votes`` stack: h
     is the only source."""
     n, weights = h.shape[-2], stacked([w])
-    p = R.predict_vectors(T.reshape(h, (1,) + h.shape),
+    p = R.predict_vectors(reshape(h, (1,) + h.shape),
                           R.TransferDirection("ote", "asc"), tasks=("ote",),
                           weights=weights)
     return T.select(p, 0), T.select(R.target_votes(n, weights), (0, 0))
@@ -229,13 +230,13 @@ def test_predict_vectors_reads_each_direction_its_source_row():
     # are its own source's, in argument order, and q stacks the same way
     rng = np.random.default_rng(5)
     with T.use_dtype(np.float64):
-        hidden = T.constant(rng.normal(size=(3, 2, 5, 6)))
+        hidden = T.constant(rng.normal(size=(3, 10, 6)))
         directions = [R.TransferDirection(src, "y") for src in "cacb"]
         ws = [T.constant(rng.normal(size=(6, 4))) for _ in directions]
         p = R.predict_vectors(hidden, *directions, tasks=("a", "b", "c"),
                               weights=stacked(ws))
         q = R.target_votes(5, stacked(ws))
-    assert p.shape == (4, 2, 5, 4) and q.shape == (4, 1, 5, 4)
+    assert p.shape == (4, 10, 4) and q.shape == (4, 1, 5, 4)
     table = R.positional_encoding(5, 6)
     for k, (t, w) in enumerate(zip(directions, ws)):
         np.testing.assert_allclose(
@@ -337,18 +338,20 @@ def test_route_permutation_equivariance_without_pe():
 
 
 def test_grouped_route_matches_each_sentence_alone():
-    # a group of equal-length sentences routes each one independently: the
-    # group shares only the position part q
+    # a group of equal-length sentences, its rows [G*n, d] folded by the
+    # [G, n, n] prior, routes each one independently: the group shares only
+    # the position part q
     rng = np.random.default_rng(11)
     g, n, d = 3, 5, 4
-    p = rng.normal(size=(g, n, d))
+    p = rng.normal(size=(g * n, d))
     q = rng.normal(size=(n, d))
     adjacency = (rng.random((g, n, n)) < 0.4).astype(np.float64)
     v, trace = run_route(p, q, adjacency, 3)
-    assert v.shape == (g, n, d)
+    assert v.shape == (g * n, d)
     for i in range(g):
-        v_i, trace_i = run_route(p[i], q, adjacency[i], 3)
-        np.testing.assert_allclose(v.data[i], v_i.data, atol=1e-12)
+        v_i, trace_i = run_route(p[i * n:(i + 1) * n], q, adjacency[i], 3)
+        np.testing.assert_allclose(v.data[i * n:(i + 1) * n], v_i.data,
+                                   atol=1e-12)
         for st, st_i in zip(trace, trace_i):
             np.testing.assert_allclose(st.c[i], st_i.c, atol=1e-12)
 
@@ -361,7 +364,7 @@ def test_route_rejects_bad_iteration_count():
 
 def test_route_rejects_misshapen_inputs():
     p = q = T.constant(np.zeros((2, 3)))
-    stacked = T.constant(np.zeros((2, 1, 2, 3)))
+    stacked = T.constant(np.zeros((2, 2, 3)))   # [k, G*n, d], G 1 and n 2
 
     def prior(adjacency):
         return R.routing_prior(adjacency, p.dtype)
@@ -373,28 +376,33 @@ def test_route_rejects_misshapen_inputs():
                   np.zeros((3, 1, 2, 3)),    # leading axis does not broadcast
                   np.zeros((2, 2, 2, 3))):   # would widen p's group axis
         with pytest.raises(T.ConfigError, match="q must match"):
-            R.route(stacked, T.constant(bad_q), prior(np.zeros((2, 2))), 1)
+            R.route(stacked, T.constant(bad_q), prior(np.zeros((1, 2, 2))),
+                    1)
     with pytest.raises(T.ConfigError, match="adjacency"):
         R.route(p, q, prior(np.zeros((3, 3))), 1)
     with pytest.raises(T.ConfigError, match="adjacency"):
         R.route(stacked, q, prior(np.zeros((3, 1, 2, 2))), 1)
-    # leading axes of any depth are accepted when q and adjacency broadcast
+    with pytest.raises(T.ConfigError, match="adjacency"):    # 2 rows, not 4
+        R.route(stacked, q, prior(np.zeros((2, 2, 2))), 1)
+    # leading axes of any depth are accepted when q broadcasts to p's rows
+    # folded by the prior, and v comes back at p's shape
     v, _ = R.route(stacked, q, prior(np.zeros((1, 2, 2))), 1)
-    assert v.shape == (2, 1, 2, 3)
+    assert v.shape == (2, 2, 3)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_stacked_directions_match_one_call_per_direction(dtype):
-    # k directions stacked on a leading axis, each with its position part
-    # shared by the group (q [k, 1, n, d]) and the adjacency shared by the
-    # directions, route exactly like k separate calls: values, traces and
-    # the gradients of p and q agree bit for bit
+    # k directions stacked on a leading axis, each with the rows of a group
+    # (p [k, G*n, d]), its position part shared by the group (q [k, 1, n,
+    # d]) and the adjacency shared by the directions, route exactly like k
+    # separate calls: values, traces and the gradients of p and q agree bit
+    # for bit
     rng = np.random.default_rng(18)
     k, g, n, d, iters = 3, 2, 5, 4, 3
-    p = rng.normal(size=(k, g, n, d)).astype(dtype)
+    p = rng.normal(size=(k, g * n, d)).astype(dtype)
     q = rng.normal(size=(k, 1, n, d)).astype(dtype)
     prior = R.routing_prior(rng.random((g, n, n)) < 0.4, dtype)
-    probe = rng.normal(size=(k, g, n, d)).astype(dtype)
+    probe = rng.normal(size=(k, g * n, d)).astype(dtype)
 
     def run(p_part, q_part, w):
         pt = T.Tensor(p_part, requires_grad=True)
@@ -428,16 +436,17 @@ def test_route_gradients_through_unrolled_loop():
     zero_q = T.constant(np.zeros((n, d)))
     for lead in ((), (1,), (2,), (3,)):
         prior = R.routing_prior(rng.random(lead + (n, n)) < 0.4, np.float64)
+        rows = (math.prod(lead) * n, d)     # the group's rows, [G*n, d]
         for iters in (1, 2, 3, 4):
-            w = rng.normal(size=lead + (n, d))
+            w = rng.normal(size=rows)
             check_op_grads(
                 lambda ts: weighted_sum(
                     R.route(ts[0], ts[1], prior, iters)[0], w),
-                [rng.normal(size=lead + (n, d)), rng.normal(size=(n, d))])
+                [rng.normal(size=rows), rng.normal(size=(n, d))])
             check_op_grads(
                 lambda ts: weighted_sum(
                     R.route(ts[0], zero_q, prior, iters)[0], w),
-                [rng.normal(size=lead + (n, d))])
+                [rng.normal(size=rows)])
 
 
 def test_stacked_route_matches_oracle_with_asymmetric_adjacency():
@@ -447,38 +456,40 @@ def test_stacked_route_matches_oracle_with_asymmetric_adjacency():
     # oracle, values and every iteration's c [source, target]
     rng = np.random.default_rng(20)
     k, g, n, d, iters = 3, 2, 5, 4, 3
-    p = rng.normal(size=(k, g, n, d))
+    p = rng.normal(size=(k, g * n, d))
     q = rng.normal(size=(k, 1, n, d))
     adjacency = np.triu(rng.random((g, n, n)) < 0.6, 1).astype(np.float64)
     assert (adjacency != adjacency.swapaxes(-1, -2)).any()
     v, states = run_route(p, q, adjacency, iters)
     for j in range(k):
         for i in range(g):
-            ov, ostates = route_oracle(materialize(p[j, i], q[j, 0]),
+            rows = slice(i * n, (i + 1) * n)
+            ov, ostates = route_oracle(materialize(p[j, rows], q[j, 0]),
                                        adjacency[i], iters)
-            np.testing.assert_allclose(v.data[j, i], ov, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(v.data[j, rows], ov, rtol=0,
+                                       atol=1e-9)
             for st, (_ob, oc, _ov) in zip(states, ostates, strict=True):
                 np.testing.assert_allclose(st.c[j, i], oc, rtol=0, atol=1e-9)
 
 
 def test_stacked_route_gradients_with_adjacency_shared_by_directions():
-    # float64 finite differences with p [2, 3, n, d], q [2, 1, n, d] and
+    # float64 finite differences with p [2, 3 * n, d], q [2, 1, n, d] and
     # one [3, n, n] adjacency for both directions, so iteration 1's
     # couplings are computed once and broadcast over the directions
     rng = np.random.default_rng(21)
     n, d = 3, 2
     prior = R.routing_prior(rng.random((3, n, n)) < 0.4, np.float64)
     for iters in (1, 2, 3):
-        w = rng.normal(size=(2, 3, n, d))
+        w = rng.normal(size=(2, 3 * n, d))
         check_op_grads(
             lambda ts: weighted_sum(
                 R.route(ts[0], ts[1], prior, iters)[0], w),
-            [rng.normal(size=(2, 3, n, d)), rng.normal(size=(2, 1, n, d))])
+            [rng.normal(size=(2, 3 * n, d)), rng.normal(size=(2, 1, n, d))])
 
 
 def test_route_records_one_tape_node():
     rng = np.random.default_rng(17)
-    p = T.Tensor(rng.normal(size=(2, 5, 4)), requires_grad=True)
+    p = T.Tensor(rng.normal(size=(10, 4)), requires_grad=True)
     q = T.Tensor(rng.normal(size=(5, 4)), requires_grad=True)
     tape = T.Tape()
     with T.record(tape):
@@ -517,7 +528,7 @@ def test_route_returns_the_states_its_backward_reads():
         return v, states, p.grad
 
     v, states, grad = run()
-    assert len(states) == iters and states[-1].v is v.data
+    assert len(states) == iters and np.shares_memory(states[-1].v, v.data)
     for st, (_ob, oc, ov) in zip(states, ostates, strict=True):
         np.testing.assert_allclose(st.c, oc, atol=1e-9)
         np.testing.assert_allclose(st.v, ov, atol=1e-9)

@@ -95,3 +95,19 @@ def test_step_timing_prints_a_row_per_step_and_batch(tmp_path):
     assert all(x.isdigit() for c in cells for x in c[5:9] + c[10:14])
     assert all(c[5:9] == c[10:14] for c in cells)
     assert [c[5] for c in cells] == ["1"] * 4
+
+
+def test_step_timing_default_batches_record_only_computing_nodes(tmp_path):
+    # the default batches (seed 7, 32 items) run one forward each, whose
+    # tape holds only nodes that compute: no reshape around a route call
+    # or after the encoder, and no node that scales a loss. The mixed
+    # aspect chunk records 66 nodes and the mixed document chunk 21
+    proc = run_script(tmp_path, "step_timing.py", "--reps", "1")
+    assert proc.returncode == 0, proc.stderr
+    _, header, *rows = proc.stdout.splitlines()
+    nodes = header.split().index("nodes")
+    assert {tuple(row.split()[:2]): int(row.split()[nodes])
+            for row in rows} == {("aspect", "mixed"): 66,
+                                 ("aspect", "equal"): 39,
+                                 ("document", "mixed"): 21,
+                                 ("document", "equal"): 21}

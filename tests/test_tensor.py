@@ -11,7 +11,7 @@ from ktabsa import tensor as T
 
 from helpers import (check_op_grads, conv1d, conv1d_naive,
                      corrupt_squash_backward, matmul, numeric_grad, rel_err,
-                     squash_ref, stacked, weighted_sum)
+                     reshape, scale, squash_ref, stacked, weighted_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +179,7 @@ def test_squash_grad_of_float32_zero_rows_is_zero_without_warnings():
         warnings.simplefilter("error")
         _, norm = routing.squash(s)
         ds = routing.squash_grad(g, s, norm)
-        r = T.Tensor(np.zeros((2, 3, 4), dtype=np.float32),
+        r = T.Tensor(np.zeros((6, 4), dtype=np.float32),
                      requires_grad=True)
         tape = T.Tape()
         with T.record(tape):
@@ -276,7 +276,7 @@ def test_cross_entropy_grad_is_softmax_minus_onehot():
         t = T.Tensor(x, requires_grad=True)
         tape = T.Tape()
         with T.record(tape):
-            loss = T.cross_entropy_rows(T.reshape(t, (1, 5)), [2], [1.0])
+            loss = T.cross_entropy_rows(reshape(t, (1, 5)), [2], [1.0])
         tape.backward(loss)
         p = np.exp(x - x.max())
         p /= p.sum()
@@ -328,7 +328,7 @@ def test_backward_rejects_non_scalar():
     x = T.Tensor([1.0, 2.0], requires_grad=True)
     tape = T.Tape()
     with T.record(tape):
-        y = T.scale(x, 2.0)
+        y = scale(x, 2.0)
     with pytest.raises(ValueError, match="scalar"):
         tape.backward(y)
 
@@ -339,7 +339,7 @@ def test_backward_accumulates_across_calls():
     x = T.Tensor([1.0, 2.0], requires_grad=True)
     tape = T.Tape()
     with T.record(tape):
-        loss = weighted_sum(T.scale(x, 2.0))
+        loss = weighted_sum(scale(x, 2.0))
     tape.backward(loss)
     first = x.grad
     np.testing.assert_allclose(first, [2.0, 2.0])
@@ -353,7 +353,7 @@ def test_backward_diamond_reuse():
     x = T.Tensor([[2.0]], requires_grad=True)
     tape = T.Tape()
     with T.record(tape):
-        y = T.scale(x, 3.0)
+        y = scale(x, 3.0)
         loss = weighted_sum(T.add(y, matmul(y, y)))  # 3x + 9x^2 -> 3 + 18x
     tape.backward(loss)
     np.testing.assert_allclose(x.grad, [[3.0 + 18.0 * 2.0]])
@@ -365,7 +365,7 @@ def test_intermediate_grad_stays_none_while_leaves_get_their_grads():
     w = T.Tensor([3.0, -1.0], requires_grad=True)
     tape = T.Tape()
     with T.record(tape):
-        y = T.scale(x, 5.0)
+        y = scale(x, 5.0)
         loss = weighted_sum(T.add(y, T.add(y, w)))
     tape.backward(loss)
     assert y.grad is None and loss.grad is None
@@ -476,7 +476,7 @@ def test_reshape_grads():
     rng = np.random.default_rng(16)
     x = rng.normal(size=(3, 4))
     probe = rng.normal(size=(4, 3))
-    check_op_grads(lambda ts: weighted_sum(T.reshape(ts[0], (4, 3)), probe),
+    check_op_grads(lambda ts: weighted_sum(reshape(ts[0], (4, 3)), probe),
                    [x])
 
 
@@ -562,6 +562,39 @@ def check_grouped_conv1d(shared: bool, w: int) -> None:
         T.grouped_conv1d(ts[0], stacked(ts[1:k + 1]), stacked(ts[k + 1:]),
                          segments), probe),
         [x] + params)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_grouped_conv1d_reads_a_one_row_input_as_the_shared_one(dtype):
+    # the shared encoder hands the task stacks its [1, N, d_in] output:
+    # every group reads it as it reads the same [N, d_in] input, bit for
+    # bit, and its gradient is the same sum over the groups, at [1, N, d_in]
+    rng = np.random.default_rng(26)
+    k, lengths, d_in, d_out, w = 3, (4, 1, 2), 2, 3, 3
+    n = sum(lengths)
+    x = rng.normal(size=(n, d_in)).astype(dtype)
+    params = ([rng.normal(size=(w, d_in, d_out)).astype(dtype)
+               for _ in range(k)]
+              + [rng.normal(size=d_out).astype(dtype) for _ in range(k)])
+    probe = rng.normal(size=(k, n, d_out)).astype(dtype)
+    segments = T.Segments(lengths)
+    runs = []
+    for shape in ((n, d_in), (1, n, d_in)):
+        xt = T.Tensor(x.reshape(shape), requires_grad=True)
+        ps = [T.Tensor(p.copy(), requires_grad=True) for p in params]
+        tape = T.Tape()
+        with T.record(tape):
+            out = T.grouped_conv1d(xt, stacked(ps[:k]), stacked(ps[k:]),
+                                   segments)
+            loss = weighted_sum(out, probe)
+        tape.backward(loss)
+        runs.append((out.data, xt.grad, [p.grad for p in ps]))
+    (v2, g2, p2), (v3, g3, p3) = runs
+    assert v3.shape == (k, n, d_out) and g3.shape == (1, n, d_in)
+    np.testing.assert_array_equal(v3, v2)
+    np.testing.assert_array_equal(g3[0], g2)
+    for a, b in zip(p3, p2, strict=True):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_segment_windows_stop_at_each_items_edge():
@@ -750,7 +783,7 @@ def test_scale_and_operator_sugar():
     x = T.Tensor([1.0, -2.0], requires_grad=True)
     tape = T.Tape()
     with T.record(tape):
-        y = T.scale(x, 2.0) + T.scale(x, -1.0)
+        y = scale(x, 2.0) + scale(x, -1.0)
         loss = weighted_sum(y)
     tape.backward(loss)
     np.testing.assert_allclose(y.data, [1.0, -2.0])
