@@ -10,9 +10,11 @@ model is the default ``ModelConfig`` on seeded random embeddings, in
 float32 with one BLAS thread. A step is what ``fit`` runs per batch: zero
 the gradients, the batch loss with its backward (dropout drawn from a fresh
 seeded rng), clipping and one Adam update. A row prints the median of
-``--reps`` steps in milliseconds and, from one untimed step, counts that do
+``--reps`` steps in milliseconds and, from untimed steps, counts that do
 not drift with the host: the model forwards, the tape nodes, the ``route``
-calls and the Python calls (``sys.setprofile`` call events).
+calls, the Python calls (``sys.setprofile`` call events) and the step's
+peak of traced memory in KiB (``tracemalloc``, above what was held before
+the step).
 
 ``--against PATH`` builds the same model from the package under
 ``PATH/src`` (for example a ``git archive`` of another revision) and
@@ -30,10 +32,12 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"      # before numpy loads its BLAS
 
 import argparse
+import gc
 import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -98,7 +102,8 @@ def step(training, net, opt, kind: str, items) -> None:
 
 
 def counts(package, net, opt, kind: str, items) -> tuple[int, ...]:
-    """Forwards, tape nodes, ``route`` calls and Python calls of one step."""
+    """Forwards, tape nodes, ``route`` calls, Python calls and the traced
+    memory peak in KiB of one step each."""
     _, model, training, tensor, _ = package
     seen = {"forward": 0, "nodes": 0, "route": 0}
     saved = (model.route, tensor.Tape.backward)
@@ -133,7 +138,15 @@ def counts(package, net, opt, kind: str, items) -> tuple[int, ...]:
         step(training, net, opt, kind, items)
     finally:
         sys.setprofile(None)
-    return seen["forward"], seen["nodes"], seen["route"], calls
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        step(training, net, opt, kind, items)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return seen["forward"], seen["nodes"], seen["route"], calls, peak // 1024
 
 
 def main(argv=None) -> int:
@@ -168,7 +181,7 @@ def main(argv=None) -> int:
                 t0 = time.perf_counter()
                 step(packages[k][2], net, opt, cases[c][0], cases[c][2])
                 samples[k][c].append(time.perf_counter() - t0)
-    names = ["forwards", "nodes", "routes", "calls"]
+    names = ["forwards", "nodes", "routes", "calls", "peak_kb"]
     cols = ["step", "batch", "items", "tokens", "ms", *names]
     if args.against:
         cols += ["against_ms", *(f"against_{c}" for c in names), "ratio"]

@@ -364,20 +364,19 @@ class AbsaModel:
     def draw_dropout(self, items: Sequence[Sentence | Document],
                      rng: np.random.Generator
                      ) -> list[tuple[np.ndarray, np.ndarray]] | None:
-        """Training dropout keep multipliers: per item, in item order, one
-        [n, d_emb] array for the embeddings and then one [n, d_enc] array
+        """Training dropout keep masks, booleans: per item, in item order,
+        one [n, d_emb] mask for the embeddings and then one [n, d_enc] mask
         for the shared encoding; None when dropout is off.
 
-        A batch draws all of its multipliers up front, in batch order, so the
+        A batch draws all of its masks up front, in batch order, so the
         random stream does not depend on how the batch splits into
         chunks."""
         p = self.config.dropout
         if p == 0:
             return None
         d_emb = self.emb_general.shape[1] + self.emb_domain.shape[1]
-        dtype = self.emb_general.dtype
-        return [(dropout_keep((it.n, d_emb), p, rng, dtype),
-                 dropout_keep((it.n, self.config.d_enc), p, rng, dtype))
+        return [(dropout_keep((it.n, d_emb), p, rng),
+                 dropout_keep((it.n, self.config.d_enc), p, rng))
                 for it in items]
 
     def _shared(self, items: Sequence[Sentence | Document],
@@ -398,11 +397,12 @@ class AbsaModel:
         domain = np.concatenate([it.domain_ids for it in items])
         emb = concat([embedding_lookup(self.emb_general, general),
                       embedding_lookup(self.emb_domain, domain)], axis=-1)
+        p = self.config.dropout
         if keep is not None:
-            emb = dropout(emb, np.concatenate([k[0] for k in keep]))
+            emb = dropout(emb, np.concatenate([k[0] for k in keep]), p)
         h = self.encoder(emb, segments)
         if keep is not None:
-            h = dropout(h, np.concatenate([k[1] for k in keep]))
+            h = dropout(h, np.concatenate([k[1] for k in keep]), p)
         return h, segments
 
     def forward(self, sentences: Sequence[Sentence],

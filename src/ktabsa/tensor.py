@@ -4,7 +4,8 @@ The engine is deliberately small: tensors wrap contiguous float arrays,
 operations compute eagerly with numpy, and the active :class:`Tape` records
 one backward rule per operation. ``Tape.backward`` replays the record in
 reverse, accumulating dLoss/dTensor into every leaf tensor that asked for
-gradients. Float32 is the working precision; gradient-check tooling switches
+gradients, and consumes it: a node's saved arrays go as soon as its backward
+has run. Float32 is the working precision; gradient-check tooling switches
 to float64 via :func:`use_dtype`, where central finite differences are
 trustworthy.
 """
@@ -119,6 +120,7 @@ class Tape:
 
     def __init__(self) -> None:
         self.nodes: list[tuple[Tensor, Callable]] = []
+        self.consumed = False
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -127,14 +129,18 @@ class Tape:
         """Accumulate dLoss/dT into ``t.grad`` for every leaf (no recorded
         node's output); an intermediate's ``.grad`` stays None.
 
-        Each call propagates a fresh unit seed and adds into an existing
-        ``.grad`` in place, so calling twice doubles the gradients of the
-        leaves, and a batch backpropagated piece by piece allocates no
-        gradient buffer after the first piece.
+        The backward consumes the tape: each node, with its closure and the
+        arrays it saved, goes as soon as its backward has run, so a second
+        call raises. Gradients add into an existing ``.grad`` in place, so
+        a batch backpropagated piece by piece, a tape per piece, keeps one
+        gradient buffer per leaf; each piece still copies its first push.
         """
         if loss.data.size != 1:
             raise ValueError(
                 f"backward requires a scalar loss, got shape {loss.shape}")
+        if self.consumed:
+            raise ValueError("backward of a consumed tape")
+        self.consumed = True
         flow: dict[int, list] = {}
 
         def push(t: Tensor, g: np.ndarray, at=...) -> None:  # g: dLoss/dt[at]
@@ -149,11 +155,11 @@ class Tape:
                 flow[id(t)][1][at] = g
 
         push(loss, np.ones_like(loss.data))
-        for out, fn in reversed(self.nodes):
+        while self.nodes:   # rebinding frees the node popped before
+            out, fn = self.nodes.pop()
             slot = flow.pop(id(out), None)
-            if slot is None:
-                continue
-            fn(slot[1], push)
+            if slot is not None:
+                fn(slot[1], push)
         for t, g in flow.values():     # g is push's own buffer: hand it over
             if t.grad is None:
                 t.grad = g
@@ -522,22 +528,23 @@ def segment_expand(x: Tensor, segments: Segments) -> Tensor:
     return _emit(out, fn)
 
 
-def dropout_keep(shape: tuple[int, ...], p: float, rng: np.random.Generator,
-                 dtype=None) -> np.ndarray:
-    """Inverted-scaling Bernoulli keep multipliers: 0 with probability
-    ``p``, 1/(1-p) otherwise."""
+def dropout_keep(shape: tuple[int, ...], p: float,
+                 rng: np.random.Generator) -> np.ndarray:
+    """A Bernoulli keep mask of booleans: False with probability ``p``."""
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {p}")
-    dtype = _default_dtype if dtype is None else dtype
-    return (rng.random(shape) >= p).astype(dtype) / (1.0 - p)
+    return rng.random(shape) >= p
 
 
-def dropout(x: Tensor, keep: np.ndarray) -> Tensor:
-    """Multiply by keep multipliers drawn with :func:`dropout_keep`."""
-    out = Tensor(x.data * keep, requires_grad=x.requires_grad)
+def dropout(x: Tensor, keep: np.ndarray, p: float) -> Tensor:
+    """Inverted dropout: x times the multipliers 1/(1-p) where the mask
+    ``keep`` (from :func:`dropout_keep`) is True and 0 elsewhere, built
+    again in the backward rather than saved."""
+    out = Tensor(x.data * (keep.astype(x.data.dtype) / (1.0 - p)),
+                 requires_grad=x.requires_grad)
 
     def fn(g, push):
-        push(x, g * keep)
+        push(x, g * (keep.astype(x.data.dtype) / (1.0 - p)))
 
     return _emit(out, fn)
 

@@ -11,12 +11,12 @@ share one chunking rule, :func:`data.length_chunks`: one model forward
 runs a chunk of inputs of any lengths, their tokens laid end to end ([N,
 ·] tensors, no padding), whose n^2 couplings per routing direction sum to
 at most ``routing.COUPLING_BUDGET``. Each chunk is backpropagated as soon
-as it is recorded, and its tape dropped, so a step's graph is bounded by
-the budget, not by ``batch_size``; the gradients accumulate in place,
-and clipping and the optimizer step run once per batch. Every epoch ends
-with a dev evaluation; the checkpoint with the best pair-F1 is kept. All
-randomness flows from the model seed, so a rerun with the same config
-reproduces the loss trace bit for bit.
+as it is recorded, a node's saved arrays going as soon as its backward has
+run, so a step's graph is bounded by the budget, not by ``batch_size``; the
+gradients accumulate in place, and clipping and the optimizer step run once
+per batch. Every epoch ends with a dev evaluation; the checkpoint with the
+best pair-F1 is kept. All randomness flows from the model seed, so a rerun
+with the same config reproduces the loss trace bit for bit.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ def backprop_chunks(items: Sequence, keep: list | None,
     """Mean per-item loss of a batch, its gradient accumulated into every
     parameter's ``.grad``. ``chunk_loss(chunk, keep, share)`` returns the
     summed loss of one chunk of :func:`data.length_chunks`, given its
-    dropout multipliers (None in evaluation), weighted by each item's share
+    dropout masks (None in evaluation), weighted by each item's share
     of the mean, ``1 / len(items)``. Each chunk's share of the mean is
     recorded on a tape of its own, checked and backpropagated at once, so a
     batch's graph never outgrows one chunk's. A non-finite chunk loss

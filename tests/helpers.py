@@ -409,15 +409,44 @@ def _grads(model) -> dict:
             for k, p in model.named_parameters().items()}
 
 
-def tape_grads(model, build) -> tuple[float, dict]:
-    """The loss ``build()`` records on one tape and, from one backward,
-    every parameter's gradient (None where none flowed)."""
+def retained_backward(tape: T.Tape, loss: T.Tensor) -> None:
+    """Oracle for ``Tape.backward``: the same replay in reverse, but every
+    node, its closure and the arrays it saved stay on the tape until the
+    whole backward is done, and the tape can be replayed again."""
+    flow: dict[int, list] = {}
+
+    def push(t, g, at=...):
+        if not t.requires_grad:
+            return
+        if id(t) in flow:
+            flow[id(t)][1][at] += g
+        elif at is ...:
+            flow[id(t)] = [t, np.array(g, dtype=t.data.dtype, copy=True)]
+        else:
+            flow[id(t)] = [t, np.zeros(t.data.shape, t.data.dtype)]
+            flow[id(t)][1][at] = g
+
+    push(loss, np.ones_like(loss.data))
+    for out, fn in reversed(tape.nodes):
+        slot = flow.pop(id(out), None)
+        if slot is not None:
+            fn(slot[1], push)
+    for t, g in flow.values():
+        if t.grad is None:
+            t.grad = g
+        else:
+            t.grad += g
+
+
+def tape_grads(model, build, backward=T.Tape.backward) -> tuple[float, dict]:
+    """The loss ``build()`` records on one tape and, from one ``backward``
+    of it, every parameter's gradient (None where none flowed)."""
     for p in model.named_parameters().values():
         p.zero_grad()
     tape = T.Tape()
     with T.record(tape):
         loss = build()
-    tape.backward(loss)
+    backward(tape, loss)
     return loss.item(), _grads(model)
 
 

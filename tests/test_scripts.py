@@ -77,13 +77,14 @@ def test_predict_timing_prints_a_row_per_length_class(tmp_path):
 
 def test_step_timing_prints_a_row_per_step_and_batch(tmp_path):
     # --against this checkout loads a second copy of the package beside the
-    # first; the same code runs the same counts, and the mixed batch takes
-    # one forward a step like the batch of one length
+    # first; the same code runs the same counts and the same traced memory
+    # peak, and the mixed batch takes one forward a step like the batch of
+    # one length
     proc = run_script(tmp_path, "step_timing.py", "--reps", "1", "--batch",
                       "8", "--against", ROOT)
     assert proc.returncode == 0, proc.stderr
     _, header, *rows = proc.stdout.splitlines()
-    names = ["forwards", "nodes", "routes", "calls"]
+    names = ["forwards", "nodes", "routes", "calls", "peak_kb"]
     assert header.split() == ["step", "batch", "items", "tokens", "ms",
                               *names, "against_ms",
                               *(f"against_{c}" for c in names), "ratio"]
@@ -91,10 +92,11 @@ def test_step_timing_prints_a_row_per_step_and_batch(tmp_path):
     assert [c[:3] for c in cells] == [
         ["aspect", "mixed", "8"], ["aspect", "equal", "8"],
         ["document", "mixed", "8"], ["document", "equal", "8"]]
-    assert all(float(c[4]) > 0 and float(c[9]) > 0 for c in cells)
-    assert all(x.isdigit() for c in cells for x in c[5:9] + c[10:14])
-    assert all(c[5:9] == c[10:14] for c in cells)
+    assert all(float(c[4]) > 0 and float(c[10]) > 0 for c in cells)
+    assert all(x.isdigit() for c in cells for x in c[5:10] + c[11:16])
+    assert all(c[5:10] == c[11:16] for c in cells)
     assert [c[5] for c in cells] == ["1"] * 4
+    assert all(int(c[9]) > 0 for c in cells)
 
 
 def test_step_timing_default_batches_record_only_computing_nodes(tmp_path):

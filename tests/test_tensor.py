@@ -1,5 +1,6 @@
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from ktabsa import tensor as T
 
 from helpers import (check_op_grads, conv1d, conv1d_naive,
                      corrupt_squash_backward, matmul, numeric_grad, rel_err,
-                     reshape, scale, squash_ref, stacked, weighted_sum)
+                     reshape, retained_backward, scale, squash_ref, stacked,
+                     weighted_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -334,18 +336,72 @@ def test_backward_rejects_non_scalar():
 
 
 def test_backward_accumulates_across_calls():
-    # the second call doubles the gradient, adding into the first call's
-    # buffer in place
+    # a second tape's backward doubles the gradient, adding into the first
+    # tape's buffer in place
+    x = T.Tensor([1.0, 2.0], requires_grad=True)
+    first = None
+    for want in ([2.0, 2.0], [4.0, 4.0]):
+        tape = T.Tape()
+        with T.record(tape):
+            loss = weighted_sum(scale(x, 2.0))
+        tape.backward(loss)
+        first = x.grad if first is None else first
+        assert x.grad is first
+        np.testing.assert_allclose(x.grad, want)
+
+
+def test_backward_consumes_its_tape():
+    # every node leaves the tape as its backward runs, so a second backward
+    # of the same tape has nothing to replay and raises
     x = T.Tensor([1.0, 2.0], requires_grad=True)
     tape = T.Tape()
     with T.record(tape):
-        loss = weighted_sum(scale(x, 2.0))
+        loss = weighted_sum(T.sigmoid(T.relu(x)))
+    assert len(tape) == 3
     tape.backward(loss)
-    first = x.grad
-    np.testing.assert_allclose(first, [2.0, 2.0])
-    tape.backward(loss)
-    assert x.grad is first
-    np.testing.assert_allclose(x.grad, [4.0, 4.0])
+    assert len(tape) == 0
+    grad = x.grad.copy()
+    with pytest.raises(ValueError, match="consumed"):
+        tape.backward(loss)
+    np.testing.assert_array_equal(x.grad, grad)
+
+
+def test_backward_of_an_empty_tape_seeds_a_leaf_loss():
+    # a tape that recorded nothing is not consumed: a leaf loss gets its
+    # unit seed, and a loss that needs no gradient gets none
+    x = T.Tensor(3.0, requires_grad=True)
+    T.Tape().backward(x)
+    assert x.grad == 1.0
+    T.Tape().backward(T.constant(2.0))
+
+
+@pytest.mark.parametrize("backward", ["consuming", "retained"])
+def test_a_later_node_s_saved_arrays_die_before_earlier_backwards(backward):
+    # sigmoid, recorded after relu, saves its output; with the consuming
+    # backward that array is dead by the time relu's backward runs, while
+    # the retained oracle still holds it there
+    x = T.Tensor(np.linspace(-1.0, 1.0, 5), requires_grad=True)
+    tape = T.Tape()
+    with T.record(tape):
+        y = T.sigmoid(T.relu(x))
+        loss = weighted_sum(y)
+    saved = weakref.ref(y.data)
+    del y
+    alive = []
+    out, fn = tape.nodes[0]
+
+    def spy(g, push):
+        alive.append(saved() is not None)
+        fn(g, push)
+
+    tape.nodes[0] = (out, spy)
+    if backward == "consuming":
+        tape.backward(loss)
+    else:
+        retained_backward(tape, loss)
+    assert alive == [backward == "retained"]
+    y = 1.0 / (1.0 + np.exp(-np.maximum(x.data, 0)))
+    np.testing.assert_allclose(x.grad, y * (1 - y) * (x.data > 0))
 
 
 def test_backward_diamond_reuse():
@@ -455,9 +511,11 @@ def test_embedding_lookup_bounds():
 
 def test_dropout_eval_is_identity_and_train_is_seeded():
     x = T.constant(np.ones((100, 4)))
-    assert (T.dropout_keep((100, 4), 0.0, np.random.default_rng(14)) == 1).all()
-    a = T.dropout(x, T.dropout_keep(x.shape, 0.5, np.random.default_rng(1)))
-    b = T.dropout(x, T.dropout_keep(x.shape, 0.5, np.random.default_rng(1)))
+    assert T.dropout_keep((100, 4), 0.0, np.random.default_rng(14)).all()
+    a = T.dropout(x, T.dropout_keep(x.shape, 0.5, np.random.default_rng(1)),
+                  0.5)
+    b = T.dropout(x, T.dropout_keep(x.shape, 0.5, np.random.default_rng(1)),
+                  0.5)
     np.testing.assert_array_equal(a.data, b.data)
     kept = a.data[a.data != 0]
     np.testing.assert_allclose(kept, 2.0)  # inverted scaling by 1/(1-p)
@@ -468,8 +526,29 @@ def test_dropout_eval_is_identity_and_train_is_seeded():
 
 def test_dropout_grads_use_same_mask():
     x = np.random.default_rng(15).normal(size=(6, 3))
-    keep = T.dropout_keep(x.shape, 0.5, np.random.default_rng(7), np.float64)
-    check_op_grads(lambda ts: weighted_sum(T.dropout(ts[0], keep)), [x])
+    keep = T.dropout_keep(x.shape, 0.5, np.random.default_rng(7))
+    check_op_grads(lambda ts: weighted_sum(T.dropout(ts[0], keep, 0.5)), [x])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dropout_equals_the_float_multiplier_form(dtype):
+    # a boolean mask, its multipliers built where they are applied: forward
+    # and backward equal the saved float multipliers bit for bit
+    rng = np.random.default_rng(16)
+    x = rng.normal(size=(7, 5)).astype(dtype)
+    probe = rng.normal(size=(7, 5)).astype(dtype)
+    keep = T.dropout_keep(x.shape, 0.3, rng)
+    assert keep.dtype == np.bool_
+    multipliers = keep.astype(dtype) / (1.0 - 0.3)
+    t = T.Tensor(x, requires_grad=True)
+    tape = T.Tape()
+    with T.record(tape):
+        out = T.dropout(t, keep, 0.3)
+        loss = weighted_sum(out, probe)
+    tape.backward(loss)
+    assert out.dtype == t.grad.dtype == dtype
+    np.testing.assert_array_equal(out.data, x * multipliers)
+    np.testing.assert_array_equal(t.grad, probe * multipliers)
 
 
 def test_reshape_grads():

@@ -28,8 +28,9 @@ from fixtures import (TINY_WORDS, build_tiny_model, build_tiny_model_f64,
                       random_sentence, tiny_config, tiny_sentence)
 from helpers import (assert_grads_close, assert_views_of_blocks,
                      corrupt_squash_backward, failing_disk, gradcheck,
-                     matmul, scale, step_grads, tape_grads, weighted_sum,
-                     whole_batch_aspect_loss, worst)
+                     matmul, retained_backward, scale, step_grads,
+                     tape_grads, weighted_sum, whole_batch_aspect_loss,
+                     worst)
 
 
 def fake_states(logits: dict[str, np.ndarray]):
@@ -303,6 +304,79 @@ def test_step_memory_does_not_grow_with_the_batch():
     step_peak(batch[:4])                # first-call caches and buffers
     small, large = step_peak(batch[:4]), step_peak(batch)
     assert large <= 1.3 * small, (small, large)
+
+
+def test_consuming_backward_frees_a_long_chunk_s_step_peak():
+    # the default model's step over one chunk of 4 sentences of 128 tokens:
+    # a node's saved arrays go as soon as its backward has run, so the
+    # step's peak stays clear below the retained oracle's (0.87 of it)
+    model, _, _ = build_tiny_model(ModelConfig())
+    rng = np.random.default_rng(13)
+    batch = [random_sentence(rng, 128) for _ in range(4)]
+    assign_embedding_ids(batch, model.general_table, model.domain_table)
+    assert len(length_chunks(batch)) == 1
+    opt = Adam(model.named_parameters(), lr=1e-4)
+
+    def step_peak():
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _train_step(opt, lambda: batch_aspect_loss(
+                model, batch, np.random.default_rng(0)), 5.0, "probe")
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    step_peak()                         # first-call caches and buffers
+    consumed = step_peak()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(T.Tape, "backward", retained_backward)
+        retained = step_peak()
+    assert consumed < 0.9 * retained, (consumed, retained)
+
+
+def test_consuming_backward_equals_the_retained_oracle_bit_for_bit():
+    # a default-model chunk of sentences of 9, 9, 6 and 2 tokens with
+    # dropout: freeing each node after its backward changes no bit of the
+    # loss or of any leaf gradient
+    model, _, _ = build_tiny_model(ModelConfig())
+    rng = np.random.default_rng(31)
+    chunk = [random_sentence(rng, n) for n in (9, 9, 6, 2)]
+    assign_embedding_ids(chunk, model.general_table, model.domain_table)
+    keep = model.draw_dropout(chunk, np.random.default_rng(8))
+
+    def build():
+        states, _ = model.forward(chunk, keep)
+        return aspect_loss(states, chunk, model.config, 0.25)
+
+    loss, grads = tape_grads(model, build)
+    ref_loss, ref = tape_grads(model, build, retained_backward)
+    assert loss == ref_loss
+    assert grads.keys() == ref.keys()
+    assert [k for k, g in grads.items() if g is None] == [
+        k for k, g in ref.items() if g is None]
+    for name, g in grads.items():
+        if g is not None:
+            np.testing.assert_array_equal(g, ref[name], err_msg=name)
+
+
+def test_draw_dropout_consumes_the_generator_as_boolean_draws():
+    # per item, in batch order, an [n, d_emb] and then an [n, d_enc] mask,
+    # the same booleans as rng.random(shape) >= p and no other draw
+    model, _, _ = build_tiny_model(tiny_config(dropout=0.3))
+    rng = np.random.default_rng(19)
+    batch = [random_sentence(rng, n) for n in (5, 2, 7)]
+    d_emb = model.emb_general.shape[1] + model.emb_domain.shape[1]
+    got, want = np.random.default_rng(4), np.random.default_rng(4)
+    keep = model.draw_dropout(batch, got)
+    assert len(keep) == len(batch)
+    for s, masks in zip(batch, keep):
+        for mask, width in zip(masks, (d_emb, model.config.d_enc)):
+            assert mask.dtype == np.bool_
+            np.testing.assert_array_equal(
+                mask, want.random((s.n, width)) >= 0.3)
+    assert got.random() == want.random()
 
 
 def test_model_gradcheck_on_a_group_of_sentences():
