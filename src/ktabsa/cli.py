@@ -100,10 +100,8 @@ def _print_report(report) -> None:
 def _single_run(rc: C.RunConfig, corpora, out_dir: str, quiet: bool
                 ) -> dict:
     train, test, documents, general, domain = corpora
-    if rc.dev_fraction > 0:
-        train, dev = dev_split(train, rc.dev_fraction, rc.model.seed)
-    else:
-        dev = []
+    train, dev = (dev_split(train, rc.dev_fraction, rc.model.seed)
+                  if rc.dev_fraction > 0 else (train, []))
     model = AbsaModel(rc.model, DEFAULT_SCHEMES, general, domain)
     log = None if quiet else print
     result = fit(model, train, dev, documents, rc.schedule,
@@ -138,18 +136,14 @@ def _train_runs(rc: C.RunConfig, quiet: bool) -> int:
                                      quiet))
         corpora = None
     if rc.runs > 1:
-        agg_source = ("test" if all("test" in s for s in summaries)
-                      else "best_dev_f1_i")
-        agg = {}
-        if agg_source == "test":
-            for c in METRIC_COLUMNS:
-                vals = [s["test"][c] for s in summaries]
-                agg[c] = {"mean": float(np.mean(vals)),
-                          "std": float(np.std(vals))}
+        # the test metrics when every run has a test split, else dev F1-I
+        if all("test" in s for s in summaries):
+            vals = {c: [s["test"][c] for s in summaries]
+                    for c in METRIC_COLUMNS}
         else:
-            vals = [s["best_dev_f1_i"] for s in summaries]
-            agg["dev_f1_i"] = {"mean": float(np.mean(vals)),
-                               "std": float(np.std(vals))}
+            vals = {"dev_f1_i": [s["best_dev_f1_i"] for s in summaries]}
+        agg = {name: {"mean": float(np.mean(v)), "std": float(np.std(v))}
+               for name, v in vals.items()}
         with atomic_write(os.path.join(rc.out_dir, "summary.json")) as f:
             json.dump({"runs": summaries, "aggregate": agg}, f, indent=2)
         if not quiet:

@@ -167,10 +167,8 @@ def apply_overrides(rc: RunConfig, overrides: list[str]) -> RunConfig:
 
 
 def format_config(rc: RunConfig) -> str:
-    lines = ["# effective configuration"]
-    for key in KEYS:
-        lines.append(f"{key} = {_format_value(get_key(rc, key))}")
-    return "\n".join(lines) + "\n"
+    return "# effective configuration\n" + "".join(
+        f"{key} = {_format_value(get_key(rc, key))}\n" for key in KEYS)
 
 
 def echo_config(rc: RunConfig, out_dir: str) -> str:

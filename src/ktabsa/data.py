@@ -5,9 +5,10 @@ File formats
 Aspect corpus: UTF-8 TSV, one token per line as
 ``token<TAB>ate-tag<TAB>ote-tag<TAB>sentiment-or-_``, blank line between
 sentences. An optional sidecar at ``<path>.adj``, the only source of
-edges, lists dependency edges as ``<sentence-index> <i> <j>`` (0-based);
-matrices are symmetrized and get a unit diagonal. Without a sidecar,
-adjacency is the identity.
+edges, lists dependency edges as ``<sentence-index> <i> <j>`` (0-based)
+and skips blank lines and full-line ``#`` comments. A corpus's matrices
+are views of one float32 buffer; they are symmetrized and get a unit
+diagonal, and without a sidecar they are the identity.
 
 Document corpus: JSONL, one object per line with keys ``text`` (required),
 ``domain`` and ``sentiment`` (each optional, at least one present).
@@ -26,6 +27,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
+from itertools import chain, compress, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -86,23 +88,7 @@ class TagSchemes:
         return len(self.ate_tags)
 
     def doc_classes(self, task: str) -> int:
-        if task == "ddc":
-            return len(self.domain_labels)
-        if task == "dsc":
-            return len(self.dsc_labels)
-        raise KeyError(task)
-
-    def tags_for(self, task: str) -> tuple[str, ...]:
-        return {"ate": self.ate_tags, "ote": self.ote_tags,
-                "asc": self.asc_tags}[task]
-
-    def index(self, task: str, tag: str) -> int:
-        tags = self.tags_for(task)
-        try:
-            return tags.index(tag)
-        except ValueError:
-            raise CorpusError(f"unknown {task} tag {tag!r}; "
-                              f"expected one of {tags}") from None
+        return len({"ddc": self.domain_labels, "dsc": self.dsc_labels}[task])
 
 
 DEFAULT_SCHEMES = TagSchemes()
@@ -139,17 +125,7 @@ class Document:
 
 
 # ---------------------------------------------------------------------------
-# BIO validity and spans
-
-
-def bio_valid(tags: Sequence[int]) -> bool:
-    """Strict BIO: an inside tag must continue a begin/inside run."""
-    prev = OUTSIDE
-    for t in tags:
-        if t == INSIDE and prev not in (BEGIN, INSIDE):
-            return False
-        prev = t
-    return True
+# spans
 
 
 def extract_spans(tags: Sequence[int]) -> tuple[tuple[int, int], ...]:
@@ -161,17 +137,11 @@ def extract_spans(tags: Sequence[int]) -> tuple[tuple[int, int], ...]:
     spans: list[tuple[int, int]] = []
     start: int | None = None
     for i, t in enumerate(tags):
-        if t == BEGIN:
-            if start is not None:
-                spans.append((start, i))
+        if start is not None and t != INSIDE:
+            spans.append((start, i))
+            start = None
+        if start is None and t != OUTSIDE:
             start = i
-        elif t == INSIDE:
-            if start is None:
-                start = i
-        else:
-            if start is not None:
-                spans.append((start, i))
-                start = None
     if start is not None:
         spans.append((start, len(tags)))
     return tuple(spans)
@@ -179,112 +149,178 @@ def extract_spans(tags: Sequence[int]) -> tuple[tuple[int, int], ...]:
 
 def gold_pairs(sent: Sentence) -> tuple[tuple[tuple[int, int], int], ...]:
     """Gold (aspect span, sentiment) pairs; the span's first token labels it."""
-    out = []
-    for s, e in extract_spans(sent.ate_gold):
-        lab = sent.asc_gold[s]
-        if lab is not None:
-            out.append(((s, e), lab))
-    return tuple(out)
+    return tuple(((s, e), sent.asc_gold[s])
+                 for s, e in extract_spans(sent.ate_gold)
+                 if sent.asc_gold[s] is not None)
 
 
 # ---------------------------------------------------------------------------
 # aspect corpus
 
+NO_SENTIMENT = len(DEFAULT_SCHEMES.asc_tags)     # the sentiment code of "_"
+_TAG_COLUMNS = {task: getattr(DEFAULT_SCHEMES, f"{task}_tags")
+                for task in ("ate", "ote", "asc")}
+# per tag column, tag -> code; the reader maps an unknown tag to -1
+_TAG_CODES = [{t: i for i, t in enumerate(c)} for c in _TAG_COLUMNS.values()]
+_TAG_CODES[2]["_"] = NO_SENTIMENT
 
-def _load_adjacency(path: str, sentences: list[Sentence]) -> None:
-    edges: dict[int, list[tuple[int, int]]] = {}
-    for lineno, line in _text_lines(path):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise CorpusError(f"{path}:{lineno}: expected "
-                              f"'<sentence> <i> <j>', got {line!r}")
+
+def _read_text(path: str) -> tuple[str, CorpusError | None]:
+    """The text of a UTF-8 file, and None. For a file with undecodable
+    bytes: the lines that :func:`_text_lines` yields before it meets them,
+    joined without their last newline, and the error it then raises, which
+    the caller raises after any error of those lines."""
+    lines: list[str] = []
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return f.read(), None
+    except UnicodeDecodeError:
         try:
-            si, i, j = (int(p) for p in parts)
-        except ValueError:
-            raise CorpusError(f"{path}:{lineno}: non-integer edge "
-                              f"entry {line!r}") from None
-        if not 0 <= si < len(sentences):
-            raise CorpusError(f"{path}:{lineno}: sentence index {si} out "
-                              f"of range (corpus has {len(sentences)})")
-        n = sentences[si].n
-        if not (0 <= i < n and 0 <= j < n):
-            raise CorpusError(f"{path}:{lineno}: token index out of range "
-                              f"for sentence {si} of length {n}")
-        edges.setdefault(si, []).append((i, j))
-    for si, pairs in edges.items():
-        a = sentences[si].adjacency
-        for i, j in pairs:
-            a[i, j] = 1.0
-            a[j, i] = 1.0
+            for _, line in _text_lines(path):
+                lines.append(line.rstrip("\n"))
+        except CorpusError as e:
+            return "\n".join(lines), e
+    return "\n".join(lines), None
+
+
+def _first(mask: np.ndarray) -> int | None:
+    return next(iter(np.flatnonzero(mask).tolist()), None)
+
+
+def _int_or_none(text: str) -> int | None:
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
+def _load_adjacency(path: str, sizes: np.ndarray, offsets: np.ndarray,
+                    buf: np.ndarray) -> None:
+    """Set the sidecar's edges both ways in ``buf``, which holds sentence
+    s's n x n matrix (n = ``sizes[s]``) from ``offsets[s]`` on."""
+    text, decode_error = _read_text(path)
+    b = np.frombuffer(text.encode(), np.uint8)
+    digit = (b >= 48) & (b <= 57)
+    starts = np.flatnonzero(digit & ~np.r_[False, digit[:-1]])
+    ends = np.flatnonzero(digit & ~np.r_[digit[1:], False])
+    if (digit | (b == 32) | (b == 10)).all() and (ends - starts < 18).all():
+        # ASCII digits, spaces and newlines only, no number past int64: the
+        # fields parse without a string each (no number at all reads as 0)
+        counts = np.bincount(np.cumsum(b == 10)[starts])
+        fields = np.fromstring(text, np.int64, sep=" ")[:starts.size]
+    else:
+        rows = [[] if line.lstrip()[:1] == "#" else line.split()
+                for line in text.split("\n")]
+        counts = np.fromiter(map(len, rows), np.int64, len(rows))
+        fields = list(chain.from_iterable(rows))
+    linenos = np.flatnonzero(counts) + 1
+    stop = _first(counts[linenos - 1] != 3)
+    fields = fields[:None if stop is None else 3 * stop]
+    try:            # int() per field, as a line-by-line reader would call it
+        v = np.array(fields, np.int64).reshape(-1, 3)
+        non_int = np.zeros(len(v), bool)
+    except (ValueError, OverflowError):   # past int64 means out of range
+        v = np.array(list(map(_int_or_none, fields)), object).reshape(-1, 3)
+        non_int = np.equal(v, None).any(axis=1)
+        v[np.equal(v, None)] = 0
+    si, i, j = v.T
+    bad_si = (si < 0) | (si >= sizes.size)
+    n = np.append(sizes, 0)[np.where(bad_si, sizes.size, si).astype(np.int64)]
+    k = _first(non_int | bad_si | (np.minimum(i, j) < 0)
+               | (np.maximum(i, j) >= n))
+    if k is not None or stop is not None:     # k comes before stop
+        r = stop if k is None else k
+        entry = text.split("\n")[linenos[r] - 1].strip()
+        raise CorpusError(f"{path}:{linenos[r]}: " + (
+            f"expected '<sentence> <i> <j>', got {entry!r}" if k is None else
+            f"non-integer edge entry {entry!r}" if non_int[k] else
+            f"sentence index {si[k]} out of range (corpus has {sizes.size})"
+            if bad_si[k] else f"token index out of range for sentence "
+            f"{si[k]} of length {n[k]}"))
+    if decode_error is not None:
+        raise decode_error
+    buf[offsets[si] + i * n + j] = 1.0
+    buf[offsets[si] + j * n + i] = 1.0
 
 
 def load_aspect_corpus(path: str) -> list[Sentence]:
     """Parse the TSV corpus, validating tags, BIO structure, and sentiment
     placement, and add the edges of the ``<path>.adj`` sidecar if it
-    exists."""
-    sentences: list[Sentence] = []
-    tokens: list[str] = []
-    ate: list[int] = []
-    ote: list[int] = []
-    asc: list[int | None] = []
-    first_line = 0
+    exists. The sentences' adjacency matrices are views of one float32
+    buffer.
 
-    def flush(lineno: int) -> None:
-        nonlocal tokens, ate, ote, asc
-        if not tokens:
-            return
-        idx = len(sentences)
-        where = f"sentence {idx} (line {first_line})"
-        if not bio_valid(ate):
-            raise CorpusError(f"{path}: {where}: invalid aspect BIO sequence "
-                              f"{[DEFAULT_SCHEMES.ate_tags[t] for t in ate]}")
-        if not bio_valid(ote):
-            raise CorpusError(f"{path}: {where}: invalid opinion BIO sequence "
-                              f"{[DEFAULT_SCHEMES.ote_tags[t] for t in ote]}")
-        inside_aspect = [False] * len(tokens)
-        for s, e in extract_spans(ate):
-            for i in range(s, e):
-                inside_aspect[i] = True
-        for i, lab in enumerate(asc):
-            if inside_aspect[i] and lab is None:
-                raise CorpusError(f"{path}: {where}: token {i} is inside an "
-                                  "aspect span but carries no sentiment")
-            if not inside_aspect[i] and lab is not None:
-                raise CorpusError(f"{path}: {where}: token {i} is outside all "
-                                  "aspect spans but carries a sentiment")
-        sentences.append(Sentence(tuple(tokens), tuple(ate), tuple(ote),
-                                  tuple(asc),
-                                  np.eye(len(tokens), dtype=np.float32)))
-        tokens, ate, ote, asc = [], [], [], []
+    Each file is read whole and checked as arrays, yet a bad file raises
+    the error a line-by-line read meets first: a line's at that line (field
+    count, then aspect, opinion and sentiment tags), a sentence's at the
+    blank line or end of file closing it (aspect BIO, opinion BIO, then
+    sentiment placement token by token). The sidecar follows the corpus; a
+    line's errors there are its field count, a non-integer, the sentence
+    index, then the token indices. A sidecar of ASCII digits, spaces and
+    newlines alone is parsed as one array, not a string per field."""
+    text, decode_error = _read_text(path)
+    lines = text.split("\n")
+    blank = np.array([not line or line.isspace() for line in lines], bool)
+    tabs = np.array(list(map(str.count, lines, repeat("\t"))), np.int64)
+    stop = _first((tabs != 3) & ~blank)
+    error = None if stop is None else (stop, (
+        "expected 4 tab-separated fields (token, aspect, opinion, "
+        f"sentiment), got {tabs[stop] + 1}"))
+    rows = np.flatnonzero(~blank[:stop])
+    fields = "\t".join(compress(lines, (~blank[:stop]).tolist())).split("\t")
+    cols = [fields[c::4] if rows.size else [] for c in range(4)]
+    codes = np.array([list(map(d.get, col, repeat(-1)))
+                      for d, col in zip(_TAG_CODES, cols[1:])], np.int64)
+    k = _first(codes.min(axis=0) < 0)
+    if k is not None:
+        c = int(np.argmax(codes[:, k] < 0))
+        task, tags = list(_TAG_COLUMNS.items())[c]
+        error = (rows[k], f"unknown {task} tag {cols[c + 1][k]!r}; expected "
+                          f"one of {tags}")
+        rows, cols, codes = rows[:k], [x[:k] for x in cols], codes[:, :k]
+    ate, ote, asc = codes
+    start = np.diff(rows, prepend=-2) > 1     # after a blank line or first
+    starts = np.flatnonzero(start)
+    sid = np.cumsum(start) - 1
+    firsts = [_first((t == INSIDE) & (start | (np.roll(t, 1) == OUTSIDE)))
+              for t in (ate, ote)]
+    firsts.append(_first((ate == OUTSIDE) != (asc == NO_SENTIMENT)))
+    bad = min((sid[k] for k in firsts if k is not None), default=None)
+    # a sentence is closed by the next sentence, by a blank line before the
+    # line error, or by the end of a file that decoded whole
+    if bad is not None and (
+            bad + 1 < starts.size
+            or rows[-1] + 1 < (len(lines) if error is None else error[0])
+            or (error is None and decode_error is None)):
+        b = starts[bad]
+        e = starts[bad + 1] if bad + 1 < starts.size else rows.size
+        where = f"{path}: sentence {bad} (line {rows[b] + 1})"
+        for name, col, k in zip(("aspect", "opinion"), cols[1:], firsts):
+            if k is not None and sid[k] == bad:
+                raise CorpusError(f"{where}: invalid {name} BIO sequence "
+                                  f"{col[b:e]}")
+        k = firsts[2]
+        raise CorpusError(f"{where}: token {k - b} is " + (
+            "inside an aspect span but carries no sentiment"
+            if ate[k] != OUTSIDE else
+            "outside all aspect spans but carries a sentiment"))
+    if error is not None:
+        raise CorpusError(f"{path}:{error[0] + 1}: {error[1]}")
+    if decode_error is not None:
+        raise decode_error
 
-    for lineno, raw in _text_lines(path):
-        line = raw.rstrip("\n")
-        if not line.strip():
-            flush(lineno)
-            continue
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise CorpusError(
-                f"{path}:{lineno}: expected 4 tab-separated fields "
-                f"(token, aspect, opinion, sentiment), got {len(parts)}")
-        if not tokens:
-            first_line = lineno
-        tok, a, o, s = parts
-        try:
-            ate.append(DEFAULT_SCHEMES.index("ate", a))
-            ote.append(DEFAULT_SCHEMES.index("ote", o))
-            asc.append(None if s == "_" else DEFAULT_SCHEMES.index("asc", s))
-        except CorpusError as e:
-            raise CorpusError(f"{path}:{lineno}: {e}") from None
-        tokens.append(tok)
-    flush(lineno if sentences or tokens else 0)
-
+    sizes = np.diff(np.append(starts, rows.size))
+    offsets = np.cumsum(sizes * sizes) - sizes * sizes
+    buf = np.zeros(int((sizes * sizes).sum()), np.float32)
+    buf[offsets[sid] + (np.arange(rows.size) - starts[sid])
+        * (sizes[sid] + 1)] = 1.0
     if os.path.exists(path + ".adj"):
-        _load_adjacency(path + ".adj", sentences)
-    return sentences
+        _load_adjacency(path + ".adj", sizes, offsets, buf)
+    asc = list(map((*range(NO_SENTIMENT), None).__getitem__, asc.tolist()))
+    ate, ote = ate.tolist(), ote.tolist()
+    return [Sentence(tuple(cols[0][b:e]), tuple(ate[b:e]), tuple(ote[b:e]),
+                     tuple(asc[b:e]), buf[o:o + n * n].reshape(n, n))
+            for b, e, o, n in zip(starts.tolist(), (starts + sizes).tolist(),
+                                  offsets.tolist(), sizes.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -307,26 +343,18 @@ def load_document_corpus(path: str) -> list[Document]:
         text = rec.get("text")
         if not isinstance(text, str) or not text.split():
             raise CorpusError(f"{path}:{lineno}: missing or empty 'text'")
-        domain = rec.get("domain")
-        sentiment = rec.get("sentiment")
-        if domain is None and sentiment is None:
+        golds = []
+        for key, labels in (("domain", DEFAULT_SCHEMES.domain_labels),
+                            ("sentiment", DEFAULT_SCHEMES.dsc_labels)):
+            value = rec.get(key)
+            if value is not None and value not in labels:
+                raise CorpusError(f"{path}:{lineno}: unknown {key} {value!r}; "
+                                  f"expected one of {labels}")
+            golds.append(None if value is None else labels.index(value))
+        if golds == [None, None]:
             raise CorpusError(f"{path}:{lineno}: record carries neither "
                               "'domain' nor 'sentiment'")
-        di = None
-        if domain is not None:
-            if domain not in DEFAULT_SCHEMES.domain_labels:
-                raise CorpusError(f"{path}:{lineno}: unknown domain "
-                                  f"{domain!r}; expected one of "
-                                  f"{DEFAULT_SCHEMES.domain_labels}")
-            di = DEFAULT_SCHEMES.domain_labels.index(domain)
-        si = None
-        if sentiment is not None:
-            if sentiment not in DEFAULT_SCHEMES.dsc_labels:
-                raise CorpusError(f"{path}:{lineno}: unknown sentiment "
-                                  f"{sentiment!r}; expected one of "
-                                  f"{DEFAULT_SCHEMES.dsc_labels}")
-            si = DEFAULT_SCHEMES.dsc_labels.index(sentiment)
-        docs.append(Document(tuple(text.split()), di, si))
+        docs.append(Document(tuple(text.split()), *golds))
     return docs
 
 
@@ -348,10 +376,7 @@ class EmbeddingTable:
                         dtype=np.int64)
 
     def word_list(self) -> list[str]:
-        words = [""] * len(self.vocab)
-        for w, i in self.vocab.items():
-            words[i] = w
-        return words
+        return sorted(self.vocab, key=self.vocab.__getitem__)
 
     @classmethod
     def from_words(cls, words: Sequence[str], matrix: np.ndarray,
@@ -367,14 +392,11 @@ class EmbeddingTable:
 def load_embeddings(path: str) -> EmbeddingTable:
     """Word2vec text format, with an optional ``count dim`` header that must
     match the rows; first-seen row wins on duplicate words."""
-    words: list[str] = []
-    rows: list[np.ndarray] = []
-    seen: set[str] = set()
+    rows: dict[str, np.ndarray] = {}
     dim: int | None = None
     header, count = None, 0
     for lineno, raw in _text_lines(path):
-        parts = raw.rstrip("\n").split(" ")
-        parts = [p for p in parts if p != ""]
+        parts = [p for p in raw.rstrip("\n").split(" ") if p]
         if not parts:
             continue
         if lineno == 1 and len(parts) == 2:
@@ -392,7 +414,7 @@ def load_embeddings(path: str) -> EmbeddingTable:
             raise CorpusError(f"{path}:{lineno}: expected {dim} values, "
                               f"got {len(vals)}")
         count += 1
-        if word in seen:
+        if word in rows:
             warnings.warn(f"{path}:{lineno}: duplicate word {word!r}; "
                           "keeping the first occurrence")
             continue
@@ -406,18 +428,16 @@ def load_embeddings(path: str) -> EmbeddingTable:
         if not np.isfinite(vec).all():
             raise CorpusError(f"{path}:{lineno}: non-finite value in "
                               f"embedding row for {word!r}")
-        seen.add(word)
-        words.append(word)
-        rows.append(vec)
+        rows[word] = vec
     if dim is None:
         raise CorpusError(f"{path}: embedding file is empty")
     if header not in (None, (count, dim)):
         raise CorpusError(f"{path}:1: header says {header[0]} rows of "
                           f"{header[1]}, the file has {count} of {dim}")
-    matrix = np.vstack(rows)
+    matrix = np.vstack(list(rows.values()))
     # in float64: a float32 sum of finite rows can overflow, their mean not
     unk = matrix.mean(axis=0, dtype=np.float64).astype(np.float32)
-    return EmbeddingTable.from_words(words, matrix, unk)
+    return EmbeddingTable.from_words(list(rows), matrix, unk)
 
 
 def random_embeddings(words: Sequence[str], dim: int,
@@ -431,14 +451,9 @@ def random_embeddings(words: Sequence[str], dim: int,
 
 def corpus_words(sentences: Iterable[Sentence],
                  documents: Iterable[Document] = ()) -> list[str]:
-    seen: dict[str, None] = {}
-    for s in sentences:
-        for t in s.tokens:
-            seen.setdefault(t, None)
-    for d in documents:
-        for t in d.tokens:
-            seen.setdefault(t, None)
-    return list(seen)
+    """Every token once, in order of first appearance."""
+    return list(dict.fromkeys(chain.from_iterable(
+        it.tokens for it in chain(sentences, documents))))
 
 
 def assign_embedding_ids(items: Iterable[Sentence | Document],
@@ -459,11 +474,9 @@ def dev_split(items: Sequence, fraction: float = 0.2,
     if not 0 < fraction < 1:
         raise ValueError(f"dev fraction must be in (0, 1), got {fraction}")
     idx = np.random.default_rng(seed).permutation(len(items))
-    n_dev = int(math.floor(fraction * len(items)))
-    dev_idx = set(idx[:n_dev].tolist())
-    train = [items[i] for i in range(len(items)) if i not in dev_idx]
-    dev = [items[i] for i in range(len(items)) if i in dev_idx]
-    return train, dev
+    dev = set(idx[:int(math.floor(fraction * len(items)))].tolist())
+    return ([x for i, x in enumerate(items) if i not in dev],
+            [x for i, x in enumerate(items) if i in dev])
 
 
 def make_batches(items: Sequence, batch_size: int, seed: int) -> list[list]:

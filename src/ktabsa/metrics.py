@@ -76,8 +76,7 @@ def asc_scores(pred_pairs: Sequence[Sequence[Pair]],
     matrix. Returns (acc, macro_f1, per_class, degenerate) where degenerate
     flags the no-matched-span case (both scores reported as 0).
     """
-    matched = 0
-    correct = 0
+    matched = correct = 0
     confusion = [[0] * NUM_SENTIMENTS for _ in range(NUM_SENTIMENTS)]
     for pps, gps in zip(pred_pairs, gold_pairs_):
         gold_by_span = {span: lab for span, lab in gps}
@@ -98,10 +97,8 @@ def asc_scores(pred_pairs: Sequence[Sequence[Pair]],
         per_class[c] = {"precision": p, "recall": r, "f1": f,
                         "tp": tp, "fp": fp, "fn": fn}
     f1_sum = sum(per_class[c]["f1"] for c in range(NUM_SENTIMENTS))
-    degenerate = matched == 0
     acc = correct / matched if matched else 0.0
-    macro = f1_sum / NUM_SENTIMENTS
-    return acc, macro, per_class, degenerate
+    return acc, f1_sum / NUM_SENTIMENTS, per_class, not matched
 
 
 def evaluate(predictions: Sequence[Prediction],

@@ -471,9 +471,8 @@ def gradcheck_harness():
     general = random_embeddings(words, config.d_general, rng)
     domain = random_embeddings(words, config.d_domain, rng)
     adjacency = np.eye(4, dtype=np.float32)
-    for i in range(3):
-        adjacency[i, i + 1] = adjacency[i + 1, i] = 1.0
-    adjacency[1, 3] = adjacency[3, 1] = 1.0
+    for i, j in ((0, 1), (1, 2), (2, 3), (1, 3)):
+        adjacency[i, j] = adjacency[j, i] = 1.0
     sentence = Sentence(tokens=("the", "battery", "is", "great"),
                         ate_gold=(2, 0, 2, 2), ote_gold=(2, 2, 2, 0),
                         asc_gold=(None, 0, None, None), adjacency=adjacency)
@@ -481,8 +480,7 @@ def gradcheck_harness():
                         domain_gold=0, sentiment_gold=0)
     with use_dtype(np.float64):
         model = AbsaModel(config, DEFAULT_SCHEMES, general, domain)
-    assign_embedding_ids([sentence], general, domain)
-    assign_embedding_ids([document], general, domain)
+    assign_embedding_ids([sentence, document], general, domain)
     return model, sentence, document
 
 

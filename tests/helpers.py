@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
+import os
 
 import numpy as np
 import pytest
@@ -506,3 +507,163 @@ def read_predictions(path: str, schemes) -> list[Prediction]:
                              schemes.asc_tags.index(p["sentiment"]))
                             for p in rec["pairs"])))
     return out
+
+
+def mutants(raw: bytes, header_end: int, count: int, seed: int):
+    """``count`` seeded mutations of ``raw``, in turn a flipped byte, a
+    deleted run, a truncation and a duplicated run; every other one starts
+    before ``header_end``, so the header takes half of them (pass
+    ``len(raw)`` for a file without one)."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        i = int(rng.integers(header_end if k % 2 else len(raw)))
+        run = int(rng.integers(1, 17))
+        if k % 4 == 0:
+            out = bytearray(raw)
+            out[i] ^= int(rng.integers(1, 256))
+            yield bytes(out)
+        elif k % 4 == 1:
+            yield raw[:i] + raw[i + run:]
+        elif k % 4 == 2:
+            yield raw[:i]
+        else:
+            yield raw[:i + run] + raw[i:]
+
+
+# ---------------------------------------------------------------------------
+# the line-by-line aspect-corpus reader: the oracle of data.load_aspect_corpus
+
+
+def bio_valid(tags) -> bool:
+    """Strict BIO: an inside tag must continue a begin/inside run."""
+    prev = OUTSIDE
+    for t in tags:
+        if t == INSIDE and prev not in (BEGIN, INSIDE):
+            return False
+        prev = t
+    return True
+
+
+def _tag_index(task: str, tag: str) -> int:
+    tags = getattr(data.DEFAULT_SCHEMES, f"{task}_tags")
+    try:
+        return tags.index(tag)
+    except ValueError:
+        raise data.CorpusError(f"unknown {task} tag {tag!r}; "
+                               f"expected one of {tags}") from None
+
+
+def _load_adjacency_by_line(path: str, sentences) -> None:
+    edges: dict[int, list[tuple[int, int]]] = {}
+    for lineno, line in data._text_lines(path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise data.CorpusError(f"{path}:{lineno}: expected "
+                                   f"'<sentence> <i> <j>', got {line!r}")
+        try:
+            si, i, j = (int(p) for p in parts)
+        except ValueError:
+            raise data.CorpusError(f"{path}:{lineno}: non-integer edge "
+                                   f"entry {line!r}") from None
+        if not 0 <= si < len(sentences):
+            raise data.CorpusError(f"{path}:{lineno}: sentence index {si} "
+                                   f"out of range (corpus has "
+                                   f"{len(sentences)})")
+        n = sentences[si].n
+        if not (0 <= i < n and 0 <= j < n):
+            raise data.CorpusError(f"{path}:{lineno}: token index out of "
+                                   f"range for sentence {si} of length {n}")
+        edges.setdefault(si, []).append((i, j))
+    for si, pairs in edges.items():
+        a = sentences[si].adjacency
+        for i, j in pairs:
+            a[i, j] = 1.0
+            a[j, i] = 1.0
+
+
+def load_aspect_corpus_by_line(path: str) -> list:
+    """``data.load_aspect_corpus`` one line at a time, each sentence with an
+    adjacency matrix of its own."""
+    sentences: list = []
+    tokens: list[str] = []
+    ate: list[int] = []
+    ote: list[int] = []
+    asc: list[int | None] = []
+    first_line = 0
+
+    def flush() -> None:
+        nonlocal tokens, ate, ote, asc
+        if not tokens:
+            return
+        idx = len(sentences)
+        where = f"sentence {idx} (line {first_line})"
+        schemes = data.DEFAULT_SCHEMES
+        if not bio_valid(ate):
+            raise data.CorpusError(
+                f"{path}: {where}: invalid aspect BIO sequence "
+                f"{[schemes.ate_tags[t] for t in ate]}")
+        if not bio_valid(ote):
+            raise data.CorpusError(
+                f"{path}: {where}: invalid opinion BIO sequence "
+                f"{[schemes.ote_tags[t] for t in ote]}")
+        inside_aspect = [False] * len(tokens)
+        for s, e in extract_spans(ate):
+            for i in range(s, e):
+                inside_aspect[i] = True
+        for i, lab in enumerate(asc):
+            if inside_aspect[i] and lab is None:
+                raise data.CorpusError(
+                    f"{path}: {where}: token {i} is inside an aspect span "
+                    "but carries no sentiment")
+            if not inside_aspect[i] and lab is not None:
+                raise data.CorpusError(
+                    f"{path}: {where}: token {i} is outside all aspect "
+                    "spans but carries a sentiment")
+        sentences.append(data.Sentence(
+            tuple(tokens), tuple(ate), tuple(ote), tuple(asc),
+            np.eye(len(tokens), dtype=np.float32)))
+        tokens, ate, ote, asc = [], [], [], []
+
+    for lineno, raw in data._text_lines(path):
+        line = raw.rstrip("\n")
+        if not line.strip():
+            flush()
+            continue
+        parts = line.split("\t")
+        if len(parts) != 4:
+            raise data.CorpusError(
+                f"{path}:{lineno}: expected 4 tab-separated fields "
+                f"(token, aspect, opinion, sentiment), got {len(parts)}")
+        if not tokens:
+            first_line = lineno
+        tok, a, o, s = parts
+        try:
+            ate.append(_tag_index("ate", a))
+            ote.append(_tag_index("ote", o))
+            asc.append(None if s == "_" else _tag_index("asc", s))
+        except data.CorpusError as e:
+            raise data.CorpusError(f"{path}:{lineno}: {e}") from None
+        tokens.append(tok)
+    flush()
+
+    if os.path.exists(path + ".adj"):
+        _load_adjacency_by_line(path + ".adj", sentences)
+    return sentences
+
+
+def assert_same_sentences(got, want) -> None:
+    """Equal tokens and tags (Python ints and None alike) and adjacency of
+    equal values, dtype and shape."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.tokens, g.ate_gold, g.ote_gold, g.asc_gold) == (
+            w.tokens, w.ate_gold, w.ote_gold, w.asc_gold)
+        assert all(type(x) is type(y) for x, y in zip(
+            g.ate_gold + g.ote_gold + g.asc_gold,
+            w.ate_gold + w.ote_gold + w.asc_gold))
+        assert g.adjacency.dtype == w.adjacency.dtype
+        assert g.adjacency.shape == w.adjacency.shape
+        assert g.adjacency.tobytes() == w.adjacency.tobytes()

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -8,9 +9,12 @@ from hypothesis import strategies as st
 
 from ktabsa import data as D
 from ktabsa import routing
+from ktabsa.cli import main
 from ktabsa.synth import SynthSpec, write_synthetic
 
-from helpers import corpus_stats, failing_disk, length_groups, tags_from_spans
+from helpers import (assert_same_sentences, bio_valid, corpus_stats,
+                     failing_disk, length_groups, load_aspect_corpus_by_line,
+                     mutants, tags_from_spans)
 
 
 TSV_OK = """\
@@ -100,8 +104,20 @@ def bio_oracle(tags):
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=10))
-def test_bio_valid_matches_oracle(tags):
-    assert D.bio_valid(tags) == bio_oracle(tags)
+def test_bio_valid_matches_oracle(tmp_path_factory, tags):
+    # the bulk reader's opinion-column check and the line reader's
+    # bio_valid both accept a sentence exactly when the oracle does
+    assert bio_valid(tags) == bio_oracle(tags)
+    names = D.DEFAULT_SCHEMES.ote_tags
+    text = "".join(f"w{i}\tO\t{names[t]}\t_\n" for i, t in enumerate(tags))
+    path = write(tmp_path_factory.getbasetemp(), "bio.tsv", text)
+    try:
+        D.load_aspect_corpus(path)
+    except D.CorpusError as e:
+        assert "invalid opinion BIO sequence" in str(e)
+        assert not bio_oracle(tags)
+    else:
+        assert bio_oracle(tags)
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +190,176 @@ def test_adjacency_sidecar_bounds_checked(tmp_path):
     write(tmp_path, "train.tsv.adj", "0 1 99\n")
     with pytest.raises(D.CorpusError, match="out of range"):
         D.load_aspect_corpus(path)
+
+
+def test_sentences_hold_views_of_one_adjacency_buffer(tmp_path):
+    path = write(tmp_path, "train.tsv", TSV_OK)
+    write(tmp_path, "train.tsv.adj", "0 1 4\n")
+    sents = D.load_aspect_corpus(path)
+    buf = sents[0].adjacency.base
+    assert buf is not None and buf.dtype == np.float32 and buf.ndim == 1
+    assert all(s.adjacency.base is buf for s in sents)
+    assert buf.size == sum(s.n * s.n for s in sents)
+    assert all(s.adjacency.flags.c_contiguous for s in sents)
+
+
+def bench_inputs(out_dir, workload: str, seed: int):
+    """The bench's seeded input files of ``workload``."""
+    import importlib
+    import sys
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "bench"))
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.pop(0)
+    return workloads.write_inputs(str(out_dir), seed,
+                                  workloads.WORKLOADS[workload])
+
+
+def test_bulk_reader_equals_the_line_reader_on_synthetic_and_bench_inputs(
+        tmp_path):
+    paths = write_synthetic(str(tmp_path / "synth"), SynthSpec())
+    corpora = [paths["train"], paths["test"]]
+    for workload in ("short-train", "long-train"):
+        for seed in (7, 3, 11):
+            inputs = bench_inputs(tmp_path / f"{workload}-{seed}", workload,
+                                  seed)
+            corpora += [inputs.train, inputs.predict]
+    for path in corpora:
+        assert_same_sentences(D.load_aspect_corpus(path),
+                              load_aspect_corpus_by_line(path))
+
+
+@pytest.mark.parametrize("text, count", [
+    ("", 0), ("\n", 0), ("\n\n  \n\t\n", 0), ("a\tO\tO\t_", 1),
+    ("a\tO\tO\t_\n\n\nb\tBA\tO\tneg", 2),
+    ("a\tO\tO\t_\r\nb\tBA\tO\tpos\r\n\r\nc\tO\tBP\t_\r\n", 2),
+    ("a\tO\tO\t_\rb\tO\tO\t_\r\rc\tO\tO\t_", 2),
+    (" \t \nx y\tO\tO\t_\n\x0c\nz \tBA\tO\tneu\n", 2)],
+    ids=["empty", "one blank line", "only blank lines", "no final newline",
+         "runs of blank lines", "crlf", "cr", "whitespace lines"])
+def test_line_ends_and_blank_lines_load_as_line_by_line(tmp_path, text,
+                                                        count):
+    path = tmp_path / "c.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    got = D.load_aspect_corpus(str(path))
+    assert len(got) == count
+    assert_same_sentences(got, load_aspect_corpus_by_line(str(path)))
+
+
+def test_first_error_in_stream_order_wins(tmp_path):
+    # a BIO error closes sentence 0 before line 5's unknown tag is read
+    text = "a\tO\tO\t_\nb\tIA\tO\tpos\n\nc\tO\tO\t_\nd\tXX\tO\t_\n"
+    with pytest.raises(D.CorpusError, match=r"bad\.tsv: sentence 0 \(line 1\)"
+                       r": invalid aspect BIO sequence \['O', 'IA'\]$"):
+        D.load_aspect_corpus(write(tmp_path, "bad.tsv", text))
+    # without the blank line sentence 0 is still open at the unknown tag
+    text = text.replace("\n\n", "\n")
+    with pytest.raises(D.CorpusError, match=r"bad\.tsv:4: unknown ate tag "
+                       r"'XX'; expected one of \('BA', 'IA', 'O'\)$"):
+        D.load_aspect_corpus(write(tmp_path, "bad.tsv", text))
+    # a line's own errors in column order, the field count first
+    for line, want in (("e\tXX\tXX\tXX", "unknown ate tag 'XX'"),
+                       ("e\tO\tXX\tXX", "unknown ote tag 'XX'"),
+                       ("e\tO\tO\tXX", "unknown asc tag 'XX'"),
+                       ("e\tXX\tXX", "expected 4 tab-separated fields "
+                                     r"\(token, aspect, opinion, sentiment\)"
+                                     ", got 3")):
+        with pytest.raises(D.CorpusError, match=rf"bad\.tsv:2: {want}"):
+            D.load_aspect_corpus(write(tmp_path, "bad.tsv",
+                                       f"a\tO\tO\t_\n{line}\n"))
+    # within a sentence: aspect BIO, opinion BIO, then placement in token
+    # order
+    for rows, want in (
+            (["a\tIA\tIP\t_"], "invalid aspect BIO"),
+            (["a\tO\tIP\tpos"], "invalid opinion BIO"),
+            (["a\tO\tO\t_", "b\tBA\tO\t_", "c\tO\tO\tneg"],
+             "token 1 is inside an aspect span but carries no sentiment"),
+            (["a\tO\tO\tneg", "b\tBA\tO\t_"],
+             "token 0 is outside all aspect spans but carries a sentiment")):
+        with pytest.raises(D.CorpusError, match=want):
+            D.load_aspect_corpus(write(tmp_path, "bad.tsv",
+                                       "\n".join(rows) + "\n"))
+
+
+def test_adjacency_sidecar_skips_blank_lines_and_comments(tmp_path):
+    path = write(tmp_path, "train.tsv", TSV_OK)
+    write(tmp_path, "train.tsv.adj",
+          "# sentence token token\n\n   \n  # indented\n0 1 4\n\t1  0\t3 \n")
+    sents = D.load_aspect_corpus(path)
+    assert sents[0].adjacency[1, 4] == sents[1].adjacency[3, 0] == 1.0
+    assert sents[0].adjacency.sum() == 5 + 2 and sents[1].adjacency.sum() == 6
+    write(tmp_path, "train.tsv.adj", "# only a comment\n\n")
+    assert all((s.adjacency == np.eye(s.n)).all()
+               for s in D.load_aspect_corpus(path))
+
+
+@pytest.mark.parametrize("body, want", [
+    ("0 1\n", "expected '<sentence> <i> <j>', got '0 1'"),
+    ("0 1 2 # edge\n", "expected '<sentence> <i> <j>', got '0 1 2 # edge'"),
+    ("0 1 x\n", "non-integer edge entry '0 1 x'"),
+    ("0 1.0 2\n", "non-integer edge entry '0 1.0 2'"),
+    ("2 0 1\n", r"sentence index 2 out of range \(corpus has 2\)"),
+    ("-1 0 1\n", r"sentence index -1 out of range \(corpus has 2\)"),
+    ("0 -1 2\n", "token index out of range for sentence 0 of length 5"),
+    ("1 0 4\n", "token index out of range for sentence 1 of length 4"),
+    ("99999999999999999999 0 1\n",
+     r"sentence index 99999999999999999999 out of range \(corpus has 2\)"),
+    ("0 0 -99999999999999999999\n",
+     "token index out of range for sentence 0 of length 5")],
+    ids=["fields", "comment after an edge", "non-integer", "decimal",
+         "sentence index", "negative sentence index", "negative token",
+         "token index", "sentence index beyond int64",
+         "token index beyond int64"])
+def test_adjacency_sidecar_errors_name_file_and_line(tmp_path, body, want):
+    # line 3 after a comment and a blank line; a later bad line never
+    # decides the message
+    path = write(tmp_path, "train.tsv", TSV_OK)
+    write(tmp_path, "train.tsv.adj", f"# edges\n\n{body}0 x\n")
+    with pytest.raises(D.CorpusError, match=rf"train\.tsv\.adj:3: {want}$"):
+        D.load_aspect_corpus(path)
+
+
+def test_adjacency_sidecar_takes_what_int_takes(tmp_path):
+    path = write(tmp_path, "train.tsv", TSV_OK)
+    write(tmp_path, "train.tsv.adj", "+0 1_0 ٤\n")
+    with pytest.raises(D.CorpusError, match="sentence 0 of length 5"):
+        D.load_aspect_corpus(path)
+    write(tmp_path, "train.tsv.adj", "+0 0_1 ٤\n")
+    assert D.load_aspect_corpus(path)[0].adjacency[1, 4] == 1.0
+
+
+@pytest.mark.parametrize("body, want", [
+    ("0 1 4\n  1 0 3 \n\n", None), ("", None), (" \n\n", None),
+    ("0 1 4\n0 1\n", ":3: expected '<sentence> <i> <j>', got '0 1'"),
+    ("0 1 4 1 0 3\n", ":2: expected '<sentence> <i> <j>', got '0 1 4 1 0 3'"),
+    ("0 1 4\n2 0 1\n", r":3: sentence index 2 out of range \(corpus has 2\)"),
+    ("1 0 4\n", ":2: token index out of range for sentence 1 of length 4"),
+    ("0 1 999999999999999999\n",
+     ":2: token index out of range for sentence 0 of length 5"),
+    ("9999999999999999999 0 1\n",
+     r":2: sentence index 9999999999999999999 out of range \(corpus has 2\)"),
+    ("0 1 4\n0 1", ":3: expected '<sentence> <i> <j>', got '0 1'")],
+    ids=["edges", "empty", "blank lines", "fields", "two edges on a line",
+         "sentence index", "token index", "18 digits", "19 digits",
+         "no final newline"])
+def test_plain_digit_sidecar_reads_as_under_a_comment(tmp_path, body, want):
+    # a sidecar of ASCII digits, spaces and newlines parses without a
+    # string per field; the same lines under a comment parse field by field
+    path = write(tmp_path, "train.tsv", TSV_OK)
+    read = []
+    for first in ("\n", "# edges\n"):
+        write(tmp_path, "train.tsv.adj", first + body)
+        if want is None:
+            read.append(D.load_aspect_corpus(path))
+            assert_same_sentences(read[-1], load_aspect_corpus_by_line(path))
+        else:
+            with pytest.raises(D.CorpusError,
+                               match=rf"train\.tsv\.adj{want}$"):
+                D.load_aspect_corpus(path)
+    if want is None:
+        assert_same_sentences(*read)
+        assert read[0][1].adjacency[0, 3] == (body != "" and body[0] == "0")
 
 
 # ---------------------------------------------------------------------------
@@ -444,3 +630,117 @@ def test_failed_write_synthetic_keeps_the_earlier_files(tmp_path):
                                                  test_sentences=3,
                                                  documents=4, seed=99))
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+# ---------------------------------------------------------------------------
+# reader fuzzes: every mutant loads, or fails as CorpusError (exit 3)
+
+
+V1_CHECKPOINT = os.path.join(os.path.dirname(__file__), "data",
+                             "tiny_v1.ckpt")
+EMBEDDINGS = ("5 4\nthe 0.25 -0.5 1e-3 7\nbattery 1 2 3 4\nis -0 .5 5e+2 8\n"
+              "great 3.5e-2 -1 0 9\nécran 1 1 1 1\n")
+
+
+@pytest.fixture(scope="module")
+def fuzz_bundle(tmp_path_factory):
+    return write_synthetic(str(tmp_path_factory.mktemp("fuzz")), SynthSpec(
+        train_sentences=12, test_sentences=0, documents=12, seed=4))
+
+
+@pytest.mark.parametrize("target", ["tsv", "adj"])
+def test_mutated_aspect_corpora_load_as_line_by_line_or_raise_its_error(
+        tmp_path, fuzz_bundle, target):
+    # a mutant either loads the line reader's sentences or raises its
+    # CorpusError message; a TSV mutant is read with and without the sidecar
+    with open(fuzz_bundle["train"], "rb") as f:
+        raw = {"tsv": f.read()}
+    with open(fuzz_bundle["train"] + ".adj", "rb") as f:
+        raw["adj"] = f.read()
+    path, rejected = tmp_path / "m.tsv", None
+    sidecar = tmp_path / "m.tsv.adj"
+    for k, blob in enumerate(mutants(raw[target], len(raw[target]), 300,
+                                     seed={"tsv": 23, "adj": 29}[target])):
+        path.write_bytes(blob if target == "tsv" else raw["tsv"])
+        if target == "adj" or k % 3:
+            sidecar.write_bytes(blob if target == "adj" else raw["adj"])
+        elif sidecar.exists():
+            sidecar.unlink()
+        try:
+            want = load_aspect_corpus_by_line(str(path))
+        except D.CorpusError as e:
+            with pytest.raises(D.CorpusError) as got:
+                D.load_aspect_corpus(str(path))
+            assert str(got.value) == str(e)
+            rejected = (blob, sidecar.exists())
+            continue
+        assert_same_sentences(D.load_aspect_corpus(str(path)), want)
+    assert rejected is not None
+    path.write_bytes(rejected[0] if target == "tsv" else raw["tsv"])
+    sidecar.write_bytes(rejected[0] if target == "adj" else raw["adj"])
+    if not rejected[1]:
+        sidecar.unlink()
+    assert main(["eval", "--checkpoint", V1_CHECKPOINT, "--corpus",
+                 str(path)]) == 3
+
+
+def test_retagged_corpora_raise_the_line_reader_s_first_error(tmp_path,
+                                                              fuzz_bundle):
+    # byte mutants rarely make a BIO or sentiment-placement error; 300
+    # mutants that each swap 1-4 tags for other valid ones or "_" make many,
+    # in several sentences at once, so the first in stream order must win
+    with open(fuzz_bundle["train"], encoding="utf-8") as f:
+        lines = f.read().split("\n")
+    rows = [k for k, line in enumerate(lines) if line]
+    tags = [getattr(D.DEFAULT_SCHEMES, f"{t}_tags")
+            for t in ("ate", "ote", "asc")]
+    rng = np.random.default_rng(37)
+    path, kinds = tmp_path / "m.tsv", set()
+    for _ in range(300):
+        out = list(lines)
+        for k in rng.choice(rows, size=int(rng.integers(1, 5))):
+            fields = out[k].split("\t")
+            c = int(rng.integers(1, 4))
+            fields[c] = str(rng.choice(tags[c - 1] + (("_",) if c == 3
+                                                        else ())))
+            out[k] = "\t".join(fields)
+        path.write_text("\n".join(out), encoding="utf-8")
+        try:
+            want = load_aspect_corpus_by_line(str(path))
+        except D.CorpusError as e:
+            with pytest.raises(D.CorpusError) as got:
+                D.load_aspect_corpus(str(path))
+            assert str(got.value) == str(e)
+            kinds.add(str(e).split(": ")[2].split()[1])
+            continue
+        assert_same_sentences(D.load_aspect_corpus(str(path)), want)
+    # both BIO errors and placement errors at several token positions
+    assert {"aspect", "opinion"} < kinds and len(kinds) > 4
+
+
+@pytest.mark.parametrize("target", ["documents", "embeddings"])
+def test_mutated_documents_and_embeddings_load_or_raise_corpus_error(
+        tmp_path, fuzz_bundle, target):
+    if target == "documents":
+        with open(fuzz_bundle["documents"], "rb") as f:
+            raw = f.read()
+        load, key = D.load_document_corpus, "documents"
+    else:
+        raw = EMBEDDINGS.encode("utf-8")
+        load, key = D.load_embeddings, "general_embeddings"
+    path, rejected, loaded = tmp_path / "m.txt", None, 0
+    for blob in mutants(raw, len(raw), 300, seed=31):
+        path.write_bytes(blob)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # duplicates
+                load(str(path))
+            loaded += 1
+        except D.CorpusError:
+            rejected = blob
+    assert loaded and rejected is not None
+    path.write_bytes(rejected)
+    assert main(["train", "--config", fuzz_bundle["config"], "--quiet",
+                 "--set", f"{key}={path}",
+                 "--set", f"out_dir={tmp_path / 'run'}"]) == 3
+    assert not (tmp_path / "run").exists()

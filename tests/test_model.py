@@ -25,7 +25,7 @@ from fixtures import (build_tiny_model, build_tiny_model_f64,
                       chain_adjacency, edit_header, random_sentence,
                       tiny_config, with_header)
 from helpers import (assert_grads_close, assert_views_of_blocks,
-                     failing_disk, gradcheck, param_shapes,
+                     failing_disk, gradcheck, mutants, param_shapes,
                      per_task_forward, step_grads, tape_grads, worst)
 
 
@@ -1067,26 +1067,6 @@ def test_format_1_checkpoint_keeps_loading(tmp_path):
     loaded.save(str(path))
     with open(V1_CHECKPOINT, "rb") as f:
         assert path.read_bytes() == f.read()
-
-
-def mutants(raw: bytes, header_end: int, count: int, seed: int):
-    """``count`` seeded mutations of ``raw``, in turn a flipped byte, a
-    deleted run, a truncation and a duplicated run; every other one starts
-    before ``header_end``, so the header takes half of them."""
-    rng = np.random.default_rng(seed)
-    for k in range(count):
-        i = int(rng.integers(header_end if k % 2 else len(raw)))
-        run = int(rng.integers(1, 17))
-        if k % 4 == 0:
-            out = bytearray(raw)
-            out[i] ^= int(rng.integers(1, 256))
-            yield bytes(out)
-        elif k % 4 == 1:
-            yield raw[:i] + raw[i + run:]
-        elif k % 4 == 2:
-            yield raw[:i]
-        else:
-            yield raw[:i + run] + raw[i:]
 
 
 def test_mutated_checkpoints_load_whole_or_raise_checkpoint_error(tmp_path):

@@ -113,3 +113,23 @@ def test_step_timing_default_batches_record_only_computing_nodes(tmp_path):
                                  ("aspect", "equal"): 39,
                                  ("document", "mixed"): 21,
                                  ("document", "equal"): 21}
+
+
+def test_setup_timing_prints_a_row_per_phase(tmp_path):
+    # --against this checkout loads a second copy of the package beside the
+    # first, which reads the same sentences; --corpus replaces the
+    # synthetic predict corpus
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text("the\tO\tO\t_\nsoup\tBA\tO\tpos\n\nfine\tO\tBP\t_\n",
+                      encoding="utf-8")
+    (tmp_path / "c.tsv.adj").write_text("0 0 1\n", encoding="utf-8")
+    proc = run_script(tmp_path, "setup_timing.py", "--reps", "1",
+                      "--corpus", str(corpus), "--against", ROOT)
+    assert proc.returncode == 0, proc.stderr
+    _, header, *rows, same = proc.stdout.splitlines()
+    assert header.split() == ["phase", "ms", "against_ms", "ratio"]
+    assert [row.split()[0] for row in rows] == [
+        "train_corpus", "documents", "predict_corpus", "embeddings", "model",
+        "save", "load", "total"]
+    assert all(float(x) > 0 for row in rows for x in row.split()[1:])
+    assert same == "sentences identical: yes"
