@@ -9,46 +9,33 @@ seeded ``ktabsa.synth`` data of short-train's sizes (32 train sentences,
 200 predict sentences, 32 documents), written once; ``--corpus PATH``
 reads PATH, with its ``.adj`` sidecar if there is one, as the predict
 corpus instead. A row prints one phase's median over ``--reps`` set-ups in
-milliseconds; ``total`` is the median of the set-ups' sums. numpy runs
-with one BLAS thread.
+milliseconds; ``total`` is the median of the set-ups' sums.
 
 ``--against PATH`` runs the same set-up with the package under
-``PATH/src`` (for example a ``git archive`` of another revision) and
-alternates the two set-up by set-up, swapping which goes first each rep,
-so both see the same host; each row then adds that package's median and
-the ratio of the medians (this checkout over the other), and a last line
-says whether the two read the same sentences: tokens, tags and adjacency
-values, dtype and shape.
+``PATH/src`` and alternates the two set-up by set-up (see ``measure``); a
+last line says whether the two read the same sentences: tokens, tags and
+adjacency values, dtype and shape.
 
 Usage: python scripts/setup_timing.py [--reps 20] [--seed 7]
                                       [--corpus PATH] [--against PATH]
 """
 
 import os
-
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"      # before numpy loads its BLAS
-
-import argparse
-import statistics
 import sys
 import tempfile
 import time
 
+import measure   # pins BLAS to one thread before numpy loads
 import numpy as np
 
-from checkout import load_checkout
-
-ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 PHASES = ("train_corpus", "documents", "predict_corpus", "embeddings",
           "model", "save", "load")
-EMBEDDING_SEED = 5
 
 
-def set_up(package, paths: dict, checkpoint: str):
+def set_up(package, paths: dict):
     """One set-up; returns the seconds of each phase and the sentences of
     both corpora."""
-    data, model, _ = package
+    data = package.data
     stamps = [time.perf_counter()]
     train = data.load_aspect_corpus(paths["train"])
     stamps.append(time.perf_counter())
@@ -56,19 +43,14 @@ def set_up(package, paths: dict, checkpoint: str):
     stamps.append(time.perf_counter())
     pred = data.load_aspect_corpus(paths["predict"])
     stamps.append(time.perf_counter())
-    config = model.ModelConfig()
-    rng = np.random.default_rng(EMBEDDING_SEED)
-    words = data.corpus_words(train + pred, docs)
-    general = data.random_embeddings(words, config.d_general, rng)
-    domain = data.random_embeddings(words, config.d_domain, rng)
-    data.assign_embedding_ids(train, general, domain)
-    data.assign_embedding_ids(docs, general, domain)
+    general, domain = measure.embeddings(package, [train + pred, docs], train,
+                                         docs)
     stamps.append(time.perf_counter())
-    net = model.AbsaModel(config, data.DEFAULT_SCHEMES, general, domain)
+    net = measure.default_model(package, general, domain)
     stamps.append(time.perf_counter())
-    net.save(checkpoint)
+    net.save(paths["checkpoint"])
     stamps.append(time.perf_counter())
-    model.AbsaModel.load(checkpoint)
+    package.model.AbsaModel.load(paths["checkpoint"])
     stamps.append(time.perf_counter())
     return np.diff(stamps), train + pred
 
@@ -84,54 +66,29 @@ def same_sentences(a, b) -> bool:
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--reps", type=int, default=20)
-    ap.add_argument("--seed", type=int, default=7)
+    ap = measure.parser(__doc__)
     ap.add_argument("--corpus", metavar="PATH",
                     help="an aspect corpus to read as the predict corpus")
-    ap.add_argument("--against", metavar="PATH",
-                    help="a second checkout whose src/ktabsa to time too")
-    args = ap.parse_args(argv)
-    if args.reps < 1:
-        ap.error("--reps must be at least 1")
+    args, packages = measure.parse(ap, argv)
     if args.corpus and not os.path.isfile(args.corpus):
         ap.error(f"no corpus at {args.corpus}")
-    modules = ("data", "model", "synth")
-    packages = [load_checkout(os.path.join(ROOT, "src"), "ktabsa", *modules)]
-    if args.against:
-        src = os.path.join(args.against, "src")
-        if not os.path.isfile(os.path.join(src, "ktabsa", "data.py")):
-            ap.error(f"no src/ktabsa/data.py under {args.against}")
-        packages.append(load_checkout(src, "ktabsa_against", *modules))
-    synth = packages[0][2]
-    samples = [[] for _ in packages]
+    synth = packages[0].synth
     with tempfile.TemporaryDirectory() as tmp:
         paths = synth.write_synthetic(tmp, synth.SynthSpec(
             train_sentences=32, test_sentences=200, documents=32,
             seed=args.seed))
         paths["predict"] = args.corpus or paths["test"]
-        checkpoints = [os.path.join(tmp, f"model{k}.ckpt")
-                       for k in range(len(packages))]
-        read = [set_up(p, paths, c)[1]                 # warm-up set-up
-                for p, c in zip(packages, checkpoints)]
-        for rep in range(args.reps):
-            order = range(len(packages))
-            for k in (order if rep % 2 == 0 else reversed(order)):
-                samples[k].append(set_up(packages[k], paths,
-                                         checkpoints[k])[0])
-    cols = ["phase", "ms"]
-    if args.against:
-        cols += ["against_ms", "ratio"]
-    print(f"numpy {np.__version__}, default ModelConfig, seed {args.seed}, "
-          f"median of {args.reps} set-ups")
-    print(" ".join(f"{c:>16}" for c in cols))
-    for i, phase in enumerate((*PHASES, "total")):
-        ms = [1e3 * statistics.median(s[i] if i < len(PHASES) else s.sum()
-                                      for s in runs)
-              for runs in samples]
-        row = [phase, *ms] + ([ms[0] / ms[1]] if args.against else [])
-        print(" ".join(f"{x:>16.3f}" if isinstance(x, float) else f"{x:>16}"
-                       for x in row))
+        paths["checkpoint"] = os.path.join(tmp, "model.ckpt")
+        read = [set_up(p, paths)[1] for p in packages]      # warm-up set-up
+        samples = measure.alternate(args.reps, len(packages), 1,
+                                    lambda k, _: set_up(packages[k], paths)[0])
+    measure.print_table(
+        f"default ModelConfig, seed {args.seed}, median of {args.reps} "
+        "set-ups", 16, ["phase"], ["ms"],
+        [([phase], [[measure.median_ms(s[i] if i < len(PHASES) else s.sum()
+                                       for s in setups)]
+                    for setups, in samples])
+         for i, phase in enumerate((*PHASES, "total"))])
     if args.against:
         print("sentences identical: "
               f"{'yes' if same_sentences(*read) else 'no'}")

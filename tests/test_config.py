@@ -9,7 +9,7 @@ from ktabsa.model import ABLATIONS, ModelConfig, apply_ablation
 from ktabsa.tensor import ConfigError
 from ktabsa.training import Schedule
 
-from helpers import failing_disk
+from helpers import failing_disk, mutants
 
 
 def test_keys_are_the_fields_of_the_three_classes_each_once():
@@ -109,3 +109,25 @@ def test_failed_echo_keeps_the_earlier_config(tmp_path):
     with open(path, encoding="utf-8") as f:
         assert f.read() == before
     assert os.listdir(tmp_path) == ["effective.cfg"]
+
+
+def test_mutated_config_files_load_or_raise_config_error(tmp_path,
+                                                          monkeypatch):
+    # the default config file, mutated: each mutant parses and validates or
+    # raises ConfigError, and a sample of the rejected ones exits 2 through
+    # main before anything is written
+    monkeypatch.chdir(tmp_path)
+    raw = C.format_config(C.RunConfig()).encode("utf-8")
+    path, rejected, loaded = tmp_path / "m.cfg", [], 0
+    for blob in mutants(raw, len(raw), 300, seed=41):
+        path.write_bytes(blob)
+        try:
+            C.load_config(str(path)).validate()
+            loaded += 1
+        except ConfigError:
+            rejected.append(blob)
+    assert loaded and len(rejected) >= 10
+    for blob in rejected[::len(rejected) // 10][:10]:
+        path.write_bytes(blob)
+        assert cli.main(["train", "--config", str(path), "--quiet"]) == 2
+    assert os.listdir(tmp_path) == ["m.cfg"]

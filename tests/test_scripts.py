@@ -1,12 +1,30 @@
-"""Smoke runs of the example scripts. Each trains through ``fit`` and reads
-``forward``'s outputs, so an interface change that breaks a script fails
-here."""
+"""Smoke runs of the example scripts, and tests of ``scripts/measure.py``,
+the core that the timing scripts share. ``overfit_synth.py`` and
+``trace_demo.py`` train through ``fit``, and ``trace_demo.py`` reads
+``forward``'s traces; the timing scripts run predicts, forwards, training
+steps, set-ups and ``route`` calls. So an interface change that breaks a
+script fails here."""
 
+import importlib
 import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TIMING_SCRIPTS = ("predict_timing.py", "step_timing.py", "setup_timing.py",
+                  "route_timing.py")
+
+
+@pytest.fixture
+def measure(monkeypatch):
+    # importing measure pins BLAS threads in the environment; setting them
+    # first lets monkeypatch restore them for the processes later tests start
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "scripts"))
+    return importlib.import_module("measure")
 
 
 def run_script(cwd, name: str, *args: str) -> subprocess.CompletedProcess:
@@ -133,3 +151,37 @@ def test_setup_timing_prints_a_row_per_phase(tmp_path):
         "save", "load", "total"]
     assert all(float(x) > 0 for row in rows for x in row.split()[1:])
     assert same == "sentences identical: yes"
+
+
+def test_python_calls_counts_the_callable_and_each_call_it_makes(measure):
+    def helper(x):
+        return x + 1
+
+    def fn(x):
+        return helper(x) * helper(len([x]))    # len is no Python call
+
+    assert measure.python_calls(fn, 1) == 3
+    # a wrapper around the measured callable adds its own call
+    assert measure.python_calls(lambda: fn(1)) == 4
+
+
+def test_alternate_swaps_the_run_order_on_odd_reps(measure):
+    calls = []
+
+    def record(k, c):
+        calls.append((k, c))
+        return len(calls)
+
+    results = measure.alternate(4, 2, 3, record)
+    assert calls == [(k, c) for rep in range(4) for c in range(3)
+                     for k in ((0, 1) if rep % 2 == 0 else (1, 0))]
+    # results by run, then case, then rep
+    assert results[0][0] == [1, 8, 13, 20]
+    assert results[1][2] == [6, 11, 18, 23]
+
+
+@pytest.mark.parametrize("name", TIMING_SCRIPTS)
+def test_against_a_directory_without_the_package_exits_2(tmp_path, name):
+    proc = run_script(tmp_path, name, "--against", str(tmp_path))
+    assert proc.returncode == 2
+    assert f"no src/ktabsa under {tmp_path}" in proc.stderr
