@@ -6,12 +6,14 @@ corpus until both either reach the target token accuracy on all three
 token-level tasks or exhaust the epoch budget, then prints a comparison.
 The synthetic far-distance sentences place the opinion outside the local
 receptive field, so the transfer-free model has no path to the sentiment
-signal and should plateau on the sentiment task.
+signal and should plateau on the sentiment task. Both train the model and
+schedule of the ``gen-synth`` bundle's config, as ``trace_demo.py`` does.
 
 Usage: python scripts/overfit_synth.py [--sentences 50] [--epochs 200]
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 import tempfile
@@ -22,31 +24,45 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 "..", "src"))
 
+from ktabsa.config import load_config
 from ktabsa.data import (DEFAULT_SCHEMES, assign_embedding_ids, corpus_words,
                          load_aspect_corpus, random_embeddings)
 from ktabsa.metrics import evaluate
-from ktabsa.model import AbsaModel, ModelConfig
+from ktabsa.model import AbsaModel
 from ktabsa.synth import SynthSpec, write_synthetic
-from ktabsa.training import Schedule, fit
+from ktabsa.training import fit
 
 
-def run(sentences, transfers_on, args):
-    kwargs = dict(d_general=24, d_domain=12, d_enc=32, d_task=32, d_route=16,
-                  kernel_widths=(3, 5), task_depth=2, dropout=0.0,
-                  iterations=2, route_iters=2, seed=args.seed)
-    if not transfers_on:
-        kwargs.update(transfers=(), inject_ddc=False, inject_dsc=False)
-    cfg = ModelConfig(**kwargs)
-    rng = np.random.default_rng(args.seed)
+def synthetic(sentences: int, seed: int):
+    """The training sentences of a ``gen-synth`` bundle, and its config."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = write_synthetic(tmp, SynthSpec(train_sentences=sentences,
+                                               seed=seed))
+        return load_aspect_corpus(paths["train"]), load_config(paths["config"])
+
+
+def train(sentences, cfg, schedule, seed: int):
+    """A model of ``cfg`` on random embeddings drawn at ``seed``, fit to
+    ``sentences`` by ``schedule``, and the fit's result."""
+    rng = np.random.default_rng(seed)
     words = corpus_words(sentences)
-    general = random_embeddings(words, cfg.d_general, rng)
-    domain = random_embeddings(words, cfg.d_domain, rng)
-    assign_embedding_ids(sentences, general, domain)
-    model = AbsaModel(cfg, DEFAULT_SCHEMES, general, domain)
-    schedule = Schedule(epochs=args.epochs, pretrain_epochs=0, batch_size=16,
-                        lr=args.lr, patience=0, target_token_acc=args.target)
+    model = AbsaModel(cfg, DEFAULT_SCHEMES,
+                      random_embeddings(words, cfg.d_general, rng),
+                      random_embeddings(words, cfg.d_domain, rng))
+    assign_embedding_ids(sentences, model.general_table, model.domain_table)
+    return model, fit(model, sentences, [], [], schedule)
+
+
+def run(sentences, bundle, transfers_on, args):
+    cfg = dataclasses.replace(bundle.model, seed=args.seed)
+    if not transfers_on:
+        cfg = dataclasses.replace(cfg, transfers=(), inject_ddc=False,
+                                  inject_dsc=False)
+    schedule = dataclasses.replace(
+        bundle.schedule, epochs=args.epochs, pretrain_epochs=0, lr=args.lr,
+        patience=0, target_token_acc=args.target)
     t0 = time.time()
-    result = fit(model, sentences, [], [], schedule)
+    model, result = train(sentences, cfg, schedule, args.seed)
     wall = time.time() - t0
     report = evaluate(model.predict_many(sentences), sentences)
     return result, report, wall
@@ -61,14 +77,10 @@ def main():
     ap.add_argument("--seed", type=int, default=7)
     args = ap.parse_args()
 
-    with tempfile.TemporaryDirectory() as tmp:
-        paths = write_synthetic(tmp, SynthSpec(train_sentences=args.sentences,
-                                               seed=args.seed))
-        sentences = load_aspect_corpus(paths["train"])
-
+    sentences, bundle = synthetic(args.sentences, args.seed)
     rows = []
     for label, on in (("full model", True), ("no transfer", False)):
-        result, report, wall = run(sentences, on, args)
+        result, report, wall = run(sentences, bundle, on, args)
         reached = result.reached_target_epoch
         acc = result.final_token_acc
         rows.append((label,

@@ -10,21 +10,11 @@ Usage: python scripts/trace_demo.py [--epochs 60]
 """
 
 import argparse
-import os
-import sys
-import tempfile
+import dataclasses
 
-import numpy as np
+from overfit_synth import synthetic, train  # and src/ on the path
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                                "..", "src"))
-
-from ktabsa.data import (DEFAULT_SCHEMES, assign_embedding_ids, corpus_words,
-                         load_aspect_corpus, random_embeddings)
-from ktabsa.model import AbsaModel, ModelConfig
 from ktabsa.routing import agreement_trace
-from ktabsa.synth import SynthSpec, write_synthetic
-from ktabsa.training import Schedule, fit
 
 
 def main():
@@ -34,23 +24,14 @@ def main():
     ap.add_argument("--seed", type=int, default=7)
     args = ap.parse_args()
 
-    with tempfile.TemporaryDirectory() as tmp:
-        paths = write_synthetic(tmp, SynthSpec(train_sentences=50,
-                                               seed=args.seed))
-        sentences = load_aspect_corpus(paths["train"])
-
-    cfg = ModelConfig(d_general=24, d_domain=12, d_enc=32, d_task=32,
-                      d_route=16, kernel_widths=(3, 5), task_depth=2,
-                      dropout=0.0, iterations=2, route_iters=3, seed=args.seed)
-    rng = np.random.default_rng(args.seed)
-    words = corpus_words(sentences)
-    general = random_embeddings(words, cfg.d_general, rng)
-    domain = random_embeddings(words, cfg.d_domain, rng)
-    assign_embedding_ids(sentences, general, domain)
-    model = AbsaModel(cfg, DEFAULT_SCHEMES, general, domain)
-    fit(model, sentences, [], [], Schedule(epochs=args.epochs,
-                                           pretrain_epochs=0, batch_size=16,
-                                           lr=2e-3, patience=0))
+    sentences, bundle = synthetic(50, args.seed)
+    # the bundle's model with a longer routing loop
+    model, _ = train(sentences,
+                     dataclasses.replace(bundle.model, route_iters=3,
+                                         seed=args.seed),
+                     dataclasses.replace(bundle.schedule, epochs=args.epochs,
+                                         pretrain_epochs=0, patience=0),
+                     args.seed)
 
     sample = max(sentences, key=lambda s: s.n)  # a far-distance sentence
     _, traces = model.forward([sample], keep_trace=True)

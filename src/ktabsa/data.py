@@ -385,7 +385,7 @@ class EmbeddingTable:
         full = np.vstack([matrix.reshape(-1, dim), unk_row.reshape(1, dim),
                           np.zeros((1, dim), dtype=np.float32)])
         vocab = {w: i for i, w in enumerate(words)}
-        return cls(vocab, full.astype(np.float32), dim,
+        return cls(vocab, full.astype(np.float32, copy=False), dim,
                    unk_index=len(words), pad_index=len(words) + 1)
 
 

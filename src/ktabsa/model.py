@@ -73,8 +73,8 @@ from .routing import (RoutingState, RoutingTrace, TransferDirection,
                       directions_per_call, predict_vectors, route,
                       routing_prior, target_votes)
 from .tensor import (ConfigError, DivergenceError, Segments, Tensor, concat,
-                     default_dtype, dropout, dropout_keep, embedding_lookup,
-                     grouped_affine, segment_expand, select, softmax)
+                     dropout, dropout_keep, embedding_lookup, grouped_affine,
+                     segment_expand, select, softmax)
 
 ASPECT_TASKS = ("ate", "ote", "asc")
 DOC_TASKS = ("ddc", "dsc")
@@ -269,7 +269,8 @@ def majority_sentiment(labels: list[int]) -> int:
 
 
 class AbsaModel:
-    """Multi-task tagger with iterative inter-task knowledge routing."""
+    """Multi-task tagger with iterative inter-task knowledge routing; its
+    vocabulary tables index its live embedding parameters, not the caller's."""
 
     def __init__(self, config: ModelConfig, schemes: TagSchemes,
                  general: EmbeddingTable, domain: EmbeddingTable):
@@ -282,18 +283,18 @@ class AbsaModel:
                 f"config ({config.d_general}, {config.d_domain})")
         self.config = config
         self.schemes = schemes
-        self.general_table = general
-        self.domain_table = domain
         self.params = params = L.Params(np.random.default_rng(config.seed))
         # a lone item's Segments, with their windows, by its length, which
         # recurs predict after predict; a chunk's lengths seldom recur
         self.lone = functools.lru_cache(maxsize=64)(Segments)
         c1 = schemes.token_classes
 
-        self.emb_general = params.add(
-            "emb.general", general.matrix.astype(default_dtype()))
-        self.emb_domain = params.add(
-            "emb.domain", domain.matrix.astype(default_dtype()))
+        self.emb_general = params.add("emb.general", general.matrix)
+        self.emb_domain = params.add("emb.domain", domain.matrix)
+        self.general_table = dataclasses.replace(
+            general, matrix=self.emb_general.data)
+        self.domain_table = dataclasses.replace(
+            domain, matrix=self.emb_domain.data)
         d_emb = general.dim + domain.dim
         self.nonlin = L.NONLINEARITIES[config.nonlinearity]
         self.encoder = L.SharedEncoder(params, d_emb, config.d_enc,
@@ -676,10 +677,10 @@ class AbsaModel:
     @classmethod
     def load(cls, path: str) -> "AbsaModel":
         """Read ``path`` in one pass and build the model of its config and
-        vocabularies. Its other header fields must equal that model's
-        :meth:`_header` as JSON text, and its payload must hold exactly that
-        model's parameters, all finite; otherwise :class:`CheckpointError`
-        is raised."""
+        vocabularies, whose tables then index the loaded embeddings. Its
+        other header fields must equal that model's :meth:`_header` as JSON
+        text, and its payload must hold exactly that model's parameters, all
+        finite; otherwise :class:`CheckpointError` is raised."""
         with open(path, "rb") as f:
             header = cls._read_header(f, path)
             payload = f.read()
@@ -688,7 +689,7 @@ class AbsaModel:
             config.validate()
         except ConfigError as e:
             raise CheckpointError(f"{path}: bad model config: {e}") from None
-        # zero tables of the checkpoint's vocabularies: the payload fills them
+        # zero tables of its vocabularies: the payload fills the model's copy
         general, domain = (
             EmbeddingTable.from_words(words, np.zeros((len(words), dim),
                                                       np.float32),

@@ -71,17 +71,20 @@ def aspect_loss(states: Sequence[IterationState],
     return cross_entropy_rows(states[-1].logits, gold, weights)
 
 
-def backprop_chunks(items: Sequence, keep: list | None,
+def backprop_chunks(model: AbsaModel, items: Sequence,
+                    rng: np.random.Generator | None,
                     chunk_loss: Callable[[list, list | None, float], Tensor]
                     ) -> float:
     """Mean per-item loss of a batch, its gradient accumulated into every
-    parameter's ``.grad``. ``chunk_loss(chunk, keep, share)`` returns the
-    summed loss of one chunk of :func:`data.length_chunks`, given its
-    dropout masks (None in evaluation), weighted by each item's share
-    of the mean, ``1 / len(items)``. Each chunk's share of the mean is
-    recorded on a tape of its own, checked and backpropagated at once, so a
-    batch's graph never outgrows one chunk's. A non-finite chunk loss
-    raises :class:`DivergenceError` before its backward."""
+    parameter's ``.grad``; training (an ``rng``, None in evaluation) draws
+    the dropout of the whole batch first, in batch order.
+    ``chunk_loss(chunk, keep, share)`` returns the summed loss of one chunk
+    of :func:`data.length_chunks`, given its dropout masks, weighted by each
+    item's share of the mean, ``1 / len(items)``. Each chunk's share of the
+    mean is recorded on a tape of its own, checked and backpropagated at
+    once, so a batch's graph never outgrows one chunk's. A non-finite chunk
+    loss raises :class:`DivergenceError` before its backward."""
+    keep = model.draw_dropout(items, rng) if rng is not None else None
     total = 0.0
     for idx in length_chunks(items):
         tape = Tape()
@@ -100,14 +103,12 @@ def backprop_chunks(items: Sequence, keep: list | None,
 def batch_aspect_loss(model: AbsaModel, batch: Sequence[Sentence],
                       rng: np.random.Generator | None) -> float:
     """Mean per-sentence loss over a batch, backpropagated chunk by chunk
-    (:func:`backprop_chunks`). Training (an ``rng``, None in evaluation)
-    draws the dropout of the whole batch first, in batch order."""
+    with the dropout that ``rng`` draws (:func:`backprop_chunks`)."""
     def chunk_loss(chunk, keep, share):
         states, _ = model.forward(chunk, keep)
         return aspect_loss(states, chunk, model.config, share)
 
-    keep = model.draw_dropout(batch, rng) if rng is not None else None
-    return backprop_chunks(batch, keep, chunk_loss)
+    return backprop_chunks(model, batch, rng, chunk_loss)
 
 
 def document_loss(doc_logits: dict[str, Tensor],
@@ -138,14 +139,13 @@ def document_loss(doc_logits: dict[str, Tensor],
 
 def batch_document_loss(model: AbsaModel, docs: Sequence[Document],
                         rng: np.random.Generator | None) -> float:
-    """Mean per-document loss, backpropagated chunk by chunk
-    (:func:`backprop_chunks`); dropout as in :func:`batch_aspect_loss`."""
+    """Mean per-document loss, backpropagated chunk by chunk with the
+    dropout that ``rng`` draws (:func:`backprop_chunks`)."""
     def chunk_loss(chunk, keep, share):
         return document_loss(model.forward_document(chunk, keep), chunk,
                              model.config, share)
 
-    keep = model.draw_dropout(docs, rng) if rng is not None else None
-    return backprop_chunks(docs, keep, chunk_loss)
+    return backprop_chunks(model, docs, rng, chunk_loss)
 
 
 class Adam:
@@ -293,7 +293,7 @@ def fit(model: AbsaModel, train_sentences: Sequence[Sentence],
         dev_sentences: Sequence[Sentence], documents: Sequence[Document],
         schedule: Schedule, out_dir: str | None = None,
         log: Callable[[str], None] | None = None) -> TrainResult:
-    """Two-phase training loop; deterministic under the model seed."""
+    """Deterministic two-phase training loop; returns holding no gradient."""
     schedule.validate()
     opt = Adam(model.named_parameters(), schedule.lr)
     rng = np.random.default_rng(np.random.SeedSequence(
@@ -417,6 +417,7 @@ def fit(model: AbsaModel, train_sentences: Sequence[Sentence],
         model.save(result.best_path)
     if schedule.target_token_acc > 0 and not result.final_token_acc:
         result.final_token_acc = token_accuracy(model, train_sentences)
+    opt.zero_grad()
     return result
 
 

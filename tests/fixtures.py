@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import importlib
 import json
+import os
 import struct
+import sys
 
 import numpy as np
 
@@ -60,26 +63,41 @@ def tiny_document() -> Document:
                     domain_gold=0, sentiment_gold=0)
 
 
+def random_model(config: ModelConfig, words, rng: np.random.Generator,
+                 *indexed) -> AbsaModel:
+    """A model on random embeddings of ``words``, general then domain from
+    ``rng``, with each list of ``indexed`` items indexed by its tables."""
+    model = AbsaModel(config, DEFAULT_SCHEMES,
+                      random_embeddings(words, config.d_general, rng),
+                      random_embeddings(words, config.d_domain, rng))
+    for items in indexed:
+        assign_embedding_ids(items, model.general_table, model.domain_table)
+    return model
+
+
 def build_tiny_model(config: ModelConfig | None = None, seed: int = 11,
                      index=()):
     """Model plus indexed sentence/document on random tiny embeddings."""
-    config = config or tiny_config()
-    rng = np.random.default_rng(seed)
-    general = random_embeddings(TINY_WORDS, config.d_general, rng)
-    domain = random_embeddings(TINY_WORDS, config.d_domain, rng)
-    model = AbsaModel(config, DEFAULT_SCHEMES, general, domain)
-    sent = tiny_sentence()
-    doc = tiny_document()
-    assign_embedding_ids([sent], general, domain)
-    assign_embedding_ids([doc], general, domain)
-    for item in index:
-        assign_embedding_ids([item], general, domain)
+    sent, doc = tiny_sentence(), tiny_document()
+    model = random_model(config or tiny_config(), TINY_WORDS,
+                         np.random.default_rng(seed), [sent, doc, *index])
     return model, sent, doc
 
 
 def build_tiny_model_f64(config: ModelConfig | None = None, seed: int = 11):
     with T.use_dtype(np.float64):
         return build_tiny_model(config, seed)
+
+
+def bench_inputs(out_dir, workload: str, seed: int):
+    """The benchmark's seeded input files of ``workload``."""
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "bench"))
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.pop(0)
+    return workloads.write_inputs(str(out_dir), seed,
+                                  workloads.WORKLOADS[workload])
 
 
 def with_header(raw: bytes, head: bytes) -> bytes:

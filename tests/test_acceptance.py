@@ -5,6 +5,7 @@ gradient-suite criteria train/check real models and take a couple of minutes
 combined; everything else is fast.
 """
 
+import dataclasses
 import math
 import os
 import time
@@ -13,9 +14,10 @@ import numpy as np
 import pytest
 
 from ktabsa import tensor as T
+from ktabsa.config import load_config
 from ktabsa.data import (DEFAULT_SCHEMES, CorpusError,
                          assign_embedding_ids, corpus_words,
-                         load_aspect_corpus, random_embeddings)
+                         load_aspect_corpus)
 from ktabsa.metrics import asc_scores, evaluate, span_f1
 from ktabsa.model import AbsaModel, ModelConfig, apply_ablation
 from ktabsa.routing import positional_encoding, route, routing_prior, squash
@@ -23,7 +25,7 @@ from ktabsa.synth import SynthSpec, write_synthetic
 from ktabsa.training import (GRADCHECK_STEP, GRADCHECK_TOL, Schedule,
                              aspect_loss, fit, gradcheck_harness)
 
-from fixtures import build_tiny_model, tiny_config
+from fixtures import build_tiny_model, random_model, tiny_config
 from helpers import (corpus_stats, gradcheck, param_shapes, read_predictions,
                      squash_ref, worst)
 from test_metrics import asc_oracle, micro_f1_oracle, random_instance
@@ -140,25 +142,18 @@ def test_metric_oracles_two_hundred_sets():
     ok("metric-oracles", "200 randomized sets, exact agreement")
 
 
-OVERFIT_DIMS = dict(d_general=24, d_domain=12, d_enc=32, d_task=32,
-                    d_route=16, kernel_widths=(3, 5), task_depth=2,
-                    dropout=0.0, iterations=2, route_iters=2)
-
-
-def _overfit_run(sentences, transfers_on: bool):
-    if transfers_on:
-        cfg = ModelConfig(seed=7, **OVERFIT_DIMS)
-    else:
-        cfg = ModelConfig(seed=7, transfers=(), inject_ddc=False,
-                          inject_dsc=False, **OVERFIT_DIMS)
-    rng = np.random.default_rng(3)
-    words = corpus_words(sentences)
-    general = random_embeddings(words, cfg.d_general, rng)
-    domain = random_embeddings(words, cfg.d_domain, rng)
-    assign_embedding_ids(sentences, general, domain)
-    model = AbsaModel(cfg, DEFAULT_SCHEMES, general, domain)
-    schedule = Schedule(epochs=200, pretrain_epochs=0, batch_size=16,
-                        lr=2e-3, patience=0, target_token_acc=0.95)
+def _overfit_run(sentences, bundle, transfers_on: bool):
+    """The model and schedule of the synthetic bundle's config, ``bundle``,
+    with no document pretraining and a target accuracy of 0.95."""
+    cfg = dataclasses.replace(bundle.model, seed=7)
+    if not transfers_on:
+        cfg = dataclasses.replace(cfg, transfers=(), inject_ddc=False,
+                                  inject_dsc=False)
+    model = random_model(cfg, corpus_words(sentences),
+                         np.random.default_rng(3), sentences)
+    schedule = dataclasses.replace(bundle.schedule, epochs=200,
+                                   pretrain_epochs=0, patience=0,
+                                   target_token_acc=0.95)
     return model, fit(model, sentences, [], [], schedule)
 
 
@@ -170,9 +165,10 @@ def test_overfitting_and_transfer_benefit(tmp_path):
                             SynthSpec(train_sentences=50, seed=7))
     sentences = load_aspect_corpus(paths["train"])
     assert len(sentences) == 50
+    bundle = load_config(paths["config"])
 
     t0 = time.time()
-    model, full = _overfit_run(sentences, transfers_on=True)
+    model, full = _overfit_run(sentences, bundle, transfers_on=True)
     elapsed = time.time() - t0
     assert full.reached_target_epoch is not None, full.final_token_acc
     assert full.reached_target_epoch <= 200
@@ -185,7 +181,7 @@ def test_overfitting_and_transfer_benefit(tmp_path):
     for metric in ("f1_a", "f1_o", "acc_s", "f1_s", "f1_i"):
         assert getattr(report, metric) >= 0.95, (metric, report.as_dict())
 
-    _, ablated = _overfit_run(sentences, transfers_on=False)
+    _, ablated = _overfit_run(sentences, bundle, transfers_on=False)
     if ablated.reached_target_epoch is not None:
         assert ablated.reached_target_epoch > full.reached_target_epoch
         detail_abl = f"ablated needs {ablated.reached_target_epoch} epochs"
@@ -287,14 +283,8 @@ def test_determinism_and_persistence(tmp_path):
     def one_fit():
         sentences = load_aspect_corpus(paths["train"])
         documents = load_document_corpus(paths["documents"])
-        cfg = tiny_config()
-        rng = np.random.default_rng(1)
-        words = corpus_words(sentences, documents)
-        general = random_embeddings(words, cfg.d_general, rng)
-        domain = random_embeddings(words, cfg.d_domain, rng)
-        assign_embedding_ids(sentences, general, domain)
-        assign_embedding_ids(documents, general, domain)
-        model = AbsaModel(cfg, DEFAULT_SCHEMES, general, domain)
+        model = random_model(tiny_config(), corpus_words(sentences, documents),
+                             np.random.default_rng(1), sentences, documents)
         schedule = Schedule(epochs=2, pretrain_epochs=1, batch_size=8,
                             lr=1e-3, patience=0)
         result = fit(model, sentences, [], documents, schedule)

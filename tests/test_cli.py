@@ -24,6 +24,15 @@ def synth_dir(tmp_path_factory):
     return str(out)
 
 
+@pytest.fixture(scope="module")
+def ckpt(synth_dir, tmp_path_factory):
+    """The best checkpoint of a smoke-speed run on the synthetic bundle."""
+    out = str(tmp_path_factory.mktemp("trained") / "run")
+    run_cli("train", "--config", os.path.join(synth_dir, "synthetic.cfg"),
+            "--quiet", *fast_overrides(out))
+    return os.path.join(out, "run0", "best.ckpt")
+
+
 def fast_overrides(out_dir, **extra):
     """Shrink the synthetic config for smoke-speed CLI runs."""
     sets = {"epochs": "2", "pretrain_epochs": "1", "d_general": "6",
@@ -122,11 +131,7 @@ def test_train_eval_predict_cycle(synth_dir, tmp_path):
                for r in rows)
 
 
-def test_eval_table_and_json_agree(synth_dir, tmp_path, capsys):
-    cfg = os.path.join(synth_dir, "synthetic.cfg")
-    out = str(tmp_path / "run")
-    run_cli("train", "--config", cfg, "--quiet", *fast_overrides(out))
-    ckpt = os.path.join(out, "run0", "best.ckpt")
+def test_eval_table_and_json_agree(ckpt, synth_dir, capsys):
     capsys.readouterr()
     run_cli("eval", "--checkpoint", ckpt, "--corpus",
             os.path.join(synth_dir, "test.tsv"))
@@ -196,11 +201,7 @@ def test_ablate_opinion_transfer_manifest(synth_dir, tmp_path):
     assert any(n.startswith("route.ate_to") for n in names)
 
 
-def test_trace_export(synth_dir, tmp_path):
-    cfg = os.path.join(synth_dir, "synthetic.cfg")
-    out = str(tmp_path / "run")
-    run_cli("train", "--config", cfg, "--quiet", *fast_overrides(out))
-    ckpt = os.path.join(out, "run0", "best.ckpt")
+def test_trace_export(ckpt, synth_dir, tmp_path):
     tdir = str(tmp_path / "traces")
     code = run_cli("trace", "--checkpoint", ckpt, "--corpus",
                    os.path.join(synth_dir, "test.tsv"), "--direction",
@@ -216,18 +217,11 @@ def test_trace_export(synth_dir, tmp_path):
         assert rec["tokens"]
 
 
-def test_trace_single_token_sentence(tmp_path):
+def test_trace_single_token_sentence(ckpt, tmp_path):
     out = str(tmp_path / "one")
     os.makedirs(out)
     with open(os.path.join(out, "one.tsv"), "w") as f:
         f.write("battery\tBA\tO\tpos\n\n")
-    bundle = str(tmp_path / "synthbundle")
-    write_synthetic(bundle, SynthSpec(train_sentences=8, test_sentences=2,
-                                      documents=4, seed=1))
-    cfg = os.path.join(bundle, "synthetic.cfg")
-    run_dir = str(tmp_path / "run")
-    run_cli("train", "--config", cfg, "--quiet", *fast_overrides(run_dir))
-    ckpt = os.path.join(run_dir, "run0", "best.ckpt")
     tdir = str(tmp_path / "traces")
     code = run_cli("trace", "--checkpoint", ckpt, "--corpus",
                    os.path.join(out, "one.tsv"), "--direction", "ate->asc",
@@ -238,11 +232,7 @@ def test_trace_single_token_sentence(tmp_path):
         assert rec["c"] == [[1.0]]
 
 
-def test_trace_invalid_direction_exit_2(synth_dir, tmp_path, capsys):
-    cfg = os.path.join(synth_dir, "synthetic.cfg")
-    out = str(tmp_path / "run")
-    run_cli("train", "--config", cfg, "--quiet", *fast_overrides(out))
-    ckpt = os.path.join(out, "run0", "best.ckpt")
+def test_trace_invalid_direction_exit_2(ckpt, synth_dir, tmp_path):
     code = run_cli("trace", "--checkpoint", ckpt, "--corpus",
                    os.path.join(synth_dir, "test.tsv"), "--direction",
                    "ate->ddc", "--out", str(tmp_path / "t"))
@@ -305,11 +295,7 @@ def test_trace_forwards_each_chunk_once(tiny_checkpoint, tmp_path,
             np.testing.assert_allclose(g["c"], w["c"], rtol=0, atol=1e-6)
 
 
-def test_eval_empty_corpus_warns_exit_0(synth_dir, tmp_path, capsys):
-    cfg = os.path.join(synth_dir, "synthetic.cfg")
-    out = str(tmp_path / "run")
-    run_cli("train", "--config", cfg, "--quiet", *fast_overrides(out))
-    ckpt = os.path.join(out, "run0", "best.ckpt")
+def test_eval_empty_corpus_warns_exit_0(ckpt, tmp_path, capsys):
     empty = str(tmp_path / "empty.tsv")
     open(empty, "w").close()
     code = run_cli("eval", "--checkpoint", ckpt, "--corpus", empty)
@@ -319,11 +305,7 @@ def test_eval_empty_corpus_warns_exit_0(synth_dir, tmp_path, capsys):
     assert json.loads(captured.out.strip().splitlines()[-1])["f1_a"] == 0.0
 
 
-def test_eval_scheme_mismatch_exit_3(synth_dir, tmp_path, capsys):
-    cfg = os.path.join(synth_dir, "synthetic.cfg")
-    out = str(tmp_path / "run")
-    run_cli("train", "--config", cfg, "--quiet", *fast_overrides(out))
-    ckpt = os.path.join(out, "run0", "best.ckpt")
+def test_eval_scheme_mismatch_exit_3(ckpt, tmp_path):
     alien = str(tmp_path / "alien.tsv")
     with open(alien, "w") as f:
         f.write("word\tB-WEIRD\tO\t_\n\n")

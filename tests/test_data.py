@@ -12,6 +12,7 @@ from ktabsa import routing
 from ktabsa.cli import main
 from ktabsa.synth import SynthSpec, write_synthetic
 
+from fixtures import bench_inputs
 from helpers import (assert_same_sentences, bio_valid, corpus_stats,
                      failing_disk, length_groups, load_aspect_corpus_by_line,
                      mutants, tags_from_spans)
@@ -201,19 +202,6 @@ def test_sentences_hold_views_of_one_adjacency_buffer(tmp_path):
     assert all(s.adjacency.base is buf for s in sents)
     assert buf.size == sum(s.n * s.n for s in sents)
     assert all(s.adjacency.flags.c_contiguous for s in sents)
-
-
-def bench_inputs(out_dir, workload: str, seed: int):
-    """The bench's seeded input files of ``workload``."""
-    import importlib
-    import sys
-    sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "bench"))
-    try:
-        workloads = importlib.import_module("workloads")
-    finally:
-        sys.path.pop(0)
-    return workloads.write_inputs(str(out_dir), seed,
-                                  workloads.WORKLOADS[workload])
 
 
 def test_bulk_reader_equals_the_line_reader_on_synthetic_and_bench_inputs(

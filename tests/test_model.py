@@ -22,8 +22,8 @@ from ktabsa.synth import SynthSpec, write_synthetic
 from ktabsa.training import Schedule, aspect_loss, batch_aspect_loss, fit
 
 from fixtures import (build_tiny_model, build_tiny_model_f64,
-                      chain_adjacency, edit_header, random_sentence,
-                      tiny_config, with_header)
+                      chain_adjacency, edit_header, random_model,
+                      random_sentence, tiny_config, with_header)
 from helpers import (assert_grads_close, assert_views_of_blocks,
                      failing_disk, gradcheck, mutants, param_shapes,
                      per_task_forward, step_grads, tape_grads, worst)
@@ -376,13 +376,8 @@ def synthetic_test_corpus(tmp_path):
     paths = write_synthetic(str(tmp_path), SynthSpec(train_sentences=4,
                                                      test_sentences=40))
     sentences = load_aspect_corpus(paths["test"])
-    cfg = tiny_config()
-    rng = np.random.default_rng(12)
-    words = corpus_words(sentences)
-    model = AbsaModel(cfg, DEFAULT_SCHEMES,
-                      random_embeddings(words, cfg.d_general, rng),
-                      random_embeddings(words, cfg.d_domain, rng))
-    return model, sentences
+    return random_model(tiny_config(), corpus_words(sentences),
+                        np.random.default_rng(12)), sentences
 
 
 def mixed_length_corpus(model, rng):
@@ -829,6 +824,22 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
         np.testing.assert_array_equal(sa.probs.data, sb.probs.data)
     b = clone.predict(sent)
     assert a == b
+
+
+def test_tables_index_the_live_embeddings(tmp_path):
+    # a built and a loaded model hold each embedding matrix once, so the
+    # loaded model's tables show the loaded values
+    model, _, _ = build_tiny_model()
+    path = str(tmp_path / "m.ckpt")
+    model.save(path)
+    loaded = AbsaModel.load(path)
+    for m in (model, loaded):
+        assert np.shares_memory(m.general_table.matrix, m.emb_general.data)
+        assert np.shares_memory(m.domain_table.matrix, m.emb_domain.data)
+    np.testing.assert_array_equal(loaded.general_table.matrix,
+                                  model.emb_general.data)
+    np.testing.assert_array_equal(loaded.domain_table.matrix,
+                                  model.emb_domain.data)
 
 
 def test_checkpoint_version_mismatch(tmp_path):

@@ -1,5 +1,4 @@
 import gc
-import importlib
 import json
 import math
 import os
@@ -24,8 +23,9 @@ from ktabsa.training import (Adam, DivergenceError, Schedule, _train_step,
                              document_loss, fit, gradcheck_harness,
                              model_gradcheck, token_accuracy)
 
-from fixtures import (TINY_WORDS, build_tiny_model, build_tiny_model_f64,
-                      random_sentence, tiny_config, tiny_sentence)
+from fixtures import (TINY_WORDS, bench_inputs, build_tiny_model,
+                      build_tiny_model_f64, random_model, random_sentence,
+                      tiny_config, tiny_document, tiny_sentence)
 from helpers import (assert_grads_close, assert_views_of_blocks,
                      corrupt_squash_backward, failing_disk, gradcheck,
                      matmul, retained_backward, scale, step_grads,
@@ -408,23 +408,15 @@ def test_group_members_do_not_see_each_other():
         assert not np.array_equal(new[1], old[1])
 
 
-def bench_inputs(tmp_path, monkeypatch, name: str):
+def bench_model_inputs(tmp_path, name: str):
     """The training sentences and documents that the benchmark's workload
     ``name`` generates at seed 1, indexed for a default model on random
     embeddings, and that model."""
-    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(
-        os.path.dirname(os.path.abspath(__file__))), "bench"))
-    workloads = importlib.import_module("workloads")
-    inputs = workloads.write_inputs(str(tmp_path), 1,
-                                    workloads.WORKLOADS[name])
+    inputs = bench_inputs(tmp_path, name, 1)
     sents = load_aspect_corpus(inputs.train)
     docs = load_document_corpus(inputs.docs)
-    cfg, rng = ModelConfig(), np.random.default_rng(0)
-    words = corpus_words(sents, docs)
-    gen = random_embeddings(words, cfg.d_general, rng)
-    dom = random_embeddings(words, cfg.d_domain, rng)
-    assign_embedding_ids(sents + docs, gen, dom)
-    return sents, docs, AbsaModel(cfg, DEFAULT_SCHEMES, gen, dom)
+    return sents, docs, random_model(ModelConfig(), corpus_words(sents, docs),
+                                     np.random.default_rng(0), sents, docs)
 
 
 @pytest.mark.parametrize("name, forwards, routes", [
@@ -438,7 +430,7 @@ def test_a_bench_batch_runs_one_forward_per_chunk(name, forwards, routes,
     # sentences of 64 tokens and 8 of 128 run the chunks of 4 x 128,
     # 4 x 128 and 8 x 64 that one length at a time ran: 3 forwards and
     # 6 + 6 + 3 route calls a round
-    sents, docs, model = bench_inputs(tmp_path, monkeypatch, name)
+    sents, docs, model = bench_model_inputs(tmp_path, name)
     assert len(sents) <= 32 and len(docs) <= 32
     calls = {"forward": 0, "forward_document": 0, "route": 0}
     for owner, attr in ((model, "forward"), (model, "forward_document"),
@@ -552,14 +544,9 @@ def make_training_setup(tmp_path, n_sentences=12, **config_overrides):
                                       test_sentences=4, documents=8, seed=5))
     sents = load_aspect_corpus(paths["train"])
     docs = load_document_corpus(paths["documents"])
-    cfg = tiny_config(**config_overrides)
-    rng = np.random.default_rng(0)
-    words = corpus_words(sents, docs)
-    gen = random_embeddings(words, cfg.d_general, rng)
-    dom = random_embeddings(words, cfg.d_domain, rng)
-    assign_embedding_ids(sents, gen, dom)
-    assign_embedding_ids(docs, gen, dom)
-    model = AbsaModel(cfg, DEFAULT_SCHEMES, gen, dom)
+    model = random_model(tiny_config(**config_overrides),
+                         corpus_words(sents, docs), np.random.default_rng(0),
+                         sents, docs)
     return model, sents, docs
 
 
@@ -576,6 +563,30 @@ def test_pad_rows_stay_zero_through_fit(tmp_path):
                                   start):
         assert not np.array_equal(emb.data, before)     # embeddings trained
         assert not emb.data[table.pad_index].any()
+
+
+def test_fit_returns_holding_no_gradient(tmp_path):
+    model, sents, docs = make_training_setup(tmp_path)
+    fit(model, sents, [], docs, Schedule(epochs=1, pretrain_epochs=1,
+                                         batch_size=8, patience=0))
+    assert all(p.grad is None for p in model.named_parameters().values())
+
+
+def test_training_never_changes_the_caller_s_tables():
+    # the model trains its own copy of the caller's matrices
+    cfg, rng = tiny_config(), np.random.default_rng(0)
+    tables = [random_embeddings(TINY_WORDS, dim, rng)
+              for dim in (cfg.d_general, cfg.d_domain)]
+    before = [t.matrix.copy() for t in tables]
+    model = AbsaModel(cfg, DEFAULT_SCHEMES, *tables)
+    sent, doc = tiny_sentence(), tiny_document()
+    assign_embedding_ids([sent, doc], *tables)
+    fit(model, [sent], [], [doc], Schedule(epochs=2, pretrain_epochs=1,
+                                           lr=0.05, patience=0))
+    for table, start, emb in zip(tables, before,
+                                 (model.emb_general, model.emb_domain)):
+        np.testing.assert_array_equal(table.matrix, start)
+        assert not np.array_equal(emb.data, start)
 
 
 def test_fit_smoke_writes_metrics_and_checkpoint(tmp_path):
